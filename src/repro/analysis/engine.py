@@ -121,18 +121,16 @@ class EngineRunInfo:
     #: (runtime truth: heterogeneous-settings blocks that degraded to the
     #: scalar path and retired lanes are excluded)
     n_batched_candidates: int = 0
-    #: requested compiled lane-core mode ("off" | "auto" | backend name)
+    #: requested march-kernel mode ("off" | "auto" | "numba")
     compiled: str = "off"
     #: *resolved* kernel backend the batched marches actually ran on
-    #: ("" when no batched march ran or compiled was off)
+    #: ("" when no batched march ran)
     compiled_backend: str = ""
-    #: requested batched-refresh mode ("auto" | "batched" | "perlane")
-    refresh: str = "auto"
     #: wall seconds spent inside march kernels, summed over lane blocks
     kernel_time_s: float = 0.0
     #: wall seconds spent relinearising/eliminating (the refresh path),
     #: summed over lane blocks — together with ``kernel_time_s`` this is
-    #: the compiled loop's kernel-vs-interpreted time split
+    #: the batched march's kernel-vs-refresh time split
     refresh_time_s: float = 0.0
 
 
@@ -156,10 +154,8 @@ class _Task:
     #: shared-store URL when the result store is not a local directory
     #: (memory:// / kv://); mutually exclusive with ``cache_dir``
     store_url: Optional[str] = None
-    #: compiled lane-core mode for the batched march ("off" interprets)
+    #: march-kernel mode for the batched march ("off" runs numpy)
     compiled: str = "off"
-    #: batched-refresh mode for the batched march
-    refresh: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ class _Outcome:
     #: to the scalar path, a runtime fallback or a checkpoint resume)
     batched: bool = False
     #: resolved march-kernel backend of the batched run ("" on the scalar
-    #: path or with compiled off)
+    #: path)
     compiled_backend: str = ""
     #: block-level kernel/refresh wall-time split, attached to one outcome
     #: per lane block so engine-level sums count each block once
@@ -324,7 +320,6 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
             integrator=tasks[0].integrator,
             settings=settings_list,
             compiled=tasks[0].compiled,
-            refresh=tasks[0].refresh,
         )
         for i, harvester in enumerate(harvesters):
             harvester._wire(solver.lane_wiring(i))
@@ -464,12 +459,12 @@ class SweepEngine:
         Maximum lanes per batched block.  Default: one block per
         topology (serial) or one block per worker per topology.
     compiled:
-        Compiled lane-core mode for the batched march
-        (:mod:`repro.core.kernels`): ``"off"`` (default) interprets,
-        ``"auto"`` picks the best importable kernel backend,
-        ``"numba"``/``"jax"``/``"numpy"`` pin one (raising eagerly when
-        it is not importable).  Batched backend only; fixed-step results
-        stay byte-identical to ``"off"``.
+        March-kernel mode for the batched march
+        (:mod:`repro.core.kernels`): ``"off"`` (default) runs the numpy
+        kernel, ``"auto"`` picks the best importable kernel backend,
+        ``"numba"`` pins numba (raising eagerly when it is not
+        importable).  Non-default values need the batched backend;
+        fixed-step results stay byte-identical to ``"off"``.
     cache:
         Result-cache mode (:mod:`repro.cache`): ``"off"`` (default) never
         touches the store; ``"read"`` serves per-candidate sweep points
@@ -518,7 +513,6 @@ class SweepEngine:
         backend: str = "process",
         lane_width: Optional[int] = None,
         compiled: str = "off",
-        refresh: str = "auto",
         cache: str = "off",
         cache_dir: Optional[str] = None,
         store_url: Optional[str] = None,
@@ -570,20 +564,6 @@ class SweepEngine:
             # fail in the parent at construction, not in a worker
             # mid-sweep, when an explicit backend is not importable
             resolve_compiled(compiled)
-        from ..core.batch import REFRESH_MODES
-
-        if refresh not in REFRESH_MODES:
-            raise ConfigurationError(
-                f"unknown refresh mode {refresh!r}; choose from "
-                f"{REFRESH_MODES}"
-            )
-        if refresh != "auto" and backend != "batched":
-            raise ConfigurationError(
-                f"incoherent options: refresh={refresh!r} with "
-                f"backend={backend!r} — the refresh path selects how the "
-                "batched march relinearises; drop refresh or select "
-                "backend='batched'"
-            )
         from ..api.options import CACHE_MODES
 
         if cache not in CACHE_MODES:
@@ -624,7 +604,6 @@ class SweepEngine:
         self.backend = backend
         self.lane_width = lane_width
         self.compiled = compiled
-        self.refresh = refresh
         self.cache = cache
         self.cache_dir = cache_dir
         self.store_url = store_url
@@ -825,7 +804,6 @@ class SweepEngine:
             cache=self.cache,
             compiled=self.compiled,
             compiled_backend=compiled_backend,
-            refresh=self.refresh,
             kernel_time_s=kernel_time_s,
             refresh_time_s=refresh_time_s,
         )
@@ -878,7 +856,6 @@ class SweepEngine:
                     relinearise_interval=self.relinearise_interval,
                     reuse_assembly=self.reuse_assembly,
                     compiled=self.compiled,
-                    refresh=self.refresh,
                 )
             )
         return tasks

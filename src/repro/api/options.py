@@ -18,7 +18,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..core.batch import REFRESH_MODES
 from ..core.elimination import AssemblyStructure
 from ..core.errors import ConfigurationError
 from ..core.integrators import ExplicitIntegrator, make_integrator
@@ -31,7 +30,6 @@ __all__ = [
     "BACKENDS",
     "CACHE_MODES",
     "COMPILED_MODES",
-    "REFRESH_MODES",
     "FINGERPRINT_EXEMPT",
     "execution_fingerprint",
 ]
@@ -70,15 +68,15 @@ def execution_fingerprint(
     exploration samples a different candidate set per seed, so its results
     must never collide with another seed's in the cache.
 
-    ``compiled`` is recorded only where it can change results: at fixed
-    step the compiled lane core is byte-identical to the interpreted
-    batched march (so all modes share one fingerprint, ``"off"``), while
-    adaptive batched runs fall under the same documented 10 % tolerance
-    as the batched backend itself and fingerprint the requested mode.
-    The ``refresh`` knob is deliberately **not** part of the
-    fingerprint: the batched-refresh path is bit-identical to the
-    per-lane refresh on every backend (asserted by the test suite), so
-    it can never change a result and must not fragment the cache.
+    ``compiled`` is recorded as the *resolved* kernel backend, and only
+    where that can change results: at fixed step every backend is
+    byte-identical to the numpy kernel, and the numpy kernel is what
+    ``"off"`` runs, so both record ``"off"``.  Adaptive batched runs on
+    numba fall under the same documented 10 % tolerance as the batched
+    backend itself and record ``"numba"``.  Keying on the resolved
+    backend rather than the requested mode keeps "same key, same bytes"
+    across hosts: ``"auto"`` on a host without numba shares the default
+    run's key instead of claiming a numba result.
     """
     if integrator is None:
         integrator_form = None
@@ -89,8 +87,10 @@ def execution_fingerprint(
         }
     adaptive = settings is None or settings.fixed_step is None
     compiled_form = (
-        str(compiled)
-        if compiled != "off" and backend == "batched" and adaptive
+        "numba"
+        if backend == "batched"
+        and adaptive
+        and resolve_compiled(compiled) == "numba"
         else "off"
     )
     # the queue backend distributes the *same* scalar candidate path the
@@ -121,9 +121,6 @@ FINGERPRINT_EXEMPT = {
     "lane_width": "lane packing changes batching granularity only; fixed-step "
     "marches are byte-identical across widths and adaptive ones fall under "
     "the documented 10% shared-step tolerance fingerprinted via 'backend'",
-    "refresh": "batched refresh is asserted bit-identical to per-lane refresh "
-    "on every backend by the test suite; fingerprinting it would fragment "
-    "the cache across equivalent executions",
     "n_workers": "worker count only changes scheduling; the engine's "
     "determinism contract makes results independent of parallelism",
     "checkpoint_path": "where a checkpoint is written never affects what is "
@@ -182,27 +179,17 @@ class RunOptions:
         Maximum lanes per batched block (``backend="batched"`` only —
         combining it with the process backend raises).
     compiled:
-        Compiled lane-core backend for the batched march
+        March-kernel backend for the batched march
         (:mod:`repro.core.kernels`): ``"off"`` (default) runs the
-        interpreted lock-step loop; ``"auto"`` picks the best importable
-        backend (numba, then JAX, then the always-available vectorised
-        NumPy kernel); ``"numba"``/``"jax"``/``"numpy"`` pin one and
-        raise eagerly when it is not importable (``pip install
-        repro[compiled]``).  Fixed-step results are byte-identical to
-        ``"off"``; adaptive runs fall under the batched backend's
-        documented 10 % tolerance.  Only valid with
-        ``backend="batched"``.
-    refresh:
-        Relinearisation path for the batched march
-        (:class:`~repro.core.batch.BatchedSolver`): ``"auto"``
-        (default) uses the prepared stacked batched refresh whenever a
-        compiled backend is active; ``"batched"`` forces it (also on
-        the interpreted loop); ``"perlane"`` keeps the generic
-        per-refresh block dispatch.  The two paths are bit-identical on
-        every backend, so this knob is pure performance and is excluded
-        from cache/checkpoint fingerprints.  Only meaningful with
-        ``backend="batched"``; a non-default value with the process
-        backend raises.
+        always-available vectorised NumPy kernel; ``"auto"`` picks numba
+        when it is importable and the NumPy kernel otherwise;
+        ``"numba"`` pins numba and raises eagerly when it is not
+        importable (``pip install repro[compiled]``).  Fixed-step
+        results are byte-identical across modes; adaptive numba runs
+        fall under the batched backend's documented 10 % tolerance.  A
+        non-default value is only valid with ``backend="batched"``.
+        Every batched march relinearises through the prepared stacked
+        refresh, bit-identical to per-lane block dispatch.
     n_workers:
         Worker processes for sweep execution.  ``1`` evaluates inline,
         byte-identical to the historical serial loop; ``None`` uses
@@ -273,7 +260,6 @@ class RunOptions:
     backend: str = "process"
     lane_width: Optional[int] = None
     compiled: str = "off"
-    refresh: str = "auto"
     n_workers: Optional[int] = 1
     checkpoint_path: Optional[str] = None
     progress: Optional[ProgressFn] = None
@@ -375,18 +361,6 @@ class RunOptions:
             # that is not importable fails here, at construction, not in
             # a worker process mid-sweep
             resolve_compiled(self.compiled)
-        if self.refresh not in REFRESH_MODES:
-            raise ConfigurationError(
-                f"unknown refresh mode {self.refresh!r}; choose from "
-                f"{REFRESH_MODES}"
-            )
-        if self.refresh != "auto" and self.backend != "batched":
-            raise ConfigurationError(
-                f"incoherent options: refresh={self.refresh!r} with "
-                f"backend={self.backend!r} — the refresh path selects how "
-                "the batched march relinearises; drop refresh or use "
-                "RunOptions.batched()"
-            )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be at least 1")
         if self.relinearise_interval is not None and self.relinearise_interval < 1:

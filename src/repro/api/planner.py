@@ -401,7 +401,6 @@ def execute_sweep(sweep, options: RunOptions) -> StudyResult:
         backend=options.backend,
         lane_width=options.lane_width,
         compiled=options.compiled,
-        refresh=options.refresh,
         cache=options.cache,
         cache_dir=options.cache_dir,
         store_url=options.store_url,
@@ -456,7 +455,6 @@ def execute_explore(sweep, options: RunOptions) -> ExplorationResult:
         backend=options.backend,
         lane_width=options.lane_width,
         compiled=options.compiled,
-        refresh=options.refresh,
         cache=options.cache,
         cache_dir=options.cache_dir,
         store_url=options.store_url,

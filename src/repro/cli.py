@@ -53,6 +53,7 @@ from .api.results import (
 )
 from .cache import ResultStore, default_cache_dir
 from .core.errors import SimulationError
+from .core.kernels import COMPILED_MODES
 from .io import load_experiment
 from .io.report import format_key_values, format_sweep_value, format_table
 
@@ -101,11 +102,12 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--compiled",
-        choices=("off", "auto", "numba", "jax", "numpy"),
+        choices=COMPILED_MODES,
         default=None,
         help=(
-            "override the experiment's compiled lane-core mode (batched "
-            "backend only; 'auto' picks the best importable kernel)"
+            "override the experiment's march-kernel mode (batched backend "
+            "only; 'off' runs the numpy kernel, 'auto' picks the best "
+            "importable one)"
         ),
     )
     parser.add_argument(

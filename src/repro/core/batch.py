@@ -20,18 +20,24 @@ Execution model
   BatchedStepController`).  With ``fixed_step`` set there is nothing to
   negotiate and each lane's waveforms are **byte-identical** to its serial
   scalar run (see the equivalence contracts below).
+* **Kernel bursts**: between two events (refresh, record, end time,
+  divergence) the held affine model is marched in one call of a march
+  kernel from :mod:`repro.core.kernels` — the NumPy kernel by default,
+  numba with ``compiled="auto" | "numba"``.  Steps the kernel cannot take
+  (RK4 startup, non-Adams-Bashforth integrators, recorders not yet
+  burst-ready) run one at a time in the same loop.
 * **Lane retirement**: lanes that reach their end time are finalised and
   retired; lanes that trip the divergence guard or a singular elimination
   are retired with their error recorded so the caller can re-run them on
   the exact scalar path (:mod:`repro.analysis.engine` does exactly that).
-* **Batched refresh** (``refresh="auto" | "batched"``): each
-  relinearisation evaluates the active lanes' block models through a
-  prepared :class:`~repro.core.elimination.BatchedAssembler` workspace —
+* **Batched refresh**: each relinearisation evaluates the active lanes'
+  block models through a prepared
+  :class:`~repro.core.elimination.BatchedAssembler` workspace —
   lane-constant Jacobian fields are scattered once per march and only the
   state-dependent fields are rebuilt per refresh; block groups without a
-  batched lineariser fall back to the generic per-lane dispatch.  The
-  prepared path is bit-identical to the per-lane refresh
-  (``refresh="perlane"``), so the knob never changes results.
+  batched lineariser fall back to the generic per-lane dispatch, and a
+  batch with no such group at all runs unprepared.  The prepared path is
+  bit-identical to the per-lane dispatch.
 * **Digital events are out of scope**: candidates with a digital kernel
   fall back to the scalar solver — a digital activation changes one lane's
   analogue model mid-march, which breaks the lock-step premise.
@@ -79,7 +85,7 @@ from .kernels import (
     get_march_kernel,
     resolve_compiled,
 )
-from .results import SimulationResult, SolverStats, Trace, TraceRecorder
+from .results import SimulationResult, SolverStats, Trace
 from .solver import ProbeFn, SolverSettings
 from .stepper import (
     BatchedStepController,
@@ -91,12 +97,6 @@ __all__ = ["BatchedSolver", "BatchResult"]
 
 _END_EPS = 1e-15
 
-#: values of the ``refresh`` knob: ``"auto"`` uses the prepared batched
-#: refresh whenever a compiled backend is active, ``"batched"`` forces it
-#: (also on the interpreted loop), ``"perlane"`` keeps the generic
-#: per-refresh block dispatch everywhere.
-REFRESH_MODES = ("auto", "batched", "perlane")
-
 
 def _needs_refresh(
     reduced: Optional[BatchedReducedSystem],
@@ -106,15 +106,14 @@ def _needs_refresh(
     x: np.ndarray,
     x_reference: np.ndarray,
 ) -> bool:
-    """Shared refresh decision of both march loops.
+    """Refresh decision of the batched march.
 
     A relinearisation is due when no reduced system exists yet, when the
     hold budget (``relinearise_interval``) is exhausted, or when any
     lane's state drifted beyond its ``relinearise_state_rtol`` guard
-    relative to the state the model was linearised around.  Both the
-    interpreted and the compiled loop call exactly this predicate (and
-    the march kernels replicate the drift expression), so the refresh
-    schedule cannot diverge between paths.
+    relative to the state the model was linearised around.  The march
+    kernels replicate the drift expression, so a burst stops exactly
+    where this predicate would call for a refresh.
     """
     refresh = reduced is None or steps_since_assemble >= hold_limit
     if not refresh and np.any(np.isfinite(state_rtol)):
@@ -170,25 +169,20 @@ class _Lane:
         self.index = index
         self.settings = settings
         self.probes: Dict[str, ProbeFn] = {}
-        self.recorder = TraceRecorder(record_interval=settings.record_interval)
         self.stats = SolverStats(solver_name="")
-        self.lle_max_change = 0.0
-        self.lle_flagged = 0
-        self.n_jacobian_reuses = 0
 
 
 class _BatchedRecorder:
-    """Geometrically grown trace buffers for the compiled batched loop.
+    """Geometrically grown trace buffers for the batched march.
 
-    The interpreted loop records through per-lane :class:`TraceRecorder`
-    objects — a Python dict build plus per-trace list appends for every
-    lane at every recorded step.  This recorder instead keeps one
-    row-buffered array per quantity (times ``(cap,)``, due-mask
-    ``(cap, B)``, states ``(cap, B, n)``, terminals ``(cap, B, m)``),
-    doubling capacity as rows fill, and materialises per-lane
-    :class:`Trace` objects only when a lane finalises.  Probe callables
-    remain per-lane Python calls (they are arbitrary user code) but are
-    invoked only for lanes actually due.
+    Instead of one :class:`~repro.core.results.TraceRecorder` per lane
+    (a Python dict build plus per-trace list appends for every lane at
+    every recorded step), this recorder keeps one row-buffered array per
+    quantity (times ``(cap,)``, due-mask ``(cap, B)``, states
+    ``(cap, B, n)``, terminals ``(cap, B, m)``), doubling capacity as
+    rows fill, and materialises per-lane :class:`Trace` objects only when
+    a lane finalises.  Probe callables remain per-lane Python calls (they
+    are arbitrary user code) but are invoked only for lanes actually due.
 
     Due-ness replicates ``TraceRecorder.should_record`` exactly:
     record when the interval is non-positive, when the lane has never
@@ -295,7 +289,7 @@ class _BatchedRecorder:
     def traces_for(
         self, i: int, state_names: Sequence[str], net_names: Sequence[str]
     ) -> Dict[str, Trace]:
-        """Materialise lane ``i``'s traces (interpreted-path dict order).
+        """Materialise lane ``i``'s traces (states, nets, then probes).
 
         Times are monotonic by construction (``_write`` is called with
         non-decreasing ``t``), checked once per lane here; the per-trace
@@ -349,25 +343,14 @@ class BatchedSolver:
         is not supported in batched mode (use the scalar solver for LLE
         studies — Jacobian-drift monitoring itself stays active).
     compiled:
-        March-kernel mode (``"off" | "auto" | "numba" | "jax" | "numpy"``,
-        see :mod:`repro.core.kernels`).  ``"off"`` keeps the interpreted
-        lock-step loop; any other mode runs the accumulator-based compiled
-        loop, which bursts held-model steps through the resolved kernel
-        backend.  The compiled loop engages its kernel only for
-        Adams-Bashforth marches with a full multistep window; other
-        configurations fall through to per-step updates inside the same
-        loop, preserving correctness.  Fixed-step results remain
-        byte-identical to the interpreted path (asserted by the test
-        suite for the numpy backend and by CI for numba).
-    refresh:
-        Relinearisation path (``"auto" | "batched" | "perlane"``).
-        ``"batched"`` prepares the assembler's workspace-backed refresh
-        (stacked block evaluation with lane-constant fields scattered
-        once); ``"perlane"`` keeps the generic per-refresh dispatch;
-        ``"auto"`` prepares whenever a compiled backend is active.  The
-        two paths are bit-identical, so this knob is pure performance
-        (and is excluded from result caching fingerprints for the same
-        reason).
+        March-kernel mode (``"off" | "auto" | "numba"``, see
+        :mod:`repro.core.kernels`).  ``"off"`` bursts held-model steps
+        through the NumPy kernel, ``"auto"`` through numba when it is
+        importable (else NumPy), ``"numba"`` pins numba.  Kernels engage
+        only for Adams-Bashforth marches with a full multistep window;
+        other configurations step one at a time inside the same loop.
+        Fixed-step results are byte-identical across modes (asserted by
+        the test suite, and by CI for numba).
     """
 
     def __init__(
@@ -376,7 +359,6 @@ class BatchedSolver:
         integrator: Optional[ExplicitIntegrator] = None,
         settings: Union[SolverSettings, Sequence[SolverSettings], None] = None,
         compiled: str = "off",
-        refresh: str = "auto",
     ) -> None:
         self.batched_assembler = BatchedAssembler(assemblers)
         b = self.batched_assembler.n_lanes
@@ -421,12 +403,6 @@ class BatchedSolver:
         # eager resolution: an explicitly requested unavailable backend
         # raises here, at construction, not mid-march
         self._compiled_backend = resolve_compiled(compiled)
-        if refresh not in REFRESH_MODES:
-            raise ConfigurationError(
-                f"unknown refresh mode {refresh!r}; "
-                f"choose one of {REFRESH_MODES}"
-            )
-        self._refresh_mode = refresh
 
     @property
     def n_lanes(self) -> int:
@@ -469,342 +445,43 @@ class BatchedSolver:
         adaptive mode (a lane-specific final clamp would break the
         fixed-step byte-identity of the longer lanes).
 
-        With ``compiled != "off"`` the march runs through the
-        accumulator-based compiled loop (see ``_run_compiled``); results
-        carry ``metadata["compiled"]`` naming the kernel backend.
+        Results carry ``metadata["compiled"]`` naming the kernel backend
+        that ran (see ``_march``).
 
-        Depending on the ``refresh`` mode the batched assembler is
-        prepared for workspace-backed stacked refreshes before the march
-        and always unprepared afterwards (``try/finally``), so the
-        solver object stays reusable and side-effect free.
+        The batched assembler is prepared for workspace-backed stacked
+        refreshes before the march and always unprepared afterwards
+        (``try/finally``), so the solver object stays reusable and
+        side-effect free.
         """
-        use_batched = self._refresh_mode == "batched" or (
-            self._refresh_mode == "auto" and self._compiled_backend is not None
-        )
         try:
-            if use_batched:
-                any_prepared = self.batched_assembler.prepare()
-                if not any_prepared and self._refresh_mode == "auto":
-                    # nothing to gain: no block group has a batched
-                    # lineariser, so keep the plain generic path
-                    self.batched_assembler.unprepare()
-            if self._compiled_backend is not None:
-                return self._run_compiled(t_end, t_start=t_start, x0=x0)
-            return self._run_interpreted(t_end, t_start=t_start, x0=x0)
+            if not self.batched_assembler.prepare():
+                # nothing to gain: no block group has a batched
+                # lineariser, so keep the plain generic path
+                self.batched_assembler.unprepare()
+            return self._march(t_end, t_start=t_start, x0=x0)
         finally:
             self.batched_assembler.unprepare()
             self.batched_assembler.enable_compiled_eliminate("off")
 
-    def _run_interpreted(
+    def _march(
         self,
         t_end: Union[float, Sequence[float]],
         *,
         t_start: float = 0.0,
         x0: Optional[np.ndarray] = None,
     ) -> BatchResult:
-        """The reference lock-step loop: one interpreted step at a time."""
-        # `assembler` tracks the *active* lanes and is compacted as lanes
-        # retire; `self.batched_assembler` is never mutated, so the solver
-        # object stays reusable after a run
-        assembler = self.batched_assembler
-        b = assembler.n_lanes
-        n_states = assembler.n_states
+        """The lock-step march: accumulators plus held-model kernel bursts.
 
-        t_end_arr = np.broadcast_to(
-            np.asarray(t_end, dtype=float), (b,)
-        ).copy()
-        if np.any(t_end_arr <= t_start):
-            raise ConfigurationError("t_end must be greater than t_start")
-        if self._fixed_step is not None and np.unique(t_end_arr).size != 1:
-            raise ConfigurationError(
-                "fixed-step batched marching requires a shared t_end "
-                "(per-lane end times would desynchronise the final clamp)"
-            )
+        Each iteration finalises lanes that reached their end time,
+        refreshes (linearise + eliminate, Eq. 4) or reuses the held
+        model, records due lanes, negotiates the shared step and then
+        marches:
 
-        t = float(t_start)
-        if x0 is None:
-            x = assembler.initial_state()
-        else:
-            x = np.array(x0, dtype=float, copy=True)
-        if x.shape != (b, n_states):
-            raise ConfigurationError(
-                f"x0 has shape {x.shape}, expected ({b}, {n_states})"
-            )
-        y = np.zeros((b, assembler.n_terminals))
-
-        controller: Optional[BatchedStepController] = None
-        if self._fixed_step is None:
-            controller = BatchedStepController(
-                [lane.settings.step_control for lane in self._lanes],
-                integrator=self.integrator,
-            )
-        integrator_state = self.integrator.new_state()
-
-        lanes = list(self._lanes)
-        for lane in lanes:
-            lane.stats = SolverStats(
-                solver_name=f"batched-state-space/{self.integrator.name}"
-            )
-            lane.recorder = TraceRecorder(
-                record_interval=lane.settings.record_interval
-            )
-            lane.lle_max_change = 0.0
-            lane.lle_flagged = 0
-            lane.n_jacobian_reuses = 0
-
-        results: List[Optional[SimulationResult]] = [None] * b
-        failures: Dict[int, Exception] = {}
-
-        structure = assembler.structure
-        rep = assembler.lane_assembler(0)
-        state_names = rep.state_names()
-        net_names = rep.net_names()
-
-        divergence_limit = np.array(
-            [lane.settings.divergence_limit for lane in lanes]
-        )
-        lle_tolerance = np.array([lane.settings.lle_tolerance for lane in lanes])
-        state_rtol = np.array(
-            [
-                np.inf
-                if lane.settings.relinearise_state_rtol is None
-                else lane.settings.relinearise_state_rtol
-                for lane in lanes
-            ]
-        )
-
-        wall_start = time.perf_counter()
-        reduced: Optional[BatchedReducedSystem] = None
-        previous_a: Optional[np.ndarray] = None  # Jacobian-drift monitoring
-        steps_since_assemble = 0
-        x_reference = x
-        held_h = None
-
-        def drop_lanes(keep: np.ndarray) -> None:
-            """Compact every stacked structure to the lanes in ``keep``."""
-            nonlocal x, y, reduced, lanes, t_end_arr, x_reference, assembler
-            nonlocal divergence_limit, lle_tolerance, state_rtol, previous_a
-            keep = np.asarray(keep, dtype=int)
-            if keep.size == 0:
-                lanes = []
-                return
-            x = x[keep]
-            y = y[keep]
-            t_end_arr = t_end_arr[keep]
-            x_reference = x_reference[keep]
-            divergence_limit = divergence_limit[keep]
-            lle_tolerance = lle_tolerance[keep]
-            state_rtol = state_rtol[keep]
-            if previous_a is not None:
-                previous_a = previous_a[keep]
-            if reduced is not None:
-                reduced = reduced.select(keep)
-            if controller is not None:
-                controller.select(keep)
-            # multi-step derivative history is stacked (B, n): drop lanes
-            integrator_state.history = type(integrator_state.history)(
-                (sample_t, sample_f[keep])
-                for sample_t, sample_f in integrator_state.history
-            )
-            assembler = assembler.select(keep)
-            lanes = [lanes[int(i)] for i in keep]
-
-        def record(mask: Optional[np.ndarray] = None, *, force: bool = False) -> None:
-            for i, lane in enumerate(lanes):
-                if mask is not None and not mask[i]:
-                    continue
-                if not force and not lane.recorder.should_record(t):
-                    continue
-                x_i = x[i]
-                y_i = y[i]
-                values: Dict[str, float] = {}
-                for name, value in zip(state_names, x_i):
-                    values[name] = float(value)
-                for name, value in zip(net_names, y_i):
-                    values[name] = float(value)
-                for name, probe in lane.probes.items():
-                    values[name] = float(probe(t, x_i, y_i))
-                lane.recorder.record(t, values, force=force)
-
-        def finalize(i: int) -> bool:
-            """Final consistent record + result for lane ``i`` (scalar path).
-
-            Returns ``False`` (without recording a result) when the final
-            consistency solve itself fails, so the caller retires the lane
-            with the error instead of crashing the batch.
-            """
-            nonlocal y
-            lane = lanes[i]
-            lane_assembler = assembler.lane_assembler(i)
-            try:
-                lin = lane_assembler.assemble(t, x[i], y[i])
-                lane_reduced = lane_assembler.eliminate(lin, x[i])
-            except SingularSystemError as exc:
-                failures[lane.index] = exc
-                return False
-            y[i] = lane_reduced.y_solution
-            record(mask=np.arange(len(lanes)) == i, force=True)
-            lane.stats.cpu_time_s = (time.perf_counter() - wall_start) / b
-            lane.stats.final_time = t
-            result = SimulationResult(traces=lane.recorder.traces, stats=lane.stats)
-            result.metadata["integrator"] = self.integrator.name
-            result.metadata["integrator_order"] = self.integrator.order
-            result.metadata["n_states"] = n_states
-            result.metadata["n_terminals"] = structure.n_terminals
-            result.metadata["lle_max_jacobian_change"] = lane.lle_max_change
-            result.metadata["lle_flagged_steps"] = lane.lle_flagged
-            result.metadata["relinearise_interval"] = self._hold_limit
-            result.metadata["n_jacobian_reuses"] = lane.n_jacobian_reuses
-            result.metadata["batched"] = True
-            result.metadata["batch_lanes"] = b
-            result.metadata["lane_index"] = lane.index
-            result.metadata["batched_refresh"] = assembler.prepared
-            results[lane.index] = result
-            return True
-
-        def fail_lanes(indices: Sequence[int], errors: Sequence[Exception]) -> None:
-            for i, error in zip(indices, errors):
-                failures[lanes[i].index] = error
-            keep = np.array(
-                [i for i in range(len(lanes)) if i not in set(indices)], dtype=int
-            )
-            drop_lanes(keep)
-
-        def assemble_eliminate(*, initial: bool = False) -> bool:
-            """Fresh linearisation of all active lanes; handles singular lanes.
-
-            Returns ``False`` when the batch ran out of lanes.  The
-            ``initial`` consistency solve counts only as a linear solve,
-            exactly as the scalar solver's bookkeeping does.
-            """
-            nonlocal reduced, y, steps_since_assemble, x_reference, previous_a
-            while lanes:
-                lin = assembler.assemble(t, x, y)
-                try:
-                    reduced = assembler.eliminate(lin, x)
-                except SingularLaneError as exc:
-                    bad = list(exc.lane_indices)
-                    fail_lanes(
-                        bad,
-                        [
-                            SingularLaneError(
-                                str(exc), lane_indices=(lanes[i].index,)
-                            )
-                            for i in bad
-                        ],
-                    )
-                    continue
-                y = reduced.y_solution
-                # Jacobian-drift LLE monitoring (vectorised over lanes)
-                if previous_a is None:
-                    previous_a = np.array(reduced.a_reduced, copy=True)
-                else:
-                    change = relative_jacobian_drift(reduced.a_reduced, previous_a)
-                    for i, lane in enumerate(lanes):
-                        lane.lle_max_change = max(lane.lle_max_change, change[i])
-                        if change[i] > lle_tolerance[i]:
-                            lane.lle_flagged += 1
-                    previous_a = np.array(reduced.a_reduced, copy=True)
-                for lane in lanes:
-                    if not initial:
-                        lane.stats.n_jacobian_evaluations += 1
-                    lane.stats.n_linear_solves += 1
-                steps_since_assemble = 0
-                x_reference = x
-                return True
-            return False
-
-        # initial consistency solve (terminal variables meaningful from t0)
-        if not assemble_eliminate(initial=True):
-            return BatchResult(results=results, failures=failures)
-        # mirror the scalar loop: the initial solve counts as a linear
-        # solve but not yet as the first held linearisation
-        steps_since_assemble = self._hold_limit  # force refresh on first step
-        previous_a = None
-
-        while lanes:
-            # 1. finalise lanes that reached their end time
-            finished = t >= t_end_arr - _END_EPS
-            if np.any(finished):
-                for i in np.flatnonzero(finished):
-                    finalize(int(i))
-                keep = np.flatnonzero(~finished)
-                drop_lanes(keep)
-                if not lanes:
-                    break
-
-            # 2. linearise + eliminate, or reuse the held affine models
-            refresh = _needs_refresh(
-                reduced, steps_since_assemble, self._hold_limit,
-                state_rtol, x, x_reference,
-            )
-            if refresh:
-                if not assemble_eliminate():
-                    break
-            else:
-                y = reduced.terminal_values(x)
-                for lane in lanes:
-                    lane.n_jacobian_reuses += 1
-            steps_since_assemble += 1
-
-            # 3. record traces
-            record()
-
-            # 4. choose the shared step size
-            h, _h_nominal, held_h = negotiate_shared_step(
-                controller, reduced.a_reduced, t_end_arr - t,
-                self._fixed_step, refresh, held_h,
-            )
-
-            # 5. lock-step explicit march (Eq. 5, all lanes at once)
-            x = self.integrator.step_batch(
-                lambda _t, xs: reduced.derivative(xs), t, x, h, integrator_state
-            )
-            for lane in lanes:
-                lane.stats.n_function_evaluations += 1
-                lane.stats.register_step(h, accepted=True)
-            t += h
-
-            # 6. divergence guard — retire tripped lanes, keep marching
-            norms = batched_state_norms(x)
-            bad = (
-                ~np.all(np.isfinite(x), axis=1)
-                | ~np.isfinite(norms)
-                | (norms > divergence_limit)
-            )
-            if np.any(bad):
-                indices = [int(i) for i in np.flatnonzero(bad)]
-                fail_lanes(
-                    indices,
-                    [
-                        StabilityError(
-                            f"solution diverged at t={t:.6g} (step {h:.3g}); "
-                            "lane retired for exact scalar re-run"
-                        )
-                        for _ in indices
-                    ],
-                )
-
-        return BatchResult(results=results, failures=failures)
-
-    def _run_compiled(
-        self,
-        t_end: Union[float, Sequence[float]],
-        *,
-        t_start: float = 0.0,
-        x0: Optional[np.ndarray] = None,
-    ) -> BatchResult:
-        """Accumulator-based loop with compiled held-model bursts.
-
-        Structure mirrors ``_run_interpreted`` decision for decision; the
-        differences are pure bookkeeping mechanics:
-
-        * per-lane Python stats loops become ``(B,)`` accumulator arrays,
+        * per-lane statistics live in ``(B,)`` accumulator arrays,
           materialised into each lane's :class:`SolverStats` only at
           finalisation;
         * trace recording goes through one :class:`_BatchedRecorder`
-          (geometrically grown row buffers) instead of per-lane
-          ``TraceRecorder`` objects;
+          (geometrically grown row buffers);
         * the march advances in **full-window kernel bursts**: right
           after a refresh (or a record stop) the remaining held-model
           steps — up to the whole ``relinearise_interval`` window — run
@@ -815,10 +492,10 @@ class BatchedSolver:
           burst through :func:`~repro.core.stepper.negotiate_shared_step`
           and is carried into the kernel as ``h_nominal`` (the kernel's
           per-step clamp ``min(h_nominal, min(t_end) - t_j)`` replicates
-          the interpreted held-step clamp bitwise), so adaptive runs
-          advance in multi-step bursts too.  Interpreted single steps
-          remain only as the fallback for RK4 startup, non-AB
-          integrators, and recorders that are not burst-ready;
+          the held-step clamp bitwise), so adaptive runs advance in
+          multi-step bursts too.  Single steps remain only as the
+          fallback for RK4 startup, non-AB integrators, recorders that
+          are not burst-ready and zero-step kernel calls;
         * with the batched refresh prepared and a numba backend, the
           per-refresh elimination additionally runs through a fused
           per-lane jit kernel that is adopted only after a bitwise
@@ -826,10 +503,12 @@ class BatchedSolver:
           :meth:`~repro.core.elimination.BatchedAssembler.
           enable_compiled_eliminate`).
 
-        Fixed-step results are byte-identical to the interpreted loop;
-        the kernel replicates its array expressions exactly (numpy
-        backend) and never observes the skipped intermediate terminal
-        solves, whose values affect nothing downstream.
+        A kernel that always returns zero steps turns this into a
+        one-step-at-a-time march; the numpy kernel's fixed-step and
+        adaptive results are byte-identical to that, because it
+        replicates the single-step array expressions exactly and never
+        observes the skipped intermediate terminal solves, whose values
+        affect nothing downstream.
         """
         backend = self._compiled_backend
         try:
@@ -889,12 +568,6 @@ class BatchedSolver:
             lane.stats = SolverStats(
                 solver_name=f"batched-state-space/{self.integrator.name}"
             )
-            lane.recorder = TraceRecorder(
-                record_interval=lane.settings.record_interval
-            )
-            lane.lle_max_change = 0.0
-            lane.lle_flagged = 0
-            lane.n_jacobian_reuses = 0
 
         results: List[Optional[SimulationResult]] = [None] * b
         failures: Dict[int, Exception] = {}
@@ -917,8 +590,8 @@ class BatchedSolver:
             ]
         )
 
-        # (B,) stat accumulators — the compiled loop's replacement for
-        # the interpreted `for lane in lanes:` bookkeeping loops
+        # (B,) stat accumulators, copied into each lane's SolverStats at
+        # finalisation
         acc_fevals = np.zeros(len(lanes), dtype=np.int64)
         acc_steps = np.zeros(len(lanes), dtype=np.int64)
         acc_hmin = np.full(len(lanes), np.inf)
@@ -934,12 +607,12 @@ class BatchedSolver:
         )
 
         # kernel bursts require a full Adams-Bashforth window (the RK4
-        # startup steps and other integrators stay interpreted)
+        # startup steps and other integrators take single steps)
         burstable = isinstance(self.integrator, AdamsBashforth)
         order = self.integrator.order
 
         wall_start = time.perf_counter()
-        # kernel-vs-interpreted wall-time split, reported through result
+        # kernel-vs-refresh wall-time split, reported through result
         # metadata (batch-level totals as of each lane's finalisation)
         kernel_time = 0.0
         refresh_time = 0.0
@@ -1156,7 +829,7 @@ class BatchedSolver:
             # 4. negotiate the shared step once per burst; ``h_nominal``
             #    carries the decision into the kernel, whose per-step
             #    clamp ``min(h_nominal, min(t_end) - t_j)`` replicates
-            #    the interpreted held-step clamp bitwise
+            #    the single-step held clamp bitwise
             h, h_nominal, held_h = negotiate_shared_step(
                 controller, reduced.a_reduced, t_end_arr - t,
                 self._fixed_step, refresh, held_h,
@@ -1164,11 +837,11 @@ class BatchedSolver:
 
             # 5. march the whole remaining hold window in one kernel
             #    burst (after a refresh that is the full
-            #    relinearise_interval).  The kernel exits on the
-            #    interpreted loop's own events (hold budget, t_end,
-            #    record due, drift refresh, divergence), so the outer
-            #    loop resumes exactly where the interpreted loop would
-            #    make its next non-held decision.
+            #    relinearise_interval).  The kernel exits on this
+            #    loop's own events (hold budget, t_end, record due,
+            #    drift refresh, divergence), so the outer loop resumes
+            #    exactly where single steps would make their next
+            #    non-held decision.
             max_burst = self._hold_limit - steps_since_assemble
             burst_steps = 0
             if (
@@ -1198,8 +871,8 @@ class BatchedSolver:
                 if burst_steps:
                     x = burst.x
                     t = burst.t
-                    # the held-model terminal update the interpreted loop
-                    # would have made entering the *next* step: y lags x
+                    # the held-model terminal update a single step would
+                    # have made entering the *next* step: y lags x
                     # by one step, so only the last pre-step state's
                     # terminals are observable
                     y = reduced.terminal_values(burst.x_prev)
@@ -1207,8 +880,8 @@ class BatchedSolver:
                         burst.history
                     )
                     steps_since_assemble += burst_steps
-                    # the interpreted loop counts every held step as a
-                    # reuse but not the fresh post-refresh step
+                    # every held step counts as a reuse, the fresh
+                    # post-refresh step does not
                     acc_reuses += (burst_steps - 1) if refresh else burst_steps
                     acc_fevals += burst_steps
                     acc_steps += burst_steps
@@ -1217,9 +890,9 @@ class BatchedSolver:
                     if burst.diverged is not None and np.any(burst.diverged):
                         fail_diverged(burst.diverged, t, burst.h_last)
 
-            # 6. interpreted single step — the fallback for RK4 startup,
+            # 6. single step — the fallback for RK4 startup,
             #    non-Adams-Bashforth integrators, recorders that are not
-            #    burst-ready, and kernel no-ops
+            #    burst-ready, and zero-step kernel calls
             if burst_steps == 0:
                 x = self.integrator.step_batch(
                     lambda _t, xs: reduced.derivative(xs),

@@ -3,13 +3,13 @@
 Between relinearisations the batched solver marches every lane through the
 *same* affine model ``x' = A_r x + b_r`` with a held step size.  Those held
 steps are pure data-parallel arithmetic — no Python-level decisions — so
-they can be advanced ``K`` steps per call by a compiled kernel, where ``K``
-is bounded by the next *event* the interpreted loop must handle::
+they can be advanced ``K`` steps per call by a march kernel, where ``K``
+is bounded by the next *event* the batched loop must handle itself::
 
     K = min(steps_until_refresh, steps_until_record, steps_until_t_end)
 
 Rather than precomputing ``K`` (fragile under accumulated floating-point
-time), each kernel re-evaluates the interpreted loop's own exit conditions
+time), each kernel re-evaluates the batched loop's own exit conditions
 at the top of every internal iteration and returns as soon as one trips:
 
 * the hold budget ``max_steps`` (``relinearise_interval`` minus the steps
@@ -19,30 +19,27 @@ at the top of every internal iteration and returns as soon as one trips:
 * any lane trips the state-drift refresh check
   (``max|x - x_ref| > rtol * (max|x_ref| + 1e-300)``),
 * any lane trips the divergence guard after a step (the kernel stops so
-  the caller can retire the flagged lanes exactly as the interpreted loop
+  the caller can retire the flagged lanes exactly as a single step
   would).
 
-A kernel call that makes zero steps is a no-op by contract; the caller's
-outer loop always performs at least one interpreted step per iteration, so
-progress is guaranteed.
+A kernel call that makes zero steps is a no-op by contract; the caller
+then takes one single step itself, so progress is guaranteed.
 
 Backends
 --------
-``numba``
-    Primary backend: an ``@njit`` translation of the march (requires the
-    optional ``numba`` + ``scipy`` extras, ``pip install repro[compiled]``).
-``jax``
-    Optional: a ``jax.jit``-fused step update inside a host-side control
-    loop (requires ``jax`` with 64-bit mode).
 ``numpy``
-    Always available.  Replicates the interpreted loop's array expressions
-    operation for operation, so its fixed-step waveforms are byte-identical
-    to the interpreted path — it is both the universal fallback and the
-    reference the native backends are validated against.
+    Always available, and what ``compiled="off"`` runs.  Replicates the
+    single-step array expressions of the batched loop operation for
+    operation, so its waveforms are byte-identical to a one-step-at-a-time
+    march — it is both the default and the reference the numba backend is
+    validated against.
+``numba``
+    An ``@njit`` translation of the march (requires the optional
+    ``numba`` + ``scipy`` extras, ``pip install repro[compiled]``).
 
-``resolve_compiled`` maps a user-facing mode (``"off" | "auto" | "numba" |
-"jax" | "numpy"``) to a backend name; ``"auto"`` prefers numba, then jax,
-then the numpy fallback, and never fails.
+``resolve_compiled`` maps a user-facing mode (``"off" | "auto" |
+"numba"``) to a backend name: ``"off"`` is the numpy kernel, ``"auto"``
+prefers numba and falls back to numpy without failing.
 """
 
 from __future__ import annotations
@@ -65,13 +62,13 @@ __all__ = [
     "resolve_compiled",
 ]
 
-#: user-facing values of the ``compiled`` knob.  ``"numpy"`` pins the
-#: always-available fallback explicitly (useful for tests and baselines);
-#: ``"auto"`` picks the best importable backend and never fails.
-COMPILED_MODES = ("off", "auto", "numba", "jax", "numpy")
+#: user-facing values of the ``compiled`` knob: ``"off"`` runs the
+#: always-available numpy kernel, ``"auto"`` picks the best importable
+#: backend and never fails, ``"numba"`` pins numba.
+COMPILED_MODES = ("off", "auto", "numba")
 
 #: must match ``repro.core.batch._END_EPS`` — the end-time slack of the
-#: interpreted loop's "lane finished" check
+#: batched loop's "lane finished" check
 _END_EPS = 1e-15
 
 
@@ -102,9 +99,9 @@ class MarchResult:
     """Outcome of one compiled burst of held-model steps.
 
     ``steps`` may be zero (an exit condition tripped before the first
-    internal step); the caller's interpreted loop then handles the event
-    itself.  ``x_prev`` is the state the last step departed from — the
-    caller derives the lagged terminal variables ``y`` from it.
+    internal step); the caller's loop then handles the event itself.
+    ``x_prev`` is the state the last step departed from — the caller
+    derives the lagged terminal variables ``y`` from it.
     ``history`` is the refreshed Adams-Bashforth window (oldest first),
     and ``diverged`` is a per-lane guard mask for the final step or
     ``None`` when no lane tripped.
@@ -142,25 +139,23 @@ def _backend_importable(name: str) -> bool:
 def available_backends() -> Tuple[str, ...]:
     """Importable march-kernel backends, best first (numpy always last)."""
     return tuple(
-        name for name in ("numba", "jax", "numpy") if _backend_importable(name)
+        name for name in ("numba", "numpy") if _backend_importable(name)
     )
 
 
-def resolve_compiled(mode: str) -> Optional[str]:
-    """Map a ``compiled`` mode to a backend name (``None`` for ``"off"``).
+def resolve_compiled(mode: str) -> str:
+    """Map a ``compiled`` mode to the backend name that will run.
 
-    ``"auto"`` degrades through numba → jax → numpy and never raises; an
-    explicitly requested native backend that is not importable raises a
-    :class:`~repro.core.errors.ConfigurationError` naming the install
-    extras.
+    ``"off"`` is the numpy kernel; ``"auto"`` degrades from numba to
+    numpy and never raises; an explicitly requested ``"numba"`` that is
+    not importable raises a :class:`~repro.core.errors.ConfigurationError`
+    naming the install extras.
     """
     if mode == "off":
-        return None
+        return "numpy"
     if mode == "auto":
         return available_backends()[0]
-    if mode == "numpy":
-        return "numpy"
-    if mode in ("numba", "jax"):
+    if mode == "numba":
         if not _backend_importable(mode):
             raise ConfigurationError(
                 f"compiled={mode!r} requested but {mode!r} is not importable "
@@ -189,7 +184,7 @@ def _burst_schedule(
 
     Within a held-model burst the step sequence depends on *time only*:
     ``h_j = min(h_nominal, t_end_min - t_j)`` and ``t_{j+1} = t_j + h_j``
-    replicate the interpreted loop's float arithmetic exactly (the
+    replicate the single-step float arithmetic exactly (the
     per-lane ``min(t_end - t)`` clamp equals ``min(t_end) - t`` bitwise
     because float subtraction of a shared ``t`` is monotonic).  The
     schedule stops at the first time-based event: hold budget, earliest
@@ -233,7 +228,7 @@ def _burst_weights(
     ``history_times + times[:j+1]``, the Vandermonde powers are built by
     cumulative multiplication (matching ``np.vander(increasing=True)``)
     and all ``K`` transposed systems are solved in one stacked LAPACK
-    call — bitwise the same solves the interpreted path makes one by one.
+    call — bitwise the same solves single steps make one by one.
     """
     k = order
     n_steps = len(times)
@@ -278,9 +273,9 @@ def _march_numpy(
     x_ref: np.ndarray,
     divergence_limit: np.ndarray,
 ) -> MarchResult:
-    """Reference kernel: the interpreted loop's expressions, verbatim.
+    """Reference kernel: the single-step expressions, verbatim.
 
-    The per-step state update replicates the interpreted path
+    The per-step state update replicates the batched loop's single step
     (``BatchedReducedSystem.derivative`` + ``AdamsBashforth.step_batch``)
     operation for operation, so fixed-step results are byte-identical.
     The time-based exit events and all step weights are precomputed by
@@ -313,7 +308,7 @@ def _march_numpy(
     if rtol_active:
         # a drift-triggered refresh is a *state*-based exit the
         # time-based schedule cannot see; stop the burst before the step
-        # on which the interpreted loop would refresh
+        # on which the batched loop would refresh
         ref_scale = np.max(np.abs(x_ref), axis=1)
         drift_limit = state_rtol * (ref_scale + 1e-300)
         if bool(np.any(np.max(np.abs(x - x_ref), axis=1) > drift_limit)):
@@ -457,8 +452,8 @@ def _march_loops_impl(
                     acc += a[i, row, col] * x[i, col]
                 hist_f[k - 1, i, row] = acc + b_vec[i, row]
 
-        # Adams-Bashforth weights: solve V^T w = moments as the
-        # interpreted `_variable_step_weights` does (powers built by
+        # Adams-Bashforth weights: solve V^T w = moments as
+        # `_variable_step_weights` does (powers built by
         # cumulative multiplication, matching np.vander)
         span = (t + h) - t
         for s in range(k):
@@ -641,153 +636,24 @@ def _build_numba_kernel() -> Callable:
 
 
 # --------------------------------------------------------------------- #
-# jax backend
-# --------------------------------------------------------------------- #
-
-def _build_jax_kernel() -> Callable:
-    """Build the jax backend: a jit-fused step inside a host control loop.
-
-    The per-step update (derivative, window rotation, Vandermonde solve,
-    state advance, guard norms) is one fused XLA computation; the event
-    checks stay host-side on scalars.  Requires 64-bit mode — XLA's GEMM
-    is not bitwise-identical to BLAS, so this backend is validated to
-    tight tolerance rather than byte-identity (see DESIGN.md §7).
-    """
-    import jax  # noqa: PLC0415 — optional dependency
-
-    jax.config.update("jax_enable_x64", True)
-    import jax.numpy as jnp  # noqa: PLC0415
-
-    @jax.jit
-    def _step(a, b, x, hist_t, hist_f, t, h):
-        k = hist_t.shape[0]
-        f = jnp.matmul(a, x[..., None])[..., 0] + b
-        hist_f = jnp.concatenate([hist_f[1:], f[None]], axis=0)
-        hist_t = jnp.concatenate([hist_t[1:], jnp.full((1,), t)])
-        times = hist_t - t
-        span = (t + h) - t
-        vander = jnp.vander(times, N=k, increasing=True)
-        moments = jnp.stack([span ** (j + 1) / (j + 1) for j in range(k)])
-        weights = jnp.linalg.solve(vander.T, moments)
-        derivatives = jnp.moveaxis(hist_f, 0, 1)
-        x_new = x + jnp.matmul(weights[None, None, :], derivatives)[:, 0, :]
-        norms = jnp.sqrt(jnp.sum(x_new * x_new, axis=1))
-        finite = jnp.all(jnp.isfinite(x_new), axis=1)
-        return x_new, hist_t, hist_f, norms, finite
-
-    def kernel(
-        a,
-        b,
-        x,
-        t,
-        h_nominal,
-        t_end,
-        max_steps,
-        history,
-        rec_last,
-        rec_thresh,
-        state_rtol,
-        x_ref,
-        divergence_limit,
-    ) -> MarchResult:
-        order = len(history)
-        t_end_min = float(np.min(t_end))
-        rtol_active = bool(np.any(np.isfinite(state_rtol)))
-        ref_scale = np.max(np.abs(x_ref), axis=1) if rtol_active else None
-        hist_t = jnp.asarray([sample_t for sample_t, _ in history])
-        hist_f = jnp.stack([sample_f for _, sample_f in history], axis=0)
-        a_dev = jnp.asarray(a)
-        b_dev = jnp.asarray(b)
-        x_dev = jnp.asarray(x)
-
-        steps = 0
-        h_min = np.inf
-        h_max = 0.0
-        h_last = 0.0
-        x_prev = x
-        diverged: Optional[np.ndarray] = None
-
-        while steps < max_steps:
-            if t >= t_end_min - _END_EPS:
-                break
-            if bool(np.any((t - rec_last) >= rec_thresh)):
-                break
-            x_host = np.asarray(x_dev)
-            if rtol_active:
-                drift = np.max(np.abs(x_host - x_ref), axis=1)
-                if bool(np.any(drift > state_rtol * (ref_scale + 1e-300))):
-                    break
-
-            h = min(h_nominal, float(np.min(t_end - t)))
-            x_prev = x_host
-            x_dev, hist_t, hist_f, norms_dev, finite_dev = _step(
-                a_dev, b_dev, x_dev, hist_t, hist_f, t, h
-            )
-
-            steps += 1
-            h_last = h
-            h_min = min(h_min, h)
-            h_max = max(h_max, h)
-            t = t + h
-
-            norms = np.asarray(norms_dev)
-            finite = np.asarray(finite_dev)
-            overflowed = np.isinf(norms) & finite
-            if np.any(overflowed):
-                sub = np.asarray(x_dev)[overflowed]
-                scale = np.max(np.abs(sub), axis=1)
-                norms[overflowed] = scale * np.sqrt(
-                    np.sum((sub / scale[:, None]) ** 2, axis=1)
-                )
-            bad = ~finite | ~np.isfinite(norms) | (norms > divergence_limit)
-            if bool(np.any(bad)):
-                diverged = bad
-                break
-
-        hist_t_out = np.asarray(hist_t)
-        hist_f_out = np.asarray(hist_f)
-        new_history = [
-            (float(hist_t_out[s]), hist_f_out[s].copy()) for s in range(order)
-        ]
-        return MarchResult(
-            steps=steps,
-            t=t,
-            x=np.asarray(x_dev),
-            x_prev=np.asarray(x_prev),
-            history=new_history,
-            h_min=h_min,
-            h_max=h_max,
-            h_last=h_last,
-            diverged=diverged,
-        )
-
-    return kernel
-
-
-# --------------------------------------------------------------------- #
 # kernel registry
 # --------------------------------------------------------------------- #
 
 _KERNELS: Dict[str, Callable] = {}
 
-_BUILDERS: Dict[str, Callable[[], Callable]] = {
-    "numba": _build_numba_kernel,
-    "jax": _build_jax_kernel,
-}
-
 
 def get_march_kernel(backend: str) -> Callable:
     """Build (once) and return the march kernel for ``backend``.
 
-    Native backends compile lazily on first use; a failed build raises,
-    which callers in ``"auto"`` mode catch to degrade to ``"numpy"``.
+    numba compiles lazily on first use; a failed build raises, which
+    callers in ``"auto"`` mode catch to degrade to ``"numpy"``.
     """
     kernel = _KERNELS.get(backend)
     if kernel is None:
         if backend == "numpy":
             kernel = _march_numpy
-        elif backend in _BUILDERS:
-            kernel = _BUILDERS[backend]()
+        elif backend == "numba":
+            kernel = _build_numba_kernel()
         else:
             raise ConfigurationError(
                 f"unknown march-kernel backend {backend!r}"
@@ -863,7 +729,7 @@ def get_eliminate_kernel(backend: str) -> Optional[Callable]:
 
     Only ``"numba"`` has a fused elimination — the stacked-NumPy path in
     :class:`~repro.core.elimination.BatchedAssembler` *is* the numpy
-    backend, and jax lanes refresh on the host.  A failed build caches
+    backend.  A failed build caches
     ``None`` so the caller silently keeps the stacked path.
     """
     if backend not in _ELIM_KERNELS:

@@ -417,10 +417,9 @@ def negotiate_shared_step(
     refresh: bool,
     held_h: Optional[float],
 ) -> "Tuple[float, float, Optional[float]]":
-    """One shared-step decision of the lock-step march loops.
+    """One shared-step decision of the lock-step batched march.
 
-    The single implementation of the step-choice block both
-    ``BatchedSolver`` loops share (the compiled loop additionally feeds
+    The step-choice block of ``BatchedSolver``'s march (which also feeds
     ``h_nominal`` to its burst kernels, whose in-burst schedule
     ``h_j = min(h_nominal, min(t_end) - t_j)`` replicates the held-step
     clamp below bitwise — that is what lets adaptive runs advance in

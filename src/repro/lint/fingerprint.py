@@ -4,8 +4,8 @@ The cache and checkpoint layers derive "is this the same execution?"
 from :func:`repro.api.options.execution_fingerprint`, fed by the
 ``self.<field>`` reads in :meth:`RunOptions.fingerprint`.  A
 result-changing knob that never reaches the fingerprint silently serves
-stale cache entries — the exact class of bug PR 7/8 had to rule out by
-hand for ``compiled`` and ``refresh``.  This rule makes the contract
+stale cache entries — a class of bug that otherwise has to be ruled
+out by hand for every new knob.  This rule makes the contract
 machine-checked:
 
 * every ``RunOptions`` dataclass field must either be read by the

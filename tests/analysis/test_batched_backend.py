@@ -43,6 +43,9 @@ class TestBatchedBackendParity:
         assert info.n_lane_blocks == 1
         assert info.n_batch_fallbacks == 0
         assert info.n_batched_candidates == 4  # runtime truth, not planning
+        # the default compiled="off" mode marches on the numpy kernel
+        assert info.compiled == "off"
+        assert info.compiled_backend == "numpy"
 
     def test_adaptive_scores_within_documented_tolerance(self):
         sweep = make_sweep()

@@ -1,18 +1,26 @@
-"""Compiled lane core: backend resolution, byte-identity, guard overflow."""
+"""March kernels: backend resolution, byte-identity, guard overflow."""
 
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import kernels
-from repro.core.batch import BatchedSolver
-from repro.core.errors import ConfigurationError
+from repro.core import batch, kernels
+from repro.core.batch import BatchedSolver, BatchResult
+from repro.core.block import LinearBlock
+from repro.core.elimination import BatchedAssembler, SystemAssembler
+from repro.core.errors import ConfigurationError, StabilityError
 from repro.core.kernels import (
+    COMPILED_MODES,
+    MarchResult,
     available_backends,
     batched_state_norms,
     resolve_compiled,
 )
+from repro.core.netlist import Netlist
+from repro.core.solver import SolverSettings
 from repro.harvester.scenarios import (
     charging_scenario,
     prepare_assembly,
@@ -49,7 +57,43 @@ LANE_SETS = {
 }
 
 
-def _batched_run(scenarios, settings_list, compiled="off"):
+def _zero_step_kernel(a, b, x, t, h_nominal, t_end, max_steps, history,
+                      rec_last, rec_thresh, state_rtol, x_ref,
+                      divergence_limit):
+    """A march kernel that never bursts (the no-op of the kernel contract)."""
+    return MarchResult(
+        steps=0, t=t, x=x, x_prev=x, history=list(history),
+        h_min=np.inf, h_max=0.0, h_last=0.0, diverged=None,
+    )
+
+
+@contextmanager
+def stepwise_march():
+    """Reference march: every step taken one at a time, no kernel bursts.
+
+    With a zero-step kernel the batched loop falls through to its
+    single-step path on every iteration, checking the divergence guard
+    after each step — the reference every burst kernel must reproduce.
+    """
+    with mock.patch.object(
+        batch, "get_march_kernel", lambda backend: _zero_step_kernel
+    ):
+        yield
+
+
+@contextmanager
+def unprepared_refresh():
+    """Reference refresh: the generic per-lane block dispatch.
+
+    With ``prepare()`` reporting no batched lineariser the solver leaves
+    the assembler unprepared, so every refresh linearises block by block
+    — the reference the prepared workspace path must reproduce.
+    """
+    with mock.patch.object(BatchedAssembler, "prepare", lambda self: False):
+        yield
+
+
+def _batched_run(scenarios, settings_list, compiled="off", t_end=None):
     structure = prepare_assembly(scenarios[0])
     harvesters = [
         s.build_harvester(assembly_structure=structure) for s in scenarios
@@ -61,7 +105,14 @@ def _batched_run(scenarios, settings_list, compiled="off"):
     )
     for i, harvester in enumerate(harvesters):
         harvester._wire(solver.lane_wiring(i))
-    return solver.run([s.duration_s for s in scenarios])
+    if t_end is None:
+        t_end = [s.duration_s for s in scenarios]
+    return solver.run(t_end)
+
+
+def _stepwise_run(scenarios, settings_list, **kwargs):
+    with stepwise_march():
+        return _batched_run(scenarios, settings_list, **kwargs)
 
 
 def _assert_batches_identical(reference, result):
@@ -106,29 +157,59 @@ def _fixed_settings(scenarios, fixed_step, **overrides):
     ]
 
 
+def _two_block_assembler(rate):
+    """A 3-state linear netlist: ``decay`` (eigenvalue ``rate``) + ``sink``."""
+    decay = LinearBlock(
+        "decay",
+        a=np.array([[rate, 0.0], [0.0, rate]]),
+        b=np.array([[0.0], [0.0]]),
+        state_names=("u", "v"),
+        terminal_names=("p",),
+        c=np.array([[1.0, 0.0]]),
+        d=np.array([[1.0]]),
+    )
+    sink = LinearBlock(
+        "sink",
+        a=np.array([[-2.0]]),
+        b=np.array([[0.5]]),
+        state_names=("w",),
+        terminal_names=("p",),
+    )
+    netlist = Netlist()
+    netlist.add_block(decay)
+    netlist.add_block(sink)
+    netlist.connect(decay.terminal("p"), sink.terminal("p"))
+    return SystemAssembler(netlist)
+
+
 def _settings_for(scenario):
     if hasattr(scenario, "config"):
         return scenario_solver_settings(scenario)
     return scenario.solver_settings()
 
 
+# the compiled modes exercised here: "off" (the numpy kernel) plus every
+# importable native backend
+MODES = ("off",) + tuple(b for b in available_backends() if b != "numpy")
+
+
 @pytest.mark.parametrize("factory", sorted(LANE_SETS))
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("mode", MODES)
 class TestFixedStepByteIdentity:
-    def test_backend_matches_interpreted_exactly(self, factory, backend):
+    def test_backend_matches_stepwise_exactly(self, factory, mode):
         scenarios = LANE_SETS[factory]()
         step = 1e-4 if hasattr(scenarios[0], "config") else 5e-5
         settings_list = [
             replace(_settings_for(s), fixed_step=step) for s in scenarios
         ]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
-        result = _batched_run(scenarios, settings_list, compiled=backend)
+        reference = _stepwise_run(scenarios, settings_list)
+        result = _batched_run(scenarios, settings_list, compiled=mode)
         assert not reference.failures
         for got in result.results:
-            assert got.metadata["compiled"] == backend
+            assert got.metadata["compiled"] == resolve_compiled(mode)
         _assert_batches_identical(reference, result)
 
-    def test_hold_interval_matches_interpreted_exactly(self, factory, backend):
+    def test_hold_interval_matches_stepwise_exactly(self, factory, mode):
         # the amortised profile is where the burst kernel actually runs
         # long windows; identity must survive it
         scenarios = LANE_SETS[factory]()
@@ -137,58 +218,118 @@ class TestFixedStepByteIdentity:
             replace(_settings_for(s), fixed_step=step, relinearise_interval=8)
             for s in scenarios
         ]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
-        result = _batched_run(scenarios, settings_list, compiled=backend)
+        reference = _stepwise_run(scenarios, settings_list)
+        result = _batched_run(scenarios, settings_list, compiled=mode)
         assert not reference.failures
         _assert_batches_identical(reference, result)
 
 
 class TestAdaptiveIdentity:
-    def test_numpy_backend_matches_interpreted_exactly(self):
-        # the numpy kernel replays the interpreted arithmetic expression
+    def test_numpy_kernel_matches_stepwise_exactly(self):
+        # the numpy kernel replays the single-step arithmetic expression
         # for expression, so even adaptive shared-step runs stay bitwise
         scenarios = LANE_SETS["charging"]()
         settings_list = [_settings_for(s) for s in scenarios]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
-        result = _batched_run(scenarios, settings_list, compiled="numpy")
+        reference = _stepwise_run(scenarios, settings_list)
+        result = _batched_run(scenarios, settings_list)
         assert not reference.failures
         _assert_batches_identical(reference, result)
 
-    def test_hold_profile_adaptive_matches_interpreted_exactly(self):
+    def test_hold_profile_adaptive_matches_stepwise_exactly(self):
         scenarios = LANE_SETS["charging"]()
         settings_list = [
             replace(_settings_for(s), relinearise_interval=16)
             for s in scenarios
         ]
-        reference = _batched_run(scenarios, settings_list, compiled="off")
-        result = _batched_run(scenarios, settings_list, compiled="numpy")
+        reference = _stepwise_run(scenarios, settings_list)
+        result = _batched_run(scenarios, settings_list)
         assert not reference.failures
         _assert_batches_identical(reference, result)
 
 
 class TestLaneRetirement:
-    def test_diverging_lane_is_retired_under_the_compiled_path(self):
+    def test_diverging_lane_is_retired_under_kernel_bursts(self):
         scenarios = LANE_SETS["charging"]()
         settings_list = _fixed_settings(scenarios, 1e-4)
         settings_list[1] = replace(settings_list[1], divergence_limit=1e-9)
-        reference = _batched_run(scenarios, settings_list, compiled="off")
-        result = _batched_run(scenarios, settings_list, compiled="numpy")
+        reference = _stepwise_run(scenarios, settings_list)
+        result = _batched_run(scenarios, settings_list)
         assert set(result.failures) == {1}
         assert result.results[1] is None
         _assert_batches_identical(reference, result)
 
+    def test_lane_overflowing_inside_a_burst_retires_alone(self):
+        # lane 1 starts near 1e300 on an unstable model and overflows to
+        # inf partway through a hold window; the unbounded divergence
+        # limit leaves non-finiteness as the only trip, sampled when the
+        # burst exits
+        rates = (-1.0, 500.0, -3.0)
+        x0 = np.array([[1.0, -0.5, 0.25], [1e300, 1e300, 0.0], [0.5, 0.5, 0.5]])
+        settings = SolverSettings(
+            fixed_step=1e-3,
+            relinearise_interval=8,
+            divergence_limit=np.inf,
+            record_interval=0.01,
+        )
+        bursts = []
+        build_kernel = batch.get_march_kernel
+
+        def recording_kernels(backend):
+            kernel = build_kernel(backend)
+
+            def record(*args):
+                burst = kernel(*args)
+                bursts.append(burst)
+                return burst
+
+            return record
+
+        def run(lanes):
+            solver = BatchedSolver(
+                [_two_block_assembler(rates[i]) for i in lanes],
+                settings=settings,
+            )
+            return solver.run(0.06, x0=x0[list(lanes)])
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(batch, "get_march_kernel", recording_kernels):
+                result = run((0, 1, 2))
+            with stepwise_march():
+                stepwise = run((0, 1, 2))
+            healthy = run((0, 2))
+
+        assert set(result.failures) == {1}
+        assert isinstance(result.failures[1], StabilityError)
+        tripped = [b for b in bursts if b.diverged is not None]
+        assert len(tripped) == 1
+        burst = tripped[0]
+        assert burst.diverged.tolist() == [False, True, False]
+        assert f"t={burst.t:.6g} " in str(result.failures[1])
+        # the step-by-step guard catches the overflow strictly earlier, so
+        # the lane went non-finite inside the burst, not on its last step
+        assert set(stepwise.failures) == {1}
+        assert f"t={burst.t:.6g} " not in str(stepwise.failures[1])
+        assert burst.steps > 1
+        _assert_batches_identical(
+            healthy, BatchResult(results=[result.results[0], result.results[2]])
+        )
+
 
 class TestBackendResolution:
-    def test_off_resolves_to_no_backend(self):
-        assert resolve_compiled("off") is None
+    def test_off_resolves_to_the_numpy_kernel(self):
+        assert resolve_compiled("off") == "numpy"
 
     def test_numpy_is_always_available(self):
-        assert "numpy" in available_backends()
-        assert resolve_compiled("numpy") == "numpy"
+        assert available_backends()[-1] == "numpy"
 
-    def test_unknown_mode_is_rejected(self):
+    @pytest.mark.parametrize("mode", ("cuda", "numpy"))
+    def test_unknown_mode_is_rejected(self, mode):
+        from repro.api import RunOptions
+
         with pytest.raises(ConfigurationError, match="unknown compiled mode"):
-            resolve_compiled("cuda")
+            resolve_compiled(mode)
+        with pytest.raises(ConfigurationError, match="unknown compiled mode"):
+            RunOptions.batched(compiled=mode)
 
     def test_solver_rejects_unknown_mode(self):
         scenarios = LANE_SETS["charging"]()[:1]
@@ -203,31 +344,58 @@ class TestNoNumbaEnvironment:
 
     @pytest.fixture(autouse=True)
     def no_native_backends(self, monkeypatch):
-        monkeypatch.setattr(
-            kernels, "_PROBE_CACHE", {"numba": False, "jax": False}
-        )
+        monkeypatch.setattr(kernels, "_PROBE_CACHE", {"numba": False})
         yield
 
     def test_auto_degrades_to_the_numpy_kernel(self):
         assert available_backends() == ("numpy",)
         assert resolve_compiled("auto") == "numpy"
 
-    def test_auto_still_runs_and_matches_interpreted(self):
+    def test_auto_still_runs_and_matches_stepwise(self):
         scenarios = LANE_SETS["charging"]()
         settings_list = _fixed_settings(scenarios, 1e-4)
-        reference = _batched_run(scenarios, settings_list, compiled="off")
+        reference = _stepwise_run(scenarios, settings_list)
         result = _batched_run(scenarios, settings_list, compiled="auto")
         for got in result.results:
             assert got.metadata["compiled"] == "numpy"
         _assert_batches_identical(reference, result)
 
-    @pytest.mark.parametrize("mode", ("numba", "jax"))
-    def test_explicit_native_backend_raises_a_clear_error(self, mode):
+    def test_explicit_native_backend_raises_a_clear_error(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            resolve_compiled(mode)
+            resolve_compiled("numba")
         message = str(excinfo.value)
-        assert mode in message
+        assert "numba" in message
         assert "repro[compiled]" in message
+
+    def test_auto_shares_the_default_fingerprint(self):
+        # "auto" resolves to the numpy kernel "off" already runs, so both
+        # must key one cache entry
+        from repro.api import RunOptions
+
+        assert (
+            RunOptions.batched(compiled="auto").fingerprint()
+            == RunOptions.batched().fingerprint()
+        )
+
+    def test_auto_survives_a_broken_numba_build(self, monkeypatch):
+        # numba importable but unusable: "auto" warns and marches on the
+        # numpy kernel, an explicit "numba" surfaces the build error
+        def broken_build():
+            raise ImportError("no LAPACK bindings")
+
+        monkeypatch.setattr(kernels, "_PROBE_CACHE", {"numba": True})
+        monkeypatch.setattr(kernels, "_KERNELS", {})
+        monkeypatch.setattr(kernels, "_build_numba_kernel", broken_build)
+        scenarios = LANE_SETS["charging"]()
+        settings_list = _fixed_settings(scenarios, 1e-4)
+        reference = _batched_run(scenarios, settings_list)
+        with pytest.warns(RuntimeWarning, match="failed to build"):
+            result = _batched_run(scenarios, settings_list, compiled="auto")
+        for got in result.results:
+            assert got.metadata["compiled"] == "numpy"
+        _assert_batches_identical(reference, result)
+        with pytest.raises(ImportError, match="LAPACK"):
+            _batched_run(scenarios, settings_list, compiled="numba")
 
     def test_run_options_reject_missing_backend_eagerly(self):
         from repro.api import RunOptions
@@ -241,26 +409,44 @@ class TestOptionsPlumbing:
         from repro.api import RunOptions
 
         with pytest.raises(ConfigurationError, match="incoherent options"):
-            RunOptions(compiled="numpy")
+            RunOptions(compiled="auto")
 
-    def test_fingerprint_records_the_mode_only_where_results_can_move(self):
+    def test_fingerprint_records_the_resolved_backend(self, monkeypatch):
+        # numba present: adaptive runs may round differently from the
+        # numpy kernel, so they record it; fixed-step runs are
+        # byte-identical across backends and record "off"
         from repro.api import RunOptions
         from repro.core.solver import SolverSettings
 
-        adaptive = RunOptions.batched(compiled="numpy")
-        assert adaptive.fingerprint()["compiled"] == "numpy"
-        fixed = RunOptions.batched(
-            compiled="numpy", settings=SolverSettings(fixed_step=1e-4)
-        )
-        assert fixed.fingerprint()["compiled"] == "off"
+        monkeypatch.setattr(kernels, "_PROBE_CACHE", {"numba": True})
+        for mode in ("auto", "numba"):
+            adaptive = RunOptions.batched(compiled=mode)
+            assert adaptive.fingerprint()["compiled"] == "numba"
+            fixed = RunOptions.batched(
+                compiled=mode, settings=SolverSettings(fixed_step=1e-4)
+            )
+            assert fixed.fingerprint()["compiled"] == "off"
         assert RunOptions.batched().fingerprint()["compiled"] == "off"
+        assert RunOptions().fingerprint()["compiled"] == "off"
 
     def test_options_round_trip_keeps_the_mode(self):
         from repro.api import RunOptions
 
-        options = RunOptions.batched(compiled="numpy")
-        assert RunOptions.from_dict(options.to_dict()).compiled == "numpy"
+        options = RunOptions.batched(compiled="auto")
+        assert RunOptions.from_dict(options.to_dict()).compiled == "auto"
         assert "compiled" not in RunOptions.batched().to_dict()
+
+    def test_cli_offers_exactly_the_compiled_modes(self):
+        import argparse
+
+        from repro.cli import _add_experiment_arguments
+
+        parser = argparse.ArgumentParser()
+        _add_experiment_arguments(parser)
+        action = next(
+            a for a in parser._actions if a.dest == "compiled"
+        )
+        assert tuple(action.choices) == COMPILED_MODES
 
 
 class TestOverflowSafeGuard:
@@ -274,37 +460,9 @@ class TestOverflowSafeGuard:
     def test_large_finite_state_is_not_mislabelled_as_diverged(self):
         # before the fix, sqrt(sum(x*x)) overflowed to inf above ~1e154
         # and the guard retired a lane whose true norm was representable
-        from repro.core.block import LinearBlock
-        from repro.core.elimination import SystemAssembler
-        from repro.core.netlist import Netlist
-        from repro.core.solver import SolverSettings
-
-        def make_assembler():
-            decay = LinearBlock(
-                "decay",
-                a=np.array([[-1.0, 0.0], [0.0, -1.0]]),
-                b=np.array([[0.0], [0.0]]),
-                state_names=("u", "v"),
-                terminal_names=("p",),
-                c=np.array([[1.0, 0.0]]),
-                d=np.array([[1.0]]),
-            )
-            sink = LinearBlock(
-                "sink",
-                a=np.array([[-2.0]]),
-                b=np.array([[0.5]]),
-                state_names=("w",),
-                terminal_names=("p",),
-            )
-            netlist = Netlist()
-            netlist.add_block(decay)
-            netlist.add_block(sink)
-            netlist.connect(decay.terminal("p"), sink.terminal("p"))
-            return SystemAssembler(netlist)
-
         settings = SolverSettings(fixed_step=1e-3, divergence_limit=1e300)
-        solver = BatchedSolver([make_assembler()], settings=[settings])
+        solver = BatchedSolver([_two_block_assembler(-1.0)], settings=[settings])
         x0 = np.array([[1e155, 1e155, 0.0]])
-        batch = solver.run([0.01], x0=x0)
-        assert not batch.failures  # decaying, finite: must not be retired
-        assert batch.results[0].stats.final_time == pytest.approx(0.01)
+        result = solver.run([0.01], x0=x0)
+        assert not result.failures  # decaying, finite: must not be retired
+        assert result.results[0].stats.final_time == pytest.approx(0.01)
