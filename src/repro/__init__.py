@@ -41,9 +41,9 @@ Quick start::
     )
     print(result.format())
 
-The historical entry points (``run_proposed``, ``ParameterSweep.run``,
-direct ``SweepEngine`` use) remain available as deprecation shims over
-the facade and return byte-identical results (DESIGN.md §4).
+:class:`Study` is the only way in: single runs, comparisons and sweeps
+all dispatch through its planner, and every execution knob is declared
+and validated once, in :class:`RunOptions`.
 """
 
 from .core import (
@@ -90,9 +90,6 @@ from .harvester import (
     piezoelectric_scenario,
     piezoelectric_spec,
     prepare_assembly,
-    run_baseline,
-    run_proposed,
-    run_reference,
     scenario_1,
     scenario_2,
 )
@@ -165,9 +162,6 @@ __all__ = [
     "piezoelectric_scenario",
     "piezoelectric_spec",
     "prepare_assembly",
-    "run_baseline",
-    "run_proposed",
-    "run_reference",
     "scenario_1",
     "scenario_2",
     "__version__",

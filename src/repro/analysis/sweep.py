@@ -7,17 +7,14 @@ simulations".  This module provides that iterative loop: sweep one or more
 harvester parameters, simulate each candidate with the fast solver and
 rank the candidates by harvested energy or output power.
 
-Execution is delegated to the :class:`~repro.analysis.engine.SweepEngine`:
-``ParameterSweep.run()`` keeps its historical serial behaviour (and exact
-scores) by default, while ``run(n_workers=4)`` evaluates candidates in
-parallel worker processes with deterministic, serial-identical results and
-per-worker reuse of the one-time assembly structure.  ``checkpoint_path=``
-persists each finished candidate through :mod:`repro.io.csvio` so an
-interrupted sweep resumes instead of restarting, ``progress=`` streams
-best-so-far reporting (:func:`repro.io.report.format_sweep_progress`), and
-``relinearise_interval=`` opts into the engine's amortised-relinearisation
-solver profile (2-3x faster per candidate, documented 10 % relative score
-tolerance, typically a few percent).  See :mod:`repro.analysis.engine`.
+A :class:`ParameterSweep` is the sweep *description*: the base scenario,
+the grid axes and the metric.  ``Study.sweep(...)`` builds one, and
+:class:`~repro.analysis.engine.SweepEngine` executes it with the knobs of
+one :class:`~repro.api.options.RunOptions` — worker processes with
+deterministic, serial-identical scores, checkpoint/resume through
+:mod:`repro.io.csvio`, best-so-far progress reporting
+(:func:`repro.io.report.format_sweep_progress`) and the
+amortised-relinearisation solver profile.  See :mod:`repro.analysis.engine`.
 
 Sweeps are **topology-aware**: the base scenario may be a spec-backed
 :class:`~repro.harvester.topologies.SpecScenario`, in which case grid axes
@@ -198,57 +195,6 @@ class ParameterSweep:
         for name, value in candidate.items():
             config = self.apply(config, name, value)
         return replace(self.scenario, config=config)
-
-    def run(
-        self,
-        *,
-        n_workers: int = 1,
-        checkpoint_path=None,
-        progress=None,
-        relinearise_interval=None,
-        backend: str = "process",
-        lane_width=None,
-        integrator=None,
-        settings=None,
-    ) -> SweepResult:
-        """Simulate every candidate with the fast solver and rank them.
-
-        By default the candidates are evaluated serially, exactly as the
-        historical loop did.  ``n_workers > 1`` evaluates them in parallel
-        worker processes with identical scores and ordering;
-        ``backend="batched"`` marches same-topology controller-free
-        candidates in lock-step through stacked arrays
-        (:class:`~repro.core.batch.BatchedSolver`, ``lane_width`` lanes per
-        block);
-        ``checkpoint_path``/``progress``/``relinearise_interval`` reach
-        the sweep engine; ``integrator``/``settings`` are applied to every
-        candidate's simulation.
-
-        .. deprecated::
-            Use ``repro.Study.scenario(base).options(RunOptions(...))``
-            ``.sweep(axes).run()`` — this shim routes through the same
-            facade planner and returns the identical
-            :class:`SweepResult`.
-        """
-        from .._deprecation import warn_deprecated
-        from ..api.options import RunOptions
-        from ..api.planner import execute_sweep
-
-        warn_deprecated(
-            "ParameterSweep.run",
-            "Study.scenario(...).options(RunOptions(...)).sweep(...).run()",
-        )
-        options = RunOptions(
-            integrator=integrator,
-            settings=settings,
-            relinearise_interval=relinearise_interval,
-            backend=backend,
-            lane_width=lane_width,
-            n_workers=n_workers,
-            checkpoint_path=checkpoint_path,
-            progress=progress,
-        )
-        return execute_sweep(self, options).result
 
 
 def _default_apply(config: HarvesterConfig, name: str, value: float) -> HarvesterConfig:

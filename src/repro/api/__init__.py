@@ -6,9 +6,10 @@ it, and new backends or scenario families land here instead of growing
 another free-function entry point:
 
 * :class:`RunOptions` — every execution knob (integrator, solver
-  settings, relinearisation profile, backend, lane width, workers,
-  checkpointing, progress) in one validated dataclass, with named
-  profiles ``exact()`` / ``fast()`` / ``batched()``;
+  settings, relinearisation profile, backend, lane width, march kernel,
+  workers, checkpointing, progress, cache, store, exploration) in one
+  validated dataclass, with named profiles ``exact()`` / ``fast()`` /
+  ``batched()`` / ``queue()``;
 * :class:`Study` — the fluent driver:
   ``Study.scenario(...).options(...).sweep(...).run()`` dispatches single
   runs, multi-solver comparisons and sweeps through one execution
@@ -22,10 +23,9 @@ another free-function entry point:
   the result cache (:mod:`repro.cache`), and
   :meth:`Study.to_spec` / :meth:`Study.from_spec` interconversion.
 
-The historical entry points (``run_proposed``, ``ParameterSweep.run``,
-direct ``SweepEngine`` construction) remain available as thin
-deprecation shims over this facade and return byte-identical results
-(see DESIGN.md §4 for the shim contract).
+This is the only way in: :class:`Study` is the one entry point for
+runs, comparisons and sweeps, and the sweep engine is built from one
+validated :class:`RunOptions`.
 """
 
 from .options import BACKENDS, CACHE_MODES, RunOptions, execution_fingerprint

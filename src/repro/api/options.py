@@ -1,15 +1,14 @@
 """Consolidated execution options for the :mod:`repro.api` facade.
 
-Three PRs of organic growth scattered the execution knobs across
-``run_proposed(integrator=, settings=)``, ``ParameterSweep.run(n_workers=,
-checkpoint_path=, progress=, relinearise_interval=, backend=,
-lane_width=)`` and the :class:`~repro.analysis.engine.SweepEngine`
-constructor.  :class:`RunOptions` is the one typed place they all live
-now: every knob is validated eagerly at construction (incoherent
-combinations raise :class:`~repro.core.errors.ConfigurationError` naming
-the offending pair instead of being silently ignored), and the common
-configurations ship as named profiles — :meth:`RunOptions.exact`,
-:meth:`RunOptions.fast` and :meth:`RunOptions.batched`.
+:class:`RunOptions` is the one typed place every execution knob lives:
+the planner reads it for single runs and comparisons, and the
+:class:`~repro.analysis.engine.SweepEngine` is built from it for sweeps
+and explorations.  Every knob is validated eagerly at construction
+(incoherent combinations raise
+:class:`~repro.core.errors.ConfigurationError` naming the offending pair
+instead of being silently ignored), and the common configurations ship
+as named profiles — :meth:`RunOptions.exact`, :meth:`RunOptions.fast`,
+:meth:`RunOptions.batched` and :meth:`RunOptions.queue`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..core.elimination import AssemblyStructure
 from ..core.errors import ConfigurationError
 from ..core.integrators import ExplicitIntegrator, make_integrator
 from ..core.kernels import COMPILED_MODES, resolve_compiled
@@ -116,7 +114,10 @@ def execution_fingerprint(
 #: ``fingerprint``) enforces that every field is either read by
 #: :meth:`RunOptions.fingerprint` or listed here — an unfingerprinted
 #: result-changing knob silently serves stale cache entries, so any new
-#: field must pick a side explicitly.
+#: field must pick a side explicitly.  Every reason is also an executable
+#: claim: ``tests/api/test_fingerprint_exemptions.py`` sweeps each listed
+#: knob at two values and asserts bitwise-equal scores (``lane_width``
+#: holds only at fixed step; its adaptive case is a strict known failure).
 FINGERPRINT_EXEMPT = {
     "lane_width": "lane packing changes batching granularity only; fixed-step "
     "marches are byte-identical across widths and adaptive ones fall under "
@@ -127,10 +128,6 @@ FINGERPRINT_EXEMPT = {
     "computed; the checkpoint's own config hash derives from the fingerprint",
     "progress": "a reporting callback observes the run and cannot feed back "
     "into any result",
-    "reuse_assembly": "assembly reuse is a pure memoisation of structurally "
-    "identical systems; the assembled operators are identical either way",
-    "assembly_structure": "a pre-built structure is the same object the "
-    "builder would derive from the spec; supplying it skips work, not math",
     "cache": "the cache mode decides whether results are stored or served, "
     "never what a computed result contains",
     "cache_dir": "storage location of the result cache; contents are keyed "
@@ -174,7 +171,7 @@ class RunOptions:
         Sweep execution backend: ``"process"`` evaluates one candidate per
         task, ``"batched"`` marches controller-free same-topology
         candidates in lock-step through stacked arrays
-        (:class:`~repro.core.batch.BatchedSolver>`).
+        (:class:`~repro.core.batch.BatchedSolver`).
     lane_width:
         Maximum lanes per batched block (``backend="batched"`` only —
         combining it with the process backend raises).
@@ -191,28 +188,24 @@ class RunOptions:
         Every batched march relinearises through the prepared stacked
         refresh, bit-identical to per-lane block dispatch.
     n_workers:
-        Worker processes for sweep execution.  ``1`` evaluates inline,
-        byte-identical to the historical serial loop; ``None`` uses
-        ``os.cpu_count()``.
+        Worker processes for sweep execution (or comparison legs).  ``1``
+        evaluates inline; ``None`` uses ``os.cpu_count()``.
     checkpoint_path:
         Sweep checkpoint/resume CSV (:mod:`repro.io.csvio`).
     progress:
         Sweep progress callback ``progress(done, total, best_point)``.
-    reuse_assembly:
-        Reuse the one-time structural assembly setup across same-topology
-        candidates (results are identical either way).
-    assembly_structure:
-        Advanced single-run knob: clone a previously prepared
-        :class:`~repro.core.elimination.AssemblyStructure` instead of
-        rebuilding it (see :func:`repro.harvester.prepare_assembly`).
-        Sweeps manage this internally; combining it with a sweep raises.
     cache:
         Result-cache mode (:mod:`repro.cache`): ``"off"`` (default) never
         touches the store; ``"read"`` serves single runs and per-candidate
         sweep points from the content-addressed store but never writes;
         ``"readwrite"`` additionally records misses.  Cache keys cover the
         experiment content hash plus a code-version salt, so results never
-        survive a version bump.
+        survive a version bump.  Caveat for ``backend="batched"`` in
+        adaptive shared-step mode: lane-block composition depends on
+        which candidates are pending, so a partially warm rerun may serve
+        scores a cold run would have computed under a different grouping
+        (within the documented 10 % tolerance) — use ``fixed_step``
+        settings when bit-exact warm/cold agreement matters.
     cache_dir:
         Root directory of the result store.  ``None`` uses the
         ``REPRO_CACHE_DIR`` environment variable, falling back to
@@ -263,8 +256,6 @@ class RunOptions:
     n_workers: Optional[int] = 1
     checkpoint_path: Optional[str] = None
     progress: Optional[ProgressFn] = None
-    reuse_assembly: bool = True
-    assembly_structure: Optional[AssemblyStructure] = None
     cache: str = "off"
     cache_dir: Optional[str] = None
     store_url: Optional[str] = None
@@ -284,8 +275,7 @@ class RunOptions:
     def exact(cls, **overrides) -> "RunOptions":
         """The paper-exact profile: relinearise every step (the default).
 
-        Results are byte-identical to the historical serial entry points
-        for any worker count.
+        Results are byte-identical for any worker count.
         """
         return cls(**overrides)
 
@@ -480,15 +470,6 @@ class RunOptions:
                 "result cache; select cache='read' or 'readwrite'"
             )
 
-    def validate_for_sweep(self) -> None:
-        """Additional coherence checks for sweep dispatch."""
-        if self.assembly_structure is not None:
-            raise ConfigurationError(
-                "incoherent options: assembly_structure with a sweep — the "
-                "sweep engine manages assembly reuse itself (per-topology, "
-                "per-worker); drop assembly_structure"
-            )
-
     def validate_for_single_run(self) -> None:
         """Additional coherence checks for single-run dispatch.
 
@@ -565,23 +546,19 @@ class RunOptions:
         """Plain-dict form (lossless JSON/TOML round-trip).
 
         Fields equal to their defaults are omitted, so the serialised form
-        stays as small as what the user actually configured.  The two
-        process-local knobs that cannot be data — ``progress`` callbacks
-        and prepared ``assembly_structure`` objects — raise when set.
+        stays as small as what the user actually configured.  The one
+        process-local knob that cannot be data — a ``progress`` callback —
+        raises when set.
         """
-        for knob, value in (
-            ("progress", self.progress),
-            ("assembly_structure", self.assembly_structure),
-        ):
-            if value is not None:
-                raise ConfigurationError(
-                    f"cannot serialise RunOptions: {knob} is a process-local "
-                    "object with no declarative form; drop it from options "
-                    "destined for an ExperimentSpec"
-                )
+        if self.progress is not None:
+            raise ConfigurationError(
+                "cannot serialise RunOptions: progress is a process-local "
+                "object with no declarative form; drop it from options "
+                "destined for an ExperimentSpec"
+            )
         data: Dict[str, object] = {}
         for field in dataclasses.fields(self):
-            if field.name in ("progress", "assembly_structure"):
+            if field.name == "progress":
                 continue
             value = getattr(self, field.name)
             if value == field.default:
@@ -604,7 +581,7 @@ class RunOptions:
         valid = tuple(
             field.name
             for field in dataclasses.fields(cls)
-            if field.name not in ("progress", "assembly_structure")
+            if field.name != "progress"
         )
         unknown = set(data) - set(valid)
         if unknown:

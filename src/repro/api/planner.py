@@ -8,19 +8,17 @@ batched backends — goes through the same two steps:
    :class:`ExecutionPlan`: a frozen, inspectable description of *what*
    will run (kind, solver, scenario, sweep definition) and *how*
    (validated :class:`~repro.api.options.RunOptions`).  Incoherent
-   requests (sweep-only knobs on a single run, an assembly structure on a
-   sweep, an unknown solver) are rejected here, before any simulation
-   starts.
+   requests (sweep-only knobs on a single run, proposed-solver knobs on
+   a baseline, an unknown solver) are rejected here, before any
+   simulation starts.
 2. :func:`execute` carries the plan out and wraps the outcome in the
    matching typed result (:class:`~repro.api.results.RunHandle`,
    :class:`~repro.api.results.ComparisonResult` or
    :class:`~repro.api.results.StudyResult`).
 
-The legacy entry points (``run_proposed``, ``ParameterSweep.run`` ...)
-are thin deprecation shims that build the same plans, which is what makes
-their results byte-identical to the facade path.  Future execution
-targets (async service, result caching, multi-node sharding) plug in
-here, not at the call sites.
+:class:`~repro.api.study.Study` is the only way into these two steps.
+Execution targets (worker pools, the result cache, the distributed
+queue) plug in here, not at the call sites.
 """
 
 from __future__ import annotations
@@ -134,7 +132,6 @@ def plan(study) -> ExecutionPlan:
                 f"incoherent study: sweep(...) with solver={study._solver!r} "
                 "— sweeps run the proposed linearised state-space solver"
             )
-        options.validate_for_sweep()
         return ExecutionPlan(
             kind="sweep" if options.explore is None else "explore",
             scenario=study._scenario,
@@ -187,7 +184,6 @@ def execute(plan_: ExecutionPlan):
             integrator=None,
             settings=None,
             relinearise_interval=None,
-            assembly_structure=None,
         )
         legs = []
         for solver in plan_.compare_solvers:
@@ -318,10 +314,7 @@ def _execute_single(
                 settings, relinearise_interval=int(interval)
             )
         result = _simulate_proposed(
-            scenario,
-            integrator=options.integrator,
-            settings=settings,
-            assembly_structure=options.assembly_structure,
+            scenario, integrator=options.integrator, settings=settings
         )
     elif solver == "baseline":
         _reject_proposed_only_options(options, solver)
@@ -368,7 +361,6 @@ def _reject_proposed_only_options(options: RunOptions, solver: str) -> None:
         ("integrator", options.integrator),
         ("settings", options.settings),
         ("relinearise_interval", options.relinearise_interval),
-        ("assembly_structure", options.assembly_structure),
     ):
         if value is not None:
             raise ConfigurationError(
@@ -380,37 +372,10 @@ def _reject_proposed_only_options(options: RunOptions, solver: str) -> None:
 
 
 def execute_sweep(sweep, options: RunOptions) -> StudyResult:
-    """A candidate grid through the sweep engine (no deprecation warning).
-
-    This is the one place a :class:`~repro.analysis.engine.SweepEngine`
-    is constructed on behalf of the facade; both ``Study.sweep(...).run()``
-    and the legacy ``ParameterSweep.run`` shim land here, which is what
-    keeps their results byte-identical.
-    """
+    """A candidate grid through the sweep engine built from ``options``."""
     from ..analysis.engine import SweepEngine
 
-    # guard the direct entry path (the ParameterSweep.run shim); the
-    # facade path already checked this at plan time
-    options.validate_for_sweep()
-    engine = SweepEngine(
-        options.n_workers,
-        checkpoint_path=options.checkpoint_path,
-        progress=options.progress,
-        relinearise_interval=options.relinearise_interval,
-        reuse_assembly=options.reuse_assembly,
-        backend=options.backend,
-        lane_width=options.lane_width,
-        compiled=options.compiled,
-        cache=options.cache,
-        cache_dir=options.cache_dir,
-        store_url=options.store_url,
-        lease_timeout_s=options.lease_timeout_s,
-        _facade=True,
-    )
-    sweep_result = engine.run(
-        sweep, integrator=options.integrator, settings=options.settings
-    )
-    return StudyResult(sweep_result)
+    return StudyResult(SweepEngine(options).run(sweep))
 
 
 def _build_strategy(sweep, options: RunOptions):
@@ -444,28 +409,5 @@ def execute_explore(sweep, options: RunOptions) -> ExplorationResult:
     """
     from ..analysis.engine import SweepEngine
 
-    options.validate_for_sweep()
     strategy = _build_strategy(sweep, options)
-    engine = SweepEngine(
-        options.n_workers,
-        checkpoint_path=options.checkpoint_path,
-        progress=options.progress,
-        relinearise_interval=options.relinearise_interval,
-        reuse_assembly=options.reuse_assembly,
-        backend=options.backend,
-        lane_width=options.lane_width,
-        compiled=options.compiled,
-        cache=options.cache,
-        cache_dir=options.cache_dir,
-        store_url=options.store_url,
-        lease_timeout_s=options.lease_timeout_s,
-        _facade=True,
-    )
-    run = engine.run_explore(
-        sweep,
-        strategy,
-        integrator=options.integrator,
-        settings=options.settings,
-        seed=options.seed,
-    )
-    return ExplorationResult(run)
+    return ExplorationResult(SweepEngine(options).run_explore(sweep, strategy))

@@ -213,8 +213,8 @@ class Study:
 
         Everything the study would run becomes data: the scenario (which
         must be a serialisable :class:`Scenario`/:class:`SpecScenario`),
-        the options (process-local ``progress``/``assembly_structure``
-        objects are rejected by name), and the sweep — whose metric and
+        the options (a process-local ``progress`` callback is rejected by
+        name), and the sweep — whose metric and
         apply callables must be the stock ones (a custom callable has no
         declarative form and is rejected rather than silently renamed).
         """

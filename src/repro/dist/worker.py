@@ -68,7 +68,6 @@ def evaluate_payload(payload: Mapping[str, object]) -> Dict[str, float]:
         integrator=options.integrator,
         settings=options.settings,
         relinearise_interval=options.relinearise_interval,
-        reuse_assembly=True,
     )
     outcome = _evaluate_task(task)
     return {

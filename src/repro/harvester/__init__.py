@@ -10,9 +10,6 @@ from .scenarios import (
     Scenario,
     charging_scenario,
     prepare_assembly,
-    run_baseline,
-    run_proposed,
-    run_reference,
     scenario_1,
     scenario_2,
     scenario_solver_settings,
@@ -45,9 +42,6 @@ __all__ = [
     "charging_scenario",
     "prepare_assembly",
     "scenario_solver_settings",
-    "run_baseline",
-    "run_proposed",
-    "run_reference",
     "scenario_1",
     "scenario_2",
     "TunableEnergyHarvester",

@@ -1,22 +1,10 @@
-"""Rule family ``facade`` — the public surface stays the only surface.
+"""Rule family ``facade`` — the public surface is machine-checkable.
 
-DESIGN.md §4's contract is that every caller routes through
-:mod:`repro.api` while the historical entry points survive only as
-warn-once shims.  That discipline is invisible to the test suite (the
-shims *work*), so it erodes silently; these checks keep it honest:
+The api-surface tests and this checker introspect each module's explicit
+export list, so the list itself must stay honest:
 
-* ``facade.engine-bypass`` — no direct ``SweepEngine(...)`` construction
-  outside the api layer, the engine's own module or the deprecation
-  machinery (the facade constructs it with ``_facade=True``; anything
-  else re-opens the pre-PR-4 free-for-all);
-* ``facade.deprecated-import`` — the legacy entry points
-  (``run_proposed`` / ``run_baseline`` / ``run_reference`` /
-  ``ParameterSweep``) may only be imported by their defining modules,
-  package ``__init__`` re-export shims, the api layer and the
-  deprecation helper;
-* ``facade.all-missing`` — every public module defines ``__all__`` (the
-  explicit export list is what the api-surface tests and this checker
-  introspect);
+* ``facade.all-missing`` — every public module defines ``__all__``
+  (empty is fine for effect-only modules);
 * ``facade.all-format`` — ``__all__`` is a literal list/tuple of
   strings (a computed export list defeats static checking);
 * ``facade.all-unresolved`` — every name listed in ``__all__`` is
@@ -37,102 +25,20 @@ from .base import (
     string_elements,
 )
 
-__all__ = [
-    "FacadeRule",
-    "DEPRECATED_ENTRY_POINTS",
-    "ENGINE_BYPASS_ALLOWED",
-]
-
-#: legacy entry points that exist only as deprecation shims
-DEPRECATED_ENTRY_POINTS = frozenset(
-    {"run_proposed", "run_baseline", "run_reference", "ParameterSweep"}
-)
-
-#: modules that legitimately define or re-export the legacy entry points
-_DEPRECATED_IMPORT_ALLOWED = (
-    "harvester/scenarios.py",  # defines the run_* shims
-    "analysis/sweep.py",  # defines ParameterSweep
-    "_deprecation.py",
-)
-
-#: locations that may construct SweepEngine directly
-ENGINE_BYPASS_ALLOWED = (
-    "analysis/engine.py",  # the class's own module
-    "_deprecation.py",
-)
-
-
-def _in_api_layer(rel: str) -> bool:
-    return rel.startswith("api/") or rel == "api.py"
-
-
-def _is_reexport_module(sf: SourceFile) -> bool:
-    return sf.name == "__init__.py"
+__all__ = ["FacadeRule"]
 
 
 class FacadeRule(LintRule):
-    """Facade bypasses and ``__all__`` consistency."""
+    """``__all__`` consistency of every module."""
 
     family = "facade"
-    description = (
-        "no SweepEngine construction or legacy entry-point imports outside "
-        "the facade; every public module declares a resolvable __all__"
-    )
+    description = "every public module declares a literal, resolvable __all__"
 
     def run(self, project: Project) -> Iterator[Finding]:
         for sf in project.files:
             if sf.tree is None:
                 continue
-            yield from self._check_engine_bypass(sf)
-            yield from self._check_deprecated_imports(sf)
             yield from self._check_all(sf)
-
-    # ------------------------------------------------------------------ #
-    # bypasses
-    # ------------------------------------------------------------------ #
-    def _check_engine_bypass(self, sf: SourceFile) -> Iterator[Finding]:
-        if _in_api_layer(sf.rel) or sf.rel in ENGINE_BYPASS_ALLOWED:
-            return
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name == "SweepEngine":
-                yield self.finding(
-                    "engine-bypass",
-                    sf,
-                    node.lineno,
-                    "direct SweepEngine(...) construction outside repro.api "
-                    "— route through Study/RunOptions (the planner builds "
-                    "the engine with the facade contract applied); direct "
-                    "use skips option validation and fingerprinting",
-                )
-
-    def _check_deprecated_imports(self, sf: SourceFile) -> Iterator[Finding]:
-        if (
-            _in_api_layer(sf.rel)
-            or _is_reexport_module(sf)
-            or sf.rel in _DEPRECATED_IMPORT_ALLOWED
-        ):
-            return
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            for alias in node.names:
-                if alias.name in DEPRECATED_ENTRY_POINTS:
-                    yield self.finding(
-                        "deprecated-import",
-                        sf,
-                        node.lineno,
-                        f"import of deprecated entry point {alias.name!r} "
-                        "outside the legacy re-export surface — new code "
-                        "must route through repro.api (Study/RunOptions)",
-                    )
 
     # ------------------------------------------------------------------ #
     # __all__ consistency

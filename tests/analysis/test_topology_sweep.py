@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.engine import SweepEngine, _topology_key
-from repro.analysis.sweep import (
-    ParameterSweep,
-    average_power_metric,
-    format_sweep_value,
-)
+from repro import Study
+from repro.analysis.engine import _topology_key
+from repro.analysis.sweep import average_power_metric, format_sweep_value
 from repro.core.errors import ConfigurationError
 from repro.core.spec import BlockSpec
 from repro.harvester.scenarios import charging_scenario
@@ -17,13 +14,12 @@ from repro.harvester.topologies import generator_variants, piezoelectric_scenari
 DUR = 0.03  # simulated seconds per candidate — keeps the suite fast
 
 
-def _spec_sweep(grid, duration_s=DUR, **kwargs):
-    return ParameterSweep(
-        piezoelectric_scenario(duration_s=duration_s, excitation_frequency_hz=70.0),
-        grid,
-        metric=average_power_metric,
-        metric_name="average_power_W",
-        **kwargs,
+def _spec_sweep(grid, duration_s=DUR):
+    scenario = piezoelectric_scenario(
+        duration_s=duration_s, excitation_frequency_hz=70.0
+    )
+    return Study.scenario(scenario).sweep(
+        grid, metric=average_power_metric, metric_name="average_power_W"
     )
 
 
@@ -74,26 +70,32 @@ class TestTopologyAxis:
         variants = generator_variants(70.0)
         sweep = _spec_sweep({"generator": list(variants.values())})
         serial = sweep.run()
-        parallel = sweep.run(n_workers=2)
+        parallel = sweep.options(n_workers=2).run()
         assert [p.score for p in serial.points] == [p.score for p in parallel.points]
         assert serial.best().parameters["generator"].key == (
             parallel.best().parameters["generator"].key
         )
 
-    def test_reuse_off_matches_reuse_on(self):
+    def test_reused_assembly_scores_equal_fresh_single_runs(self):
+        # the engine always reuses one assembly structure per topology;
+        # every candidate must still score exactly what a fresh,
+        # structure-free single run of that candidate scores
         variants = generator_variants(70.0)
         sweep = _spec_sweep(
             {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
         )
-        with_reuse = SweepEngine(1, reuse_assembly=True).run(sweep)
-        without = SweepEngine(1, reuse_assembly=False).run(sweep)
-        assert [p.score for p in with_reuse.points] == [
-            p.score for p in without.points
+        grid = sweep.plan().sweep
+        fresh = [
+            average_power_metric(
+                Study.scenario(grid.candidate_scenario(candidate)).run().result
+            )
+            for candidate in grid.candidates()
         ]
+        assert [p.score for p in sweep.run().points] == fresh
 
     def test_topology_key_distinguishes_specs(self):
         variants = generator_variants(70.0)
-        sweep = _spec_sweep({"generator": list(variants.values())})
+        sweep = _spec_sweep({"generator": list(variants.values())}).plan().sweep
         keys = {
             _topology_key(sweep.candidate_scenario(c)) for c in sweep.candidates()
         }
@@ -108,8 +110,8 @@ class TestTopologyAxis:
         variants = generator_variants(70.0)
         grid = {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
         path = str(tmp_path / "topo.csv")
-        first = _spec_sweep(grid).run(checkpoint_path=path)
-        resumed = _spec_sweep(grid).run(checkpoint_path=path)
+        first = _spec_sweep(grid).options(checkpoint_path=path).run()
+        resumed = _spec_sweep(grid).options(checkpoint_path=path).run()
         assert resumed.engine_info.n_resumed == 2
         assert resumed.engine_info.n_evaluated == 0
         assert [p.score for p in first.points] == [p.score for p in resumed.points]
@@ -126,7 +128,8 @@ class TestAxisOrdering:
                 "generator": [variants["piezoelectric"]],
             }
         )
-        scenarios = [sweep.candidate_scenario(c) for c in sweep.candidates()]
+        grid = sweep.plan().sweep
+        scenarios = [grid.candidate_scenario(c) for c in grid.candidates()]
         resistances = [
             s.spec.block("generator").params["series_resistance_ohm"]
             for s in scenarios
@@ -159,10 +162,10 @@ class TestFormatting:
         sweep = _spec_sweep(
             {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
         )
-        sweep.run(
+        sweep.options(
             progress=lambda done, total, best: lines.append(
                 format_sweep_progress(done, total, best.score, best.parameters)
             )
-        )
+        ).run()
         assert len(lines) == 2
         assert "generator=" in lines[-1]

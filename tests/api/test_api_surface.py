@@ -1,9 +1,13 @@
-"""API-surface snapshot: pins ``repro.__all__`` and the facade exports.
+"""API-surface snapshot: pins ``repro.__all__``, the facade exports and
+the ``RunOptions`` fields.
 
 A name leaving (or silently joining) the top-level namespace is an API
-break; this test forces the change to be deliberate — update the
-snapshot below *and* the README/DESIGN docs together.
+break, and a new ``RunOptions`` field is a new execution knob; these
+tests force either change to be deliberate — update the snapshot below
+*and* the README/DESIGN docs together.
 """
+
+import dataclasses
 
 import repro
 import repro.api
@@ -64,17 +68,42 @@ EXPECTED_ALL = [
     "piezoelectric_scenario",
     "piezoelectric_spec",
     "prepare_assembly",
-    "run_baseline",
-    "run_proposed",
-    "run_reference",
     "scenario_1",
     "scenario_2",
     "__version__",
 ]
 
 
+#: the pinned execution knobs, in declaration order
+EXPECTED_RUN_OPTIONS_FIELDS = (
+    "integrator",
+    "settings",
+    "relinearise_interval",
+    "backend",
+    "lane_width",
+    "compiled",
+    "n_workers",
+    "checkpoint_path",
+    "progress",
+    "cache",
+    "cache_dir",
+    "store_url",
+    "lease_timeout_s",
+    "store_traces",
+    "explore",
+    "budget",
+    "seed",
+)
+
+
 def test_top_level_all_is_pinned():
     assert repro.__all__ == EXPECTED_ALL
+
+
+def test_run_options_fields_are_pinned():
+    fields = tuple(field.name for field in dataclasses.fields(repro.RunOptions))
+    assert fields == EXPECTED_RUN_OPTIONS_FIELDS
+    assert len(fields) == 17
 
 
 def test_every_exported_name_resolves():

@@ -1,0 +1,129 @@
+"""Every ``FINGERPRINT_EXEMPT`` claim is an executable test.
+
+An exempt ``RunOptions`` knob stays out of cache keys and checkpoint
+hashes on the claim that it cannot change a result.  Each case below runs
+a small sweep at two values of one knob and asserts the per-candidate
+scores are bitwise equal.  The test is parametrised over the exemption
+table itself, so a new exemption without a case here fails.
+"""
+
+import uuid
+from dataclasses import replace
+
+import pytest
+
+from repro import RunOptions, Study, charging_scenario
+from repro.api.options import FINGERPRINT_EXEMPT
+from repro.harvester.scenarios import scenario_solver_settings
+
+from ..distributed.fleet import worker_threads
+
+AXES = {"excitation_frequency_hz": [66.0, 70.0, 74.0]}
+DURATION_S = 0.05
+
+
+def fresh_url() -> str:
+    return f"memory://exempt-{uuid.uuid4().hex}"
+
+
+def fixed_step_settings():
+    scenario = charging_scenario(duration_s=DURATION_S)
+    return replace(scenario_solver_settings(scenario), fixed_step=1e-4)
+
+
+def run_sweep(options):
+    """Scores by candidate of one small sweep (queue sweeps get 2 workers)."""
+    study = (
+        Study.scenario(charging_scenario(duration_s=DURATION_S))
+        .options(options)
+        .sweep(AXES)
+    )
+    if options.backend == "queue":
+        with worker_threads(options.store_url):
+            result = study.run()
+    else:
+        result = study.run()
+    return {
+        tuple(sorted(point.parameters.items())): point.score
+        for point in result.points
+    }
+
+
+#: two option sets per exempt knob, differing only in that knob (and in
+#: the store they write to, so the second run is never served by the
+#: first run's cache entries)
+CASES = {
+    "n_workers": lambda tmp: (RunOptions(), RunOptions(n_workers=2)),
+    "lane_width": lambda tmp: (
+        RunOptions.batched(lane_width=2, settings=fixed_step_settings()),
+        RunOptions.batched(lane_width=3, settings=fixed_step_settings()),
+    ),
+    "lane_width_adaptive": lambda tmp: (
+        RunOptions.batched(lane_width=2),
+        RunOptions.batched(lane_width=3),
+    ),
+    "checkpoint_path": lambda tmp: (
+        RunOptions(),
+        RunOptions(checkpoint_path=str(tmp / "sweep.csv")),
+    ),
+    "progress": lambda tmp: (
+        RunOptions(),
+        RunOptions(progress=lambda done, total, best: None),
+    ),
+    "cache": lambda tmp: (
+        RunOptions(),
+        RunOptions(cache="readwrite", cache_dir=str(tmp / "store")),
+    ),
+    "cache_dir": lambda tmp: (
+        RunOptions(cache="readwrite", cache_dir=str(tmp / "a")),
+        RunOptions(cache="readwrite", cache_dir=str(tmp / "b")),
+    ),
+    "store_url": lambda tmp: (
+        RunOptions(cache="readwrite", store_url=fresh_url()),
+        RunOptions(cache="readwrite", store_url=fresh_url()),
+    ),
+    "store_traces": lambda tmp: (
+        RunOptions(cache="readwrite", cache_dir=str(tmp / "a")),
+        RunOptions(cache="readwrite", cache_dir=str(tmp / "b"), store_traces=False),
+    ),
+    "explore": lambda tmp: (RunOptions(), RunOptions(explore="grid")),
+    "budget": lambda tmp: (
+        RunOptions(explore="random", budget=2, seed=7),
+        RunOptions(explore="random", budget=3, seed=7),
+    ),
+    "lease_timeout_s": lambda tmp: (
+        RunOptions.queue(fresh_url()),
+        RunOptions.queue(fresh_url(), lease_timeout_s=5.0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(FINGERPRINT_EXEMPT)
+    + [
+        pytest.param(
+            "lane_width_adaptive",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=(
+                    "adaptive batched lanes march at the smallest step their "
+                    "lane-mates propose, so scores depend on lane packing "
+                    "(measured: 3.9e-4 relative at width 3 vs 6)"
+                ),
+            ),
+        )
+    ],
+)
+def test_exempt_knob_never_changes_a_score(case, tmp_path):
+    if case not in CASES:
+        pytest.fail(
+            f"FINGERPRINT_EXEMPT lists {case!r} but no executable case backs "
+            "the claim; add one to CASES"
+        )
+    first, second = CASES[case](tmp_path)
+    a, b = run_sweep(first), run_sweep(second)
+    common = set(a) & set(b)
+    assert len(common) >= 2
+    for candidate in sorted(common):
+        assert a[candidate] == b[candidate], candidate

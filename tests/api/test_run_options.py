@@ -73,14 +73,6 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match=fragment):
                 options.validate_for_single_run()
 
-    def test_assembly_structure_rejected_for_sweeps(self):
-        from repro import charging_scenario, prepare_assembly
-
-        structure = prepare_assembly(charging_scenario(duration_s=0.01))
-        options = RunOptions(assembly_structure=structure)
-        with pytest.raises(ConfigurationError, match="assembly_structure"):
-            options.validate_for_sweep()
-
     def test_single_run_accepts_run_knobs(self):
         RunOptions.fast().validate_for_single_run()
         RunOptions(n_workers=None).validate_for_single_run()
@@ -92,7 +84,6 @@ class TestQueueBackend:
         assert options.backend == "queue"
         assert options.store_url == "memory://fleet"
         assert options.cache == "readwrite"
-        options.validate_for_sweep()
 
     def test_queue_without_store_url_rejected(self):
         with pytest.raises(ConfigurationError, match="without store_url"):
@@ -115,7 +106,7 @@ class TestQueueBackend:
             RunOptions.queue("memory://fleet", n_workers=4)
 
     def test_lease_timeout_only_with_queue_and_positive(self):
-        RunOptions.queue("memory://fleet", lease_timeout_s=10.0).validate_for_sweep()
+        RunOptions.queue("memory://fleet", lease_timeout_s=10.0)
         with pytest.raises(ConfigurationError, match="lease_timeout_s"):
             RunOptions(lease_timeout_s=10.0)
         with pytest.raises(ConfigurationError, match="positive"):

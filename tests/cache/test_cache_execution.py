@@ -168,28 +168,40 @@ def test_sweep_cache_keys_differ_across_backends(tmp_path):
 
 
 def test_sweep_cache_and_checkpoint_share_one_fingerprint(tmp_path):
-    """The satellite bugfix: one canonical options-fingerprint helper."""
+    """One canonical options fingerprint feeds cache keys and checkpoints."""
     from repro.analysis.engine import SweepEngine
     from repro.api.options import execution_fingerprint
 
-    engine = SweepEngine(
-        relinearise_interval=3, backend="batched", _facade=True
-    )
-    fingerprint = engine._execution_fingerprint(None, None)
-    assert fingerprint == execution_fingerprint(
+    options = RunOptions.batched(relinearise_interval=3)
+    assert options.fingerprint() == execution_fingerprint(
         relinearise_interval=3, backend="batched"
     )
-    assert fingerprint == RunOptions.batched(
-        relinearise_interval=3
-    ).fingerprint()
 
     # and the checkpoint grid hash moves with the shared fingerprint
     sweep = sweep_study(RunOptions()).plan().sweep
-    exact = SweepEngine(_facade=True)._checkpoint_metadata(sweep, None, None)
-    held = SweepEngine(relinearise_interval=3, _facade=True)._checkpoint_metadata(
-        sweep, None, None
-    )
+    exact = SweepEngine(RunOptions())._checkpoint_metadata(sweep)
+    held = SweepEngine(RunOptions.fast(3))._checkpoint_metadata(sweep)
     assert exact["grid"] != held["grid"]
+
+
+def test_checkpoint_config_hash_is_pinned():
+    """Existing sweep checkpoints keep resuming: the config-hash is stable.
+
+    The digests below were recorded before the engine was rebuilt around
+    one ``RunOptions``; a change here orphans every checkpoint on disk.
+    """
+    from repro.analysis.engine import SweepEngine
+
+    sweep = sweep_study(RunOptions()).plan().sweep
+    exact = SweepEngine(RunOptions())._checkpoint_metadata(sweep)
+    assert exact == {
+        "metric": "harvested_energy_J",
+        "parameters": "excitation_frequency_hz",
+        "backend": "process",
+        "grid": "20284d596ea4774e",
+    }
+    held = SweepEngine(RunOptions.batched(relinearise_interval=3))
+    assert held._checkpoint_metadata(sweep)["grid"] == "2b9b88355ad53925"
 
 
 def test_sweep_cache_rejects_custom_metrics_by_name(tmp_path):

@@ -7,7 +7,6 @@ time; the integration test at the bottom runs a real facade sweep on
 *identical* to ``backend="process"`` — the subsystem's core promise.
 """
 
-import threading
 import uuid
 from types import SimpleNamespace
 
@@ -20,6 +19,8 @@ from repro.dist import executor as executor_module
 from repro.dist.executor import QueueSweepExecutor, task_payload_for
 from repro.dist.queue import open_queue
 from repro.dist.worker import worker_loop
+
+from .fleet import worker_threads
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "1" * 62
@@ -223,26 +224,8 @@ def test_queue_backend_matches_process_backend_exactly():
         )
 
     url = fresh_url()
-    stop = threading.Event()
-    workers = [
-        threading.Thread(
-            target=worker_loop,
-            args=(url,),
-            kwargs=dict(
-                worker_id=f"w{i}", lease_s=5.0, poll_s=0.05, stop=stop.is_set
-            ),
-            daemon=True,
-        )
-        for i in range(2)
-    ]
-    for worker in workers:
-        worker.start()
-    try:
+    with worker_threads(url):
         queued = run_with(RunOptions.queue(url))
-    finally:
-        stop.set()
-        for worker in workers:
-            worker.join(timeout=10.0)
 
     direct = run_with(RunOptions(backend="process", n_workers=1))
 

@@ -10,26 +10,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Study
 from repro.analysis.power import average_power
 from repro.analysis.waveforms import compare_traces
 from repro.baselines.implicit_solver import ImplicitSolverSettings
 from repro.baselines.reference import ReferenceSolver, ReferenceSolverSettings
 from repro.core.integrators import AdamsBashforth, RungeKutta4
 from repro.harvester.config import paper_harvester
-from repro.harvester.scenarios import (
-    charging_scenario,
-    run_baseline,
-    run_proposed,
-    run_reference,
-    scenario_1,
-)
+from repro.harvester.scenarios import charging_scenario, scenario_1
 from repro.harvester.system import TunableEnergyHarvester
+
+
+def proposed_run(scenario, **options):
+    """One scenario on the proposed solver, through the facade."""
+    return Study.scenario(scenario).options(**options).run().result
+
+
+def solver_run(scenario, solver, **solver_kwargs):
+    """One scenario on a baseline solver family, through the facade."""
+    return Study.scenario(scenario).solver(solver, **solver_kwargs).run().result
 
 
 @pytest.fixture(scope="module")
 def short_charging_result():
     """One shared short charging run used by several assertions."""
-    return run_proposed(charging_scenario(duration_s=0.4))
+    return proposed_run(charging_scenario(duration_s=0.4))
 
 
 class TestProposedSolverOnFullSystem:
@@ -57,16 +62,17 @@ class TestProposedSolverOnFullSystem:
 
     def test_rk4_and_ab3_agree(self):
         scenario = charging_scenario(duration_s=0.15)
-        ab = run_proposed(scenario, integrator=AdamsBashforth(order=3))
-        rk = run_proposed(scenario, integrator=RungeKutta4())
+        ab = proposed_run(scenario, integrator=AdamsBashforth(order=3))
+        rk = proposed_run(scenario, integrator=RungeKutta4())
         comparison = compare_traces(ab["multiplier.Vin"], rk["multiplier.Vin"])
         assert comparison.normalised_rms_error < 0.05
 
     def test_matches_scipy_reference(self):
         scenario = charging_scenario(duration_s=0.2)
-        proposed = run_proposed(scenario)
-        reference = run_reference(
+        proposed = proposed_run(scenario)
+        reference = solver_run(
             scenario,
+            "reference",
             settings=ReferenceSolverSettings(rtol=1e-7, atol=1e-9, max_step=5e-4),
         )
         for trace_name in ("generator.z", "multiplier.Vin", "storage_voltage"):
@@ -80,7 +86,7 @@ class TestProposedSolverOnFullSystem:
 
 class TestClosedLoopTuning:
     def test_scenario_1_retunes_the_generator(self):
-        result = run_proposed(scenario_1(duration_s=2.0, shift_time_s=0.3))
+        result = proposed_run(scenario_1(duration_s=2.0, shift_time_s=0.3))
         assert result.metadata["n_tunings_completed"] >= 1
         assert result["resonant_frequency"].final() == pytest.approx(71.0, abs=0.3)
         assert result["ambient_frequency"].final() == pytest.approx(71.0)
@@ -98,7 +104,7 @@ class TestClosedLoopTuning:
             frequency_steps=scenario.frequency_steps,
             with_controller=True,
         )
-        result = run_proposed(scenario)
+        result = proposed_run(scenario)
         assert result.metadata["n_tunings_completed"] == 0
         assert result["resonant_frequency"].final() == pytest.approx(70.0, abs=0.1)
 
@@ -106,9 +112,10 @@ class TestClosedLoopTuning:
 class TestBaselineComparison:
     def test_newton_raphson_baseline_agrees_and_is_slower(self):
         scenario = charging_scenario(duration_s=0.04)
-        proposed = run_proposed(scenario)
-        baseline = run_baseline(
+        proposed = proposed_run(scenario)
+        baseline = solver_run(
             scenario,
+            "baseline",
             settings=ImplicitSolverSettings(step_size=2e-4, record_interval=1e-3),
         )
         comparison = compare_traces(baseline["multiplier.Vin"], proposed["multiplier.Vin"])
@@ -145,7 +152,7 @@ class TestScalingProperties:
             frequency_steps=(),
             with_controller=False,
         )
-        result = run_proposed(scenario)
+        result = proposed_run(scenario)
         peak = float(np.max(np.abs(result["multiplier.Vin"].values)))
         baseline_config = paper_harvester().with_excitation(70.0, 0.1)
         baseline_scenario = type(scenario)(
@@ -157,6 +164,6 @@ class TestScalingProperties:
             with_controller=False,
         )
         baseline_peak = float(
-            np.max(np.abs(run_proposed(baseline_scenario)["multiplier.Vin"].values))
+            np.max(np.abs(proposed_run(baseline_scenario)["multiplier.Vin"].values))
         )
         assert peak >= baseline_peak * 0.9

@@ -1,7 +1,7 @@
 """Pragma suppression fixture (tests/lint fixture, never imported)."""
 
-__all__ = ["make"]
+__all__ = ["make", "phantom"]  # repro-lint: disable=facade.all-unresolved -- fixture exercises inline suppression
 
 
 def make(spec):
-    return SweepEngine(spec)  # repro-lint: disable=facade.engine-bypass -- fixture exercises inline suppression
+    return spec

@@ -15,21 +15,21 @@ def test_check_defaults_to_clean_installed_package(capsys):
 
 
 def test_check_json_on_fixture_exits_nonzero(capsys):
-    code = main(["check", str(FIXTURES / "facade_bypass"), "--json"])
+    code = main(["check", str(FIXTURES / "broken_all"), "--json"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "repro-check/1"
     assert doc["summary"]["ok"] is False
     rule_ids = {f["rule_id"] for f in doc["findings"]}
-    assert "facade.engine-bypass" in rule_ids
-    assert "facade.deprecated-import" in rule_ids
+    assert "facade.all-unresolved" in rule_ids
+    assert "facade.all-missing" in rule_ids
 
 
 def test_check_rule_filter_restricts_families(capsys):
     code = main(
         [
             "check",
-            str(FIXTURES / "facade_bypass"),
+            str(FIXTURES / "broken_all"),
             "--rule",
             "kernel-purity",
             "--json",

@@ -52,16 +52,6 @@ def test_kernel_purity_rules_fire_with_exact_lines():
     assert ("kernel-purity.closure", "core/kernels.py", 20) in got
 
 
-def test_facade_rules_fire_with_exact_lines():
-    got = findings_for("facade_bypass", "facade")
-    assert ("facade.deprecated-import", "service.py", 4) in got
-    assert ("facade.engine-bypass", "service.py", 10) in got
-    # importing SweepEngine (not constructing) is not itself deprecated
-    assert not any(
-        rule == "facade.deprecated-import" and line == 3 for rule, _, line in got
-    )
-
-
 def test_all_consistency_rules_fire_with_exact_lines():
     got = findings_for("broken_all", "facade")
     assert ("facade.all-format", "computed.py", 3) in got
@@ -75,7 +65,7 @@ def test_every_rule_family_exits_nonzero_on_its_fixture():
         ("unfingerprinted", "fingerprint"),
         ("protocol_drift", "block-protocol"),
         ("impure_kernel", "kernel-purity"),
-        ("facade_bypass", "facade"),
+        ("broken_all", "facade"),
     ):
         report = run_check([FIXTURES / tree], rules=[family])
         assert not report.ok, f"{family} found nothing in {tree}"

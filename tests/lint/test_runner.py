@@ -35,7 +35,7 @@ def test_unknown_rule_family_raises():
 
 def test_justified_inline_pragma_suppresses_and_is_counted():
     report = run_check([FIXTURES / "pragmas"], rules=["facade"])
-    assert not any(f.rule_id == "facade.engine-bypass" for f in report.findings)
+    assert not any(f.rule_id == "facade.all-unresolved" for f in report.findings)
     assert report.n_suppressed == 1
 
 
