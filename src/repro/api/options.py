@@ -110,20 +110,22 @@ def execution_fingerprint(
 
 #: RunOptions fields deliberately excluded from the execution fingerprint,
 #: each with the one-line reason it can never change a per-candidate
-#: result.  The static checker (``repro check``, rule family
-#: ``fingerprint``) enforces that every field is either read by
-#: :meth:`RunOptions.fingerprint` or listed here — an unfingerprinted
+#: result.  Every field is either passed to :func:`execution_fingerprint`
+#: by :meth:`RunOptions.fingerprint` or listed here — an unfingerprinted
 #: result-changing knob silently serves stale cache entries, so any new
 #: field must pick a side explicitly.  Every reason is also an executable
-#: claim: ``tests/api/test_fingerprint_exemptions.py`` sweeps each listed
-#: knob at two values and asserts bitwise-equal scores (``lane_width``
-#: holds only at fixed step; its adaptive case is a strict known failure).
+#: claim: ``tests/api/test_fingerprint_exemptions.py`` checks the split
+#: and sweeps each listed knob at two values, asserting bitwise-equal
+#: scores (adaptive batched sweeps are the known exception for
+#: ``lane_width`` and ``n_workers``; those cases are strict known failures).
 FINGERPRINT_EXEMPT = {
     "lane_width": "lane packing changes batching granularity only; fixed-step "
     "marches are byte-identical across widths and adaptive ones fall under "
     "the documented 10% shared-step tolerance fingerprinted via 'backend'",
-    "n_workers": "worker count only changes scheduling; the engine's "
-    "determinism contract makes results independent of parallelism",
+    "n_workers": "worker count only changes scheduling; process and queue "
+    "sweeps score identically at any count, but adaptive batched sweeps do "
+    "not, because the default lane width is ceil(n / n_workers) and they "
+    "fall under the same shared-step tolerance as 'lane_width'",
     "checkpoint_path": "where a checkpoint is written never affects what is "
     "computed; the checkpoint's own config hash derives from the fingerprint",
     "progress": "a reporting callback observes the run and cannot feed back "

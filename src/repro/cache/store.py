@@ -37,6 +37,8 @@ import io
 import json
 import os
 import time
+import zipfile
+import zlib
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
@@ -386,18 +388,25 @@ class ResultStore:
                     f"cache entry for {key} declares traces but its "
                     f"{_TRACES_FILE} blob is missing"
                 )
-            with np.load(io.BytesIO(npz_blob)) as arrays:
-                for index, info in enumerate(trace_meta):
-                    t_key, v_key = f"t{index}", f"v{index}"
-                    if t_key not in arrays or v_key not in arrays:
-                        raise CacheCorruptionError(
-                            f"cache entry for {key} is missing trace arrays "
-                            f"{t_key}/{v_key} in its {_TRACES_FILE} blob"
-                        )
-                    trace = Trace(str(info["name"]), str(info.get("unit", "")))
-                    trace._times = arrays[t_key].tolist()
-                    trace._values = arrays[v_key].tolist()
-                    result.add_trace(trace)
+            try:
+                with np.load(io.BytesIO(npz_blob)) as npz:
+                    arrays = {name: npz[name] for name in npz.files}
+            except (zipfile.BadZipFile, zlib.error, ValueError, OSError, EOFError) as exc:
+                raise CacheCorruptionError(
+                    f"cache entry {self._entry_ref(key)} has an unreadable {_TRACES_FILE} "
+                    f"blob: {exc!r}"
+                ) from None
+            for index, info in enumerate(trace_meta):
+                t_key, v_key = f"t{index}", f"v{index}"
+                if t_key not in arrays or v_key not in arrays:
+                    raise CacheCorruptionError(
+                        f"cache entry for {key} is missing trace arrays "
+                        f"{t_key}/{v_key} in its {_TRACES_FILE} blob"
+                    )
+                trace = Trace(str(info["name"]), str(info.get("unit", "")))
+                trace._times = arrays[t_key].tolist()
+                trace._values = arrays[v_key].tolist()
+                result.add_trace(trace)
         return result
 
     def load_point(self, key: str) -> Optional[Dict[str, object]]:

@@ -550,30 +550,6 @@ def _cmd_kv_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from .lint import RULES, run_check
-
-    if args.list_rules:
-        for rule_cls in RULES:
-            print(f"{rule_cls.family}: {rule_cls.description}")
-        return 0
-    if args.paths:
-        roots = [Path(p) for p in args.paths]
-        for root in roots:
-            if not root.is_dir():
-                raise SimulationError(f"check root {root} is not a directory")
-    else:
-        roots = [Path(__file__).resolve().parent]  # the installed repro package
-    try:
-        report = run_check(
-            roots, rules=args.rule, introspect=not args.no_introspect
-        )
-    except ValueError as exc:
-        raise SimulationError(str(exc)) from None
-    print(report.render_json() if args.json else report.render_text())
-    return report.exit_code()
-
-
 # ---------------------------------------------------------------------- #
 # entry point
 # ---------------------------------------------------------------------- #
@@ -645,40 +621,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="machine-readable JSON on stdout",
     )
     scenarios.set_defaults(func=_cmd_scenarios)
-
-    check = sub.add_parser(
-        "check",
-        help="run the static contract checks (fingerprint coverage, "
-        "block-protocol conformance, kernel purity, facade lint)",
-    )
-    check.add_argument(
-        "paths",
-        nargs="*",
-        help="source roots to check (default: the installed repro package)",
-    )
-    check.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable JSON report on stdout (schema repro-check/1)",
-    )
-    check.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="FAMILY",
-        help="restrict to a rule family (repeatable); see --list-rules",
-    )
-    check.add_argument(
-        "--no-introspect",
-        action="store_true",
-        help="skip the importlib cross-checks (pure AST pass only)",
-    )
-    check.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the rule families and exit",
-    )
-    check.set_defaults(func=_cmd_check)
 
     cache = sub.add_parser("cache", help="inspect or maintain the result store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)

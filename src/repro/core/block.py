@@ -41,16 +41,11 @@ __all__ = [
     "LinearBlock",
     "Terminal",
     "LINEARISATION_FIELDS",
-    "BATCHED_PROTOCOL_METHODS",
 ]
 
 #: field names of a (batched) linearisation, in canonical order — the only
 #: names a :class:`PreparedBlockLineariser` may declare ``constant``
 LINEARISATION_FIELDS = ("jxx", "jxy", "ex", "jyx", "jyy", "ey")
-
-#: the batched-block protocol methods whose signatures the solver calls
-#: positionally (and the static checker verifies against overrides)
-BATCHED_PROTOCOL_METHODS = ("evaluate_batch", "linearise_batch", "batched_lineariser")
 
 
 @dataclass(frozen=True)
@@ -199,6 +194,14 @@ class PreparedBlockLineariser:
 
     lineariser: Callable[[float, np.ndarray, np.ndarray], "BatchedLinearisation"]
     constant: Tuple[str, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        for name in self.constant:
+            if name not in LINEARISATION_FIELDS:
+                raise ConfigurationError(
+                    f"PreparedBlockLineariser declares constant field {name!r}, "
+                    f"which is not a linearisation field {LINEARISATION_FIELDS}"
+                )
 
 
 class AnalogueBlock(ABC):

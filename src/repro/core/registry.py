@@ -57,6 +57,9 @@ _TYPE_CHECKS = {
     "list": (list, tuple),
 }
 
+#: terminal kinds an analogue entry may declare
+_TERMINAL_KINDS = ("voltage", "current")
+
 
 @dataclass(frozen=True)
 class ParameterField:
@@ -178,12 +181,24 @@ class BlockRegistry:
             raise ConfigurationError(
                 f"registry key {key!r}: duplicate parameter names in schema"
             )
+        terminals = tuple((str(n), str(k)) for n, k in terminals)
+        if role == "analogue" and not terminals:
+            raise ConfigurationError(
+                f"registry key {key!r}: an analogue entry must declare its "
+                "terminals so specs can be wire-checked before building"
+            )
+        for tname, kind in terminals:
+            if kind not in _TERMINAL_KINDS:
+                raise ConfigurationError(
+                    f"registry key {key!r}: terminal {tname!r} has kind "
+                    f"{kind!r}; valid kinds are {_TERMINAL_KINDS}"
+                )
         entry = RegistryEntry(
             key=key,
             factory=factory,
             role=role,
             params=tuple(params),
-            terminals=tuple((str(n), str(k)) for n, k in terminals),
+            terminals=terminals,
             description=description,
         )
         self._entries[key] = entry
@@ -201,19 +216,6 @@ class BlockRegistry:
     def __contains__(self, key: str) -> bool:
         self.ensure_default_library()
         return key in self._entries
-
-    def entries(self, role: Optional[str] = None) -> List[RegistryEntry]:
-        """Registered entries (optionally filtered by role), key-sorted.
-
-        The introspection surface the static checker (``repro check``)
-        uses to validate terminal declarations without special access.
-        """
-        self.ensure_default_library()
-        return [
-            self._entries[key]
-            for key in sorted(self._entries)
-            if role is None or self._entries[key].role == role
-        ]
 
     def keys(self, role: Optional[str] = None) -> List[str]:
         """Registered keys (optionally filtered by role), sorted."""

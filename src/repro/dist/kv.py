@@ -291,9 +291,15 @@ class KVClient:
 
     # --------------------------- plumbing ----------------------------- #
     def _connect(self) -> socket.socket:
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout_s
-        )
+        try:
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout_s
+            )
+        except OSError as exc:
+            raise ConnectionError(
+                f"cannot reach kv server {self.host}:{self.port} ({exc}); "
+                "is `repro kv-serve` running there?"
+            ) from exc
         try:
             send_frame(sock, {"op": "ping"})
             reply = recv_frame(sock)

@@ -8,6 +8,10 @@ tests force either change to be deliberate — update the snapshot below
 """
 
 import dataclasses
+import importlib
+import pkgutil
+
+import pytest
 
 import repro
 import repro.api
@@ -143,3 +147,31 @@ def test_api_package_surface():
     # the top-level re-exports are the same objects
     assert repro.Study is repro.api.Study
     assert repro.RunOptions is repro.api.RunOptions
+
+
+#: every ``repro`` module with no ``_``-prefixed part in its dotted name
+PUBLIC_MODULES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not any(part.startswith("_") for part in info.name.split("."))
+]
+
+
+def test_module_walk_finds_the_public_modules():
+    assert len(PUBLIC_MODULES) > 40
+    assert "repro.api.options" in PUBLIC_MODULES
+    assert not any("._" in name for name in PUBLIC_MODULES)
+
+
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_public_module_declares_a_resolvable_all(module_name):
+    module = importlib.import_module(module_name)
+    exported = getattr(module, "__all__", None)
+    assert isinstance(exported, (list, tuple)), (
+        f"{module_name} must define __all__ as a list or tuple"
+    )
+    for name in exported:
+        assert isinstance(name, str), (module_name, name)
+        assert hasattr(module, name), (
+            f"{module_name}.__all__ lists missing name {name!r}"
+        )

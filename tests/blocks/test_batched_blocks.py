@@ -154,6 +154,11 @@ def test_linearise_batch_stacks_scalar_linearise(key, seed):
     t = float(rng.uniform(0.0, 0.05))
     batched = linearise_block_lanes(lanes, t, x, y)
     _assert_stacks_equal(batched, lanes, t, x, y)
+    # the prepared lineariser, bound positionally the way the batched
+    # assembler binds it, stacks the same scalar results
+    prepared = lanes[0].batched_lineariser(lanes)
+    if prepared is not None:
+        _assert_stacks_equal(prepared.lineariser(t, x, y), lanes, t, x, y)
 
 
 @pytest.mark.parametrize("key", STOCK_ANALOGUE_KEYS)

@@ -81,6 +81,22 @@ def test_corrupt_entry_degrades_to_recomputed_miss(tmp_path):
     assert single_study(tmp_path).run().metadata["cache"] == "hit"
 
 
+def test_truncated_traces_blob_degrades_to_recomputed_miss(tmp_path):
+    first = single_study(tmp_path).run()
+    store = ResultStore(tmp_path)
+    (key, _), = list(store.entries())
+    blob = store._entry_dir(key) / "traces.npz"
+    blob.write_bytes(blob.read_bytes()[: blob.stat().st_size // 2])
+
+    with pytest.warns(UserWarning, match="unreadable traces.npz"):
+        rerun = single_study(tmp_path).run()
+    assert rerun.metadata["cache"] == "miss"
+    assert rerun.trace_names() == first.trace_names()
+    for name in first.trace_names():
+        assert np.array_equal(rerun[name].times, first[name].times)
+        assert np.array_equal(rerun[name].values, first[name].values)
+
+
 def test_salt_bump_invalidates_single_run_entries(tmp_path, monkeypatch):
     single_study(tmp_path).run()
     monkeypatch.setattr(

@@ -8,6 +8,7 @@ import pytest
 from repro.core.batch import BatchedSolver
 from repro.core.block import LinearBlock, PreparedBlockLineariser
 from repro.core.elimination import SystemAssembler
+from repro.core.errors import ConfigurationError
 from repro.core.kernels import _eliminate_lanes_impl
 from repro.core.netlist import Netlist
 from repro.core.solver import SolverSettings
@@ -292,6 +293,10 @@ class TestPreparedBlockLineariserContract:
             d=np.array([[1.0]]),
         )
         assert block.batched_lineariser([block]) is None
+
+    def test_constant_names_must_be_linearisation_fields(self):
+        with pytest.raises(ConfigurationError, match="'jzz'"):
+            PreparedBlockLineariser(lineariser=lambda t, x, y: None, constant=("jxx", "jzz"))
 
 
 class TestFusedElimination:

@@ -17,9 +17,11 @@ from repro.blocks.vibration import VibrationSource
 from repro.blocks.voltage_multiplier import DicksonMultiplier
 from repro.core import (
     BLOCK_REGISTRY,
+    BlockRegistry,
     BlockSpec,
     ConnectionSpec,
     ExcitationSpec,
+    FrequencyStepSpec,
     Netlist,
     ProbeSpec,
     SystemAssembler,
@@ -93,6 +95,21 @@ class TestRegistry:
     def test_role_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="role"):
             BLOCK_REGISTRY.get("tuning_controller", expect_role="analogue")
+
+    def test_analogue_entry_must_declare_terminals(self):
+        registry = BlockRegistry()
+        with pytest.raises(ConfigurationError, match="'bare'.*terminals"):
+            registry.register("bare", lambda name, params, context: None)
+        with pytest.raises(ConfigurationError, match="'flux'.*'magnetic'"):
+            registry.register(
+                "flux",
+                lambda name, params, context: None,
+                terminals=(("V", "voltage"), ("phi", "magnetic")),
+            )
+        registry.register(
+            "source_only", lambda name, params, context: None, role="source"
+        )
+        assert registry.keys() == ["source_only"]
 
 
 class TestSpecValidation:
@@ -168,13 +185,21 @@ class TestSpecValidation:
             SystemSpec(name="empty", blocks=()).validate()
 
 
-class TestSpecSerialisation:
-    def test_dict_round_trip_minimal(self):
-        spec = _minimal_spec()
-        assert SystemSpec.from_dict(spec.to_dict()) == spec
+def _stepped_spec():
+    """The minimal spec under a scheduled two-step excitation."""
+    steps = (
+        FrequencyStepSpec(time=0.1, frequency_hz=72.0),
+        FrequencyStepSpec(time=0.2, frequency_hz=68.0, amplitude_ms2=0.4),
+    )
+    return _minimal_spec(
+        excitation=ExcitationSpec(frequency_hz=70.0, amplitude_ms2=0.5, steps=steps)
+    )
 
-    def test_dict_round_trip_paper(self):
-        spec = paper_spec()
+
+class TestSpecSerialisation:
+    @pytest.mark.parametrize("make_spec", [_minimal_spec, paper_spec, _stepped_spec])
+    def test_dict_round_trip(self, make_spec):
+        spec = make_spec()
         assert SystemSpec.from_dict(spec.to_dict()) == spec
 
     def test_json_round_trip_paper(self):

@@ -1,11 +1,19 @@
 """Wire protocol and server semantics of ``repro kv-serve``."""
 
+import os
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.errors import ConfigurationError
 from repro.dist import kv as kv_module
 from repro.dist.kv import (
@@ -159,3 +167,39 @@ def test_client_handshake_rejects_a_non_kv_peer():
     finally:
         thread.join(timeout=5.0)
         listener.close()
+
+
+def test_killed_server_fails_every_later_op_naming_its_address():
+    """A SIGKILLed `repro kv-serve` process: each op fails fast, with the address.
+
+    A real process is needed: an in-thread ``KVServer.shutdown()`` keeps
+    serving connections that are already open.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "kv-serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        banner = proc.stdout.readline()
+        match = re.search(r"kv://([\d.]+):(\d+)", banner)
+        assert match, banner
+        host, port = match.group(1), int(match.group(2))
+        client = KVClient(host, port, timeout_s=5.0)
+        client.put("ab" + "4" * 62, {"entry.json": b"{}"})
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=5.0)
+
+        started = time.monotonic()
+        for op in (lambda: client.contains("ab" + "4" * 62), client.keys):
+            with pytest.raises(ConnectionError, match=re.escape(f"{host}:{port}")):
+                op()
+        assert time.monotonic() - started < 5.0
+        client.close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=5.0)
+        proc.stdout.close()
