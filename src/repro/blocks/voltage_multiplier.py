@@ -222,12 +222,14 @@ class DicksonMultiplier(AnalogueBlock):
             else:
                 jxy[0, 3] -= 1.0 / cin
 
-        # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end)
-        for k in range(n - 1):
-            ck = self.capacitances[k]
-            jxx[k + 1, :] = (g[k] * coefficients[k, :] - g[k + 1] * coefficients[k + 1, :]) / ck
-            ex[k + 1] = (j[k] - j[k + 1]) / ck
-        cn = self.capacitances[-1]
+        # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end),
+        # every row at once with linearise_batch's element-wise expressions
+        caps = self.capacitances
+        jxx[1:n, :] = (
+            g[:-1, None] * coefficients[:-1, :] - g[1:, None] * coefficients[1:, :]
+        ) / caps[:-1, None]
+        ex[1:n] = (j[:-1] - j[1:]) / caps[:-1]
+        cn = caps[-1]
         jxx[n, :] = g[n - 1] * coefficients[n - 1, :] / cn
         jxy[n, 3] = -1.0 / cn
         ex[n] = j[n - 1] / cn

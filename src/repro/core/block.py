@@ -83,17 +83,35 @@ class BlockLinearisation:
     jyy: np.ndarray
     ey: np.ndarray
 
+    @staticmethod
+    def expected_shapes(
+        n_states: int, n_terminals: int, n_algebraic: int
+    ) -> Tuple[Tuple[int, ...], ...]:
+        """Field shapes in :data:`LINEARISATION_FIELDS` order."""
+        return (
+            (n_states, n_states),
+            (n_states, n_terminals),
+            (n_states,),
+            (n_algebraic, n_states),
+            (n_algebraic, n_terminals),
+            (n_algebraic,),
+        )
+
+    def shapes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Actual field shapes, comparable with :meth:`expected_shapes`."""
+        return (
+            self.jxx.shape,
+            self.jxy.shape,
+            self.ex.shape,
+            self.jyx.shape,
+            self.jyy.shape,
+            self.ey.shape,
+        )
+
     def validate(self, n_states: int, n_terminals: int, n_algebraic: int) -> None:
         """Raise :class:`ConfigurationError` on any shape mismatch."""
-        expected = {
-            "jxx": (n_states, n_states),
-            "jxy": (n_states, n_terminals),
-            "ex": (n_states,),
-            "jyx": (n_algebraic, n_states),
-            "jyy": (n_algebraic, n_terminals),
-            "ey": (n_algebraic,),
-        }
-        for attr, shape in expected.items():
+        expected = self.expected_shapes(n_states, n_terminals, n_algebraic)
+        for attr, shape in zip(LINEARISATION_FIELDS, expected):
             actual = getattr(self, attr).shape
             if actual != shape:
                 raise ConfigurationError(

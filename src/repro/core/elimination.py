@@ -30,7 +30,7 @@ which is what the explicit integrator advances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -138,6 +138,27 @@ class AssemblyStructure:
         )
 
 
+class _BlockPlan(NamedTuple):
+    """Where one block's linearisation lands in the global system.
+
+    Resolved once per :class:`SystemAssembler`, so a step does no netlist
+    look-ups: ``states``/``rows`` slice the global state vector and the
+    algebraic rows, ``terminals`` gathers the block's ports (a slice when
+    they are contiguous), ``views`` are the ``jxx``/``ex``/``jyx``/``ey``
+    destinations in the assembler's buffers and ``jxy_index``/``jyy_index``
+    the flat positions of its coupling entries.
+    """
+
+    block: AnalogueBlock
+    states: slice
+    terminals: Union[slice, np.ndarray]
+    rows: slice
+    shapes: Tuple[Tuple[int, ...], ...]
+    views: Tuple[np.ndarray, ...]
+    jxy_index: np.ndarray
+    jyy_index: np.ndarray
+
+
 @dataclass
 class GlobalLinearisation:
     """The assembled global Jacobian blocks of Eq. (2) at one time point."""
@@ -220,9 +241,19 @@ class SystemAssembler:
         self._state_offsets: Dict[str, int] = s.state_offsets
         self._n_states = s.n_states
         self._n_terminals = s.n_terminals
-        self._alg_offsets: Dict[str, int] = s.alg_offsets
         self._n_algebraic = s.n_algebraic
-        self._terminal_maps: Dict[str, np.ndarray] = s.terminal_maps
+
+        # assemble() scatters into these buffers; the entries no block owns
+        # stay zero
+        self._buffers = (
+            np.zeros((s.n_states, s.n_states)),
+            np.zeros((s.n_states, s.n_terminals)),
+            np.zeros(s.n_states),
+            np.zeros((s.n_algebraic, s.n_states)),
+            np.zeros((s.n_algebraic, s.n_terminals)),
+            np.zeros(s.n_algebraic),
+        )
+        self._plan = [self._plan_block(block) for block in self._blocks]
 
     # ------------------------------------------------------------------ #
     # structural queries
@@ -282,21 +313,42 @@ class SystemAssembler:
     # ------------------------------------------------------------------ #
     # local/global scatter-gather
     # ------------------------------------------------------------------ #
-    def gather_local_state(self, block: AnalogueBlock, x_global: np.ndarray) -> np.ndarray:
-        """Extract the block's local state sub-vector from the global state."""
-        return x_global[self.state_slice(block.name)]
+    def _plan_block(self, block: AnalogueBlock) -> _BlockPlan:
+        s = self._structure
+        offset = s.state_offsets[block.name]
+        states = slice(offset, offset + block.n_states)
+        r0 = s.alg_offsets[block.name]
+        rows = slice(r0, r0 + block.n_algebraic)
+        terminal_idx = s.terminal_maps[block.name]
+        terminals: Union[slice, np.ndarray] = terminal_idx
+        if terminal_idx.size and bool(np.all(np.diff(terminal_idx) == 1)):
+            terminals = slice(int(terminal_idx[0]), int(terminal_idx[-1]) + 1)
+        jxx, _, ex, jyx, _, ey = self._buffers
 
-    def gather_local_terminals(
-        self, block: AnalogueBlock, y_global: np.ndarray
-    ) -> np.ndarray:
-        """Extract the block's local terminal vector from the global one."""
-        return y_global[self._terminal_maps[block.name]]
+        def flat(row_slice: slice) -> np.ndarray:
+            # row-major, so repeated terminals keep the last write like a
+            # fancy-index scatter does
+            grid = np.arange(row_slice.start, row_slice.stop)[:, None] * self._n_terminals
+            return (grid + terminal_idx[None, :]).ravel()
+
+        return _BlockPlan(
+            block=block,
+            states=states,
+            terminals=terminals,
+            rows=rows,
+            shapes=BlockLinearisation.expected_shapes(
+                block.n_states, block.n_terminals, block.n_algebraic
+            ),
+            views=(jxx[states, states], ex[states], jyx[rows, states], ey[rows]),
+            jxy_index=flat(states),
+            jyy_index=flat(rows),
+        )
 
     def initial_state(self) -> np.ndarray:
         """Concatenate the blocks' initial states into the global vector."""
         x0 = np.zeros(self._n_states)
-        for block in self._blocks:
-            x0[self.state_slice(block.name)] = block.initial_state()
+        for plan in self._plan:
+            x0[plan.states] = plan.block.initial_state()
         return x0
 
     # ------------------------------------------------------------------ #
@@ -305,34 +357,27 @@ class SystemAssembler:
     def assemble(
         self, t: float, x_global: np.ndarray, y_global: np.ndarray
     ) -> GlobalLinearisation:
-        """Linearise every block and scatter into the global Jacobian blocks."""
-        jxx = np.zeros((self._n_states, self._n_states))
-        jxy = np.zeros((self._n_states, self._n_terminals))
-        ex = np.zeros(self._n_states)
-        jyx = np.zeros((self._n_algebraic, self._n_states))
-        jyy = np.zeros((self._n_algebraic, self._n_terminals))
-        ey = np.zeros(self._n_algebraic)
+        """Linearise every block and scatter into the global Jacobian blocks.
 
-        for block in self._blocks:
-            x_local = self.gather_local_state(block, x_global)
-            y_local = self.gather_local_terminals(block, y_global)
-            lin: BlockLinearisation = linearise_block(block, t, x_local, y_local)
-
-            s = self.state_slice(block.name)
-            terminal_idx = self._terminal_maps[block.name]
-            jxx[s, s] = lin.jxx
-            ex[s] = lin.ex
-            if block.n_terminals:
-                jxy[s.start : s.stop, terminal_idx] += lin.jxy
-            if block.n_algebraic:
-                r0 = self._alg_offsets[block.name]
-                rows = slice(r0, r0 + block.n_algebraic)
-                jyx[rows, s] = lin.jyx
-                if block.n_terminals:
-                    jyy[r0 : r0 + block.n_algebraic, terminal_idx] += lin.jyy
-                ey[rows] = lin.ey
-
-        return GlobalLinearisation(jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey)
+        The result views this assembler's buffers, which the next call
+        overwrites: a caller that keeps it past that call must copy it.
+        """
+        jxy = self._buffers[1].reshape(-1)
+        jyy = self._buffers[4].reshape(-1)
+        for plan in self._plan:
+            lin: BlockLinearisation = linearise_block(
+                plan.block, t, x_global[plan.states], y_global[plan.terminals], plan.shapes
+            )
+            jxx_view, ex_view, jyx_view, ey_view = plan.views
+            jxx_view[...] = lin.jxx
+            ex_view[...] = lin.ex
+            jyx_view[...] = lin.jyx
+            ey_view[...] = lin.ey
+            # the coupling entries are summed onto zero, as into a fresh
+            # matrix, so a -0.0 lands as 0.0
+            jxy[plan.jxy_index] = lin.jxy.ravel() + 0.0
+            jyy[plan.jyy_index] = lin.jyy.ravel() + 0.0
+        return GlobalLinearisation(*self._buffers)
 
     def eliminate(self, lin: GlobalLinearisation, x_global: np.ndarray) -> ReducedSystem:
         """Solve Eq. (4) for the terminal variables and reduce the model.
@@ -346,8 +391,8 @@ class SystemAssembler:
                 f"algebraic system is not square ({jyy.shape[0]}x{jyy.shape[1]})"
             )
         if jyy.size == 0:
-            a_reduced = lin.jxx
-            b_reduced = lin.ex
+            a_reduced = lin.jxx.copy()
+            b_reduced = lin.ex.copy()
             empty = np.zeros((0,))
             return ReducedSystem(
                 a_reduced=a_reduced,
@@ -405,15 +450,13 @@ class SystemAssembler:
         """
         dxdt = np.zeros(self._n_states)
         res_y = np.zeros(self._n_algebraic)
-        for block in self._blocks:
-            x_local = self.gather_local_state(block, x_global)
-            y_local = self.gather_local_terminals(block, y_global)
-            dxdt[self.state_slice(block.name)] = block.derivatives(t, x_local, y_local)
+        for plan in self._plan:
+            block = plan.block
+            x_local = x_global[plan.states]
+            y_local = y_global[plan.terminals]
+            dxdt[plan.states] = block.derivatives(t, x_local, y_local)
             if block.n_algebraic:
-                r0 = self._alg_offsets[block.name]
-                res_y[r0 : r0 + block.n_algebraic] = block.algebraic_residual(
-                    t, x_local, y_local
-                )
+                res_y[plan.rows] = block.algebraic_residual(t, x_local, y_local)
         return dxdt, res_y
 
 

@@ -24,6 +24,7 @@ Adams-Bashforth history.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +61,11 @@ def adams_bashforth_coefficients(order: int) -> Tuple[float, ...]:
         ) from None
 
 
+#: bound on the memoised weight sets; an adaptive run that sits at its
+#: step cap needs a handful, a digital-event restart a few more
+_WEIGHT_CACHE_SIZE = 128
+
+
 def _variable_step_weights(
     sample_times: Sequence[float], t_start: float, t_end: float
 ) -> np.ndarray:
@@ -71,16 +77,25 @@ def _variable_step_weights(
     are shifted by ``t_start`` before forming the Vandermonde system to
     keep the computation well conditioned for the sub-millisecond steps
     used in harvester simulations.
+
+    The weights depend only on the shifted times and the span, which
+    repeat whenever the step size does, so the solve is memoised on
+    exactly those floats.  The returned array is shared and read-only.
     """
-    times = np.asarray(sample_times, dtype=float) - t_start
-    span = t_end - t_start
-    k = times.size
+    shifted = tuple(float(sample_t) - t_start for sample_t in sample_times)
+    return _shifted_weights(shifted, t_end - t_start)
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _shifted_weights(times: Tuple[float, ...], span: float) -> np.ndarray:
+    k = len(times)
     # Solve V^T c = m where V_{ij} = times[i]^j and m_j = span^(j+1)/(j+1):
     # this gives weights such that sum_i w_i * q(times[i]) = int_0^span q
     # for every polynomial q of degree < k.
-    vander = np.vander(times, N=k, increasing=True)  # rows: samples, cols: powers
+    vander = np.vander(np.array(times), N=k, increasing=True)  # rows: samples, cols: powers
     moments = np.array([span ** (j + 1) / (j + 1) for j in range(k)])
     weights = np.linalg.solve(vander.T, moments)
+    weights.flags.writeable = False
     return weights
 
 

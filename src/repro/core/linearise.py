@@ -8,11 +8,12 @@ cross-check the analytic linearisations of the physical blocks.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .block import AnalogueBlock, BatchedLinearisation, BlockLinearisation
+from .errors import ConfigurationError
 
 __all__ = [
     "finite_difference_jacobian",
@@ -98,7 +99,7 @@ def linearise_block_numerically(
         ey = np.zeros(0)
 
     lin = BlockLinearisation(jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey)
-    lin.validate(block.n_states, block.n_terminals, block.n_algebraic)
+    _check_shapes(block, lin, None)
     return lin
 
 
@@ -107,14 +108,33 @@ def linearise_block(
     t: float,
     x: np.ndarray,
     y: np.ndarray,
+    shapes: Optional[Tuple[Tuple[int, ...], ...]] = None,
 ) -> BlockLinearisation:
-    """Linearise a block, preferring its analytic Jacobians when available."""
+    """Linearise a block, preferring its analytic Jacobians when available.
+
+    ``shapes`` are the block's
+    :meth:`~repro.core.block.BlockLinearisation.expected_shapes`; callers
+    that linearise the same block every step pass them precomputed, so the
+    per-call check is one tuple comparison.  A mismatch raises
+    :class:`ConfigurationError` naming the block and the field.
+    """
     lin = block.linearise(t, x, y)
     if lin is None:
-        lin = linearise_block_numerically(block, t, x, y)
-    else:
-        lin.validate(block.n_states, block.n_terminals, block.n_algebraic)
+        return linearise_block_numerically(block, t, x, y)
+    _check_shapes(block, lin, shapes)
     return lin
+
+
+def _check_shapes(block: AnalogueBlock, lin: BlockLinearisation, shapes) -> None:
+    if shapes is None:
+        shapes = BlockLinearisation.expected_shapes(
+            block.n_states, block.n_terminals, block.n_algebraic
+        )
+    if lin.shapes() != shapes:
+        try:
+            lin.validate(block.n_states, block.n_terminals, block.n_algebraic)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"block {block.name!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------- #

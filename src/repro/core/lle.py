@@ -49,6 +49,7 @@ class LLEMonitor:
     jacobian_tolerance: float = 0.1
     keep_history: bool = False
     _previous_jacobian: Optional[np.ndarray] = field(default=None, repr=False)
+    _previous_scale: float = field(default=1.0, repr=False)
     history: List[LLESample] = field(default_factory=list)
     n_flagged: int = 0
     max_jacobian_change: float = 0.0
@@ -66,10 +67,9 @@ class LLEMonitor:
         """Relative Frobenius-norm change of the Jacobian since last call."""
         if self._previous_jacobian is None:
             return 0.0
-        scale = np.linalg.norm(self._previous_jacobian)
-        if scale == 0.0:
-            scale = 1.0
-        return float(np.linalg.norm(jacobian - self._previous_jacobian) / scale)
+        return float(
+            np.linalg.norm(jacobian - self._previous_jacobian) / self._previous_scale
+        )
 
     def record(
         self,
@@ -104,6 +104,8 @@ class LLEMonitor:
         if self.keep_history:
             self.history.append(sample)
         self._previous_jacobian = np.array(jacobian, dtype=float, copy=True)
+        # the next call's scale, taken once here rather than on every call
+        self._previous_scale = np.linalg.norm(self._previous_jacobian) or 1.0
         return sample
 
     def exceeded(self, sample: LLESample) -> bool:

@@ -279,11 +279,16 @@ def merge_results(results: Iterable[SimulationResult]) -> SimulationResult:
                 target = Trace(name, trace.unit)
                 merged.traces[name] = target
             target.extend(trace.times.tolist(), trace.values.tolist())
-        merged.stats.cpu_time_s += result.stats.cpu_time_s
-        merged.stats.n_steps += result.stats.n_steps
-        merged.stats.n_accepted_steps += result.stats.n_accepted_steps
-        merged.stats.n_rejected_steps += result.stats.n_rejected_steps
-        merged.stats.n_linear_solves += result.stats.n_linear_solves
-        merged.stats.n_newton_iterations += result.stats.n_newton_iterations
-        merged.stats.final_time = max(merged.stats.final_time, result.stats.final_time)
+        stats, segment = merged.stats, result.stats
+        stats.cpu_time_s += segment.cpu_time_s
+        stats.n_steps += segment.n_steps
+        stats.n_accepted_steps += segment.n_accepted_steps
+        stats.n_rejected_steps += segment.n_rejected_steps
+        stats.n_jacobian_evaluations += segment.n_jacobian_evaluations
+        stats.n_linear_solves += segment.n_linear_solves
+        stats.n_newton_iterations += segment.n_newton_iterations
+        stats.n_function_evaluations += segment.n_function_evaluations
+        stats.min_step = min(stats.min_step, segment.min_step)
+        stats.max_step = max(stats.max_step, segment.max_step)
+        stats.final_time = max(stats.final_time, segment.final_time)
     return merged

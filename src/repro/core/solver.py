@@ -268,18 +268,20 @@ class LinearisedStateSpaceSolver:
             self._record(recorder, state_names, net_names)
 
             # 4. LLE monitoring on fresh linearisations (Jacobian drift
-            #    always; true derivative optional)
+            #    always; true derivative optional).  The monitor and the
+            #    step controller hold the same previous Jacobian, so the
+            #    drift measured here is the controller's too.
             if refresh:
                 if settings.monitor_lle:
                     true_dxdt, _ = assembler.full_residual(self._t, self._x, self._y)
-                    self.lle_monitor.record(
+                    lle_sample = self.lle_monitor.record(
                         self._t,
                         reduced.a_reduced,
                         linearised_derivative=reduced.derivative(self._x),
                         true_derivative=true_dxdt,
                     )
                 else:
-                    self.lle_monitor.record(self._t, reduced.a_reduced)
+                    lle_sample = self.lle_monitor.record(self._t, reduced.a_reduced)
 
             # 5. choose the step size.  Held steps reuse the step proposed
             #    at the last fresh linearisation: the controller's inputs
@@ -295,7 +297,9 @@ class LinearisedStateSpaceSolver:
                 controller._h_current = h  # keep diagnostics consistent
             elif refresh:
                 h = controller.propose(
-                    reduced.a_reduced, t_remaining=boundary - self._t
+                    reduced.a_reduced,
+                    t_remaining=boundary - self._t,
+                    jacobian_change=lle_sample.jacobian_change,
                 )
                 held_h = h
             else:
@@ -310,8 +314,12 @@ class LinearisedStateSpaceSolver:
             stats.register_step(h, accepted=True)
             self._t += h
 
-            if not np.all(np.isfinite(self._x)) or (
-                np.linalg.norm(self._x) > settings.divergence_limit
+            # one norm: NaN fails the comparison, and an infinite norm
+            # passes only an infinite limit, where only a non-finite
+            # entry (not an overflowing sum) counts as divergence
+            norm = np.linalg.norm(self._x)
+            if not norm <= settings.divergence_limit or (
+                norm == np.inf and not np.isfinite(self._x).all()
             ):
                 raise StabilityError(
                     f"solution diverged at t={self._t:.6g} (step {h:.3g}); "

@@ -137,6 +137,7 @@ class StepSizeController:
         self._h_current = self.settings.h_initial
         self._previous_jacobian: Optional[np.ndarray] = None
         self._stability_jacobian: Optional[np.ndarray] = None
+        self._stability_scale = 1.0
         self._cached_stability_limit: Optional[float] = None
 
     @property
@@ -165,10 +166,7 @@ class StepSizeController:
         if not settings.use_spectral_limit:
             return diagonal_dominance_step_limit(a_reduced, safety=settings.safety)
         if self._cached_stability_limit is not None and self._stability_jacobian is not None:
-            scale = np.linalg.norm(self._stability_jacobian)
-            if scale == 0.0:
-                scale = 1.0
-            drift = np.linalg.norm(a_reduced - self._stability_jacobian) / scale
+            drift = np.linalg.norm(a_reduced - self._stability_jacobian) / self._stability_scale
             if drift <= settings.stability_recompute_threshold:
                 return self._cached_stability_limit
         limit = integrator_step_limit(
@@ -178,6 +176,7 @@ class StepSizeController:
             safety=settings.safety,
         )
         self._stability_jacobian = np.array(a_reduced, dtype=float, copy=True)
+        self._stability_scale = np.linalg.norm(self._stability_jacobian) or 1.0
         self._cached_stability_limit = limit
         return limit
 
@@ -194,7 +193,13 @@ class StepSizeController:
     # ------------------------------------------------------------------ #
     # main entry point
     # ------------------------------------------------------------------ #
-    def propose(self, a_reduced: np.ndarray, *, t_remaining: Optional[float] = None) -> float:
+    def propose(
+        self,
+        a_reduced: np.ndarray,
+        *,
+        t_remaining: Optional[float] = None,
+        jacobian_change: Optional[float] = None,
+    ) -> float:
         """Return the step size to use for the next explicit step.
 
         Parameters
@@ -204,12 +209,18 @@ class StepSizeController:
         t_remaining:
             Time left until the simulation (or the next digital event);
             the proposed step never overshoots it.
+        jacobian_change:
+            The :meth:`jacobian_change` of ``a_reduced`` when the caller
+            has already measured it against the same previous matrix (the
+            solver shares its LLE monitor's figure); computed when omitted.
         """
         settings = self.settings
         h = self._h_current
 
         # accuracy control: shrink/grow according to the observed Jacobian drift
-        change = self.jacobian_change(a_reduced)
+        change = (
+            self.jacobian_change(a_reduced) if jacobian_change is None else jacobian_change
+        )
         if change > settings.jacobian_change_target:
             factor = max(
                 settings.shrink_limit, settings.jacobian_change_target / change

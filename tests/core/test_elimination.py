@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.block import LinearBlock
 from repro.core.elimination import SystemAssembler
-from repro.core.errors import SingularSystemError
+from repro.core.errors import ConfigurationError, SingularSystemError
 from repro.core.netlist import Netlist
 
 from .test_block_netlist import make_rc_block
@@ -170,3 +171,65 @@ class TestSingularSystems:
         reduced = assembler.reduce(0.0, np.array([2.0]))
         assert reduced.a_reduced == pytest.approx(np.array([[-3.0]]))
         assert reduced.derivative(np.array([2.0]))[0] == pytest.approx(-6.0)
+
+    def test_reduced_model_outlives_the_next_assembly(self):
+        # without terminals the reduced model is the assembled jxx/ex
+        # itself; it must not alias the buffers the next assemble reuses
+        from repro.core.block import LinearBlock
+
+        netlist = Netlist()
+        netlist.add_block(
+            LinearBlock("solo", np.array([[-3.0]]), np.ones((1, 0)), ["x"], [])
+        )
+        assembler = SystemAssembler(netlist)
+        reduced = assembler.reduce(0.0, np.array([2.0]))
+        lin = assembler.assemble(0.0, np.array([1.0]), np.zeros(0))
+        assert not np.shares_memory(reduced.a_reduced, lin.jxx)
+        assert not np.shares_memory(reduced.b_reduced, lin.ex)
+
+
+class _ShapeFaultBlock(LinearBlock):
+    """RC block whose ``jxy`` loses a column from its ``fault_call``-th call on."""
+
+    def __init__(self, fault_call):
+        rc = make_rc_block("faulty", 20.0, 2e-3)
+        super().__init__(
+            "faulty",
+            rc.a,
+            rc.b,
+            state_names=["Vc"],
+            terminal_names=["V", "I"],
+            c=rc.c,
+            d=rc.d,
+            terminal_kinds=["voltage", "current"],
+        )
+        self.fault_call = fault_call
+        self.calls = 0
+
+    def linearise(self, t, x, y):
+        lin = super().linearise(t, x, y)
+        self.calls += 1
+        if self.calls >= self.fault_call:
+            lin.jxy = lin.jxy[:, :1]
+        return lin
+
+
+class TestLinearisationShapeCheck:
+    def test_shape_error_names_block_and_field_on_a_later_step(self):
+        from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
+
+        netlist = Netlist()
+        good = netlist.add_block(make_rc_block("good", 10.0, 1e-3))
+        faulty = netlist.add_block(_ShapeFaultBlock(fault_call=3))
+        netlist.connect_port(good, faulty, voltage=("V", "V"), current=("I", "I"))
+        solver = LinearisedStateSpaceSolver(
+            SystemAssembler(netlist), settings=SolverSettings(fixed_step=1e-3)
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            solver.run(0.01)
+        # the consistency solve and the first step linearised cleanly
+        assert faulty.calls == 3
+        message = str(excinfo.value)
+        assert "'faulty'" in message
+        assert "'jxy'" in message
+        assert "(1, 1)" in message and "(1, 2)" in message

@@ -17,7 +17,11 @@ from repro.core.integrators import (
     adams_bashforth_coefficients,
     make_integrator,
 )
-from repro.core.integrators.adams_bashforth import _variable_step_weights
+from repro.core.integrators.adams_bashforth import (
+    _WEIGHT_CACHE_SIZE,
+    _shifted_weights,
+    _variable_step_weights,
+)
 
 
 def integrate(integrator, func, x0, t_end, n_steps):
@@ -79,6 +83,38 @@ class TestAdamsBashforth:
         assert weights[0] == pytest.approx(5.0 / 12.0 * h)
         assert weights[1] == pytest.approx(-16.0 / 12.0 * h)
         assert weights[2] == pytest.approx(23.0 / 12.0 * h)
+
+    def test_memoised_weights_equal_the_uncached_solve(self):
+        # a few step sizes and start times give repeated keys (hits), and
+        # far more distinct keys than the cache holds (evictions)
+        rng = np.random.default_rng(1234)
+        steps = (1e-5, 2.5e-5, 1e-4)
+        starts = rng.uniform(0.0, 0.5, size=40)
+        _shifted_weights.cache_clear()
+        for _ in range(6 * _WEIGHT_CACHE_SIZE):
+            t = float(rng.choice(starts))
+            history = rng.choice(steps, size=int(rng.integers(1, 6)))
+            times = (t - np.concatenate([np.cumsum(history[::-1])[::-1][1:], [0.0]])).tolist()
+            h = float(rng.choice(steps))
+
+            shifted = np.asarray(times, dtype=float) - t
+            vander = np.vander(shifted, N=shifted.size, increasing=True)
+            span = (t + h) - t
+            moments = np.array([span ** (j + 1) / (j + 1) for j in range(shifted.size)])
+            expected = np.linalg.solve(vander.T, moments)
+
+            assert np.array_equal(_variable_step_weights(times, t, t + h), expected)
+            assert _shifted_weights.cache_info().currsize <= _WEIGHT_CACHE_SIZE
+        info = _shifted_weights.cache_info()
+        assert info.hits > 0
+        assert info.misses > _WEIGHT_CACHE_SIZE
+
+    def test_memoised_weights_are_read_only(self):
+        weights = _variable_step_weights([-0.01, 0.0], 0.0, 0.01)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        assert weights[0] == pytest.approx(-0.005)
 
     def test_first_step_uses_runge_kutta_starter(self):
         # for dx/dt = t the first AB step would be 0 (Forward Euler), while

@@ -151,6 +151,23 @@ class TestMergeResults:
         assert merged.stats.cpu_time_s == pytest.approx(3.0)
         assert merged.stats.final_time == pytest.approx(2.0)
 
+    def test_every_counter_and_step_bound_is_merged(self):
+        segments = []
+        for n_jac, n_fev, steps in ((3, 7, (0.2, 0.5)), (4, 9, (0.1, 0.3))):
+            result = SimulationResult()
+            result.stats.n_jacobian_evaluations = n_jac
+            result.stats.n_function_evaluations = n_fev
+            for h in steps:
+                result.stats.register_step(h)
+            segments.append(result)
+
+        stats = merge_results(segments).stats
+        assert stats.n_jacobian_evaluations == 7
+        assert stats.n_function_evaluations == 16
+        assert stats.min_step == 0.1
+        assert stats.max_step == 0.5
+        assert stats.n_steps == 4
+
 
 class TestStopwatch:
     def test_measures_elapsed_time(self):

@@ -188,6 +188,33 @@ class TestStabilityProtection:
         with pytest.raises(StabilityError):
             solver.run(10.0)
 
+    def test_unbounded_limit_still_rejects_non_finite_states(self):
+        assembler = single_decay_assembler(rate=-50.0)
+        solver = LinearisedStateSpaceSolver(
+            assembler,
+            settings=SolverSettings(fixed_step=0.1, divergence_limit=np.inf),
+        )
+        with pytest.raises(StabilityError):
+            solver.run(1.0, x0=np.array([np.inf]))
+        with pytest.raises(StabilityError):
+            solver.run(1.0, x0=np.array([np.nan]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_unbounded_limit_accepts_a_finite_state_whose_norm_overflows(self):
+        netlist = Netlist()
+        netlist.add_block(
+            LinearBlock(
+                "decay", -np.eye(2), np.zeros((2, 0)), ["u", "v"], [], x0=[1e200, 1e200]
+            )
+        )
+        solver = LinearisedStateSpaceSolver(
+            SystemAssembler(netlist),
+            settings=SolverSettings(fixed_step=1e-3, divergence_limit=np.inf),
+        )
+        result = solver.run(0.01)
+        assert np.isinf(np.linalg.norm(solver.current_state))
+        assert result["decay.u"].final() == pytest.approx(1e200 * math.exp(-0.01), rel=1e-6)
+
     def test_lle_monitoring_records_jacobian_drift(self):
         assembler = single_decay_assembler()
         solver = LinearisedStateSpaceSolver(
