@@ -148,9 +148,6 @@ class _Task:
     cache_key: Optional[str] = None
     cache_dir: Optional[str] = None
     cache_salt: Optional[str] = None
-    #: shared-store URL when the result store is not a local directory
-    #: (memory:// / kv://); mutually exclusive with ``cache_dir``
-    store_url: Optional[str] = None
     #: march-kernel mode for the batched march ("off" runs numpy)
     compiled: str = "off"
 
@@ -246,13 +243,9 @@ def _write_cache_entries(
         if task.cache_key is None:
             continue
         if store is None:
-            from ..cache import open_store
+            from ..cache import ResultStore
 
-            store = open_store(
-                cache_dir=task.cache_dir,
-                store_url=task.store_url,
-                salt=task.cache_salt,
-            )
+            store = ResultStore(task.cache_dir, salt=task.cache_salt)
         try:
             store.store_point(
                 task.cache_key,
@@ -268,7 +261,7 @@ def _write_cache_entries(
             # degrade to uncached (mirroring how the read path degrades
             # corruption to a miss) and stop trying for this block
             warnings.warn(
-                f"result cache at {store.location} is unwritable ({exc}); "
+                f"result cache at {store.root} is unwritable ({exc}); "
                 "continuing without caching",
                 stacklevel=2,
             )
@@ -414,17 +407,9 @@ class SweepEngine:
 
     Built from one :class:`~repro.api.options.RunOptions`, which declares
     and validates every knob the engine reads (workers, backend, lane
-    width, march kernel, solver profile, checkpointing, progress, cache
-    and store); ``Study.sweep(...).run()`` constructs it through the
+    width, march kernel, solver profile, checkpointing, progress and
+    cache); ``Study.sweep(...).run()`` constructs it through the
     :mod:`repro.api` planner.
-
-    The ``backend="queue"`` mode dispatches each round's pending
-    candidates to a distributed work queue living next to the shared
-    store (:class:`repro.dist.executor.QueueSweepExecutor`): external
-    ``repro worker`` processes lease tasks, evaluate them on the *same*
-    scalar candidate path as ``backend="process"`` and write results
-    through the store, so scores are identical and at-least-once
-    execution after worker crashes is harmless.
     """
 
     def __init__(self, options: "RunOptions") -> None:
@@ -727,15 +712,6 @@ class SweepEngine:
         if n_preloaded:
             emit_progress()
 
-        if self.options.backend == "queue":
-            # distributed dispatch: every pending candidate becomes a
-            # queue task for the external worker fleet; results come back
-            # through the shared store, in completion order, exactly like
-            # parallel process results
-            if pending:
-                self._run_queue(pending, record)
-            return pending, bool(pending), [[task] for task in pending]
-
         # one work unit is a lane block: several same-topology candidates
         # marched in lock-step by the batched solver, or a single candidate
         # evaluated on the scalar path (always the case for the process
@@ -761,37 +737,6 @@ class SweepEngine:
                 for outcome in _evaluate_lane_block(block):
                     record(outcome)
         return pending, parallel, blocks
-
-    def _run_queue(
-        self, pending: Sequence[_Task], record: Callable[[_Outcome], None]
-    ) -> None:
-        """Dispatch one round's pending candidates to the work queue.
-
-        ``RunOptions`` validation guarantees ``cache="readwrite"``, so every
-        pending task arrived here armed with its content key — the task
-        id the workers lease and the store key the parent polls.
-        """
-        from ..cache import open_store
-        from ..dist.executor import QueueSweepExecutor
-        from ..dist.queue import open_queue
-
-        store_url = self.options.store_url
-        store = open_store(store_url=store_url)
-        queue = open_queue(store_url)
-        lease_timeout_s = self.options.lease_timeout_s
-        lease_s = float(lease_timeout_s) if lease_timeout_s is not None else 30.0
-        executor = QueueSweepExecutor(store, queue, lease_s=lease_s)
-        executor.run(
-            pending,
-            lambda data: record(
-                _Outcome(
-                    index=int(data["index"]),
-                    score=float(data["score"]),
-                    cpu_time_s=float(data["cpu_time_s"]),
-                    exact_rerun=bool(data["exact_rerun"]),
-                )
-            ),
-        )
 
     def _plan_lane_blocks(self, pending: Sequence[_Task]) -> List[List[_Task]]:
         """Partition pending candidates into lane blocks for the batched backend.
@@ -885,7 +830,7 @@ class SweepEngine:
         if cache == "off":
             return 0, tasks
         from ..api.experiment import metric_key_for, scenario_to_dict
-        from ..cache import open_store
+        from ..cache import ResultStore
         from ..core.errors import CacheCorruptionError
 
         # key on the metric's *registry identity*, never its free-form
@@ -901,8 +846,7 @@ class SweepEngine:
                 "stock metric (harvested_energy / average_power) or drop "
                 "the cache"
             )
-        store_url = self.options.store_url
-        store = open_store(cache_dir=self.options.cache_dir, store_url=store_url)
+        store = ResultStore(self.options.cache_dir)
         fingerprint = self.options.fingerprint()
         n_cache_hits = 0
         armed: List[_Task] = []
@@ -938,20 +882,12 @@ class SweepEngine:
                     armed.append(task)
                     continue
             if cache == "readwrite":
-                if store_url is not None:
-                    task = replace(
-                        task,
-                        cache_key=key,
-                        store_url=store_url,
-                        cache_salt=store.salt,
-                    )
-                else:
-                    task = replace(
-                        task,
-                        cache_key=key,
-                        cache_dir=str(store.root),
-                        cache_salt=store.salt,
-                    )
+                task = replace(
+                    task,
+                    cache_key=key,
+                    cache_dir=str(store.root),
+                    cache_salt=store.salt,
+                )
             armed.append(task)
         return n_cache_hits, armed
 

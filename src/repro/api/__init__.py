@@ -7,9 +7,9 @@ another free-function entry point:
 
 * :class:`RunOptions` — every execution knob (integrator, solver
   settings, relinearisation profile, backend, lane width, march kernel,
-  workers, checkpointing, progress, cache, store, exploration) in one
+  workers, checkpointing, progress, cache, exploration) in one
   validated dataclass, with named profiles ``exact()`` / ``fast()`` /
-  ``batched()`` / ``queue()``;
+  ``batched()``;
 * :class:`Study` — the fluent driver:
   ``Study.scenario(...).options(...).sweep(...).run()`` dispatches single
   runs, multi-solver comparisons and sweeps through one execution

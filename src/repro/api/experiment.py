@@ -57,7 +57,6 @@ __all__ = [
     "SweepAxis",
     "SweepSpec",
     "SCENARIO_FACTORIES",
-    "metric_for",
     "metric_key_for",
     "scenario_from_dict",
     "scenario_to_dict",
@@ -107,17 +106,6 @@ def metric_key_for(metric: Callable) -> Optional[str]:
         if metric is fn:
             return key
     return None
-
-
-def metric_for(key: str) -> Callable:
-    """The metric callable behind a registry key (inverse of
-    :func:`metric_key_for`; queue workers rebuild tasks through it)."""
-    registry = _metrics()
-    if key not in registry:
-        raise ConfigurationError(
-            f"unknown metric key {key!r}; known metrics are {sorted(registry)}"
-        )
-    return registry[key][0]
 
 
 def scenario_to_dict(scenario) -> Dict[str, object]:

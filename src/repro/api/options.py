@@ -7,8 +7,8 @@ and explorations.  Every knob is validated eagerly at construction
 (incoherent combinations raise
 :class:`~repro.core.errors.ConfigurationError` naming the offending pair
 instead of being silently ignored), and the common configurations ship
-as named profiles — :meth:`RunOptions.exact`, :meth:`RunOptions.fast`,
-:meth:`RunOptions.batched` and :meth:`RunOptions.queue`.
+as named profiles — :meth:`RunOptions.exact`, :meth:`RunOptions.fast` and
+:meth:`RunOptions.batched`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: execution backends understood by the dispatch planner
-BACKENDS = ("process", "batched", "queue")
+BACKENDS = ("process", "batched")
 
 #: result-cache modes: ``"off"`` never touches the store, ``"read"`` serves
 #: hits but never writes, ``"readwrite"`` serves hits and records misses
@@ -91,18 +91,13 @@ def execution_fingerprint(
         and resolve_compiled(compiled) == "numba"
         else "off"
     )
-    # the queue backend distributes the *same* scalar candidate path the
-    # process backend runs (workers call the identical _evaluate_task),
-    # so both map to one fingerprint: queue sweeps and process sweeps
-    # share cache entries, which is what makes their scores provably equal
-    backend_form = "process" if backend == "queue" else str(backend)
     return {
         "integrator": integrator_form,
         "settings": None if settings is None else encode_value(settings),
         "relinearise_interval": (
             None if relinearise_interval is None else int(relinearise_interval)
         ),
-        "backend": backend_form,
+        "backend": str(backend),
         "seed": None if seed is None else int(seed),
         "compiled": compiled_form,
     }
@@ -122,8 +117,8 @@ FINGERPRINT_EXEMPT = {
     "lane_width": "lane packing changes batching granularity only; fixed-step "
     "marches are byte-identical across widths and adaptive ones fall under "
     "the documented 10% shared-step tolerance fingerprinted via 'backend'",
-    "n_workers": "worker count only changes scheduling; process and queue "
-    "sweeps score identically at any count, but adaptive batched sweeps do "
+    "n_workers": "worker count only changes scheduling; process sweeps "
+    "score identically at any count, but adaptive batched sweeps do "
     "not, because the default lane width is ceil(n / n_workers) and they "
     "fall under the same shared-step tolerance as 'lane_width'",
     "checkpoint_path": "where a checkpoint is written never affects what is "
@@ -141,12 +136,6 @@ FINGERPRINT_EXEMPT = {
     "across strategies (seeded subsets are covered by 'seed')",
     "budget": "candidate budget sizes the explored set; like 'explore' it "
     "selects work rather than changing any candidate's result",
-    "store_url": "where the shared result store lives (a path or URL); "
-    "entries inside it are keyed by the fingerprint itself, exactly like "
-    "cache_dir",
-    "lease_timeout_s": "queue lease duration only tunes how fast a dead "
-    "worker's task is reclaimed; every (re)run writes the same "
-    "content-addressed result bytes",
 }
 
 
@@ -212,20 +201,6 @@ class RunOptions:
         Root directory of the result store.  ``None`` uses the
         ``REPRO_CACHE_DIR`` environment variable, falling back to
         ``~/.cache/repro``.  Setting it with ``cache="off"`` raises.
-    store_url:
-        Shared result-store location as a URL (:mod:`repro.dist`):
-        ``file:///path`` (or a bare path) for a directory store,
-        ``memory://name`` for an in-process registry store,
-        ``kv://host:port`` for a ``repro kv-serve`` server.  Required by
-        ``backend="queue"`` (parent and workers must agree on one
-        store); on other backends it is an alternative spelling of
-        ``cache_dir`` (setting both raises, as does combining it with
-        ``cache="off"``).
-    lease_timeout_s:
-        Queue-backend lease duration in seconds: how long a worker may
-        go without heartbeating before its candidate is reclaimed and
-        handed to another worker.  Only valid with ``backend="queue"``
-        (default 30 s).
     store_traces:
         Whether cached single-run entries include the full waveform traces
         (on by default; scores/stats are always stored).  A run served
@@ -260,8 +235,6 @@ class RunOptions:
     progress: Optional[ProgressFn] = None
     cache: str = "off"
     cache_dir: Optional[str] = None
-    store_url: Optional[str] = None
-    lease_timeout_s: Optional[float] = None
     store_traces: bool = True
     explore: Optional[str] = None
     budget: Optional[int] = None
@@ -302,20 +275,6 @@ class RunOptions:
         importable march kernel).
         """
         return cls(backend="batched", lane_width=lane_width, **overrides)
-
-    @classmethod
-    def queue(cls, store_url: str, **overrides) -> "RunOptions":
-        """Distributed work-queue sweep profile (``backend="queue"``).
-
-        The parent enqueues candidate tasks keyed by their cache keys;
-        external ``repro worker`` processes lease, evaluate and write
-        results through the shared store at ``store_url``.  Scores are
-        identical to ``backend="process"`` (workers run the same scalar
-        candidate path), so the profile forces ``cache="readwrite"`` —
-        the store *is* the result channel.
-        """
-        overrides.setdefault("cache", "readwrite")
-        return cls(backend="queue", store_url=store_url, **overrides)
 
     # ------------------------------------------------------------------ #
     # validation
@@ -369,56 +328,6 @@ class RunOptions:
                 "cache='off' — the store is never consulted; drop cache_dir "
                 "or select cache='read'/'readwrite'"
             )
-        if self.store_url is not None:
-            if self.cache_dir is not None:
-                raise ConfigurationError(
-                    f"incoherent options: store_url={self.store_url!r} with "
-                    f"cache_dir={self.cache_dir!r} — both name the result "
-                    "store; pick one (a file:// store_url is the same as a "
-                    "cache_dir)"
-                )
-            if self.cache == "off":
-                raise ConfigurationError(
-                    f"incoherent options: store_url={self.store_url!r} with "
-                    "cache='off' — the store is never consulted; drop "
-                    "store_url or select cache='read'/'readwrite'"
-                )
-        if self.backend == "queue":
-            if self.store_url is None:
-                raise ConfigurationError(
-                    "incoherent options: backend='queue' without store_url — "
-                    "the parent and its `repro worker` fleet communicate "
-                    "only through a shared store; pass "
-                    "RunOptions.queue(store_url=...) (a path, file://, "
-                    "memory:// or kv://host:port)"
-                )
-            if self.cache != "readwrite":
-                raise ConfigurationError(
-                    f"incoherent options: backend='queue' with "
-                    f"cache={self.cache!r} — queue results travel through "
-                    "store writes, so the sweep needs cache='readwrite' "
-                    "(RunOptions.queue() sets it)"
-                )
-            if self.n_workers not in (None, 1):
-                raise ConfigurationError(
-                    f"incoherent options: n_workers={self.n_workers} with "
-                    "backend='queue' — queue workers are external `repro "
-                    "worker` processes, not parent subprocesses; start more "
-                    "workers instead of raising n_workers"
-                )
-        if self.lease_timeout_s is not None:
-            if self.backend != "queue":
-                raise ConfigurationError(
-                    f"incoherent options: lease_timeout_s="
-                    f"{self.lease_timeout_s} with backend={self.backend!r} — "
-                    "leases pace the distributed work queue; drop it or use "
-                    "RunOptions.queue()"
-                )
-            if self.lease_timeout_s <= 0:
-                raise ConfigurationError(
-                    "lease_timeout_s must be positive, got "
-                    f"{self.lease_timeout_s}"
-                )
         self._validate_explore()
 
     def _validate_explore(self) -> None:

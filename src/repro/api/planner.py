@@ -17,8 +17,8 @@ batched backends — goes through the same two steps:
    :class:`~repro.api.results.StudyResult`).
 
 :class:`~repro.api.study.Study` is the only way into these two steps.
-Execution targets (worker pools, the result cache, the distributed
-queue) plug in here, not at the call sites.
+Execution targets (worker pools, the result cache) plug in here, not at
+the call sites.
 """
 
 from __future__ import annotations
@@ -257,10 +257,10 @@ def _single_run_cache(
     dispatch — so the fluent, declarative and CLI forms of one experiment
     all address the same entry.
     """
-    from ..cache import open_store
+    from ..cache import ResultStore
     from .experiment import scenario_to_dict
 
-    store = open_store(cache_dir=options.cache_dir, store_url=options.store_url)
+    store = ResultStore(options.cache_dir)
     payload = {
         "kind": "single",
         "scenario": scenario_to_dict(scenario),
@@ -342,7 +342,7 @@ def _execute_single(
             except OSError as exc:
                 # never discard a finished simulation over a cache write
                 warnings.warn(
-                    f"result cache at {store.location} is unwritable ({exc}); "
+                    f"result cache at {store.root} is unwritable ({exc}); "
                     "continuing without caching",
                     stacklevel=2,
                 )

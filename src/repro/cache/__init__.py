@@ -12,7 +12,6 @@ from .store import (
     ResultStore,
     code_version_salt,
     default_cache_dir,
-    open_store,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "ResultStore",
     "code_version_salt",
     "default_cache_dir",
-    "open_store",
 ]

@@ -1,4 +1,4 @@
-"""Content-addressed result store over pluggable byte-blob backends.
+"""Content-addressed result store in a sharded local directory.
 
 Every entry is keyed by ``sha256(canonical-JSON payload + code-version
 salt)``: the payload is the resolved experiment content
@@ -8,21 +8,16 @@ entries to the code version that produced them — a version bump changes
 every key, so stale results are simply never served (``gc`` reclaims
 them by reading the salt recorded inside each entry).
 
-Where the bytes live is a :class:`~repro.dist.backends.StoreBackend`:
-the default :class:`~repro.dist.backends.LocalDirBackend` keeps the
-historical sharded-directory layout byte for byte::
+The on-disk layout is a compatibility contract, byte for byte::
 
     <root>/ab/abcdef.../entry.json    # metadata + stats (+ scores)
     <root>/ab/abcdef.../traces.npz    # optional waveform arrays
 
-while :class:`~repro.dist.backends.MemoryBackend` and
-:class:`~repro.dist.backends.SocketKVBackend` (``repro kv-serve``) let
-tests and worker fleets share the same contract without a local disk —
-:func:`open_store` resolves ``file://``/``memory://``/``kv://`` URLs.
-
-Writes are atomic at entry granularity: the payload blobs land first and
-``entry.json`` becomes visible last, so a torn write is invisible (no
-``entry.json`` means no entry).  Loads validate with the same rigor as
+Writes are atomic at entry granularity: each file lands through a
+tmp-file + ``os.replace`` and ``entry.json`` is renamed into place last,
+so a torn write is invisible (no ``entry.json`` means no entry) and
+concurrent writers of one key are harmless (keys are content hashes).
+Loads validate with the same rigor as
 :func:`repro.io.csvio.validate_checkpoint`: an entry that exists but
 cannot be trusted — unparseable JSON, key/schema/salt mismatch, missing
 trace payload — raises
@@ -36,6 +31,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shutil
 import time
 import zipfile
 import zlib
@@ -53,7 +50,6 @@ __all__ = [
     "CACHE_ENV_VAR",
     "code_version_salt",
     "default_cache_dir",
-    "open_store",
     "ResultStore",
 ]
 
@@ -68,6 +64,9 @@ PathLike = Union[str, Path]
 
 _ENTRY_FILE = "entry.json"
 _TRACES_FILE = "traces.npz"
+
+#: an entry directory name: a sha256 hex digest
+_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 
 def code_version_salt() -> str:
@@ -88,32 +87,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro"
-
-
-def open_store(
-    *,
-    cache_dir: Optional[PathLike] = None,
-    store_url: Optional[str] = None,
-    salt: Optional[str] = None,
-) -> "ResultStore":
-    """A :class:`ResultStore` at a directory or a store URL.
-
-    ``cache_dir`` keeps the historical local-directory behaviour;
-    ``store_url`` resolves ``file://``/``memory://``/``kv://`` through
-    :func:`repro.dist.backends.resolve_backend`.  Setting both is
-    rejected — one experiment, one store location.
-    """
-    if store_url is not None:
-        if cache_dir is not None:
-            raise ConfigurationError(
-                f"incoherent store location: both cache_dir={cache_dir!r} "
-                f"and store_url={store_url!r} — pick one (a file:// URL "
-                "names a directory store)"
-            )
-        from ..dist.backends import resolve_backend
-
-        return ResultStore(backend=resolve_backend(store_url), salt=salt)
-    return ResultStore(cache_dir, salt=salt)
 
 
 def _jsonable(value: object) -> object:
@@ -141,58 +114,20 @@ class ResultStore:
     ----------
     root:
         Store directory (created lazily on first write).  ``None`` uses
-        :func:`default_cache_dir`.  Mutually exclusive with ``backend``.
+        :func:`default_cache_dir`.
     salt:
         Code-version salt override (tests only; defaults to
         :func:`code_version_salt`).
-    backend:
-        A pre-built :class:`~repro.dist.backends.StoreBackend` hosting
-        the bytes (see :func:`open_store` for URL resolution).  The
-        store's key/salt/validate-on-load semantics are identical on
-        every backend.
     """
 
     def __init__(
-        self,
-        root: Optional[PathLike] = None,
-        *,
-        salt: Optional[str] = None,
-        backend=None,
+        self, root: Optional[PathLike] = None, *, salt: Optional[str] = None
     ) -> None:
-        if backend is None:
-            from ..dist.backends import LocalDirBackend
-
-            backend = LocalDirBackend(
-                Path(root) if root is not None else default_cache_dir()
-            )
-        elif root is not None:
-            raise ConfigurationError(
-                f"incoherent store location: both root={root!r} and an "
-                "explicit backend — the backend already knows where it "
-                "stores bytes"
-            )
-        self.backend = backend
+        self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = salt if salt is not None else code_version_salt()
 
-    @property
-    def location(self) -> str:
-        """Human-readable store location (a path or URL) for messages."""
-        return self.backend.describe()
-
-    @property
-    def root(self) -> Path:
-        """The local store directory (directory-backed stores only)."""
-        root = getattr(self.backend, "root", None)
-        if root is None:
-            raise ConfigurationError(
-                f"store at {self.location} has no local root directory; "
-                "use store.location for messages or a file:// store for "
-                "path access"
-            )
-        return root
-
     # ------------------------------------------------------------------ #
-    # keys
+    # keys and layout
     # ------------------------------------------------------------------ #
     def key_for(self, payload: Mapping[str, object]) -> str:
         """Content key of ``payload``: canonical JSON + salt, hashed."""
@@ -209,23 +144,53 @@ class ResultStore:
         return digest.hexdigest()
 
     def _entry_dir(self, key: str) -> Path:
-        """The entry's directory (directory-backed stores only; tests and
-        maintenance tooling reach the raw files through it)."""
-        entry_dir = getattr(self.backend, "entry_dir", None)
-        if entry_dir is None:
-            raise ConfigurationError(
-                f"store at {self.location} keeps entries behind a "
-                "key-value backend, not directories"
-            )
-        return entry_dir(key)
+        """The entry's directory, ``<root>/<key[:2]>/<key>``."""
+        return self.root / key[:2] / key
 
     def _entry_ref(self, key: str) -> str:
         """How error messages name one entry (location + key)."""
-        return f"{key} at {self.location}"
+        return f"{key} at {self.root}"
+
+    def _read(self, key: str, name: str) -> Optional[bytes]:
+        """One file of the entry, or ``None`` when it does not exist;
+        other I/O errors propagate for the caller to classify."""
+        try:
+            return (self._entry_dir(key) / name).read_bytes()
+        except FileNotFoundError:
+            return None
+
+    def _keys(self) -> Iterator[str]:
+        """Every stored key, complete or torn, in sorted order.
+
+        Only ``<root>/<key[:2]>/<key>`` directories named by a sha256 hex
+        digest count: dot-directories and stray directories are never
+        entries, so maintenance neither reports nor deletes them.
+        """
+        if not self.root.is_dir():
+            return
+        for shard in sorted(self.root.iterdir()):
+            if not shard.is_dir():
+                continue
+            for entry_dir in sorted(shard.iterdir()):
+                key = entry_dir.name
+                if (
+                    entry_dir.is_dir()
+                    and _KEY_PATTERN.fullmatch(key)
+                    and key[:2] == shard.name
+                ):
+                    yield key
+
+    def _size(self, key: str) -> int:
+        entry_dir = self._entry_dir(key)
+        if not entry_dir.is_dir():
+            return 0
+        return sum(
+            item.stat().st_size for item in entry_dir.iterdir() if item.is_file()
+        )
 
     def contains(self, key: str) -> bool:
         """Whether a (complete) entry exists for ``key``."""
-        return self.backend.contains(key)
+        return (self._entry_dir(key) / _ENTRY_FILE).is_file()
 
     # ------------------------------------------------------------------ #
     # writing
@@ -248,12 +213,17 @@ class ResultStore:
         meta = dict(meta)
         meta.update(schema=CACHE_SCHEMA_VERSION, salt=self.salt, key=key)
         meta.setdefault("created_at", time.time())
-        # entry.json lands last (the backend contract): its presence is
-        # what makes the entry real
+        # entry.json lands last: its presence is what makes the entry real
         files[_ENTRY_FILE] = (
             json.dumps(meta, indent=2, sort_keys=True) + "\n"
         ).encode()
-        self.backend.put(key, files)
+        entry_dir = self._entry_dir(key)
+        entry_dir.mkdir(parents=True, exist_ok=True)
+        for name, blob in files.items():
+            tmp = entry_dir / f".{name}.tmp{os.getpid()}"
+            with tmp.open("wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, entry_dir / name)
 
     def store_run(
         self,
@@ -310,7 +280,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     def _load_entry(self, key: str, expect_kind: str) -> Optional[Dict[str, object]]:
         try:
-            blob = self.backend.get(key, _ENTRY_FILE)
+            blob = self._read(key, _ENTRY_FILE)
         except OSError as exc:
             raise CacheCorruptionError(
                 f"cache entry {self._entry_ref(key)} is unreadable ({exc}); "
@@ -380,7 +350,7 @@ class ResultStore:
         if meta.get("has_traces"):
             trace_meta = meta.get("traces", [])
             try:
-                npz_blob = self.backend.get(key, _TRACES_FILE)
+                npz_blob = self._read(key, _TRACES_FILE)
             except OSError:
                 npz_blob = None
             if npz_blob is None:
@@ -426,7 +396,11 @@ class ResultStore:
 
     def drop(self, key: str) -> bool:
         """Remove one entry; returns whether anything was removed."""
-        return self.backend.delete(key)
+        entry_dir = self._entry_dir(key)
+        if not entry_dir.exists():
+            return False
+        shutil.rmtree(entry_dir)
+        return True
 
     # ------------------------------------------------------------------ #
     # maintenance (the `repro cache` surface)
@@ -437,10 +411,10 @@ class ResultStore:
         Unreadable entries are reported with ``"corrupt": True`` instead
         of raising, so maintenance commands can act on them.
         """
-        for key in self.backend.iter_keys():
-            descriptor: Dict[str, object] = {"size_bytes": self.backend.size(key)}
+        for key in self._keys():
+            descriptor: Dict[str, object] = {"size_bytes": self._size(key)}
             try:
-                blob = self.backend.get(key, _ENTRY_FILE)
+                blob = self._read(key, _ENTRY_FILE)
                 meta = json.loads(blob.decode()) if blob is not None else None
             except (OSError, UnicodeDecodeError, ValueError):
                 meta = None
@@ -459,7 +433,7 @@ class ResultStore:
     def stats(self) -> Dict[str, object]:
         """Aggregate store statistics (entry counts, bytes, staleness)."""
         totals = {
-            "root": self.location,
+            "root": str(self.root),
             "salt": self.salt,
             "n_entries": 0,
             "n_runs": 0,
@@ -509,4 +483,4 @@ class ResultStore:
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return f"ResultStore({self.location!r})"
+        return f"ResultStore({str(self.root)!r})"

@@ -17,18 +17,11 @@ uses, so a CLI run is byte-identical to the equivalent fluent study::
     repro cache stats --json
     repro cache gc --days 30
     repro cache clear --yes
-    repro kv-serve --port 7077 &
-    repro worker kv://127.0.0.1:7077 --exit-when-idle &
-    repro sweep scenario1_tuning.toml --store-url kv://127.0.0.1:7077 \\
-        --backend queue
 
-``--cache``/``--cache-dir``/``--store-url`` override the experiment's
-own options; ``repro kv-serve`` hosts a shared store + work queue over
-TCP and ``repro worker`` processes lease queue-backend sweep candidates
-from it (:mod:`repro.dist`);
-``--json`` switches the report to machine-readable JSON on stdout (the
-CI smoke job diffs two such reports to prove the warm rerun serves the
-identical result from the cache).
+``--cache``/``--cache-dir``/``--backend`` override the experiment's own
+options; ``--json`` switches the report to machine-readable JSON on
+stdout (the CI smoke job diffs two such reports to prove the warm rerun
+serves the identical result from the cache).
 
 Exit codes: 0 success, 2 configuration problems (bad file, unknown
 fields, incoherent options — the message names the offender), 1
@@ -41,10 +34,9 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
-from .api import ExperimentSpec, Study
+from .api import BACKENDS, ExperimentSpec, Study
 from .api.results import (
     ComparisonResult,
     ExplorationResult,
@@ -81,24 +73,10 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--store-url",
-        default=None,
-        help=(
-            "shared result-store URL (file:///dir, memory://name or "
-            "kv://host:port from `repro kv-serve`); like --cache-dir this "
-            "implies --cache readwrite when the experiment leaves caching "
-            "off"
-        ),
-    )
-    parser.add_argument(
         "--backend",
-        choices=("process", "batched", "queue"),
+        choices=BACKENDS,
         default=None,
-        help=(
-            "override the experiment's sweep backend ('queue' dispatches "
-            "candidates to external `repro worker` processes via "
-            "--store-url)"
-        ),
+        help="override the experiment's sweep backend",
     )
     parser.add_argument(
         "--compiled",
@@ -135,10 +113,6 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         overrides["cache"] = args.cache
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
-        if spec.options.cache == "off" and args.cache is None:
-            overrides["cache"] = "readwrite"
-    if args.store_url is not None:
-        overrides["store_url"] = args.store_url
         if spec.options.cache == "off" and args.cache is None:
             overrides["cache"] = "readwrite"
     if args.backend is not None:
@@ -424,11 +398,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _store_for(args: argparse.Namespace) -> ResultStore:
-    from .cache import open_store
-
-    return open_store(
-        cache_dir=args.cache_dir, store_url=getattr(args, "store_url", None)
-    )
+    return ResultStore(args.cache_dir)
 
 
 def _cmd_cache_ls(args: argparse.Namespace) -> int:
@@ -450,7 +420,7 @@ def _cmd_cache_ls(args: argparse.Namespace) -> int:
         )
         return 0
     if not entries:
-        print(f"cache at {store.location} is empty")
+        print(f"cache at {store.root} is empty")
         return 0
     now = time.time()
     rows: List[List[str]] = []
@@ -472,7 +442,7 @@ def _cmd_cache_ls(args: argparse.Namespace) -> int:
         format_table(
             ["key", "kind", "label", "bytes", "age"],
             rows,
-            f"result cache at {store.location}",
+            f"result cache at {store.root}",
         )
     )
     print()
@@ -486,14 +456,14 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    print(format_key_values(stats, title=f"result store at {store.location}"))
+    print(format_key_values(stats, title=f"result store at {store.root}"))
     return 0
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
     store = _store_for(args)
     removed = store.gc(max_age_days=args.days)
-    print(f"removed {removed} entries from {store.location}")
+    print(f"removed {removed} entries from {store.root}")
     return 0
 
 
@@ -504,49 +474,12 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
         if stats["n_entries"]:
             print(
                 f"would remove {stats['n_entries']} entries "
-                f"({stats['total_bytes']} bytes) from {store.location}; "
+                f"({stats['total_bytes']} bytes) from {store.root}; "
                 "re-run with --yes to confirm"
             )
             return 2
     removed = store.clear()
-    print(f"removed {removed} entries from {store.location}")
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .dist.worker import worker_loop
-
-    counts = worker_loop(
-        args.store_url,
-        worker_id=args.worker_id,
-        lease_s=args.lease_s,
-        poll_s=args.poll_s,
-        max_tasks=args.max_tasks,
-        idle_timeout_s=args.idle_timeout,
-        exit_when_idle=args.exit_when_idle,
-        log=lambda message: print(message, flush=True),
-    )
-    # per-task failures are recorded in the queue and surfaced by the
-    # parent sweep; a worker that drained its tasks exits cleanly
-    print(f"processed {counts['done']} task(s), {counts['failed']} failed")
-    return 0
-
-
-def _cmd_kv_serve(args: argparse.Namespace) -> int:
-    from .dist.backends import LocalDirBackend
-    from .dist.kv import serve_forever
-
-    backend = LocalDirBackend(Path(args.root)) if args.root else None
-    serve_forever(
-        host=args.host,
-        port=args.port,
-        backend=backend,
-        max_attempts=args.max_attempts,
-        announce=lambda host, port, location: print(
-            f"repro-kv/1 listening on kv://{host}:{port} (store: {location})",
-            flush=True,
-        ),
-    )
+    print(f"removed {removed} entries from {store.root}")
     return 0
 
 
@@ -636,11 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"store directory (default: {default_cache_dir()})",
         )
-        sub_parser.add_argument(
-            "--store-url",
-            default=None,
-            help="store URL instead of a directory (memory:// or kv://)",
-        )
         if name in ("ls", "stats"):
             sub_parser.add_argument("--json", action="store_true")
         if name == "gc":
@@ -651,65 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sub_parser.add_argument("--yes", action="store_true")
         sub_parser.set_defaults(func=func)
 
-    worker = sub.add_parser(
-        "worker",
-        help="process queue-backend sweep candidates against a shared store",
-    )
-    worker.add_argument(
-        "store_url",
-        help="shared store URL (file:///dir, memory://name or kv://host:port)",
-    )
-    worker.add_argument(
-        "--worker-id", default=None, help="lease attribution id (default: host-pid)"
-    )
-    worker.add_argument(
-        "--lease-s",
-        type=float,
-        default=30.0,
-        help="lease duration; the worker heartbeats at a third of it",
-    )
-    worker.add_argument(
-        "--poll-s", type=float, default=0.5, help="idle poll interval"
-    )
-    worker.add_argument(
-        "--max-tasks", type=int, default=None, help="exit after this many tasks"
-    )
-    worker.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        help="exit after this many seconds without leasing a task",
-    )
-    worker.add_argument(
-        "--exit-when-idle",
-        action="store_true",
-        help="exit once the queue has no pending or leased tasks",
-    )
-    worker.set_defaults(func=_cmd_worker)
-
-    kv_serve = sub.add_parser(
-        "kv-serve",
-        help="host a shared result store + work queue over TCP (repro-kv/1)",
-    )
-    kv_serve.add_argument("--host", default="127.0.0.1")
-    kv_serve.add_argument(
-        "--port", type=int, default=7077, help="TCP port (0 picks a free one)"
-    )
-    kv_serve.add_argument(
-        "--root",
-        default=None,
-        help=(
-            "back the store with this directory (persistent, byte-identical "
-            "to a local cache dir); default keeps everything in memory"
-        ),
-    )
-    kv_serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=5,
-        help="expired leases per task before the queue gives up on it",
-    )
-    kv_serve.set_defaults(func=_cmd_kv_serve)
     return parser
 
 

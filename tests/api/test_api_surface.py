@@ -91,8 +91,6 @@ EXPECTED_RUN_OPTIONS_FIELDS = (
     "progress",
     "cache",
     "cache_dir",
-    "store_url",
-    "lease_timeout_s",
     "store_traces",
     "explore",
     "budget",
@@ -107,7 +105,7 @@ def test_top_level_all_is_pinned():
 def test_run_options_fields_are_pinned():
     fields = tuple(field.name for field in dataclasses.fields(repro.RunOptions))
     assert fields == EXPECTED_RUN_OPTIONS_FIELDS
-    assert len(fields) == 17
+    assert len(fields) == 15
 
 
 def test_every_exported_name_resolves():

@@ -187,3 +187,86 @@ def test_unknown_experiment_field_is_named(tmp_path, capsys):
     path.write_text("frobnicate = true\n\n[scenario]\nfactory = \"charging\"\n")
     assert main(["run", str(path)]) == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_experiment_with_store_url_option_is_rejected(tmp_path, capsys):
+    # options are validated by name: a field this version lacks is an error
+    path = tmp_path / "old.toml"
+    path.write_text(
+        '[scenario]\nfactory = "charging"\n\n'
+        '[options]\ncache = "readwrite"\nstore_url = "kv://127.0.0.1:7077"\n'
+    )
+    assert main(["run", str(path)]) == 2
+    assert "store_url" in capsys.readouterr().err
+
+
+def test_experiment_with_queue_backend_is_rejected(tmp_path, capsys):
+    path = tmp_path / "old.toml"
+    path.write_text(
+        '[scenario]\nfactory = "charging"\n\n[options]\nbackend = "queue"\n'
+    )
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'queue'" in err
+    assert "'process'" in err and "'batched'" in err
+
+
+@pytest.mark.parametrize("command", ["worker", "kv-serve"])
+def test_removed_subcommands_are_unknown(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_experiment_with_lease_timeout_option_is_rejected(tmp_path, capsys):
+    path = tmp_path / "old.toml"
+    path.write_text(
+        '[scenario]\nfactory = "charging"\n\n'
+        '[options]\ncache = "readwrite"\nlease_timeout_s = 30.0\n'
+    )
+    assert main(["run", str(path)]) == 2
+    assert "lease_timeout_s" in capsys.readouterr().err
+
+
+def test_queue_backend_flag_is_an_invalid_choice(experiment_dir, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", str(experiment_dir / "sweep.toml"), "--backend", "queue"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'queue'" in err
+    assert "'process'" in err and "'batched'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "quickstart.toml"],
+        ["sweep", "sweep.toml"],
+        ["cache", "stats"],
+        ["cache", "gc"],
+    ],
+    ids=["run", "sweep", "cache-stats", "cache-gc"],
+)
+def test_removed_store_url_flag_is_unrecognised(experiment_dir, argv, capsys):
+    argv = [
+        str(experiment_dir / arg) if arg.endswith(".toml") else arg for arg in argv
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--store-url", "kv://127.0.0.1:7077"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --store-url" in capsys.readouterr().err
+
+
+def test_cache_listing_ignores_stray_directories(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    (cache_dir / "zz" / "notakey").mkdir(parents=True)
+    (cache_dir / ".queue" / "pending").mkdir(parents=True)
+    # the same report the CI smoke job checks for torn entries
+    listing = run_json(capsys, ["cache", "ls", "--cache-dir", str(cache_dir), "--json"])
+    assert listing["entries"] == []
+    assert listing["stats"]["n_entries"] == 0
+    assert listing["stats"]["n_corrupt"] == 0
+    assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
+    capsys.readouterr()
+    assert (cache_dir / "zz" / "notakey").is_dir()

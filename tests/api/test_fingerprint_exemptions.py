@@ -8,7 +8,6 @@ table itself, so a new exemption without a case here fails.
 """
 
 import inspect
-import uuid
 from dataclasses import fields, replace
 
 import pytest
@@ -19,14 +18,8 @@ from repro.api.options import FINGERPRINT_EXEMPT, execution_fingerprint
 from repro.core import AdamsBashforth, SolverSettings
 from repro.harvester.scenarios import scenario_solver_settings
 
-from ..distributed.fleet import worker_threads
-
 AXES = {"excitation_frequency_hz": [66.0, 70.0, 74.0]}
 DURATION_S = 0.05
-
-
-def fresh_url() -> str:
-    return f"memory://exempt-{uuid.uuid4().hex}"
 
 
 def fixed_step_settings():
@@ -35,17 +28,13 @@ def fixed_step_settings():
 
 
 def run_sweep(options):
-    """Scores by candidate of one small sweep (queue sweeps get 2 workers)."""
-    study = (
+    """Scores by candidate of one small sweep."""
+    result = (
         Study.scenario(charging_scenario(duration_s=DURATION_S))
         .options(options)
         .sweep(AXES)
+        .run()
     )
-    if options.backend == "queue":
-        with worker_threads(options.store_url):
-            result = study.run()
-    else:
-        result = study.run()
     return {
         tuple(sorted(point.parameters.items())): point.score
         for point in result.points
@@ -85,10 +74,6 @@ CASES = {
         RunOptions(cache="readwrite", cache_dir=str(tmp / "a")),
         RunOptions(cache="readwrite", cache_dir=str(tmp / "b")),
     ),
-    "store_url": lambda tmp: (
-        RunOptions(cache="readwrite", store_url=fresh_url()),
-        RunOptions(cache="readwrite", store_url=fresh_url()),
-    ),
     "store_traces": lambda tmp: (
         RunOptions(cache="readwrite", cache_dir=str(tmp / "a")),
         RunOptions(cache="readwrite", cache_dir=str(tmp / "b"), store_traces=False),
@@ -97,10 +82,6 @@ CASES = {
     "budget": lambda tmp: (
         RunOptions(explore="random", budget=2, seed=7),
         RunOptions(explore="random", budget=3, seed=7),
-    ),
-    "lease_timeout_s": lambda tmp: (
-        RunOptions.queue(fresh_url()),
-        RunOptions.queue(fresh_url(), lease_timeout_s=5.0),
     ),
 }
 

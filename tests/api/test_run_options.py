@@ -1,8 +1,11 @@
 """RunOptions: profiles, validation and incoherent-pair rejection."""
 
+import json
+
 import pytest
 
 from repro import RunOptions
+from repro.api.options import BACKENDS
 from repro.core import AdamsBashforth, SolverSettings
 from repro.core.errors import ConfigurationError
 
@@ -78,41 +81,150 @@ class TestValidation:
         RunOptions(n_workers=None).validate_for_single_run()
 
 
-class TestQueueBackend:
-    def test_queue_profile_arms_the_cache(self):
-        options = RunOptions.queue("memory://fleet")
-        assert options.backend == "queue"
-        assert options.store_url == "memory://fleet"
-        assert options.cache == "readwrite"
+#: invalid constructions, each with a pattern its error message must match
+INVALID_OPTIONS = {
+    "unknown-backend": (dict(backend="gpu"), "unknown backend 'gpu'"),
+    "removed-queue-backend": (
+        dict(backend="queue"),
+        r"unknown backend 'queue'; choose from \('process', 'batched'\)",
+    ),
+    "zero-lane-width": (
+        dict(backend="batched", lane_width=0),
+        "lane_width must be at least 1",
+    ),
+    "lane-width-on-process": (dict(lane_width=2), "lane_width=2 with backend"),
+    "unknown-compiled-mode": (
+        dict(backend="batched", compiled="gpu"),
+        "unknown compiled mode 'gpu'",
+    ),
+    "compiled-on-process": (dict(compiled="auto"), "compiled='auto' with backend"),
+    "zero-workers": (dict(n_workers=0), "n_workers must be at least 1"),
+    "negative-workers": (dict(n_workers=-2), "n_workers must be at least 1"),
+    "zero-relinearise-interval": (
+        dict(relinearise_interval=0),
+        "relinearise_interval must be at least 1",
+    ),
+    "non-callable-progress": (dict(progress=42), "progress must be callable"),
+    "unknown-cache-mode": (dict(cache="write"), "unknown cache mode 'write'"),
+    "cache-dir-with-cache-off": (
+        dict(cache_dir="somewhere"),
+        "cache_dir='somewhere' with cache='off'",
+    ),
+    "unknown-strategy": (dict(explore="bayes"), "unknown exploration strategy"),
+    "budget-without-explore": (dict(budget=3), "budget=3 without explore"),
+    "seed-without-explore": (dict(seed=1), "seed=1 without explore"),
+    "grid-with-seed": (dict(explore="grid", seed=1), "takes no seed"),
+    "extend-without-cache": (dict(explore="extend"), "explore='extend' with cache='off'"),
+}
 
-    def test_queue_without_store_url_rejected(self):
-        with pytest.raises(ConfigurationError, match="without store_url"):
-            RunOptions(backend="queue", cache="readwrite")
 
-    def test_store_url_and_cache_dir_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="cache_dir"):
-            RunOptions(store_url="memory://fleet", cache_dir="/tmp/cache")
+@pytest.mark.parametrize("case", sorted(INVALID_OPTIONS))
+def test_invalid_options_are_rejected_at_construction(case):
+    kwargs, pattern = INVALID_OPTIONS[case]
+    with pytest.raises(ConfigurationError, match=pattern):
+        RunOptions(**kwargs)
+    if "progress" in kwargs:
+        return  # a callback has no declarative form
+    # the declarative form goes through the same validation
+    with pytest.raises(ConfigurationError, match=pattern):
+        RunOptions.from_dict(kwargs)
 
-    def test_queue_requires_a_writable_cache(self):
-        with pytest.raises(ConfigurationError, match="store writes"):
-            RunOptions(backend="queue", store_url="memory://fleet", cache="read")
 
-    def test_store_url_with_cache_off_rejected(self):
-        with pytest.raises(ConfigurationError, match="cache='off'"):
-            RunOptions(store_url="memory://fleet", cache="off")
+def test_options_have_exactly_the_supported_backends():
+    assert BACKENDS == ("process", "batched")
+    assert not hasattr(RunOptions, "queue")
 
-    def test_queue_rejects_local_worker_pools(self):
-        with pytest.raises(ConfigurationError, match="external"):
-            RunOptions.queue("memory://fleet", n_workers=4)
 
-    def test_lease_timeout_only_with_queue_and_positive(self):
-        RunOptions.queue("memory://fleet", lease_timeout_s=10.0)
-        with pytest.raises(ConfigurationError, match="lease_timeout_s"):
-            RunOptions(lease_timeout_s=10.0)
-        with pytest.raises(ConfigurationError, match="positive"):
-            RunOptions.queue("memory://fleet", lease_timeout_s=0.0)
+@pytest.mark.parametrize("field", ["store_url", "lease_timeout_s"])
+def test_removed_queue_fields_are_not_options(field):
+    with pytest.raises(TypeError, match=field):
+        RunOptions(**{field: 1})
+    with pytest.raises(ConfigurationError, match=f"unknown fields \\['{field}'\\]"):
+        RunOptions.from_dict({"cache": "readwrite", field: 1})
 
-    def test_queue_and_process_share_one_execution_fingerprint(self):
-        queued = RunOptions.queue("memory://fleet")
-        direct = RunOptions(backend="process", cache="readwrite")
-        assert queued.fingerprint() == direct.fingerprint()
+
+#: knobs that only apply to sweeps, each as options that set it
+SWEEP_ONLY_KNOBS = {
+    "checkpoint_path": dict(checkpoint_path="sweep.csv"),
+    "progress": dict(progress=lambda *args: None),
+    "lane_width": dict(backend="batched", lane_width=2),
+    "backend": dict(backend="batched"),
+    "explore": dict(explore="grid"),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(SWEEP_ONLY_KNOBS))
+@pytest.mark.parametrize(
+    "dispatch", ["validate_for_single_run", "validate_for_compare"]
+)
+def test_sweep_only_knob_is_rejected_by_run_and_compare(dispatch, knob):
+    options = RunOptions(**SWEEP_ONLY_KNOBS[knob])
+    with pytest.raises(ConfigurationError, match=f"incoherent options: {knob}="):
+        getattr(options, dispatch)()
+
+
+def test_compare_fans_legs_out_but_a_single_run_does_not():
+    options = RunOptions(n_workers=4)
+    options.validate_for_compare()
+    with pytest.raises(ConfigurationError, match="n_workers=4 with a single run"):
+        options.validate_for_single_run()
+
+
+#: configurations whose declarative form must round-trip exactly
+ROUND_TRIP_OPTIONS = {
+    "default": lambda: RunOptions(),
+    "fast": lambda: RunOptions.fast(),
+    "batched": lambda: RunOptions.batched(lane_width=4, n_workers=2),
+    "adams-bashforth-3": lambda: RunOptions(integrator=AdamsBashforth(order=3)),
+    "fixed-step": lambda: RunOptions(settings=SolverSettings(fixed_step=1e-5)),
+    "cache": lambda: RunOptions(
+        cache="readwrite", cache_dir="cache", store_traces=False
+    ),
+    "random-explore": lambda: RunOptions(explore="random", budget=3, seed=7),
+    "checkpoint": lambda: RunOptions(checkpoint_path="sweep.csv", n_workers=None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_OPTIONS))
+def test_declarative_form_round_trips(case):
+    options = ROUND_TRIP_OPTIONS[case]()
+    data = json.loads(json.dumps(options.to_dict()))
+    rebuilt = RunOptions.from_dict(data)
+    assert rebuilt.to_dict() == data
+    assert rebuilt.fingerprint() == options.fingerprint()
+    assert rebuilt.settings == options.settings
+    assert rebuilt.replace(integrator=None) == options.replace(integrator=None)
+
+
+#: malformed integrator tables, each with the error it must raise
+BAD_INTEGRATORS = {
+    "not-a-table": ("adams_bashforth", "must be a"),
+    "no-name": ({"order": 2}, "must be a"),
+    "unknown-field": ({"name": "rk4", "stages": 4}, r"unknown fields \['stages'\]"),
+    "unknown-name": ({"name": "leapfrog"}, "unknown integrator 'leapfrog'"),
+    "fixed-order-mismatch": ({"name": "rk4", "order": 2}, "fixed order 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGRATORS))
+def test_malformed_integrator_table_is_rejected(case):
+    integrator, pattern = BAD_INTEGRATORS[case]
+    with pytest.raises(ConfigurationError, match=pattern):
+        RunOptions.from_dict({"integrator": integrator})
+
+
+def test_process_fingerprint_value_is_pinned():
+    # cache keys and checkpoint hashes derive from this dict; a change to
+    # it orphans every existing cache entry of the default backend
+    assert RunOptions().fingerprint() == {
+        "integrator": None,
+        "settings": None,
+        "relinearise_interval": None,
+        "backend": "process",
+        "seed": None,
+        "compiled": "off",
+    }
+    assert RunOptions.batched(lane_width=2).fingerprint() == {
+        **RunOptions().fingerprint(),
+        "backend": "batched",
+    }

@@ -220,6 +220,52 @@ def test_checkpoint_config_hash_is_pinned():
     assert held._checkpoint_metadata(sweep)["grid"] == "2b9b88355ad53925"
 
 
+@pytest.mark.parametrize(
+    "options_factory, expected",
+    [
+        (
+            lambda d: RunOptions(cache="readwrite", cache_dir=d),
+            [
+                "51d500e96f1390535c04c54b5b2b03e052edbeeb4964c0504fd6ef9941d538b4",
+                "9f35d56bbebd997f2f00c8afac050bcac20a4abd5620655881d9c31378b98158",
+                "be048cb203682d4a7e1e9b3714a5040893b4bb218bd6a1e80b866bac8420d94e",
+                "fbba4a0e59b4a8c2c20c2045ae623174aee015d37347c7d826e4646762604ac4",
+            ],
+        ),
+        (
+            lambda d: RunOptions.batched(
+                lane_width=2, cache="readwrite", cache_dir=d
+            ),
+            [
+                "0a2c9b05b0978ec26d327d347ece9b3a584bd6f0eb4964923089fcf10022e75f",
+                "5765c1c93207e5f402cf3819c009137f5d06b6fcc5862e6f7c33093249e149aa",
+                "857a5f38a373f06b105eb5415e07f009a9034aa14efb87d10623232212315e66",
+                "bd7318d943040ac799baca5e6a6229cd54276f59e81c6222b29c8a1baeb0e1fd",
+            ],
+        ),
+    ],
+    ids=["process", "batched"],
+)
+def test_sweep_point_cache_keys_are_pinned(
+    tmp_path, monkeypatch, options_factory, expected
+):
+    """Existing sweep caches keep hitting: the point keys on disk are stable.
+
+    The keys below were recorded before the store lost its pluggable
+    byte backends; a change here orphans every cached sweep point.
+    """
+    monkeypatch.setattr(
+        cache_store, "code_version_salt", lambda: "repro-pinned+schema2"
+    )
+    sweep_study(options_factory(str(tmp_path))).run()
+    written = sorted(
+        entry.name
+        for entry in tmp_path.glob("*/*")
+        if (entry / "entry.json").is_file()
+    )
+    assert written == expected
+
+
 def test_sweep_cache_rejects_custom_metrics_by_name(tmp_path):
     # a custom callable has no canonical identity to key entries on; a
     # free-form label collision would serve one metric's scores as
