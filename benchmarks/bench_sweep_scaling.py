@@ -25,12 +25,10 @@ A second comparison measures the **batched lane-parallel backend**
 lanes of stacked ``(B, n, n)`` arrays (one linearise/eliminate/march
 NumPy sweep per step for a whole lane block, composed with the same 4
 worker processes).  Asserted: at least 3x wall-clock over the 4-worker
-process engine, scores within the documented 10 % tolerance and the same
-winner.  Writes ``BENCH_batch.json``.  The same grid additionally runs
-with the **compiled lane core** (``compiled="auto"``,
-:mod:`repro.core.kernels`) as a third leg, so ``BENCH_sweep.json``
-tracks all four execution paths — serial / engine / batched /
-compiled — in one file.
+process engine and every score exactly equal to the engine's (each lane
+is bitwise its scalar run).  Writes ``BENCH_batch.json`` and merges the
+batched column into ``BENCH_sweep.json``, so one file tracks all three
+execution paths — serial / engine / batched.
 
 On a single-core host the speed-up comes from the amortised profile and
 the lane vectorisation; on a multi-core host process parallelism
@@ -64,7 +62,6 @@ JSON_PATH = Path("BENCH_sweep.json")
 BATCH_JSON_PATH = Path("BENCH_batch.json")
 
 #: documented score tolerance of the amortised-relinearisation profile
-#: (and of the batched shared-step march, which is measurably tighter)
 SCORE_TOLERANCE_REL = 0.10
 #: required wall-clock advantage of the engine over the serial loop
 MIN_SPEEDUP = 2.0
@@ -205,13 +202,8 @@ def _write_batch_json(
     t_engine,
     t_batched,
     speedup,
-    max_dev,
     quick,
     batched_workers,
-    t_compiled,
-    compiled_speedup,
-    compiled_max_dev,
-    compiled_backend,
 ):
     """Machine-readable record of the batched-backend comparison."""
     BATCH_JSON_PATH.write_text(
@@ -227,38 +219,30 @@ def _write_batch_json(
                 "t_process_engine_s": t_engine,
                 "t_batched_s": t_batched,
                 "speedup_vs_process_engine": speedup,
-                "max_rel_score_deviation": max_dev,
-                "t_compiled_s": t_compiled,
-                "compiled_backend": compiled_backend,
-                "compiled_speedup_vs_process_engine": compiled_speedup,
-                "compiled_max_rel_score_deviation": compiled_max_dev,
-                "score_tolerance_rel": SCORE_TOLERANCE_REL,
+                "max_rel_score_deviation": 0.0,
             },
             indent=2,
         )
         + "\n"
     )
-    # merge the batched/compiled columns into BENCH_sweep.json so one file
-    # tracks every execution path: serial / engine / batched / compiled
+    # merge the batched column into BENCH_sweep.json so one file tracks
+    # every execution path: serial / engine / batched
     if JSON_PATH.exists():
         merged = json.loads(JSON_PATH.read_text())
         merged["t_batched_s"] = t_batched
         merged["batched_speedup_vs_engine"] = speedup
-        merged["t_compiled_s"] = t_compiled
-        merged["compiled_backend"] = compiled_backend
-        merged["compiled_speedup_vs_engine"] = compiled_speedup
         JSON_PATH.write_text(json.dumps(merged, indent=2) + "\n")
 
 
 def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
     """Batched lane-parallel backend vs the 4-worker process engine.
 
-    Returns ``(report_text, speedup, max_deviation)``; both paths run the
-    same amortised-relinearisation profile, so the comparison isolates the
-    lane vectorisation itself.  The quick smoke grid is too small to split
-    across workers (one-lane blocks degrade to the scalar path), so quick
-    mode marches it as a single lane block to actually exercise the
-    batched loop.
+    Returns ``(report_text, speedup)``; both paths run the same
+    amortised-relinearisation profile, so the comparison isolates the lane
+    vectorisation itself, and every score must match exactly.  The quick
+    smoke grid is too small to split across workers (one-lane blocks
+    degrade to the scalar path), so quick mode marches it as a single lane
+    block to actually exercise the batched loop.
     """
     study = build_study(grid, duration_s)
     n_candidates = grid_size(grid)
@@ -281,22 +265,8 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
         )
     ).run()
     t_batched = time.perf_counter() - t0
-
-    from repro.core.kernels import resolve_compiled
-
-    compiled_backend = resolve_compiled("auto")
-    t0 = time.perf_counter()
-    compiled = study.options(
-        RunOptions.batched(
-            lane_width=n_candidates if quick else None,
-            n_workers=batched_workers,
-            relinearise_interval=RELINEARISE_INTERVAL,
-            compiled="auto",
-        )
-    ).run()
-    t_compiled = time.perf_counter() - t0
     # runtime truth, not the planning count: every candidate's score must
-    # actually have come out of a batched lock-step march
+    # actually have come out of a batched march
     assert batched.engine_info.n_batched_candidates == n_candidates, (
         "the batched comparison did not exercise the batched path "
         f"({batched.engine_info.n_batched_candidates}/{n_candidates} "
@@ -304,81 +274,49 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
     )
 
     speedup = t_engine / t_batched
-    deviations = [
-        abs(fast.score - ref.score) / abs(ref.score)
-        for fast, ref in zip(batched.points, engine.points)
-    ]
-    max_deviation = max(deviations)
-    compiled_speedup = t_engine / t_compiled
-    compiled_max_dev = max(
-        abs(fast.score - ref.score) / abs(ref.score)
-        for fast, ref in zip(compiled.points, engine.points)
-    )
-
     rows = [
         [
             f"process engine ({WORKERS} workers, hold {RELINEARISE_INTERVAL})",
             f"{t_engine:.2f}",
             "1.00",
-            "0 (reference)",
         ],
         [
             f"batched backend ({batched_workers} worker(s), lane blocks)",
             f"{t_batched:.2f}",
             f"{speedup:.2f}",
-            f"{max_deviation:.2e}",
-        ],
-        [
-            f"compiled lane core ({compiled_backend} kernel)",
-            f"{t_compiled:.2f}",
-            f"{compiled_speedup:.2f}",
-            f"{compiled_max_dev:.2e}",
         ],
     ]
     report = format_table(
-        ["path", "wall [s]", "speedup", "max score dev (rel)"],
+        ["path", "wall [s]", "speedup"],
         rows,
         title=(
             f"batched lane-parallel backend — {n_candidates}-candidate "
             f"same-topology grid, {duration_s:g} s simulated per candidate"
         ),
     )
-    report += (
-        f"\nbest candidate (engine):  {dict(engine.best().parameters)}"
-        f"\nbest candidate (batched): {dict(batched.best().parameters)}"
-    )
+    report += f"\nbest candidate: {dict(batched.best().parameters)}"
     _write_batch_json(
         n_candidates,
         duration_s,
         t_engine,
         t_batched,
         speedup,
-        max_deviation,
         quick,
         batched_workers,
-        t_compiled,
-        compiled_speedup,
-        compiled_max_dev,
-        compiled_backend,
     )
 
-    assert engine.best().parameters == batched.best().parameters, (
-        "the batched backend changed the winning candidate"
-    )
-    assert max_deviation <= SCORE_TOLERANCE_REL, (
-        f"batched score deviation {max_deviation:.3e} exceeds the documented "
-        f"tolerance {SCORE_TOLERANCE_REL}"
-    )
-    assert compiled_max_dev <= SCORE_TOLERANCE_REL, (
-        f"compiled score deviation {compiled_max_dev:.3e} exceeds the "
-        f"documented tolerance {SCORE_TOLERANCE_REL}"
-    )
+    for fast, ref in zip(batched.points, engine.points):
+        assert fast.parameters == ref.parameters
+        assert fast.score == ref.score, (
+            f"batched score {fast.score!r} differs from the process engine's "
+            f"{ref.score!r} at {dict(ref.parameters)}"
+        )
     if assert_speedup:
         assert speedup >= MIN_BATCH_SPEEDUP, (
             f"batched speedup {speedup:.2f}x below the required "
             f"{MIN_BATCH_SPEEDUP}x over the process engine"
         )
-    return report, speedup, max_deviation
+    return report, speedup
 
 
 def test_sweep_engine_scaling(report_writer):
@@ -387,7 +325,7 @@ def test_sweep_engine_scaling(report_writer):
 
 
 def test_batched_backend_scaling(report_writer):
-    report, speedup, max_dev = run_batched_comparison(BATCH_GRID, BATCH_DURATION_S)
+    report, speedup = run_batched_comparison(BATCH_GRID, BATCH_DURATION_S)
     report_writer("batch_scaling", report)
 
 
@@ -403,12 +341,12 @@ def main() -> None:
         report, speedup, max_dev = run_comparison(
             QUICK_GRID, QUICK_DURATION_S, assert_speedup=False, quick=True
         )
-        batch_report, batch_speedup, batch_dev = run_batched_comparison(
+        batch_report, batch_speedup = run_batched_comparison(
             QUICK_GRID, QUICK_DURATION_S, assert_speedup=False, quick=True
         )
     else:
         report, speedup, max_dev = run_comparison(FULL_GRID, FULL_DURATION_S)
-        batch_report, batch_speedup, batch_dev = run_batched_comparison(
+        batch_report, batch_speedup = run_batched_comparison(
             BATCH_GRID, BATCH_DURATION_S
         )
     print(report)
@@ -418,7 +356,7 @@ def main() -> None:
     print(batch_report)
     print(
         f"\nbatched speedup {batch_speedup:.2f}x over the process engine, "
-        f"max relative score deviation {batch_dev:.2e}"
+        "every score identical"
     )
     print(f"written: {BATCH_JSON_PATH}")
 

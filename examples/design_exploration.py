@@ -15,8 +15,8 @@ The final sections scale the loop up: a 2-D design grid evaluated by
 worker processes (live best-so-far progress, resumable checkpoint file,
 amortised-relinearisation fast profile via ``RunOptions.fast()``), then
 the same grid on the **batched lane-parallel backend**
-(``RunOptions.batched()``), which marches all same-topology candidates in
-lock-step through stacked arrays — the fastest way to burn through a
+(``RunOptions.batched()``), which marches all same-topology candidates as
+lanes of stacked arrays — the fastest way to burn through a
 controller-free design grid.
 
 Run with::
@@ -117,10 +117,8 @@ def batched_design_grid(smoke: bool = False) -> None:
     All candidates share the charging topology and carry no digital
     events, so ``RunOptions.batched()`` marches them as lanes of stacked
     ``(B, n, n)`` arrays — one linearise/eliminate/march NumPy sweep per
-    step for the whole grid.  With adaptive stepping the lanes share the
-    most conservative step (documented 10 % score tolerance, measured far
-    tighter); with ``fixed_step`` settings every lane is byte-identical to
-    its serial run.
+    step for the whole grid.  Every lane keeps its own clock and step, so
+    each lane is bitwise its serial run, adaptive or fixed-step.
     """
     if smoke:
         grid = {

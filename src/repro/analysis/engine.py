@@ -19,14 +19,14 @@ workload.  This module turns the serial loop of
   :class:`~repro.core.spec.BlockSpec` axis values) keep one cached
   structure per distinct topology, keyed by the spec's structural hash;
 * offers a **batched lane-parallel backend** (``backend="batched"``):
-  controller-free candidates are grouped by topology hash and marched in
-  lock-step by the :class:`~repro.core.batch.BatchedSolver` — stacked
+  controller-free candidates are grouped by topology hash and marched as
+  lanes of the :class:`~repro.core.batch.BatchedSolver` — stacked
   ``(B, n, n)`` linearise/eliminate/march, one NumPy sweep per step for a
   whole lane block, composing multiplicatively with worker processes
-  (each worker marches one block).  Byte-identical per lane with
-  ``fixed_step``; the usual 10 % score tolerance in adaptive shared-step
-  mode.  Candidates with digital events and lanes retired by the
-  stability guard fall back to the scalar path;
+  (each worker marches one block).  Every lane runs on its own clock and
+  is bitwise its scalar run, so both backends score every candidate
+  identically and share one cache.  Candidates with digital events and
+  lanes retired by the stability guard fall back to the scalar path;
 * **checkpoints** every finished candidate through
   :mod:`repro.io.csvio`, so an interrupted sweep resumes from the last
   completed candidate (``checkpoint_path=``); the checkpoint header
@@ -119,11 +119,8 @@ class EngineRunInfo:
     #: (runtime truth: heterogeneous-settings blocks that degraded to the
     #: scalar path and retired lanes are excluded)
     n_batched_candidates: int = 0
-    #: requested march-kernel mode ("off" | "auto" | "numba")
+    #: requested march-kernel mode ("off" | "auto")
     compiled: str = "off"
-    #: *resolved* kernel backend the batched marches actually ran on
-    #: ("" when no batched march ran)
-    compiled_backend: str = ""
     #: wall seconds spent inside march kernels, summed over lane blocks
     kernel_time_s: float = 0.0
     #: wall seconds spent relinearising/eliminating (the refresh path),
@@ -148,8 +145,6 @@ class _Task:
     cache_key: Optional[str] = None
     cache_dir: Optional[str] = None
     cache_salt: Optional[str] = None
-    #: march-kernel mode for the batched march ("off" runs numpy)
-    compiled: str = "off"
 
 
 @dataclass(frozen=True)
@@ -160,12 +155,9 @@ class _Outcome:
     score: float
     cpu_time_s: float
     exact_rerun: bool
-    #: whether the score came out of a batched lock-step march (as opposed
+    #: whether the score came out of a batched march (as opposed
     #: to the scalar path, a runtime fallback or a checkpoint resume)
     batched: bool = False
-    #: resolved march-kernel backend of the batched run ("" on the scalar
-    #: path)
-    compiled_backend: str = ""
     #: block-level kernel/refresh wall-time split, attached to one outcome
     #: per lane block so engine-level sums count each block once
     kernel_time_s: float = 0.0
@@ -205,8 +197,8 @@ def _scenario_is_batchable(scenario) -> bool:
     """Whether a scenario can ride a batched lane (no digital events).
 
     A digital activation changes one lane's analogue model mid-march,
-    which breaks the lock-step premise, so candidates with a controller
-    always take the scalar path.  Unknown scenario shapes conservatively
+    which the stacked held models cannot follow, so candidates with a
+    controller always take the scalar path.  Unknown scenario shapes conservatively
     report ``False``.
     """
     spec = getattr(scenario, "spec", None)
@@ -276,11 +268,11 @@ def _evaluate_lane_block(tasks: Sequence[_Task]) -> List[_Outcome]:
 
 
 def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
-    """Evaluate one lane block of same-topology candidates in lock-step.
+    """Evaluate one lane block of same-topology candidates as batched lanes.
 
     Runs in a worker process or inline.  Single-task blocks take the
-    scalar path directly; heterogeneous blocks the batched solver refuses
-    (mixed ``fixed_step``, mixed hold intervals) degrade to per-candidate
+    scalar path directly; blocks the batched solver refuses (mixed
+    ``use_spectral_limit``, ``monitor_lle``) degrade to per-candidate
     scalar evaluation; lanes the batched march retires (divergence,
     singular elimination) are re-run individually on the exact scalar
     path, mirroring the engine's existing stability fallback.
@@ -307,33 +299,28 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
             [harvester.assembler for harvester in harvesters],
             integrator=tasks[0].integrator,
             settings=settings_list,
-            compiled=tasks[0].compiled,
         )
         for i, harvester in enumerate(harvesters):
             harvester._wire(solver.lane_wiring(i))
         batch = solver.run([task.scenario.duration_s for task in tasks])
     except ConfigurationError:
-        # the block cannot march in lock-step (heterogeneous schedule
-        # settings, per-lane fixed steps ...): evaluate candidates serially
+        # the block cannot march batched (settings the batched solver
+        # does not support): evaluate candidates serially
         return [_evaluate_task(task) for task in tasks]
 
     # block-level kernel/refresh wall-time split: each lane carries the
     # batch totals as of its own finalisation, so the block total is the
     # max over lanes; it is attached to the first batched outcome only,
     # letting the engine sum across blocks without double counting
-    block_backend = ""
     block_kernel_time = block_refresh_time = 0.0
     for result in batch.results:
         if result is None:
             continue
-        block_backend = str(result.metadata.get("compiled", ""))
         block_kernel_time = max(
-            block_kernel_time,
-            float(result.metadata.get("compiled_kernel_time_s", 0.0)),
+            block_kernel_time, float(result.metadata["kernel_time_s"])
         )
         block_refresh_time = max(
-            block_refresh_time,
-            float(result.metadata.get("compiled_refresh_time_s", 0.0)),
+            block_refresh_time, float(result.metadata["refresh_time_s"])
         )
 
     outcomes: List[_Outcome] = []
@@ -353,7 +340,6 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
                 cpu_time_s=float(result.stats.cpu_time_s),
                 exact_rerun=False,
                 batched=True,
-                compiled_backend=block_backend,
                 kernel_time_s=block_kernel_time if first_batched else 0.0,
                 refresh_time_s=block_refresh_time if first_batched else 0.0,
             )
@@ -489,7 +475,6 @@ class SweepEngine:
         n_exact_reruns = n_batched = 0
         n_lane_blocks = n_batch_fallbacks = 0
         work_units = 0.0
-        compiled_backend = ""
         kernel_time_s = refresh_time_s = 0.0
 
         while not strategy.done():
@@ -575,9 +560,6 @@ class SweepEngine:
             n_batched += sum(1 for o in outcomes.values() if o.batched)
             kernel_time_s += sum(o.kernel_time_s for o in outcomes.values())
             refresh_time_s += sum(o.refresh_time_s for o in outcomes.values())
-            for o in outcomes.values():
-                if o.compiled_backend:
-                    compiled_backend = o.compiled_backend
             n_lane_blocks += sum(1 for block in blocks if len(block) > 1)
             if self.options.backend == "batched":
                 n_batch_fallbacks += sum(1 for block in blocks if len(block) == 1)
@@ -607,7 +589,6 @@ class SweepEngine:
             n_cache_hits=n_cache_hits_total,
             cache=self.options.cache,
             compiled=self.options.compiled,
-            compiled_backend=compiled_backend,
             kernel_time_s=kernel_time_s,
             refresh_time_s=refresh_time_s,
         )
@@ -656,7 +637,6 @@ class SweepEngine:
                     integrator=self.options.integrator,
                     settings=self.options.settings,
                     relinearise_interval=self.options.relinearise_interval,
-                    compiled=self.options.compiled,
                 )
             )
         return tasks
@@ -713,7 +693,7 @@ class SweepEngine:
             emit_progress()
 
         # one work unit is a lane block: several same-topology candidates
-        # marched in lock-step by the batched solver, or a single candidate
+        # marched as lanes of the batched solver, or a single candidate
         # evaluated on the scalar path (always the case for the process
         # backend and for candidates with digital events)
         if self.options.backend == "batched":
@@ -774,10 +754,11 @@ class SweepEngine:
     def _checkpoint_metadata(self, sweep, *, strategy=None) -> Dict[str, str]:
         # the grid/config hash covers the parameter *values* (not just
         # names), the canonical execution fingerprint (solver profile,
-        # integrator, settings, backend — shared with the cache keys) and
-        # the base scenario's identity, so a checkpoint cannot silently
-        # map stale scores onto a reshaped grid, a different-accuracy
-        # profile, a different backend or a different base configuration
+        # integrator, settings — shared with the cache keys) and the base
+        # scenario's identity, so a checkpoint cannot silently map stale
+        # scores onto a reshaped grid, a different-accuracy profile or a
+        # different base configuration; the header's "backend" entry keeps
+        # a checkpoint to the backend that wrote it
         import json as _json
 
         scenario = sweep.scenario
@@ -939,7 +920,7 @@ class SweepEngine:
         # caches — worker start-up is milliseconds instead of a fresh
         # interpreter + numpy import per worker.  Each worker evaluates one
         # lane block at a time: a single scalar candidate (process backend)
-        # or a whole batched lock-step march (batched backend).
+        # or a whole batched march (batched backend).
         context = None
         if "fork" in mp.get_all_start_methods():
             context = mp.get_context("fork")

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.errors import ConfigurationError
 from ..core.integrators import ExplicitIntegrator, make_integrator
-from ..core.kernels import COMPILED_MODES, resolve_compiled
+from ..core.kernels import COMPILED_MODES
 from ..core.serialise import decode_value, encode_value
 from ..core.solver import SolverSettings
 
@@ -48,9 +48,7 @@ def execution_fingerprint(
     integrator: Optional[ExplicitIntegrator] = None,
     settings: Optional[SolverSettings] = None,
     relinearise_interval: Optional[int] = None,
-    backend: str = "process",
     seed: Optional[int] = None,
-    compiled: str = "off",
 ) -> Dict[str, object]:
     """Canonical fingerprint of everything that can change a *result*.
 
@@ -59,22 +57,12 @@ def execution_fingerprint(
     derived from it, so a checkpoint resume and a cache hit agree on what
     "the same execution" means.  Deliberately excluded: knobs that change
     *how fast* or *where* candidates run but not their scores
-    (``n_workers``, ``lane_width``, checkpointing, progress, cache mode) —
-    the engine's determinism contract (and the documented 10 % adaptive
-    shared-step tolerance for the batched backend, which *is* included via
-    ``backend``) covers those.  ``seed`` *is* included: a seeded
-    exploration samples a different candidate set per seed, so its results
-    must never collide with another seed's in the cache.
-
-    ``compiled`` is recorded as the *resolved* kernel backend, and only
-    where that can change results: at fixed step every backend is
-    byte-identical to the numpy kernel, and the numpy kernel is what
-    ``"off"`` runs, so both record ``"off"``.  Adaptive batched runs on
-    numba fall under the same documented 10 % tolerance as the batched
-    backend itself and record ``"numba"``.  Keying on the resolved
-    backend rather than the requested mode keeps "same key, same bytes"
-    across hosts: ``"auto"`` on a host without numba shares the default
-    run's key instead of claiming a numba result.
+    (``backend``, ``compiled``, ``n_workers``, ``lane_width``,
+    checkpointing, progress, cache mode) — every batched lane is bitwise
+    its scalar run, so both backends share one cache.  ``seed`` *is*
+    included: a seeded exploration samples a different candidate set per
+    seed, so its results must never collide with another seed's in the
+    cache.
     """
     if integrator is None:
         integrator_form = None
@@ -83,23 +71,17 @@ def execution_fingerprint(
             "name": str(integrator.name),
             "order": getattr(integrator, "order", None),
         }
-    adaptive = settings is None or settings.fixed_step is None
-    compiled_form = (
-        "numba"
-        if backend == "batched"
-        and adaptive
-        and resolve_compiled(compiled) == "numba"
-        else "off"
-    )
     return {
         "integrator": integrator_form,
         "settings": None if settings is None else encode_value(settings),
         "relinearise_interval": (
             None if relinearise_interval is None else int(relinearise_interval)
         ),
-        "backend": str(backend),
+        # constants: the process backend's values, so every existing
+        # process cache key and checkpoint digest stays unchanged
+        "backend": "process",
         "seed": None if seed is None else int(seed),
-        "compiled": compiled_form,
+        "compiled": "off",
     }
 
 
@@ -111,16 +93,15 @@ def execution_fingerprint(
 #: field must pick a side explicitly.  Every reason is also an executable
 #: claim: ``tests/api/test_fingerprint_exemptions.py`` checks the split
 #: and sweeps each listed knob at two values, asserting bitwise-equal
-#: scores (adaptive batched sweeps are the known exception for
-#: ``lane_width`` and ``n_workers``; those cases are strict known failures).
+#: scores.
 FINGERPRINT_EXEMPT = {
-    "lane_width": "lane packing changes batching granularity only; fixed-step "
-    "marches are byte-identical across widths and adaptive ones fall under "
-    "the documented 10% shared-step tolerance fingerprinted via 'backend'",
-    "n_workers": "worker count only changes scheduling; process sweeps "
-    "score identically at any count, but adaptive batched sweeps do "
-    "not, because the default lane width is ceil(n / n_workers) and they "
-    "fall under the same shared-step tolerance as 'lane_width'",
+    "backend": "every batched lane is bitwise its scalar run, so the "
+    "process and batched backends score every candidate identically",
+    "compiled": "both march-kernel modes run the one NumPy kernel",
+    "lane_width": "lane packing changes batching granularity only; lanes "
+    "are independent runs, so a score never depends on its lane-mates",
+    "n_workers": "worker count only changes scheduling; process and "
+    "batched sweeps score identically at any count",
     "checkpoint_path": "where a checkpoint is written never affects what is "
     "computed; the checkpoint's own config hash derives from the fingerprint",
     "progress": "a reporting callback observes the run and cannot feed back "
@@ -161,23 +142,17 @@ class RunOptions:
     backend:
         Sweep execution backend: ``"process"`` evaluates one candidate per
         task, ``"batched"`` marches controller-free same-topology
-        candidates in lock-step through stacked arrays
-        (:class:`~repro.core.batch.BatchedSolver`).
+        candidates as lanes of stacked arrays
+        (:class:`~repro.core.batch.BatchedSolver`), each lane bitwise its
+        scalar run.
     lane_width:
         Maximum lanes per batched block (``backend="batched"`` only —
         combining it with the process backend raises).
     compiled:
-        March-kernel backend for the batched march
-        (:mod:`repro.core.kernels`): ``"off"`` (default) runs the
-        always-available vectorised NumPy kernel; ``"auto"`` picks numba
-        when it is importable and the NumPy kernel otherwise;
-        ``"numba"`` pins numba and raises eagerly when it is not
-        importable (``pip install repro[compiled]``).  Fixed-step
-        results are byte-identical across modes; adaptive numba runs
-        fall under the batched backend's documented 10 % tolerance.  A
-        non-default value is only valid with ``backend="batched"``.
-        Every batched march relinearises through the prepared stacked
-        refresh, bit-identical to per-lane block dispatch.
+        March-kernel mode for the batched march
+        (:mod:`repro.core.kernels`): ``"off"`` (default) or ``"auto"``;
+        both run the one vectorised NumPy kernel.  A non-default value is
+        only valid with ``backend="batched"``.
     n_workers:
         Worker processes for sweep execution (or comparison legs).  ``1``
         evaluates inline; ``None`` uses ``os.cpu_count()``.
@@ -191,12 +166,9 @@ class RunOptions:
         sweep points from the content-addressed store but never writes;
         ``"readwrite"`` additionally records misses.  Cache keys cover the
         experiment content hash plus a code-version salt, so results never
-        survive a version bump.  Caveat for ``backend="batched"`` in
-        adaptive shared-step mode: lane-block composition depends on
-        which candidates are pending, so a partially warm rerun may serve
-        scores a cold run would have computed under a different grouping
-        (within the documented 10 % tolerance) — use ``fixed_step``
-        settings when bit-exact warm/cold agreement matters.
+        survive a version bump.  Both backends share one cache: a
+        batched sweep is served the process backend's entries and vice
+        versa.
     cache_dir:
         Root directory of the result store.  ``None`` uses the
         ``REPRO_CACHE_DIR`` environment variable, falling back to
@@ -268,11 +240,10 @@ class RunOptions:
     def batched(cls, lane_width: Optional[int] = None, **overrides) -> "RunOptions":
         """Batched lane-parallel sweep profile (``backend="batched"``).
 
-        Same-topology controller-free candidates march in lock-step
-        through stacked ``(B, n, n)`` arrays; composes with ``n_workers``
-        (each worker marches one lane block) and with the
-        ``compiled=`` lane-core knob (``"auto"`` picks the fastest
-        importable march kernel).
+        Same-topology controller-free candidates march as lanes of
+        stacked ``(B, n, n)`` arrays, each lane on its own clock and
+        bitwise its scalar run; composes with ``n_workers`` (each worker
+        marches one lane block).
         """
         return cls(backend="batched", lane_width=lane_width, **overrides)
 
@@ -300,18 +271,12 @@ class RunOptions:
                 f"unknown compiled mode {self.compiled!r}; choose from "
                 f"{COMPILED_MODES}"
             )
-        if self.compiled != "off":
-            if self.backend != "batched":
-                raise ConfigurationError(
-                    f"incoherent options: compiled={self.compiled!r} with "
-                    f"backend={self.backend!r} — the compiled lane core "
-                    "accelerates the batched lock-step march; drop compiled "
-                    "or use RunOptions.batched()"
-                )
-            # eager backend resolution: an explicitly requested backend
-            # that is not importable fails here, at construction, not in
-            # a worker process mid-sweep
-            resolve_compiled(self.compiled)
+        if self.compiled != "off" and self.backend != "batched":
+            raise ConfigurationError(
+                f"incoherent options: compiled={self.compiled!r} with "
+                f"backend={self.backend!r} — the march kernel runs the "
+                "batched march; drop compiled or use RunOptions.batched()"
+            )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be at least 1")
         if self.relinearise_interval is not None and self.relinearise_interval < 1:
@@ -552,9 +517,7 @@ class RunOptions:
             integrator=self.integrator,
             settings=self.settings,
             relinearise_interval=self.relinearise_interval,
-            backend=self.backend,
             seed=self.seed,
-            compiled=self.compiled,
         )
 
     # ------------------------------------------------------------------ #

@@ -171,7 +171,7 @@ class ElectrostaticMicrogenerator(AnalogueBlock):
     def evaluate_batch(
         self,
         lanes: Sequence[AnalogueBlock],
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,7 +217,7 @@ class ElectrostaticMicrogenerator(AnalogueBlock):
     def linearise_batch(
         self,
         lanes: Sequence[AnalogueBlock],
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> BatchedLinearisation:

@@ -296,7 +296,7 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
     def linearise_batch(
         self,
         lanes: Sequence[AnalogueBlock],
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> BatchedLinearisation:
@@ -362,11 +362,11 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         # static fields, computed through linearise_batch so the values are
         # the same IEEE-754 expressions as the unprepared path
         static = self.linearise_batch(
-            lanes, 0.0, np.zeros((b, 3)), np.zeros((b, 2))
+            lanes, np.zeros(b), np.zeros((b, 3)), np.zeros((b, 2))
         )
         jxx, jxy, jyx, jyy, ey = static.jxx, static.jxy, static.jyx, static.jyy, static.ey
 
-        def lineariser(t: float, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
+        def lineariser(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
             f_a = m * batch_acceleration(accelerations, t)
             ex = np.zeros((b, 3))
             ex[:, 1] = (f_a - f_tz) / m

@@ -197,7 +197,7 @@ class Supercapacitor(AnalogueBlock):
     def linearise_batch(
         self,
         lanes,
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> BatchedLinearisation:
@@ -238,7 +238,7 @@ class Supercapacitor(AnalogueBlock):
         """
         b = len(lanes)
         static = self.linearise_batch(
-            lanes, 0.0, np.zeros((b, 3)), np.zeros((b, 2))
+            lanes, np.zeros(b), np.zeros((b, 3)), np.zeros((b, 2))
         )
         return PreparedBlockLineariser(
             lineariser=lambda t, x, y: static,

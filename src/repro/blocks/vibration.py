@@ -31,21 +31,23 @@ __all__ = [
 
 
 def batch_acceleration(
-    sources: Sequence[Callable[[float], float]], t: float
+    sources: Sequence[Callable[[float], float]], t: np.ndarray
 ) -> np.ndarray:
-    """Base acceleration of ``B`` lane excitations at one shared time point.
+    """Base acceleration of ``B`` lane excitations at per-lane time points.
 
     Used by the batched block linearisations: each lane of a batched sweep
-    carries its own excitation (its own frequency/amplitude/schedule), and
-    the lock-step march needs all of them at the shared time ``t``.
+    carries its own excitation (its own frequency/amplitude/schedule) and
+    its own clock, so lane ``i`` is evaluated at ``t[i]``.
     Deliberately a loop over the scalar sources rather than an
     ``np.sin``-vectorised evaluation: the scalar sources go through libm's
     ``sin``, and NumPy's SIMD ``sin`` is not guaranteed bit-identical to
-    it, which would break the batched solver's fixed-step byte-identity
-    contract.  At one call per block per accepted step the loop is far off
-    the hot path.
+    it, which would break each batched lane's bitwise identity with its
+    scalar run.  At one call per block per refresh
+    the loop is far off the hot path.
     """
-    return np.array([float(source(t)) for source in sources])
+    return np.array(
+        [float(source(t_i)) for source, t_i in zip(sources, t.tolist())]
+    )
 
 
 @dataclass(frozen=True)

@@ -247,7 +247,7 @@ class DicksonMultiplier(AnalogueBlock):
     def linearise_batch(
         self,
         lanes: Sequence[AnalogueBlock],
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> BatchedLinearisation:
@@ -360,7 +360,7 @@ class DicksonMultiplier(AnalogueBlock):
         jyy = np.broadcast_to(self._jyy_template, (b, 2, 4)).copy()
         ey = np.zeros((b, 2))
 
-        def lineariser(t: float, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
+        def lineariser(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
             vd = np.matmul(coefficients, x[..., None])[..., 0]  # (B, n)
             if lane_tables is None:
                 g, j = table.evaluate_batch(vd)

@@ -45,7 +45,6 @@ from .api.results import (
 )
 from .cache import ResultStore, default_cache_dir
 from .core.errors import SimulationError
-from .core.kernels import COMPILED_MODES
 from .io import load_experiment
 from .io.report import format_key_values, format_sweep_value, format_table
 
@@ -79,16 +78,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         help="override the experiment's sweep backend",
     )
     parser.add_argument(
-        "--compiled",
-        choices=COMPILED_MODES,
-        default=None,
-        help=(
-            "override the experiment's march-kernel mode (batched backend "
-            "only; 'off' runs the numpy kernel, 'auto' picks the best "
-            "importable one)"
-        ),
-    )
-    parser.add_argument(
         "--no-traces",
         action="store_true",
         help="do not store waveform traces in cached single-run entries",
@@ -117,8 +106,6 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
             overrides["cache"] = "readwrite"
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if args.compiled is not None:
-        overrides["compiled"] = args.compiled
     if args.no_traces:
         overrides["store_traces"] = False
     if overrides:

@@ -195,7 +195,8 @@ class BatchedLinearisation:
 class PreparedBlockLineariser:
     """A lane-set-bound fast lineariser for repeated batched refreshes.
 
-    ``lineariser(t, x_local, y_local)`` must return a
+    ``lineariser(t, x_local, y_local)`` (``t`` the ``(B,)`` per-lane time
+    points) must return a
     :class:`BatchedLinearisation` bit-identical to what
     :func:`repro.core.linearise.linearise_block_lanes` would produce for
     the same lane set at the same point — the batched refresh path swaps
@@ -210,7 +211,7 @@ class PreparedBlockLineariser:
     reused buffers — callers must not hold references across calls).
     """
 
-    lineariser: Callable[[float, np.ndarray, np.ndarray], "BatchedLinearisation"]
+    lineariser: Callable[[np.ndarray, np.ndarray, np.ndarray], "BatchedLinearisation"]
     constant: Tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -325,15 +326,16 @@ class AnalogueBlock(ABC):
     def evaluate_batch(
         self,
         lanes: Sequence["AnalogueBlock"],
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate ``f_x``/``f_y`` for ``B`` sibling lanes at once.
 
         ``lanes`` is the sequence of same-structure block instances being
-        marched in lock-step (``lanes[0] is self``); ``x`` has shape
-        ``(B, n_states)`` and ``y`` has shape ``(B, n_terminals)``.
+        marched together (``lanes[0] is self``); ``t`` holds each lane's
+        own time point, shape ``(B,)``; ``x`` has shape ``(B, n_states)``
+        and ``y`` has shape ``(B, n_terminals)``.
         Returns ``(dxdt, residual_y)`` with shapes ``(B, n_states)`` and
         ``(B, n_algebraic)``.
 
@@ -345,16 +347,16 @@ class AnalogueBlock(ABC):
         """
         dxdt = np.empty((len(lanes), self.n_states))
         res_y = np.empty((len(lanes), self.n_algebraic))
-        for i, block in enumerate(lanes):
-            dxdt[i] = block.derivatives(t, x[i], y[i])
+        for i, (block, t_i) in enumerate(zip(lanes, t.tolist())):
+            dxdt[i] = block.derivatives(t_i, x[i], y[i])
             if self.n_algebraic:
-                res_y[i] = block.algebraic_residual(t, x[i], y[i])
+                res_y[i] = block.algebraic_residual(t_i, x[i], y[i])
         return dxdt, res_y
 
     def linearise_batch(
         self,
         lanes: Sequence["AnalogueBlock"],
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> Optional[BatchedLinearisation]:
@@ -511,20 +513,21 @@ class LinearBlock(AnalogueBlock):
     def linearise_batch(
         self,
         lanes: Sequence[AnalogueBlock],
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
     ) -> BatchedLinearisation:
         # constant matrices stack directly; the (possibly lane-specific)
         # excitations are evaluated through the scalar path so the batched
         # model is bit-identical to per-lane linearise()
+        times = t.tolist()
         lin = BatchedLinearisation(
             jxx=np.stack([lane.a for lane in lanes]),
             jxy=np.stack([lane.b for lane in lanes]),
-            ex=np.stack([lane._u(t) for lane in lanes]),
+            ex=np.stack([lane._u(t_i) for lane, t_i in zip(lanes, times)]),
             jyx=np.stack([lane.c for lane in lanes]),
             jyy=np.stack([lane.d for lane in lanes]),
-            ey=np.stack([lane._w(t) for lane in lanes]),
+            ey=np.stack([lane._w(t_i) for lane, t_i in zip(lanes, times)]),
         )
         lin.validate(len(lanes), self.n_states, self.n_terminals, self.n_algebraic)
         return lin
@@ -549,14 +552,15 @@ class LinearBlock(AnalogueBlock):
             constant.append("ey")
 
         def lineariser(
-            t: float, x: np.ndarray, y: np.ndarray
+            t: np.ndarray, x: np.ndarray, y: np.ndarray
         ) -> BatchedLinearisation:
+            times = t.tolist()
             ex = ex_static
             if ex is None:
-                ex = np.stack([lane._u(t) for lane in lanes])
+                ex = np.stack([lane._u(t_i) for lane, t_i in zip(lanes, times)])
             ey = ey_static
             if ey is None:
-                ey = np.stack([lane._w(t) for lane in lanes])
+                ey = np.stack([lane._w(t_i) for lane, t_i in zip(lanes, times)])
             return BatchedLinearisation(
                 jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey
             )

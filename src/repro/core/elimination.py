@@ -567,12 +567,12 @@ class BatchedReducedSystem:
 
 
 class BatchedAssembler:
-    """Assembles and eliminates ``B`` same-topology systems in lock-step.
+    """Assembles and eliminates ``B`` same-topology systems at once.
 
     The lane-parallel sibling of :class:`SystemAssembler`: each lane is one
     candidate's assembler (same netlist topology, its own block parameter
-    values), and every per-step quantity is held in stacked ``(B, ...)``
-    arrays so one NumPy call sweeps all lanes.  The scalar assemblers'
+    values, its own time point), and every per-step quantity is held in
+    stacked ``(B, ...)`` arrays so one NumPy call sweeps all lanes.  The scalar assemblers'
     shared :class:`AssemblyStructure` provides the indexing; block groups
     are linearised through the batched block API
     (:func:`repro.core.linearise.linearise_block_lanes`) with a
@@ -581,8 +581,8 @@ class BatchedAssembler:
     All linear algebra uses stacked ``np.linalg.solve``/``matmul``, which
     process each lane through the same LAPACK/BLAS routines as the scalar
     path — per-lane results are bit-identical to a scalar
-    :class:`SystemAssembler` run, which is what makes the batched solver's
-    fixed-step byte-identity contract possible.
+    :class:`SystemAssembler` run, which is what makes every batched lane
+    bitwise its scalar run.
     """
 
     def __init__(self, assemblers: Sequence[SystemAssembler]) -> None:
@@ -606,10 +606,6 @@ class BatchedAssembler:
         self._groups: Optional[List[_PreparedGroup]] = None
         self._workspace: Optional[BatchedGlobalLinearisation] = None
         self._static_scattered = False
-        # optional compiled elimination (see enable_compiled_eliminate())
-        self._eliminate_backend = "off"
-        self._eliminate_kernel = None
-        self._eliminate_pending = False
 
     # ------------------------------------------------------------------ #
     # structural queries
@@ -643,8 +639,6 @@ class BatchedAssembler:
         clone = BatchedAssembler([self._assemblers[int(i)] for i in keep])
         if self._workspace is not None:
             clone.prepare()
-        if self._eliminate_backend != "off":
-            clone.enable_compiled_eliminate(self._eliminate_backend)
         return clone
 
     def initial_state(self) -> np.ndarray:
@@ -726,7 +720,7 @@ class BatchedAssembler:
         return self._workspace is not None
 
     def _assemble_prepared(
-        self, t: float, x_global: np.ndarray, y_global: np.ndarray
+        self, t: np.ndarray, x_global: np.ndarray, y_global: np.ndarray
     ) -> BatchedGlobalLinearisation:
         """Scatter into the persistent workspace, skipping constant fields.
 
@@ -781,29 +775,14 @@ class BatchedAssembler:
         return ws
 
     # ------------------------------------------------------------------ #
-    # compiled elimination
-    # ------------------------------------------------------------------ #
-    def enable_compiled_eliminate(self, backend: str) -> None:
-        """Opt in to a jitted fused elimination for ``backend`` (``"numba"``).
-
-        The kernel is engaged lazily: the first :meth:`eliminate` call
-        after this runs both the stacked-NumPy path and the kernel on the
-        same live data and adopts the kernel only if every output array is
-        bitwise identical — any deviation (or an unavailable backend)
-        silently keeps the NumPy path, so reproducibility can never
-        regress.  Unknown backends are ignored.
-        """
-        self._eliminate_backend = str(backend)
-        self._eliminate_kernel = None
-        self._eliminate_pending = backend == "numba"
-
-    # ------------------------------------------------------------------ #
     # assembly and elimination
     # ------------------------------------------------------------------ #
     def assemble(
-        self, t: float, x_global: np.ndarray, y_global: np.ndarray
+        self, t: np.ndarray, x_global: np.ndarray, y_global: np.ndarray
     ) -> BatchedGlobalLinearisation:
         """Linearise every block group and scatter into stacked Jacobians.
+
+        ``t`` holds each lane's own time point, shape ``(B,)``.
 
         When :meth:`prepare` has bound the fast path, the scatter runs
         through the persistent workspace with constant fields skipped; the
@@ -872,22 +851,6 @@ class BatchedAssembler:
                 elimination_matrix=np.zeros((b, 0, n_states)),
                 elimination_offset=empty,
             )
-        if self._eliminate_kernel is not None:
-            try:
-                em, eo, a_red, b_red = self._eliminate_kernel(
-                    lin.jxx, lin.jxy, lin.ex, lin.jyx, jyy, lin.ey
-                )
-            except np.linalg.LinAlgError:
-                pass  # singular lane: the NumPy path below assigns blame
-            else:
-                y_solution = np.matmul(em, x_global[..., None])[..., 0] + eo
-                return BatchedReducedSystem(
-                    a_reduced=a_red,
-                    b_reduced=b_red,
-                    y_solution=y_solution,
-                    elimination_matrix=em,
-                    elimination_offset=eo,
-                )
         rhs = np.empty((b, jyy.shape[1], n_states + 1))
         rhs[:, :, :-1] = lin.jyx
         rhs[:, :, -1] = lin.ey
@@ -917,30 +880,6 @@ class BatchedAssembler:
         )
         a_reduced = lin.jxx + np.matmul(lin.jxy, elimination_matrix)
         b_reduced = lin.ex + np.matmul(lin.jxy, elimination_offset[..., None])[..., 0]
-        if self._eliminate_pending:
-            # one-shot on-data verification: adopt the jitted fused
-            # elimination only if it reproduces the stacked-NumPy result
-            # bit-for-bit on this march's live arrays
-            self._eliminate_pending = False
-            from .kernels import get_eliminate_kernel
-
-            kernel = get_eliminate_kernel(self._eliminate_backend)
-            if kernel is not None:
-                try:
-                    k_em, k_eo, k_a, k_b = kernel(
-                        lin.jxx, lin.jxy, lin.ex, lin.jyx, jyy, lin.ey
-                    )
-                except Exception:  # pragma: no cover - jit runtime failure
-                    kernel = None
-                else:
-                    if not (
-                        np.array_equal(k_em, elimination_matrix)
-                        and np.array_equal(k_eo, elimination_offset)
-                        and np.array_equal(k_a, a_reduced)
-                        and np.array_equal(k_b, b_reduced)
-                    ):
-                        kernel = None
-                self._eliminate_kernel = kernel
         return BatchedReducedSystem(
             a_reduced=a_reduced,
             b_reduced=b_reduced,
@@ -950,7 +889,7 @@ class BatchedAssembler:
         )
 
     def reduce(
-        self, t: float, x_global: np.ndarray, y_global: Optional[np.ndarray] = None
+        self, t: np.ndarray, x_global: np.ndarray, y_global: Optional[np.ndarray] = None
     ) -> BatchedReducedSystem:
         """Convenience: assemble then eliminate in one call."""
         if y_global is None:

@@ -167,37 +167,47 @@ class AdamsBashforth(ExplicitIntegrator):
     def step_batch(
         self,
         func: DerivativeFn,
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
-        h: float,
+        h: np.ndarray,
         state: Optional[IntegratorState] = None,
     ) -> np.ndarray:
-        """Lock-step Adams-Bashforth update for a ``(B, n)`` lane stack.
+        """Adams-Bashforth update for a ``(B, n)`` lane stack.
 
-        The history holds stacked ``(B, n)`` derivative samples at the
-        shared step times, and the weight contraction runs as a stacked
-        ``matmul`` — the same BLAS kernel per lane as the scalar
+        Every lane runs on its own clock: ``t`` and ``h`` are ``(B,)``
+        arrays and the history holds ``(B,)`` sample times with ``(B, n)``
+        derivative samples.  Each lane's weights are its scalar step's
+        (:func:`_variable_step_weights`) and the contraction runs as a
+        stacked ``matmul`` — the same BLAS kernel per lane as the scalar
         ``weights @ derivatives`` — so every lane advances bit-identically
         to its scalar march.  The start-up RK4 step is element-wise and
-        reuses the scalar helper unchanged.
+        reuses the scalar helper on ``(B, 1)`` step columns.  The batched
+        solver takes only the start-up steps here; it marches full
+        windows through :mod:`repro.core.kernels`.
         """
-        if h <= 0.0:
+        if np.any(h <= 0.0):
             raise ValueError(f"step size must be positive, got {h}")
         x = np.asarray(x, dtype=float)
         derivative = np.asarray(func(t, x), dtype=float)
         if state is None:
-            return x + h * derivative
+            return x + h[:, None] * derivative
         state.push(t, derivative, max_length=self.order)
 
         if len(state.history) < self.order and self.order > 1:
-            return self._runge_kutta_start(func, t, x, h, derivative)
+            return self._runge_kutta_start(
+                func, t[:, None], x, h[:, None], derivative
+            )
 
-        samples: List[Tuple[float, np.ndarray]] = list(state.history)
-        times = [sample_t for sample_t, _ in samples]
+        times = np.array([sample_t for sample_t, _ in state.history]).T.tolist()
+        weights = np.stack(
+            [
+                _variable_step_weights(lane_times, t_i, t_i + h_i)
+                for lane_times, t_i, h_i in zip(times, t.tolist(), h.tolist())
+            ]
+        )
         # (B, k, n): lane-major stack of the k retained derivative samples
-        derivatives = np.stack([sample_f for _, sample_f in samples], axis=1)
-        weights = _variable_step_weights(times, t_start=t, t_end=t + h)
-        increment = np.matmul(weights[None, None, :], derivatives)[:, 0, :]
+        derivatives = np.stack([sample_f for _, sample_f in state.history], axis=1)
+        increment = np.matmul(weights[:, None, :], derivatives)[:, 0, :]
         return x + increment
 
     @staticmethod

@@ -96,24 +96,25 @@ class ExplicitIntegrator(ABC):
     def step_batch(
         self,
         func: DerivativeFn,
-        t: float,
+        t: np.ndarray,
         x: np.ndarray,
-        h: float,
+        h: np.ndarray,
         state: Optional[IntegratorState] = None,
     ) -> np.ndarray:
-        """Advance a ``(B, n)`` stack of lane states in lock-step.
+        """Advance a ``(B, n)`` stack of lane states, each on its own clock.
 
-        ``func`` receives and returns ``(B, n)`` stacks.  The default
-        delegates to :meth:`step`, which is valid for single-step formulas
-        (Forward Euler, Runge-Kutta): their update combines ``x`` and
-        derivative evaluations purely element-wise, so the scalar code is
-        shape-agnostic and each lane's result is bit-identical to its
-        scalar march.  Multi-step formulas contract their derivative
-        history with weights and must override this with a stacked
-        contraction (see
+        ``t`` and ``h`` are the ``(B,)`` per-lane times and steps; ``func``
+        receives and returns ``(B, n)`` stacks.  The default delegates to
+        :meth:`step` with ``(B, 1)`` columns, which is valid for
+        single-step formulas (Forward Euler, Runge-Kutta): their update
+        combines ``x`` and derivative evaluations purely element-wise, so
+        the scalar code is shape-agnostic and each lane's result is
+        bit-identical to its scalar march.  Multi-step formulas contract
+        their derivative history with per-lane weights and override this
+        (see
         :meth:`~repro.core.integrators.adams_bashforth.AdamsBashforth.step_batch`).
         """
-        return self.step(func, t, x, h, state)
+        return self.step(func, t[:, None], x, h[:, None], state)
 
     def notify_discontinuity(self, state: Optional[IntegratorState]) -> None:
         """Inform the integrator that the model changed discontinuously.

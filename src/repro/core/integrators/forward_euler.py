@@ -32,7 +32,7 @@ class ForwardEuler(ExplicitIntegrator):
         h: float,
         state: Optional[IntegratorState] = None,
     ) -> np.ndarray:
-        if h <= 0.0:
+        if np.any(h <= 0.0):
             raise ValueError(f"step size must be positive, got {h}")
         derivative = np.asarray(func(t, x), dtype=float)
         if state is not None:

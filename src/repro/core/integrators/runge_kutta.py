@@ -33,7 +33,7 @@ class RungeKutta2(ExplicitIntegrator):
         h: float,
         state: Optional[IntegratorState] = None,
     ) -> np.ndarray:
-        if h <= 0.0:
+        if np.any(h <= 0.0):
             raise ValueError(f"step size must be positive, got {h}")
         x = np.asarray(x, dtype=float)
         k1 = np.asarray(func(t, x), dtype=float)
@@ -57,7 +57,7 @@ class RungeKutta4(ExplicitIntegrator):
         h: float,
         state: Optional[IntegratorState] = None,
     ) -> np.ndarray:
-        if h <= 0.0:
+        if np.any(h <= 0.0):
             raise ValueError(f"step size must be positive, got {h}")
         x = np.asarray(x, dtype=float)
         k1 = np.asarray(func(t, x), dtype=float)

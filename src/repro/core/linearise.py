@@ -142,7 +142,7 @@ def _check_shapes(block: AnalogueBlock, lin: BlockLinearisation, shapes) -> None
 # ---------------------------------------------------------------------- #
 def linearise_lanes_numerically(
     lanes: Sequence[AnalogueBlock],
-    t: float,
+    t: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     *,
@@ -216,7 +216,7 @@ def linearise_lanes_numerically(
 
 def linearise_block_lanes(
     lanes: Sequence[AnalogueBlock],
-    t: float,
+    t: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
 ) -> BatchedLinearisation:
@@ -229,19 +229,26 @@ def linearise_block_lanes(
        one batched object (unported analytic blocks keep working);
     3. blocks without analytic Jacobians fall back to the batched
        finite-difference sweep of :func:`linearise_lanes_numerically`.
+
+    ``t`` holds each lane's own time point, shape ``(B,)``; the scalar
+    fallbacks see lane ``i`` at ``t[i]``.
     """
     rep = lanes[0]
     lin = rep.linearise_batch(lanes, t, x, y)
     if lin is not None:
         lin.validate(len(lanes), rep.n_states, rep.n_terminals, rep.n_algebraic)
         return lin
-    scalar = [lane.linearise(t, x[i], y[i]) for i, lane in enumerate(lanes)]
+    times = t.tolist()
+    scalar = [lane.linearise(times[i], x[i], y[i]) for i, lane in enumerate(lanes)]
     if all(s is not None for s in scalar):
         return BatchedLinearisation.stack(scalar)
     if any(s is not None for s in scalar):
         # mixed analytic/numeric lanes (heterogeneous subclasses): degrade
         # to the scalar per-lane dispatcher rather than guessing
         return BatchedLinearisation.stack(
-            [linearise_block(lane, t, x[i], y[i]) for i, lane in enumerate(lanes)]
+            [
+                linearise_block(lane, times[i], x[i], y[i])
+                for i, lane in enumerate(lanes)
+            ]
         )
     return linearise_lanes_numerically(lanes, t, x, y)

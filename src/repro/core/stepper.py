@@ -32,7 +32,6 @@ __all__ = [
     "StepControlSettings",
     "StepSizeController",
     "BatchedStepController",
-    "negotiate_shared_step",
     "relative_jacobian_drift",
 ]
 
@@ -246,18 +245,16 @@ class StepSizeController:
 
 
 class BatchedStepController:
-    """Lane-parallel step-size control for the batched lock-step march.
+    """Lane-parallel step-size control for the batched march.
 
     Runs the same accuracy/stability policy as ``B`` independent
     :class:`StepSizeController` instances — per-lane Jacobian-drift
     shrink/grow, per-lane cached spectral limits with drift-triggered
     recomputation — but holds everything in stacked arrays so one batched
     eigenvalue sweep serves every lane that needs a fresh stability bound.
-
-    The batched solver marches all lanes at the *minimum* of the per-lane
-    proposals; :meth:`commit` feeds that shared step back so the per-lane
-    growth limit references the step actually executed, exactly as the
-    scalar controller's ``_h_current`` does.
+    Each lane keeps its own proposal: the batched solver marches every
+    lane at its own step, so lane ``i``'s proposals are exactly its
+    scalar controller's.
 
     Lanes may carry different :class:`StepControlSettings` (a frequency
     sweep gives every candidate its own ``h_max``); the per-lane knobs are
@@ -293,11 +290,7 @@ class BatchedStepController:
         self._shrink = gather("shrink_limit")
         self._change_target = gather("jacobian_change_target")
         self._recompute_threshold = gather("stability_recompute_threshold")
-
-        self._h_current = self._h_initial.copy()
-        self._previous_jacobian: Optional[np.ndarray] = None
-        self._stability_jacobian: Optional[np.ndarray] = None
-        self._cached_stability_limit: Optional[np.ndarray] = None
+        self.reset()
 
     @property
     def n_lanes(self) -> int:
@@ -306,10 +299,15 @@ class BatchedStepController:
 
     def reset(self) -> None:
         """Reset every lane (mirrors :meth:`StepSizeController.reset`)."""
+        b = self._h_initial.shape[0]
         self._h_current = self._h_initial.copy()
-        self._previous_jacobian = None
-        self._stability_jacobian = None
-        self._cached_stability_limit = None
+        # per-lane previous/stability Jacobians, allocated on first use;
+        # the masks say which lanes hold one yet
+        self._previous_jacobian: Optional[np.ndarray] = None
+        self._stability_jacobian: Optional[np.ndarray] = None
+        self._has_previous = np.zeros(b, dtype=bool)
+        self._cached_stability_limit = np.full(b, np.inf)
+        self._has_stability = np.zeros(b, dtype=bool)
 
     def select(self, keep: np.ndarray) -> None:
         """Drop retired lanes, keeping only the indices in ``keep``."""
@@ -323,139 +321,114 @@ class BatchedStepController:
             "_change_target",
             "_recompute_threshold",
             "_h_current",
-        ):
-            setattr(self, attr, getattr(self, attr)[keep])
-        for attr in (
+            "_has_previous",
+            "_cached_stability_limit",
+            "_has_stability",
             "_previous_jacobian",
             "_stability_jacobian",
-            "_cached_stability_limit",
         ):
             value = getattr(self, attr)
             if value is not None:
                 setattr(self, attr, value[keep])
 
+    def _allocate(self, a_reduced: np.ndarray) -> None:
+        if self._previous_jacobian is None:
+            self._previous_jacobian = np.zeros(a_reduced.shape)
+            self._stability_jacobian = np.zeros(a_reduced.shape)
+
     # ------------------------------------------------------------------ #
     # criteria
     # ------------------------------------------------------------------ #
-    def stability_limits(self, a_reduced: np.ndarray) -> np.ndarray:
-        """Per-lane stable-step bounds with drift-gated recomputation."""
-        b = a_reduced.shape[0]
+    def stability_limits(
+        self, a_reduced: np.ndarray, lanes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Stable-step bounds of ``lanes`` (default: all) with drift-gated
+        recomputation; ``a_reduced`` covers every lane."""
+        # a slice selects every lane without copying
+        sel = slice(None) if lanes is None else lanes
+        a = a_reduced[sel]
         if not self._use_spectral:
             return np.array(
                 [
-                    diagonal_dominance_step_limit(
-                        a_reduced[i], safety=float(self._safety[i])
-                    )
-                    for i in range(b)
+                    diagonal_dominance_step_limit(a_i, safety=safety)
+                    for a_i, safety in zip(a, self._safety[sel].tolist())
                 ]
             )
-        if self._cached_stability_limit is None:
-            recompute = np.ones(b, dtype=bool)
-        else:
-            drift = relative_jacobian_drift(a_reduced, self._stability_jacobian)
-            recompute = drift > self._recompute_threshold
+        self._allocate(a_reduced)
+        drift = relative_jacobian_drift(a, self._stability_jacobian[sel])
+        recompute = ~self._has_stability[sel] | (
+            drift > self._recompute_threshold[sel]
+        )
         if np.any(recompute):
             fresh = integrator_step_limit_batch(
-                a_reduced[recompute],
+                a[recompute],
                 real_extent=self._real_extent,
                 imag_extent=self._imag_extent,
                 safety=1.0,
             )
-            fresh = np.where(
-                np.isfinite(fresh), self._safety[recompute] * fresh, float("inf")
+            targets = (
+                np.flatnonzero(recompute) if lanes is None else lanes[recompute]
             )
-            if self._cached_stability_limit is None:
-                self._cached_stability_limit = fresh
-                self._stability_jacobian = np.array(a_reduced, dtype=float, copy=True)
-            else:
-                self._cached_stability_limit[recompute] = fresh
-                self._stability_jacobian[recompute] = a_reduced[recompute]
-        return self._cached_stability_limit
+            self._cached_stability_limit[targets] = np.where(
+                np.isfinite(fresh), self._safety[targets] * fresh, float("inf")
+            )
+            self._stability_jacobian[targets] = a[recompute]
+            self._has_stability[targets] = True
+        return self._cached_stability_limit[sel]
 
     # ------------------------------------------------------------------ #
     # main entry point
     # ------------------------------------------------------------------ #
     def propose(
-        self, a_reduced: np.ndarray, *, t_remaining: Optional[np.ndarray] = None
+        self,
+        a_reduced: np.ndarray,
+        *,
+        t_remaining: Optional[np.ndarray] = None,
+        lanes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-lane step proposals for the next shared explicit step.
+        """Step proposals for the lanes in ``lanes`` (default: all).
 
-        ``a_reduced`` is the stacked ``(B, n, n)`` reduced system matrices;
-        ``t_remaining`` the per-lane time left (or ``None``).  Returns the
-        ``(B,)`` array of proposals; the caller marches at their minimum.
+        ``a_reduced`` is the stacked ``(B, n, n)`` reduced system matrices
+        and ``t_remaining`` the per-lane time left (or ``None``), both for
+        every lane; only the ``lanes`` entries are read, and only their
+        controller state advances.  Returns one proposal per selected lane.
         """
-        h = self._h_current
+        self._allocate(a_reduced)
+        sel = slice(None) if lanes is None else lanes
+        a = a_reduced[sel]
+        h = self._h_current[sel]
 
-        if self._previous_jacobian is None:
-            change = np.zeros(h.shape[0])
-        else:
-            change = relative_jacobian_drift(a_reduced, self._previous_jacobian)
+        change = np.where(
+            self._has_previous[sel],
+            relative_jacobian_drift(a, self._previous_jacobian[sel]),
+            0.0,
+        )
+        change_target = self._change_target[sel]
         shrink_factor = np.maximum(
-            self._shrink,
+            self._shrink[sel],
             np.divide(
-                self._change_target,
+                change_target,
                 change,
                 out=np.ones_like(change),
                 where=change > 0.0,
             ),
         )
-        h = np.where(change > self._change_target, h * shrink_factor, h * self._growth)
+        h = np.where(
+            change > change_target, h * shrink_factor, h * self._growth[sel]
+        )
 
-        h = np.minimum(h, self.stability_limits(a_reduced))
-        h = np.minimum(h, self._h_max)
-        h = np.maximum(h, self._h_min)
+        h = np.minimum(h, self.stability_limits(a_reduced, lanes))
+        h = np.minimum(h, self._h_max[sel])
+        h = np.maximum(h, self._h_min[sel])
         if t_remaining is not None:
-            h = np.where(t_remaining > 0.0, np.minimum(h, t_remaining), h)
+            remaining = t_remaining[sel]
+            h = np.where(remaining > 0.0, np.minimum(h, remaining), h)
 
         if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
             raise StepSizeError(
                 f"batched step controller produced invalid steps {h!r}"
             )
-        self._previous_jacobian = np.array(a_reduced, dtype=float, copy=True)
-        self._h_current = h
+        self._previous_jacobian[sel] = a
+        self._has_previous[sel] = True
+        self._h_current[sel] = h
         return h
-
-    def commit(self, h_shared: float) -> None:
-        """Record the shared step actually executed by the lock-step march."""
-        self._h_current = np.full(self.n_lanes, float(h_shared))
-
-
-def negotiate_shared_step(
-    controller: Optional["BatchedStepController"],
-    reduced_a: Optional[np.ndarray],
-    remaining: np.ndarray,
-    fixed_step: Optional[float],
-    refresh: bool,
-    held_h: Optional[float],
-) -> "Tuple[float, float, Optional[float]]":
-    """One shared-step decision of the lock-step batched march.
-
-    The step-choice block of ``BatchedSolver``'s march (which also feeds
-    ``h_nominal`` to its burst kernels, whose in-burst schedule
-    ``h_j = min(h_nominal, min(t_end) - t_j)`` replicates the held-step
-    clamp below bitwise — that is what lets adaptive runs advance in
-    multi-step bursts between negotiations):
-
-    * fixed-step mode: ``h = min(fixed_step, min(remaining))``;
-    * at a refresh: batched proposals against the fresh Jacobians, march
-      at their minimum, commit it as the new held step;
-    * on held steps: reuse the committed step, clamped to the remaining
-      time.
-
-    Returns ``(h, h_nominal, held_h)`` — the step to take now, the
-    nominal step a burst may repeat until its next clamp/event, and the
-    updated held step.
-    """
-    if fixed_step is not None:
-        return (
-            float(min(fixed_step, float(np.min(remaining)))),
-            fixed_step,
-            held_h,
-        )
-    if refresh:
-        proposals = controller.propose(reduced_a, t_remaining=remaining)
-        h = float(np.min(proposals))
-        controller.commit(h)
-        return h, h, h
-    h = float(min(held_h, float(np.min(remaining))))
-    return h, held_h, held_h

@@ -45,6 +45,11 @@ def run_sweep(options):
 #: the store they write to, so the second run is never served by the
 #: first run's cache entries)
 CASES = {
+    "backend": lambda tmp: (RunOptions(), RunOptions.batched()),
+    "compiled": lambda tmp: (
+        RunOptions.batched(compiled="off"),
+        RunOptions.batched(compiled="auto"),
+    ),
     "n_workers": lambda tmp: (RunOptions(), RunOptions(n_workers=2)),
     "n_workers_batched_adaptive": lambda tmp: (
         RunOptions.batched(),
@@ -89,30 +94,7 @@ CASES = {
 @pytest.mark.parametrize(
     "case",
     sorted(FINGERPRINT_EXEMPT)
-    + [
-        pytest.param(
-            "lane_width_adaptive",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason=(
-                    "adaptive batched lanes march at the smallest step their "
-                    "lane-mates propose, so scores depend on lane packing "
-                    "(measured: 3.9e-4 relative at width 3 vs 6)"
-                ),
-            ),
-        ),
-        pytest.param(
-            "n_workers_batched_adaptive",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason=(
-                    "the default lane width is ceil(n / n_workers), so adaptive "
-                    "batched scores inherit the lane-packing dependence "
-                    "(measured: 4.42708e-09 vs 4.42722e-09 at 1 vs 2 workers)"
-                ),
-            ),
-        ),
-    ],
+    + ["lane_width_adaptive", "n_workers_batched_adaptive"],
 )
 def test_exempt_knob_never_changes_a_score(case, tmp_path):
     if case not in CASES:
@@ -150,8 +132,6 @@ def test_fingerprint_passes_each_field_by_name(monkeypatch):
         integrator=AdamsBashforth(order=3),
         settings=SolverSettings(),
         relinearise_interval=4,
-        backend="batched",
-        compiled="auto",
         explore="random",
         budget=4,
         seed=3,

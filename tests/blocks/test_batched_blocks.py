@@ -115,12 +115,15 @@ def _operating_points(rng, block):
 
 
 def _assert_stacks_equal(batched, lanes, t, x, y):
-    """Batched linearisation must equal per-lane scalar results exactly."""
+    """Batched linearisation must equal per-lane scalar results exactly.
+
+    ``t`` holds each lane's own time point.
+    """
     assert isinstance(batched, BatchedLinearisation)
     rep = lanes[0]
     batched.validate(len(lanes), rep.n_states, rep.n_terminals, rep.n_algebraic)
     for i, lane in enumerate(lanes):
-        scalar = linearise_block(lane, t, x[i], y[i])
+        scalar = linearise_block(lane, float(t[i]), x[i], y[i])
         for attr in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
             got = getattr(batched, attr)[i]
             want = getattr(scalar, attr)
@@ -151,7 +154,7 @@ def test_linearise_batch_stacks_scalar_linearise(key, seed):
     rng = np.random.default_rng(seed)
     lanes = _build_lanes(key, rng, lambda r, i: _lane_params(key, r, i))
     x, y = _operating_points(rng, lanes[0])
-    t = float(rng.uniform(0.0, 0.05))
+    t = rng.uniform(0.0, 0.05, size=N_LANES)  # every lane on its own clock
     batched = linearise_block_lanes(lanes, t, x, y)
     _assert_stacks_equal(batched, lanes, t, x, y)
     # the prepared lineariser, bound positionally the way the batched
@@ -166,15 +169,16 @@ def test_evaluate_batch_stacks_scalar_evaluation(key):
     rng = np.random.default_rng(7)
     lanes = _build_lanes(key, rng, lambda r, i: _lane_params(key, r, i))
     x, y = _operating_points(rng, lanes[0])
-    t = 0.0123
+    t = 0.0123 + 0.001 * np.arange(N_LANES)
     dxdt, res_y = lanes[0].evaluate_batch(lanes, t, x, y)
     assert dxdt.shape == (N_LANES, lanes[0].n_states)
     assert res_y.shape == (N_LANES, lanes[0].n_algebraic)
     for i, lane in enumerate(lanes):
-        assert np.array_equal(dxdt[i], lane.derivatives(t, x[i], y[i]))
+        t_i = float(t[i])
+        assert np.array_equal(dxdt[i], lane.derivatives(t_i, x[i], y[i]))
         if lane.n_algebraic:
             assert np.array_equal(
-                res_y[i], lane.algebraic_residual(t, x[i], y[i])
+                res_y[i], lane.algebraic_residual(t_i, x[i], y[i])
             )
 
 
@@ -195,8 +199,9 @@ def test_electrostatic_batched_fd_matches_scalar_fd():
     # use plate-charge-scaled states so the relative FD step paths (both
     # |x| < 1 and |x| > 1) are exercised
     x[:, 2] = rng.uniform(0.5, 2.0, size=N_LANES) * 2e-8
-    batched = linearise_lanes_numerically(lanes, 0.01, x, y)
-    _assert_stacks_equal(batched, lanes, 0.01, x, y)
+    t = np.full(N_LANES, 0.01)
+    batched = linearise_lanes_numerically(lanes, t, x, y)
+    _assert_stacks_equal(batched, lanes, t, x, y)
 
 
 def test_dickson_mixed_diode_tables_take_the_lane_loop():
@@ -212,8 +217,9 @@ def test_dickson_mixed_diode_tables_take_the_lane_loop():
     tables = {id(lane.companion_table) for lane in lanes}
     assert len(tables) == N_LANES
     x, y = _operating_points(rng, lanes[0])
-    batched = linearise_block_lanes(lanes, 0.0, x, y)
-    _assert_stacks_equal(batched, lanes, 0.0, x, y)
+    t = np.zeros(N_LANES)
+    batched = linearise_block_lanes(lanes, t, x, y)
+    _assert_stacks_equal(batched, lanes, t, x, y)
 
 
 def test_linear_block_batched_port():
@@ -238,5 +244,6 @@ def test_linear_block_batched_port():
         )
     x = rng.standard_normal((3, 2))
     y = rng.standard_normal((3, 1))
-    batched = linearise_block_lanes(lanes, 0.2, x, y)
-    _assert_stacks_equal(batched, lanes, 0.2, x, y)
+    t = np.array([0.2, 0.3, 0.4])
+    batched = linearise_block_lanes(lanes, t, x, y)
+    _assert_stacks_equal(batched, lanes, t, x, y)

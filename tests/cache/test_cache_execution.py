@@ -171,16 +171,17 @@ def test_sweep_workers_write_the_entries(tmp_path):
     assert stats["n_points"] == len(SWEEP_AXES["excitation_frequency_hz"])
 
 
-def test_sweep_cache_keys_differ_across_backends(tmp_path):
-    # the execution fingerprint covers the backend (documented adaptive
-    # shared-step tolerance), so a process-cold cache gives the batched
-    # backend no hits — hits never lie about what produced them
+def test_process_cold_cache_serves_a_batched_sweep(tmp_path):
+    # every batched lane is bitwise its scalar run, so both backends share
+    # one cache: a process-cold store serves every batched point
     cache_dir = str(tmp_path)
-    sweep_study(RunOptions(cache="readwrite", cache_dir=cache_dir)).run()
+    process = sweep_study(RunOptions(cache="readwrite", cache_dir=cache_dir)).run()
     batched = sweep_study(
         RunOptions.batched(lane_width=2, cache="readwrite", cache_dir=cache_dir)
     ).run()
-    assert batched.engine_info.n_cache_hits == 0
+    assert batched.engine_info.n_cache_hits == len(batched.points)
+    assert batched.engine_info.n_evaluated == 0
+    assert [p.score for p in batched.points] == [p.score for p in process.points]
 
 
 def test_sweep_cache_and_checkpoint_share_one_fingerprint(tmp_path):
@@ -189,9 +190,7 @@ def test_sweep_cache_and_checkpoint_share_one_fingerprint(tmp_path):
     from repro.api.options import execution_fingerprint
 
     options = RunOptions.batched(relinearise_interval=3)
-    assert options.fingerprint() == execution_fingerprint(
-        relinearise_interval=3, backend="batched"
-    )
+    assert options.fingerprint() == execution_fingerprint(relinearise_interval=3)
 
     # and the checkpoint grid hash moves with the shared fingerprint
     sweep = sweep_study(RunOptions()).plan().sweep
@@ -217,7 +216,18 @@ def test_checkpoint_config_hash_is_pinned():
         "grid": "20284d596ea4774e",
     }
     held = SweepEngine(RunOptions.batched(relinearise_interval=3))
-    assert held._checkpoint_metadata(sweep)["grid"] == "2b9b88355ad53925"
+    assert held._checkpoint_metadata(sweep)["grid"] == SweepEngine(
+        RunOptions.fast(3)
+    )._checkpoint_metadata(sweep)["grid"]
+
+
+#: the point keys a process sweep writes; the batched backend shares them
+PROCESS_POINT_KEYS = [
+    "51d500e96f1390535c04c54b5b2b03e052edbeeb4964c0504fd6ef9941d538b4",
+    "9f35d56bbebd997f2f00c8afac050bcac20a4abd5620655881d9c31378b98158",
+    "be048cb203682d4a7e1e9b3714a5040893b4bb218bd6a1e80b866bac8420d94e",
+    "fbba4a0e59b4a8c2c20c2045ae623174aee015d37347c7d826e4646762604ac4",
+]
 
 
 @pytest.mark.parametrize(
@@ -225,23 +235,13 @@ def test_checkpoint_config_hash_is_pinned():
     [
         (
             lambda d: RunOptions(cache="readwrite", cache_dir=d),
-            [
-                "51d500e96f1390535c04c54b5b2b03e052edbeeb4964c0504fd6ef9941d538b4",
-                "9f35d56bbebd997f2f00c8afac050bcac20a4abd5620655881d9c31378b98158",
-                "be048cb203682d4a7e1e9b3714a5040893b4bb218bd6a1e80b866bac8420d94e",
-                "fbba4a0e59b4a8c2c20c2045ae623174aee015d37347c7d826e4646762604ac4",
-            ],
+            PROCESS_POINT_KEYS,
         ),
         (
             lambda d: RunOptions.batched(
                 lane_width=2, cache="readwrite", cache_dir=d
             ),
-            [
-                "0a2c9b05b0978ec26d327d347ece9b3a584bd6f0eb4964923089fcf10022e75f",
-                "5765c1c93207e5f402cf3819c009137f5d06b6fcc5862e6f7c33093249e149aa",
-                "857a5f38a373f06b105eb5415e07f009a9034aa14efb87d10623232212315e66",
-                "bd7318d943040ac799baca5e6a6229cd54276f59e81c6222b29c8a1baeb0e1fd",
-            ],
+            PROCESS_POINT_KEYS,
         ),
     ],
     ids=["process", "batched"],
@@ -251,8 +251,9 @@ def test_sweep_point_cache_keys_are_pinned(
 ):
     """Existing sweep caches keep hitting: the point keys on disk are stable.
 
-    The keys below were recorded before the store lost its pluggable
-    byte backends; a change here orphans every cached sweep point.
+    The keys above were recorded before the store lost its pluggable
+    byte backends; a change here orphans every cached sweep point.  The
+    batched backend writes exactly the process keys (one shared cache).
     """
     monkeypatch.setattr(
         cache_store, "code_version_salt", lambda: "repro-pinned+schema2"

@@ -1,4 +1,4 @@
-"""March kernels: backend resolution, byte-identity, guard overflow."""
+"""The march kernel: lane independence, byte-identity, guard overflow."""
 
 from contextlib import contextmanager
 from dataclasses import replace
@@ -7,14 +7,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro import Study
 from repro.core import batch, kernels
 from repro.core.batch import BatchedSolver, BatchResult
 from repro.core.block import LinearBlock
 from repro.core.elimination import BatchedAssembler, SystemAssembler
 from repro.core.errors import ConfigurationError, StabilityError
 from repro.core.kernels import (
-    COMPILED_MODES,
-    MarchResult,
     available_backends,
     batched_state_norms,
     resolve_compiled,
@@ -57,27 +56,25 @@ LANE_SETS = {
 }
 
 
-def _zero_step_kernel(a, b, x, t, h_nominal, t_end, max_steps, history,
-                      rec_last, rec_thresh, state_rtol, x_ref,
-                      divergence_limit):
-    """A march kernel that never bursts (the no-op of the kernel contract)."""
-    return MarchResult(
-        steps=0, t=t, x=x, x_prev=x, history=list(history),
-        h_min=np.inf, h_max=0.0, h_last=0.0, diverged=None,
-    )
+def _one_step_kernels(backend):
+    """The march kernel capped at one step per call."""
+    kernel = kernels.get_march_kernel(backend)
+
+    def one_step(a, b, x, t, h_held, t_end, max_steps, *rest):
+        return kernel(a, b, x, t, h_held, t_end, 1, *rest)
+
+    return one_step
 
 
 @contextmanager
 def stepwise_march():
-    """Reference march: every step taken one at a time, no kernel bursts.
+    """Reference march: every step taken one at a time.
 
-    With a zero-step kernel the batched loop falls through to its
-    single-step path on every iteration, checking the divergence guard
-    after each step — the reference every burst kernel must reproduce.
+    With the kernel capped at one step the batched loop makes every
+    refresh decision, record and divergence check between single steps —
+    the reference every multi-step burst must reproduce.
     """
-    with mock.patch.object(
-        batch, "get_march_kernel", lambda backend: _zero_step_kernel
-    ):
+    with mock.patch.object(batch, "get_march_kernel", _one_step_kernels):
         yield
 
 
@@ -93,15 +90,13 @@ def unprepared_refresh():
         yield
 
 
-def _batched_run(scenarios, settings_list, compiled="off", t_end=None):
+def _batched_run(scenarios, settings_list, t_end=None):
     structure = prepare_assembly(scenarios[0])
     harvesters = [
         s.build_harvester(assembly_structure=structure) for s in scenarios
     ]
     solver = BatchedSolver(
-        [h.assembler for h in harvesters],
-        settings=settings_list,
-        compiled=compiled,
+        [h.assembler for h in harvesters], settings=settings_list
     )
     for i, harvester in enumerate(harvesters):
         harvester._wire(solver.lane_wiring(i))
@@ -115,33 +110,40 @@ def _stepwise_run(scenarios, settings_list, **kwargs):
         return _batched_run(scenarios, settings_list, **kwargs)
 
 
+def _assert_runs_identical(ref, got, i=0):
+    """One lane's traces and step statistics are bitwise equal."""
+    assert sorted(ref.traces) == sorted(got.traces)
+    for name in ref.traces:
+        assert np.array_equal(ref[name].times, got[name].times), (
+            f"lane {i} {name}: times differ"
+        )
+        assert np.array_equal(ref[name].values, got[name].values), (
+            f"lane {i} {name}: values differ"
+        )
+    for key in (
+        "n_steps",
+        "n_accepted_steps",
+        "n_function_evaluations",
+        "n_jacobian_evaluations",
+        "n_linear_solves",
+        "min_step",
+        "max_step",
+        "final_time",
+    ):
+        assert getattr(ref.stats, key) == getattr(got.stats, key), (
+            f"lane {i} stats.{key} differs"
+        )
+    assert (
+        ref.metadata["n_jacobian_reuses"] == got.metadata["n_jacobian_reuses"]
+    ), f"lane {i} n_jacobian_reuses differs"
+
+
 def _assert_batches_identical(reference, result):
     assert set(reference.failures) == set(result.failures)
     for i, (ref, got) in enumerate(zip(reference.results, result.results)):
         assert (ref is None) == (got is None)
-        if ref is None:
-            continue
-        assert sorted(ref.traces) == sorted(got.traces)
-        for name in ref.traces:
-            assert np.array_equal(ref[name].times, got[name].times), (
-                f"lane {i} {name}: times differ"
-            )
-            assert np.array_equal(ref[name].values, got[name].values), (
-                f"lane {i} {name}: values differ"
-            )
-        for key in (
-            "n_steps",
-            "n_accepted_steps",
-            "n_function_evaluations",
-            "n_jacobian_evaluations",
-            "n_linear_solves",
-            "min_step",
-            "max_step",
-            "final_time",
-        ):
-            assert getattr(ref.stats, key) == getattr(got.stats, key), (
-                f"lane {i} stats.{key} differs"
-            )
+        if ref is not None:
+            _assert_runs_identical(ref, got, i)
 
 
 def _fixed_settings(scenarios, fixed_step, **overrides):
@@ -188,28 +190,66 @@ def _settings_for(scenario):
     return scenario.solver_settings()
 
 
-# the compiled modes exercised here: "off" (the numpy kernel) plus every
-# importable native backend
-MODES = ("off",) + tuple(b for b in available_backends() if b != "numpy")
+def _scalar_run(scenario, settings):
+    """The candidate alone on LinearisedStateSpaceSolver, via the facade."""
+    return Study.scenario(scenario).options(settings=settings).run().result
+
+
+#: the lane sets without a digital controller: their batched lanes are
+#: the very candidates the scalar solver runs
+CONTROLLER_FREE = {"charging", "piezoelectric_charging", "electrostatic_charging"}
+
+#: solver profiles the lane-independence contract is checked under
+PROFILES = {
+    "adaptive_interval_1": lambda s: _settings_for(s),
+    "adaptive_interval_4": lambda s: replace(
+        _settings_for(s), relinearise_interval=4
+    ),
+    "adaptive_drift_guard": lambda s: replace(
+        _settings_for(s), relinearise_interval=8, relinearise_state_rtol=1e-6
+    ),
+    "fixed_step": lambda s: replace(
+        _settings_for(s), fixed_step=1e-4 if hasattr(s, "config") else 5e-5
+    ),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("factory", sorted(LANE_SETS))
+def test_each_lane_is_its_own_run(factory, profile):
+    """A lane's run never depends on its lane-mates.
+
+    Every lane of a packed run equals the same lane marched alone
+    (``B = 1``) bitwise — traces, step statistics and Jacobian reuses —
+    and, for controller-free candidates, the scalar solver's run.
+    """
+    scenarios = LANE_SETS[factory]()
+    settings_list = [PROFILES[profile](s) for s in scenarios]
+    packed = _batched_run(scenarios, settings_list)
+    assert not packed.failures
+    for i, (scenario, settings) in enumerate(zip(scenarios, settings_list)):
+        alone = _batched_run([scenario], [settings]).results[0]
+        _assert_runs_identical(alone, packed.results[i], i)
+        if factory in CONTROLLER_FREE:
+            _assert_runs_identical(
+                _scalar_run(scenario, settings), packed.results[i], i
+            )
 
 
 @pytest.mark.parametrize("factory", sorted(LANE_SETS))
-@pytest.mark.parametrize("mode", MODES)
 class TestFixedStepByteIdentity:
-    def test_backend_matches_stepwise_exactly(self, factory, mode):
+    def test_bursts_match_stepwise_exactly(self, factory):
         scenarios = LANE_SETS[factory]()
         step = 1e-4 if hasattr(scenarios[0], "config") else 5e-5
         settings_list = [
             replace(_settings_for(s), fixed_step=step) for s in scenarios
         ]
         reference = _stepwise_run(scenarios, settings_list)
-        result = _batched_run(scenarios, settings_list, compiled=mode)
+        result = _batched_run(scenarios, settings_list)
         assert not reference.failures
-        for got in result.results:
-            assert got.metadata["compiled"] == resolve_compiled(mode)
         _assert_batches_identical(reference, result)
 
-    def test_hold_interval_matches_stepwise_exactly(self, factory, mode):
+    def test_hold_interval_matches_stepwise_exactly(self, factory):
         # the amortised profile is where the burst kernel actually runs
         # long windows; identity must survive it
         scenarios = LANE_SETS[factory]()
@@ -219,15 +259,13 @@ class TestFixedStepByteIdentity:
             for s in scenarios
         ]
         reference = _stepwise_run(scenarios, settings_list)
-        result = _batched_run(scenarios, settings_list, compiled=mode)
+        result = _batched_run(scenarios, settings_list)
         assert not reference.failures
         _assert_batches_identical(reference, result)
 
 
 class TestAdaptiveIdentity:
     def test_numpy_kernel_matches_stepwise_exactly(self):
-        # the numpy kernel replays the single-step arithmetic expression
-        # for expression, so even adaptive shared-step runs stay bitwise
         scenarios = LANE_SETS["charging"]()
         settings_list = [_settings_for(s) for s in scenarios]
         reference = _stepwise_run(scenarios, settings_list)
@@ -261,8 +299,9 @@ class TestLaneRetirement:
     def test_lane_overflowing_inside_a_burst_retires_alone(self):
         # lane 1 starts near 1e300 on an unstable model and overflows to
         # inf partway through a hold window; the unbounded divergence
-        # limit leaves non-finiteness as the only trip, sampled when the
-        # burst exits
+        # limit leaves non-finiteness as the only trip.  The kernel checks
+        # the guard after every step, so the burst retires the lane at
+        # the very step the step-by-step march does.
         rates = (-1.0, 500.0, -3.0)
         x0 = np.array([[1.0, -0.5, 0.25], [1e300, 1e300, 0.0], [0.5, 0.5, 0.5]])
         settings = SolverSettings(
@@ -304,14 +343,16 @@ class TestLaneRetirement:
         assert len(tripped) == 1
         burst = tripped[0]
         assert burst.diverged.tolist() == [False, True, False]
-        assert f"t={burst.t:.6g} " in str(result.failures[1])
-        # the step-by-step guard catches the overflow strictly earlier, so
-        # the lane went non-finite inside the burst, not on its last step
+        assert burst.steps > 1  # the overflow came inside a multi-step burst
+        assert f"t={burst.t[1]:.6g} " in str(result.failures[1])
+        # same failure time and step as the step-by-step guard
         assert set(stepwise.failures) == {1}
-        assert f"t={burst.t:.6g} " not in str(stepwise.failures[1])
-        assert burst.steps > 1
+        assert str(stepwise.failures[1]) == str(result.failures[1])
+        survivors = BatchResult(results=[result.results[0], result.results[2]])
+        _assert_batches_identical(healthy, survivors)
         _assert_batches_identical(
-            healthy, BatchResult(results=[result.results[0], result.results[2]])
+            BatchResult(results=[stepwise.results[0], stepwise.results[2]]),
+            survivors,
         )
 
 
@@ -319,10 +360,13 @@ class TestBackendResolution:
     def test_off_resolves_to_the_numpy_kernel(self):
         assert resolve_compiled("off") == "numpy"
 
-    def test_numpy_is_always_available(self):
-        assert available_backends()[-1] == "numpy"
+    def test_auto_resolves_to_the_numpy_kernel(self):
+        assert resolve_compiled("auto") == "numpy"
 
-    @pytest.mark.parametrize("mode", ("cuda", "numpy"))
+    def test_numpy_is_always_available(self):
+        assert available_backends() == ("numpy",)
+
+    @pytest.mark.parametrize("mode", ("cuda", "numpy", "numba"))
     def test_unknown_mode_is_rejected(self, mode):
         from repro.api import RunOptions
 
@@ -330,78 +374,6 @@ class TestBackendResolution:
             resolve_compiled(mode)
         with pytest.raises(ConfigurationError, match="unknown compiled mode"):
             RunOptions.batched(compiled=mode)
-
-    def test_solver_rejects_unknown_mode(self):
-        scenarios = LANE_SETS["charging"]()[:1]
-        structure = prepare_assembly(scenarios[0])
-        harvester = scenarios[0].build_harvester(assembly_structure=structure)
-        with pytest.raises(ConfigurationError, match="unknown compiled mode"):
-            BatchedSolver([harvester.assembler], compiled="cuda")
-
-
-class TestNoNumbaEnvironment:
-    """Behaviour pinned for environments without the compiled extras."""
-
-    @pytest.fixture(autouse=True)
-    def no_native_backends(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_PROBE_CACHE", {"numba": False})
-        yield
-
-    def test_auto_degrades_to_the_numpy_kernel(self):
-        assert available_backends() == ("numpy",)
-        assert resolve_compiled("auto") == "numpy"
-
-    def test_auto_still_runs_and_matches_stepwise(self):
-        scenarios = LANE_SETS["charging"]()
-        settings_list = _fixed_settings(scenarios, 1e-4)
-        reference = _stepwise_run(scenarios, settings_list)
-        result = _batched_run(scenarios, settings_list, compiled="auto")
-        for got in result.results:
-            assert got.metadata["compiled"] == "numpy"
-        _assert_batches_identical(reference, result)
-
-    def test_explicit_native_backend_raises_a_clear_error(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_compiled("numba")
-        message = str(excinfo.value)
-        assert "numba" in message
-        assert "repro[compiled]" in message
-
-    def test_auto_shares_the_default_fingerprint(self):
-        # "auto" resolves to the numpy kernel "off" already runs, so both
-        # must key one cache entry
-        from repro.api import RunOptions
-
-        assert (
-            RunOptions.batched(compiled="auto").fingerprint()
-            == RunOptions.batched().fingerprint()
-        )
-
-    def test_auto_survives_a_broken_numba_build(self, monkeypatch):
-        # numba importable but unusable: "auto" warns and marches on the
-        # numpy kernel, an explicit "numba" surfaces the build error
-        def broken_build():
-            raise ImportError("no LAPACK bindings")
-
-        monkeypatch.setattr(kernels, "_PROBE_CACHE", {"numba": True})
-        monkeypatch.setattr(kernels, "_KERNELS", {})
-        monkeypatch.setattr(kernels, "_build_numba_kernel", broken_build)
-        scenarios = LANE_SETS["charging"]()
-        settings_list = _fixed_settings(scenarios, 1e-4)
-        reference = _batched_run(scenarios, settings_list)
-        with pytest.warns(RuntimeWarning, match="failed to build"):
-            result = _batched_run(scenarios, settings_list, compiled="auto")
-        for got in result.results:
-            assert got.metadata["compiled"] == "numpy"
-        _assert_batches_identical(reference, result)
-        with pytest.raises(ImportError, match="LAPACK"):
-            _batched_run(scenarios, settings_list, compiled="numba")
-
-    def test_run_options_reject_missing_backend_eagerly(self):
-        from repro.api import RunOptions
-
-        with pytest.raises(ConfigurationError, match="repro\\[compiled\\]"):
-            RunOptions.batched(compiled="numba")
 
 
 class TestOptionsPlumbing:
@@ -411,23 +383,19 @@ class TestOptionsPlumbing:
         with pytest.raises(ConfigurationError, match="incoherent options"):
             RunOptions(compiled="auto")
 
-    def test_fingerprint_records_the_resolved_backend(self, monkeypatch):
-        # numba present: adaptive runs may round differently from the
-        # numpy kernel, so they record it; fixed-step runs are
-        # byte-identical across backends and record "off"
+    def test_fingerprint_ignores_backend_and_mode(self):
+        # every batched lane is bitwise its scalar run, so backends and
+        # kernel modes share one fingerprint (and one cache)
         from repro.api import RunOptions
-        from repro.core.solver import SolverSettings
 
-        monkeypatch.setattr(kernels, "_PROBE_CACHE", {"numba": True})
-        for mode in ("auto", "numba"):
-            adaptive = RunOptions.batched(compiled=mode)
-            assert adaptive.fingerprint()["compiled"] == "numba"
-            fixed = RunOptions.batched(
-                compiled=mode, settings=SolverSettings(fixed_step=1e-4)
-            )
-            assert fixed.fingerprint()["compiled"] == "off"
-        assert RunOptions.batched().fingerprint()["compiled"] == "off"
-        assert RunOptions().fingerprint()["compiled"] == "off"
+        default = RunOptions().fingerprint()
+        for options in (
+            RunOptions.batched(),
+            RunOptions.batched(compiled="auto"),
+        ):
+            assert options.fingerprint() == default
+        assert default["backend"] == "process"
+        assert default["compiled"] == "off"
 
     def test_options_round_trip_keeps_the_mode(self):
         from repro.api import RunOptions
@@ -435,18 +403,6 @@ class TestOptionsPlumbing:
         options = RunOptions.batched(compiled="auto")
         assert RunOptions.from_dict(options.to_dict()).compiled == "auto"
         assert "compiled" not in RunOptions.batched().to_dict()
-
-    def test_cli_offers_exactly_the_compiled_modes(self):
-        import argparse
-
-        from repro.cli import _add_experiment_arguments
-
-        parser = argparse.ArgumentParser()
-        _add_experiment_arguments(parser)
-        action = next(
-            a for a in parser._actions if a.dest == "compiled"
-        )
-        assert tuple(action.choices) == COMPILED_MODES
 
 
 class TestOverflowSafeGuard:
