@@ -202,6 +202,7 @@ def _write_batch_json(
     t_engine,
     t_batched,
     speedup,
+    max_deviation,
     quick,
     batched_workers,
 ):
@@ -219,7 +220,7 @@ def _write_batch_json(
                 "t_process_engine_s": t_engine,
                 "t_batched_s": t_batched,
                 "speedup_vs_process_engine": speedup,
-                "max_rel_score_deviation": 0.0,
+                "max_rel_score_deviation": max_deviation,
             },
             indent=2,
         )
@@ -295,15 +296,6 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
         ),
     )
     report += f"\nbest candidate: {dict(batched.best().parameters)}"
-    _write_batch_json(
-        n_candidates,
-        duration_s,
-        t_engine,
-        t_batched,
-        speedup,
-        quick,
-        batched_workers,
-    )
 
     for fast, ref in zip(batched.points, engine.points):
         assert fast.parameters == ref.parameters
@@ -311,6 +303,20 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
             f"batched score {fast.score!r} differs from the process engine's "
             f"{ref.score!r} at {dict(ref.parameters)}"
         )
+    max_deviation = max(
+        abs(fast.score - ref.score) / abs(ref.score)
+        for fast, ref in zip(batched.points, engine.points)
+    )
+    _write_batch_json(
+        n_candidates,
+        duration_s,
+        t_engine,
+        t_batched,
+        speedup,
+        max_deviation,
+        quick,
+        batched_workers,
+    )
     if assert_speedup:
         assert speedup >= MIN_BATCH_SPEEDUP, (
             f"batched speedup {speedup:.2f}x below the required "

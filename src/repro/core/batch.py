@@ -695,26 +695,24 @@ class BatchedSolver:
         s.solves += 1
 
         while lanes:
-            # 1. finalise lanes that reached their end time.  When several
-            #    lanes finish together their final consistency solve runs
-            #    once, batched — bit-identical to the per-lane solves —
-            #    instead of once per lane; a singular batched solve falls
-            #    back to the per-lane path so failure blame stays
-            #    lane-accurate.
+            # 1. finalise lanes that reached their end time.  When every
+            #    active lane finishes together their final consistency
+            #    solve runs once, batched — bit-identical to the per-lane
+            #    solves — instead of once per lane; a singular batched
+            #    solve falls back to the per-lane path so failure blame
+            #    stays lane-accurate.
             finished = s.t >= s.t_end - _END_EPS
             if np.any(finished):
                 idx = np.flatnonzero(finished)
                 consistent = False
-                if idx.size > 1:
+                if idx.size == len(lanes) and idx.size > 1:
                     try:
                         lin = assembler.assemble(s.t, s.x, s.y)
                         final_reduced = assembler.eliminate(lin, s.x)
                     except (SingularLaneError, SingularSystemError):
                         consistent = False
                     else:
-                        s.y = np.where(
-                            finished[:, None], final_reduced.y_solution, s.y
-                        )
+                        s.y = final_reduced.y_solution
                         consistent = True
                 for i in idx:
                     finalize(int(i), consistent=consistent)

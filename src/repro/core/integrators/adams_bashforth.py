@@ -172,43 +172,22 @@ class AdamsBashforth(ExplicitIntegrator):
         h: np.ndarray,
         state: Optional[IntegratorState] = None,
     ) -> np.ndarray:
-        """Adams-Bashforth update for a ``(B, n)`` lane stack.
+        """Start-up step for a ``(B, n)`` lane stack.
 
-        Every lane runs on its own clock: ``t`` and ``h`` are ``(B,)``
-        arrays and the history holds ``(B,)`` sample times with ``(B, n)``
-        derivative samples.  Each lane's weights are its scalar step's
-        (:func:`_variable_step_weights`) and the contraction runs as a
-        stacked ``matmul`` — the same BLAS kernel per lane as the scalar
-        ``weights @ derivatives`` — so every lane advances bit-identically
-        to its scalar march.  The start-up RK4 step is element-wise and
-        reuses the scalar helper on ``(B, 1)`` step columns.  The batched
-        solver takes only the start-up steps here; it marches full
-        windows through :mod:`repro.core.kernels`.
+        The batched solver steps here only while the history is shorter
+        than ``order - 1`` samples; it marches every full window through
+        :mod:`repro.core.kernels`.  ``t`` and ``h`` are the ``(B,)``
+        per-lane times and steps, the history holds ``(B,)`` sample times
+        with ``(B, n)`` derivative samples, and the RK4 starter is
+        element-wise on ``(B, 1)`` step columns, so every lane advances
+        bit-identically to its scalar start-up step.
         """
         if np.any(h <= 0.0):
             raise ValueError(f"step size must be positive, got {h}")
         x = np.asarray(x, dtype=float)
         derivative = np.asarray(func(t, x), dtype=float)
-        if state is None:
-            return x + h[:, None] * derivative
         state.push(t, derivative, max_length=self.order)
-
-        if len(state.history) < self.order and self.order > 1:
-            return self._runge_kutta_start(
-                func, t[:, None], x, h[:, None], derivative
-            )
-
-        times = np.array([sample_t for sample_t, _ in state.history]).T.tolist()
-        weights = np.stack(
-            [
-                _variable_step_weights(lane_times, t_i, t_i + h_i)
-                for lane_times, t_i, h_i in zip(times, t.tolist(), h.tolist())
-            ]
-        )
-        # (B, k, n): lane-major stack of the k retained derivative samples
-        derivatives = np.stack([sample_f for _, sample_f in state.history], axis=1)
-        increment = np.matmul(weights[:, None, :], derivatives)[:, 0, :]
-        return x + increment
+        return self._runge_kutta_start(func, t[:, None], x, h[:, None], derivative)
 
     @staticmethod
     def _runge_kutta_start(

@@ -244,7 +244,7 @@ def _solve_weights(
     one by one.  A hit returns the array the same solve produced; it is
     read-only so no caller can poison the memo.
     """
-    n_steps, n_lanes, k = shape
+    k = shape[2]
     window_arr = np.frombuffer(window).reshape(shape)
     vander_t = np.empty(shape + (k,))
     vander_t[..., 0, :] = 1.0
@@ -252,10 +252,12 @@ def _solve_weights(
         vander_t[..., 1, :] = window_arr
     for p in range(2, k):
         np.multiply(vander_t[..., p - 1, :], window_arr, out=vander_t[..., p, :])
-    unique, inverse = np.unique(np.frombuffer(spans), return_inverse=True)
     moments = np.array(
-        [[span ** (p + 1) / (p + 1) for p in range(k)] for span in unique.tolist()]
-    )[inverse.reshape(n_steps, n_lanes)]
+        [
+            [span ** (p + 1) / (p + 1) for p in range(k)]
+            for span in np.frombuffer(spans).tolist()
+        ]
+    ).reshape(shape)
     weights = np.linalg.solve(vander_t, moments[..., None])[..., 0]
     weights.flags.writeable = False
     return weights
