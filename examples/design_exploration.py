@@ -16,8 +16,8 @@ worker processes (live best-so-far progress, resumable checkpoint file,
 amortised-relinearisation fast profile via ``RunOptions.fast()``), then
 the same grid on the **batched lane-parallel backend**
 (``RunOptions.batched()``), which marches all same-topology candidates as
-lanes of stacked arrays — the fastest way to burn through a
-controller-free design grid.
+lanes of stacked arrays — the fastest way to burn through a design
+grid.
 
 Run with::
 

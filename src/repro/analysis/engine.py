@@ -19,14 +19,15 @@ workload.  This module turns the serial loop of
   :class:`~repro.core.spec.BlockSpec` axis values) keep one cached
   structure per distinct topology, keyed by the spec's structural hash;
 * offers a **batched lane-parallel backend** (``backend="batched"``):
-  controller-free candidates are grouped by topology hash and marched as
-  lanes of the :class:`~repro.core.batch.BatchedSolver` — stacked
-  ``(B, n, n)`` linearise/eliminate/march, one NumPy sweep per step for a
-  whole lane block, composing multiplicatively with worker processes
-  (each worker marches one block).  Every lane runs on its own clock and
-  is bitwise its scalar run, so both backends score every candidate
-  identically and share one cache.  Candidates with digital events and
-  lanes retired by the stability guard fall back to the scalar path;
+  candidates are grouped by topology hash and marched as lanes of the
+  :class:`~repro.core.batch.BatchedSolver` — stacked ``(B, n, n)``
+  linearise/eliminate/march, one NumPy sweep per step for a whole lane
+  block, composing multiplicatively with worker processes (each worker
+  marches one block).  Every lane runs on its own clock, with its own
+  digital events, and is bitwise its scalar run, so both backends score
+  every candidate identically and share one cache.  Single-candidate
+  blocks and lanes the batched march retires take the scalar path (each
+  such decision is logged at DEBUG on ``repro.engine``);
 * **checkpoints** every finished candidate through
   :mod:`repro.io.csvio`, so an interrupted sweep resumes from the last
   completed candidate (``checkpoint_path=``); the checkpoint header
@@ -63,6 +64,7 @@ worker processes run the exact same floating-point program.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
 import pickle
@@ -92,6 +94,8 @@ if TYPE_CHECKING:
 
 __all__ = ["SweepEngine", "EngineRunInfo"]
 
+logger = logging.getLogger("repro.engine")
+
 _CHECKPOINT_FIELDS = ("index", "score", "cpu_time_s", "exact_rerun")
 
 
@@ -113,7 +117,7 @@ class EngineRunInfo:
     cache: str = "off"
     #: lane blocks *planned* for batched marching (before runtime fallbacks)
     n_lane_blocks: int = 0
-    #: candidates that never entered a lane block (digital events, singletons)
+    #: candidates that never entered a lane block (singleton blocks)
     n_batch_fallbacks: int = 0
     #: candidates whose score actually came out of a batched march this run
     #: (runtime truth: heterogeneous-settings blocks that degraded to the
@@ -193,22 +197,6 @@ def _topology_key(scenario) -> tuple:
     )
 
 
-def _scenario_is_batchable(scenario) -> bool:
-    """Whether a scenario can ride a batched lane (no digital events).
-
-    A digital activation changes one lane's analogue model mid-march,
-    which the stacked held models cannot follow, so candidates with a
-    controller always take the scalar path.  Unknown scenario shapes conservatively
-    report ``False``.
-    """
-    spec = getattr(scenario, "spec", None)
-    if spec is not None and hasattr(spec, "controller"):
-        return spec.controller is None
-    if hasattr(scenario, "with_controller"):
-        return not scenario.with_controller
-    return False
-
-
 def _lane_structure(task: _Task) -> AssemblyStructure:
     """Per-process cached assembly structure for a task's topology."""
     key = _topology_key(task.scenario)
@@ -270,14 +258,20 @@ def _evaluate_lane_block(tasks: Sequence[_Task]) -> List[_Outcome]:
 def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
     """Evaluate one lane block of same-topology candidates as batched lanes.
 
-    Runs in a worker process or inline.  Single-task blocks take the
-    scalar path directly; blocks the batched solver refuses (mixed
+    Runs in a worker process or inline.  Each lane carries its
+    candidate's digital event kernel.  Single-task blocks take the scalar
+    path directly; blocks the batched solver refuses (mixed
     ``use_spectral_limit``, ``monitor_lle``) degrade to per-candidate
     scalar evaluation; lanes the batched march retires (divergence,
-    singular elimination) are re-run individually on the exact scalar
-    path, mirroring the engine's existing stability fallback.
+    singular elimination, a raising digital process) are re-run
+    individually on the exact scalar path, mirroring the engine's
+    existing stability fallback.  Each of these scalar-path decisions is
+    logged once per block or lane, at DEBUG on ``repro.engine``.
     """
     if len(tasks) == 1:
+        logger.debug(
+            "candidate %d is a lane block of one: scalar path", tasks[0].index
+        )
         return [_evaluate_task(tasks[0])]
     structure = _lane_structure(tasks[0])
     harvesters = []
@@ -299,13 +293,19 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
             [harvester.assembler for harvester in harvesters],
             integrator=tasks[0].integrator,
             settings=settings_list,
+            digital_kernels=[harvester._build_kernel() for harvester in harvesters],
         )
         for i, harvester in enumerate(harvesters):
             harvester._wire(solver.lane_wiring(i))
         batch = solver.run([task.scenario.duration_s for task in tasks])
-    except ConfigurationError:
+    except ConfigurationError as exc:
         # the block cannot march batched (settings the batched solver
         # does not support): evaluate candidates serially
+        logger.debug(
+            "lane block of %d candidates degraded to the scalar path: %s",
+            len(tasks),
+            exc,
+        )
         return [_evaluate_task(task) for task in tasks]
 
     # block-level kernel/refresh wall-time split: each lane carries the
@@ -329,6 +329,13 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
         result = batch.results[i]
         if result is None:
             # retired lane: re-run this candidate on the exact scalar path
+            logger.debug(
+                "lane %d (candidate %d, %s) retired: %s; exact scalar re-run",
+                i,
+                task.index,
+                task.parameters,
+                batch.failures[i],
+            )
             exact = _evaluate_task(replace(task, relinearise_interval=None))
             outcomes.append(replace(exact, exact_rerun=True))
             continue
@@ -695,7 +702,7 @@ class SweepEngine:
         # one work unit is a lane block: several same-topology candidates
         # marched as lanes of the batched solver, or a single candidate
         # evaluated on the scalar path (always the case for the process
-        # backend and for candidates with digital events)
+        # backend)
         if self.options.backend == "batched":
             blocks = self._plan_lane_blocks(pending)
         else:
@@ -722,18 +729,13 @@ class SweepEngine:
         """Partition pending candidates into lane blocks for the batched backend.
 
         Candidates are grouped by topology fingerprint (lanes must share an
-        assembly structure); candidates with digital events become
-        single-task blocks (scalar fallback).  ``lane_width`` caps the
-        lanes per block; by default each worker gets one block per
-        topology, so batching composes with process parallelism.
+        assembly structure).  ``lane_width`` caps the lanes per block; by
+        default each worker gets one block per topology, so batching
+        composes with process parallelism.
         """
         groups: Dict[tuple, List[_Task]] = {}
-        scalar: List[_Task] = []
         for task in pending:
-            if _scenario_is_batchable(task.scenario):
-                groups.setdefault(_topology_key(task.scenario), []).append(task)
-            else:
-                scalar.append(task)
+            groups.setdefault(_topology_key(task.scenario), []).append(task)
         blocks: List[List[_Task]] = []
         for group in groups.values():
             width = self.options.lane_width
@@ -746,7 +748,6 @@ class SweepEngine:
             width = max(1, width)
             for start in range(0, len(group), width):
                 blocks.append(group[start : start + width])
-        blocks.extend([task] for task in scalar)
         # deterministic dispatch order regardless of grouping
         blocks.sort(key=lambda block: block[0].index)
         return blocks

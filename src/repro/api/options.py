@@ -141,8 +141,8 @@ class RunOptions:
         tolerance.
     backend:
         Sweep execution backend: ``"process"`` evaluates one candidate per
-        task, ``"batched"`` marches controller-free same-topology
-        candidates as lanes of stacked arrays
+        task, ``"batched"`` marches same-topology candidates (digital
+        events included) as lanes of stacked arrays
         (:class:`~repro.core.batch.BatchedSolver`), each lane bitwise its
         scalar run.
     lane_width:
@@ -240,9 +240,9 @@ class RunOptions:
     def batched(cls, lane_width: Optional[int] = None, **overrides) -> "RunOptions":
         """Batched lane-parallel sweep profile (``backend="batched"``).
 
-        Same-topology controller-free candidates march as lanes of
-        stacked ``(B, n, n)`` arrays, each lane on its own clock and
-        bitwise its scalar run; composes with ``n_workers`` (each worker
+        Same-topology candidates march as lanes of stacked ``(B, n, n)``
+        arrays, each lane on its own clock, with its own digital events,
+        and bitwise its scalar run; composes with ``n_workers`` (each worker
         marches one lane block).
         """
         return cls(backend="batched", lane_width=lane_width, **overrides)

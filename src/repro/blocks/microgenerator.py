@@ -345,8 +345,8 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
     def batched_lineariser(self, lanes: Sequence[AnalogueBlock]) -> PreparedBlockLineariser:
         """Fast lineariser with the Jacobians hoisted out of the refresh loop.
 
-        During a batched march the tuning force and all physical
-        parameters are pinned (lanes are controller-free), so every
+        The tuning force only changes through a control write, after which
+        the batched solver re-prepares its refresh, so between writes every
         Jacobian block of Eq. (13) is lane-constant; only the excitation
         row ``ex[:, 1]`` depends on ``t`` through the base acceleration.
         The per-call work reduces to the scalar acceleration sources (kept

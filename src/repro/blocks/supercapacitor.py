@@ -230,11 +230,12 @@ class Supercapacitor(AnalogueBlock):
     def batched_lineariser(self, lanes) -> PreparedBlockLineariser:
         """Fully static fast lineariser for the batched refresh path.
 
-        The batched solver pins ``Req`` for the whole march (batched lanes
-        are controller-free), so every field of the Eq. (15) model is
-        lane-constant: the entire :class:`BatchedLinearisation` is computed
-        once here — via :meth:`linearise_batch`, hence bit-identical — and
-        reused on every refresh.
+        ``Req`` only changes through a control write, after which the
+        batched solver re-prepares its refresh, so between writes every
+        field of the Eq. (15) model is lane-constant: the entire
+        :class:`BatchedLinearisation` is computed once here — via
+        :meth:`linearise_batch`, hence bit-identical — and reused on every
+        refresh.
         """
         b = len(lanes)
         static = self.linearise_batch(

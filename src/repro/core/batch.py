@@ -26,15 +26,18 @@ Execution model
   adopts the new model, step proposal, LLE drift and statistics only in
   the due lanes; the others keep their held model.
 * **Kernel bursts**: between two events (a lane due for refresh, a lane
-  reaching its end time, divergence) the held models march in one call
-  of the march kernel from :mod:`repro.core.kernels`.  Trace records that
-  come due inside a burst are returned by the kernel and written after
-  the call.  Steps the kernel cannot take (the RK4 start-up,
-  non-Adams-Bashforth integrators) run one at a time in the same loop.
+  reaching its end time or its next digital event, divergence) the held
+  models march in one call of the march kernel from
+  :mod:`repro.core.kernels`.  Trace records that come due inside a burst
+  are returned by the kernel and written after the call.  While any lane
+  is still in its RK4 start-up, the loop takes single mixed steps: the
+  start-up lanes through the integrator, the others through a one-step
+  kernel call.  Non-Adams-Bashforth integrators step one at a time.
 * **Lane retirement**: lanes that reach their end time are finalised and
-  retired; lanes that trip the divergence guard or a singular elimination
-  are retired with their error recorded so the caller can re-run them on
-  the exact scalar path (:mod:`repro.analysis.engine` does exactly that).
+  retired; lanes that trip the divergence guard or a singular elimination,
+  or whose digital process raises, are retired with their error recorded
+  so the caller can re-run them on the exact scalar path
+  (:mod:`repro.analysis.engine` does exactly that).
 * **Batched refresh**: each relinearisation evaluates the active lanes'
   block models through a prepared
   :class:`~repro.core.elimination.BatchedAssembler` workspace —
@@ -43,9 +46,15 @@ Execution model
   batched lineariser fall back to the generic per-lane dispatch, and a
   batch with no such group at all runs unprepared.  The prepared path is
   bit-identical to the per-lane dispatch.
-* **Digital events are out of scope**: candidates with a digital kernel
-  fall back to the scalar solver — a digital activation changes one lane's
-  analogue model mid-march, which the stacked held models cannot follow.
+* **Digital events as per-lane interrupts**: a lane may carry its own
+  :class:`~repro.core.digital.DigitalEventKernel`.  Its next event time
+  bounds the lane's steps exactly as the scalar solver's event boundary
+  does, and bursts stop as soon as any lane has an event due.  The due
+  lanes' activations run between bursts, reading that lane's live state;
+  an activation that writes a control restarts that lane alone (fresh
+  refresh, step controller, drift reference and Adams-Bashforth start-up)
+  and re-prepares the batched refresh, whose prepared linearisers hold
+  control values as lane constants.
 
 Equivalence contract
 --------------------
@@ -68,6 +77,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .digital import AnalogueInterface, DigitalEventKernel
 from .elimination import (
     BatchedAssembler,
     BatchedReducedSystem,
@@ -96,9 +106,10 @@ class BatchResult:
 
     ``results[i]`` is lane *i*'s :class:`SimulationResult`, or ``None``
     when the lane was retired on an error; ``failures[i]`` then holds the
-    exception (a :class:`StabilityError` or
-    :class:`~repro.core.errors.SingularSystemError`) so the caller can
-    re-run that candidate on the exact scalar path.
+    exception (a :class:`StabilityError`, a
+    :class:`~repro.core.errors.SingularSystemError` or whatever the lane's
+    digital process raised) so the caller can re-run that candidate on
+    the exact scalar path.
     """
 
     results: List[Optional[SimulationResult]]
@@ -110,33 +121,59 @@ class BatchResult:
         return len(self.results)
 
 
-class _LaneWiring:
-    """Adapter exposing the solver surface probe wiring expects.
-
-    ``BuiltSystem._wire``/``TunableEnergyHarvester._wire`` talk to a
-    solver through ``add_probe`` and (optionally) ``interface``; this
-    routes ``add_probe`` to one lane of the batched solver and reports no
-    digital interface (batched lanes are controller-free by construction).
-    """
-
-    interface = None
-
-    def __init__(self, solver: "BatchedSolver", lane: int) -> None:
-        self._solver = solver
-        self._lane = lane
-
-    def add_probe(self, name: str, probe: ProbeFn) -> None:
-        self._solver.add_probe(self._lane, name, probe)
-
-
 class _Lane:
     """Per-lane bookkeeping carried through the march."""
 
-    def __init__(self, index: int, settings: SolverSettings) -> None:
+    def __init__(
+        self,
+        index: int,
+        settings: SolverSettings,
+        assembler: SystemAssembler,
+        kernel: Optional[DigitalEventKernel],
+    ) -> None:
         self.index = index
+        #: the lane's position in the march's compacted ``(B, ...)`` arrays
+        self.row = index
         self.settings = settings
+        self.assembler = assembler
+        self.kernel = kernel
+        # only a lane with digital processes exposes an interface to wire
+        self.interface = None if kernel is None else AnalogueInterface()
         self.probes: Dict[str, ProbeFn] = {}
         self.stats = SolverStats(solver_name="")
+
+
+class _LaneWiring:
+    """Adapter exposing the solver surface wiring expects, for one lane.
+
+    ``BuiltSystem._wire``/``TunableEnergyHarvester._wire`` talk to a
+    solver through ``add_probe``, its digital ``interface`` and the live
+    reads ``state_value``/``net_value``/``current_time``.  This routes
+    them to one lane of the batched solver: the interface is the lane's
+    own (``None`` for a lane without a digital kernel, so nothing is
+    wired), and during an activation the reads return that lane's live
+    state, time and (lagged) terminal values — what its scalar run reads.
+    """
+
+    def __init__(self, solver: "BatchedSolver", lane: _Lane) -> None:
+        self._solver = solver
+        self._lane = lane
+        self.interface = lane.interface
+
+    def add_probe(self, name: str, probe: ProbeFn) -> None:
+        self._solver.add_probe(self._lane.index, name, probe)
+
+    def state_value(self, block_name: str, state_name: str) -> float:
+        index = self._lane.assembler.state_index(block_name, state_name)
+        return float(self._solver._live.x[self._lane.row, index])
+
+    def net_value(self, block_name: str, terminal_name: str) -> float:
+        index = self._lane.assembler.net_index(block_name, terminal_name)
+        return float(self._solver._live.y[self._lane.row, index])
+
+    @property
+    def current_time(self) -> float:
+        return float(self._solver._live.t[self._lane.row])
 
 
 class _LaneArrays:
@@ -321,6 +358,10 @@ class BatchedSolver:
         guard, recording); only ``monitor_lle`` is not supported in
         batched mode (use the scalar solver for LLE studies —
         Jacobian-drift monitoring itself stays active).
+    digital_kernels:
+        Optional per-lane :class:`~repro.core.digital.DigitalEventKernel`
+        (``None`` entries for lanes without digital processes), as the
+        scalar solver's ``digital_kernel``.
     """
 
     def __init__(
@@ -328,6 +369,7 @@ class BatchedSolver:
         assemblers: Sequence[SystemAssembler],
         integrator: Optional[ExplicitIntegrator] = None,
         settings: Union[SolverSettings, Sequence[SolverSettings], None] = None,
+        digital_kernels: Optional[Sequence[Optional[DigitalEventKernel]]] = None,
     ) -> None:
         self.batched_assembler = BatchedAssembler(assemblers)
         b = self.batched_assembler.n_lanes
@@ -348,7 +390,15 @@ class BatchedSolver:
                 "monitor_lle is not supported in batched mode; run the lane "
                 "on the scalar solver for direct LLE measurement"
             )
-        self._lanes = [_Lane(i, s) for i, s in enumerate(settings_list)]
+        kernels = [None] * b if digital_kernels is None else list(digital_kernels)
+        if len(kernels) != b:
+            raise ConfigurationError(f"{len(kernels)} digital kernels for {b} lanes")
+        self._lanes = [
+            _Lane(i, settings, assemblers[i], kernel)
+            for i, (settings, kernel) in enumerate(zip(settings_list, kernels))
+        ]
+        # the live per-lane arrays of the running march (lane wiring reads)
+        self._live: Optional[_LaneArrays] = None
 
     @property
     def n_lanes(self) -> int:
@@ -368,12 +418,12 @@ class BatchedSolver:
         probes[name] = probe
 
     def lane_wiring(self, lane: int) -> _LaneWiring:
-        """Solver-shaped adapter for wiring one lane's probes.
+        """Solver-shaped adapter for wiring one lane's probes and interface.
 
         Pass to ``BuiltSystem._wire`` / ``TunableEnergyHarvester._wire``
         in place of a scalar solver.
         """
-        return _LaneWiring(self, lane)
+        return _LaneWiring(self, self._lanes[lane])
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -400,6 +450,7 @@ class BatchedSolver:
             return self._march(t_end, t_start=t_start, x0=x0)
         finally:
             self.batched_assembler.unprepare()
+            self._live = None
 
     def _march(
         self,
@@ -410,12 +461,13 @@ class BatchedSolver:
     ) -> BatchResult:
         """The march: per-lane clocks, per-lane refreshes, kernel bursts.
 
-        Each iteration finalises lanes that reached their end time,
-        refreshes the due lanes (linearise + eliminate, Eq. 4) while the
-        others keep their held model, records due lanes and then marches
-        one kernel burst — up to the smallest remaining hold budget, so
-        with ``relinearise_interval`` 4 a burst is the whole window — or a
-        single start-up step.  Per-lane statistics live in ``(B,)``
+        Each iteration finalises lanes that reached their end time, runs
+        the digital activations that came due, refreshes the due lanes
+        (linearise + eliminate, Eq. 4) while the others keep their held
+        model, records due lanes and then marches one kernel burst — up to
+        the smallest remaining hold budget, so with
+        ``relinearise_interval`` 4 a burst is the whole window — or a
+        single mixed start-up step.  Per-lane statistics live in ``(B,)``
         accumulators, materialised into each lane's :class:`SolverStats`
         only at finalisation; traces go through one
         :class:`_BatchedRecorder`.
@@ -446,9 +498,13 @@ class BatchedSolver:
         lanes = list(self._lanes)
         configs = [lane.settings for lane in lanes]
         for lane in lanes:
+            lane.row = lane.index
             lane.stats = SolverStats(
                 solver_name=f"batched-state-space/{self.integrator.name}"
             )
+        # lanes without digital processes never see an event: the event
+        # checks below are skipped altogether when no lane has any
+        events_active = any(lane.kernel is not None for lane in lanes)
         fixed = np.array(
             [np.nan if c.fixed_step is None else float(c.fixed_step) for c in configs]
         )
@@ -460,6 +516,10 @@ class BatchedSolver:
 
         def per_lane(values, dtype=float) -> np.ndarray:
             return np.array(list(values), dtype=dtype)
+
+        def next_event_time(lane: _Lane) -> float:
+            event = None if lane.kernel is None else lane.kernel.next_event_time()
+            return np.inf if event is None else event
 
         hold = per_lane((max(1, int(c.relinearise_interval)) for c in configs), int)
         # every lane's per-lane state; the stat accumulators are copied
@@ -492,8 +552,21 @@ class BatchedSolver:
             reuses=np.zeros(b, dtype=np.int64),
             lle_max=np.zeros(b),
             lle_flags=np.zeros(b, dtype=np.int64),
+            # each lane's Jacobian-drift reference, valid where has_ref
+            a_ref=np.zeros((b, n_states, n_states)),
+            has_ref=np.zeros(b, dtype=bool),
+            # Adams-Bashforth samples since the lane's last (re)start
+            depth=np.zeros(b, dtype=np.int64),
+            # the lane's next digital activation (inf: none pending)
+            t_event=per_lane(next_event_time(lane) for lane in lanes),
         )
+        self._live = s
         rtol_active = bool(np.isfinite(s.state_rtol).any())
+        # the stacked Adams-Bashforth window, oldest first: (B,) sample
+        # times with (B, n) derivatives; a lane reads only its newest
+        # ``depth`` entries
+        history: deque = deque()
+        # the single-step path's state (non-Adams-Bashforth integrators)
         integrator_state = self.integrator.new_state()
 
         results: List[Optional[SimulationResult]] = [None] * b
@@ -508,8 +581,8 @@ class BatchedSolver:
         )
 
         # kernel bursts need an Adams-Bashforth window short of at most
-        # the sample the step itself adds (the RK4 start-up steps and
-        # other integrators take single steps)
+        # the sample the step itself adds (lanes in their RK4 start-up
+        # take mixed single steps, other integrators plain single steps)
         burstable = isinstance(self.integrator, AdamsBashforth)
         order = self.integrator.order
 
@@ -519,29 +592,27 @@ class BatchedSolver:
         kernel_time = 0.0
         refresh_time = 0.0
         reduced: Optional[BatchedReducedSystem] = None
-        previous_a: Optional[np.ndarray] = None  # Jacobian-drift monitoring
 
         def drop_lanes(keep: np.ndarray) -> None:
             """Compact every stacked structure to the lanes in ``keep``."""
-            nonlocal reduced, lanes, assembler, previous_a
+            nonlocal reduced, lanes, assembler, history
             keep = np.asarray(keep, dtype=int)
             if keep.size == 0:
                 lanes = []
                 return
             s.select(keep)
             recorder.select(keep)
-            if previous_a is not None:
-                previous_a = previous_a[keep]
             if reduced is not None:
                 reduced = reduced.select(keep)
             if controller is not None:
                 controller.select(keep)
-            integrator_state.history = deque(
-                (sample_t[keep], sample_f[keep])
-                for sample_t, sample_f in integrator_state.history
+            history = deque(
+                (sample_t[keep], sample_f[keep]) for sample_t, sample_f in history
             )
             assembler = assembler.select(keep)
             lanes = [lanes[int(i)] for i in keep]
+            for row, lane in enumerate(lanes):
+                lane.row = row
 
         def finalize(i: int, *, consistent: bool = False) -> bool:
             """Final consistent record + materialised result for lane ``i``.
@@ -585,6 +656,8 @@ class BatchedSolver:
             result.metadata["lle_flagged_steps"] = int(s.lle_flags[i])
             result.metadata["relinearise_interval"] = int(s.hold[i])
             result.metadata["n_jacobian_reuses"] = int(s.reuses[i])
+            if lane.kernel is not None:
+                result.metadata["digital_activations"] = lane.kernel.n_activations
             result.metadata["batched"] = True
             result.metadata["batch_lanes"] = b
             result.metadata["lane_index"] = lane.index
@@ -601,6 +674,93 @@ class BatchedSolver:
                 [i for i in range(len(lanes)) if i not in set(indices)], dtype=int
             )
             drop_lanes(keep)
+
+        def run_events(rows: np.ndarray) -> None:
+            """Run the due lanes' activations, as the scalar loop does.
+
+            A lane whose activation wrote a control restarts alone: it is
+            forced due for refresh, its step controller and drift
+            reference are reset and its Adams-Bashforth window restarts.
+            The batched refresh is re-prepared, because prepared
+            linearisers hold control values as lane constants.  A lane
+            whose digital process raises is retired with that exception.
+            """
+            changed: List[int] = []
+            failed: List[int] = []
+            errors: List[Exception] = []
+            for row in rows.tolist():
+                lane = lanes[row]
+                try:
+                    if lane.kernel.run_due(float(s.t[row]), lane.interface):
+                        changed.append(row)
+                except Exception as exc:  # the lane's own fault: retire it
+                    failed.append(row)
+                    errors.append(exc)
+                    continue
+                s.t_event[row] = next_event_time(lane)
+            if changed:
+                s.since[changed] = s.hold[changed]
+                s.has_ref[changed] = False
+                s.lle_max[changed] = 0.0
+                s.lle_flags[changed] = 0
+                s.depth[changed] = 0
+                if controller is not None:
+                    controller.reset(lanes=np.array(changed))
+                if assembler.prepared:
+                    assembler.prepare()
+            if failed:
+                fail_lanes(failed, errors)
+
+        def step_boundary() -> np.ndarray:
+            """Each lane's step boundary: its end time or next event."""
+            if not events_active:
+                return s.t_end
+            return np.minimum(s.t_end, np.maximum(s.t_event, s.t + _END_EPS))
+
+        def mixed_step(h: np.ndarray) -> np.ndarray:
+            """One step while some lanes are in their Adams-Bashforth start-up.
+
+            Lanes whose window holds ``order - 1`` samples take one kernel
+            step; the others take their RK4 start-up step.  Both push the
+            step's derivative sample into the lane's window.  Returns the
+            new states.
+            """
+            x_new = np.empty_like(s.x)
+            sample = np.empty_like(s.x)
+            ready = s.depth >= order - 1
+            rows = np.flatnonzero(ready)
+            if rows.size:
+                one = kernel(
+                    reduced.a_reduced[rows],
+                    reduced.b_reduced[rows],
+                    s.x[rows],
+                    s.t[rows],
+                    s.h[rows],
+                    s.t_end[rows],
+                    1,
+                    [(ht[rows], hf[rows]) for ht, hf in history],
+                    order,
+                    recorder.last_record_times[rows],
+                    recorder.thresholds[rows],
+                    s.state_rtol[rows],
+                    s.x_ref[rows],
+                    s.divergence_limit[rows],
+                    s.t_event[rows] if events_active else None,
+                )
+                x_new[rows] = one.x
+                sample[rows] = one.history[-1][1]
+            rows = np.flatnonzero(~ready)
+            start = reduced.select(rows)
+            scratch = self.integrator.new_state()
+            x_new[rows] = self.integrator.step_batch(
+                lambda _t, xs: start.derivative(xs),
+                s.t[rows], s.x[rows], h[rows], scratch,
+            )
+            sample[rows] = scratch.history[-1][1]
+            history.append((s.t, sample))
+            if len(history) > order:
+                history.popleft()
+            return x_new
 
         def fail_diverged(bad: np.ndarray, h_at: np.ndarray) -> None:
             indices = [int(i) for i in np.flatnonzero(bad)]
@@ -646,7 +806,7 @@ class BatchedSolver:
 
         def adopt(fresh: BatchedReducedSystem) -> None:
             """Take the fresh models, proposals and stats in the due lanes."""
-            nonlocal reduced, previous_a
+            nonlocal reduced
             # a slice when every lane is due (the common case) keeps the
             # updates below on views
             due = slice(None) if s.due.all() else s.due
@@ -667,24 +827,31 @@ class BatchedSolver:
                 ):
                     getattr(reduced, name)[due] = getattr(fresh, name)[due]
             a_fresh = fresh.a_reduced
-            if previous_a is None:
-                previous_a = np.array(a_fresh, copy=True)
-            else:
-                change = relative_jacobian_drift(a_fresh[due], previous_a[due])
-                s.lle_max[due] = np.maximum(s.lle_max[due], change)
-                s.lle_flags[due] += change > s.lle_tolerance[due]
-                previous_a[due] = a_fresh[due]
+            # a lane's first sample after a (re)start measures no drift
+            change = np.where(
+                s.has_ref[due],
+                relative_jacobian_drift(a_fresh[due], s.a_ref[due]),
+                0.0,
+            )
+            s.lle_max[due] = np.maximum(s.lle_max[due], change)
+            s.lle_flags[due] += change > s.lle_tolerance[due]
+            s.a_ref[due] = a_fresh[due]
+            s.has_ref[due] = True
             s.jev[due] += 1
             s.solves[due] += 1
             s.since[due] = 0
             s.x_ref = np.where(s.due[:, None], s.x, s.x_ref)
             proposing = s.due & s.adaptive
             if proposing.any():
+                every = proposing.all()
                 s.h[proposing] = controller.propose(
                     reduced.a_reduced,
-                    t_remaining=s.t_end - s.t,
+                    # a lane's drift reference is its previous proposal's
+                    # Jacobian: the controller shares the monitor's figure
+                    change if every else change[s.adaptive[due]],
+                    t_remaining=step_boundary() - s.t,
                     # None (every lane) keeps the controller on views
-                    lanes=None if proposing.all() else np.flatnonzero(proposing),
+                    lanes=None if every else np.flatnonzero(proposing),
                 )
 
         # initial consistency solve (counts as a linear solve only)
@@ -720,8 +887,17 @@ class BatchedSolver:
                 if not lanes:
                     break
 
-            # 2. refresh the due lanes (hold budget spent or state drift);
-            #    the others' terminals follow their held models
+            # 2. digital activations due now, lane by lane
+            if events_active:
+                due_events = np.flatnonzero(s.t_event <= s.t + _END_EPS)
+                if due_events.size:
+                    run_events(due_events)
+                    if not lanes:
+                        break
+
+            # 3. refresh the due lanes (hold budget spent, state drift or a
+            #    model-changing activation); the others' terminals follow
+            #    their held models
             s.due = s.since >= s.hold
             if rtol_active:
                 drift = np.max(np.abs(s.x - s.x_ref), axis=1)
@@ -735,13 +911,13 @@ class BatchedSolver:
             else:
                 s.y = reduced.terminal_values(s.x)
 
-            # 3. record traces
+            # 4. record traces
             recorder.record(s.t, s.x, s.y)
 
-            # 4. march one burst through the kernel (it exits on this
-            #    loop's own events: hold budget, t_end, drift refresh,
-            #    divergence), or one start-up step
-            if burstable and len(integrator_state.history) >= order - 1:
+            # 5. march one burst through the kernel (it exits on this
+            #    loop's own events: hold budget, t_end, a digital event,
+            #    drift refresh, divergence), or one single step
+            if burstable and s.depth.min() >= order - 1:
                 kernel_start = time.perf_counter()
                 burst = kernel(
                     reduced.a_reduced,
@@ -751,33 +927,38 @@ class BatchedSolver:
                     s.h,
                     s.t_end,
                     int(np.min(s.hold - s.since)),
-                    list(integrator_state.history),
+                    list(history),
                     order,
                     recorder.last_record_times,
                     recorder.thresholds,
                     s.state_rtol,
                     s.x_ref,
                     s.divergence_limit,
+                    s.t_event if events_active else None,
                 )
                 kernel_time += time.perf_counter() - kernel_start
                 recorder.record_burst(burst.records, reduced)
                 n_steps = burst.steps
                 s.x, s.t = burst.x, burst.t
                 s.y = reduced.terminal_values(burst.x_prev)
-                integrator_state.history = deque(burst.history)
+                history = deque(burst.history)
                 h_min, h_max, h_last = burst.h_min, burst.h_max, burst.h_last
                 diverged = burst.diverged
             else:
-                h = np.minimum(s.h, s.t_end - s.t)
-                s.x = self.integrator.step_batch(
-                    lambda _t, xs: reduced.derivative(xs),
-                    s.t, s.x, h, integrator_state,
-                )
+                h = np.minimum(s.h, step_boundary() - s.t)
+                if burstable:
+                    s.x = mixed_step(h)
+                else:
+                    s.x = self.integrator.step_batch(
+                        lambda _t, xs: reduced.derivative(xs),
+                        s.t, s.x, h, integrator_state,
+                    )
                 s.t = s.t + h
                 n_steps = 1
                 h_min = h_max = h_last = h
                 diverged = diverged_lanes(s.x, s.divergence_limit)
 
+            s.depth += n_steps
             s.since += n_steps
             # every held step counts as a reuse, a fresh one does not
             s.reuses += n_steps - s.due

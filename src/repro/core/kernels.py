@@ -9,16 +9,20 @@ the next *event* the batched loop must handle itself:
 * the hold budget ``max_steps`` (the smallest ``relinearise_interval``
   remainder of any lane) is exhausted,
 * any lane reaches its end time (``t_i >= t_end_i - END_EPS``),
+* any lane's next digital event comes due (``t_event_i <= t_i + END_EPS``,
+  the scalar solver's own check), so the caller runs it between steps,
 * any lane trips the state-drift refresh check
   (``max|x - x_ref| > rtol * (max|x_ref| + 1e-300)``),
 * any lane trips the divergence guard after a step (checked after every
   step, as the scalar solver does, so the caller retires the flagged
   lanes at the same step time).
 
-Each lane steps with ``h_i = min(h_held_i, t_end_i - t_i)``, exactly the
-scalar solver's held/fixed step.  Trace records are *not* burst events:
-the kernel returns every record row that comes due inside the burst, in
-step order, and the caller writes them after the call.
+Each lane steps with ``h_i = min(h_held_i, boundary_i - t_i)``, where the
+boundary is the lane's end time or its next digital event, whichever
+comes first — exactly the scalar solver's held/fixed step.  Trace
+records are *not* burst events: the kernel returns every record row that
+comes due inside the burst, in step order, and the caller writes them
+after the call.
 
 There is one kernel, written in NumPy; it replicates the single-step
 array expressions operation for operation, so every lane is bitwise its
@@ -168,18 +172,23 @@ def _burst_schedule(
     max_steps: int,
     rec_last: np.ndarray,
     rec_thresh: np.ndarray,
+    t_event: Optional[np.ndarray] = None,
 ) -> Tuple[List[np.ndarray], List[np.ndarray], List[Tuple[int, np.ndarray]]]:
     """Precompute the burst's per-lane step schedule ``(t_j, h_j)``.
 
     Within a held-model burst each lane's steps depend on *time only*:
-    ``h_j = min(h_held, t_end - t_j)`` and ``t_{j+1} = t_j + h_j``
-    replicate the scalar solver's float arithmetic exactly.  The schedule
+    ``h_j = min(h_held, boundary - t_j)`` and ``t_{j+1} = t_j + h_j``
+    replicate the scalar solver's float arithmetic exactly.  The boundary
+    is ``t_end``, or the lane's next digital event ``t_event`` when that
+    comes first (no event is due inside a burst, so the scalar solver's
+    ``max(t_event, t + END_EPS)`` is ``t_event`` here).  The schedule
     stops at the hold budget or before the first step at which any lane
-    has reached its end time.  Record due-ness is a function of time
-    too, so the rows due at steps ``j >= 1`` (step 0's record is the
-    caller's) are listed here as ``(j, due)``.
+    has reached its end time or has an event due.  Record due-ness is a
+    function of time too, so the rows due at steps ``j >= 1`` (step 0's
+    record is the caller's) are listed here as ``(j, due)``.
     """
     limit = t_end - _END_EPS
+    boundary = t_end if t_event is None else np.minimum(t_end, t_event)
     last = rec_last
     times: List[np.ndarray] = []
     steps_h: List[np.ndarray] = []
@@ -187,12 +196,14 @@ def _burst_schedule(
     while len(times) < max_steps:
         if np.any(t >= limit):
             break
+        if t_event is not None and np.any(t_event <= t + _END_EPS):
+            break
         if times:
             due = record_due(t, last, rec_thresh)
             if due.any():
                 rows.append((len(times), due))
                 last = np.where(due, t, last)
-        h = np.minimum(h_held, t_end - t)
+        h = np.minimum(h_held, boundary - t)
         times.append(t)
         steps_h.append(h)
         t = t + h
@@ -282,6 +293,7 @@ def _march_numpy(
     state_rtol: np.ndarray,
     x_ref: np.ndarray,
     divergence_limit: np.ndarray,
+    t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
     """March every lane up to ``max_steps`` held-model steps.
 
@@ -290,12 +302,14 @@ def _march_numpy(
     operation.  The step schedule, the record rows and all step weights
     are precomputed by ``_burst_schedule``/``_burst_weights``; the
     state-dependent checks (drift refresh before a step, divergence guard
-    after it) run on every step.  ``history`` holds at least
-    ``order - 1`` samples; the caller guarantees at least one scheduled
-    step (no lane finished, hold budget left), so ``steps >= 1``.
+    after it) run on every step.  ``t_event`` holds each lane's next
+    digital event time (``inf`` for none), or is ``None`` when no lane
+    has digital events.  ``history`` holds at least ``order - 1``
+    samples; the caller guarantees at least one scheduled step (no lane
+    finished or due for an event, hold budget left), so ``steps >= 1``.
     """
     times, steps_h, rows = _burst_schedule(
-        t, h_held, t_end, max_steps, rec_last, rec_thresh
+        t, h_held, t_end, max_steps, rec_last, rec_thresh, t_event
     )
     hist_t = [sample_t for sample_t, _ in history]
     hist_f = [sample_f for _, sample_f in history]

@@ -252,6 +252,9 @@ class BatchedStepController:
     shrink/grow, per-lane cached spectral limits with drift-triggered
     recomputation — but holds everything in stacked arrays so one batched
     eigenvalue sweep serves every lane that needs a fresh stability bound.
+    The caller measures the Jacobian drift that drives shrink/grow (the
+    batched solver's LLE monitor holds the previous Jacobians, as the
+    scalar solver's monitor does for its controller).
     Each lane keeps its own proposal: the batched solver marches every
     lane at its own step, so lane ``i``'s proposals are exactly its
     scalar controller's.
@@ -297,15 +300,20 @@ class BatchedStepController:
         """Number of lanes."""
         return self._h_current.shape[0]
 
-    def reset(self) -> None:
-        """Reset every lane (mirrors :meth:`StepSizeController.reset`)."""
+    def reset(self, lanes: Optional[np.ndarray] = None) -> None:
+        """Reset ``lanes`` (default: every lane), as
+        :meth:`StepSizeController.reset` resets one run after a digital
+        discontinuity."""
+        if lanes is not None:
+            self._h_current[lanes] = self._h_initial[lanes]
+            self._cached_stability_limit[lanes] = np.inf
+            self._has_stability[lanes] = False
+            return
         b = self._h_initial.shape[0]
         self._h_current = self._h_initial.copy()
-        # per-lane previous/stability Jacobians, allocated on first use;
-        # the masks say which lanes hold one yet
-        self._previous_jacobian: Optional[np.ndarray] = None
+        # per-lane stability Jacobians, allocated on first use; the mask
+        # says which lanes hold one yet
         self._stability_jacobian: Optional[np.ndarray] = None
-        self._has_previous = np.zeros(b, dtype=bool)
         self._cached_stability_limit = np.full(b, np.inf)
         self._has_stability = np.zeros(b, dtype=bool)
 
@@ -321,20 +329,13 @@ class BatchedStepController:
             "_change_target",
             "_recompute_threshold",
             "_h_current",
-            "_has_previous",
             "_cached_stability_limit",
             "_has_stability",
-            "_previous_jacobian",
             "_stability_jacobian",
         ):
             value = getattr(self, attr)
             if value is not None:
                 setattr(self, attr, value[keep])
-
-    def _allocate(self, a_reduced: np.ndarray) -> None:
-        if self._previous_jacobian is None:
-            self._previous_jacobian = np.zeros(a_reduced.shape)
-            self._stability_jacobian = np.zeros(a_reduced.shape)
 
     # ------------------------------------------------------------------ #
     # criteria
@@ -354,7 +355,8 @@ class BatchedStepController:
                     for a_i, safety in zip(a, self._safety[sel].tolist())
                 ]
             )
-        self._allocate(a_reduced)
+        if self._stability_jacobian is None:
+            self._stability_jacobian = np.zeros(a_reduced.shape)
         drift = relative_jacobian_drift(a, self._stability_jacobian[sel])
         recompute = ~self._has_stability[sel] | (
             drift > self._recompute_threshold[sel]
@@ -382,6 +384,7 @@ class BatchedStepController:
     def propose(
         self,
         a_reduced: np.ndarray,
+        jacobian_change: np.ndarray,
         *,
         t_remaining: Optional[np.ndarray] = None,
         lanes: Optional[np.ndarray] = None,
@@ -391,30 +394,26 @@ class BatchedStepController:
         ``a_reduced`` is the stacked ``(B, n, n)`` reduced system matrices
         and ``t_remaining`` the per-lane time left (or ``None``), both for
         every lane; only the ``lanes`` entries are read, and only their
-        controller state advances.  Returns one proposal per selected lane.
+        controller state advances.  ``jacobian_change`` is the selected
+        lanes' :func:`relative_jacobian_drift` since their previous
+        proposal (0 for a lane's first proposal after a reset).  Returns
+        one proposal per selected lane.
         """
-        self._allocate(a_reduced)
         sel = slice(None) if lanes is None else lanes
-        a = a_reduced[sel]
         h = self._h_current[sel]
 
-        change = np.where(
-            self._has_previous[sel],
-            relative_jacobian_drift(a, self._previous_jacobian[sel]),
-            0.0,
-        )
         change_target = self._change_target[sel]
         shrink_factor = np.maximum(
             self._shrink[sel],
             np.divide(
                 change_target,
-                change,
-                out=np.ones_like(change),
-                where=change > 0.0,
+                jacobian_change,
+                out=np.ones_like(jacobian_change),
+                where=jacobian_change > 0.0,
             ),
         )
         h = np.where(
-            change > change_target, h * shrink_factor, h * self._growth[sel]
+            jacobian_change > change_target, h * shrink_factor, h * self._growth[sel]
         )
 
         h = np.minimum(h, self.stability_limits(a_reduced, lanes))
@@ -428,7 +427,5 @@ class BatchedStepController:
             raise StepSizeError(
                 f"batched step controller produced invalid steps {h!r}"
             )
-        self._previous_jacobian[sel] = a
-        self._has_previous[sel] = True
         self._h_current[sel] = h
         return h

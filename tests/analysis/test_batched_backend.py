@@ -1,11 +1,13 @@
 """Engine-level tests of the batched lane-parallel backend."""
 
+import logging
 from dataclasses import replace
 
 import pytest
 
 from repro import RunOptions, Study
 from repro.analysis.sweep import average_power_metric
+from repro.blocks.microcontroller import TuningController
 from repro.core.errors import ConfigurationError
 from repro.harvester.scenarios import (
     charging_scenario,
@@ -66,10 +68,10 @@ class TestBatchedBackendParity:
         for ref, got in zip(whole.points, split.points):
             assert got.score == ref.score
 
-    def test_controller_candidates_fall_back_to_scalar_path(self):
-        # scenario_1 runs the digital tuning controller: the batched
-        # backend must route every candidate through the scalar solver and
-        # reproduce the process backend exactly
+    def test_controller_candidates_march_as_lanes(self):
+        # scenario_1 runs the digital tuning controller: every candidate
+        # marches as a lane with its own events and scores exactly as the
+        # process backend's scalar run
         sweep = Study.scenario(scenario_1(duration_s=0.05)).sweep(
             {"excitation_frequency_hz": [70.0, 70.5]},
             metric=average_power_metric,
@@ -80,9 +82,9 @@ class TestBatchedBackendParity:
         for ref, got in zip(serial.points, batched.points):
             assert got.score == ref.score
         info = batched.engine_info
-        assert info.n_lane_blocks == 0
-        assert info.n_batch_fallbacks == 2
-        assert info.n_batched_candidates == 0
+        assert info.n_lane_blocks == 1
+        assert info.n_batch_fallbacks == 0
+        assert info.n_batched_candidates == 2
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="backend"):
@@ -99,6 +101,57 @@ class TestBatchedBackendParity:
         assert parallel.engine_info.n_lane_blocks == 2  # one block per worker
         for ref, got in zip(serial.points, parallel.points):
             assert got.score == ref.score
+
+
+class TestScalarPathLogging:
+    """Every scalar-path decision of the batched backend is one DEBUG record."""
+
+    @staticmethod
+    def _messages(caplog):
+        return [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.engine"
+        ]
+
+    def test_singleton_blocks_are_logged_per_block(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="repro.engine")
+        make_sweep().options(RunOptions.batched(lane_width=1)).run()
+        messages = self._messages(caplog)
+        assert len(messages) == 4
+        assert all("lane block of one: scalar path" in m for m in messages)
+
+    def test_configuration_degrade_is_logged_with_its_message(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="repro.engine")
+        sweep = make_sweep()
+        settings = replace(fixed_step(sweep), monitor_lle=True)
+        sweep.options(RunOptions.batched(settings=settings)).run()
+        (message,) = self._messages(caplog)
+        assert "lane block of 4 candidates degraded to the scalar path" in message
+        assert "monitor_lle" in message
+
+    def test_retired_lane_rerun_is_logged_with_lane_and_reason(
+        self, caplog, monkeypatch
+    ):
+        execute = TuningController.execute
+
+        def faulty_above_71_hz(self, t, analogue):
+            if analogue.read("ambient_frequency") > 71.0:
+                raise RuntimeError("controller fault")
+            return execute(self, t, analogue)
+
+        monkeypatch.setattr(TuningController, "execute", faulty_above_71_hz)
+        caplog.set_level(logging.DEBUG, logger="repro.engine")
+        sweep = Study.scenario(scenario_1(duration_s=0.02)).sweep(
+            {"excitation_frequency_hz": [69.0, 72.0, 70.0]}
+        )
+        with pytest.raises(RuntimeError, match="controller fault"):
+            sweep.options(RunOptions.batched(n_workers=1)).run()
+        (message,) = self._messages(caplog)
+        assert message.startswith("lane 1 (candidate 1, ")
+        assert "'excitation_frequency_hz': 72.0" in message
+        assert "controller fault" in message
+        assert "exact scalar re-run" in message
 
 
 class TestCheckpointGuard:

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro import RunOptions, Study, charging_scenario
+from repro import RunOptions, Study, charging_scenario, scenario_1
 from repro.api import options as options_module
 from repro.api.options import FINGERPRINT_EXEMPT, execution_fingerprint
 from repro.core import AdamsBashforth, SolverSettings
@@ -27,10 +27,12 @@ def fixed_step_settings():
     return replace(scenario_solver_settings(scenario), fixed_step=1e-4)
 
 
-def run_sweep(options):
-    """Scores by candidate of one small sweep."""
+def run_sweep(options, scenario=None):
+    """Scores by candidate of one small sweep (the charging run by default)."""
+    if scenario is None:
+        scenario = charging_scenario(duration_s=DURATION_S)
     result = (
-        Study.scenario(charging_scenario(duration_s=DURATION_S))
+        Study.scenario(scenario)
         .options(options)
         .sweep(AXES)
         .run()
@@ -46,6 +48,7 @@ def run_sweep(options):
 #: first run's cache entries)
 CASES = {
     "backend": lambda tmp: (RunOptions(), RunOptions.batched()),
+    "backend_scenario_1": lambda tmp: (RunOptions(), RunOptions.batched()),
     "compiled": lambda tmp: (
         RunOptions.batched(compiled="off"),
         RunOptions.batched(compiled="auto"),
@@ -91,10 +94,18 @@ CASES = {
 }
 
 
+#: cases that sweep another base scenario than the charging run: the
+#: tuning scenario's watchdog, measurement and tuning activations (at
+#: 0 s, 0.2 s and after) ride the batched lanes too
+SCENARIOS = {
+    "backend_scenario_1": lambda: scenario_1(duration_s=0.25, shift_time_s=0.2),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     sorted(FINGERPRINT_EXEMPT)
-    + ["lane_width_adaptive", "n_workers_batched_adaptive"],
+    + ["backend_scenario_1", "lane_width_adaptive", "n_workers_batched_adaptive"],
 )
 def test_exempt_knob_never_changes_a_score(case, tmp_path):
     if case not in CASES:
@@ -103,7 +114,8 @@ def test_exempt_knob_never_changes_a_score(case, tmp_path):
             "the claim; add one to CASES"
         )
     first, second = CASES[case](tmp_path)
-    a, b = run_sweep(first), run_sweep(second)
+    scenario = SCENARIOS[case]() if case in SCENARIOS else None
+    a, b = run_sweep(first, scenario), run_sweep(second, scenario)
     common = set(a) & set(b)
     assert len(common) >= 2
     for candidate in sorted(common):

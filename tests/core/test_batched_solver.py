@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import Study
+from repro import RunOptions, Study
+from repro.blocks.microcontroller import TuningController
 from repro.core.batch import BatchedSolver
+from repro.core.digital import DigitalEventKernel, DigitalProcess
 from repro.core.errors import (
     ConfigurationError,
     SingularSystemError,
@@ -15,6 +17,7 @@ from repro.core.errors import (
 from repro.harvester.scenarios import (
     charging_scenario,
     prepare_assembly,
+    scenario_1,
     scenario_solver_settings,
 )
 from repro.harvester.topologies import piezoelectric_scenario
@@ -32,13 +35,21 @@ def _lane_scenarios(duration_s=0.02):
     ]
 
 
-def _batched_run(scenarios, settings_list):
+def _batched_run(scenarios, settings_list, inject=None):
+    """The scenarios as lanes, each with its digital kernel; ``inject``
+    maps a lane to an extra digital process for that lane alone."""
     structure = prepare_assembly(scenarios[0])
     harvesters = [
         s.build_harvester(assembly_structure=structure) for s in scenarios
     ]
+    kernels = [h._build_kernel() for h in harvesters]
+    for lane, process in (inject or {}).items():
+        kernels[lane] = kernels[lane] or DigitalEventKernel()
+        kernels[lane].add_process(process)
     solver = BatchedSolver(
-        [h.assembler for h in harvesters], settings=settings_list
+        [h.assembler for h in harvesters],
+        settings=settings_list,
+        digital_kernels=kernels,
     )
     for i, harvester in enumerate(harvesters):
         harvester._wire(solver.lane_wiring(i))
@@ -220,6 +231,57 @@ class TestLaneRetirement:
         batch = _batched_run(scenarios, settings_list)
         assert set(batch.failures) == {0, 1, 2}
         assert all(result is None for result in batch.results)
+
+
+class _Faulty(DigitalProcess):
+    """A digital process that raises on its first activation."""
+
+    def execute(self, t, analogue):
+        raise RuntimeError(f"faulty process at t={t}")
+
+
+class TestDigitalEventFaults:
+    def test_raising_process_retires_only_its_lane(self):
+        scenarios = [
+            scenario_1(duration_s=0.02, shift_time_s=0.01) for _ in range(3)
+        ]
+        settings_list = [scenario_solver_settings(s) for s in scenarios]
+        batch = _batched_run(
+            scenarios,
+            settings_list,
+            inject={1: _Faulty("faulty", start_time=0.005)},
+        )
+        assert set(batch.failures) == {1}
+        assert isinstance(batch.failures[1], RuntimeError)
+        assert batch.results[1] is None
+        for i in (0, 2):
+            solo = scalar_run(scenarios[i], settings_list[i])
+            got = batch.results[i]
+            _assert_traces_identical(solo, got, context=f"lane {i} ")
+            assert got.stats.n_steps == solo.stats.n_steps
+            assert (
+                got.metadata["digital_activations"]
+                == solo.metadata["digital_activations"]
+            )
+
+    def test_batched_sweep_raises_like_the_process_backend(self, monkeypatch):
+        execute = TuningController.execute
+
+        def faulty_above_71_hz(self, t, analogue):
+            if analogue.read("ambient_frequency") > 71.0:
+                raise RuntimeError("controller fault")
+            return execute(self, t, analogue)
+
+        monkeypatch.setattr(TuningController, "execute", faulty_above_71_hz)
+        sweep = Study.scenario(scenario_1(duration_s=0.02)).sweep(
+            {"excitation_frequency_hz": [69.0, 72.0, 70.0]}
+        )
+        for options in (
+            RunOptions(n_workers=1),
+            RunOptions.batched(n_workers=1),
+        ):
+            with pytest.raises(RuntimeError, match="controller fault"):
+                sweep.options(options).run()
 
 
 class TestPerLaneSchedules:

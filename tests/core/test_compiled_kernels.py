@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import Study
+from repro.blocks.microcontroller import ControllerSettings
 from repro.core import batch, kernels
 from repro.core.batch import BatchedSolver, BatchResult
 from repro.core.block import LinearBlock
@@ -32,8 +33,25 @@ from repro.harvester.topologies import (
     piezoelectric_scenario,
 )
 
+
+def _staggered_events(measurement_s):
+    """Scenario 1 with a millisecond controller: the measurement ends,
+    tuning starts and completes at lane-specific times, each a
+    model-changing write landing inside the other lanes' march."""
+    base = scenario_1(duration_s=0.03, shift_time_s=0.001)
+    controller = ControllerSettings(
+        watchdog_period_s=0.01,
+        measurement_duration_s=measurement_s,
+        tuning_poll_interval_s=0.0035,
+        wake_voltage_v=3.0,
+        abort_voltage_v=1.0,
+    )
+    return replace(base, config=replace(base.config, controller=controller))
+
+
 # one lane set per SCENARIO_FACTORIES entry (same topology per set, a
-# varied parameter across lanes so the stacked march is not degenerate)
+# varied parameter across lanes so the stacked march is not degenerate),
+# plus one whose digital events land at different times per lane
 LANE_SETS = {
     "scenario_1": lambda: [
         scenario_1(duration_s=0.02, shift_time_s=t) for t in (0.005, 0.01)
@@ -52,6 +70,9 @@ LANE_SETS = {
     "electrostatic_charging": lambda: [
         electrostatic_scenario(duration_s=0.01, excitation_frequency_hz=f)
         for f in (50.0, 70.0)
+    ],
+    "staggered_events": lambda: [
+        _staggered_events(m) for m in (0.004, 0.0041, 0.0071)
     ],
 }
 
@@ -96,7 +117,9 @@ def _batched_run(scenarios, settings_list, t_end=None):
         s.build_harvester(assembly_structure=structure) for s in scenarios
     ]
     solver = BatchedSolver(
-        [h.assembler for h in harvesters], settings=settings_list
+        [h.assembler for h in harvesters],
+        settings=settings_list,
+        digital_kernels=[h._build_kernel() for h in harvesters],
     )
     for i, harvester in enumerate(harvesters):
         harvester._wire(solver.lane_wiring(i))
@@ -133,9 +156,15 @@ def _assert_runs_identical(ref, got, i=0):
         assert getattr(ref.stats, key) == getattr(got.stats, key), (
             f"lane {i} stats.{key} differs"
         )
-    assert (
-        ref.metadata["n_jacobian_reuses"] == got.metadata["n_jacobian_reuses"]
-    ), f"lane {i} n_jacobian_reuses differs"
+    for key in ("n_jacobian_reuses", "lle_flagged_steps", "digital_activations"):
+        assert ref.metadata.get(key) == got.metadata.get(key), (
+            f"lane {i} metadata {key} differs"
+        )
+    # the scalar monitor's Frobenius norm is a BLAS dot, the batched drift
+    # a stacked sum: the largest drift agrees up to its last bits
+    assert got.metadata["lle_max_jacobian_change"] == pytest.approx(
+        ref.metadata["lle_max_jacobian_change"], rel=1e-12, abs=1e-300
+    ), f"lane {i} metadata lle_max_jacobian_change differs"
 
 
 def _assert_batches_identical(reference, result):
@@ -195,10 +224,6 @@ def _scalar_run(scenario, settings):
     return Study.scenario(scenario).options(settings=settings).run().result
 
 
-#: the lane sets without a digital controller: their batched lanes are
-#: the very candidates the scalar solver runs
-CONTROLLER_FREE = {"charging", "piezoelectric_charging", "electrostatic_charging"}
-
 #: solver profiles the lane-independence contract is checked under
 PROFILES = {
     "adaptive_interval_1": lambda s: _settings_for(s),
@@ -221,7 +246,7 @@ def test_each_lane_is_its_own_run(factory, profile):
 
     Every lane of a packed run equals the same lane marched alone
     (``B = 1``) bitwise — traces, step statistics and Jacobian reuses —
-    and, for controller-free candidates, the scalar solver's run.
+    and the scalar solver's run, digital events included.
     """
     scenarios = LANE_SETS[factory]()
     settings_list = [PROFILES[profile](s) for s in scenarios]
@@ -230,10 +255,23 @@ def test_each_lane_is_its_own_run(factory, profile):
     for i, (scenario, settings) in enumerate(zip(scenarios, settings_list)):
         alone = _batched_run([scenario], [settings]).results[0]
         _assert_runs_identical(alone, packed.results[i], i)
-        if factory in CONTROLLER_FREE:
-            _assert_runs_identical(
-                _scalar_run(scenario, settings), packed.results[i], i
-            )
+        _assert_runs_identical(
+            _scalar_run(scenario, settings), packed.results[i], i
+        )
+
+
+def test_activation_restarts_the_lane_drift_monitor():
+    """A model-changing activation resets that lane's LLE monitor, as
+    the scalar solver's does: with a tolerance every refresh exceeds, the
+    flagged count is the refreshes since the lane's last activation."""
+    scenarios = LANE_SETS["staggered_events"]()
+    settings_list = [replace(_settings_for(s), lle_tolerance=1e-12) for s in scenarios]
+    packed = _batched_run(scenarios, settings_list)
+    for i, (scenario, settings) in enumerate(zip(scenarios, settings_list)):
+        scalar = _scalar_run(scenario, settings)
+        got = packed.results[i]
+        assert 0 < got.metadata["lle_flagged_steps"] < got.stats.n_jacobian_evaluations
+        _assert_runs_identical(scalar, got, i)
 
 
 @pytest.mark.parametrize("factory", sorted(LANE_SETS))
@@ -265,8 +303,9 @@ class TestFixedStepByteIdentity:
 
 
 class TestAdaptiveIdentity:
-    def test_numpy_kernel_matches_stepwise_exactly(self):
-        scenarios = LANE_SETS["charging"]()
+    @pytest.mark.parametrize("factory", ("charging", "staggered_events"))
+    def test_numpy_kernel_matches_stepwise_exactly(self, factory):
+        scenarios = LANE_SETS[factory]()
         settings_list = [_settings_for(s) for s in scenarios]
         reference = _stepwise_run(scenarios, settings_list)
         result = _batched_run(scenarios, settings_list)
