@@ -44,8 +44,9 @@ Execution model
   lane-constant Jacobian fields are scattered once per march and only the
   state-dependent fields are rebuilt per refresh; block groups without a
   batched lineariser fall back to the generic per-lane dispatch, and a
-  batch with no such group at all runs unprepared.  The prepared path is
-  bit-identical to the per-lane dispatch.
+  batch with no such group at all runs unprepared.  While no group's
+  ``jxy``/``jyx``/``jyy``/``ey`` can change, the stacked Eq. (4) solve is
+  held too.  The prepared path is bit-identical to the per-lane dispatch.
 * **Digital events as per-lane interrupts**: a lane may carry its own
   :class:`~repro.core.digital.DigitalEventKernel`.  Its next event time
   bounds the lane's steps exactly as the scalar solver's event boundary
@@ -818,6 +819,8 @@ class BatchedSolver:
                 s.y = np.where(
                     due[:, None], fresh.y_solution, reduced.terminal_values(s.x)
                 )
+                # rebound, not written in place: the arrays may be the
+                # assembler's read-only held Eq. (4) solve
                 for name in (
                     "a_reduced",
                     "b_reduced",
@@ -825,7 +828,9 @@ class BatchedSolver:
                     "elimination_matrix",
                     "elimination_offset",
                 ):
-                    getattr(reduced, name)[due] = getattr(fresh, name)[due]
+                    held = getattr(reduced, name)
+                    mask = due.reshape((-1,) + (1,) * (held.ndim - 1))
+                    setattr(reduced, name, np.where(mask, getattr(fresh, name), held))
             a_fresh = fresh.a_reduced
             # a lane's first sample after a (re)start measures no drift
             change = np.where(

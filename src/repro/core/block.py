@@ -209,6 +209,15 @@ class PreparedBlockLineariser:
     skip them on subsequent refreshes.  Fields not listed must be assumed
     freshly computed on every call (their array objects may still be
     reused buffers — callers must not hold references across calls).
+
+    The scalar :class:`~repro.core.elimination.SystemAssembler` reads
+    ``constant`` too, from ``block.batched_lineariser([block])``: while
+    prepared it skips re-scattering those fields of the block's scalar
+    :meth:`AnalogueBlock.linearise`, and holds its Eq. (4) solve when
+    every block declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant.
+    A declaration is therefore a promise about ``linearise`` as well: the
+    fields stay unchanged until a control write, after which both solvers
+    re-prepare.
     """
 
     lineariser: Callable[[np.ndarray, np.ndarray, np.ndarray], "BatchedLinearisation"]

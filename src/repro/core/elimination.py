@@ -29,19 +29,21 @@ which is what the explicit integrator advances.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .block import (
+    LINEARISATION_FIELDS,
     AnalogueBlock,
     BatchedLinearisation,
     BlockLinearisation,
     PreparedBlockLineariser,
 )
 from .errors import ConfigurationError, SingularLaneError, SingularSystemError
-from .linearise import linearise_block, linearise_block_lanes
+from .linearise import fast_path_counts, linearise_block, linearise_block_lanes
 from .netlist import Net, Netlist
 
 __all__ = [
@@ -138,6 +140,30 @@ class AssemblyStructure:
         )
 
 
+logger = logging.getLogger("repro.elimination")
+
+_NO_CONSTANT_FIELDS: frozenset = frozenset()
+#: the fields Eq. (4) reads besides ``jxx``/``ex``: while all are constant
+#: the solve, and ``jxy`` times its solution, can be held
+_SOLVE_FIELDS = frozenset(("jxy", "jyx", "jyy", "ey"))
+
+
+def _log_refused(refused: Sequence[str]) -> None:
+    if refused:
+        logger.debug(
+            "prepare: block(s) %s override linearise below their batched fast "
+            "path; they are linearised through linearise on every refresh",
+            ", ".join(repr(name) for name in refused),
+        )
+
+
+def _hold(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The held Eq. (4) values, read-only: a reduced system shares them."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 class _BlockPlan(NamedTuple):
     """Where one block's linearisation lands in the global system.
 
@@ -208,6 +234,13 @@ class ReducedSystem:
 class SystemAssembler:
     """Maps block-local variables into the global system and eliminates ``y``.
 
+    Unprepared, every :meth:`assemble` linearises every block and scatters
+    every field, and every :meth:`eliminate` solves Eq. (4); the Newton
+    baselines use it that way.  The linearised solver calls :meth:`prepare`
+    for each run, so refreshes rebuild only what the operating point can
+    change and reuse the Eq. (4) solve while it cannot change, with
+    bitwise the same results.
+
     Parameters
     ----------
     netlist:
@@ -254,6 +287,14 @@ class SystemAssembler:
             np.zeros(s.n_algebraic),
         )
         self._plan = [self._plan_block(block) for block in self._blocks]
+        self._scatter_all = [(plan, _NO_CONSTANT_FIELDS) for plan in self._plan]
+        # prepared-refresh state (see prepare()): the blocks to re-linearise
+        # after the first assemble, each with the fields it need not
+        # re-scatter, and the held Eq. (4) solve
+        self._refresh: Optional[List[Tuple[_BlockPlan, frozenset]]] = None
+        self._scattered = False
+        self._hold_solve = False
+        self._held: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------ #
     # structural queries
@@ -354,6 +395,56 @@ class SystemAssembler:
     # ------------------------------------------------------------------ #
     # assembly and elimination
     # ------------------------------------------------------------------ #
+    def prepare(self) -> None:
+        """Hold what the operating point cannot change, until :meth:`unprepare`.
+
+        Each block's constant fields are the ``constant`` declaration of
+        its ``batched_lineariser([block])`` -- the one the batched refresh
+        trusts -- unless a ``linearise`` override bypasses that fast path
+        (see :func:`~repro.core.linearise.fast_path_counts`).  The first
+        :meth:`assemble` afterwards scatters every field; later ones
+        re-scatter only the fields not declared constant, and a block whose
+        six fields are all constant is not linearised again.  When every
+        block declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant,
+        :meth:`eliminate` also holds its Eq. (4) solve.  Results are
+        bitwise those of the unprepared path.
+
+        Call it again after anything that changes the model (a control
+        write); it drops the held values.  While prepared, :meth:`eliminate`
+        must be given this assembler's own :meth:`assemble` result.
+        """
+        refresh: List[Tuple[_BlockPlan, frozenset]] = []
+        refused: List[str] = []
+        hold_solve = True
+        for plan in self._plan:
+            constant = _NO_CONSTANT_FIELDS
+            if fast_path_counts([plan.block], "batched_lineariser"):
+                prepared = plan.block.batched_lineariser([plan.block])
+                if prepared is not None:
+                    constant = frozenset(prepared.constant)
+            else:
+                refused.append(plan.block.name)
+            hold_solve = hold_solve and _SOLVE_FIELDS <= constant
+            if len(constant) < len(LINEARISATION_FIELDS):
+                refresh.append((plan, constant))
+        _log_refused(refused)
+        self._refresh = refresh
+        self._scattered = False
+        self._hold_solve = hold_solve
+        self._held = None
+
+    def unprepare(self) -> None:
+        """Drop the prepared refresh; :meth:`assemble` scatters everything again."""
+        self._refresh = None
+        self._scattered = False
+        self._hold_solve = False
+        self._held = None
+
+    @property
+    def prepared(self) -> bool:
+        """Whether :meth:`prepare` is in effect."""
+        return self._refresh is not None
+
     def assemble(
         self, t: float, x_global: np.ndarray, y_global: np.ndarray
     ) -> GlobalLinearisation:
@@ -361,22 +452,31 @@ class SystemAssembler:
 
         The result views this assembler's buffers, which the next call
         overwrites: a caller that keeps it past that call must copy it.
+        After :meth:`prepare`, only the fields that can change are rebuilt.
         """
+        work = self._refresh if self._scattered else self._scatter_all
         jxy = self._buffers[1].reshape(-1)
         jyy = self._buffers[4].reshape(-1)
-        for plan in self._plan:
+        for plan, constant in work:
             lin: BlockLinearisation = linearise_block(
                 plan.block, t, x_global[plan.states], y_global[plan.terminals], plan.shapes
             )
             jxx_view, ex_view, jyx_view, ey_view = plan.views
-            jxx_view[...] = lin.jxx
-            ex_view[...] = lin.ex
-            jyx_view[...] = lin.jyx
-            ey_view[...] = lin.ey
+            if "jxx" not in constant:
+                jxx_view[...] = lin.jxx
+            if "ex" not in constant:
+                ex_view[...] = lin.ex
+            if "jyx" not in constant:
+                jyx_view[...] = lin.jyx
+            if "ey" not in constant:
+                ey_view[...] = lin.ey
             # the coupling entries are summed onto zero, as into a fresh
             # matrix, so a -0.0 lands as 0.0
-            jxy[plan.jxy_index] = lin.jxy.ravel() + 0.0
-            jyy[plan.jyy_index] = lin.jyy.ravel() + 0.0
+            if "jxy" not in constant:
+                jxy[plan.jxy_index] = lin.jxy.ravel() + 0.0
+            if "jyy" not in constant:
+                jyy[plan.jyy_index] = lin.jyy.ravel() + 0.0
+        self._scattered = self._refresh is not None
         return GlobalLinearisation(*self._buffers)
 
     def eliminate(self, lin: GlobalLinearisation, x_global: np.ndarray) -> ReducedSystem:
@@ -384,7 +484,21 @@ class SystemAssembler:
 
         Raises :class:`SingularSystemError` when ``J_yy`` is singular, which
         indicates a wiring problem (floating port, conflicting sources).
+        While :meth:`prepare` holds the solve, the returned
+        ``elimination_matrix``/``elimination_offset`` are the held,
+        read-only arrays.
         """
+        if self._held is not None:
+            # Eq. (4) is held (see prepare): the unheld path's operations
+            # on the same operands, minus the solve
+            m, c, jxy_m, jxy_c = self._held
+            return ReducedSystem(
+                a_reduced=lin.jxx + jxy_m,
+                b_reduced=lin.ex + jxy_c,
+                y_solution=m @ x_global + c,
+                elimination_matrix=m,
+                elimination_offset=c,
+            )
         jyy = lin.jyy
         if jyy.shape[0] != jyy.shape[1]:
             raise SingularSystemError(
@@ -417,11 +531,13 @@ class SystemAssembler:
         elimination_matrix = -solution[:, :-1]
         elimination_offset = -solution[:, -1]
         y_solution = elimination_matrix @ x_global + elimination_offset
-        a_reduced = lin.jxx + lin.jxy @ elimination_matrix
-        b_reduced = lin.ex + lin.jxy @ elimination_offset
+        jxy_m = lin.jxy @ elimination_matrix
+        jxy_c = lin.jxy @ elimination_offset
+        if self._hold_solve:
+            self._held = _hold(elimination_matrix, elimination_offset, jxy_m, jxy_c)
         return ReducedSystem(
-            a_reduced=a_reduced,
-            b_reduced=b_reduced,
+            a_reduced=lin.jxx + jxy_m,
+            b_reduced=lin.ex + jxy_c,
             y_solution=y_solution,
             elimination_matrix=elimination_matrix,
             elimination_offset=elimination_offset,
@@ -463,8 +579,6 @@ class SystemAssembler:
 # ---------------------------------------------------------------------- #
 # batched (lane-parallel) assembly and elimination
 # ---------------------------------------------------------------------- #
-_NO_CONSTANT_FIELDS: frozenset = frozenset()
-
 
 @dataclass
 class _PreparedGroup:
@@ -606,6 +720,9 @@ class BatchedAssembler:
         self._groups: Optional[List[_PreparedGroup]] = None
         self._workspace: Optional[BatchedGlobalLinearisation] = None
         self._static_scattered = False
+        # the held Eq. (4) solve, as in SystemAssembler.prepare
+        self._hold_solve = False
+        self._held: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------ #
     # structural queries
@@ -666,10 +783,19 @@ class BatchedAssembler:
         The workspace arrays are reused across calls — callers must treat
         the returned :class:`BatchedGlobalLinearisation` as transient and
         must not mutate or retain its fields past the next refresh.
+
+        A group whose ``linearise`` override would be bypassed by its
+        batched fast path keeps the generic dispatch (see
+        :func:`~repro.core.linearise.fast_path_counts`).  When every group
+        declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant,
+        :meth:`eliminate` holds its stacked Eq. (4) solve as
+        :meth:`SystemAssembler.prepare` describes; calling this again
+        drops it.
         """
         s = self._structure
         b = self.n_lanes
         groups: List[_PreparedGroup] = []
+        refused: List[str] = []
         any_prepared = False
         for lanes in self._block_lanes:
             rep = lanes[0]
@@ -679,7 +805,11 @@ class BatchedAssembler:
             if rep.n_algebraic:
                 r0 = s.alg_offsets[rep.name]
                 rows = slice(r0, r0 + rep.n_algebraic)
-            prepared = rep.batched_lineariser(lanes)
+            prepared = None
+            if fast_path_counts(lanes, "batched_lineariser"):
+                prepared = rep.batched_lineariser(lanes)
+            else:
+                refused.append(rep.name)
             if prepared is not None:
                 any_prepared = True
             groups.append(
@@ -696,7 +826,10 @@ class BatchedAssembler:
                     ),
                 )
             )
+        _log_refused(refused)
         self._groups = groups
+        self._hold_solve = all(_SOLVE_FIELDS <= grp.constant for grp in groups)
+        self._held = None
         self._workspace = BatchedGlobalLinearisation(
             jxx=np.zeros((b, s.n_states, s.n_states)),
             jxy=np.zeros((b, s.n_states, s.n_terminals)),
@@ -713,6 +846,8 @@ class BatchedAssembler:
         self._groups = None
         self._workspace = None
         self._static_scattered = False
+        self._hold_solve = False
+        self._held = None
 
     @property
     def prepared(self) -> bool:
@@ -831,8 +966,19 @@ class BatchedAssembler:
 
         Raises :class:`SingularLaneError` naming the offending lanes when
         any lane's ``J_yy`` is singular, so the caller can retire exactly
-        those lanes and keep the rest marching.
+        those lanes and keep the rest marching.  While :meth:`prepare`
+        holds the solve, the elimination fields are the held, read-only
+        arrays: rebind a reduced system's fields, never write into them.
         """
+        if self._held is not None:
+            m, c, jxy_m, jxy_c = self._held
+            return BatchedReducedSystem(
+                a_reduced=lin.jxx + jxy_m,
+                b_reduced=lin.ex + jxy_c,
+                y_solution=np.matmul(m, x_global[..., None])[..., 0] + c,
+                elimination_matrix=m,
+                elimination_offset=c,
+            )
         jyy = lin.jyy
         b = lin.n_lanes
         n_states = lin.jxx.shape[1]
@@ -878,11 +1024,13 @@ class BatchedAssembler:
             np.matmul(elimination_matrix, x_global[..., None])[..., 0]
             + elimination_offset
         )
-        a_reduced = lin.jxx + np.matmul(lin.jxy, elimination_matrix)
-        b_reduced = lin.ex + np.matmul(lin.jxy, elimination_offset[..., None])[..., 0]
+        jxy_m = np.matmul(lin.jxy, elimination_matrix)
+        jxy_c = np.matmul(lin.jxy, elimination_offset[..., None])[..., 0]
+        if self._hold_solve:
+            self._held = _hold(elimination_matrix, elimination_offset, jxy_m, jxy_c)
         return BatchedReducedSystem(
-            a_reduced=a_reduced,
-            b_reduced=b_reduced,
+            a_reduced=lin.jxx + jxy_m,
+            b_reduced=lin.ex + jxy_c,
             y_solution=y_solution,
             elimination_matrix=elimination_matrix,
             elimination_offset=elimination_offset,

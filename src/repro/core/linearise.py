@@ -21,6 +21,7 @@ __all__ = [
     "linearise_block",
     "linearise_lanes_numerically",
     "linearise_block_lanes",
+    "fast_path_counts",
 ]
 
 _DEFAULT_EPS = 1e-7
@@ -140,6 +141,30 @@ def _check_shapes(block: AnalogueBlock, lin: BlockLinearisation, shapes) -> None
 # ---------------------------------------------------------------------- #
 # batched (lane-parallel) linearisation
 # ---------------------------------------------------------------------- #
+def _defining_class(cls: type, name: str) -> type:
+    return next(klass for klass in cls.__mro__ if name in vars(klass))
+
+
+def fast_path_counts(blocks: Sequence[AnalogueBlock], name: str) -> bool:
+    """Whether the blocks' ``name`` fast path may stand in for ``linearise``.
+
+    ``linearise_batch`` and ``batched_lineariser`` (with its ``constant``
+    declaration) restate a class's :meth:`~AnalogueBlock.linearise`.  A
+    subclass that overrides ``linearise`` below the class defining the fast
+    path would be silently bypassed by it, so the fast path counts only
+    when, for every block's class, it is defined in the class that defines
+    ``linearise`` or in a subclass of it.  The base class's default (no
+    fast path at all) bypasses nothing and always counts.
+    """
+    for cls in {type(block) for block in blocks}:
+        fast = _defining_class(cls, name)
+        if fast is not AnalogueBlock and not issubclass(
+            fast, _defining_class(cls, "linearise")
+        ):
+            return False
+    return True
+
+
 def linearise_lanes_numerically(
     lanes: Sequence[AnalogueBlock],
     t: np.ndarray,
@@ -224,7 +249,8 @@ def linearise_block_lanes(
 
     Dispatch order mirrors the scalar :func:`linearise_block`:
 
-    1. the block's own vectorised ``linearise_batch`` when ported;
+    1. the block's own vectorised ``linearise_batch`` when ported (and
+       not bypassing a ``linearise`` override, see :func:`fast_path_counts`);
     2. otherwise a loop over the lanes' scalar ``linearise`` stacked into
        one batched object (unported analytic blocks keep working);
     3. blocks without analytic Jacobians fall back to the batched
@@ -234,7 +260,9 @@ def linearise_block_lanes(
     fallbacks see lane ``i`` at ``t[i]``.
     """
     rep = lanes[0]
-    lin = rep.linearise_batch(lanes, t, x, y)
+    lin = None
+    if fast_path_counts(lanes, "linearise_batch"):
+        lin = rep.linearise_batch(lanes, t, x, y)
     if lin is not None:
         lin.validate(len(lanes), rep.n_states, rep.n_terminals, rep.n_algebraic)
         return lin

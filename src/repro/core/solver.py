@@ -186,7 +186,22 @@ class LinearisedStateSpaceSolver:
         t_start: float = 0.0,
         x0: Optional[np.ndarray] = None,
     ) -> SimulationResult:
-        """Simulate from ``t_start`` to ``t_end`` and return all traces."""
+        """Simulate from ``t_start`` to ``t_end`` and return all traces.
+
+        The assembler is prepared for the run (it holds what the operating
+        point cannot change, see :meth:`SystemAssembler.prepare`) and always
+        unprepared afterwards, so the solver and its assembler stay
+        reusable.
+        """
+        self.assembler.prepare()
+        try:
+            return self._march(t_end, t_start, x0)
+        finally:
+            self.assembler.unprepare()
+
+    def _march(
+        self, t_end: float, t_start: float, x0: Optional[np.ndarray]
+    ) -> SimulationResult:
         if t_end <= t_start:
             raise ConfigurationError("t_end must be greater than t_start")
         settings = self.settings
@@ -241,7 +256,10 @@ class LinearisedStateSpaceSolver:
                         self.integrator.notify_discontinuity(integrator_state)
                         controller.reset()
                         self.lle_monitor.reset()
-                        reduced = None  # the analogue model changed under us
+                        # the analogue model changed under us: drop the
+                        # held model and what the assembler held
+                        reduced = None
+                        assembler.prepare()
 
             # 2. linearise + eliminate at the current point, or reuse the
             #    held affine model while it is still fresh enough

@@ -43,12 +43,18 @@ def relative_jacobian_drift(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
     reference falling back to an absolute scale of 1 — the batched
     counterpart of the scalar controllers' drift metric, shared by step
     control and the batched solver's LLE monitoring so the two can never
-    desynchronise.
+    desynchronise.  Each norm is a stacked ``matmul`` of the flattened lane
+    with itself: the dot product ``np.linalg.norm`` takes, so every lane's
+    drift is bitwise the scalar monitor's.
     """
-    diff = a - reference
-    scale = np.sqrt(np.sum(reference * reference, axis=(1, 2)))
+    scale = _frobenius_norms(reference)
     scale = np.where(scale == 0.0, 1.0, scale)
-    return np.sqrt(np.sum(diff * diff, axis=(1, 2))) / scale
+    return _frobenius_norms(a - reference) / scale
+
+
+def _frobenius_norms(m: np.ndarray) -> np.ndarray:
+    flat = m.reshape(m.shape[0], 1, -1)
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
 
 
 @dataclass

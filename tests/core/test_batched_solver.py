@@ -1,5 +1,6 @@
 """Batched solver: per-lane byte-identity, retirement and guard rails."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.errors import (
     SingularSystemError,
     StabilityError,
 )
+from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
 from repro.harvester.scenarios import (
     charging_scenario,
     prepare_assembly,
@@ -21,6 +23,8 @@ from repro.harvester.scenarios import (
     scenario_solver_settings,
 )
 from repro.harvester.topologies import piezoelectric_scenario
+
+from .test_solver import driven_rc_assembler
 
 
 def scalar_run(scenario, settings):
@@ -318,6 +322,32 @@ class TestPerLaneSchedules:
             for s in scenarios
         ]
         self._assert_lanes_match_serial(scenarios, settings_list)
+
+
+class TestLineariseOverride:
+    def test_lane_overriding_linearise_is_bitwise_its_scalar_run(self, caplog):
+        # the source block overrides linearise below LinearBlock, whose
+        # batched fast paths would hand it a zero ey (no source at all)
+        settings = SolverSettings(fixed_step=1e-4)
+        scalar_assembler, _ = driven_rc_assembler()
+        expected = LinearisedStateSpaceSolver(scalar_assembler, settings=settings).run(0.01)
+        assembler, _ = driven_rc_assembler()
+        with caplog.at_level(logging.DEBUG, logger="repro.elimination"):
+            result = BatchedSolver([assembler], settings=settings).run(0.01)
+        got = result.results[0]
+        assert got["rc.Vc"].final() == pytest.approx(0.0952, rel=1e-3)
+        _assert_traces_identical(expected, got)
+        # one record for the one prepare, naming the refused block
+        (record,) = caplog.records
+        assert "'source'" in record.getMessage()
+
+    def test_a_block_without_fast_paths_is_not_refused(self, caplog):
+        # the piezoelectric generator overrides linearise only: the base
+        # class's empty fast paths bypass nothing
+        assembler = piezoelectric_scenario(duration_s=0.01).build_harvester().assembler
+        with caplog.at_level(logging.DEBUG, logger="repro.elimination"):
+            assembler.prepare()
+        assert caplog.records == []
 
 
 class TestGuardRails:

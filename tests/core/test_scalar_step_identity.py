@@ -4,8 +4,12 @@ The ``reference_step`` fixture swaps in the per-step pieces as they were
 written before the scalar path was prepared:
 
 * the generic ``SystemAssembler.assemble`` loop: fresh zero matrices,
-  netlist look-ups per block, fancy-index scatters and a full
-  ``BlockLinearisation.validate`` per block;
+  netlist look-ups per block, every block linearised and every field
+  scattered by fancy index, and a full ``BlockLinearisation.validate`` per
+  block;
+* the generic ``SystemAssembler.eliminate``: one ``np.linalg.solve`` of
+  Eq. (4) per refresh, even while the assembler is prepared, so a held
+  solve that outlives a model change shows as a difference;
 * ``_variable_step_weights`` solving its Vandermonde system on every call;
 * the step controller and the LLE monitor each measuring the Jacobian
   drift themselves, re-taking the norm of every reference matrix;
@@ -26,7 +30,7 @@ from repro.api.experiment import SCENARIO_FACTORIES
 from repro.blocks.voltage_multiplier import DicksonMultiplier
 from repro.core.block import BlockLinearisation, LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
-from repro.core.elimination import GlobalLinearisation, SystemAssembler
+from repro.core.elimination import GlobalLinearisation, ReducedSystem, SystemAssembler
 from repro.core.integrators import adams_bashforth
 from repro.core.linearise import linearise_block_numerically
 from repro.core.lle import LLEMonitor
@@ -98,6 +102,31 @@ def generic_assemble(self, t, x_global, y_global):
 
 
 generic_assemble.calls = 0
+
+
+def generic_eliminate(self, lin, x_global):
+    jyy = lin.jyy
+    if jyy.size == 0:
+        return ReducedSystem(
+            a_reduced=lin.jxx.copy(),
+            b_reduced=lin.ex.copy(),
+            y_solution=np.zeros(0),
+            elimination_matrix=np.zeros((0, lin.n_states)),
+            elimination_offset=np.zeros(0),
+        )
+    rhs = np.empty((jyy.shape[0], lin.jyx.shape[1] + 1))
+    rhs[:, :-1] = lin.jyx
+    rhs[:, -1] = lin.ey
+    solution = np.linalg.solve(jyy, rhs)
+    elimination_matrix = -solution[:, :-1]
+    elimination_offset = -solution[:, -1]
+    return ReducedSystem(
+        a_reduced=lin.jxx + lin.jxy @ elimination_matrix,
+        b_reduced=lin.ex + lin.jxy @ elimination_offset,
+        y_solution=elimination_matrix @ x_global + elimination_offset,
+        elimination_matrix=elimination_matrix,
+        elimination_offset=elimination_offset,
+    )
 
 
 def unmemoised_weights(sample_times, t_start, t_end):
@@ -193,6 +222,7 @@ def reference_step(monkeypatch):
     def swapped():
         with monkeypatch.context() as patch:
             patch.setattr(SystemAssembler, "assemble", generic_assemble)
+            patch.setattr(SystemAssembler, "eliminate", generic_eliminate)
             patch.setattr(adams_bashforth, "_variable_step_weights", unmemoised_weights)
             patch.setattr(LLEMonitor, "jacobian_change", own_lle_drift)
             patch.setattr(StepSizeController, "propose", propose_measuring_own_drift)

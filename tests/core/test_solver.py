@@ -1,6 +1,7 @@
 """Tests for the linearised state-space solver on small known systems."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from repro.core.integrators import AdamsBashforth, RungeKutta4
 from repro.core.netlist import Netlist
 from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
 from repro.core.stepper import StepControlSettings
+from repro.harvester.scenarios import charging_scenario, scenario_solver_settings
 
 from .test_block_netlist import make_rc_block
+from .test_scalar_step_identity import assert_runs_identical
 
 
 def single_decay_assembler(rate=5.0, x0=1.0):
@@ -277,3 +280,18 @@ class TestMixedSignalCoupling:
         times = result["rc.Vc"].times
         # one accepted time point lands exactly on the event time
         assert np.min(np.abs(times - 0.0333)) < 1e-9
+
+
+class TestSolverReusability:
+    def test_runs_leave_no_prepared_state_behind(self):
+        scenario = charging_scenario(duration_s=0.01)
+        settings = scenario_solver_settings(scenario)
+        solver = scenario.build_harvester().build_solver(settings=settings)
+        first = solver.run(scenario.duration_s)
+        assert solver.assembler.prepared is False
+        solver.settings = replace(settings, divergence_limit=1e-9)
+        with pytest.raises(StabilityError):
+            solver.run(scenario.duration_s)
+        assert solver.assembler.prepared is False
+        solver.settings = settings
+        assert_runs_identical(first, solver.run(scenario.duration_s))

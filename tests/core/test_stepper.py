@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.integrators import AdamsBashforth, ForwardEuler
-from repro.core.stepper import StepControlSettings, StepSizeController
+from repro.core.stepper import (
+    StepControlSettings,
+    StepSizeController,
+    relative_jacobian_drift,
+)
 
 
 class TestSettingsValidation:
@@ -111,3 +115,20 @@ class TestPropose:
         assert controller.current_step > 1e-4
         controller.reset()
         assert controller.current_step == pytest.approx(1e-4)
+
+
+def test_batched_drift_is_the_scalar_norm_ratio_bitwise():
+    # the batched lanes and the scalar monitor must read the same drift,
+    # or step control could branch differently in the last bit
+    rng = np.random.default_rng(7)
+    exponents = rng.integers(-8, 8, size=(256, 1, 1)).astype(float)
+    reference = rng.standard_normal((256, 12, 12)) * 10.0**exponents
+    a = reference + rng.standard_normal((256, 12, 12)) * 1e-3 * 10.0**exponents
+    reference[0] = 0.0  # a zero-norm reference falls back to scale 1
+    expected = np.array(
+        [
+            np.linalg.norm(a_i - r_i) / (np.linalg.norm(r_i) or 1.0)
+            for a_i, r_i in zip(a, reference)
+        ]
+    )
+    assert relative_jacobian_drift(a, reference).tobytes() == expected.tobytes()
