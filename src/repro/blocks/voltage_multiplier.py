@@ -223,7 +223,7 @@ class DicksonMultiplier(AnalogueBlock):
                 jxy[0, 3] -= 1.0 / cin
 
         # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end),
-        # every row at once with linearise_batch's element-wise expressions
+        # every row at once with the batched plan's element-wise expressions
         caps = self.capacitances
         jxx[1:n, :] = (
             g[:-1, None] * coefficients[:-1, :] - g[1:, None] * coefficients[1:, :]
@@ -253,92 +253,36 @@ class DicksonMultiplier(AnalogueBlock):
     ) -> BatchedLinearisation:
         """Vectorised table-based linearisation for ``B`` multiplier lanes.
 
-        Lanes share the topology (stage count and pump pattern, hence the
-        diode voltage coefficient matrix) but may differ in capacitances
-        and diode parameters.  When every lane aliases the same companion
-        table — the common sweep case, the table cache hands identical
-        :class:`DiodeParameters` the same instance — all ``B * n`` diode
-        lookups go through one vectorised segment search; otherwise the
-        lookups loop per lane.  Every arithmetic step mirrors the scalar
-        :meth:`linearise` element-wise, so the stacked result is
-        bit-identical to per-lane linearisations.
+        One refresh of :meth:`batched_lineariser`'s plan: the batched
+        lanes have one Jacobian assembly, and the scalar :meth:`linearise`
+        stays its oracle.
         """
-        b = len(lanes)
-        n = self.n_stages
-        coefficients = self._vd_coefficients
-        vd = np.matmul(coefficients, x[..., None])[..., 0]  # (B, n)
-
-        table = self.companion_table
-        if all(lane.companion_table is table for lane in lanes):
-            g, j = table.evaluate_batch(vd)
-        else:
-            g = np.empty((b, n))
-            j = np.empty((b, n))
-            for i, lane in enumerate(lanes):
-                evaluate = lane.companion_table.evaluate
-                for k in range(n):
-                    g[i, k], j[i, k] = evaluate(float(vd[i, k]))
-
-        cin = np.array([lane.input_capacitance_f for lane in lanes])
-        caps = np.stack([lane.capacitances for lane in lanes])
-
-        n_states = n + 1
-        jxx = np.zeros((b, n_states, n_states))
-        jxy = np.zeros((b, n_states, 4))
-        ex = np.zeros((b, n_states))
-
-        # input node: Cin dVin/dt = Im - sum_pump (I_{k+1} - I_k); the
-        # accumulation order over k matches the scalar loop exactly
-        jxy[:, 0, 1] = 1.0 / cin
-        for k in range(n):
-            if not self._pump_active[k]:
-                continue
-            jxx[:, 0, :] += g[:, k, None] * coefficients[k, :] / cin[:, None]
-            ex[:, 0] += j[:, k] / cin
-            if k + 1 < n:
-                jxx[:, 0, :] -= g[:, k + 1, None] * coefficients[k + 1, :] / cin[:, None]
-                ex[:, 0] -= j[:, k + 1] / cin
-            else:
-                jxy[:, 0, 3] -= 1.0 / cin
-
-        # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end)
-        for k in range(n - 1):
-            ck = caps[:, k, None]
-            jxx[:, k + 1, :] = (
-                g[:, k, None] * coefficients[k, :]
-                - g[:, k + 1, None] * coefficients[k + 1, :]
-            ) / ck
-            ex[:, k + 1] = (j[:, k] - j[:, k + 1]) / caps[:, k]
-        cn = caps[:, -1]
-        jxx[:, n, :] = g[:, n - 1, None] * coefficients[n - 1, :] / cn[:, None]
-        jxy[:, n, 3] = -1.0 / cn
-        ex[:, n] = j[:, n - 1] / cn
-
-        return BatchedLinearisation(
-            jxx=jxx,
-            jxy=jxy,
-            ex=ex,
-            jyx=np.broadcast_to(self._jyx_template, (b, 2, n_states)).copy(),
-            jyy=np.broadcast_to(self._jyy_template, (b, 2, 4)).copy(),
-            ey=np.zeros((b, 2)),
-        )
+        return self.batched_lineariser(lanes).lineariser(t, x, y)
 
     def batched_lineariser(
         self, lanes: Sequence[AnalogueBlock]
     ) -> PreparedBlockLineariser:
-        """Fast lineariser with all operating-point-independent work hoisted.
+        """Stacked lineariser with all operating-point-independent work hoisted.
 
-        The capacitance stacks, the shared-companion-table check and the
-        four structurally constant fields (``jxy``, ``jyx``, ``jyy``,
-        ``ey``) are computed once; each refresh then performs only the
-        diode-voltage projection, the table lookups and the ``jxx``/``ex``
-        assembly, with the same expressions and accumulation order as
-        :meth:`linearise_batch` so the values stay bit-identical.
+        Lanes share the topology (stage count and pump pattern, hence the
+        diode voltage coefficient matrix ``C``) but may differ in
+        capacitances and diode parameters.  The capacitance stacks, the
+        pump terms of the input-node row and the four structurally
+        constant fields (``jxy``, ``jyx``, ``jyy``, ``ey``) are computed
+        once.  Each refresh projects the diode voltages, looks them up
+        (one :meth:`~repro.core.pwl.CompanionTable.evaluate_batch` over all
+        ``B * n`` voltages when every lane aliases the same companion
+        table, the common sweep case, else one per lane) and builds every
+        ``jxx``/``ex`` row from one product ``P = [g * C | j]``: the stage
+        rows are ``(P[:-1] - P[1:]) / caps[:-1]`` and the output row
+        ``P[-1] / cn``, the scalar :meth:`linearise`'s expressions, and the
+        input-node row adds the pump terms of ``P / cin`` in the scalar
+        loop's order.  Every lane is therefore bitwise its scalar
+        linearisation.
         """
         b = len(lanes)
         n = self.n_stages
         coefficients = self._vd_coefficients
-        pump_active = self._pump_active
         n_states = n + 1
 
         table = self.companion_table
@@ -347,14 +291,23 @@ class DicksonMultiplier(AnalogueBlock):
 
         cin = np.array([lane.input_capacitance_f for lane in lanes])
         caps = np.stack([lane.capacitances for lane in lanes])
+        cin_p = cin[:, None, None]
+        caps_stage = caps[:, :-1, None]
+        caps_out = caps[:, -1, None]
+        # input node: Cin dVin/dt = Im - sum_pump (I_{k+1} - I_k), as the
+        # signed rows of P / cin the scalar loop accumulates, in its order
+        pump_terms = []
+        for k in range(n):
+            if self._pump_active[k]:
+                pump_terms.append((k, True))
+                if k + 1 < n:
+                    pump_terms.append((k + 1, False))
 
-        # structurally constant fields, assembled exactly as linearise_batch
-        # does so the prepared path scatters the same floats
+        # structurally constant fields, the floats linearise assembles
         jxy = np.zeros((b, n_states, 4))
         jxy[:, 0, 1] = 1.0 / cin
-        for k in range(n):
-            if pump_active[k] and k + 1 >= n:
-                jxy[:, 0, 3] -= 1.0 / cin
+        if self._pump_active[n - 1]:
+            jxy[:, 0, 3] -= 1.0 / cin
         jxy[:, n, 3] = -1.0 / caps[:, -1]
         jyx = np.broadcast_to(self._jyx_template, (b, 2, n_states)).copy()
         jyy = np.broadcast_to(self._jyy_template, (b, 2, 4)).copy()
@@ -365,35 +318,33 @@ class DicksonMultiplier(AnalogueBlock):
             if lane_tables is None:
                 g, j = table.evaluate_batch(vd)
             else:
-                g = np.empty((b, n))
-                j = np.empty((b, n))
-                for i, lane_table in enumerate(lane_tables):
-                    evaluate = lane_table.evaluate
-                    for k in range(n):
-                        g[i, k], j[i, k] = evaluate(float(vd[i, k]))
-
-            jxx = np.zeros((b, n_states, n_states))
-            ex = np.zeros((b, n_states))
-            for k in range(n):
-                if not pump_active[k]:
-                    continue
-                jxx[:, 0, :] += g[:, k, None] * coefficients[k, :] / cin[:, None]
-                ex[:, 0] += j[:, k] / cin
-                if k + 1 < n:
-                    jxx[:, 0, :] -= g[:, k + 1, None] * coefficients[k + 1, :] / cin[:, None]
-                    ex[:, 0] -= j[:, k + 1] / cin
-            for k in range(n - 1):
-                ck = caps[:, k, None]
-                jxx[:, k + 1, :] = (
-                    g[:, k, None] * coefficients[k, :]
-                    - g[:, k + 1, None] * coefficients[k + 1, :]
-                ) / ck
-                ex[:, k + 1] = (j[:, k] - j[:, k + 1]) / caps[:, k]
-            cn = caps[:, -1]
-            jxx[:, n, :] = g[:, n - 1, None] * coefficients[n - 1, :] / cn[:, None]
-            ex[:, n] = j[:, n - 1] / cn
+                g, j = zip(*(tab.evaluate_batch(v) for tab, v in zip(lane_tables, vd)))
+                g, j = np.stack(g), np.stack(j)
+            # P = [g * C | j], (B, n, n + 2): one row per diode current
+            p = np.empty((b, n, n_states + 1))
+            np.multiply(g[:, :, None], coefficients, out=p[..., :n_states])
+            p[..., n_states] = j
+            # rows of [jxx | ex]; the input-node row accumulates from zero
+            # (in a contiguous buffer: in-place adds on a strided row cost more)
+            rows = np.empty((b, n_states, n_states + 1))
+            pumped = p / cin_p
+            row = np.zeros((b, n_states + 1))
+            for k, add in pump_terms:
+                if add:
+                    row += pumped[:, k]
+                else:
+                    row -= pumped[:, k]
+            rows[:, 0] = row
+            # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end)
+            np.divide(p[:, :-1] - p[:, 1:], caps_stage, out=rows[:, 1:n])
+            np.divide(p[:, n - 1], caps_out, out=rows[:, n])
             return BatchedLinearisation(
-                jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey
+                jxx=rows[..., :n_states],
+                jxy=jxy,
+                ex=rows[..., n_states],
+                jyx=jyx,
+                jyy=jyy,
+                ey=ey,
             )
 
         return PreparedBlockLineariser(

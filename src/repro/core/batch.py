@@ -806,15 +806,33 @@ class BatchedSolver:
                 refresh_time += time.perf_counter() - refresh_start
 
         def adopt(fresh: BatchedReducedSystem) -> None:
-            """Take the fresh models, proposals and stats in the due lanes."""
+            """Take the fresh models, proposals and stats in the due lanes.
+
+            When every lane is due (always, at ``relinearise_interval``
+            1) whole arrays are rebound rather than written lane by lane;
+            ``a_ref`` then aliases the fresh model's ``a_reduced``, so
+            neither path ever writes into ``a_ref`` or ``x_ref``.
+            """
             nonlocal reduced
-            # a slice when every lane is due (the common case) keeps the
-            # updates below on views
-            due = slice(None) if s.due.all() else s.due
-            if reduced is None or isinstance(due, slice):
+            a_fresh = fresh.a_reduced
+            # the first refresh has every lane due: ``since`` starts at ``hold``
+            if s.due.all():
                 reduced = fresh
                 s.y = fresh.y_solution
+                # a lane's first sample after a (re)start measures no drift
+                change = np.where(
+                    s.has_ref, relative_jacobian_drift(a_fresh, s.a_ref), 0.0
+                )
+                s.lle_max = np.maximum(s.lle_max, change)
+                s.lle_flags = s.lle_flags + (change > s.lle_tolerance)
+                s.a_ref = a_fresh
+                s.x_ref = s.x
+                s.has_ref = np.ones_like(s.has_ref)
+                s.since = np.zeros_like(s.since)
+                s.jev = s.jev + 1
+                s.solves = s.solves + 1
             else:
+                due = s.due
                 # the other lanes' terminals follow their held models
                 s.y = np.where(
                     due[:, None], fresh.y_solution, reduced.terminal_values(s.x)
@@ -831,21 +849,19 @@ class BatchedSolver:
                     held = getattr(reduced, name)
                     mask = due.reshape((-1,) + (1,) * (held.ndim - 1))
                     setattr(reduced, name, np.where(mask, getattr(fresh, name), held))
-            a_fresh = fresh.a_reduced
-            # a lane's first sample after a (re)start measures no drift
-            change = np.where(
-                s.has_ref[due],
-                relative_jacobian_drift(a_fresh[due], s.a_ref[due]),
-                0.0,
-            )
-            s.lle_max[due] = np.maximum(s.lle_max[due], change)
-            s.lle_flags[due] += change > s.lle_tolerance[due]
-            s.a_ref[due] = a_fresh[due]
-            s.has_ref[due] = True
-            s.jev[due] += 1
-            s.solves[due] += 1
-            s.since[due] = 0
-            s.x_ref = np.where(s.due[:, None], s.x, s.x_ref)
+                change = np.where(
+                    s.has_ref[due],
+                    relative_jacobian_drift(a_fresh[due], s.a_ref[due]),
+                    0.0,
+                )
+                s.lle_max[due] = np.maximum(s.lle_max[due], change)
+                s.lle_flags[due] += change > s.lle_tolerance[due]
+                s.a_ref = np.where(due[:, None, None], a_fresh, s.a_ref)
+                s.x_ref = np.where(due[:, None], s.x, s.x_ref)
+                s.has_ref[due] = True
+                s.since[due] = 0
+                s.jev[due] += 1
+                s.solves[due] += 1
             proposing = s.due & s.adaptive
             if proposing.any():
                 every = proposing.all()
@@ -853,7 +869,7 @@ class BatchedSolver:
                     reduced.a_reduced,
                     # a lane's drift reference is its previous proposal's
                     # Jacobian: the controller shares the monitor's figure
-                    change if every else change[s.adaptive[due]],
+                    change if every else change[s.adaptive[s.due]],
                     t_remaining=step_boundary() - s.t,
                     # None (every lane) keeps the controller on views
                     lanes=None if every else np.flatnonzero(proposing),

@@ -26,7 +26,9 @@ after the call.
 
 There is one kernel, written in NumPy; it replicates the single-step
 array expressions operation for operation, so every lane is bitwise its
-scalar :class:`~repro.core.solver.LinearisedStateSpaceSolver` run.
+scalar :class:`~repro.core.solver.LinearisedStateSpaceSolver` run.  A
+burst of one step (every call at ``relinearise_interval`` 1) skips the
+burst set-up and takes the same expressions directly.
 ``resolve_compiled`` maps the user-facing ``compiled`` mode (``"off" |
 "auto"``) to that kernel's backend name.
 """
@@ -296,6 +298,88 @@ def _march_numpy(
     t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
     """March every lane up to ``max_steps`` held-model steps.
+
+    A burst of one step -- every call at ``relinearise_interval`` 1 --
+    takes :func:`_march_one`; longer bursts take :func:`_march_burst`.
+    Both give the same :class:`MarchResult` bit for bit.
+    """
+    if max_steps == 1:
+        return _march_one(
+            a, b, x, t, h_held, t_end, history, order, divergence_limit, t_event
+        )
+    return _march_burst(
+        a, b, x, t, h_held, t_end, max_steps, history, order, rec_last,
+        rec_thresh, state_rtol, x_ref, divergence_limit, t_event,
+    )
+
+
+def _march_one(
+    a: np.ndarray,
+    b: np.ndarray,
+    x: np.ndarray,
+    t: np.ndarray,
+    h_held: np.ndarray,
+    t_end: np.ndarray,
+    history: Sequence[Tuple[np.ndarray, np.ndarray]],
+    order: int,
+    divergence_limit: np.ndarray,
+    t_event: Optional[np.ndarray] = None,
+) -> MarchResult:
+    """One held-model step: :func:`_march_burst` at ``max_steps`` 1.
+
+    The burst loop's first step has no drift check and no record row (the
+    caller records step 0), so one step is the boundary, the step, its
+    sample window, the memoised :func:`_solve_weights`, the derivative,
+    the update and the divergence guard.  Each is the burst loop's own
+    expression on the same floats (the window is the last ``order``
+    sample times shifted by ``t``, the weights are looked up under the
+    same bytes and shape), so the result is bitwise the burst loop's,
+    without its schedule, weight-window and record-list set-up.
+    """
+    boundary = t_end if t_event is None else np.minimum(t_end, t_event)
+    h = np.minimum(h_held, boundary - t)
+    samples = list(history)
+    samples.append((t, np.matmul(a, x[..., None])[..., 0] + b))
+    if len(samples) > order:
+        del samples[0]
+    window = np.stack([sample_t for sample_t, _ in samples[-order:]], axis=1)
+    window = window - t[:, None]
+    spans = (t + h) - t
+    weights = _solve_weights(window.tobytes(), spans.tobytes(), (1,) + window.shape)
+    derivatives = np.stack([sample_f for _, sample_f in samples], axis=1)
+    x_new = x + np.matmul(weights[0][:, None, :], derivatives)[:, 0, :]
+    return MarchResult(
+        steps=1,
+        t=t + h,
+        x=x_new,
+        x_prev=x,
+        history=samples,
+        h_min=h,
+        h_max=h,
+        h_last=h,
+        diverged=diverged_lanes(x_new, divergence_limit),
+        records=[],
+    )
+
+
+def _march_burst(
+    a: np.ndarray,
+    b: np.ndarray,
+    x: np.ndarray,
+    t: np.ndarray,
+    h_held: np.ndarray,
+    t_end: np.ndarray,
+    max_steps: int,
+    history: Sequence[Tuple[np.ndarray, np.ndarray]],
+    order: int,
+    rec_last: np.ndarray,
+    rec_thresh: np.ndarray,
+    state_rtol: np.ndarray,
+    x_ref: np.ndarray,
+    divergence_limit: np.ndarray,
+    t_event: Optional[np.ndarray] = None,
+) -> MarchResult:
+    """March every lane up to ``max_steps`` held-model steps, in one burst.
 
     The per-step state update replicates the scalar step
     (``ReducedSystem.derivative`` + ``AdamsBashforth.step``) operation for

@@ -91,6 +91,7 @@ class PWLTable:
         self._y_list: List[float] = y_arr.tolist()
         self._x0: float = self._x_list[0]
         self._n_segments: int = len(self._x_list) - 2
+        self._interior = x_arr[1:-1]
 
     # ------------------------------------------------------------------ #
     # properties
@@ -123,7 +124,12 @@ class PWLTable:
     # ------------------------------------------------------------------ #
     def _segment_index(self, x: float) -> int:
         if self._data.uniform:
-            idx = math.floor((x - self._x0) / self._data.dx)
+            q = (x - self._x0) / self._data.dx
+            if not math.isfinite(q):
+                # as the binary search: -inf to the first segment, +inf
+                # and NaN to the last
+                return 0 if q < 0.0 else self._n_segments
+            idx = math.floor(q)
         else:
             idx = bisect_right(self._x_list, x) - 1
         if idx < 0:
@@ -171,33 +177,21 @@ class PWLTable:
     def segment_indices(self, xs: np.ndarray) -> np.ndarray:
         """Segment index of every query in ``xs`` (vectorised).
 
-        Bit-compatible with the scalar :meth:`_segment_index`: the uniform
-        grid uses the same ``floor((x - x0) / dx)`` arithmetic element-wise
-        and the non-uniform grid uses ``searchsorted`` (identical to the
-        scalar ``bisect_right``), so batched and scalar lookups land on the
-        same segment for every input.
+        Bit-compatible with the scalar :meth:`_segment_index`, non-finite
+        queries included (-inf to the first segment, +inf and NaN to the
+        last).  The uniform grid uses the same ``floor((x - x0) / dx)``
+        arithmetic element-wise, clamped while still a float.  The
+        non-uniform grid searches the interior breakpoints only: that
+        ``searchsorted`` count is the scalar ``bisect_right`` index
+        already clamped to ``[0, n_segments]`` (NaN sorts last).
         """
         xs = np.asarray(xs, dtype=float)
-        if self._data.uniform:
-            idx = np.floor((xs - self._x0) / self._data.dx).astype(np.intp)
-        else:
-            idx = np.searchsorted(self._data.x, xs, side="right") - 1
-        return np.clip(idx, 0, self._n_segments)
-
-    def interpolate_at(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Vectorised interpolation on precomputed segment indices.
-
-        The per-element arithmetic is exactly the scalar
-        :meth:`_interpolate_at` formula, so results are bit-identical to
-        scalar lookups at the same points.
-        """
-        xs = np.asarray(xs, dtype=float)
-        x_table = self._data.x
-        y_table = self._data.y
-        x0 = x_table[idx]
-        y0 = y_table[idx]
-        t = (xs - x0) / (x_table[idx + 1] - x0)
-        return y0 + t * (y_table[idx + 1] - y0)
+        if not self._data.uniform:
+            return np.searchsorted(self._interior, xs, side="right")
+        idx = np.floor((xs - self._x0) / self._data.dx)
+        # NaN compares false, so it lands on the last segment
+        idx = np.where(idx < self._n_segments, idx, self._n_segments)
+        return np.where(idx > 0.0, idx, 0.0).astype(np.intp)
 
 
 class CompanionTable:
@@ -216,6 +210,13 @@ class CompanionTable:
             raise ConfigurationError("G and J tables must share breakpoints")
         self._g = g_table
         self._j = j_table
+        # per segment: left breakpoint, width, then both tables' left
+        # values and rises -- the floats the scalar interpolation computes
+        x = g_table.breakpoints
+        ys = np.stack([g_table.values, j_table.values], axis=1)
+        self._segments = np.column_stack(
+            [x[:-1], x[1:] - x[:-1], ys[:-1], ys[1:] - ys[:-1]]
+        )
 
     @property
     def g_table(self) -> PWLTable:
@@ -260,10 +261,10 @@ class CompanionTable:
     def evaluate_batch(self, vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`evaluate` over an array of operating voltages.
 
-        One shared segment search serves both interpolations, exactly like
-        the scalar fast path; the result is bit-identical to calling
-        :meth:`evaluate` per element (same segment choice, same
-        interpolation arithmetic).
+        One segment search and one gather of the per-segment table serve
+        both interpolations; ``t = (v - x0) / width`` and ``y0 + t * rise``
+        are the scalar fast path's floats, so the result is bit-identical
+        to calling :meth:`evaluate` per element.
         """
         vs = np.asarray(vs, dtype=float)
         g = self._g
@@ -273,8 +274,10 @@ class CompanionTable:
             g_vals = np.array([p[0] for p in pairs]).reshape(vs.shape)
             j_vals = np.array([p[1] for p in pairs]).reshape(vs.shape)
             return g_vals, j_vals
-        idx = g.segment_indices(vs)
-        return g.interpolate_at(idx, vs), self._j.interpolate_at(idx, vs)
+        seg = self._segments[g.segment_indices(vs)]
+        t = (vs - seg[..., 0]) / seg[..., 1]
+        gj = seg[..., 2:4] + t[..., None] * seg[..., 4:6]
+        return gj[..., 0], gj[..., 1]
 
 
 def build_table(

@@ -16,6 +16,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.blocks.diode import DiodeParameters
+from repro.blocks.voltage_multiplier import DicksonMultiplier
 from repro.core.block import BatchedLinearisation, LinearBlock
 from repro.core.builder import BuildContext
 from repro.core.linearise import (
@@ -220,6 +222,60 @@ def test_dickson_mixed_diode_tables_take_the_lane_loop():
     t = np.zeros(N_LANES)
     batched = linearise_block_lanes(lanes, t, x, y)
     _assert_stacks_equal(batched, lanes, t, x, y)
+
+
+def _dickson_states(rng, lane):
+    """Per-lane states whose diode voltages sweep reverse bias, the knee
+    and forward bias (a least-squares solve of ``vd = C @ x``)."""
+    coefficients = lane._diode_voltage_coefficients()
+    n = lane.n_stages
+    regions = [(-8.0, -0.5), (0.2, 0.7), (0.8, 3.0)]
+    vd = np.stack(
+        [
+            [rng.uniform(*regions[(i + k) % 3]) for k in range(n)]
+            for i in range(N_LANES)
+        ]
+    )
+    x = np.linalg.lstsq(coefficients, vd.T, rcond=None)[0].T
+    return x, vd
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_lane"])
+def test_dickson_plan_is_stacked_scalar_linearise_bytewise(shared):
+    # one Jacobian assembly for lanes: linearise_batch is the prepared
+    # plan, and both are the scalar linearise byte for byte (tobytes
+    # tells -0.0 from 0.0), with one shared companion table or one per lane
+    rng = np.random.default_rng(13)
+    lanes = [
+        DicksonMultiplier(
+            stage_capacitance_f=_jitter(rng, 10e-6),
+            output_capacitance_f=_jitter(rng, 220e-6),
+            input_capacitance_f=_jitter(rng, 0.1e-6),
+            diode_params=DiodeParameters(
+                saturation_current_a=1e-8 if shared else 1e-8 * (1 + i)
+            ),
+        )
+        for i in range(N_LANES)
+    ]
+    n_tables = len({id(lane.companion_table) for lane in lanes})
+    assert n_tables == (1 if shared else N_LANES)
+    plan = lanes[0].batched_lineariser(lanes)
+    for trial in range(20):
+        x, vd = _dickson_states(rng, lanes[0])
+        y = rng.standard_normal((N_LANES, 4))
+        t = rng.uniform(0.0, 0.05, size=N_LANES)
+        prepared = plan.lineariser(t, x, y)
+        batched = lanes[0].linearise_batch(lanes, t, x, y)
+        for i, lane in enumerate(lanes):
+            scalar = lane.linearise(float(t[i]), x[i], y[i])
+            for attr in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
+                want = getattr(scalar, attr).tobytes()
+                for lin in (prepared, batched):
+                    got = np.ascontiguousarray(getattr(lin, attr)[i]).tobytes()
+                    assert got == want, f"trial {trial} lane {i} {attr}"
+    # the states covered every bias region
+    assert vd.min() < -0.5 and vd.max() > 0.8
+    assert np.any((vd > 0.2) & (vd < 0.7))
 
 
 def test_linear_block_batched_port():

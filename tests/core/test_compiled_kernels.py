@@ -443,6 +443,75 @@ class TestOptionsPlumbing:
         assert "compiled" not in RunOptions.batched().to_dict()
 
 
+def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):
+    """Random one-step kernel inputs: lane 2 trips the divergence guard,
+    lane 1 steps short onto its end time, lane 3 onto its next event."""
+    rng = np.random.default_rng(seed)
+    a = -np.eye(n) + 0.3 * rng.standard_normal((b, n, n))
+    x = rng.standard_normal((b, n))
+    t = rng.uniform(0.1, 10.0, size=b)
+    h_held = rng.uniform(1e-4, 3e-4, size=b)
+    t_end = t + 1.0
+    t_end[1] = t[1] + 0.5 * h_held[1]
+    t_event = np.full(b, np.inf)
+    t_event[3] = t[3] + 0.25 * h_held[3]
+    history = []
+    for k in range(depth, 0, -1):
+        history.append((t - k * h_held, rng.standard_normal((b, n))))
+    divergence_limit = np.full(b, 1e6)
+    divergence_limit[2] = 1e-9
+    return dict(
+        a=a,
+        b=rng.standard_normal((b, n)),
+        x=x,
+        t=t,
+        h_held=h_held,
+        t_end=t_end,
+        max_steps=1,
+        history=history,
+        order=order,
+        rec_last=np.full(b, np.nan),
+        rec_thresh=np.full(b, -np.inf),
+        state_rtol=np.full(b, 1e-3),
+        x_ref=x.copy(),
+        divergence_limit=divergence_limit,
+        t_event=t_event if events else None,
+    )
+
+
+def _bytes(value):
+    return None if value is None else np.ascontiguousarray(value).tobytes()
+
+
+class TestOneStepPath:
+    """A one-step kernel call is the general burst loop at K = 1."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("events", [False, True], ids=["no_events", "events"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["short_window", "full_window"])
+    def test_one_step_path_is_the_burst_loop_bitwise(self, order, events, extra):
+        inputs = _march_inputs(order - 1 + extra, events, order=order)
+        one = kernels._march_numpy(**inputs)
+        loop = kernels._march_burst(**inputs)
+        assert one.steps == loop.steps == 1
+        for name in ("x", "x_prev", "t", "h_min", "h_max", "h_last", "diverged"):
+            assert _bytes(getattr(one, name)) == _bytes(getattr(loop, name)), name
+        assert one.diverged is not None and one.diverged.tolist() == [
+            False, False, True, False
+        ]
+        assert len(one.history) == len(loop.history)
+        for (t_one, f_one), (t_loop, f_loop) in zip(one.history, loop.history):
+            assert _bytes(t_one) == _bytes(t_loop)
+            assert _bytes(f_one) == _bytes(f_loop)
+        assert one.records == loop.records == []
+
+    def test_one_step_calls_take_the_direct_path(self):
+        inputs = _march_inputs(2, events=True)
+        with mock.patch.object(kernels, "_march_burst") as burst:
+            kernels.get_march_kernel("numpy")(**inputs)
+        burst.assert_not_called()
+
+
 class TestOverflowSafeGuard:
     def test_norms_survive_components_above_1e154(self):
         x = np.array([[1e200, 1e200], [3.0, 4.0], [np.inf, 1.0]])

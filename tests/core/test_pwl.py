@@ -1,12 +1,14 @@
 """Tests for the piecewise-linear lookup tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blocks.diode import build_diode_companion_table
 from repro.core.errors import ConfigurationError, TableRangeError
 from repro.core.pwl import CompanionTable, PWLTable, build_companion_table, build_table
 
@@ -138,3 +140,76 @@ class TestCompanionTable:
     def test_domain_validation(self):
         with pytest.raises(ConfigurationError):
             build_companion_table(lambda v: v, None, 1.0, 0.0)
+
+
+# --------------------------------------------------------------------- #
+# batched lookups: byte-identical to the scalar lookup
+# --------------------------------------------------------------------- #
+
+def _uniform_companion_table():
+    """A uniform-grid companion table with a sharp exponential knee."""
+    return build_companion_table(
+        lambda v: 1e-9 * (math.exp(min(v, 2.0) / 0.05) - 1.0),
+        lambda v: 2e-8 * math.exp(min(v, 2.0) / 0.05),
+        -3.0,
+        1.0,
+        64,
+    )
+
+
+LOOKUP_TABLES = {
+    "diode": build_diode_companion_table,
+    "uniform": _uniform_companion_table,
+}
+
+
+def _lookup_queries(table):
+    """Every breakpoint and its neighbouring floats, points outside the
+    domain, signed zeros, NaN and both infinities, plus random voltages."""
+    x = table.g_table.breakpoints
+    lo, hi = table.domain
+    rng = np.random.default_rng(4)
+    return np.concatenate(
+        [
+            x,
+            np.nextafter(x, -np.inf),
+            np.nextafter(x, np.inf),
+            rng.uniform(lo - 5.0, hi + 5.0, 5000),
+            [lo - 100.0, hi + 100.0, -1e300, 1e300, -0.0, 0.0],
+            [np.nan, np.inf, -np.inf],
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_TABLES))
+class TestBatchedLookupIdentity:
+    def test_grid_kind(self, name):
+        table = LOOKUP_TABLES[name]()
+        assert table.g_table.is_uniform == (name == "uniform")
+
+    def test_evaluate_batch_is_scalar_evaluate_bytewise(self, name):
+        # tobytes, not array_equal: -0.0 and 0.0, and NaN payloads, count
+        table = LOOKUP_TABLES[name]()
+        vs = _lookup_queries(table)
+        n = vs.size - vs.size % 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, j = table.evaluate_batch(vs)
+            # a stacked (B, n) query is the same element-wise lookup
+            g2, j2 = table.evaluate_batch(vs[:n].reshape(-1, 3))
+        pairs = [table.evaluate(float(v)) for v in vs]
+        assert g.tobytes() == np.array([p[0] for p in pairs]).tobytes()
+        assert j.tobytes() == np.array([p[1] for p in pairs]).tobytes()
+        assert g2.shape == j2.shape == (n // 3, 3)
+        assert g2.tobytes() == g[:n].tobytes()
+        assert j2.tobytes() == j[:n].tobytes()
+
+    def test_non_finite_queries_land_on_the_edge_segments(self, name):
+        # -inf to the first segment, +inf and NaN to the last, on both the
+        # scalar and the batched path, without a cast warning
+        table = LOOKUP_TABLES[name]().g_table
+        last = len(table) - 2
+        queries = np.array([-np.inf, np.inf, np.nan])
+        assert [table._segment_index(float(v)) for v in queries] == [0, last, last]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.segment_indices(queries).tolist() == [0, last, last]
