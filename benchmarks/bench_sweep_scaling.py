@@ -26,9 +26,10 @@ lanes of stacked ``(B, n, n)`` arrays (one linearise/eliminate/march
 NumPy sweep per step for a whole lane block, composed with the same 4
 worker processes).  Asserted: at least 3x wall-clock over the 4-worker
 process engine and every score exactly equal to the engine's (each lane
-is bitwise its scalar run).  Writes ``BENCH_batch.json`` and merges the
-batched column into ``BENCH_sweep.json``, so one file tracks all three
-execution paths — serial / engine / batched.
+is bitwise its scalar run).  It is recorded in ``BENCH_sweep.json`` as
+its own ``batched`` sub-object, with its own grid size, worker counts and
+engine time, so one file tracks all three execution paths — serial /
+engine / batched.
 
 On a single-core host the speed-up comes from the amortised profile and
 the lane vectorisation; on a multi-core host process parallelism
@@ -43,9 +44,8 @@ or directly, e.g. the CI smoke grids::
 
     PYTHONPATH=src python benchmarks/bench_sweep_scaling.py --quick
 
-Both entry points additionally write ``BENCH_sweep.json`` and
-``BENCH_batch.json`` so the perf trajectory stays machine-readable across
-PRs.
+Both entry points additionally write ``BENCH_sweep.json`` so the perf
+trajectory stays machine-readable across PRs.
 """
 
 import argparse
@@ -59,7 +59,6 @@ from repro.harvester.scenarios import charging_scenario
 from repro.io.report import format_table
 
 JSON_PATH = Path("BENCH_sweep.json")
-BATCH_JSON_PATH = Path("BENCH_batch.json")
 
 #: documented score tolerance of the amortised-relinearisation profile
 SCORE_TOLERANCE_REL = 0.10
@@ -109,27 +108,21 @@ def grid_size(grid):
     return n
 
 
-def _write_json(n_candidates, duration_s, t_serial, t_engine, speedup, max_dev, quick):
-    """Machine-readable record of the run (perf trajectory across PRs)."""
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "sweep_scaling",
-                "quick": quick,
-                "n_candidates": n_candidates,
-                "duration_s_per_candidate": duration_s,
-                "workers": WORKERS,
-                "relinearise_interval": RELINEARISE_INTERVAL,
-                "t_serial_s": t_serial,
-                "t_engine_s": t_engine,
-                "speedup": speedup,
-                "max_rel_score_deviation": max_dev,
-                "score_tolerance_rel": SCORE_TOLERANCE_REL,
-            },
-            indent=2,
+def _write_json(record, *, section=None):
+    """Machine-readable record of the run (perf trajectory across PRs).
+
+    The engine comparison starts a fresh file; the batched comparison,
+    measured on its own grid, is merged in as the ``section`` sub-object.
+    """
+    if section is not None:
+        merged = (
+            json.loads(JSON_PATH.read_text())
+            if JSON_PATH.exists()
+            else {"benchmark": "sweep_scaling"}
         )
-        + "\n"
-    )
+        merged[section] = record
+        record = merged
+    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def run_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
@@ -179,7 +172,19 @@ def run_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
         f"\nbest candidate (engine): {dict(engine.best().parameters)}"
     )
     _write_json(
-        n_candidates, duration_s, t_serial, t_engine, speedup, max_deviation, quick
+        {
+            "benchmark": "sweep_scaling",
+            "quick": quick,
+            "n_candidates": n_candidates,
+            "duration_s_per_candidate": duration_s,
+            "workers": WORKERS,
+            "relinearise_interval": RELINEARISE_INTERVAL,
+            "t_serial_s": t_serial,
+            "t_engine_s": t_engine,
+            "speedup": speedup,
+            "max_rel_score_deviation": max_deviation,
+            "score_tolerance_rel": SCORE_TOLERANCE_REL,
+        }
     )
 
     assert serial.best().parameters == engine.best().parameters, (
@@ -194,45 +199,6 @@ def run_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
             f"engine speedup {speedup:.2f}x below the required {MIN_SPEEDUP}x"
         )
     return report, speedup, max_deviation
-
-
-def _write_batch_json(
-    n_candidates,
-    duration_s,
-    t_engine,
-    t_batched,
-    speedup,
-    max_deviation,
-    quick,
-    batched_workers,
-):
-    """Machine-readable record of the batched-backend comparison."""
-    BATCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "batch_scaling",
-                "quick": quick,
-                "n_candidates": n_candidates,
-                "duration_s_per_candidate": duration_s,
-                "engine_workers": WORKERS,
-                "batched_workers": batched_workers,
-                "relinearise_interval": RELINEARISE_INTERVAL,
-                "t_process_engine_s": t_engine,
-                "t_batched_s": t_batched,
-                "speedup_vs_process_engine": speedup,
-                "max_rel_score_deviation": max_deviation,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    # merge the batched column into BENCH_sweep.json so one file tracks
-    # every execution path: serial / engine / batched
-    if JSON_PATH.exists():
-        merged = json.loads(JSON_PATH.read_text())
-        merged["t_batched_s"] = t_batched
-        merged["batched_speedup_vs_engine"] = speedup
-        JSON_PATH.write_text(json.dumps(merged, indent=2) + "\n")
 
 
 def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
@@ -307,15 +273,20 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
         abs(fast.score - ref.score) / abs(ref.score)
         for fast, ref in zip(batched.points, engine.points)
     )
-    _write_batch_json(
-        n_candidates,
-        duration_s,
-        t_engine,
-        t_batched,
-        speedup,
-        max_deviation,
-        quick,
-        batched_workers,
+    _write_json(
+        {
+            "quick": quick,
+            "n_candidates": n_candidates,
+            "duration_s_per_candidate": duration_s,
+            "engine_workers": WORKERS,
+            "batched_workers": batched_workers,
+            "relinearise_interval": RELINEARISE_INTERVAL,
+            "t_process_engine_s": t_engine,
+            "t_batched_s": t_batched,
+            "speedup_vs_process_engine": speedup,
+            "max_rel_score_deviation": max_deviation,
+        },
+        section="batched",
     )
     if assert_speedup:
         assert speedup >= MIN_BATCH_SPEEDUP, (
@@ -357,14 +328,13 @@ def main() -> None:
         )
     print(report)
     print(f"\nspeedup {speedup:.2f}x, max relative score deviation {max_dev:.2e}")
-    print(f"written: {JSON_PATH}")
     print()
     print(batch_report)
     print(
         f"\nbatched speedup {batch_speedup:.2f}x over the process engine, "
         "every score identical"
     )
-    print(f"written: {BATCH_JSON_PATH}")
+    print(f"written: {JSON_PATH}")
 
 
 if __name__ == "__main__":

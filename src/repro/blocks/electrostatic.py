@@ -42,7 +42,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ..core.block import AnalogueBlock, BatchedLinearisation
+from ..core.block import AnalogueBlock
 from ..core.errors import ConfigurationError
 from .vibration import batch_acceleration
 
@@ -213,22 +213,3 @@ class ElectrostaticMicrogenerator(AnalogueBlock):
         dxdt = np.stack([v, acceleration, dq], axis=1)
         res_y = (vm - v_cap + r_series * im)[:, None]
         return dxdt, res_y
-
-    def linearise_batch(
-        self,
-        lanes: Sequence[AnalogueBlock],
-        t: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> BatchedLinearisation:
-        """Batched finite-difference linearisation (no analytic Jacobians).
-
-        The terminal relation is genuinely nonlinear, so — exactly like the
-        scalar path — the block hands linearisation to the solver's
-        central-difference machinery; here the batched variant, which
-        perturbs each coordinate across all lanes at once through
-        :meth:`evaluate_batch`.
-        """
-        from ..core.linearise import linearise_lanes_numerically
-
-        return linearise_lanes_numerically(lanes, t, x, y)

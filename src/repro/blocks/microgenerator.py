@@ -293,20 +293,17 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         ey = np.zeros(1)
         return BlockLinearisation(jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey)
 
-    def linearise_batch(
-        self,
-        lanes: Sequence[AnalogueBlock],
-        t: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> BatchedLinearisation:
-        """Vectorised Eq. (13) Jacobians for ``B`` lanes of generators.
+    def batched_lineariser(self, lanes: Sequence[AnalogueBlock]) -> PreparedBlockLineariser:
+        """Stacked Eq. (13) Jacobians, hoisted out of the refresh loop.
 
         The model is state-affine, so the Jacobian entries are per-lane
-        parameter expressions evaluated element-wise — bit-identical to the
-        scalar :meth:`linearise`.  Only the base acceleration goes through
-        the lanes' scalar sources (libm ``sin``) so the excitation matches
-        each lane's serial run exactly.
+        parameter expressions evaluated element-wise, bitwise the scalar
+        :meth:`linearise`.  The tuning force only changes through a
+        control write, after which the batched solver re-prepares its
+        refresh, so between writes every Jacobian block is lane-constant;
+        only the excitation row ``ex[:, 1]`` depends on ``t`` through the
+        base acceleration, which goes through the lanes' scalar sources
+        (libm ``sin``) so it matches each lane's serial run exactly.
         """
         b = len(lanes)
         m = np.array([lane.params.proof_mass_kg for lane in lanes])
@@ -315,6 +312,10 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         flux = np.array([lane.params.flux_linkage for lane in lanes])
         l_coil = np.array([lane.params.coil_inductance for lane in lanes])
         r_coil = np.array([lane.params.coil_resistance for lane in lanes])
+        f_tz = np.array(
+            [lane.params.tuning_force_z_fraction * lane._tuning_force for lane in lanes]
+        )
+        accelerations = [lane._acceleration for lane in lanes]
 
         jxx = np.zeros((b, 3, 3))
         jxx[:, 0, 1] = 1.0
@@ -323,48 +324,13 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         jxx[:, 1, 2] = -flux / m
         jxx[:, 2, 1] = flux / l_coil
         jxx[:, 2, 2] = -r_coil / l_coil
-
         jxy = np.zeros((b, 3, 2))
         jxy[:, 2, 0] = -1.0 / l_coil
-
-        f_a = m * batch_acceleration([lane._acceleration for lane in lanes], t)
-        f_tz = np.array(
-            [lane.params.tuning_force_z_fraction * lane._tuning_force for lane in lanes]
-        )
-        ex = np.zeros((b, 3))
-        ex[:, 1] = (f_a - f_tz) / m
-
         jyx = np.zeros((b, 1, 3))
         jyx[:, 0, 2] = -1.0
         jyy = np.zeros((b, 1, 2))
         jyy[:, 0, 1] = 1.0
-        return BatchedLinearisation(
-            jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=np.zeros((b, 1))
-        )
-
-    def batched_lineariser(self, lanes: Sequence[AnalogueBlock]) -> PreparedBlockLineariser:
-        """Fast lineariser with the Jacobians hoisted out of the refresh loop.
-
-        The tuning force only changes through a control write, after which
-        the batched solver re-prepares its refresh, so between writes every
-        Jacobian block of Eq. (13) is lane-constant; only the excitation
-        row ``ex[:, 1]`` depends on ``t`` through the base acceleration.
-        The per-call work reduces to the scalar acceleration sources (kept
-        on libm ``sin`` for byte-identity) plus one vector expression that
-        matches :meth:`linearise_batch` operation-for-operation.
-        """
-        b = len(lanes)
-        m = np.array([lane.params.proof_mass_kg for lane in lanes])
-        f_tz = np.array(
-            [lane.params.tuning_force_z_fraction * lane._tuning_force for lane in lanes]
-        )
-        accelerations = [lane._acceleration for lane in lanes]
-        # static fields, computed through linearise_batch so the values are
-        # the same IEEE-754 expressions as the unprepared path
-        static = self.linearise_batch(
-            lanes, np.zeros(b), np.zeros((b, 3)), np.zeros((b, 2))
-        )
-        jxx, jxy, jyx, jyy, ey = static.jxx, static.jxy, static.jyx, static.jyy, static.ey
+        ey = np.zeros((b, 1))
 
         def lineariser(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
             f_a = m * batch_acceleration(accelerations, t)

@@ -194,19 +194,17 @@ class Supercapacitor(AnalogueBlock):
         ey = np.zeros(1)
         return BlockLinearisation(jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey)
 
-    def linearise_batch(
-        self,
-        lanes,
-        t: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> BatchedLinearisation:
-        """Vectorised Eq. (15) model for ``B`` lanes of supercapacitors.
+    def batched_lineariser(self, lanes) -> PreparedBlockLineariser:
+        """Fully static stacked Eq. (15) model for the batched refresh.
 
         The Zubieta model is linear; the stacked Jacobians are per-lane
         parameter expressions (including each lane's present equivalent
         load ``Req``, Eq. 16), element-wise identical to the scalar
-        :meth:`linearise`.
+        :meth:`linearise`.  ``Req`` only changes through a control write,
+        after which the batched solver re-prepares its refresh, so between
+        writes every field is lane-constant: the entire
+        :class:`BatchedLinearisation` is computed once here and reused on
+        every refresh.
         """
         b = len(lanes)
         g = np.stack([lane._branch_conductances() for lane in lanes])
@@ -223,23 +221,8 @@ class Supercapacitor(AnalogueBlock):
             + np.array([lane._shunt_conductance() for lane in lanes])
         )
         jyy[:, 0, 1] = 1.0
-        return BatchedLinearisation(
+        static = BatchedLinearisation(
             jxx=jxx, jxy=jxy, ex=np.zeros((b, 3)), jyx=jyx, jyy=jyy, ey=np.zeros((b, 1))
-        )
-
-    def batched_lineariser(self, lanes) -> PreparedBlockLineariser:
-        """Fully static fast lineariser for the batched refresh path.
-
-        ``Req`` only changes through a control write, after which the
-        batched solver re-prepares its refresh, so between writes every
-        field of the Eq. (15) model is lane-constant: the entire
-        :class:`BatchedLinearisation` is computed once here — via
-        :meth:`linearise_batch`, hence bit-identical — and reused on every
-        refresh.
-        """
-        b = len(lanes)
-        static = self.linearise_batch(
-            lanes, np.zeros(b), np.zeros((b, 3)), np.zeros((b, 2))
         )
         return PreparedBlockLineariser(
             lineariser=lambda t, x, y: static,

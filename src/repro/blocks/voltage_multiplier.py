@@ -244,21 +244,6 @@ class DicksonMultiplier(AnalogueBlock):
             ey=np.zeros(2),
         )
 
-    def linearise_batch(
-        self,
-        lanes: Sequence[AnalogueBlock],
-        t: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> BatchedLinearisation:
-        """Vectorised table-based linearisation for ``B`` multiplier lanes.
-
-        One refresh of :meth:`batched_lineariser`'s plan: the batched
-        lanes have one Jacobian assembly, and the scalar :meth:`linearise`
-        stays its oracle.
-        """
-        return self.batched_lineariser(lanes).lineariser(t, x, y)
-
     def batched_lineariser(
         self, lanes: Sequence[AnalogueBlock]
     ) -> PreparedBlockLineariser:

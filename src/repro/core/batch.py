@@ -39,14 +39,14 @@ Execution model
   so the caller can re-run them on the exact scalar path
   (:mod:`repro.analysis.engine` does exactly that).
 * **Batched refresh**: each relinearisation evaluates the active lanes'
-  block models through a prepared
-  :class:`~repro.core.elimination.BatchedAssembler` workspace —
-  lane-constant Jacobian fields are scattered once per march and only the
-  state-dependent fields are rebuilt per refresh; block groups without a
-  batched lineariser fall back to the generic per-lane dispatch, and a
-  batch with no such group at all runs unprepared.  While no group's
+  block models into the one persistent
+  :class:`~repro.core.elimination.BatchedAssembler` workspace, bound at
+  the start of each run.  A block group with a ``batched_lineariser``
+  scatters its lane-constant Jacobian fields once per binding and
+  rebuilds only the state-dependent fields per refresh; a group without
+  one stacks its lanes' scalar ``linearise``.  While no group's
   ``jxy``/``jyx``/``jyy``/``ey`` can change, the stacked Eq. (4) solve is
-  held too.  The prepared path is bit-identical to the per-lane dispatch.
+  held too.  Either way every lane's model is bitwise its scalar one.
 * **Digital events as per-lane interrupts**: a lane may carry its own
   :class:`~repro.core.digital.DigitalEventKernel`.  Its next event time
   bounds the lane's steps exactly as the scalar solver's event boundary
@@ -54,8 +54,8 @@ Execution model
   lanes' activations run between bursts, reading that lane's live state;
   an activation that writes a control restarts that lane alone (fresh
   refresh, step controller, drift reference and Adams-Bashforth start-up)
-  and re-prepares the batched refresh, whose prepared linearisers hold
-  control values as lane constants.
+  and rebinds the batched refresh, whose block linearisers hold control
+  values as lane constants.
 
 Equivalence contract
 --------------------
@@ -91,14 +91,12 @@ from .errors import (
     StabilityError,
 )
 from .integrators import AdamsBashforth, ExplicitIntegrator
-from .kernels import diverged_lanes, get_march_kernel, record_due
+from .kernels import END_EPS, diverged_lanes, get_march_kernel, record_due
 from .results import SimulationResult, SolverStats, Trace
 from .solver import ProbeFn, SolverSettings
 from .stepper import BatchedStepController, relative_jacobian_drift
 
 __all__ = ["BatchedSolver", "BatchResult"]
-
-_END_EPS = 1e-15
 
 
 @dataclass
@@ -438,19 +436,15 @@ class BatchedSolver:
     ) -> BatchResult:
         """Simulate all lanes from ``t_start`` and return per-lane results.
 
-        ``t_end`` is shared or per-lane.  The batched assembler is
-        prepared for workspace-backed stacked refreshes before the march
-        and always unprepared afterwards (``try/finally``), so the solver
-        object stays reusable and side-effect free.
+        ``t_end`` is shared or per-lane.  The batched refresh is bound
+        afresh at the start of every run, so a model changed since the
+        last run (a control write) is never read from held values and the
+        solver object stays reusable.
         """
+        self.batched_assembler.prepare()
         try:
-            if not self.batched_assembler.prepare():
-                # nothing to gain: no block group has a batched
-                # lineariser, so keep the plain generic path
-                self.batched_assembler.unprepare()
             return self._march(t_end, t_start=t_start, x0=x0)
         finally:
-            self.batched_assembler.unprepare()
             self._live = None
 
     def _march(
@@ -662,7 +656,6 @@ class BatchedSolver:
             result.metadata["batched"] = True
             result.metadata["batch_lanes"] = b
             result.metadata["lane_index"] = lane.index
-            result.metadata["batched_refresh"] = assembler.prepared
             result.metadata["kernel_time_s"] = kernel_time
             result.metadata["refresh_time_s"] = refresh_time
             results[lane.index] = result
@@ -682,8 +675,8 @@ class BatchedSolver:
             A lane whose activation wrote a control restarts alone: it is
             forced due for refresh, its step controller and drift
             reference are reset and its Adams-Bashforth window restarts.
-            The batched refresh is re-prepared, because prepared
-            linearisers hold control values as lane constants.  A lane
+            The batched refresh is rebound, because its block linearisers
+            hold control values as lane constants.  A lane
             whose digital process raises is retired with that exception.
             """
             changed: List[int] = []
@@ -707,8 +700,7 @@ class BatchedSolver:
                 s.depth[changed] = 0
                 if controller is not None:
                     controller.reset(lanes=np.array(changed))
-                if assembler.prepared:
-                    assembler.prepare()
+                assembler.prepare()
             if failed:
                 fail_lanes(failed, errors)
 
@@ -716,7 +708,7 @@ class BatchedSolver:
             """Each lane's step boundary: its end time or next event."""
             if not events_active:
                 return s.t_end
-            return np.minimum(s.t_end, np.maximum(s.t_event, s.t + _END_EPS))
+            return np.minimum(s.t_end, np.maximum(s.t_event, s.t + END_EPS))
 
         def mixed_step(h: np.ndarray) -> np.ndarray:
             """One step while some lanes are in their Adams-Bashforth start-up.
@@ -889,7 +881,7 @@ class BatchedSolver:
             #    solves — instead of once per lane; a singular batched
             #    solve falls back to the per-lane path so failure blame
             #    stays lane-accurate.
-            finished = s.t >= s.t_end - _END_EPS
+            finished = s.t >= s.t_end - END_EPS
             if np.any(finished):
                 idx = np.flatnonzero(finished)
                 consistent = False
@@ -910,7 +902,7 @@ class BatchedSolver:
 
             # 2. digital activations due now, lane by lane
             if events_active:
-                due_events = np.flatnonzero(s.t_event <= s.t + _END_EPS)
+                due_events = np.flatnonzero(s.t_event <= s.t + END_EPS)
                 if due_events.size:
                     run_events(due_events)
                     if not lanes:

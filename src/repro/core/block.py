@@ -196,12 +196,11 @@ class PreparedBlockLineariser:
     """A lane-set-bound fast lineariser for repeated batched refreshes.
 
     ``lineariser(t, x_local, y_local)`` (``t`` the ``(B,)`` per-lane time
-    points) must return a
-    :class:`BatchedLinearisation` bit-identical to what
-    :func:`repro.core.linearise.linearise_block_lanes` would produce for
-    the same lane set at the same point — the batched refresh path swaps
-    it in transparently, so any numeric deviation breaks the fixed-step
-    byte-identity contract.
+    points) must return a :class:`BatchedLinearisation` whose lane ``i``
+    is bitwise ``lanes[i].linearise(t[i], x_local[i], y_local[i])`` — the
+    stack :func:`repro.core.linearise.linearise_block_lanes` builds for a
+    group without one.  The batched refresh swaps it in for that stack,
+    so any numeric deviation breaks the lane-equals-scalar-run contract.
 
     ``constant`` names the fields (``"jxx"``, ``"jxy"``, ``"ex"``,
     ``"jyx"``, ``"jyy"``, ``"ey"``) whose arrays are *reused unchanged*
@@ -362,38 +361,22 @@ class AnalogueBlock(ABC):
                 res_y[i] = block.algebraic_residual(t_i, x[i], y[i])
         return dxdt, res_y
 
-    def linearise_batch(
-        self,
-        lanes: Sequence["AnalogueBlock"],
-        t: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> Optional[BatchedLinearisation]:
-        """Linearise ``B`` sibling lanes at once, or ``None`` when unported.
-
-        Same lane convention as :meth:`evaluate_batch`.  Returning ``None``
-        asks the caller (:func:`repro.core.linearise.linearise_block_lanes`)
-        to fall back to a loop over the lanes' scalar linearisations, so a
-        block author only has to port this method when the block shows up
-        in batched sweeps hot paths.  Ported implementations must be
-        bit-identical to the scalar :meth:`linearise` per lane.
-        """
-        return None
-
     def batched_lineariser(
         self, lanes: Sequence["AnalogueBlock"]
     ) -> Optional["PreparedBlockLineariser"]:
         """Bind a reusable fast lineariser to a fixed lane set, or ``None``.
 
-        Called once per march by the batched refresh path with the
-        same-structure lanes (``lanes[0] is self``) that will be
-        relinearised together many times.  A block that can hoist
-        lane-constant work (parameter stacks, constant Jacobian blocks,
-        shared companion tables) returns a :class:`PreparedBlockLineariser`
-        closing over the precomputed arrays; returning ``None`` keeps the
-        generic :func:`~repro.core.linearise.linearise_block_lanes`
-        dispatch for this block.  The prepared lineariser must be
-        bit-identical to that dispatch — it is a caching layer, not an
+        The only batched linearisation hook.  Called by the batched
+        refresh with the same-structure lanes (``lanes[0] is self``) that
+        will be relinearised together many times, once per march and
+        again after a control write.  A block that can hoist lane-constant
+        work (parameter stacks, constant Jacobian blocks, shared companion
+        tables) returns a :class:`PreparedBlockLineariser` closing over the
+        precomputed arrays; returning ``None`` leaves this block to
+        :func:`~repro.core.linearise.linearise_block_lanes`, which stacks
+        the lanes' scalar :meth:`linearise` (or their batched finite
+        differences).  The prepared lineariser must be bitwise each lane's
+        scalar :meth:`linearise` — it is a caching layer, not an
         alternative model.
         """
         return None
@@ -519,33 +502,11 @@ class LinearBlock(AnalogueBlock):
         lin.validate(self.n_states, self.n_terminals, self.n_algebraic)
         return lin
 
-    def linearise_batch(
-        self,
-        lanes: Sequence[AnalogueBlock],
-        t: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> BatchedLinearisation:
-        # constant matrices stack directly; the (possibly lane-specific)
-        # excitations are evaluated through the scalar path so the batched
-        # model is bit-identical to per-lane linearise()
-        times = t.tolist()
-        lin = BatchedLinearisation(
-            jxx=np.stack([lane.a for lane in lanes]),
-            jxy=np.stack([lane.b for lane in lanes]),
-            ex=np.stack([lane._u(t_i) for lane, t_i in zip(lanes, times)]),
-            jyx=np.stack([lane.c for lane in lanes]),
-            jyy=np.stack([lane.d for lane in lanes]),
-            ey=np.stack([lane._w(t_i) for lane, t_i in zip(lanes, times)]),
-        )
-        lin.validate(len(lanes), self.n_states, self.n_terminals, self.n_algebraic)
-        return lin
-
     def batched_lineariser(
         self, lanes: Sequence[AnalogueBlock]
     ) -> PreparedBlockLineariser:
         # the constant matrices stack once; excitations stay on the scalar
-        # per-lane path (bit-identity with linearise_batch / linearise)
+        # per-lane path (bit-identity with linearise)
         jxx = np.stack([lane.a for lane in lanes])
         jxy = np.stack([lane.b for lane in lanes])
         jyx = np.stack([lane.c for lane in lanes])

@@ -38,7 +38,6 @@ import numpy as np
 from .block import (
     LINEARISATION_FIELDS,
     AnalogueBlock,
-    BatchedLinearisation,
     BlockLinearisation,
     PreparedBlockLineariser,
 )
@@ -418,7 +417,7 @@ class SystemAssembler:
         hold_solve = True
         for plan in self._plan:
             constant = _NO_CONSTANT_FIELDS
-            if fast_path_counts([plan.block], "batched_lineariser"):
+            if fast_path_counts([plan.block]):
                 prepared = plan.block.batched_lineariser([plan.block])
                 if prepared is not None:
                     constant = frozenset(prepared.constant)
@@ -582,13 +581,14 @@ class SystemAssembler:
 
 @dataclass
 class _PreparedGroup:
-    """One block group of a prepared batched assembly.
+    """One block group of the batched assembly, bound by ``prepare()``.
 
     Carries the group's scatter indices (precomputed from the shared
     :class:`AssemblyStructure`) plus the block's
     :class:`~repro.core.block.PreparedBlockLineariser` when available;
-    ``prepared is None`` keeps the group on the generic
-    :func:`~repro.core.linearise.linearise_block_lanes` dispatch.
+    ``prepared is None`` leaves the group to
+    :func:`~repro.core.linearise.linearise_block_lanes`, the stack of its
+    lanes' scalar linearisations.
     """
 
     lanes: List[AnalogueBlock]
@@ -686,11 +686,13 @@ class BatchedAssembler:
     The lane-parallel sibling of :class:`SystemAssembler`: each lane is one
     candidate's assembler (same netlist topology, its own block parameter
     values, its own time point), and every per-step quantity is held in
-    stacked ``(B, ...)`` arrays so one NumPy call sweeps all lanes.  The scalar assemblers'
-    shared :class:`AssemblyStructure` provides the indexing; block groups
-    are linearised through the batched block API
-    (:func:`repro.core.linearise.linearise_block_lanes`) with a
-    loop-over-lanes fallback for unported blocks.
+    stacked ``(B, ...)`` arrays so one NumPy call sweeps all lanes.  The
+    scalar assemblers' shared :class:`AssemblyStructure` provides the
+    indexing.  A block group is linearised through its
+    :meth:`~repro.core.block.AnalogueBlock.batched_lineariser` when it
+    has one, else as the stack of its lanes' scalar linearisations
+    (:func:`repro.core.linearise.linearise_block_lanes`), and scattered
+    into one persistent workspace (see :meth:`prepare`).
 
     All linear algebra uses stacked ``np.linalg.solve``/``matmul``, which
     process each lane through the same LAPACK/BLAS routines as the scalar
@@ -716,7 +718,7 @@ class BatchedAssembler:
             [assembler.blocks[i] for assembler in self._assemblers]
             for i in range(len(self._assemblers[0].blocks))
         ]
-        # batched-refresh state (see prepare())
+        # the bound refresh (see prepare()); the first assemble binds it
         self._groups: Optional[List[_PreparedGroup]] = None
         self._workspace: Optional[BatchedGlobalLinearisation] = None
         self._static_scattered = False
@@ -753,50 +755,37 @@ class BatchedAssembler:
 
     def select(self, keep: np.ndarray) -> "BatchedAssembler":
         """Sub-batch containing only the lanes selected by ``keep`` indices."""
-        clone = BatchedAssembler([self._assemblers[int(i)] for i in keep])
-        if self._workspace is not None:
-            clone.prepare()
-        return clone
+        return BatchedAssembler([self._assemblers[int(i)] for i in keep])
 
     def initial_state(self) -> np.ndarray:
         """Stacked initial global state vectors, shape ``(B, n_states)``."""
         return np.stack([assembler.initial_state() for assembler in self._assemblers])
 
     # ------------------------------------------------------------------ #
-    # batched refresh preparation
+    # assembly and elimination
     # ------------------------------------------------------------------ #
-    def prepare(self) -> bool:
-        """Bind the batched refresh fast path to this assembler's lane set.
+    def prepare(self) -> None:
+        """Bind the refresh to this lane set's block linearisers.
 
         Asks every block group for a
-        :class:`~repro.core.block.PreparedBlockLineariser` and allocates a
-        persistent scatter workspace; subsequent :meth:`assemble` calls run
-        through :meth:`_assemble_prepared`, which re-scatters only the
-        fields each group declares non-constant (groups without a prepared
-        lineariser keep the generic dispatch and re-scatter everything).
-        Returns ``True`` when at least one group produced a prepared
-        lineariser, i.e. when preparation can save work at all.  The
-        produced linearisations are bit-identical to the unprepared path
-        by the :class:`PreparedBlockLineariser` contract, so flipping this
-        on never changes results.
-
-        The workspace arrays are reused across calls — callers must treat
-        the returned :class:`BatchedGlobalLinearisation` as transient and
-        must not mutate or retain its fields past the next refresh.
+        :class:`~repro.core.block.PreparedBlockLineariser` and allocates
+        the persistent scatter workspace.  :meth:`assemble` prepares
+        itself on first use; call this again after anything that changes
+        the model (a control write), since prepared linearisers hold
+        parameter and control values as lane constants.  It drops the
+        held Eq. (4) solve too.
 
         A group whose ``linearise`` override would be bypassed by its
-        batched fast path keeps the generic dispatch (see
-        :func:`~repro.core.linearise.fast_path_counts`).  When every group
-        declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant,
+        batched fast path is linearised through its scalar ``linearise``
+        (see :func:`~repro.core.linearise.fast_path_counts`).  When every
+        group declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant,
         :meth:`eliminate` holds its stacked Eq. (4) solve as
-        :meth:`SystemAssembler.prepare` describes; calling this again
-        drops it.
+        :meth:`SystemAssembler.prepare` describes.
         """
         s = self._structure
         b = self.n_lanes
         groups: List[_PreparedGroup] = []
         refused: List[str] = []
-        any_prepared = False
         for lanes in self._block_lanes:
             rep = lanes[0]
             offset = s.state_offsets[rep.name]
@@ -806,12 +795,10 @@ class BatchedAssembler:
                 r0 = s.alg_offsets[rep.name]
                 rows = slice(r0, r0 + rep.n_algebraic)
             prepared = None
-            if fast_path_counts(lanes, "batched_lineariser"):
+            if fast_path_counts(lanes):
                 prepared = rep.batched_lineariser(lanes)
             else:
                 refused.append(rep.name)
-            if prepared is not None:
-                any_prepared = True
             groups.append(
                 _PreparedGroup(
                     lanes=list(lanes),
@@ -822,7 +809,7 @@ class BatchedAssembler:
                     constant=(
                         frozenset(prepared.constant)
                         if prepared is not None
-                        else frozenset()
+                        else _NO_CONSTANT_FIELDS
                     ),
                 )
             )
@@ -839,51 +826,40 @@ class BatchedAssembler:
             ey=np.zeros((b, s.n_algebraic)),
         )
         self._static_scattered = False
-        return any_prepared
 
-    def unprepare(self) -> None:
-        """Drop the batched-refresh fast path; assemble() goes generic again."""
-        self._groups = None
-        self._workspace = None
-        self._static_scattered = False
-        self._hold_solve = False
-        self._held = None
-
-    @property
-    def prepared(self) -> bool:
-        """Whether the batched-refresh fast path is active."""
-        return self._workspace is not None
-
-    def _assemble_prepared(
+    def assemble(
         self, t: np.ndarray, x_global: np.ndarray, y_global: np.ndarray
     ) -> BatchedGlobalLinearisation:
-        """Scatter into the persistent workspace, skipping constant fields.
+        """Linearise every block group and scatter into stacked Jacobians.
 
-        On the first call every field is scattered (and shape-validated);
-        afterwards a field is re-scattered only when its group declares it
-        non-constant.  Accumulation fields (``jxy``/``jyy`` use ``+=`` over
-        possibly-repeated net columns) are zeroed over the group's private
-        row range first, which reproduces the zero-workspace semantics of
-        the generic :meth:`assemble` exactly — row ranges of different
-        groups are disjoint by construction.
+        ``t`` holds each lane's own time point, shape ``(B,)``.  The
+        result is the persistent workspace, which the next call
+        overwrites: treat it as transient, and neither mutate nor retain
+        its fields past the next refresh.
+
+        The first call after :meth:`prepare` scatters every field (and
+        validates its shapes); afterwards a field is re-scattered only
+        when its group does not declare it constant.  The accumulated
+        coupling fields (``jxy``/``jyy`` use ``+=`` over possibly repeated
+        net columns) are zeroed over the group's own rows first, as into a
+        fresh matrix; row ranges of different groups are disjoint by
+        construction.
         """
+        if self._workspace is None:
+            self.prepare()
         ws = self._workspace
-        assert ws is not None and self._groups is not None
         first = not self._static_scattered
         for grp in self._groups:
             rep = grp.lanes[0]
             sl = grp.sl
             terminal_idx = grp.terminal_idx
+            x_local = x_global[:, sl]
+            y_local = y_global[:, terminal_idx]
             if grp.prepared is not None:
-                lin = grp.prepared.lineariser(
-                    t, x_global[:, sl], y_global[:, terminal_idx]
-                )
-                constant = grp.constant
+                lin = grp.prepared.lineariser(t, x_local, y_local)
             else:
-                lin = linearise_block_lanes(
-                    grp.lanes, t, x_global[:, sl], y_global[:, terminal_idx]
-                )
-                constant = _NO_CONSTANT_FIELDS
+                lin = linearise_block_lanes(grp.lanes, t, x_local, y_local)
+            constant = grp.constant
             if first:
                 lin.validate(
                     self.n_lanes, rep.n_states, rep.n_terminals, rep.n_algebraic
@@ -908,56 +884,6 @@ class BatchedAssembler:
                     ws.ey[:, rows] = lin.ey
         self._static_scattered = True
         return ws
-
-    # ------------------------------------------------------------------ #
-    # assembly and elimination
-    # ------------------------------------------------------------------ #
-    def assemble(
-        self, t: np.ndarray, x_global: np.ndarray, y_global: np.ndarray
-    ) -> BatchedGlobalLinearisation:
-        """Linearise every block group and scatter into stacked Jacobians.
-
-        ``t`` holds each lane's own time point, shape ``(B,)``.
-
-        When :meth:`prepare` has bound the fast path, the scatter runs
-        through the persistent workspace with constant fields skipped; the
-        result is bit-identical either way.
-        """
-        if self._workspace is not None:
-            return self._assemble_prepared(t, x_global, y_global)
-        b = self.n_lanes
-        s = self._structure
-        jxx = np.zeros((b, s.n_states, s.n_states))
-        jxy = np.zeros((b, s.n_states, s.n_terminals))
-        ex = np.zeros((b, s.n_states))
-        jyx = np.zeros((b, s.n_algebraic, s.n_states))
-        jyy = np.zeros((b, s.n_algebraic, s.n_terminals))
-        ey = np.zeros((b, s.n_algebraic))
-
-        for lanes in self._block_lanes:
-            rep = lanes[0]
-            offset = s.state_offsets[rep.name]
-            sl = slice(offset, offset + rep.n_states)
-            terminal_idx = s.terminal_maps[rep.name]
-            x_local = x_global[:, sl]
-            y_local = y_global[:, terminal_idx]
-            lin: BatchedLinearisation = linearise_block_lanes(lanes, t, x_local, y_local)
-
-            jxx[:, sl, sl] = lin.jxx
-            ex[:, sl] = lin.ex
-            if rep.n_terminals:
-                jxy[:, sl, terminal_idx] += lin.jxy
-            if rep.n_algebraic:
-                r0 = s.alg_offsets[rep.name]
-                rows = slice(r0, r0 + rep.n_algebraic)
-                jyx[:, rows, sl] = lin.jyx
-                if rep.n_terminals:
-                    jyy[:, rows, terminal_idx] += lin.jyy
-                ey[:, rows] = lin.ey
-
-        return BatchedGlobalLinearisation(
-            jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey
-        )
 
     def eliminate(
         self, lin: BatchedGlobalLinearisation, x_global: np.ndarray
@@ -988,8 +914,8 @@ class BatchedAssembler:
             )
         if jyy.shape[1] == 0:
             empty = np.zeros((b, 0))
-            # copy: lin may alias the persistent prepared workspace, and
-            # the reduced system must outlive the next refresh
+            # copy: lin is the persistent workspace, and the reduced
+            # system must outlive the next refresh
             return BatchedReducedSystem(
                 a_reduced=lin.jxx.copy(),
                 b_reduced=lin.ex.copy(),

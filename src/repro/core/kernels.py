@@ -45,6 +45,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "COMPILED_MODES",
+    "END_EPS",
     "MarchResult",
     "available_backends",
     "batched_state_norms",
@@ -57,9 +58,10 @@ __all__ = [
 #: user-facing values of the ``compiled`` knob; both run the NumPy kernel
 COMPILED_MODES = ("off", "auto")
 
-#: must match ``repro.core.batch._END_EPS`` — the end-time slack of the
-#: batched loop's "lane finished" check
-_END_EPS = 1e-15
+#: end-time slack of a lane: it has finished at ``t >= t_end - END_EPS``
+#: and an event is due at ``t_event <= t + END_EPS`` (the batched loop
+#: and the march kernel share it)
+END_EPS = 1e-15
 
 #: largest finite norm; a plain norm above it is inf or NaN
 _MAX_NORM = float(np.finfo(float).max)
@@ -189,7 +191,7 @@ def _burst_schedule(
     function of time too, so the rows due at steps ``j >= 1`` (step 0's
     record is the caller's) are listed here as ``(j, due)``.
     """
-    limit = t_end - _END_EPS
+    limit = t_end - END_EPS
     boundary = t_end if t_event is None else np.minimum(t_end, t_event)
     last = rec_last
     times: List[np.ndarray] = []
@@ -198,7 +200,7 @@ def _burst_schedule(
     while len(times) < max_steps:
         if np.any(t >= limit):
             break
-        if t_event is not None and np.any(t_event <= t + _END_EPS):
+        if t_event is not None and np.any(t_event <= t + END_EPS):
             break
         if times:
             due = record_due(t, last, rec_thresh)

@@ -145,19 +145,19 @@ def _defining_class(cls: type, name: str) -> type:
     return next(klass for klass in cls.__mro__ if name in vars(klass))
 
 
-def fast_path_counts(blocks: Sequence[AnalogueBlock], name: str) -> bool:
-    """Whether the blocks' ``name`` fast path may stand in for ``linearise``.
+def fast_path_counts(blocks: Sequence[AnalogueBlock]) -> bool:
+    """Whether the blocks' ``batched_lineariser`` may stand in for ``linearise``.
 
-    ``linearise_batch`` and ``batched_lineariser`` (with its ``constant``
-    declaration) restate a class's :meth:`~AnalogueBlock.linearise`.  A
-    subclass that overrides ``linearise`` below the class defining the fast
-    path would be silently bypassed by it, so the fast path counts only
-    when, for every block's class, it is defined in the class that defines
+    A ``batched_lineariser`` (and its ``constant`` declaration) restates
+    its class's :meth:`~AnalogueBlock.linearise`.  A subclass that
+    overrides ``linearise`` below the class defining the fast path would
+    be silently bypassed by it, so the fast path counts only when, for
+    every block's class, it is defined in the class that defines
     ``linearise`` or in a subclass of it.  The base class's default (no
     fast path at all) bypasses nothing and always counts.
     """
     for cls in {type(block) for block in blocks}:
-        fast = _defining_class(cls, name)
+        fast = _defining_class(cls, "batched_lineariser")
         if fast is not AnalogueBlock and not issubclass(
             fast, _defining_class(cls, "linearise")
         ):
@@ -245,27 +245,22 @@ def linearise_block_lanes(
     x: np.ndarray,
     y: np.ndarray,
 ) -> BatchedLinearisation:
-    """Linearise ``B`` sibling lanes, preferring the batched block API.
+    """Linearise ``B`` sibling lanes as the stack of their scalar models.
 
-    Dispatch order mirrors the scalar :func:`linearise_block`:
+    The batched refresh calls this for a block group without a
+    :meth:`~repro.core.block.AnalogueBlock.batched_lineariser`, the only
+    batched block hook.  Dispatch mirrors the scalar
+    :func:`linearise_block`:
 
-    1. the block's own vectorised ``linearise_batch`` when ported (and
-       not bypassing a ``linearise`` override, see :func:`fast_path_counts`);
-    2. otherwise a loop over the lanes' scalar ``linearise`` stacked into
-       one batched object (unported analytic blocks keep working);
-    3. blocks without analytic Jacobians fall back to the batched
-       finite-difference sweep of :func:`linearise_lanes_numerically`.
+    1. a loop over the lanes' scalar ``linearise`` stacked into one
+       batched object;
+    2. blocks without analytic Jacobians fall back to the batched
+       finite-difference sweep of :func:`linearise_lanes_numerically`,
+       bitwise each lane's scalar central differences.
 
-    ``t`` holds each lane's own time point, shape ``(B,)``; the scalar
-    fallbacks see lane ``i`` at ``t[i]``.
+    ``t`` holds each lane's own time point, shape ``(B,)``; lane ``i`` is
+    linearised at ``t[i]``.
     """
-    rep = lanes[0]
-    lin = None
-    if fast_path_counts(lanes, "linearise_batch"):
-        lin = rep.linearise_batch(lanes, t, x, y)
-    if lin is not None:
-        lin.validate(len(lanes), rep.n_states, rep.n_terminals, rep.n_algebraic)
-        return lin
     times = t.tolist()
     scalar = [lane.linearise(times[i], x[i], y[i]) for i, lane in enumerate(lanes)]
     if all(s is not None for s in scalar):

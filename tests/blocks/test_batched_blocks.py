@@ -3,12 +3,13 @@
 Property-style check: for every registered stock analogue block, the
 batched linearisation of ``B`` parameter-varied lanes must stack exactly
 the per-lane scalar linearisations — bit-identical, not merely close —
-at randomised operating points.  This is the contract the batched
-solver's fixed-step byte-identity rests on, and it covers both the
-vectorised ports (electromagnetic generator, Dickson multiplier,
-supercapacitor) and the generic fallbacks (piezoelectric via
-loop-over-lanes stacking, electrostatic via the batched finite-difference
-sweep of :mod:`repro.core.linearise`).
+at randomised operating points.  This is the contract that makes every
+batched lane bitwise its scalar run, and it covers both each block's
+``batched_lineariser`` (electromagnetic generator, Dickson multiplier,
+supercapacitor) and the fallbacks of
+:func:`~repro.core.linearise.linearise_block_lanes` for blocks without
+one (piezoelectric via stacked scalar ``linearise``, electrostatic via
+the batched finite-difference sweep).
 """
 
 import math
@@ -117,7 +118,8 @@ def _operating_points(rng, block):
 
 
 def _assert_stacks_equal(batched, lanes, t, x, y):
-    """Batched linearisation must equal per-lane scalar results exactly.
+    """Batched linearisation must equal per-lane scalar results bitwise
+    (``tobytes`` tells -0.0 from 0.0).
 
     ``t`` holds each lane's own time point.
     """
@@ -127,9 +129,9 @@ def _assert_stacks_equal(batched, lanes, t, x, y):
     for i, lane in enumerate(lanes):
         scalar = linearise_block(lane, float(t[i]), x[i], y[i])
         for attr in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
-            got = getattr(batched, attr)[i]
-            want = getattr(scalar, attr)
-            assert np.array_equal(got, want), (
+            got = np.ascontiguousarray(getattr(batched, attr)[i])
+            want = np.ascontiguousarray(getattr(scalar, attr))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
                 f"{type(lane).__name__}.{attr} lane {i}: batched != scalar "
                 f"(max abs diff {np.max(np.abs(got - want))})"
             )
@@ -150,20 +152,28 @@ def test_all_stock_analogue_blocks_are_covered():
     ]
 
 
+#: stock blocks that define a batched lineariser; the others are
+#: linearised through linearise_block_lanes
+PREPARED_KEYS = {"dickson_multiplier", "electromagnetic_generator", "supercapacitor"}
+
+
 @pytest.mark.parametrize("key", STOCK_ANALOGUE_KEYS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_linearise_batch_stacks_scalar_linearise(key, seed):
+def test_batched_lineariser_stacks_scalar_linearise(key, seed):
     rng = np.random.default_rng(seed)
     lanes = _build_lanes(key, rng, lambda r, i: _lane_params(key, r, i))
-    x, y = _operating_points(rng, lanes[0])
-    t = rng.uniform(0.0, 0.05, size=N_LANES)  # every lane on its own clock
-    batched = linearise_block_lanes(lanes, t, x, y)
-    _assert_stacks_equal(batched, lanes, t, x, y)
-    # the prepared lineariser, bound positionally the way the batched
-    # assembler binds it, stacks the same scalar results
+    # bound positionally, the way the batched assembler binds it, then
+    # called at several points as the refresh calls it
     prepared = lanes[0].batched_lineariser(lanes)
-    if prepared is not None:
-        _assert_stacks_equal(prepared.lineariser(t, x, y), lanes, t, x, y)
+    assert (prepared is not None) == (key in PREPARED_KEYS)
+    for _ in range(3):
+        x, y = _operating_points(rng, lanes[0])
+        t = rng.uniform(0.0, 0.05, size=N_LANES)  # every lane on its own clock
+        if prepared is None:
+            batched = linearise_block_lanes(lanes, t, x, y)
+        else:
+            batched = prepared.lineariser(t, x, y)
+        _assert_stacks_equal(batched, lanes, t, x, y)
 
 
 @pytest.mark.parametrize("key", STOCK_ANALOGUE_KEYS)
@@ -242,9 +252,10 @@ def _dickson_states(rng, lane):
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_lane"])
 def test_dickson_plan_is_stacked_scalar_linearise_bytewise(shared):
-    # one Jacobian assembly for lanes: linearise_batch is the prepared
-    # plan, and both are the scalar linearise byte for byte (tobytes
-    # tells -0.0 from 0.0), with one shared companion table or one per lane
+    # one Jacobian assembly for lanes: the plan reused across refreshes
+    # and a fresh plan are both the scalar linearise byte for byte
+    # (tobytes tells -0.0 from 0.0), with one shared companion table or
+    # one per lane
     rng = np.random.default_rng(13)
     lanes = [
         DicksonMultiplier(
@@ -264,13 +275,13 @@ def test_dickson_plan_is_stacked_scalar_linearise_bytewise(shared):
         x, vd = _dickson_states(rng, lanes[0])
         y = rng.standard_normal((N_LANES, 4))
         t = rng.uniform(0.0, 0.05, size=N_LANES)
-        prepared = plan.lineariser(t, x, y)
-        batched = lanes[0].linearise_batch(lanes, t, x, y)
+        reused = plan.lineariser(t, x, y)
+        fresh = lanes[0].batched_lineariser(lanes).lineariser(t, x, y)
         for i, lane in enumerate(lanes):
             scalar = lane.linearise(float(t[i]), x[i], y[i])
             for attr in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
                 want = getattr(scalar, attr).tobytes()
-                for lin in (prepared, batched):
+                for lin in (reused, fresh):
                     got = np.ascontiguousarray(getattr(lin, attr)[i]).tobytes()
                     assert got == want, f"trial {trial} lane {i} {attr}"
     # the states covered every bias region
@@ -301,5 +312,5 @@ def test_linear_block_batched_port():
     x = rng.standard_normal((3, 2))
     y = rng.standard_normal((3, 1))
     t = np.array([0.2, 0.3, 0.4])
-    batched = linearise_block_lanes(lanes, t, x, y)
-    _assert_stacks_equal(batched, lanes, t, x, y)
+    prepared = lanes[0].batched_lineariser(lanes)
+    _assert_stacks_equal(prepared.lineariser(t, x, y), lanes, t, x, y)

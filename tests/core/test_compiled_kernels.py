@@ -9,10 +9,10 @@ import pytest
 
 from repro import Study
 from repro.blocks.microcontroller import ControllerSettings
-from repro.core import batch, kernels
+from repro.core import batch, elimination, kernels
 from repro.core.batch import BatchedSolver, BatchResult
 from repro.core.block import LinearBlock
-from repro.core.elimination import BatchedAssembler, SystemAssembler
+from repro.core.elimination import SystemAssembler
 from repro.core.errors import ConfigurationError, StabilityError
 from repro.core.kernels import (
     available_backends,
@@ -100,14 +100,15 @@ def stepwise_march():
 
 
 @contextmanager
-def unprepared_refresh():
-    """Reference refresh: the generic per-lane block dispatch.
+def stacked_scalar_refresh():
+    """Reference refresh: every block group refuses its batched lineariser.
 
-    With ``prepare()`` reporting no batched lineariser the solver leaves
-    the assembler unprepared, so every refresh linearises block by block
-    — the reference the prepared workspace path must reproduce.
+    Each group then stacks its lanes' scalar ``linearise`` through the
+    same workspace and rebuilds every field on every refresh — the
+    reference each block's ``batched_lineariser`` and its constant
+    declaration must reproduce.
     """
-    with mock.patch.object(BatchedAssembler, "prepare", lambda self: False):
+    with mock.patch.object(elimination, "fast_path_counts", lambda blocks: False):
         yield
 
 
