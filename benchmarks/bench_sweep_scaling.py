@@ -208,7 +208,7 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
     amortised-relinearisation profile, so the comparison isolates the lane
     vectorisation itself, and every score must match exactly.  The quick
     smoke grid is too small to split across workers (one-lane blocks
-    degrade to the scalar path), so quick mode marches it as a single lane
+    take the scalar path), so quick mode marches it as a single lane
     block to actually exercise the batched loop.
     """
     study = build_study(grid, duration_s)

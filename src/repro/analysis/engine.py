@@ -76,6 +76,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from ..core.batch import BatchedSolver
 from ..core.elimination import AssemblyStructure
 from ..core.errors import ConfigurationError, StabilityError
+from ..core.solver import SolverSettings
 from ..harvester.scenarios import (
     Scenario,
     _simulate_proposed,
@@ -120,11 +121,9 @@ class EngineRunInfo:
     #: candidates that never entered a lane block (singleton blocks)
     n_batch_fallbacks: int = 0
     #: candidates whose score actually came out of a batched march this run
-    #: (runtime truth: heterogeneous-settings blocks that degraded to the
-    #: scalar path and retired lanes are excluded)
+    #: (runtime truth: retired lanes, re-run on the exact scalar path, are
+    #: excluded)
     n_batched_candidates: int = 0
-    #: requested march-kernel mode ("off" | "auto")
-    compiled: str = "off"
     #: wall seconds spent inside march kernels, summed over lane blocks
     kernel_time_s: float = 0.0
     #: wall seconds spent relinearising/eliminating (the refresh path),
@@ -174,32 +173,18 @@ class _Outcome:
 _worker_structures: Dict[tuple, AssemblyStructure] = {}
 
 
-def _topology_key(scenario) -> tuple:
-    """Topology fingerprint of a scenario (no harvester build).
+def _lane_structure(task: _Task) -> AssemblyStructure:
+    """Per-process cached assembly structure for a task's topology.
 
-    Scenarios provide their own via ``topology_key()``: config-backed
+    Keyed by the scenario's ``topology_key()``: config-backed
     :class:`Scenario` instances return a coarse config fingerprint,
     spec-backed ones the spec's structural hash — which is what makes
     *topology axes* reuse one assembly structure per distinct topology.
-    A mismatch only hands the assembler a structure whose full signature
+    A false hit only hands the assembler a structure whose full signature
     does not match, which it rejects and recomputes (see
-    :class:`~repro.core.elimination.SystemAssembler`) — the cost of a
-    false hit is a recompute, never mis-indexing.
+    :class:`~repro.core.elimination.SystemAssembler`).
     """
-    own = getattr(scenario, "topology_key", None)
-    if callable(own):
-        return own()
-    config = scenario.config
-    return (
-        type(config).__name__,
-        getattr(config, "multiplier_stages", None),
-        scenario.with_controller,
-    )
-
-
-def _lane_structure(task: _Task) -> AssemblyStructure:
-    """Per-process cached assembly structure for a task's topology."""
-    key = _topology_key(task.scenario)
+    key = task.scenario.topology_key()
     structure = _worker_structures.get(key)
     if structure is None:
         structure = prepare_assembly(task.scenario)
@@ -255,18 +240,33 @@ def _evaluate_lane_block(tasks: Sequence[_Task]) -> List[_Outcome]:
     return outcomes
 
 
+def _task_settings(task: _Task) -> SolverSettings:
+    """A candidate's solver settings: the sweep's shared settings or the
+    scenario's defaults, with the sweep's hold budget applied."""
+    settings = task.settings
+    if settings is None:
+        settings = scenario_solver_settings(task.scenario)
+    if task.relinearise_interval is not None:
+        settings = replace(
+            settings, relinearise_interval=int(task.relinearise_interval)
+        )
+    return settings
+
+
 def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
     """Evaluate one lane block of same-topology candidates as batched lanes.
 
     Runs in a worker process or inline.  Each lane carries its
-    candidate's digital event kernel.  Single-task blocks take the scalar
-    path directly; blocks the batched solver refuses (mixed
-    ``use_spectral_limit``, ``monitor_lle``) degrade to per-candidate
-    scalar evaluation; lanes the batched march retires (divergence,
-    singular elimination, a raising digital process) are re-run
-    individually on the exact scalar path, mirroring the engine's
-    existing stability fallback.  Each of these scalar-path decisions is
-    logged once per block or lane, at DEBUG on ``repro.engine``.
+    candidate's digital event kernel and settings; lanes only have to
+    agree on ``use_spectral_limit``, and every lane of a block has either
+    the sweep's shared settings or its scenario's defaults, which do.
+    Single-task blocks take the scalar path directly; lanes the batched
+    march retires (divergence, singular elimination, a raising digital
+    process) are re-run individually on the exact scalar path, mirroring
+    the engine's existing stability fallback.  Each of these scalar-path
+    decisions is logged once per block or lane, at DEBUG on
+    ``repro.engine``.  A candidate whose build raises fails the block,
+    as it fails its own scalar run.
     """
     if len(tasks) == 1:
         logger.debug(
@@ -274,39 +274,19 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
         )
         return [_evaluate_task(tasks[0])]
     structure = _lane_structure(tasks[0])
-    harvesters = []
-    try:
-        settings_list = []
-        for task in tasks:
-            harvesters.append(
-                task.scenario.build_harvester(assembly_structure=structure)
-            )
-            settings = task.settings
-            if settings is None:
-                settings = scenario_solver_settings(task.scenario)
-            if task.relinearise_interval is not None:
-                settings = replace(
-                    settings, relinearise_interval=int(task.relinearise_interval)
-                )
-            settings_list.append(settings)
-        solver = BatchedSolver(
-            [harvester.assembler for harvester in harvesters],
-            integrator=tasks[0].integrator,
-            settings=settings_list,
-            digital_kernels=[harvester._build_kernel() for harvester in harvesters],
-        )
-        for i, harvester in enumerate(harvesters):
-            harvester._wire(solver.lane_wiring(i))
-        batch = solver.run([task.scenario.duration_s for task in tasks])
-    except ConfigurationError as exc:
-        # the block cannot march batched (settings the batched solver
-        # does not support): evaluate candidates serially
-        logger.debug(
-            "lane block of %d candidates degraded to the scalar path: %s",
-            len(tasks),
-            exc,
-        )
-        return [_evaluate_task(task) for task in tasks]
+    harvesters = [
+        task.scenario.build_harvester(assembly_structure=structure)
+        for task in tasks
+    ]
+    solver = BatchedSolver(
+        [harvester.assembler for harvester in harvesters],
+        integrator=tasks[0].integrator,
+        settings=[_task_settings(task) for task in tasks],
+        digital_kernels=[harvester._build_kernel() for harvester in harvesters],
+    )
+    for i, harvester in enumerate(harvesters):
+        harvester._wire(solver.lane_wiring(i))
+    batch = solver.run([task.scenario.duration_s for task in tasks])
 
     # block-level kernel/refresh wall-time split: each lane carries the
     # batch totals as of its own finalisation, so the block total is the
@@ -358,13 +338,8 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
 def _evaluate_task(task: _Task) -> _Outcome:
     """Evaluate one candidate (runs in a worker process or inline)."""
     structure = _lane_structure(task)
-
-    settings = task.settings
-    if settings is None:
-        settings = scenario_solver_settings(task.scenario)
+    settings = _task_settings(task)
     interval = task.relinearise_interval
-    if interval is not None:
-        settings = replace(settings, relinearise_interval=int(interval))
 
     exact_rerun = False
     try:
@@ -595,7 +570,6 @@ class SweepEngine:
             n_batched_candidates=n_batched,
             n_cache_hits=n_cache_hits_total,
             cache=self.options.cache,
-            compiled=self.options.compiled,
             kernel_time_s=kernel_time_s,
             refresh_time_s=refresh_time_s,
         )
@@ -735,7 +709,7 @@ class SweepEngine:
         """
         groups: Dict[tuple, List[_Task]] = {}
         for task in pending:
-            groups.setdefault(_topology_key(task.scenario), []).append(task)
+            groups.setdefault(task.scenario.topology_key(), []).append(task)
         blocks: List[List[_Task]] = []
         for group in groups.values():
             width = self.options.lane_width
@@ -766,7 +740,7 @@ class SweepEngine:
         scenario_fingerprint = (
             getattr(scenario, "name", ""),
             getattr(scenario, "duration_s", None),
-            _topology_key(scenario),
+            scenario.topology_key(),
         )
         # a strategy fingerprint of None means "legacy grid-compatible":
         # the digest tuple stays exactly the dense sweep's, so a grid

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.errors import ConfigurationError
 from ..core.integrators import ExplicitIntegrator, make_integrator
-from ..core.kernels import COMPILED_MODES
+from ..core.kernels import COMPILED_MODES, resolve_compiled
 from ..core.serialise import decode_value, encode_value
 from ..core.solver import SolverSettings
 
@@ -57,7 +57,7 @@ def execution_fingerprint(
     derived from it, so a checkpoint resume and a cache hit agree on what
     "the same execution" means.  Deliberately excluded: knobs that change
     *how fast* or *where* candidates run but not their scores
-    (``backend``, ``compiled``, ``n_workers``, ``lane_width``,
+    (``backend``, ``n_workers``, ``lane_width``,
     checkpointing, progress, cache mode) — every batched lane is bitwise
     its scalar run, so both backends share one cache.  ``seed`` *is*
     included: a seeded exploration samples a different candidate set per
@@ -77,8 +77,9 @@ def execution_fingerprint(
         "relinearise_interval": (
             None if relinearise_interval is None else int(relinearise_interval)
         ),
-        # constants: the process backend's values, so every existing
-        # process cache key and checkpoint digest stays unchanged
+        # constants: the process backend's values (and the retired
+        # march-kernel mode's default), so every existing process cache
+        # key and checkpoint digest stays unchanged
         "backend": "process",
         "seed": None if seed is None else int(seed),
         "compiled": "off",
@@ -97,7 +98,6 @@ def execution_fingerprint(
 FINGERPRINT_EXEMPT = {
     "backend": "every batched lane is bitwise its scalar run, so the "
     "process and batched backends score every candidate identically",
-    "compiled": "both march-kernel modes run the one NumPy kernel",
     "lane_width": "lane packing changes batching granularity only; lanes "
     "are independent runs, so a score never depends on its lane-mates",
     "n_workers": "worker count only changes scheduling; process and "
@@ -148,11 +148,6 @@ class RunOptions:
     lane_width:
         Maximum lanes per batched block (``backend="batched"`` only —
         combining it with the process backend raises).
-    compiled:
-        March-kernel mode for the batched march
-        (:mod:`repro.core.kernels`): ``"off"`` (default) or ``"auto"``;
-        both run the one vectorised NumPy kernel.  A non-default value is
-        only valid with ``backend="batched"``.
     n_workers:
         Worker processes for sweep execution (or comparison legs).  ``1``
         evaluates inline; ``None`` uses ``os.cpu_count()``.
@@ -201,7 +196,6 @@ class RunOptions:
     relinearise_interval: Optional[int] = None
     backend: str = "process"
     lane_width: Optional[int] = None
-    compiled: str = "off"
     n_workers: Optional[int] = 1
     checkpoint_path: Optional[str] = None
     progress: Optional[ProgressFn] = None
@@ -237,14 +231,19 @@ class RunOptions:
         return cls(relinearise_interval=relinearise_interval, **overrides)
 
     @classmethod
-    def batched(cls, lane_width: Optional[int] = None, **overrides) -> "RunOptions":
+    def batched(
+        cls, lane_width: Optional[int] = None, compiled: str = "off", **overrides
+    ) -> "RunOptions":
         """Batched lane-parallel sweep profile (``backend="batched"``).
 
         Same-topology candidates march as lanes of stacked ``(B, n, n)``
         arrays, each lane on its own clock, with its own digital events,
         and bitwise its scalar run; composes with ``n_workers`` (each worker
-        marches one lane block).
+        marches one lane block).  ``compiled`` names a march-kernel mode
+        (:data:`COMPILED_MODES`); it is validated and dropped, since every
+        mode runs the one NumPy kernel.
         """
+        resolve_compiled(compiled)
         return cls(backend="batched", lane_width=lane_width, **overrides)
 
     # ------------------------------------------------------------------ #
@@ -266,17 +265,6 @@ class RunOptions:
                     "the batched backend; drop lane_width or use "
                     "RunOptions.batched()"
                 )
-        if self.compiled not in COMPILED_MODES:
-            raise ConfigurationError(
-                f"unknown compiled mode {self.compiled!r}; choose from "
-                f"{COMPILED_MODES}"
-            )
-        if self.compiled != "off" and self.backend != "batched":
-            raise ConfigurationError(
-                f"incoherent options: compiled={self.compiled!r} with "
-                f"backend={self.backend!r} — the march kernel runs the "
-                "batched march; drop compiled or use RunOptions.batched()"
-            )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be at least 1")
         if self.relinearise_interval is not None and self.relinearise_interval < 1:

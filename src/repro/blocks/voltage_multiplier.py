@@ -165,7 +165,7 @@ class DicksonMultiplier(AnalogueBlock):
         return np.array([self.companion_table.branch_current(float(v)) for v in vd])
 
     # ------------------------------------------------------------------ #
-    # nonlinear model (used by the NR baselines and the LLE monitor)
+    # nonlinear model (used by the NR baselines and the reference solver)
     # ------------------------------------------------------------------ #
     def derivatives(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         _vm, im, _vc, ic = y

@@ -58,7 +58,6 @@ from .integrators import (
     Trapezoidal,
     make_integrator,
 )
-from .lle import LLEMonitor, LLESample
 from .linearise import (
     finite_difference_jacobian,
     linearise_block,
@@ -148,8 +147,6 @@ __all__ = [
     "SolverSettings",
     "StepControlSettings",
     "StepSizeController",
-    "LLEMonitor",
-    "LLESample",
     # digital
     "DigitalEventKernel",
     "DigitalProcess",

@@ -354,9 +354,8 @@ class BatchedSolver:
         One :class:`~repro.core.solver.SolverSettings` per lane, or a
         single instance shared by every lane.  Every setting is per-lane
         (step control, ``fixed_step``, ``relinearise_interval``, the drift
-        guard, recording); only ``monitor_lle`` is not supported in
-        batched mode (use the scalar solver for LLE studies —
-        Jacobian-drift monitoring itself stays active).
+        guard, ``lle_tolerance``, recording); lanes must only agree on
+        ``step_control.use_spectral_limit``.
     digital_kernels:
         Optional per-lane :class:`~repro.core.digital.DigitalEventKernel`
         (``None`` entries for lanes without digital processes), as the
@@ -384,11 +383,6 @@ class BatchedSolver:
                 raise ConfigurationError(
                     f"{len(settings_list)} settings for {b} lanes"
                 )
-        if any(s.monitor_lle for s in settings_list):
-            raise ConfigurationError(
-                "monitor_lle is not supported in batched mode; run the lane "
-                "on the scalar solver for direct LLE measurement"
-            )
         kernels = [None] * b if digital_kernels is None else list(digital_kernels)
         if len(kernels) != b:
             raise ConfigurationError(f"{len(kernels)} digital kernels for {b} lanes")
@@ -860,7 +854,7 @@ class BatchedSolver:
                 s.h[proposing] = controller.propose(
                     reduced.a_reduced,
                     # a lane's drift reference is its previous proposal's
-                    # Jacobian: the controller shares the monitor's figure
+                    # Jacobian: the controller consumes the adopted figure
                     change if every else change[s.adaptive[s.due]],
                     t_remaining=step_boundary() - s.t,
                     # None (every lane) keeps the controller on views

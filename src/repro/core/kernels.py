@@ -29,8 +29,9 @@ array expressions operation for operation, so every lane is bitwise its
 scalar :class:`~repro.core.solver.LinearisedStateSpaceSolver` run.  A
 burst of one step (every call at ``relinearise_interval`` 1) skips the
 burst set-up and takes the same expressions directly.
-``resolve_compiled`` maps the user-facing ``compiled`` mode (``"off" |
-"auto"``) to that kernel's backend name.
+``resolve_compiled`` maps a ``compiled`` mode (``"off" | "auto"``, the
+argument ``RunOptions.batched`` validates and drops) to that kernel's
+backend name.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
     "resolve_compiled",
 ]
 
-#: user-facing values of the ``compiled`` knob; both run the NumPy kernel
+#: the march-kernel modes ``resolve_compiled`` accepts; both run the NumPy kernel
 COMPILED_MODES = ("off", "auto")
 
 #: end-time slack of a lane: it has finished at ``t >= t_end - END_EPS``

@@ -11,7 +11,8 @@ described in Section II of the paper:
    (Adams-Bashforth by default, Eq. 5);
 4. keep the explicit march stable by bounding the step size through
    diagonal dominance of the point total-step matrix (Eq. 7) and keep it
-   accurate by monitoring the Jacobian drift (the LLE control of Eq. 3);
+   accurate by monitoring the Jacobian drift (the LLE control of Eq. 3),
+   measured once per refresh and consumed by the step controller;
 5. interleave digital-process activations (the microcontroller of
    Fig. 7) through a discrete-event kernel, restarting the multi-step
    history whenever a digital action changes the analogue model.
@@ -33,7 +34,6 @@ from .digital import AnalogueInterface, DigitalEventKernel
 from .elimination import ReducedSystem, SystemAssembler
 from .errors import ConfigurationError, StabilityError
 from .integrators import AdamsBashforth, ExplicitIntegrator
-from .lle import LLEMonitor
 from .results import SimulationResult, SolverStats, TraceRecorder
 from .stepper import StepControlSettings, StepSizeController
 
@@ -59,14 +59,8 @@ class SolverSettings:
         Minimum spacing between recorded trace samples; 0 records every
         accepted step.
     lle_tolerance:
-        Relative Jacobian-change threshold of the LLE monitor.
-    keep_lle_history:
-        Store every LLE sample (memory-hungry on long runs).
-    monitor_lle:
-        When ``True`` the solver additionally evaluates the exact nonlinear
-        derivative each step to measure the true linearisation error (one
-        extra block sweep per step).  Jacobian-drift monitoring — the
-        control mechanism the paper describes — is always active.
+        Relative Jacobian change between consecutive refreshes above which
+        a refresh counts as flagged (the ``lle_flagged_steps`` metadata).
     divergence_limit:
         Hard cap on the state-vector norm; exceeding it raises
         :class:`StabilityError` instead of silently producing NaNs.
@@ -96,8 +90,6 @@ class SolverSettings:
     fixed_step: Optional[float] = None
     record_interval: float = 0.0
     lle_tolerance: float = 0.1
-    keep_lle_history: bool = False
-    monitor_lle: bool = False
     divergence_limit: float = 1e12
     relinearise_interval: int = 1
     relinearise_state_rtol: Optional[float] = None
@@ -135,10 +127,6 @@ class LinearisedStateSpaceSolver:
         self.settings = settings or SolverSettings()
         self.digital_kernel = digital_kernel
         self.interface = AnalogueInterface()
-        self.lle_monitor = LLEMonitor(
-            jacobian_tolerance=self.settings.lle_tolerance,
-            keep_history=self.settings.keep_lle_history,
-        )
         self._probes: Dict[str, ProbeFn] = {}
         self._x = assembler.initial_state()
         self._y = np.zeros(assembler.n_terminals)
@@ -221,7 +209,12 @@ class LinearisedStateSpaceSolver:
 
         controller = StepSizeController(settings.step_control, integrator=self.integrator)
         integrator_state = self.integrator.new_state()
-        self.lle_monitor.reset()
+        # Jacobian drift (the LLE control of Eq. 3): the previous fresh
+        # reduced matrix and its norm, as each batched lane keeps them
+        a_previous: Optional[np.ndarray] = None
+        a_previous_norm = 1.0
+        lle_max = 0.0
+        lle_flagged = 0
 
         recorder = TraceRecorder(record_interval=settings.record_interval)
         stats = SolverStats(
@@ -255,7 +248,9 @@ class LinearisedStateSpaceSolver:
                     if model_changed:
                         self.integrator.notify_discontinuity(integrator_state)
                         controller.reset()
-                        self.lle_monitor.reset()
+                        a_previous = None
+                        lle_max = 0.0
+                        lle_flagged = 0
                         # the analogue model changed under us: drop the
                         # held model and what the assembler held
                         reduced = None
@@ -285,21 +280,20 @@ class LinearisedStateSpaceSolver:
             # 3. record traces
             self._record(recorder, state_names, net_names)
 
-            # 4. LLE monitoring on fresh linearisations (Jacobian drift
-            #    always; true derivative optional).  The monitor and the
-            #    step controller hold the same previous Jacobian, so the
-            #    drift measured here is the controller's too.
+            # 4. Jacobian drift since the previous fresh linearisation,
+            #    measured once: the step controller consumes this figure
             if refresh:
-                if settings.monitor_lle:
-                    true_dxdt, _ = assembler.full_residual(self._t, self._x, self._y)
-                    lle_sample = self.lle_monitor.record(
-                        self._t,
-                        reduced.a_reduced,
-                        linearised_derivative=reduced.derivative(self._x),
-                        true_derivative=true_dxdt,
-                    )
-                else:
-                    lle_sample = self.lle_monitor.record(self._t, reduced.a_reduced)
+                a_fresh = reduced.a_reduced
+                change = (
+                    0.0
+                    if a_previous is None
+                    else float(np.linalg.norm(a_fresh - a_previous) / a_previous_norm)
+                )
+                if change > settings.lle_tolerance:
+                    lle_flagged += 1
+                lle_max = max(lle_max, change)
+                a_previous = a_fresh
+                a_previous_norm = np.linalg.norm(a_fresh) or 1.0
 
             # 5. choose the step size.  Held steps reuse the step proposed
             #    at the last fresh linearisation: the controller's inputs
@@ -312,12 +306,9 @@ class LinearisedStateSpaceSolver:
                     boundary = min(boundary, max(next_event, self._t + 1e-15))
             if settings.fixed_step is not None:
                 h = min(settings.fixed_step, boundary - self._t)
-                controller._h_current = h  # keep diagnostics consistent
             elif refresh:
                 h = controller.propose(
-                    reduced.a_reduced,
-                    t_remaining=boundary - self._t,
-                    jacobian_change=lle_sample.jacobian_change,
+                    reduced.a_reduced, change, t_remaining=boundary - self._t
                 )
                 held_h = h
             else:
@@ -358,8 +349,8 @@ class LinearisedStateSpaceSolver:
         result.metadata["integrator_order"] = self.integrator.order
         result.metadata["n_states"] = assembler.n_states
         result.metadata["n_terminals"] = assembler.n_terminals
-        result.metadata["lle_max_jacobian_change"] = self.lle_monitor.max_jacobian_change
-        result.metadata["lle_flagged_steps"] = self.lle_monitor.n_flagged
+        result.metadata["lle_max_jacobian_change"] = lle_max
+        result.metadata["lle_flagged_steps"] = lle_flagged
         result.metadata["relinearise_interval"] = hold_limit
         result.metadata["n_jacobian_reuses"] = n_jacobian_reuses
         if self.digital_kernel is not None:

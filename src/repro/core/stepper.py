@@ -41,11 +41,11 @@ def relative_jacobian_drift(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
     ``||a_i - reference_i||_F / ||reference_i||_F`` with a zero-norm
     reference falling back to an absolute scale of 1 — the batched
-    counterpart of the scalar controllers' drift metric, shared by step
-    control and the batched solver's LLE monitoring so the two can never
-    desynchronise.  Each norm is a stacked ``matmul`` of the flattened lane
-    with itself: the dot product ``np.linalg.norm`` takes, so every lane's
-    drift is bitwise the scalar monitor's.
+    counterpart of the scalar solver's drift figure, measured once per
+    refresh and shared by step control and the ``lle_*`` metadata so the
+    two can never desynchronise.  Each norm is a stacked ``matmul`` of the
+    flattened lane with itself: the dot product ``np.linalg.norm`` takes,
+    so every lane's drift is bitwise the scalar solver's.
     """
     scale = _frobenius_norms(reference)
     scale = np.where(scale == 0.0, 1.0, scale)
@@ -140,7 +140,6 @@ class StepSizeController:
         self._real_extent = getattr(integrator, "stability_real_extent", 2.0)
         self._imag_extent = getattr(integrator, "stability_imag_extent", 0.0)
         self._h_current = self.settings.h_initial
-        self._previous_jacobian: Optional[np.ndarray] = None
         self._stability_jacobian: Optional[np.ndarray] = None
         self._stability_scale = 1.0
         self._cached_stability_limit: Optional[float] = None
@@ -153,7 +152,6 @@ class StepSizeController:
     def reset(self, h: Optional[float] = None) -> None:
         """Reset the controller (e.g. after a digital-event discontinuity)."""
         self._h_current = h if h is not None else self.settings.h_initial
-        self._previous_jacobian = None
         self._stability_jacobian = None
         self._cached_stability_limit = None
 
@@ -185,25 +183,15 @@ class StepSizeController:
         self._cached_stability_limit = limit
         return limit
 
-    def jacobian_change(self, a_reduced: np.ndarray) -> float:
-        """Relative change of the reduced Jacobian since the previous step."""
-        if self._previous_jacobian is None:
-            return 0.0
-        previous = self._previous_jacobian
-        scale = np.linalg.norm(previous)
-        if scale == 0.0:
-            scale = 1.0
-        return float(np.linalg.norm(a_reduced - previous) / scale)
-
     # ------------------------------------------------------------------ #
     # main entry point
     # ------------------------------------------------------------------ #
     def propose(
         self,
         a_reduced: np.ndarray,
+        jacobian_change: float,
         *,
         t_remaining: Optional[float] = None,
-        jacobian_change: Optional[float] = None,
     ) -> float:
         """Return the step size to use for the next explicit step.
 
@@ -211,24 +199,23 @@ class StepSizeController:
         ----------
         a_reduced:
             Reduced system matrix ``A_r`` at the current time point.
+        jacobian_change:
+            Relative Frobenius drift of ``a_reduced`` since the previous
+            proposal's matrix (0 for the first proposal after a reset).
+            The solver measures it once per refresh; the controller only
+            consumes it.
         t_remaining:
             Time left until the simulation (or the next digital event);
             the proposed step never overshoots it.
-        jacobian_change:
-            The :meth:`jacobian_change` of ``a_reduced`` when the caller
-            has already measured it against the same previous matrix (the
-            solver shares its LLE monitor's figure); computed when omitted.
         """
         settings = self.settings
         h = self._h_current
 
         # accuracy control: shrink/grow according to the observed Jacobian drift
-        change = (
-            self.jacobian_change(a_reduced) if jacobian_change is None else jacobian_change
-        )
-        if change > settings.jacobian_change_target:
+        if jacobian_change > settings.jacobian_change_target:
             factor = max(
-                settings.shrink_limit, settings.jacobian_change_target / change
+                settings.shrink_limit,
+                settings.jacobian_change_target / jacobian_change,
             )
             h = h * factor
         else:
@@ -245,7 +232,6 @@ class StepSizeController:
         if h <= 0.0 or not np.isfinite(h):
             raise StepSizeError(f"step controller produced invalid step {h!r}")
 
-        self._previous_jacobian = np.array(a_reduced, dtype=float, copy=True)
         self._h_current = h
         return h
 
@@ -259,8 +245,8 @@ class BatchedStepController:
     recomputation — but holds everything in stacked arrays so one batched
     eigenvalue sweep serves every lane that needs a fresh stability bound.
     The caller measures the Jacobian drift that drives shrink/grow (the
-    batched solver's LLE monitor holds the previous Jacobians, as the
-    scalar solver's monitor does for its controller).
+    batched solver holds each lane's previous Jacobian, as the scalar
+    solver does for its controller).
     Each lane keeps its own proposal: the batched solver marches every
     lane at its own step, so lane ``i``'s proposals are exactly its
     scalar controller's.

@@ -14,6 +14,7 @@ from repro.harvester.scenarios import (
     scenario_1,
     scenario_solver_settings,
 )
+from repro.harvester.topologies import piezoelectric_scenario
 
 
 def make_sweep(duration_s=0.05, frequencies=(68.0, 70.0), amplitudes=(0.4, 0.59)):
@@ -46,7 +47,6 @@ class TestBatchedBackendParity:
         assert info.n_lane_blocks == 1
         assert info.n_batch_fallbacks == 0
         assert info.n_batched_candidates == 4  # runtime truth, not planning
-        assert info.compiled == "off"
 
     def test_adaptive_scores_identical_to_process_backend(self):
         sweep = make_sweep()
@@ -121,14 +121,25 @@ class TestScalarPathLogging:
         assert len(messages) == 4
         assert all("lane block of one: scalar path" in m for m in messages)
 
-    def test_configuration_degrade_is_logged_with_its_message(self, caplog):
+    def test_failing_candidate_build_fails_like_the_process_sweep(self, caplog):
+        # no degrade-to-scalar branch: a lane block ends in batched scores
+        # or raises what the candidate's own scalar run raises
         caplog.set_level(logging.DEBUG, logger="repro.engine")
-        sweep = make_sweep()
-        settings = replace(fixed_step(sweep), monitor_lle=True)
-        sweep.options(RunOptions.batched(settings=settings)).run()
-        (message,) = self._messages(caplog)
-        assert "lane block of 4 candidates degraded to the scalar path" in message
-        assert "monitor_lle" in message
+        # the spec sweep plans every candidate; the middle one's
+        # multiplier refuses its capacitance only when it is built
+        sweep = Study.scenario(piezoelectric_scenario(duration_s=0.01)).sweep(
+            {"multiplier.stage_capacitance_f": [1e-6, -1e-6, 2e-6]}
+        )
+        errors = []
+        for options in (RunOptions(), RunOptions.batched()):
+            caplog.clear()
+            with pytest.raises(ConfigurationError) as caught:
+                sweep.options(options).run()
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert "stage capacitances must be positive" in errors[1][1]
+        # the batched sweep logged no scalar-path decision on the way
+        assert self._messages(caplog) == []
 
     def test_retired_lane_rerun_is_logged_with_lane_and_reason(
         self, caplog, monkeypatch

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import Study
-from repro.analysis.engine import _topology_key
 from repro.analysis.sweep import average_power_metric, format_sweep_value
 from repro.core.errors import ConfigurationError
 from repro.core.spec import BlockSpec
@@ -97,13 +96,13 @@ class TestTopologyAxis:
         variants = generator_variants(70.0)
         sweep = _spec_sweep({"generator": list(variants.values())}).plan().sweep
         keys = {
-            _topology_key(sweep.candidate_scenario(c)) for c in sweep.candidates()
+            sweep.candidate_scenario(c).topology_key() for c in sweep.candidates()
         }
         assert len(keys) == 3  # one assembly-cache entry per topology
 
     def test_legacy_scenario_topology_key_still_works(self):
         scenario = charging_scenario(duration_s=DUR)
-        key = _topology_key(scenario)
+        key = scenario.topology_key()
         assert key[1] == scenario.config.multiplier_stages
 
     def test_checkpoint_resume_with_topology_axis(self, tmp_path):

@@ -85,7 +85,6 @@ EXPECTED_RUN_OPTIONS_FIELDS = (
     "relinearise_interval",
     "backend",
     "lane_width",
-    "compiled",
     "n_workers",
     "checkpoint_path",
     "progress",
@@ -105,7 +104,25 @@ def test_top_level_all_is_pinned():
 def test_run_options_fields_are_pinned():
     fields = tuple(field.name for field in dataclasses.fields(repro.RunOptions))
     assert fields == EXPECTED_RUN_OPTIONS_FIELDS
-    assert len(fields) == 15
+    assert len(fields) == 14
+
+
+#: the solver's settable values: none of them is honoured by only one of
+#: the scalar and the batched solver
+EXPECTED_SOLVER_SETTINGS_FIELDS = (
+    "step_control",
+    "fixed_step",
+    "record_interval",
+    "lle_tolerance",
+    "divergence_limit",
+    "relinearise_interval",
+    "relinearise_state_rtol",
+)
+
+
+def test_solver_settings_fields_are_pinned():
+    fields = tuple(field.name for field in dataclasses.fields(repro.SolverSettings))
+    assert fields == EXPECTED_SOLVER_SETTINGS_FIELDS
 
 
 def test_every_exported_name_resolves():

@@ -49,10 +49,6 @@ def run_sweep(options, scenario=None):
 CASES = {
     "backend": lambda tmp: (RunOptions(), RunOptions.batched()),
     "backend_scenario_1": lambda tmp: (RunOptions(), RunOptions.batched()),
-    "compiled": lambda tmp: (
-        RunOptions.batched(compiled="off"),
-        RunOptions.batched(compiled="auto"),
-    ),
     "n_workers": lambda tmp: (RunOptions(), RunOptions(n_workers=2)),
     "n_workers_batched_adaptive": lambda tmp: (
         RunOptions.batched(),

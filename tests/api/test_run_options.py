@@ -8,6 +8,7 @@ from repro import RunOptions
 from repro.api.options import BACKENDS
 from repro.core import AdamsBashforth, SolverSettings
 from repro.core.errors import ConfigurationError
+from repro.core.serialise import encode_value
 
 
 class TestProfiles:
@@ -93,11 +94,6 @@ INVALID_OPTIONS = {
         "lane_width must be at least 1",
     ),
     "lane-width-on-process": (dict(lane_width=2), "lane_width=2 with backend"),
-    "unknown-compiled-mode": (
-        dict(backend="batched", compiled="gpu"),
-        "unknown compiled mode 'gpu'",
-    ),
-    "compiled-on-process": (dict(compiled="auto"), "compiled='auto' with backend"),
     "zero-workers": (dict(n_workers=0), "n_workers must be at least 1"),
     "negative-workers": (dict(n_workers=-2), "n_workers must be at least 1"),
     "zero-relinearise-interval": (
@@ -211,6 +207,30 @@ def test_malformed_integrator_table_is_rejected(case):
     integrator, pattern = BAD_INTEGRATORS[case]
     with pytest.raises(ConfigurationError, match=pattern):
         RunOptions.from_dict({"integrator": integrator})
+
+
+#: settable values that were retired, each with an owner whose
+#: constructor and declarative form must now refuse it
+REMOVED_FIELDS = {
+    "monitor_lle": SolverSettings,
+    "keep_lle_history": SolverSettings,
+    "compiled": RunOptions,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FIELDS))
+def test_removed_fields_are_rejected(name):
+    owner = REMOVED_FIELDS[name]
+    with pytest.raises(TypeError, match=name):
+        owner(**{name: "auto" if owner is RunOptions else True})
+    if owner is RunOptions:
+        data = {name: "auto"}
+    else:
+        settings = encode_value(SolverSettings())
+        settings[name] = True
+        data = {"settings": settings}
+    with pytest.raises(ConfigurationError, match=rf"unknown fields \['{name}'\]"):
+        RunOptions.from_dict(data)
 
 
 def test_process_fingerprint_value_is_pinned():

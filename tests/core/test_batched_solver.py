@@ -351,15 +351,6 @@ class TestLineariseOverride:
 
 
 class TestGuardRails:
-    def test_monitor_lle_is_rejected(self):
-        scenarios = _lane_scenarios()
-        settings_list = [
-            replace(scenario_solver_settings(s), monitor_lle=True)
-            for s in scenarios
-        ]
-        with pytest.raises(ConfigurationError, match="monitor_lle"):
-            _batched_run(scenarios, settings_list)
-
     def test_mismatched_topologies_are_rejected(self):
         charging = charging_scenario(duration_s=0.01)
         piezo = piezoelectric_scenario(duration_s=0.01)

@@ -416,10 +416,11 @@ class TestBackendResolution:
 
 
 class TestOptionsPlumbing:
-    def test_compiled_requires_the_batched_backend(self):
+    def test_compiled_is_not_a_run_options_field(self):
+        # only the batched profile takes the mode, and drops it
         from repro.api import RunOptions
 
-        with pytest.raises(ConfigurationError, match="incoherent options"):
+        with pytest.raises(TypeError, match="compiled"):
             RunOptions(compiled="auto")
 
     def test_fingerprint_ignores_backend_and_mode(self):
@@ -436,12 +437,12 @@ class TestOptionsPlumbing:
         assert default["backend"] == "process"
         assert default["compiled"] == "off"
 
-    def test_options_round_trip_keeps_the_mode(self):
+    def test_batched_profile_drops_the_mode(self):
         from repro.api import RunOptions
 
         options = RunOptions.batched(compiled="auto")
-        assert RunOptions.from_dict(options.to_dict()).compiled == "auto"
-        assert "compiled" not in RunOptions.batched().to_dict()
+        assert options == RunOptions.batched()
+        assert "compiled" not in options.to_dict()
 
 
 def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):

@@ -11,8 +11,10 @@ written before the scalar path was prepared:
   Eq. (4) per refresh, even while the assembler is prepared, so a held
   solve that outlives a model change shows as a difference;
 * ``_variable_step_weights`` solving its Vandermonde system on every call;
-* the step controller and the LLE monitor each measuring the Jacobian
-  drift themselves, re-taking the norm of every reference matrix;
+* the step controller measuring the Jacobian drift itself, against its
+  own copy of the previous proposal's matrix (forgotten on reset), and
+  re-taking that matrix's norm on every call, instead of consuming the
+  drift the solver measured once;
 * the Dickson multiplier's row-by-row stage loop.
 
 Each scenario factory then runs under the reference and under the
@@ -33,7 +35,6 @@ from repro.core.digital import DigitalEventKernel, DigitalProcess
 from repro.core.elimination import GlobalLinearisation, ReducedSystem, SystemAssembler
 from repro.core.integrators import adams_bashforth
 from repro.core.linearise import linearise_block_numerically
-from repro.core.lle import LLEMonitor
 from repro.core.netlist import Netlist
 from repro.core.stability import (
     diagonal_dominance_step_limit,
@@ -138,13 +139,33 @@ def unmemoised_weights(sample_times, t_start, t_end):
     return np.linalg.solve(vander.T, moments)
 
 
-def own_lle_drift(self, jacobian):
-    if self._previous_jacobian is None:
+def own_controller_drift(self, a_reduced):
+    previous = getattr(self, "_reference_jacobian", None)
+    if previous is None:
         return 0.0
-    scale = np.linalg.norm(self._previous_jacobian)
+    scale = np.linalg.norm(previous)
     if scale == 0.0:
         scale = 1.0
-    return float(np.linalg.norm(jacobian - self._previous_jacobian) / scale)
+    return float(np.linalg.norm(a_reduced - previous) / scale)
+
+
+_propose = StepSizeController.propose
+_reset = StepSizeController.reset
+
+
+def propose_measuring_own_drift(self, a_reduced, jacobian_change, *, t_remaining=None):
+    # the solver's figure is ignored: the controller holds its own
+    # previous matrix, so a drift the solver measures wrongly shows
+    h = _propose(
+        self, a_reduced, own_controller_drift(self, a_reduced), t_remaining=t_remaining
+    )
+    self._reference_jacobian = np.array(a_reduced, dtype=float, copy=True)
+    return h
+
+
+def reset_forgetting_own_drift(self, h=None):
+    _reset(self, h)
+    self._reference_jacobian = None
 
 
 def unscaled_stability_limit(self, a_reduced):
@@ -213,10 +234,6 @@ def row_by_row_dickson(self, t, x, y):
 @pytest.fixture
 def reference_step(monkeypatch):
     """Context manager running the code inside it on the reference pieces."""
-    propose = StepSizeController.propose
-
-    def propose_measuring_own_drift(self, a_reduced, *, t_remaining=None, jacobian_change=None):
-        return propose(self, a_reduced, t_remaining=t_remaining)
 
     @contextmanager
     def swapped():
@@ -224,8 +241,8 @@ def reference_step(monkeypatch):
             patch.setattr(SystemAssembler, "assemble", generic_assemble)
             patch.setattr(SystemAssembler, "eliminate", generic_eliminate)
             patch.setattr(adams_bashforth, "_variable_step_weights", unmemoised_weights)
-            patch.setattr(LLEMonitor, "jacobian_change", own_lle_drift)
             patch.setattr(StepSizeController, "propose", propose_measuring_own_drift)
+            patch.setattr(StepSizeController, "reset", reset_forgetting_own_drift)
             patch.setattr(StepSizeController, "stability_limit", unscaled_stability_limit)
             patch.setattr(DicksonMultiplier, "linearise", row_by_row_dickson)
             calls = generic_assemble.calls
@@ -263,7 +280,7 @@ def test_prepared_step_matches_reference_bitwise(reference_step, factory, label)
 
 def test_drift_limited_steps_match_reference_bitwise(reference_step):
     # the default target never binds on these short runs (the drift stays
-    # near 1e-6); a tight one makes the shared drift set the step size
+    # near 1e-6); a tight one makes the solver's drift set the step size
     scenario = charging_scenario(duration_s=0.02)
     settings = scenario_solver_settings(scenario)
     settings = replace(
@@ -300,8 +317,8 @@ def _run_with_mid_run_event(label):
 
 @pytest.mark.parametrize("label", sorted(SETTINGS))
 def test_mid_run_model_change_matches_reference_bitwise(reference_step, label):
-    # the controller and the monitor both forget their previous Jacobian
-    # at the event, so the shared drift must restart from zero in step
+    # the reference controller forgets its previous Jacobian at the
+    # event, so the solver's drift must restart from zero in step
     with reference_step():
         reference = _run_with_mid_run_event(label)
     result = _run_with_mid_run_event(label)
@@ -336,3 +353,30 @@ def test_non_contiguous_terminals_scatter_like_fancy_indexing(reference_step):
         expected = assembler.assemble(0.0, x, y)
     for name in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+#: adaptive runs whose every proposal is checked: each scenario factory,
+#: plus a control write that resets the drift mid-run
+DRIFT_RUNS = {
+    **{factory: (lambda factory=factory: _run(factory, "adaptive")) for factory in SCENARIO_FACTORIES},
+    "mid_run_event": lambda: _run_with_mid_run_event("adaptive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_RUNS))
+def test_solver_drift_is_the_controllers_own_measure(monkeypatch, case):
+    # the default drift target rarely binds, so a wrong figure could leave
+    # every step unchanged: compare the two figures at every proposal
+    pairs = []
+
+    def propose_recording(self, a_reduced, jacobian_change, *, t_remaining=None):
+        pairs.append((jacobian_change, own_controller_drift(self, a_reduced)))
+        return propose_measuring_own_drift(
+            self, a_reduced, jacobian_change, t_remaining=t_remaining
+        )
+
+    monkeypatch.setattr(StepSizeController, "propose", propose_recording)
+    monkeypatch.setattr(StepSizeController, "reset", reset_forgetting_own_drift)
+    DRIFT_RUNS[case]()
+    assert len(pairs) > 50
+    assert [solver for solver, _ in pairs] == [own for _, own in pairs]

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.block import LinearBlock
+from repro.core.batch import BatchedSolver
+from repro.core.block import BlockLinearisation, LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
 from repro.core.elimination import SystemAssembler
 from repro.core.errors import ConfigurationError, StabilityError
@@ -218,16 +219,136 @@ class TestStabilityProtection:
         assert np.isinf(np.linalg.norm(solver.current_state))
         assert result["decay.u"].final() == pytest.approx(1e200 * math.exp(-0.01), rel=1e-6)
 
-    def test_lle_monitoring_records_jacobian_drift(self):
-        assembler = single_decay_assembler()
+    def test_time_invariant_system_records_no_jacobian_drift(self):
+        solver = LinearisedStateSpaceSolver(
+            single_decay_assembler(), settings=SolverSettings(fixed_step=1e-2)
+        )
+        result = solver.run(0.2)
+        assert result.metadata["lle_max_jacobian_change"] == 0.0
+        assert result.metadata["lle_flagged_steps"] == 0
+
+
+#: the scheduled decay's step: dyadic, so every refresh time is exact
+SLOT_S = 0.125
+#: its rate per slot: consecutive drifts 2, 2, 1/9, 0.05, 0, 0
+RATES = (1.0, 3.0, 9.0, 10.0, 10.5, 10.5, 10.5)
+
+
+class ScheduledDecay(LinearBlock):
+    """``dx/dt = -scale * rate(t) x``, with the rate read off ``RATES`` per
+    ``SLOT_S`` slot and ``scale`` a digital control."""
+
+    def __init__(self, rates):
+        super().__init__("decay", np.array([[-1.0]]), np.zeros((1, 0)), ["x"], [], x0=[1.0])
+        self.rates = rates
+        self.scale = 1.0
+
+    def linearise(self, t, x, y):
+        rate = self.scale * self.rates[int(t / SLOT_S)]
+        return BlockLinearisation(
+            jxx=np.array([[-rate]]),
+            jxy=self.b,
+            ex=np.zeros(1),
+            jyx=self.c,
+            jyy=self.d,
+            ey=np.zeros(0),
+        )
+
+    def apply_control(self, name, value):
+        if name == "scale":
+            self.scale = float(value)
+            return
+        super().apply_control(name, value)
+
+
+class WriteScale(DigitalProcess):
+    """Writes the decay's scale once: the analogue model changes."""
+
+    def __init__(self, time_s):
+        super().__init__("write_scale", start_time=time_s)
+
+    def execute(self, t, analogue):
+        analogue.write("scale", 1.0)
+        return None
+
+
+class TestJacobianDriftMetadata:
+    """``lle_*`` metadata: the relative Frobenius change of the reduced
+    Jacobian between consecutive refreshes (the LLE control of Eq. 3)."""
+
+    @staticmethod
+    def _scheduled(rates, write_at):
+        netlist = Netlist()
+        block = netlist.add_block(ScheduledDecay(rates))
+        kernel = None
+        if write_at is not None:
+            kernel = DigitalEventKernel()
+            kernel.add_process(WriteScale(write_at))
+        return SystemAssembler(netlist), block, kernel
+
+    def _run(self, rates=RATES, *, write_at=None, **settings):
+        assembler, block, kernel = self._scheduled(rates, write_at)
         solver = LinearisedStateSpaceSolver(
             assembler,
-            settings=SolverSettings(fixed_step=1e-2, monitor_lle=True),
+            settings=SolverSettings(fixed_step=SLOT_S, **settings),
+            digital_kernel=kernel,
         )
-        solver.run(0.2)
-        # linear time-invariant system: no drift, nothing flagged
-        assert solver.lle_monitor.n_flagged == 0
-        assert solver.lle_monitor.max_derivative_mismatch < 1e-9
+        if kernel is not None:
+            solver.interface.register_control(
+                "scale", lambda value: block.apply_control("scale", value)
+            )
+        return solver.run(0.75).metadata
+
+    def test_drift_is_relative_to_the_previous_refresh(self):
+        # |-3 - (-1)| / |-1| and |-9 - (-3)| / |-3|
+        assert self._run()["lle_max_jacobian_change"] == 2.0
+
+    def test_refreshes_above_the_tolerance_are_flagged(self):
+        assert self._run(lle_tolerance=1.5)["lle_flagged_steps"] == 2
+        assert self._run(lle_tolerance=0.1)["lle_flagged_steps"] == 3
+        assert self._run(lle_tolerance=2.0)["lle_flagged_steps"] == 0
+
+    def test_held_steps_measure_nothing(self):
+        # refreshes at slots 0, 2 and 4 only: |-9 - (-1)| / 1 is the largest
+        metadata = self._run(relinearise_interval=2)
+        assert metadata["lle_max_jacobian_change"] == 8.0
+        assert metadata["n_jacobian_reuses"] == 3
+
+    def test_zero_norm_previous_jacobian_scales_by_one(self):
+        metadata = self._run((0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
+        assert metadata["lle_max_jacobian_change"] == 0.5
+
+    def test_control_write_resets_the_drift(self):
+        # the write at slot 3 restarts the measurement: only the slot-4
+        # drift 0.5 / 10 is left, below the default tolerance
+        metadata = self._run(write_at=3 * SLOT_S)
+        assert metadata["digital_activations"] == 1
+        assert metadata["lle_max_jacobian_change"] == 0.05
+        assert metadata["lle_flagged_steps"] == 0
+
+    @pytest.mark.parametrize("write_at", (None, 3 * SLOT_S))
+    def test_lanes_report_the_scalar_figures(self, write_at):
+        expected = self._run(write_at=write_at, lle_tolerance=0.1)
+        assemblers, kernels, blocks = [], [], []
+        for _ in range(2):
+            assembler, block, kernel = self._scheduled(RATES, write_at)
+            assemblers.append(assembler)
+            blocks.append(block)
+            kernels.append(kernel)
+        solver = BatchedSolver(
+            assemblers,
+            settings=SolverSettings(fixed_step=SLOT_S, lle_tolerance=0.1),
+            digital_kernels=kernels,
+        )
+        for i, block in enumerate(blocks):
+            interface = solver.lane_wiring(i).interface
+            if interface is not None:
+                interface.register_control(
+                    "scale", lambda value, block=block: block.apply_control("scale", value)
+                )
+        for result in solver.run(0.75).results:
+            for key in ("lle_max_jacobian_change", "lle_flagged_steps"):
+                assert result.metadata[key] == expected[key], key
 
 
 class SetLevelProcess(DigitalProcess):

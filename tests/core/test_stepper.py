@@ -68,19 +68,19 @@ class TestPropose:
     def test_respects_h_max(self):
         settings = StepControlSettings(h_initial=1e-3, h_max=2e-3)
         controller = StepSizeController(settings)
-        h = controller.propose(np.array([[-1.0]]))
+        h = controller.propose(np.array([[-1.0]]), 0.0)
         assert h <= 2e-3
 
     def test_respects_remaining_time(self):
         controller = StepSizeController(StepControlSettings(h_initial=1e-3))
-        h = controller.propose(np.array([[-1.0]]), t_remaining=1e-5)
+        h = controller.propose(np.array([[-1.0]]), 0.0, t_remaining=1e-5)
         assert h == pytest.approx(1e-5)
 
     def test_growth_is_limited(self):
         settings = StepControlSettings(h_initial=1e-4, growth_limit=1.5, h_max=1.0)
         controller = StepSizeController(settings)
-        first = controller.propose(np.array([[-1.0]]))
-        second = controller.propose(np.array([[-1.0]]))
+        first = controller.propose(np.array([[-1.0]]), 0.0)
+        second = controller.propose(np.array([[-1.0]]), 0.0)
         assert second <= first * 1.5 + 1e-15
 
     def test_large_jacobian_change_shrinks_step(self):
@@ -88,16 +88,18 @@ class TestPropose:
             h_initial=1e-3, jacobian_change_target=0.01, h_max=1.0
         )
         controller = StepSizeController(settings)
-        controller.propose(np.array([[-1.0]]))
+        controller.propose(np.array([[-1.0]]), 0.0)
         h_before = controller.current_step
-        h_after = controller.propose(np.array([[-100.0]]))
+        # ||[-100] - [-1]|| / ||[-1]||
+        h_after = controller.propose(np.array([[-100.0]]), 99.0)
         assert h_after < h_before
+        assert h_after == pytest.approx(h_before * 0.1)  # the shrink limit
 
     def test_never_below_h_min(self):
         settings = StepControlSettings(h_initial=1e-6, h_min=1e-6, h_max=1.0)
         controller = StepSizeController(settings)
-        controller.propose(np.array([[-1.0]]))
-        h = controller.propose(np.array([[-1e9]]) * 1e6)
+        controller.propose(np.array([[-1.0]]), 0.0)
+        h = controller.propose(np.array([[-1e9]]) * 1e6, 1e15)
         assert h >= 1e-6
 
     def test_stability_bound_enforced(self):
@@ -105,16 +107,30 @@ class TestPropose:
             h_initial=1.0, h_max=1.0, safety=1.0, use_spectral_limit=True
         )
         controller = StepSizeController(settings, integrator=ForwardEuler())
-        h = controller.propose(np.array([[-1000.0]]))
+        h = controller.propose(np.array([[-1000.0]]), 0.0)
         assert h <= 2.0 / 1000.0 + 1e-12
 
     def test_reset_restores_initial_step(self):
         controller = StepSizeController(StepControlSettings(h_initial=1e-4, h_max=1.0))
         for _ in range(5):
-            controller.propose(np.array([[-1.0]]))
+            controller.propose(np.array([[-1.0]]), 0.0)
         assert controller.current_step > 1e-4
         controller.reset()
         assert controller.current_step == pytest.approx(1e-4)
+
+    def test_drift_is_consumed_not_measured(self):
+        # the controller holds no previous Jacobian: a jump in the matrix
+        # it is given changes nothing unless the drift says so
+        settings = StepControlSettings(
+            h_initial=1e-4, jacobian_change_target=0.1, h_max=1.0,
+            use_spectral_limit=False,
+        )
+        quiet, told = StepSizeController(settings), StepSizeController(settings)
+        for controller in (quiet, told):
+            controller.propose(np.array([[-1.0]]), 0.0)
+        assert quiet.propose(np.array([[-2.0]]), 0.0) == pytest.approx(4e-4)
+        assert told.propose(np.array([[-2.0]]), 1.0) == pytest.approx(2e-5)
+        assert not hasattr(StepSizeController, "jacobian_change")
 
 
 def test_batched_drift_is_the_scalar_norm_ratio_bitwise():

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 import pytest
 
+import repro
 from repro import RunOptions, Study, charging_scenario
 from repro.api import ExplorationResult
 from repro.core.errors import ConfigurationError
@@ -189,7 +190,13 @@ def test_seeded_sampler_proposals_survive_a_fresh_interpreter():
         "    out[s.name] = [dict(p.parameters) for p in s.propose(0)]\n"
         "print(json.dumps(out))\n"
     )
-    env = dict(os.environ, PYTHONHASHSEED="271828")
+    # the child imports the same ``repro`` as this process, whether it
+    # comes from an install or from pytest's ``pythonpath`` setting
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    python_path = os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    env = dict(os.environ, PYTHONHASHSEED="271828", PYTHONPATH=python_path)
     fresh = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
