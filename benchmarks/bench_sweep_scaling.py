@@ -9,8 +9,8 @@ two ways:
 * **serial loop** — ``Study`` with default (exact) options: one
   candidate at a time, exact every-step relinearisation;
 * **parallel engine** — ``RunOptions.fast(n_workers=4)``: 4 worker
-  processes, per-worker assembly-structure reuse and the
-  amortised-relinearisation profile (``relinearise_interval=4``).
+  processes and the amortised-relinearisation profile
+  (``relinearise_interval=4``).
 
 Pass criteria (asserted):
 

@@ -89,7 +89,6 @@ from .harvester import (
     paper_spec,
     piezoelectric_scenario,
     piezoelectric_spec,
-    prepare_assembly,
     scenario_1,
     scenario_2,
 )
@@ -161,7 +160,6 @@ __all__ = [
     "paper_spec",
     "piezoelectric_scenario",
     "piezoelectric_spec",
-    "prepare_assembly",
     "scenario_1",
     "scenario_2",
     "__version__",

@@ -1,4 +1,4 @@
-"""Parallel sweep engine with cross-candidate assembly reuse.
+"""Parallel sweep engine for design-exploration grids.
 
 The paper motivates its fast non-iterative solver with "automated design
 … using multiple simulations": design exploration evaluates a *grid* of
@@ -10,16 +10,14 @@ workload.  This module turns the serial loop of
   (:mod:`concurrent.futures`, configurable worker count) while keeping the
   result ordering **deterministic** — the returned points are in candidate
   enumeration order and carry exactly the scores a serial run produces;
-* **reuses the assembled system structure** across candidates that share
-  a topology: the one-time :class:`~repro.core.elimination.AssemblyStructure`
-  setup is computed once per worker (see
-  :func:`repro.harvester.scenarios.prepare_assembly`) and cloned into every
-  same-topology candidate instead of being rebuilt per run.  Sweeps whose
-  grid *varies the topology itself* (spec-backed scenarios with
-  :class:`~repro.core.spec.BlockSpec` axis values) keep one cached
-  structure per distinct topology, keyed by the spec's structural hash;
+* builds **one system per candidate**: every candidate's assembler
+  computes its own :class:`~repro.core.elimination.AssemblyStructure`
+  (tens of microseconds), so nothing structural is shared between
+  candidates or cached per worker;
 * offers a **batched lane-parallel backend** (``backend="batched"``):
-  candidates are grouped by topology hash and marched as lanes of the
+  candidates are grouped by ``topology_key()`` (for spec-backed scenarios
+  the spec's structural hash, so grids that *vary the topology itself*
+  form one lane block per distinct topology) and marched as lanes of the
   :class:`~repro.core.batch.BatchedSolver` — stacked ``(B, n, n)``
   linearise/eliminate/march, one NumPy sweep per step for a whole lane
   block, composing multiplicatively with worker processes (each worker
@@ -74,14 +72,12 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..core.batch import BatchedSolver
-from ..core.elimination import AssemblyStructure
 from ..core.errors import ConfigurationError, StabilityError
 from ..core.solver import SolverSettings
 from ..harvester.scenarios import (
     Scenario,
     _simulate_proposed,
     attach_run_metadata,
-    prepare_assembly,
     scenario_solver_settings,
 )
 from ..io.csvio import (
@@ -167,31 +163,6 @@ class _Outcome:
     refresh_time_s: float = 0.0
 
 
-# per-process cache of structural assembly setups, keyed by a cheap
-# topology fingerprint of the scenario so that different-topology sweeps
-# run in the same process each keep their own reusable structure
-_worker_structures: Dict[tuple, AssemblyStructure] = {}
-
-
-def _lane_structure(task: _Task) -> AssemblyStructure:
-    """Per-process cached assembly structure for a task's topology.
-
-    Keyed by the scenario's ``topology_key()``: config-backed
-    :class:`Scenario` instances return a coarse config fingerprint,
-    spec-backed ones the spec's structural hash — which is what makes
-    *topology axes* reuse one assembly structure per distinct topology.
-    A false hit only hands the assembler a structure whose full signature
-    does not match, which it rejects and recomputes (see
-    :class:`~repro.core.elimination.SystemAssembler`).
-    """
-    key = task.scenario.topology_key()
-    structure = _worker_structures.get(key)
-    if structure is None:
-        structure = prepare_assembly(task.scenario)
-        _worker_structures[key] = structure
-    return structure
-
-
 def _write_cache_entries(
     tasks: Sequence[_Task], outcomes: Sequence[_Outcome]
 ) -> None:
@@ -257,13 +228,11 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
     """Evaluate one lane block of same-topology candidates as batched lanes.
 
     Runs in a worker process or inline.  Each lane carries its
-    candidate's digital event kernel and settings; lanes only have to
-    agree on ``use_spectral_limit``, and every lane of a block has either
-    the sweep's shared settings or its scenario's defaults, which do.
-    Single-task blocks take the scalar path directly; lanes the batched
-    march retires (divergence, singular elimination, a raising digital
-    process) are re-run individually on the exact scalar path, mirroring
-    the engine's existing stability fallback.  Each of these scalar-path
+    candidate's digital event kernel and settings.  Single-task blocks
+    take the scalar path directly; lanes the batched march retires
+    (divergence, singular elimination, a raising digital process) are
+    re-run individually on the exact scalar path, mirroring the engine's
+    existing stability fallback.  Each of these scalar-path
     decisions is logged once per block or lane, at DEBUG on
     ``repro.engine``.  A candidate whose build raises fails the block,
     as it fails its own scalar run.
@@ -273,11 +242,7 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
             "candidate %d is a lane block of one: scalar path", tasks[0].index
         )
         return [_evaluate_task(tasks[0])]
-    structure = _lane_structure(tasks[0])
-    harvesters = [
-        task.scenario.build_harvester(assembly_structure=structure)
-        for task in tasks
-    ]
+    harvesters = [task.scenario.build_harvester() for task in tasks]
     solver = BatchedSolver(
         [harvester.assembler for harvester in harvesters],
         integrator=tasks[0].integrator,
@@ -337,7 +302,6 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
 
 def _evaluate_task(task: _Task) -> _Outcome:
     """Evaluate one candidate (runs in a worker process or inline)."""
-    structure = _lane_structure(task)
     settings = _task_settings(task)
     interval = task.relinearise_interval
 
@@ -347,7 +311,6 @@ def _evaluate_task(task: _Task) -> _Outcome:
             task.scenario,
             integrator=task.integrator,
             settings=settings,
-            assembly_structure=structure,
         )
     except StabilityError:
         if interval is None or int(interval) <= 1:
@@ -358,7 +321,6 @@ def _evaluate_task(task: _Task) -> _Outcome:
             task.scenario,
             integrator=task.integrator,
             settings=replace(settings, relinearise_interval=1),
-            assembly_structure=structure,
         )
         exact_rerun = True
 

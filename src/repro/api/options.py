@@ -128,7 +128,8 @@ class RunOptions:
     ----------
     integrator:
         Explicit integration formula for the proposed solver (default:
-        second-order Adams-Bashforth, as in the paper's case study).
+        third-order Adams-Bashforth, the lowest-order AB formula whose
+        stability region covers part of the imaginary axis).
     settings:
         :class:`~repro.core.solver.SolverSettings` override.  ``None``
         derives per-scenario defaults (step limit resolving the highest

@@ -354,8 +354,7 @@ class BatchedSolver:
         One :class:`~repro.core.solver.SolverSettings` per lane, or a
         single instance shared by every lane.  Every setting is per-lane
         (step control, ``fixed_step``, ``relinearise_interval``, the drift
-        guard, ``lle_tolerance``, recording); lanes must only agree on
-        ``step_control.use_spectral_limit``.
+        guard, ``lle_tolerance``, recording).
     digital_kernels:
         Optional per-lane :class:`~repro.core.digital.DigitalEventKernel`
         (``None`` entries for lanes without digital processes), as the

@@ -4,10 +4,8 @@ The :class:`SystemBuilder` is the generic replacement for hand-wiring a
 topology in Python: it resolves every block spec through the
 :class:`~repro.core.registry.BlockRegistry`, wires the declared port
 connections into a :class:`~repro.core.netlist.Netlist`, assembles the
-global state model (:class:`~repro.core.elimination.SystemAssembler`,
-optionally cloning a previously computed
-:class:`~repro.core.elimination.AssemblyStructure`) and attaches the
-declared digital controller through a
+global state model (:class:`~repro.core.elimination.SystemAssembler`)
+and attaches the declared digital controller through a
 :class:`~repro.core.digital.DigitalEventKernel`.
 
 The result is a :class:`BuiltSystem`, which exposes the same running
@@ -25,7 +23,7 @@ import numpy as np
 
 from .block import AnalogueBlock
 from .digital import DigitalEventKernel, DigitalProcess
-from .elimination import AssemblyStructure, SystemAssembler
+from .elimination import SystemAssembler
 from .errors import ConfigurationError
 from .netlist import Netlist
 from .registry import BLOCK_REGISTRY, BlockRegistry
@@ -114,11 +112,6 @@ class BuiltSystem:
     def n_states(self) -> int:
         """Size of the assembled global state vector."""
         return self.assembler.n_states
-
-    @property
-    def assembly_structure(self) -> AssemblyStructure:
-        """Reusable structural indexing (pass to same-topology rebuilds)."""
-        return self.assembler.structure
 
     def initial_state(self) -> np.ndarray:
         """Initial global state vector."""
@@ -265,15 +258,13 @@ class SystemBuilder:
         self,
         *,
         vibration_source=None,
-        assembly_structure: Optional[AssemblyStructure] = None,
         context: Optional[BuildContext] = None,
     ) -> BuiltSystem:
         """Instantiate blocks, wire the netlist, assemble, attach controller.
 
         ``vibration_source`` overrides the spec's excitation (any object
-        with ``acceleration(t)`` and ``frequency(t)``); ``assembly_structure``
-        clones a previous same-topology structural setup;  ``context``
-        carries extra collaborators into the block factories.
+        with ``acceleration(t)`` and ``frequency(t)``); ``context`` carries
+        extra collaborators into the block factories.
         """
         spec = self.spec
         registry = self.registry
@@ -327,7 +318,7 @@ class SystemBuilder:
                 net_prefix=conn.net_prefix,
             )
 
-        assembler = SystemAssembler(netlist, structure=assembly_structure)
+        assembler = SystemAssembler(netlist)
 
         controller: Optional[DigitalProcess] = None
         if spec.controller is not None:

@@ -62,16 +62,10 @@ class AssemblyStructure:
 
     Everything here depends only on the *structure* of the netlist (block
     names, state/terminal counts, wiring pattern) — not on any component
-    parameter value.  Design-exploration loops evaluate many candidates
-    that share one topology and differ only in parameters, so this one-time
-    setup can be computed once and handed to every
-    :class:`SystemAssembler` built for a same-topology candidate instead
-    of being rebuilt per candidate (see :mod:`repro.analysis.engine`).
+    parameter value.  Each :class:`SystemAssembler` computes its own.
 
-    The ``signature`` tuple identifies the topology; an assembler only
-    adopts a structure whose signature matches its own netlist, so passing
-    a stale structure degrades to a fresh computation, never to silent
-    mis-indexing.
+    The ``signature`` tuple identifies the topology:
+    :class:`BatchedAssembler` refuses lanes whose signatures differ.
     """
 
     signature: Tuple
@@ -82,24 +76,6 @@ class AssemblyStructure:
     n_states: int
     n_terminals: int
     n_algebraic: int
-
-    @staticmethod
-    def signature_of(blocks: Sequence[AnalogueBlock], nets: Sequence[Net]) -> Tuple:
-        """Hashable topology key of a (blocks, nets) pair."""
-        block_part = tuple(
-            (block.name, block.n_states, block.n_algebraic, tuple(block.terminal_names))
-            for block in blocks
-        )
-        net_part = tuple(
-            (net.name, tuple(str(t) for t in net.terminals)) for net in nets
-        )
-        return (block_part, net_part)
-
-    @classmethod
-    def from_netlist(cls, netlist: Netlist) -> "AssemblyStructure":
-        """Compute the structural indexing of a validated netlist."""
-        netlist.validate()
-        return cls._compute(netlist.blocks, netlist.build_nets(), netlist)
 
     @classmethod
     def _compute(
@@ -127,8 +103,15 @@ class AssemblyStructure:
             ]
             terminal_maps[block.name] = np.asarray(indices, dtype=int)
 
+        block_part = tuple(
+            (block.name, block.n_states, block.n_algebraic, tuple(block.terminal_names))
+            for block in blocks
+        )
+        net_part = tuple(
+            (net.name, tuple(str(t) for t in net.terminals)) for net in nets
+        )
         return cls(
-            signature=cls.signature_of(blocks, nets),
+            signature=(block_part, net_part),
             terminal_to_net=terminal_to_net,
             state_offsets=state_offsets,
             alg_offsets=alg_offsets,
@@ -244,30 +227,14 @@ class SystemAssembler:
     ----------
     netlist:
         A validated :class:`Netlist` containing all blocks and connections.
-    structure:
-        Optional precomputed :class:`AssemblyStructure` from a previous
-        same-topology assembly.  It is adopted only when its signature
-        matches this netlist's topology; otherwise the structure is
-        recomputed from scratch, so a stale or mismatched structure can
-        never corrupt the indexing.
     """
 
-    def __init__(
-        self, netlist: Netlist, *, structure: Optional[AssemblyStructure] = None
-    ) -> None:
+    def __init__(self, netlist: Netlist) -> None:
         netlist.validate()
         self._netlist = netlist
         self._blocks: List[AnalogueBlock] = netlist.blocks
         self._nets: List[Net] = netlist.build_nets()
-
-        if structure is not None and structure.signature == AssemblyStructure.signature_of(
-            self._blocks, self._nets
-        ):
-            self._structure = structure
-        else:
-            self._structure = AssemblyStructure._compute(
-                self._blocks, self._nets, netlist
-            )
+        self._structure = AssemblyStructure._compute(self._blocks, self._nets, netlist)
         s = self._structure
         self._terminal_to_net: Dict[str, int] = s.terminal_to_net
         self._state_offsets: Dict[str, int] = s.state_offsets
@@ -300,7 +267,7 @@ class SystemAssembler:
     # ------------------------------------------------------------------ #
     @property
     def structure(self) -> AssemblyStructure:
-        """Reusable topology-derived indexing (shareable across candidates)."""
+        """This assembler's topology-derived indexing."""
         return self._structure
     @property
     def n_states(self) -> int:
@@ -615,17 +582,6 @@ class BatchedGlobalLinearisation:
         """Number of stacked lanes ``B``."""
         return self.jxx.shape[0]
 
-    def lane(self, i: int) -> GlobalLinearisation:
-        """The i-th lane as a scalar :class:`GlobalLinearisation` (views)."""
-        return GlobalLinearisation(
-            jxx=self.jxx[i],
-            jxy=self.jxy[i],
-            ex=self.ex[i],
-            jyx=self.jyx[i],
-            jyy=self.jyy[i],
-            ey=self.ey[i],
-        )
-
 
 @dataclass
 class BatchedReducedSystem:
@@ -659,16 +615,6 @@ class BatchedReducedSystem:
             + self.elimination_offset
         )
 
-    def lane(self, i: int) -> ReducedSystem:
-        """The i-th lane as a scalar :class:`ReducedSystem` (views)."""
-        return ReducedSystem(
-            a_reduced=self.a_reduced[i],
-            b_reduced=self.b_reduced[i],
-            y_solution=self.y_solution[i],
-            elimination_matrix=self.elimination_matrix[i],
-            elimination_offset=self.elimination_offset[i],
-        )
-
     def select(self, keep: np.ndarray) -> "BatchedReducedSystem":
         """Sub-batch containing only the lanes selected by ``keep``."""
         return BatchedReducedSystem(
@@ -687,12 +633,12 @@ class BatchedAssembler:
     candidate's assembler (same netlist topology, its own block parameter
     values, its own time point), and every per-step quantity is held in
     stacked ``(B, ...)`` arrays so one NumPy call sweeps all lanes.  The
-    scalar assemblers' shared :class:`AssemblyStructure` provides the
-    indexing.  A block group is linearised through its
-    :meth:`~repro.core.block.AnalogueBlock.batched_lineariser` when it
-    has one, else as the stack of its lanes' scalar linearisations
-    (:func:`repro.core.linearise.linearise_block_lanes`), and scattered
-    into one persistent workspace (see :meth:`prepare`).
+    first lane's :class:`AssemblyStructure` provides the indexing; every
+    lane's must carry the same signature.  A block group is linearised
+    through its :meth:`~repro.core.block.AnalogueBlock.batched_lineariser`
+    when it has one, else as the stack of its lanes' scalar
+    linearisations (:func:`repro.core.linearise.linearise_block_lanes`),
+    and scattered into one persistent workspace (see :meth:`prepare`).
 
     All linear algebra uses stacked ``np.linalg.solve``/``matmul``, which
     process each lane through the same LAPACK/BLAS routines as the scalar

@@ -9,8 +9,9 @@ described in Section II of the paper:
    algebraic sub-system (Eq. 4);
 3. advance the remaining state equations with an explicit integrator
    (Adams-Bashforth by default, Eq. 5);
-4. keep the explicit march stable by bounding the step size through
-   diagonal dominance of the point total-step matrix (Eq. 7) and keep it
+4. keep the explicit march stable by bounding the step size so that the
+   reduced matrix's eigenvalues stay inside the integrator's stability
+   region (Eq. 7; see :mod:`repro.core.stability`) and keep it
    accurate by monitoring the Jacobian drift (the LLE control of Eq. 3),
    measured once per refresh and consumed by the step controller;
 5. interleave digital-process activations (the microcontroller of
@@ -104,8 +105,9 @@ class LinearisedStateSpaceSolver:
     assembler:
         The composed system (blocks + netlist).
     integrator:
-        Explicit integration formula; defaults to second-order
-        Adams-Bashforth as in the paper's case study.
+        Explicit integration formula; defaults to third-order
+        Adams-Bashforth, the lowest-order AB formula whose stability
+        region covers part of the imaginary axis.
     settings:
         Solver configuration.
     digital_kernel:

@@ -514,8 +514,8 @@ class SystemSpec:
         Two specs share a hash exactly when they assemble to the same
         :class:`~repro.core.elimination.AssemblyStructure`: same block
         keys/names/order, same wiring, same *structural* parameters (e.g.
-        multiplier stage count) and same controller attachment.  Sweeps key
-        their per-topology assembly cache on this value.
+        multiplier stage count) and same controller attachment.  Sweeps
+        group batched lanes and key checkpoints on this value.
         """
         registry = registry or BLOCK_REGISTRY
         payload = {

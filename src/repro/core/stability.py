@@ -9,12 +9,18 @@ energy harvester are passive, stability can be ensured "in a
 straightforward way by adjusting the step size such that the point
 total-step matrix is diagonally dominant".
 
-This module provides both criteria:
+This module provides these criteria:
 
 * :func:`spectral_radius` / :func:`is_spectrally_stable` — the exact
   condition, used by the tests and by the ablation benchmarks;
-* :func:`diagonal_dominance_step_limit` — the cheap sufficient condition
-  the solver uses during the march;
+* :func:`integrator_step_limit` (and its stacked form
+  :func:`integrator_step_limit_batch`) — the bound the step controllers
+  use during the march: the reduced matrix's eigenvalues inscribed in
+  the explicit integrator's stability region;
+* :func:`diagonal_dominance_step_limit` — the paper's cheap sufficient
+  condition, kept as an analysis function: the harvester's reduced
+  matrix is far from diagonally dominant, so its bound is orders of
+  magnitude below the spectral one there;
 * :func:`minimum_time_constant` — the physical quantity that determines
   the stability limit, reported in solver diagnostics.
 """
@@ -61,20 +67,10 @@ def spectral_step_limit(a: np.ndarray, safety: float = 0.9) -> float:
     (an unstable or marginally stable physical mode) impose no finite limit
     from this formula and are skipped — the caller should rely on accuracy
     control in that case.  Returns ``inf`` when no eigenvalue restricts the
-    step.
+    step.  This is :func:`integrator_step_limit` with the Forward-Euler
+    extents (2, 0).
     """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return float("inf")
-    eigenvalues = np.linalg.eigvals(a)
-    limit = float("inf")
-    for lam in eigenvalues:
-        alpha, beta = float(np.real(lam)), float(np.imag(lam))
-        if alpha >= 0.0:
-            continue
-        bound = -2.0 * alpha / (alpha * alpha + beta * beta)
-        limit = min(limit, bound)
-    return safety * limit if np.isfinite(limit) else float("inf")
+    return integrator_step_limit(a, 2.0, 0.0, safety)
 
 
 def integrator_step_limit(
@@ -105,29 +101,8 @@ def integrator_step_limit(
     Eigenvalues with non-negative real part impose no limit.  Returns
     ``inf`` when nothing restricts the step.
     """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return float("inf")
-    if real_extent <= 0.0:
-        raise ValueError("real_extent must be positive")
-    eigenvalues = np.linalg.eigvals(a)
-    limit = float("inf")
-    for lam in eigenvalues:
-        alpha, beta = float(np.real(lam)), float(np.imag(lam))
-        if alpha >= 0.0 and beta == 0.0:
-            continue
-        if imag_extent > 0.0:
-            denom = abs(alpha) / real_extent + abs(beta) / imag_extent
-            if denom <= 0.0:
-                continue
-            bound = 1.0 / denom
-        else:
-            if alpha >= 0.0:
-                continue
-            magnitude_sq = alpha * alpha + beta * beta
-            bound = real_extent * (-alpha) / magnitude_sq
-        limit = min(limit, bound)
-    return safety * limit if np.isfinite(limit) else float("inf")
+    batch = np.asarray(a, dtype=float)[None]
+    return float(integrator_step_limit_batch(batch, real_extent, imag_extent, safety)[0])
 
 
 def integrator_step_limit_batch(
@@ -138,10 +113,10 @@ def integrator_step_limit_batch(
 ) -> np.ndarray:
     """Per-lane :func:`integrator_step_limit` for a stacked ``(B, n, n)`` batch.
 
-    One batched eigenvalue sweep replaces ``B`` scalar calls; the bound
-    arithmetic is the same diamond/circle inscription evaluated
-    element-wise, so each lane's limit equals its scalar value.  Returns an
-    array of shape ``(B,)`` (``inf`` where nothing restricts the step).
+    One batched eigenvalue sweep serves every lane, and the scalar
+    function is this one on a batch of one, so each lane's limit is
+    bitwise its scalar value.  Returns an array of shape ``(B,)``
+    (``inf`` where nothing restricts the step).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3:

@@ -3,8 +3,12 @@
 The paper controls the step size through two mechanisms:
 
 1. **Stability** — the step must keep the point total-step matrix
-   ``I + h A`` contractive (Eq. 7), ensured cheaply through diagonal
-   dominance because the analogue blocks are passive.
+   ``I + h A`` contractive (Eq. 7).  The paper ensures this through
+   diagonal dominance; the controller bounds the step by the reduced
+   matrix's eigenvalues inscribed in the integrator's stability region
+   (:func:`~repro.core.stability.integrator_step_limit`), because the
+   harvester's reduced matrix is far from diagonally dominant and the
+   dominance bound would pin the step orders of magnitude lower.
 2. **Accuracy** — the local linearisation error (Eq. 3) is "controlled by
    monitoring the changes in the Jacobian elements"; when the Jacobians
    change quickly the step is reduced, when they barely change the step
@@ -22,11 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, StepSizeError
-from .stability import (
-    diagonal_dominance_step_limit,
-    integrator_step_limit,
-    integrator_step_limit_batch,
-)
+from .stability import integrator_step_limit, integrator_step_limit_batch
 
 __all__ = [
     "StepControlSettings",
@@ -77,12 +77,6 @@ class StepControlSettings:
     jacobian_change_target:
         Relative Jacobian change per step that the accuracy control aims
         for; larger observed changes shrink the step proportionally.
-    use_spectral_limit:
-        When ``True`` (default) the controller uses the eigenvalue-based
-        bound tailored to the integrator's stability region (accurate but
-        O(n^3) per evaluation, mitigated by caching); when ``False`` it
-        uses the cheap diagonal-dominance bound the paper recommends for
-        passive systems.
     stability_recompute_threshold:
         Relative Jacobian change above which the (expensive) eigenvalue
         bound is recomputed; below it the cached bound is reused.
@@ -95,7 +89,6 @@ class StepControlSettings:
     growth_limit: float = 2.0
     shrink_limit: float = 0.1
     jacobian_change_target: float = 0.1
-    use_spectral_limit: bool = True
     stability_recompute_threshold: float = 0.02
 
     def validate(self) -> None:
@@ -166,8 +159,6 @@ class StepSizeController:
         last computation; otherwise the cached value is reused.
         """
         settings = self.settings
-        if not settings.use_spectral_limit:
-            return diagonal_dominance_step_limit(a_reduced, safety=settings.safety)
         if self._cached_stability_limit is not None and self._stability_jacobian is not None:
             drift = np.linalg.norm(a_reduced - self._stability_jacobian) / self._stability_scale
             if drift <= settings.stability_recompute_threshold:
@@ -253,7 +244,7 @@ class BatchedStepController:
 
     Lanes may carry different :class:`StepControlSettings` (a frequency
     sweep gives every candidate its own ``h_max``); the per-lane knobs are
-    stored as arrays.  ``use_spectral_limit`` must agree across lanes.
+    stored as arrays.
     """
 
     def __init__(
@@ -265,12 +256,6 @@ class BatchedStepController:
             raise ConfigurationError("BatchedStepController needs at least one lane")
         for lane_settings in settings:
             lane_settings.validate()
-        spectral = {lane_settings.use_spectral_limit for lane_settings in settings}
-        if len(spectral) != 1:
-            raise ConfigurationError(
-                "all lanes of a batched march must agree on use_spectral_limit"
-            )
-        self._use_spectral = spectral.pop()
         self._real_extent = getattr(integrator, "stability_real_extent", 2.0)
         self._imag_extent = getattr(integrator, "stability_imag_extent", 0.0)
 
@@ -340,13 +325,6 @@ class BatchedStepController:
         # a slice selects every lane without copying
         sel = slice(None) if lanes is None else lanes
         a = a_reduced[sel]
-        if not self._use_spectral:
-            return np.array(
-                [
-                    diagonal_dominance_step_limit(a_i, safety=safety)
-                    for a_i, safety in zip(a, self._safety[sel].tolist())
-                ]
-            )
         if self._stability_jacobian is None:
             self._stability_jacobian = np.zeros(a_reduced.shape)
         drift = relative_jacobian_drift(a, self._stability_jacobian[sel])

@@ -9,7 +9,6 @@ from .config import (
 from .scenarios import (
     Scenario,
     charging_scenario,
-    prepare_assembly,
     scenario_1,
     scenario_2,
     scenario_solver_settings,
@@ -40,7 +39,6 @@ __all__ = [
     "paper_harvester",
     "Scenario",
     "charging_scenario",
-    "prepare_assembly",
     "scenario_solver_settings",
     "scenario_1",
     "scenario_2",

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 from ..blocks.microcontroller import ControllerSettings
 from ..blocks.vibration import FrequencyStep, VibrationSource
-from ..core.elimination import AssemblyStructure
 from ..core.integrators import ExplicitIntegrator
 from ..core.results import SimulationResult
 from ..core.serialise import register_serialisable
@@ -38,7 +37,6 @@ __all__ = [
     "scenario_1",
     "scenario_2",
     "charging_scenario",
-    "prepare_assembly",
     "scenario_solver_settings",
     "attach_run_metadata",
 ]
@@ -81,20 +79,12 @@ class Scenario:
             steps=list(self.frequency_steps),
         )
 
-    def build_harvester(
-        self, assembly_structure: Optional[AssemblyStructure] = None
-    ) -> TunableEnergyHarvester:
-        """Fresh harvester instance (one per simulation run).
-
-        ``assembly_structure`` clones a previous same-topology assembly's
-        structural setup instead of recomputing it (see
-        :func:`prepare_assembly`).
-        """
+    def build_harvester(self) -> TunableEnergyHarvester:
+        """Fresh harvester instance (one per simulation run)."""
         return TunableEnergyHarvester(
             config=self.config,
             vibration_source=self.build_source(),
             with_controller=self.with_controller,
-            assembly_structure=assembly_structure,
         )
 
     def scaled(self, duration_s: float) -> "Scenario":
@@ -102,12 +92,13 @@ class Scenario:
         return replace(self, duration_s=duration_s)
 
     def topology_key(self) -> tuple:
-        """Cheap topology fingerprint (assembly-reuse cache key).
+        """Cheap topology fingerprint (lane-grouping and checkpoint key).
 
-        Deliberately coarse: a collision only hands the assembler a
-        structure whose full signature does not match, which it rejects
-        and recomputes — the cost of a false hit is a recompute, never
-        mis-indexing.  Spec-backed scenarios
+        Deliberately coarse: two config-backed scenarios that share this
+        key but not their netlist topology land in one batched lane block,
+        whose :class:`~repro.core.elimination.BatchedAssembler` refuses
+        them with a topology :class:`~repro.core.errors.ConfigurationError`
+        (never mis-indexing).  Spec-backed scenarios
         (:class:`repro.harvester.topologies.SpecScenario`) return their
         spec's structural topology hash instead.
         """
@@ -335,17 +326,6 @@ def scenario_solver_settings(scenario: Scenario) -> SolverSettings:
     return default_solver_settings(max_frequency)
 
 
-def prepare_assembly(scenario: Scenario) -> AssemblyStructure:
-    """One-time structural assembly setup for a scenario's topology.
-
-    Builds a throwaway harvester and captures the
-    :class:`~repro.core.elimination.AssemblyStructure`, which can then be
-    passed to ``Scenario.build_harvester`` for every candidate that shares
-    the topology, cloning the prepared assembly instead of rebuilding it.
-    """
-    return scenario.build_harvester().assembly_structure
-
-
 def attach_run_metadata(
     result: SimulationResult, scenario, harvester
 ) -> SimulationResult:
@@ -370,15 +350,13 @@ def _simulate_proposed(
     scenario: Scenario,
     integrator: Optional[ExplicitIntegrator] = None,
     settings: Optional[SolverSettings] = None,
-    *,
-    assembly_structure: Optional[AssemblyStructure] = None,
 ) -> SimulationResult:
     """Execution primitive: one scenario on the proposed solver.
 
     Canonical implementation behind the :mod:`repro.api` planner and the
     sweep engine's scalar path.
     """
-    harvester = scenario.build_harvester(assembly_structure=assembly_structure)
+    harvester = scenario.build_harvester()
     if settings is None:
         settings = scenario_solver_settings(scenario)
     solver = harvester.build_solver(integrator=integrator, settings=settings)

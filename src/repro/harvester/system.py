@@ -30,7 +30,6 @@ from ..blocks.tuning import MagneticTuningModel
 from ..blocks.vibration import VibrationSource
 from ..core.builder import BuildContext, SystemBuilder, solver_settings_for_frequency
 from ..core.digital import DigitalEventKernel
-from ..core.elimination import AssemblyStructure
 from ..core.errors import ConfigurationError
 from ..core.integrators import ExplicitIntegrator
 from ..core.solver import LinearisedStateSpaceSolver, SolverSettings
@@ -248,14 +247,6 @@ class TunableEnergyHarvester:
     with_controller:
         Whether to attach the digital tuning controller (Fig. 7).  Disable
         it for open-loop experiments such as the Table I charging run.
-    assembly_structure:
-        Optional :class:`~repro.core.elimination.AssemblyStructure` from a
-        previous same-topology harvester.  Design-exploration loops build
-        one harvester per candidate; passing the structure of the first
-        build clones-and-reparameterises the assembly instead of
-        recomputing the structural indexing.  A structure whose topology
-        signature does not match is ignored (the assembler recomputes),
-        so this is always safe to pass.
     """
 
     def __init__(
@@ -263,7 +254,6 @@ class TunableEnergyHarvester:
         config: Optional[HarvesterConfig] = None,
         vibration_source: Optional[VibrationSource] = None,
         with_controller: bool = True,
-        assembly_structure: Optional[AssemblyStructure] = None,
     ) -> None:
         self.config = config or paper_harvester()
         cfg = self.config
@@ -291,9 +281,7 @@ class TunableEnergyHarvester:
             }
         )
         built = SystemBuilder(self.spec).build(
-            vibration_source=self.source,
-            assembly_structure=assembly_structure,
-            context=context,
+            vibration_source=self.source, context=context
         )
         self._built = built
         self.generator = built.block("generator")
@@ -327,11 +315,6 @@ class TunableEnergyHarvester:
     def n_states(self) -> int:
         """Size of the assembled global state vector (11 for the paper system)."""
         return self.assembler.n_states
-
-    @property
-    def assembly_structure(self) -> AssemblyStructure:
-        """Reusable structural indexing (pass to same-topology rebuilds)."""
-        return self.assembler.structure
 
     def initial_state(self) -> np.ndarray:
         """Initial global state vector."""

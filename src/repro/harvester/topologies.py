@@ -18,7 +18,7 @@ Three public layers:
   and the :class:`~repro.analysis.engine.SweepEngine` accept either;
 * :func:`generator_variants` — interchangeable generator
   :class:`~repro.core.spec.BlockSpec` values for a *topology axis* in a
-  sweep grid (the engine reuses one assembly structure per distinct
+  sweep grid (the batched backend forms one lane block per distinct
   topology via the spec hash).
 """
 
@@ -33,7 +33,6 @@ from ..core.builder import (
     SystemBuilder,
     solver_settings_for_frequency,
 )
-from ..core.elimination import AssemblyStructure
 from ..core.solver import SolverSettings
 from ..core.spec import (
     BlockSpec,
@@ -349,7 +348,7 @@ class SpecScenario:
     paper_reference: str = ""
 
     def topology_key(self) -> Tuple:
-        """Assembly-reuse cache key: the spec's structural topology hash."""
+        """Lane-grouping and checkpoint key: the spec's structural topology hash."""
         return ("spec", self.spec.topology_hash())
 
     def with_spec(self, spec: SystemSpec) -> "SpecScenario":
@@ -368,11 +367,9 @@ class SpecScenario:
             record_interval=self.spec.solver.record_interval,
         )
 
-    def build_harvester(
-        self, assembly_structure: Optional[AssemblyStructure] = None
-    ) -> BuiltSystem:
+    def build_harvester(self) -> BuiltSystem:
         """Fresh compiled system (one per simulation run)."""
-        return SystemBuilder(self.spec).build(assembly_structure=assembly_structure)
+        return SystemBuilder(self.spec).build()
 
     # ------------------------------------------------------------------ #
     # canonical serialisation (the declarative-experiment form)

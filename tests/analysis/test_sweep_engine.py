@@ -1,18 +1,12 @@
-"""Tests for the parallel sweep engine and cross-candidate assembly reuse."""
+"""Tests for the parallel sweep engine."""
 
-import numpy as np
 import pytest
 
 from repro import RunOptions, Study
 from repro.analysis.engine import SweepEngine
 from repro.analysis.sweep import average_power_metric, sweep_excitation_frequency
-from repro.core.elimination import AssemblyStructure
 from repro.core.errors import ConfigurationError
-from repro.harvester.scenarios import (
-    _simulate_proposed,
-    charging_scenario,
-    prepare_assembly,
-)
+from repro.harvester.scenarios import Scenario, charging_scenario
 from repro.io.csvio import read_checkpoint
 
 
@@ -31,55 +25,25 @@ def make_sweep(duration_s=0.05, frequencies=(68.0, 70.0), amplitudes=(0.4, 0.59)
     )
 
 
-class TestPreparedAssemblyReuse:
-    def test_prepared_assembly_matches_cold_solve(self):
-        """A reused structure must give the same SimulationResult as a cold one."""
-        scenario = charging_scenario(duration_s=0.05)
-        structure = prepare_assembly(scenario)
-        cold = run_single(scenario)
-        warm = _simulate_proposed(scenario, assembly_structure=structure)
-        assert cold.trace_names() == warm.trace_names()
-        for name in cold.trace_names():
-            np.testing.assert_array_equal(cold[name].times, warm[name].times)
-            np.testing.assert_array_equal(cold[name].values, warm[name].values)
-        assert cold.stats.n_steps == warm.stats.n_steps
+class TestOneBuildPerCandidate:
+    @pytest.mark.parametrize("options", [RunOptions(), RunOptions.batched()])
+    def test_fresh_sweep_builds_each_candidate_once(self, monkeypatch, options):
+        """No throwaway build: four candidates, four harvesters, either backend."""
+        builds = []
+        build = Scenario.build_harvester
 
-    def test_structure_is_adopted_for_matching_topology(self):
-        scenario = charging_scenario(duration_s=0.05)
-        harvester = scenario.build_harvester()
-        structure = harvester.assembly_structure
-        rebuilt = scenario.build_harvester(assembly_structure=structure)
-        assert rebuilt.assembler.structure is structure
+        def counting_build(self):
+            builds.append(self.name)
+            return build(self)
 
-    def test_mismatched_structure_is_recomputed_not_adopted(self):
-        scenario = charging_scenario(duration_s=0.05)
-        harvester = scenario.build_harvester()
-        # different topology: no controller changes nothing structural, but a
-        # different multiplier stage count changes the state vector length
-        from dataclasses import replace
-
-        other_cfg = replace(scenario.config, multiplier_stages=4)
-        other = charging_scenario(duration_s=0.05)
-        other_harvester = other.build_harvester()
-        assert other_harvester.assembler.n_states == harvester.assembler.n_states
-
-        from repro.harvester.system import TunableEnergyHarvester
-
-        smaller = TunableEnergyHarvester(
-            config=other_cfg,
-            with_controller=False,
-            assembly_structure=harvester.assembly_structure,
+        monkeypatch.setattr(Scenario, "build_harvester", counting_build)
+        sweep = Study.scenario(charging_scenario(duration_s=0.01)).sweep(
+            {"excitation_frequency_hz": [66.0, 68.0, 70.0, 72.0]},
+            metric=average_power_metric,
         )
-        assert smaller.assembler.structure is not harvester.assembly_structure
-        assert smaller.assembler.n_states == harvester.assembler.n_states - 1
-
-    def test_from_netlist_matches_assembler(self):
-        scenario = charging_scenario(duration_s=0.05)
-        harvester = scenario.build_harvester()
-        structure = AssemblyStructure.from_netlist(harvester.netlist)
-        assert structure.signature == harvester.assembly_structure.signature
-        assert structure.n_states == harvester.assembler.n_states
-        assert structure.n_terminals == harvester.assembler.n_terminals
+        result = sweep.options(options).run()
+        assert len(result.points) == 4
+        assert len(builds) == 4
 
 
 class TestSweepEngineParity:

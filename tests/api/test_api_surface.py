@@ -71,7 +71,6 @@ EXPECTED_ALL = [
     "paper_spec",
     "piezoelectric_scenario",
     "piezoelectric_spec",
-    "prepare_assembly",
     "scenario_1",
     "scenario_2",
     "__version__",
@@ -123,6 +122,26 @@ EXPECTED_SOLVER_SETTINGS_FIELDS = (
 def test_solver_settings_fields_are_pinned():
     fields = tuple(field.name for field in dataclasses.fields(repro.SolverSettings))
     assert fields == EXPECTED_SOLVER_SETTINGS_FIELDS
+
+
+#: the step controller's knobs: one stability bound, so no bound selector
+EXPECTED_STEP_CONTROL_FIELDS = (
+    "h_initial",
+    "h_min",
+    "h_max",
+    "safety",
+    "growth_limit",
+    "shrink_limit",
+    "jacobian_change_target",
+    "stability_recompute_threshold",
+)
+
+
+def test_step_control_settings_fields_are_pinned():
+    fields = tuple(
+        field.name for field in dataclasses.fields(repro.core.StepControlSettings)
+    )
+    assert fields == EXPECTED_STEP_CONTROL_FIELDS
 
 
 def test_every_exported_name_resolves():

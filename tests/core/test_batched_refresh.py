@@ -13,7 +13,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.linearise import linearise_block_lanes
 from repro.core.netlist import Netlist
 from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
-from repro.harvester.scenarios import prepare_assembly
 
 from .test_compiled_kernels import (
     LANE_SETS,
@@ -284,10 +283,7 @@ class TestSolverReusability:
         t_end = [s.duration_s for s in scenarios]
 
         def build():
-            structure = prepare_assembly(scenarios[0])
-            harvesters = [
-                s.build_harvester(assembly_structure=structure) for s in scenarios
-            ]
+            harvesters = [s.build_harvester() for s in scenarios]
             solver = BatchedSolver(
                 [h.assembler for h in harvesters], settings=settings
             )

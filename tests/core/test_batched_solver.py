@@ -18,7 +18,6 @@ from repro.core.errors import (
 from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
 from repro.harvester.scenarios import (
     charging_scenario,
-    prepare_assembly,
     scenario_1,
     scenario_solver_settings,
 )
@@ -42,10 +41,7 @@ def _lane_scenarios(duration_s=0.02):
 def _batched_run(scenarios, settings_list, inject=None):
     """The scenarios as lanes, each with its digital kernel; ``inject``
     maps a lane to an extra digital process for that lane alone."""
-    structure = prepare_assembly(scenarios[0])
-    harvesters = [
-        s.build_harvester(assembly_structure=structure) for s in scenarios
-    ]
+    harvesters = [s.build_harvester() for s in scenarios]
     kernels = [h._build_kernel() for h in harvesters]
     for lane, process in (inject or {}).items():
         kernels[lane] = kernels[lane] or DigitalEventKernel()
@@ -150,10 +146,7 @@ class TestAdaptive:
             charging_scenario(duration_s=d, frequency_hz=70.0)
             for d in (0.01, 0.02)
         ]
-        structure = prepare_assembly(scenarios[0])
-        harvesters = [
-            s.build_harvester(assembly_structure=structure) for s in scenarios
-        ]
+        harvesters = [s.build_harvester() for s in scenarios]
         solver = BatchedSolver(
             [h.assembler for h in harvesters],
             settings=[scenario_solver_settings(s) for s in scenarios],
@@ -181,10 +174,7 @@ class TestAdaptive:
             charging_scenario(duration_s=d, frequency_hz=70.0)
             for d in (0.01, 0.03)
         ]
-        structure = prepare_assembly(scenarios[0])
-        harvesters = [
-            s.build_harvester(assembly_structure=structure) for s in scenarios
-        ]
+        harvesters = [s.build_harvester() for s in scenarios]
         solver = BatchedSolver(
             [h.assembler for h in harvesters],
             settings=[scenario_solver_settings(s) for s in scenarios],

@@ -23,7 +23,6 @@ from repro.core.netlist import Netlist
 from repro.core.solver import SolverSettings
 from repro.harvester.scenarios import (
     charging_scenario,
-    prepare_assembly,
     scenario_1,
     scenario_2,
     scenario_solver_settings,
@@ -113,10 +112,7 @@ def stacked_scalar_refresh():
 
 
 def _batched_run(scenarios, settings_list, t_end=None):
-    structure = prepare_assembly(scenarios[0])
-    harvesters = [
-        s.build_harvester(assembly_structure=structure) for s in scenarios
-    ]
+    harvesters = [s.build_harvester() for s in scenarios]
     solver = BatchedSolver(
         [h.assembler for h in harvesters],
         settings=settings_list,

@@ -36,10 +36,7 @@ from repro.core.elimination import GlobalLinearisation, ReducedSystem, SystemAss
 from repro.core.integrators import adams_bashforth
 from repro.core.linearise import linearise_block_numerically
 from repro.core.netlist import Netlist
-from repro.core.stability import (
-    diagonal_dominance_step_limit,
-    integrator_step_limit,
-)
+from repro.core.stability import integrator_step_limit
 from repro.core.stepper import StepSizeController
 from repro.harvester.scenarios import (
     _simulate_proposed,
@@ -170,8 +167,6 @@ def reset_forgetting_own_drift(self, h=None):
 
 def unscaled_stability_limit(self, a_reduced):
     settings = self.settings
-    if not settings.use_spectral_limit:
-        return diagonal_dominance_step_limit(a_reduced, safety=settings.safety)
     if self._cached_stability_limit is not None and self._stability_jacobian is not None:
         scale = np.linalg.norm(self._stability_jacobian)
         if scale == 0.0:

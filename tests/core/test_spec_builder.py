@@ -316,19 +316,6 @@ class TestBuilderEquivalence:
                 hand_result[trace].values, spec_result[trace].values
             ), f"{trace}: waveforms differ"
 
-    def test_builder_reuses_assembly_structure(self):
-        spec = paper_spec(with_controller=False)
-        first = SystemBuilder(spec).build()
-        second = SystemBuilder(spec).build(
-            assembly_structure=first.assembly_structure
-        )
-        assert second.assembly_structure is first.assembly_structure
-        r1 = first.build_solver().run(0.02)
-        r2 = second.build_solver().run(0.02)
-        assert np.array_equal(
-            r1["storage_voltage"].values, r2["storage_voltage"].values
-        )
-
     def test_builder_rejects_mismatched_terminals_role(self):
         spec = _minimal_spec(
             blocks=(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.stability import (
     diagonal_dominance_step_limit,
     integrator_step_limit,
+    integrator_step_limit_batch,
     is_diagonally_dominant,
     is_spectrally_stable,
     minimum_time_constant,
@@ -15,6 +16,29 @@ from repro.core.stability import (
     spectral_step_limit,
     stiffness_ratio,
 )
+
+
+EXTENTS = ((2.0, 0.0), (1.0, 0.0), (0.3, 0.0), (6.0 / 11.0, 0.72), (2.785, 2.828))
+
+
+def _per_eigenvalue_limit(a, real_extent, imag_extent, safety):
+    """The integrator bound evaluated one eigenvalue at a time, in Python floats."""
+    limit = float("inf")
+    for lam in np.linalg.eigvals(a) if a.size else ():
+        alpha, beta = float(np.real(lam)), float(np.imag(lam))
+        if alpha >= 0.0 and beta == 0.0:
+            continue
+        if imag_extent > 0.0:
+            denom = abs(alpha) / real_extent + abs(beta) / imag_extent
+            if denom <= 0.0:
+                continue
+            bound = 1.0 / denom
+        elif alpha >= 0.0:
+            continue
+        else:
+            bound = real_extent * (-alpha) / (alpha * alpha + beta * beta)
+        limit = min(limit, bound)
+    return safety * limit if np.isfinite(limit) else float("inf")
 
 
 class TestSpectralRadius:
@@ -82,6 +106,39 @@ class TestIntegratorStepLimit:
     def test_unrestricting_modes(self):
         # growing real mode imposes no limit from this criterion
         assert integrator_step_limit(np.array([[1.0]]), 2.0, 0.0) == np.inf
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "positive_real", "empty"])
+    def test_bound_is_the_per_eigenvalue_formula_bitwise(self, kind):
+        # the scalar bound is the stacked one on a batch of one, and the
+        # Forward-Euler bound is it at extents (2, 0): every path must equal
+        # the formula evaluated one eigenvalue at a time, in the last bit
+        rng = np.random.default_rng(11)
+        for n in range(0 if kind == "empty" else 1, 7):
+            if kind == "random":
+                scales = 10.0 ** rng.integers(-3, 6, size=(16, 1, 1))
+                stack = rng.standard_normal((16, n, n)) * scales
+            elif kind == "zero":
+                stack = np.zeros((4, n, n))
+            elif kind == "positive_real":
+                stack = np.stack(
+                    [np.diag(rng.uniform(0.0, 1e3, size=n)) for _ in range(4)]
+                )
+            else:
+                stack = np.zeros((4, 0, 0))
+            # FE, AB2, a circle bound whose scaling is inexact, AB3, RK4
+            for real_extent, imag_extent in EXTENTS:
+                safety = float(rng.uniform(0.1, 1.0))
+                lanes = integrator_step_limit_batch(stack, real_extent, imag_extent, safety)
+                for a, lane in zip(stack, lanes):
+                    expected = _per_eigenvalue_limit(a, real_extent, imag_extent, safety)
+                    scalar = integrator_step_limit(a, real_extent, imag_extent, safety)
+                    assert type(scalar) is float
+                    assert scalar == lane == expected
+                    assert spectral_step_limit(a, safety) == _per_eigenvalue_limit(
+                        a, 2.0, 0.0, safety
+                    )
+            if kind == "empty":
+                break
 
 
 class TestDiagonalDominance:

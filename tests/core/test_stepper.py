@@ -36,23 +36,15 @@ class TestSettingsValidation:
 
 
 class TestStabilityLimit:
-    def test_diagonal_dominance_mode(self):
-        settings = StepControlSettings(use_spectral_limit=False, safety=1.0)
-        controller = StepSizeController(settings)
-        limit = controller.stability_limit(np.array([[-100.0]]))
-        assert limit == pytest.approx(0.02)
-
     def test_spectral_mode_uses_integrator_extents(self):
-        settings = StepControlSettings(use_spectral_limit=True, safety=1.0)
+        settings = StepControlSettings(safety=1.0)
         fe = StepSizeController(settings, integrator=ForwardEuler())
         ab3 = StepSizeController(settings, integrator=AdamsBashforth(order=3))
         oscillator = np.array([[0.0, 1.0], [-(440.0**2), -2.0]])
         assert ab3.stability_limit(oscillator) > 50 * fe.stability_limit(oscillator)
 
     def test_limit_is_cached_until_jacobian_drifts(self):
-        settings = StepControlSettings(
-            use_spectral_limit=True, stability_recompute_threshold=0.5, safety=1.0
-        )
+        settings = StepControlSettings(stability_recompute_threshold=0.5, safety=1.0)
         controller = StepSizeController(settings)
         a = np.array([[-100.0]])
         first = controller.stability_limit(a)
@@ -103,9 +95,7 @@ class TestPropose:
         assert h >= 1e-6
 
     def test_stability_bound_enforced(self):
-        settings = StepControlSettings(
-            h_initial=1.0, h_max=1.0, safety=1.0, use_spectral_limit=True
-        )
+        settings = StepControlSettings(h_initial=1.0, h_max=1.0, safety=1.0)
         controller = StepSizeController(settings, integrator=ForwardEuler())
         h = controller.propose(np.array([[-1000.0]]), 0.0)
         assert h <= 2.0 / 1000.0 + 1e-12
@@ -122,8 +112,7 @@ class TestPropose:
         # the controller holds no previous Jacobian: a jump in the matrix
         # it is given changes nothing unless the drift says so
         settings = StepControlSettings(
-            h_initial=1e-4, jacobian_change_target=0.1, h_max=1.0,
-            use_spectral_limit=False,
+            h_initial=1e-4, jacobian_change_target=0.1, h_max=1.0
         )
         quiet, told = StepSizeController(settings), StepSizeController(settings)
         for controller in (quiet, told):

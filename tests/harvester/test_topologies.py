@@ -14,11 +14,7 @@ from repro import Study
 from repro.core import SystemBuilder
 from repro.core.errors import ConfigurationError
 from repro.harvester.config import paper_harvester
-from repro.harvester.scenarios import (
-    _simulate_proposed,
-    prepare_assembly,
-    scenario_solver_settings,
-)
+from repro.harvester.scenarios import scenario_solver_settings
 from repro.harvester.system import TunableEnergyHarvester, paper_spec
 from repro.harvester.topologies import (
     electrostatic_scenario,
@@ -42,15 +38,6 @@ class TestPiezoelectricTopology:
         assert result["storage_voltage"].final() > 0.0
         assert np.all(np.isfinite(result["piezo_voltage"].values))
         assert result.metadata["scenario"] == "piezoelectric_charging"
-
-    def test_assembly_structure_reuse_identical(self):
-        scenario = piezoelectric_scenario(duration_s=0.03)
-        structure = prepare_assembly(scenario)
-        fresh = proposed_run(scenario)
-        reused = _simulate_proposed(scenario, assembly_structure=structure)
-        assert np.array_equal(
-            fresh["storage_voltage"].values, reused["storage_voltage"].values
-        )
 
     def test_spec_is_valid_and_round_trips(self):
         spec = piezoelectric_spec()
