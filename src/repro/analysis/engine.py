@@ -29,9 +29,10 @@ workload.  This module turns the serial loop of
 * **checkpoints** every finished candidate through
   :mod:`repro.io.csvio`, so an interrupted sweep resumes from the last
   completed candidate (``checkpoint_path=``); the checkpoint header
-  carries a grid/config hash (parameter values, solver profile, backend,
-  base-scenario fingerprint) and resuming against a *changed* sweep
-  raises instead of stitching stale scores into the wrong candidates;
+  carries a grid/config hash (parameter values, solver profile,
+  base-scenario fingerprint), so a checkpoint resumes on either backend
+  while resuming against a *changed* sweep raises instead of stitching
+  stale scores into the wrong candidates;
 * reports **progress and the best candidate so far** through a callback
   (see :func:`repro.io.report.format_sweep_progress` for a ready-made
   formatter);
@@ -72,13 +73,12 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..core.batch import BatchedSolver
-from ..core.errors import ConfigurationError, StabilityError
-from ..core.solver import SolverSettings
+from ..core.errors import ConfigurationError
 from ..harvester.scenarios import (
     Scenario,
     _simulate_proposed,
     attach_run_metadata,
-    scenario_solver_settings,
+    proposed_settings,
 )
 from ..io.csvio import (
     append_checkpoint_row,
@@ -211,19 +211,6 @@ def _evaluate_lane_block(tasks: Sequence[_Task]) -> List[_Outcome]:
     return outcomes
 
 
-def _task_settings(task: _Task) -> SolverSettings:
-    """A candidate's solver settings: the sweep's shared settings or the
-    scenario's defaults, with the sweep's hold budget applied."""
-    settings = task.settings
-    if settings is None:
-        settings = scenario_solver_settings(task.scenario)
-    if task.relinearise_interval is not None:
-        settings = replace(
-            settings, relinearise_interval=int(task.relinearise_interval)
-        )
-    return settings
-
-
 def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
     """Evaluate one lane block of same-topology candidates as batched lanes.
 
@@ -231,11 +218,11 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
     candidate's digital event kernel and settings.  Single-task blocks
     take the scalar path directly; lanes the batched march retires
     (divergence, singular elimination, a raising digital process) are
-    re-run individually on the exact scalar path, mirroring the engine's
-    existing stability fallback.  Each of these scalar-path
-    decisions is logged once per block or lane, at DEBUG on
-    ``repro.engine``.  A candidate whose build raises fails the block,
-    as it fails its own scalar run.
+    re-run individually on the exact scalar path at interval 1, as
+    ``_simulate_proposed`` re-runs a held scalar run that trips the
+    stability guard.  Each of these scalar-path decisions is logged once
+    per block or lane, at DEBUG on ``repro.engine``.  A candidate whose
+    build raises fails the block, as it fails its own scalar run.
     """
     if len(tasks) == 1:
         logger.debug(
@@ -246,7 +233,10 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
     solver = BatchedSolver(
         [harvester.assembler for harvester in harvesters],
         integrator=tasks[0].integrator,
-        settings=[_task_settings(task) for task in tasks],
+        settings=[
+            proposed_settings(task.scenario, task.settings, task.relinearise_interval)
+            for task in tasks
+        ],
         digital_kernels=[harvester._build_kernel() for harvester in harvesters],
     )
     for i, harvester in enumerate(harvesters):
@@ -281,7 +271,7 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
                 task.parameters,
                 batch.failures[i],
             )
-            exact = _evaluate_task(replace(task, relinearise_interval=None))
+            exact = _evaluate_task(replace(task, relinearise_interval=1))
             outcomes.append(replace(exact, exact_rerun=True))
             continue
         result = attach_run_metadata(result, task.scenario, harvesters[i])
@@ -302,33 +292,18 @@ def _evaluate_lane_block_inner(tasks: Sequence[_Task]) -> List[_Outcome]:
 
 def _evaluate_task(task: _Task) -> _Outcome:
     """Evaluate one candidate (runs in a worker process or inline)."""
-    settings = _task_settings(task)
-    interval = task.relinearise_interval
-
-    exact_rerun = False
-    try:
-        result = _simulate_proposed(
-            task.scenario,
-            integrator=task.integrator,
-            settings=settings,
-        )
-    except StabilityError:
-        if interval is None or int(interval) <= 1:
-            raise
-        # the held linearisation destabilised this particular candidate:
-        # fall back to the exact every-step profile for it
-        result = _simulate_proposed(
-            task.scenario,
-            integrator=task.integrator,
-            settings=replace(settings, relinearise_interval=1),
-        )
-        exact_rerun = True
-
+    result = _simulate_proposed(
+        task.scenario,
+        integrator=task.integrator,
+        settings=proposed_settings(
+            task.scenario, task.settings, task.relinearise_interval
+        ),
+    )
     return _Outcome(
         index=task.index,
         score=float(task.metric(result)),
         cpu_time_s=float(result.stats.cpu_time_s),
-        exact_rerun=exact_rerun,
+        exact_rerun=bool(result.metadata.get("exact_rerun", False)),
     )
 
 
@@ -694,8 +669,9 @@ class SweepEngine:
         # integrator, settings — shared with the cache keys) and the base
         # scenario's identity, so a checkpoint cannot silently map stale
         # scores onto a reshaped grid, a different-accuracy profile or a
-        # different base configuration; the header's "backend" entry keeps
-        # a checkpoint to the backend that wrote it
+        # different base configuration.  The backend is left out: every
+        # batched lane is bitwise its scalar run, so a checkpoint resumes
+        # on either backend, as cache entries are shared
         import json as _json
 
         scenario = sweep.scenario
@@ -725,7 +701,6 @@ class SweepEngine:
         metadata = {
             "metric": sweep.metric_name,
             "parameters": " ".join(sorted(sweep.parameters)),
-            "backend": self.options.backend,
             "grid": digest,
         }
         if strategy_fp is not None:

@@ -139,7 +139,10 @@ class RunOptions:
         Jacobian/elimination for up to this many explicit steps.  ``None``
         (or 1) is the exact, byte-identical profile; larger values are
         2-3x faster per run with the documented 10 % relative score
-        tolerance.
+        tolerance.  A held run (single run or sweep candidate) that
+        trips the stability guard re-runs exact, recorded as
+        ``metadata["exact_rerun"]``.  Given together with ``settings``,
+        their own ``relinearise_interval`` must be 1 or this same value.
     backend:
         Sweep execution backend: ``"process"`` evaluates one candidate per
         task, ``"batched"`` marches same-topology candidates (digital
@@ -227,7 +230,8 @@ class RunOptions:
 
         Holds each assembled Jacobian/elimination over up to
         ``relinearise_interval`` explicit steps — 2-3x faster per run;
-        runs that trip the stability guard transparently re-run exact.
+        single runs and sweep candidates that trip the stability guard
+        transparently re-run exact.
         """
         return cls(relinearise_interval=relinearise_interval, **overrides)
 
@@ -268,8 +272,17 @@ class RunOptions:
                 )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be at least 1")
-        if self.relinearise_interval is not None and self.relinearise_interval < 1:
-            raise ConfigurationError("relinearise_interval must be at least 1")
+        if self.relinearise_interval is not None:
+            if self.relinearise_interval < 1:
+                raise ConfigurationError("relinearise_interval must be at least 1")
+            held = getattr(self.settings, "relinearise_interval", 1)
+            if held not in (1, self.relinearise_interval):
+                raise ConfigurationError(
+                    f"incoherent options: relinearise_interval="
+                    f"{self.relinearise_interval} with settings carrying "
+                    f"relinearise_interval={held} — give the hold budget "
+                    "in one place"
+                )
         if self.progress is not None and not callable(self.progress):
             raise ConfigurationError("progress must be callable")
         if self.cache not in CACHE_MODES:

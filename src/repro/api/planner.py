@@ -27,7 +27,7 @@ import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.errors import CacheCorruptionError, ConfigurationError
@@ -37,7 +37,7 @@ from ..harvester.scenarios import (
     _simulate_baseline,
     _simulate_proposed,
     _simulate_reference,
-    scenario_solver_settings,
+    proposed_settings,
 )
 from .options import RunOptions
 from .results import ComparisonResult, ExplorationResult, RunHandle, StudyResult
@@ -304,17 +304,12 @@ def _execute_single(
                 f"{sorted(solver_kwargs)} with solver='proposed' — use "
                 "RunOptions(integrator=..., settings=...) instead"
             )
-        settings = options.settings
-        interval = options.relinearise_interval
-        if interval is not None and int(interval) > 1:
-            # overlay the fast profile exactly as the sweep engine does
-            if settings is None:
-                settings = scenario_solver_settings(scenario)
-            settings = dataclasses_replace(
-                settings, relinearise_interval=int(interval)
-            )
         result = _simulate_proposed(
-            scenario, integrator=options.integrator, settings=settings
+            scenario,
+            integrator=options.integrator,
+            settings=proposed_settings(
+                scenario, options.settings, options.relinearise_interval
+            ),
         )
     elif solver == "baseline":
         _reject_proposed_only_options(options, solver)

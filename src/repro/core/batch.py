@@ -21,10 +21,10 @@ Execution model
   keep their own :class:`~repro.core.stepper.BatchedStepController`
   proposal; fixed-step lanes step ``min(fixed_step, t_end - t)``.
 * **Per-lane refresh**: a lane is due when its ``relinearise_interval``
-  hold budget is spent or its own state drift trips
-  ``relinearise_state_rtol``.  A refresh assembles every active lane but
-  adopts the new model, step proposal, LLE drift and statistics only in
-  the due lanes; the others keep their held model.
+  hold budget is spent or a control write restarts it.  A refresh
+  assembles every active lane but adopts the new model, step proposal,
+  LLE drift and statistics only in the due lanes; the others keep their
+  held model.
 * **Kernel bursts**: between two events (a lane due for refresh, a lane
   reaching its end time or its next digital event, divergence) the held
   models march in one call of the march kernel from
@@ -53,9 +53,9 @@ Execution model
   does, and bursts stop as soon as any lane has an event due.  The due
   lanes' activations run between bursts, reading that lane's live state;
   an activation that writes a control restarts that lane alone (fresh
-  refresh, step controller, drift reference and Adams-Bashforth start-up)
-  and rebinds the batched refresh, whose block linearisers hold control
-  values as lane constants.
+  refresh, step controller, Jacobian-drift reference and Adams-Bashforth
+  start-up) and rebinds the batched refresh, whose block linearisers hold
+  control values as lane constants.
 
 Equivalence contract
 --------------------
@@ -353,8 +353,8 @@ class BatchedSolver:
     settings:
         One :class:`~repro.core.solver.SolverSettings` per lane, or a
         single instance shared by every lane.  Every setting is per-lane
-        (step control, ``fixed_step``, ``relinearise_interval``, the drift
-        guard, ``lle_tolerance``, recording).
+        (step control, ``fixed_step``, ``relinearise_interval``,
+        ``lle_tolerance``, recording).
     digital_kernels:
         Optional per-lane :class:`~repro.core.digital.DigitalEventKernel`
         (``None`` entries for lanes without digital processes), as the
@@ -517,7 +517,6 @@ class BatchedSolver:
             t_end=t_end_arr,
             x=x0,
             y=np.zeros((b, assembler.n_terminals)),
-            x_ref=x0,
             adaptive=np.isnan(fixed),
             # the held step: the fixed step, or the last proposal
             h=fixed,
@@ -527,10 +526,6 @@ class BatchedSolver:
             due=np.ones(b, dtype=bool),
             divergence_limit=per_lane(c.divergence_limit for c in configs),
             lle_tolerance=per_lane(c.lle_tolerance for c in configs),
-            state_rtol=per_lane(
-                np.inf if c.relinearise_state_rtol is None else c.relinearise_state_rtol
-                for c in configs
-            ),
             fevals=np.zeros(b, dtype=np.int64),
             steps=np.zeros(b, dtype=np.int64),
             h_min=np.full(b, np.inf),
@@ -549,7 +544,6 @@ class BatchedSolver:
             t_event=per_lane(next_event_time(lane) for lane in lanes),
         )
         self._live = s
-        rtol_active = bool(np.isfinite(s.state_rtol).any())
         # the stacked Adams-Bashforth window, oldest first: (B,) sample
         # times with (B, n) derivatives; a lane reads only its newest
         # ``depth`` entries
@@ -728,8 +722,6 @@ class BatchedSolver:
                     order,
                     recorder.last_record_times[rows],
                     recorder.thresholds[rows],
-                    s.state_rtol[rows],
-                    s.x_ref[rows],
                     s.divergence_limit[rows],
                     s.t_event[rows] if events_active else None,
                 )
@@ -796,7 +788,7 @@ class BatchedSolver:
             When every lane is due (always, at ``relinearise_interval``
             1) whole arrays are rebound rather than written lane by lane;
             ``a_ref`` then aliases the fresh model's ``a_reduced``, so
-            neither path ever writes into ``a_ref`` or ``x_ref``.
+            neither path ever writes into ``a_ref``.
             """
             nonlocal reduced
             a_fresh = fresh.a_reduced
@@ -811,7 +803,6 @@ class BatchedSolver:
                 s.lle_max = np.maximum(s.lle_max, change)
                 s.lle_flags = s.lle_flags + (change > s.lle_tolerance)
                 s.a_ref = a_fresh
-                s.x_ref = s.x
                 s.has_ref = np.ones_like(s.has_ref)
                 s.since = np.zeros_like(s.since)
                 s.jev = s.jev + 1
@@ -842,7 +833,6 @@ class BatchedSolver:
                 s.lle_max[due] = np.maximum(s.lle_max[due], change)
                 s.lle_flags[due] += change > s.lle_tolerance[due]
                 s.a_ref = np.where(due[:, None, None], a_fresh, s.a_ref)
-                s.x_ref = np.where(due[:, None], s.x, s.x_ref)
                 s.has_ref[due] = True
                 s.since[due] = 0
                 s.jev[due] += 1
@@ -901,14 +891,10 @@ class BatchedSolver:
                     if not lanes:
                         break
 
-            # 3. refresh the due lanes (hold budget spent, state drift or a
+            # 3. refresh the due lanes (hold budget spent or a
             #    model-changing activation); the others' terminals follow
             #    their held models
             s.due = s.since >= s.hold
-            if rtol_active:
-                drift = np.max(np.abs(s.x - s.x_ref), axis=1)
-                scale = np.max(np.abs(s.x_ref), axis=1)
-                s.due |= drift > s.state_rtol * (scale + 1e-300)
             if s.due.any():
                 fresh = linearise()
                 if fresh is None:
@@ -922,7 +908,7 @@ class BatchedSolver:
 
             # 5. march one burst through the kernel (it exits on this
             #    loop's own events: hold budget, t_end, a digital event,
-            #    drift refresh, divergence), or one single step
+            #    divergence), or one single step
             if burstable and s.depth.min() >= order - 1:
                 kernel_start = time.perf_counter()
                 burst = kernel(
@@ -937,8 +923,6 @@ class BatchedSolver:
                     order,
                     recorder.last_record_times,
                     recorder.thresholds,
-                    s.state_rtol,
-                    s.x_ref,
                     s.divergence_limit,
                     s.t_event if events_active else None,
                 )

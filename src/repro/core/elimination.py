@@ -509,15 +509,6 @@ class SystemAssembler:
             elimination_offset=elimination_offset,
         )
 
-    def reduce(
-        self, t: float, x_global: np.ndarray, y_global: Optional[np.ndarray] = None
-    ) -> ReducedSystem:
-        """Convenience: assemble then eliminate in one call."""
-        if y_global is None:
-            y_global = np.zeros(self._n_terminals)
-        lin = self.assemble(t, x_global, y_global)
-        return self.eliminate(lin, x_global)
-
     # ------------------------------------------------------------------ #
     # nonlinear residual evaluation (used by the implicit baselines)
     # ------------------------------------------------------------------ #
@@ -907,12 +898,3 @@ class BatchedAssembler:
             elimination_matrix=elimination_matrix,
             elimination_offset=elimination_offset,
         )
-
-    def reduce(
-        self, t: np.ndarray, x_global: np.ndarray, y_global: Optional[np.ndarray] = None
-    ) -> BatchedReducedSystem:
-        """Convenience: assemble then eliminate in one call."""
-        if y_global is None:
-            y_global = np.zeros((self.n_lanes, self.n_terminals))
-        lin = self.assemble(t, x_global, y_global)
-        return self.eliminate(lin, x_global)

@@ -11,11 +11,10 @@ the next *event* the batched loop must handle itself:
 * any lane reaches its end time (``t_i >= t_end_i - END_EPS``),
 * any lane's next digital event comes due (``t_event_i <= t_i + END_EPS``,
   the scalar solver's own check), so the caller runs it between steps,
-* any lane trips the state-drift refresh check
-  (``max|x - x_ref| > rtol * (max|x_ref| + 1e-300)``),
 * any lane trips the divergence guard after a step (checked after every
   step, as the scalar solver does, so the caller retires the flagged
-  lanes at the same step time).
+  lanes at the same step time) -- the only exit that depends on the
+  state.
 
 Each lane steps with ``h_i = min(h_held_i, boundary_i - t_i)``, where the
 boundary is the lane's end time or its next digital event, whichever
@@ -295,8 +294,6 @@ def _march_numpy(
     order: int,
     rec_last: np.ndarray,
     rec_thresh: np.ndarray,
-    state_rtol: np.ndarray,
-    x_ref: np.ndarray,
     divergence_limit: np.ndarray,
     t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
@@ -312,7 +309,7 @@ def _march_numpy(
         )
     return _march_burst(
         a, b, x, t, h_held, t_end, max_steps, history, order, rec_last,
-        rec_thresh, state_rtol, x_ref, divergence_limit, t_event,
+        rec_thresh, divergence_limit, t_event,
     )
 
 
@@ -330,8 +327,8 @@ def _march_one(
 ) -> MarchResult:
     """One held-model step: :func:`_march_burst` at ``max_steps`` 1.
 
-    The burst loop's first step has no drift check and no record row (the
-    caller records step 0), so one step is the boundary, the step, its
+    The burst loop's first step has no record row (the caller records
+    step 0), so one step is the boundary, the step, its
     sample window, the memoised :func:`_solve_weights`, the derivative,
     the update and the divergence guard.  Each is the burst loop's own
     expression on the same floats (the window is the last ``order``
@@ -377,8 +374,6 @@ def _march_burst(
     order: int,
     rec_last: np.ndarray,
     rec_thresh: np.ndarray,
-    state_rtol: np.ndarray,
-    x_ref: np.ndarray,
     divergence_limit: np.ndarray,
     t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
@@ -387,9 +382,9 @@ def _march_burst(
     The per-step state update replicates the scalar step
     (``ReducedSystem.derivative`` + ``AdamsBashforth.step``) operation for
     operation.  The step schedule, the record rows and all step weights
-    are precomputed by ``_burst_schedule``/``_burst_weights``; the
-    state-dependent checks (drift refresh before a step, divergence guard
-    after it) run on every step.  ``t_event`` holds each lane's next
+    are precomputed by ``_burst_schedule``/``_burst_weights``; the one
+    state-dependent check, the divergence guard, runs after every step.
+    ``t_event`` holds each lane's next
     digital event time (``inf`` for none), or is ``None`` when no lane
     has digital events.  ``history`` holds at least ``order - 1``
     samples; the caller guarantees at least one scheduled step (no lane
@@ -406,9 +401,6 @@ def _march_burst(
         np.array(hist_t).reshape(len(hist_t), t.shape[0]),
         order,
     )
-    rtol_active = bool(np.isfinite(state_rtol).any())
-    if rtol_active:
-        drift_limit = state_rtol * (np.max(np.abs(x_ref), axis=1) + 1e-300)
     due_at = dict(rows)
 
     records: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -416,9 +408,6 @@ def _march_burst(
     steps = 0
     x_prev = x
     for j, t_j in enumerate(times):
-        if j and rtol_active:
-            if np.any(np.max(np.abs(x - x_ref), axis=1) > drift_limit):
-                break
         due = due_at.get(j)
         if due is not None:
             records.append((t_j, due, x))

@@ -75,16 +75,11 @@ class SolverSettings:
         justifies freezing the Jacobian over *one* step (Eq. 3) bounds
         the extra error of holding it over a few, because the step-size
         controller already keeps ``h`` small against the Jacobian's rate
-        of change.  Digital activations and the state-drift guard below
-        always force an immediate re-linearisation.  This is an accuracy
-        trade documented in :mod:`repro.analysis.engine`; sweeps that
-        need bit-exact agreement with the reference path keep it at 1.
-    relinearise_state_rtol:
-        Optional state-drift guard for held linearisations: the reduced
-        model is re-assembled as soon as ``max|x - x_ref|`` exceeds this
-        fraction of ``max|x_ref|`` (``x_ref`` = state at the last
-        linearisation), even before ``relinearise_interval`` steps have
-        elapsed.  ``None`` disables the guard.
+        of change.  A held model ends only when this budget is spent or
+        a digital activation changes the analogue model, which forces an
+        immediate re-linearisation.  This is an accuracy trade documented
+        in :mod:`repro.analysis.engine`; sweeps that need bit-exact
+        agreement with the reference path keep it at 1.
     """
 
     step_control: StepControlSettings = field(default_factory=StepControlSettings)
@@ -93,7 +88,6 @@ class SolverSettings:
     lle_tolerance: float = 0.1
     divergence_limit: float = 1e12
     relinearise_interval: int = 1
-    relinearise_state_rtol: Optional[float] = None
 
 
 class LinearisedStateSpaceSolver:
@@ -235,10 +229,8 @@ class LinearisedStateSpaceSolver:
 
         # amortised-relinearisation bookkeeping (see SolverSettings)
         hold_limit = max(1, int(settings.relinearise_interval))
-        state_rtol = settings.relinearise_state_rtol
         reduced: Optional[ReducedSystem] = None
         steps_since_assemble = 0
-        x_reference = self._x
         n_jacobian_reuses = 0
 
         while self._t < t_end - 1e-15:
@@ -261,10 +253,6 @@ class LinearisedStateSpaceSolver:
             # 2. linearise + eliminate at the current point, or reuse the
             #    held affine model while it is still fresh enough
             refresh = reduced is None or steps_since_assemble >= hold_limit
-            if not refresh and state_rtol is not None:
-                drift = float(np.max(np.abs(self._x - x_reference)))
-                scale = float(np.max(np.abs(x_reference)))
-                refresh = drift > state_rtol * (scale + 1e-300)
             if refresh:
                 lin = assembler.assemble(self._t, self._x, self._y)
                 reduced = assembler.eliminate(lin, self._x)
@@ -272,7 +260,6 @@ class LinearisedStateSpaceSolver:
                 stats.n_jacobian_evaluations += 1
                 stats.n_linear_solves += 1
                 steps_since_assemble = 0
-                x_reference = self._x
             else:
                 # terminal variables still follow the held affine model
                 self._y = reduced.terminal_values(self._x)

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from ..blocks.microcontroller import ControllerSettings
 from ..blocks.vibration import FrequencyStep, VibrationSource
+from ..core.errors import StabilityError
 from ..core.integrators import ExplicitIntegrator
 from ..core.results import SimulationResult
 from ..core.serialise import register_serialisable
@@ -38,6 +39,7 @@ __all__ = [
     "scenario_2",
     "charging_scenario",
     "scenario_solver_settings",
+    "proposed_settings",
     "attach_run_metadata",
 ]
 
@@ -326,6 +328,25 @@ def scenario_solver_settings(scenario: Scenario) -> SolverSettings:
     return default_solver_settings(max_frequency)
 
 
+def proposed_settings(
+    scenario: Scenario,
+    settings: Optional[SolverSettings] = None,
+    relinearise_interval: Optional[int] = None,
+) -> SolverSettings:
+    """The settings a proposed-solver run of ``scenario`` uses.
+
+    ``settings`` (or the scenario's defaults) with a given
+    ``relinearise_interval`` hold budget applied on top.  The one place
+    the held-model profile reaches a run: single runs and every sweep
+    candidate resolve their settings here.
+    """
+    if settings is None:
+        settings = scenario_solver_settings(scenario)
+    if relinearise_interval is not None:
+        settings = replace(settings, relinearise_interval=int(relinearise_interval))
+    return settings
+
+
 def attach_run_metadata(
     result: SimulationResult, scenario, harvester
 ) -> SimulationResult:
@@ -354,11 +375,32 @@ def _simulate_proposed(
     """Execution primitive: one scenario on the proposed solver.
 
     Canonical implementation behind the :mod:`repro.api` planner and the
-    sweep engine's scalar path.
+    sweep engine's scalar path.  A held-model run (``relinearise_interval``
+    above 1) that trips the stability guard re-runs with the exact
+    every-step profile and records ``metadata["exact_rerun"] = True``.
     """
-    harvester = scenario.build_harvester()
     if settings is None:
         settings = scenario_solver_settings(scenario)
+    try:
+        return _simulate_proposed_once(scenario, integrator, settings)
+    except StabilityError:
+        if int(settings.relinearise_interval) <= 1:
+            raise
+    # the held linearisation destabilised this run: fall back to the
+    # exact every-step profile
+    result = _simulate_proposed_once(
+        scenario, integrator, replace(settings, relinearise_interval=1)
+    )
+    result.metadata["exact_rerun"] = True
+    return result
+
+
+def _simulate_proposed_once(
+    scenario: Scenario,
+    integrator: Optional[ExplicitIntegrator],
+    settings: SolverSettings,
+) -> SimulationResult:
+    harvester = scenario.build_harvester()
     solver = harvester.build_solver(integrator=integrator, settings=settings)
     result = solver.run(scenario.duration_s)
     return attach_run_metadata(result, scenario, harvester)

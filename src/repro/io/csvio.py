@@ -179,7 +179,7 @@ def validate_checkpoint(
     """Read a checkpoint and refuse one written by a *different* sweep.
 
     The sweep engine stores a grid/config hash (parameter values, solver
-    profile, backend, base-scenario fingerprint) in the header metadata;
+    profile, base-scenario fingerprint) in the header metadata;
     any mismatch means the recorded scores belong to different candidates,
     so resuming would silently stitch stale scores into the wrong grid
     points.  Raises :class:`ConfigurationError` naming both sides instead;

@@ -178,12 +178,23 @@ class TestCheckpointGuard:
         for ref, got in zip(first.points, resumed.points):
             assert got.score == ref.score
 
-    def test_resume_with_different_backend_raises(self, tmp_path):
-        path = str(tmp_path / "ckpt.csv")
+    def test_process_checkpoint_resumes_on_the_batched_backend(self, tmp_path):
+        # the backend never changes a score, so it is not part of what a
+        # checkpoint must match: the two candidates the truncated process
+        # checkpoint lacks march as batched lanes
+        path = tmp_path / "ckpt.csv"
         sweep = make_sweep()
-        sweep.options(checkpoint_path=path).run()
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            sweep.options(RunOptions.batched(checkpoint_path=path)).run()
+        first = sweep.options(checkpoint_path=str(path)).run()
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:4]))  # magic, header, two rows
+        resumed = sweep.options(
+            RunOptions.batched(checkpoint_path=str(path))
+        ).run()
+        assert resumed.engine_info.n_resumed == 2
+        assert resumed.engine_info.n_batched_candidates == 2
+        assert [p.score.hex() for p in resumed.points] == [
+            p.score.hex() for p in first.points
+        ]
 
     def test_resume_with_changed_grid_values_raises(self, tmp_path):
         path = str(tmp_path / "ckpt.csv")

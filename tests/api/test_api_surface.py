@@ -115,7 +115,6 @@ EXPECTED_SOLVER_SETTINGS_FIELDS = (
     "lle_tolerance",
     "divergence_limit",
     "relinearise_interval",
-    "relinearise_state_rtol",
 )
 
 

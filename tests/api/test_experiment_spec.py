@@ -94,7 +94,7 @@ def test_scenario_factory_unknown_name_and_kwargs_are_named():
 def test_run_options_round_trip_with_integrator_and_settings():
     options = RunOptions(
         integrator=AdamsBashforth(order=3),
-        settings=SolverSettings(record_interval=2e-3, relinearise_interval=2),
+        settings=SolverSettings(record_interval=2e-3, relinearise_interval=4),
         relinearise_interval=4,
         n_workers=2,
         cache="read",

@@ -212,7 +212,6 @@ def test_checkpoint_config_hash_is_pinned():
     assert exact == {
         "metric": "harvested_energy_J",
         "parameters": "excitation_frequency_hz",
-        "backend": "process",
         "grid": "20284d596ea4774e",
     }
     held = SweepEngine(RunOptions.batched(relinearise_interval=3))

@@ -60,19 +60,6 @@ class TestFixedStepByteIdentity:
         _assert_batches_identical(reference, result)
         _assert_lanes_are_scalar_runs(scenarios, settings, result)
 
-    def test_drift_guard_matches_per_lane_exactly(self, factory):
-        scenarios = LANE_SETS[factory]()
-        step = 1e-4 if hasattr(scenarios[0], "config") else 5e-5
-        settings = _fixed_settings(
-            scenarios, step, relinearise_interval=8,
-            relinearise_state_rtol=1e-6,
-        )
-        reference = _stacked_run(LANE_SETS[factory](), settings)
-        result = _batched_run(LANE_SETS[factory](), settings)
-        assert not reference.failures
-        _assert_batches_identical(reference, result)
-        _assert_lanes_are_scalar_runs(scenarios, settings, result)
-
     def test_stepwise_march_matches_with_either_refresh(self, factory):
         # the block linearisers also back single steps, byte for byte
         scenarios = LANE_SETS[factory]()

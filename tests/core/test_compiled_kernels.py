@@ -226,9 +226,6 @@ PROFILES = {
     "adaptive_interval_4": lambda s: replace(
         _settings_for(s), relinearise_interval=4
     ),
-    "adaptive_drift_guard": lambda s: replace(
-        _settings_for(s), relinearise_interval=8, relinearise_state_rtol=1e-6
-    ),
     "fixed_step": lambda s: replace(
         _settings_for(s), fixed_step=1e-4 if hasattr(s, "config") else 5e-5
     ),
@@ -470,8 +467,6 @@ def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):
         order=order,
         rec_last=np.full(b, np.nan),
         rec_thresh=np.full(b, -np.inf),
-        state_rtol=np.full(b, 1e-3),
-        x_ref=x.copy(),
         divergence_limit=divergence_limit,
         t_event=t_event if events else None,
     )

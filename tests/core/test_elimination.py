@@ -27,6 +27,12 @@ def build_two_rc_system(r1=10.0, c1=1e-3, r2=20.0, c2=2e-3):
     return netlist, a, b
 
 
+def linearise_and_eliminate(assembler, x):
+    """Assemble at ``(t=0, x, y=0)`` and eliminate the terminals (Eq. 4)."""
+    lin = assembler.assemble(0.0, x, np.zeros(assembler.n_terminals))
+    return assembler.eliminate(lin, x)
+
+
 class TestAssemblerStructure:
     def test_state_and_terminal_counts(self):
         netlist, _, _ = build_two_rc_system()
@@ -69,7 +75,7 @@ class TestEliminationCorrectness:
         netlist, _, _ = build_two_rc_system(r1, c1, r2, c2)
         assembler = SystemAssembler(netlist)
         x = np.array([1.0, 0.0])
-        reduced = assembler.reduce(0.0, x)
+        reduced = linearise_and_eliminate(assembler, x)
 
         # hand derivation: with the shared port variables y = [V, I] the two
         # algebraic equations (LinearBlock residual (Vc - V)/R + I = 0) are
@@ -100,7 +106,7 @@ class TestEliminationCorrectness:
         netlist, _, _ = build_two_rc_system()
         assembler = SystemAssembler(netlist)
         x = np.array([0.4, 0.9])
-        reduced = assembler.reduce(0.0, x)
+        reduced = linearise_and_eliminate(assembler, x)
         dxdt_full, _ = assembler.full_residual(0.0, x, reduced.y_solution)
         assert reduced.derivative(x) == pytest.approx(dxdt_full)
 
@@ -108,7 +114,7 @@ class TestEliminationCorrectness:
         netlist, _, _ = build_two_rc_system()
         assembler = SystemAssembler(netlist)
         x = np.array([1.0, 1.0])
-        reduced = assembler.reduce(0.0, x)
+        reduced = linearise_and_eliminate(assembler, x)
         assert reduced.terminal_values(x) == pytest.approx(reduced.y_solution)
 
     def test_passive_series_loop_eigenvalues_are_stable(self):
@@ -120,7 +126,7 @@ class TestEliminationCorrectness:
         b = netlist.add_block(make_rc_block("b", 20.0, 2e-3, invert_current=True))
         netlist.connect_port(a, b, voltage=("V", "V"), current=("I", "I"))
         assembler = SystemAssembler(netlist)
-        reduced = assembler.reduce(0.0, np.array([0.5, -0.5]))
+        reduced = linearise_and_eliminate(assembler, np.array([0.5, -0.5]))
         eigenvalues = np.linalg.eigvals(reduced.a_reduced)
         assert np.all(np.real(eigenvalues) <= 1e-12)
 
@@ -158,7 +164,7 @@ class TestSingularSystems:
         netlist.connect_port(a, b, voltage=("V", "V"), current=("I", "I"))
         assembler = SystemAssembler(netlist)
         with pytest.raises(SingularSystemError):
-            assembler.reduce(0.0, np.array([0.0, 0.0]))
+            linearise_and_eliminate(assembler, np.array([0.0, 0.0]))
 
     def test_no_terminals_reduces_to_block_dynamics(self):
         from repro.core.block import LinearBlock
@@ -168,7 +174,7 @@ class TestSingularSystems:
             LinearBlock("solo", np.array([[-3.0]]), np.zeros((1, 0)), ["x"], [])
         )
         assembler = SystemAssembler(netlist)
-        reduced = assembler.reduce(0.0, np.array([2.0]))
+        reduced = linearise_and_eliminate(assembler, np.array([2.0]))
         assert reduced.a_reduced == pytest.approx(np.array([[-3.0]]))
         assert reduced.derivative(np.array([2.0]))[0] == pytest.approx(-6.0)
 
@@ -182,7 +188,7 @@ class TestSingularSystems:
             LinearBlock("solo", np.array([[-3.0]]), np.ones((1, 0)), ["x"], [])
         )
         assembler = SystemAssembler(netlist)
-        reduced = assembler.reduce(0.0, np.array([2.0]))
+        reduced = linearise_and_eliminate(assembler, np.array([2.0]))
         lin = assembler.assemble(0.0, np.array([1.0]), np.zeros(0))
         assert not np.shares_memory(reduced.a_reduced, lin.jxx)
         assert not np.shares_memory(reduced.b_reduced, lin.ex)
