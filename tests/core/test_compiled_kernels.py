@@ -226,6 +226,11 @@ PROFILES = {
     "adaptive_interval_4": lambda s: replace(
         _settings_for(s), relinearise_interval=4
     ),
+    # a long hold ends only at its budget or a control write, so bursts
+    # run the whole eight-step window
+    "adaptive_interval_8": lambda s: replace(
+        _settings_for(s), relinearise_interval=8
+    ),
     "fixed_step": lambda s: replace(
         _settings_for(s), fixed_step=1e-4 if hasattr(s, "config") else 5e-5
     ),
