@@ -6,10 +6,12 @@ that workload end to end.  A 16-candidate design grid (ambient frequency x
 excitation amplitude of the supercapacitor-charging scenario) is evaluated
 two ways:
 
-* **serial loop** — ``Study`` with default (exact) options: one
-  candidate at a time, exact every-step relinearisation;
-* **parallel engine** — ``RunOptions.fast(n_workers=4)``: 4 worker
-  processes and the amortised-relinearisation profile
+* **serial loop** — ``RunOptions(lane_width=1)``, exact options: one
+  candidate at a time on the scalar path, exact every-step
+  relinearisation;
+* **parallel engine** — ``RunOptions.fast(n_workers=4, lane_width=1)``:
+  4 worker processes, each evaluating one candidate at a time on the
+  scalar path, and the amortised-relinearisation profile
   (``relinearise_interval=4``).
 
 Pass criteria (asserted):
@@ -20,16 +22,16 @@ Pass criteria (asserted):
   each linearisation over up to 4 explicit steps; measured deviations on
   this grid are typically below 7 %) and the best candidate is the same.
 
-A second comparison measures the **batched lane-parallel backend**
-(``backend="batched"``): a 64-candidate same-topology grid marched as
-lanes of stacked ``(B, n, n)`` arrays (one linearise/eliminate/march
-NumPy sweep per step for a whole lane block, composed with the same 4
-worker processes).  Asserted: at least 3x wall-clock over the 4-worker
-process engine and every score exactly equal to the engine's (each lane
-is bitwise its scalar run).  It is recorded in ``BENCH_sweep.json`` as
-its own ``batched`` sub-object, with its own grid size, worker counts and
-engine time, so one file tracks all three execution paths — serial /
-engine / batched.
+A second comparison measures **lane packing**, the default sweep
+dispatch: a 64-candidate same-topology grid marched as lanes of stacked
+``(B, n, n)`` arrays (one linearise/eliminate/march NumPy sweep per step
+for a whole lane block, composed with the same 4 worker processes)
+against the same 4 workers at ``lane_width=1``.  Asserted: at least 3x
+wall-clock over the ``lane_width=1`` engine and every score exactly equal
+to its (each lane is bitwise its scalar run).  It is recorded in
+``BENCH_sweep.json`` as its own ``batched`` sub-object, with its own grid
+size, worker counts and engine time, so one file tracks all three
+execution paths — serial / engine / lanes.
 
 On a single-core host the speed-up comes from the amortised profile and
 the lane vectorisation; on a multi-core host process parallelism
@@ -64,7 +66,7 @@ JSON_PATH = Path("BENCH_sweep.json")
 SCORE_TOLERANCE_REL = 0.10
 #: required wall-clock advantage of the engine over the serial loop
 MIN_SPEEDUP = 2.0
-#: required wall-clock advantage of the batched backend over the engine
+#: required wall-clock advantage of lane packing over the lane_width=1 engine
 MIN_BATCH_SPEEDUP = 3.0
 
 WORKERS = 4
@@ -76,7 +78,7 @@ FULL_GRID = {
 }
 FULL_DURATION_S = 0.2
 
-#: 64-candidate same-topology grid for the batched-backend comparison
+#: 64-candidate same-topology grid for the lane-packing comparison
 BATCH_GRID = {
     "excitation_frequency_hz": [64.0, 66.0, 68.0, 69.0, 70.0, 72.0, 74.0, 75.0],
     "excitation_amplitude_ms2": [0.3, 0.4, 0.45, 0.5, 0.55, 0.59, 0.65, 0.75],
@@ -125,21 +127,24 @@ def _write_json(record, *, section=None):
     JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
+def scalar_path_engine():
+    """The fast profile on ``WORKERS`` workers, one candidate per block."""
+    return RunOptions.fast(
+        relinearise_interval=RELINEARISE_INTERVAL, n_workers=WORKERS, lane_width=1
+    )
+
+
 def run_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
     """Run serial vs engine, return (report_text, speedup, max_deviation)."""
     study = build_study(grid, duration_s)
     n_candidates = grid_size(grid)
 
     t0 = time.perf_counter()
-    serial = study.run()
+    serial = study.options(RunOptions(lane_width=1)).run()
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    engine = study.options(
-        RunOptions.fast(
-            relinearise_interval=RELINEARISE_INTERVAL, n_workers=WORKERS
-        )
-    ).run()
+    engine = study.options(scalar_path_engine()).run()
     t_engine = time.perf_counter() - t0
 
     speedup = t_serial / t_engine
@@ -202,7 +207,7 @@ def run_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
 
 
 def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False):
-    """Batched lane-parallel backend vs the 4-worker process engine.
+    """Lane blocks vs the 4-worker ``lane_width=1`` engine.
 
     Returns ``(report_text, speedup)``; both paths run the same
     amortised-relinearisation profile, so the comparison isolates the lane
@@ -216,11 +221,7 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
     batched_workers = 1 if quick else WORKERS
 
     t0 = time.perf_counter()
-    engine = study.options(
-        RunOptions.fast(
-            relinearise_interval=RELINEARISE_INTERVAL, n_workers=WORKERS
-        )
-    ).run()
+    engine = study.options(scalar_path_engine()).run()
     t_engine = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -243,12 +244,13 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
     speedup = t_engine / t_batched
     rows = [
         [
-            f"process engine ({WORKERS} workers, hold {RELINEARISE_INTERVAL})",
+            f"engine ({WORKERS} workers, lane_width=1, hold "
+            f"{RELINEARISE_INTERVAL})",
             f"{t_engine:.2f}",
             "1.00",
         ],
         [
-            f"batched backend ({batched_workers} worker(s), lane blocks)",
+            f"lane blocks ({batched_workers} worker(s))",
             f"{t_batched:.2f}",
             f"{speedup:.2f}",
         ],
@@ -257,7 +259,7 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
         ["path", "wall [s]", "speedup"],
         rows,
         title=(
-            f"batched lane-parallel backend — {n_candidates}-candidate "
+            f"lane packing — {n_candidates}-candidate "
             f"same-topology grid, {duration_s:g} s simulated per candidate"
         ),
     )
@@ -266,7 +268,7 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
     for fast, ref in zip(batched.points, engine.points):
         assert fast.parameters == ref.parameters
         assert fast.score == ref.score, (
-            f"batched score {fast.score!r} differs from the process engine's "
+            f"batched score {fast.score!r} differs from the lane_width=1 engine's "
             f"{ref.score!r} at {dict(ref.parameters)}"
         )
     max_deviation = max(
@@ -281,9 +283,9 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
             "engine_workers": WORKERS,
             "batched_workers": batched_workers,
             "relinearise_interval": RELINEARISE_INTERVAL,
-            "t_process_engine_s": t_engine,
+            "t_scalar_path_engine_s": t_engine,
             "t_batched_s": t_batched,
-            "speedup_vs_process_engine": speedup,
+            "speedup_vs_scalar_path_engine": speedup,
             "max_rel_score_deviation": max_deviation,
         },
         section="batched",
@@ -291,7 +293,7 @@ def run_batched_comparison(grid, duration_s, *, assert_speedup=True, quick=False
     if assert_speedup:
         assert speedup >= MIN_BATCH_SPEEDUP, (
             f"batched speedup {speedup:.2f}x below the required "
-            f"{MIN_BATCH_SPEEDUP}x over the process engine"
+            f"{MIN_BATCH_SPEEDUP}x over the lane_width=1 engine"
         )
     return report, speedup
 
@@ -301,7 +303,7 @@ def test_sweep_engine_scaling(report_writer):
     report_writer("sweep_scaling", report)
 
 
-def test_batched_backend_scaling(report_writer):
+def test_lane_packing_scaling(report_writer):
     report, speedup = run_batched_comparison(BATCH_GRID, BATCH_DURATION_S)
     report_writer("batch_scaling", report)
 
@@ -331,7 +333,7 @@ def main() -> None:
     print()
     print(batch_report)
     print(
-        f"\nbatched speedup {batch_speedup:.2f}x over the process engine, "
+        f"\nlane speedup {batch_speedup:.2f}x over the lane_width=1 engine, "
         "every score identical"
     )
     print(f"written: {JSON_PATH}")

@@ -14,10 +14,9 @@ linearised state-space solver.
 The final sections scale the loop up: a 2-D design grid evaluated by
 worker processes (live best-so-far progress, resumable checkpoint file,
 amortised-relinearisation fast profile via ``RunOptions.fast()``), then
-the same grid on the **batched lane-parallel backend**
-(``RunOptions.batched()``), which marches all same-topology candidates as
-lanes of stacked arrays — the fastest way to burn through a design
-grid.
+the same grid on one worker, where every same-topology candidate marches
+as a lane of one block of stacked arrays — the fastest way to burn
+through a design grid.
 
 Run with::
 
@@ -112,12 +111,11 @@ def parallel_design_grid() -> None:
 
 
 def batched_design_grid(smoke: bool = False) -> None:
-    """The same design grid on the batched lane-parallel backend.
+    """The same design grid marched as lanes of one block.
 
-    All candidates share the charging topology and carry no digital
-    events, so ``RunOptions.batched()`` marches them as lanes of stacked
-    ``(B, n, n)`` arrays — one linearise/eliminate/march NumPy sweep per
-    step for the whole grid.  Every lane keeps its own clock and step, so
+    All candidates share the charging topology, so a default one-worker
+    sweep marches them as lanes of stacked ``(B, n, n)`` arrays — one
+    linearise/eliminate/march NumPy sweep per step for the whole grid.  Every lane keeps its own clock and step, so
     each lane is bitwise its serial run, adaptive or fixed-step.
     """
     if smoke:
@@ -134,18 +132,18 @@ def batched_design_grid(smoke: bool = False) -> None:
         scenario = charging_scenario(duration_s=0.2)
     result = (
         Study.scenario(scenario)
-        .options(RunOptions.batched())
         .sweep(grid, metric=average_power_metric, metric_name="average_power_W")
         .run()
     )
     print(result.format())
     info = result.engine_info
     print(
-        f"\nbatched backend: {info.n_batched_candidates}/{info.n_candidates} "
+        f"\nlane sweep: {info.n_batched_candidates}/{info.n_candidates} "
         f"candidates marched batched in {info.n_lane_blocks} lane block(s), "
         f"{info.n_batch_fallbacks} scalar fallback(s)\n"
     )
-    assert info.backend == "batched" and info.n_batched_candidates >= 1
+    assert info.n_batched_candidates == info.n_candidates
+    assert info.n_lane_blocks == 1 and info.n_batch_fallbacks == 0
 
 
 def main() -> None:

@@ -8,9 +8,9 @@ axis**: the ``generator`` axis values below are whole
 :class:`~repro.core.spec.BlockSpec` objects (electromagnetic /
 piezoelectric / electrostatic, each tuned to the ambient frequency), so
 every grid point is a different *circuit*, not just a different
-coefficient.  Every candidate builds its own circuit; on the batched
-backend the spec's structural hash groups the candidates into one lane
-block per distinct topology.
+coefficient.  Every candidate builds its own circuit; the sweep engine
+groups the candidates by the spec's structural hash into one lane block
+per distinct topology.
 
 Documented result (full grid: 9 candidates, 0.25 s each, 70 Hz ambient):
 the **electromagnetic** paper device wins at the highest excitation

@@ -32,10 +32,10 @@ Quick start::
     print(run["storage_voltage"].final())
     print(run.summary())
 
-    # a design grid on the batched lane-parallel backend
+    # a design grid, marched as lanes of at most 16 candidates
     result = (
         Study.scenario(charging_scenario(duration_s=0.2))
-        .options(RunOptions.batched(lane_width=16))
+        .options(RunOptions(lane_width=16))
         .sweep({"excitation_frequency_hz": [66.0, 70.0, 74.0]})
         .run()
     )

@@ -14,23 +14,23 @@ workload.  This module turns the serial loop of
   computes its own :class:`~repro.core.elimination.AssemblyStructure`
   (tens of microseconds), so nothing structural is shared between
   candidates or cached per worker;
-* offers a **batched lane-parallel backend** (``backend="batched"``):
-  candidates are grouped by ``topology_key()`` (for spec-backed scenarios
-  the spec's structural hash, so grids that *vary the topology itself*
-  form one lane block per distinct topology) and marched as lanes of the
+* dispatches **lane blocks**, its one unit of work: candidates are
+  grouped by ``topology_key()`` (for spec-backed scenarios the spec's
+  structural hash, so grids that *vary the topology itself* form one
+  lane block per distinct topology) and marched as lanes of the
   :class:`~repro.core.batch.BatchedSolver` — stacked ``(B, n, n)``
   linearise/eliminate/march, one NumPy sweep per step for a whole lane
   block, composing multiplicatively with worker processes (each worker
   marches one block).  Every lane runs on its own clock, with its own
-  digital events, and is bitwise its scalar run, so both backends score
-  every candidate identically and share one cache.  Single-candidate
-  blocks and lanes the batched march retires take the scalar path (each
-  such decision is logged at DEBUG on ``repro.engine``);
+  digital events, and is bitwise its scalar run, so lane packing never
+  changes a score or a cache key.  Blocks of one candidate
+  (``lane_width=1``) and lanes the batched march retires take the scalar
+  path (each such decision is logged at DEBUG on ``repro.engine``);
 * **checkpoints** every finished candidate through
   :mod:`repro.io.csvio`, so an interrupted sweep resumes from the last
   completed candidate (``checkpoint_path=``); the checkpoint header
   carries a grid/config hash (parameter values, solver profile,
-  base-scenario fingerprint), so a checkpoint resumes on either backend
+  base-scenario fingerprint), so a checkpoint resumes at any lane width
   while resuming against a *changed* sweep raises instead of stitching
   stale scores into the wrong candidates;
 * reports **progress and the best candidate so far** through a callback
@@ -95,6 +95,13 @@ logger = logging.getLogger("repro.engine")
 
 _CHECKPOINT_FIELDS = ("index", "score", "cpu_time_s", "exact_rerun")
 
+#: widest lane block the default plan forms: a block's stacked arrays grow
+#: with its width, so a 1-worker sweep of a large grid is split rather than
+#: marched as one block (256 0.2 s charging candidates on a 2-CPU host:
+#: 117 MB peak RSS and 3.0 s as one block, 58 MB and 4.5-5.0 s in blocks
+#: of 64)
+DEFAULT_MAX_LANES = 64
+
 
 @dataclass
 class EngineRunInfo:
@@ -107,14 +114,14 @@ class EngineRunInfo:
     n_exact_reruns: int
     parallel: bool
     relinearise_interval: Optional[int]
-    backend: str = "process"
     #: candidates served from the content-addressed result cache
     n_cache_hits: int = 0
     #: the engine's cache mode this run ("off" | "read" | "readwrite")
     cache: str = "off"
-    #: lane blocks *planned* for batched marching (before runtime fallbacks)
+    #: lane blocks of two or more candidates *planned* for batched
+    #: marching (before runtime fallbacks)
     n_lane_blocks: int = 0
-    #: candidates that never entered a lane block (singleton blocks)
+    #: candidates planned as lane blocks of one (the scalar path)
     n_batch_fallbacks: int = 0
     #: candidates whose score actually came out of a batched march this run
     #: (runtime truth: retired lanes, re-run on the exact scalar path, are
@@ -311,10 +318,10 @@ class SweepEngine:
     """Executes the candidates of a :class:`ParameterSweep` at scale.
 
     Built from one :class:`~repro.api.options.RunOptions`, which declares
-    and validates every knob the engine reads (workers, backend, lane
-    width, march kernel, solver profile, checkpointing, progress and
-    cache); ``Study.sweep(...).run()`` constructs it through the
-    :mod:`repro.api` planner.
+    and validates every knob the engine reads (workers, lane width,
+    solver profile, checkpointing, progress and cache);
+    ``Study.sweep(...).run()`` constructs it through the :mod:`repro.api`
+    planner.
     """
 
     def __init__(self, options: "RunOptions") -> None:
@@ -480,8 +487,7 @@ class SweepEngine:
             kernel_time_s += sum(o.kernel_time_s for o in outcomes.values())
             refresh_time_s += sum(o.refresh_time_s for o in outcomes.values())
             n_lane_blocks += sum(1 for block in blocks if len(block) > 1)
-            if self.options.backend == "batched":
-                n_batch_fallbacks += sum(1 for block in blocks if len(block) == 1)
+            n_batch_fallbacks += sum(1 for block in blocks if len(block) == 1)
             done_before += len(outcomes)
             offset += len(tasks)
             round_index += 1
@@ -501,7 +507,6 @@ class SweepEngine:
             n_exact_reruns=n_exact_reruns,
             parallel=any_parallel,
             relinearise_interval=self.options.relinearise_interval,
-            backend=self.options.backend,
             n_lane_blocks=n_lane_blocks,
             n_batch_fallbacks=n_batch_fallbacks,
             n_batched_candidates=n_batched,
@@ -612,12 +617,8 @@ class SweepEngine:
 
         # one work unit is a lane block: several same-topology candidates
         # marched as lanes of the batched solver, or a single candidate
-        # evaluated on the scalar path (always the case for the process
-        # backend)
-        if self.options.backend == "batched":
-            blocks = self._plan_lane_blocks(pending)
-        else:
-            blocks = [[task] for task in pending]
+        # evaluated on the scalar path
+        blocks = self._plan_lane_blocks(pending)
 
         parallel = self.n_workers > 1 and len(blocks) > 1
         if parallel and not self._parallelisable(pending):
@@ -637,12 +638,13 @@ class SweepEngine:
         return pending, parallel, blocks
 
     def _plan_lane_blocks(self, pending: Sequence[_Task]) -> List[List[_Task]]:
-        """Partition pending candidates into lane blocks for the batched backend.
+        """Partition pending candidates into lane blocks.
 
         Candidates are grouped by topology fingerprint (lanes must share an
         assembly structure).  ``lane_width`` caps the lanes per block; by
         default each worker gets one block per topology, so batching
-        composes with process parallelism.
+        composes with process parallelism, and no block is wider than
+        :data:`DEFAULT_MAX_LANES` (peak memory grows with the block).
         """
         groups: Dict[tuple, List[_Task]] = {}
         for task in pending:
@@ -651,12 +653,9 @@ class SweepEngine:
         for group in groups.values():
             width = self.options.lane_width
             if width is None:
-                width = (
-                    math.ceil(len(group) / self.n_workers)
-                    if self.n_workers > 1
-                    else len(group)
+                width = min(
+                    math.ceil(len(group) / self.n_workers), DEFAULT_MAX_LANES
                 )
-            width = max(1, width)
             for start in range(0, len(group), width):
                 blocks.append(group[start : start + width])
         # deterministic dispatch order regardless of grouping
@@ -669,9 +668,9 @@ class SweepEngine:
         # integrator, settings — shared with the cache keys) and the base
         # scenario's identity, so a checkpoint cannot silently map stale
         # scores onto a reshaped grid, a different-accuracy profile or a
-        # different base configuration.  The backend is left out: every
+        # different base configuration.  Lane packing is left out: every
         # batched lane is bitwise its scalar run, so a checkpoint resumes
-        # on either backend, as cache entries are shared
+        # at any lane width, as cache entries are shared
         import json as _json
 
         scenario = sweep.scenario
@@ -831,8 +830,8 @@ class SweepEngine:
         # fork (where available) shares the parent's loaded modules and
         # caches — worker start-up is milliseconds instead of a fresh
         # interpreter + numpy import per worker.  Each worker evaluates one
-        # lane block at a time: a single scalar candidate (process backend)
-        # or a whole batched march (batched backend).
+        # lane block at a time: a single scalar candidate or a whole
+        # batched march.
         context = None
         if "fork" in mp.get_all_start_methods():
             context = mp.get_context("fork")

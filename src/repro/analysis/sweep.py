@@ -24,7 +24,7 @@ address the :class:`~repro.core.spec.SystemSpec` — dotted names
 tone, and an axis whose *values* are :class:`~repro.core.spec.BlockSpec`
 objects swaps whole blocks, i.e. sweeps the *topology* itself (use
 :func:`repro.harvester.topologies.generator_variants` for ready-made
-generator alternatives).  The batched backend forms one lane block per
+generator alternatives).  The sweep engine forms one lane block per
 distinct topology, keyed by the spec's structural hash.
 """
 

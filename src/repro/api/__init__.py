@@ -2,14 +2,13 @@
 
 This package is the canonical entry layer of the simulator — every
 caller (examples, benchmarks, future service endpoints) routes through
-it, and new backends or scenario families land here instead of growing
-another free-function entry point:
+it, and new scenario families land here instead of growing another
+free-function entry point:
 
 * :class:`RunOptions` — every execution knob (integrator, solver
-  settings, relinearisation profile, backend, lane width, march kernel,
-  workers, checkpointing, progress, cache, exploration) in one
-  validated dataclass, with named profiles ``exact()`` / ``fast()`` /
-  ``batched()``;
+  settings, relinearisation profile, lane width, workers, checkpointing,
+  progress, cache, exploration) in one validated dataclass, with named
+  profiles ``exact()`` / ``fast()`` / ``batched()``;
 * :class:`Study` — the fluent driver:
   ``Study.scenario(...).options(...).sweep(...).run()`` dispatches single
   runs, multi-solver comparisons and sweeps through one execution
@@ -28,7 +27,7 @@ runs, comparisons and sweeps, and the sweep engine is built from one
 validated :class:`RunOptions`.
 """
 
-from .options import BACKENDS, CACHE_MODES, RunOptions, execution_fingerprint
+from .options import CACHE_MODES, RunOptions, execution_fingerprint
 from .planner import SOLVERS, ExecutionPlan
 from .results import ComparisonResult, ExplorationResult, RunHandle, StudyResult
 from .study import Study
@@ -45,7 +44,6 @@ __all__ = [
     "ExperimentSpec",
     "SweepAxis",
     "SweepSpec",
-    "BACKENDS",
     "SOLVERS",
     "CACHE_MODES",
     "execution_fingerprint",

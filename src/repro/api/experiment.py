@@ -511,7 +511,7 @@ class ExperimentSpec:
         Covers exactly what determines the *results*: the fully resolved
         scenario, the execution fingerprint
         (:meth:`RunOptions.fingerprint` — integrator, settings,
-        relinearisation profile, backend), the solver dispatch and the
+        relinearisation profile, seed), the solver dispatch and the
         sweep definition.  Deliberately excluded: scheduling and
         bookkeeping knobs (worker count, lane width, checkpoint path,
         cache mode, experiment name/description) that cannot change a

@@ -25,15 +25,11 @@ from ..core.solver import SolverSettings
 
 __all__ = [
     "RunOptions",
-    "BACKENDS",
     "CACHE_MODES",
     "COMPILED_MODES",
     "FINGERPRINT_EXEMPT",
     "execution_fingerprint",
 ]
-
-#: execution backends understood by the dispatch planner
-BACKENDS = ("process", "batched")
 
 #: result-cache modes: ``"off"`` never touches the store, ``"read"`` serves
 #: hits but never writes, ``"readwrite"`` serves hits and records misses
@@ -57,12 +53,11 @@ def execution_fingerprint(
     derived from it, so a checkpoint resume and a cache hit agree on what
     "the same execution" means.  Deliberately excluded: knobs that change
     *how fast* or *where* candidates run but not their scores
-    (``backend``, ``n_workers``, ``lane_width``,
-    checkpointing, progress, cache mode) — every batched lane is bitwise
-    its scalar run, so both backends share one cache.  ``seed`` *is*
-    included: a seeded exploration samples a different candidate set per
-    seed, so its results must never collide with another seed's in the
-    cache.
+    (``n_workers``, ``lane_width``, checkpointing, progress, cache
+    mode) — every batched lane is bitwise its scalar run, so lane
+    packing never moves a key.  ``seed`` *is* included: a seeded
+    exploration samples a different candidate set per seed, so its
+    results must never collide with another seed's in the cache.
     """
     if integrator is None:
         integrator_form = None
@@ -77,9 +72,9 @@ def execution_fingerprint(
         "relinearise_interval": (
             None if relinearise_interval is None else int(relinearise_interval)
         ),
-        # constants: the process backend's values (and the retired
-        # march-kernel mode's default), so every existing process cache
-        # key and checkpoint digest stays unchanged
+        # constants: the values of the retired backend choice and
+        # march-kernel mode, so every existing cache key and checkpoint
+        # digest stays unchanged
         "backend": "process",
         "seed": None if seed is None else int(seed),
         "compiled": "off",
@@ -96,12 +91,11 @@ def execution_fingerprint(
 #: and sweeps each listed knob at two values, asserting bitwise-equal
 #: scores.
 FINGERPRINT_EXEMPT = {
-    "backend": "every batched lane is bitwise its scalar run, so the "
-    "process and batched backends score every candidate identically",
     "lane_width": "lane packing changes batching granularity only; lanes "
-    "are independent runs, so a score never depends on its lane-mates",
-    "n_workers": "worker count only changes scheduling; process and "
-    "batched sweeps score identically at any count",
+    "are independent runs, so a score never depends on its lane-mates "
+    "(a lane block of one is the scalar run itself)",
+    "n_workers": "worker count only changes scheduling; sweeps score "
+    "identically at any count",
     "checkpoint_path": "where a checkpoint is written never affects what is "
     "computed; the checkpoint's own config hash derives from the fingerprint",
     "progress": "a reporting callback observes the run and cannot feed back "
@@ -143,15 +137,13 @@ class RunOptions:
         trips the stability guard re-runs exact, recorded as
         ``metadata["exact_rerun"]``.  Given together with ``settings``,
         their own ``relinearise_interval`` must be 1 or this same value.
-    backend:
-        Sweep execution backend: ``"process"`` evaluates one candidate per
-        task, ``"batched"`` marches same-topology candidates (digital
-        events included) as lanes of stacked arrays
-        (:class:`~repro.core.batch.BatchedSolver`), each lane bitwise its
-        scalar run.
     lane_width:
-        Maximum lanes per batched block (``backend="batched"`` only —
-        combining it with the process backend raises).
+        Maximum lanes per sweep lane block.  A sweep marches
+        same-topology candidates (digital events included) as lanes of
+        stacked arrays (:class:`~repro.core.batch.BatchedSolver`), each
+        lane bitwise its scalar run; ``1`` evaluates every candidate alone
+        on the scalar path.  ``None`` splits each topology evenly over
+        the workers, at most 64 lanes per block.
     n_workers:
         Worker processes for sweep execution (or comparison legs).  ``1``
         evaluates inline; ``None`` uses ``os.cpu_count()``.
@@ -165,9 +157,8 @@ class RunOptions:
         sweep points from the content-addressed store but never writes;
         ``"readwrite"`` additionally records misses.  Cache keys cover the
         experiment content hash plus a code-version salt, so results never
-        survive a version bump.  Both backends share one cache: a
-        batched sweep is served the process backend's entries and vice
-        versa.
+        survive a version bump.  Lane packing is not part of a key: a
+        sweep at any ``lane_width`` is served every other width's entries.
     cache_dir:
         Root directory of the result store.  ``None`` uses the
         ``REPRO_CACHE_DIR`` environment variable, falling back to
@@ -198,7 +189,6 @@ class RunOptions:
     integrator: Optional[ExplicitIntegrator] = None
     settings: Optional[SolverSettings] = None
     relinearise_interval: Optional[int] = None
-    backend: str = "process"
     lane_width: Optional[int] = None
     n_workers: Optional[int] = 1
     checkpoint_path: Optional[str] = None
@@ -239,37 +229,25 @@ class RunOptions:
     def batched(
         cls, lane_width: Optional[int] = None, compiled: str = "off", **overrides
     ) -> "RunOptions":
-        """Batched lane-parallel sweep profile (``backend="batched"``).
+        """Lane-parallel sweep profile: ``RunOptions(lane_width=...)``.
 
-        Same-topology candidates march as lanes of stacked ``(B, n, n)``
-        arrays, each lane on its own clock, with its own digital events,
-        and bitwise its scalar run; composes with ``n_workers`` (each worker
-        marches one lane block).  ``compiled`` names a march-kernel mode
+        Every sweep marches same-topology candidates as lanes of stacked
+        ``(B, n, n)`` arrays, each lane on its own clock, with its own
+        digital events, and bitwise its scalar run; this constructor only
+        names the lane width.  ``compiled`` names a march-kernel mode
         (:data:`COMPILED_MODES`); it is validated and dropped, since every
         mode runs the one NumPy kernel.
         """
         resolve_compiled(compiled)
-        return cls(backend="batched", lane_width=lane_width, **overrides)
+        return cls(lane_width=lane_width, **overrides)
 
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
         """Reject out-of-range values and incoherent option pairs."""
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        if self.lane_width is not None:
-            if self.lane_width < 1:
-                raise ConfigurationError("lane_width must be at least 1")
-            if self.backend != "batched":
-                raise ConfigurationError(
-                    f"incoherent options: lane_width={self.lane_width} with "
-                    f"backend={self.backend!r} — lane widths only apply to "
-                    "the batched backend; drop lane_width or use "
-                    "RunOptions.batched()"
-                )
+        if self.lane_width is not None and self.lane_width < 1:
+            raise ConfigurationError("lane_width must be at least 1")
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be at least 1")
         if self.relinearise_interval is not None:
@@ -365,12 +343,6 @@ class RunOptions:
                     "run — this knob only applies to sweeps; drop it or "
                     "add .sweep(...) to the study"
                 )
-        if self.backend != "process":
-            raise ConfigurationError(
-                f"incoherent options: backend={self.backend!r} with a "
-                "single run — backends select how sweep candidates are "
-                "executed; a single scenario always runs the scalar solver"
-            )
         if self.n_workers not in (None, 1):
             raise ConfigurationError(
                 f"incoherent options: n_workers={self.n_workers} with a "
@@ -396,12 +368,6 @@ class RunOptions:
                     "comparison — this knob only applies to sweeps; drop "
                     "it or add .sweep(...) to the study"
                 )
-        if self.backend != "process":
-            raise ConfigurationError(
-                f"incoherent options: backend={self.backend!r} with a "
-                "comparison — backends select how sweep candidates are "
-                "executed; comparison legs always run the scalar solver"
-            )
         self._reject_explore_knobs("a comparison")
 
     def _reject_explore_knobs(self, context: str) -> None:

@@ -1,8 +1,8 @@
 """The execution planner: one dispatch layer over every way to simulate.
 
 Everything the facade runs — single runs on any solver, multi-solver
-comparisons, parameter/topology sweeps on the scalar, process-parallel or
-batched backends — goes through the same two steps:
+comparisons, parameter/topology sweeps as lane blocks over worker
+processes — goes through the same two steps:
 
 1. :func:`plan` folds a :class:`~repro.api.study.Study` into an
    :class:`ExecutionPlan`: a frozen, inspectable description of *what*
@@ -100,12 +100,12 @@ class ExecutionPlan:
             return (
                 f"exploration of {name!r} over {axes} with "
                 f"{self.options.explore!r} ({rounds}; "
-                f"backend={self.options.backend!r}, "
+                f"lane_width={self.options.lane_width!r}, "
                 f"n_workers={self.options.n_workers})"
             )
         return (
             f"sweep of {name!r} over {axes} "
-            f"(backend={self.options.backend!r}, "
+            f"(lane_width={self.options.lane_width!r}, "
             f"n_workers={self.options.n_workers})"
         )
 

@@ -170,7 +170,6 @@ class StudyResult:
         }
         if info is not None:
             summary.update(
-                backend=info.backend,
                 n_workers=info.n_workers,
                 n_evaluated=info.n_evaluated,
                 n_resumed=info.n_resumed,

@@ -11,10 +11,10 @@ step returns a new study, so partial studies can be shared and forked::
     run = Study.scenario(scenario_1(duration_s=2.0)).run()
     print(run["storage_voltage"].final())
 
-    # a design grid on the batched lane-parallel backend
+    # a design grid, marched as lanes of at most 16 candidates
     result = (
         Study.scenario(charging_scenario(duration_s=0.2))
-        .options(RunOptions.batched(lane_width=16))
+        .options(RunOptions(lane_width=16))
         .sweep({"excitation_frequency_hz": [66.0, 70.0, 74.0]})
         .run()
     )
@@ -305,4 +305,4 @@ class Study:
             "compare" if self._compare_solvers else f"single[{self._solver}]"
         )
         name = getattr(self._scenario, "name", "<scenario>")
-        return f"Study({name!r}, {kind}, backend={self._options.backend!r})"
+        return f"Study({name!r}, {kind})"

@@ -18,7 +18,7 @@ uses, so a CLI run is byte-identical to the equivalent fluent study::
     repro cache gc --days 30
     repro cache clear --yes
 
-``--cache``/``--cache-dir``/``--backend`` override the experiment's own
+``--cache``/``--cache-dir`` override the experiment's own
 options; ``--json`` switches the report to machine-readable JSON on
 stdout (the CI smoke job diffs two such reports to prove the warm rerun
 serves the identical result from the cache).
@@ -36,7 +36,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from .api import BACKENDS, ExperimentSpec, Study
+from .api import ExperimentSpec, Study
 from .api.results import (
     ComparisonResult,
     ExplorationResult,
@@ -72,12 +72,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="override the experiment's sweep backend",
-    )
-    parser.add_argument(
         "--no-traces",
         action="store_true",
         help="do not store waveform traces in cached single-run entries",
@@ -104,8 +98,6 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         overrides["cache_dir"] = args.cache_dir
         if spec.options.cache == "off" and args.cache is None:
             overrides["cache"] = "readwrite"
-    if args.backend is not None:
-        overrides["backend"] = args.backend
     if args.no_traces:
         overrides["store_traces"] = False
     if overrides:

@@ -1,8 +1,8 @@
 """Pluggable exploration layer: candidate generation as a strategy.
 
-This package is the search-axis counterpart of the execution-backend seam
-in :mod:`repro.api.planner`: where the planner decides *how* candidates
-run (scalar / process / batched), an :class:`ExplorationStrategy` decides
+This package is the search-axis counterpart of the execution seam in
+:mod:`repro.api.planner`: where the planner decides *how* candidates
+run (lane blocks over worker processes), an :class:`ExplorationStrategy` decides
 *which* candidates run, round by round.  The sweep engine drives any
 strategy through the protocol in :mod:`repro.explore.base`
 (``propose(round) -> proposals``, ``observe(scores)``, ``done()``), and

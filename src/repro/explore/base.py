@@ -7,8 +7,9 @@ simulation budget one way: the dense cartesian grid hard-wired into
 :class:`ExplorationStrategy` makes candidate *generation* a first-class,
 pluggable axis, mirroring what :mod:`repro.api.planner` did for candidate
 *execution*: the sweep engine drives any strategy through one round-based
-protocol and every backend (scalar / process / batched), checkpointing and
-the per-candidate result cache compose unchanged.
+protocol and its one lane-packing dispatch (lane blocks over worker
+processes), checkpointing and the per-candidate result cache compose
+unchanged.
 
 The protocol is deliberately tiny:
 

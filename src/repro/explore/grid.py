@@ -4,7 +4,7 @@
 every cartesian grid point at full horizon, in exactly the enumeration
 order the historical ``ParameterSweep.candidates()`` produced — running
 it through the engine's round loop is byte-identical to the legacy dense
-path on every backend.
+path at every lane width and worker count.
 
 :class:`GridExtensionStrategy` (``explore="extend"``) is the same
 enumeration with a different contract: the grid is a *superset* of one

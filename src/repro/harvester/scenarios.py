@@ -352,8 +352,8 @@ def attach_run_metadata(
 ) -> SimulationResult:
     """Scenario name + controller bookkeeping (when the controller keeps any).
 
-    Public because every runner — including the sweep engine's batched
-    backend, which drives solvers directly — stamps results through it.
+    Public because every runner — including the sweep engine's lane
+    blocks, which drive solvers directly — stamps results through it.
     """
     result.metadata["scenario"] = scenario.name
     controller = getattr(harvester, "controller", None)

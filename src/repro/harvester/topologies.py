@@ -18,7 +18,7 @@ Three public layers:
   and the :class:`~repro.analysis.engine.SweepEngine` accept either;
 * :func:`generator_variants` — interchangeable generator
   :class:`~repro.core.spec.BlockSpec` values for a *topology axis* in a
-  sweep grid (the batched backend forms one lane block per distinct
+  sweep grid (the sweep engine forms one lane block per distinct
   topology via the spec hash).
 """
 

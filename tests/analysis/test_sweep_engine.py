@@ -26,9 +26,9 @@ def make_sweep(duration_s=0.05, frequencies=(68.0, 70.0), amplitudes=(0.4, 0.59)
 
 
 class TestOneBuildPerCandidate:
-    @pytest.mark.parametrize("options", [RunOptions(), RunOptions.batched()])
+    @pytest.mark.parametrize("options", [RunOptions(lane_width=1), RunOptions()])
     def test_fresh_sweep_builds_each_candidate_once(self, monkeypatch, options):
-        """No throwaway build: four candidates, four harvesters, either backend."""
+        """No throwaway build: four candidates, four harvesters, any width."""
         builds = []
         build = Scenario.build_harvester
 

@@ -82,7 +82,6 @@ EXPECTED_RUN_OPTIONS_FIELDS = (
     "integrator",
     "settings",
     "relinearise_interval",
-    "backend",
     "lane_width",
     "n_workers",
     "checkpoint_path",
@@ -103,7 +102,7 @@ def test_top_level_all_is_pinned():
 def test_run_options_fields_are_pinned():
     fields = tuple(field.name for field in dataclasses.fields(repro.RunOptions))
     assert fields == EXPECTED_RUN_OPTIONS_FIELDS
-    assert len(fields) == 14
+    assert len(fields) == 13
 
 
 #: the solver's settable values: none of them is honoured by only one of
@@ -170,7 +169,6 @@ def test_api_package_surface():
         "ExperimentSpec",
         "SweepAxis",
         "SweepSpec",
-        "BACKENDS",
         "SOLVERS",
         "CACHE_MODES",
         "execution_fingerprint",

@@ -47,20 +47,25 @@ def run_sweep(options, scenario=None):
 #: the store they write to, so the second run is never served by the
 #: first run's cache entries)
 CASES = {
-    "backend": lambda tmp: (RunOptions(), RunOptions.batched()),
-    "backend_scenario_1": lambda tmp: (RunOptions(), RunOptions.batched()),
     "n_workers": lambda tmp: (RunOptions(), RunOptions(n_workers=2)),
-    "n_workers_batched_adaptive": lambda tmp: (
-        RunOptions.batched(),
-        RunOptions.batched(n_workers=2),
+    "n_workers_scalar_path": lambda tmp: (
+        RunOptions(lane_width=1),
+        RunOptions(lane_width=1, n_workers=2),
     ),
     "lane_width": lambda tmp: (
-        RunOptions.batched(lane_width=2, settings=fixed_step_settings()),
-        RunOptions.batched(lane_width=3, settings=fixed_step_settings()),
+        RunOptions(lane_width=2, settings=fixed_step_settings()),
+        RunOptions(lane_width=3, settings=fixed_step_settings()),
     ),
     "lane_width_adaptive": lambda tmp: (
-        RunOptions.batched(lane_width=2),
-        RunOptions.batched(lane_width=3),
+        RunOptions(lane_width=2),
+        RunOptions(lane_width=3),
+    ),
+    # a lane block of one is the scalar run: every candidate alone on the
+    # scalar path against all of them packed as lanes of one block
+    "lane_width_scalar_path": lambda tmp: (RunOptions(lane_width=1), RunOptions()),
+    "lane_width_scalar_path_scenario_1": lambda tmp: (
+        RunOptions(lane_width=1),
+        RunOptions(),
     ),
     "checkpoint_path": lambda tmp: (
         RunOptions(),
@@ -94,14 +99,21 @@ CASES = {
 #: tuning scenario's watchdog, measurement and tuning activations (at
 #: 0 s, 0.2 s and after) ride the batched lanes too
 SCENARIOS = {
-    "backend_scenario_1": lambda: scenario_1(duration_s=0.25, shift_time_s=0.2),
+    "lane_width_scalar_path_scenario_1": lambda: scenario_1(
+        duration_s=0.25, shift_time_s=0.2
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "case",
     sorted(FINGERPRINT_EXEMPT)
-    + ["backend_scenario_1", "lane_width_adaptive", "n_workers_batched_adaptive"],
+    + [
+        "lane_width_adaptive",
+        "lane_width_scalar_path",
+        "lane_width_scalar_path_scenario_1",
+        "n_workers_scalar_path",
+    ],
 )
 def test_exempt_knob_never_changes_a_score(case, tmp_path):
     if case not in CASES:

@@ -5,17 +5,15 @@ import json
 import pytest
 
 from repro import RunOptions
-from repro.api.options import BACKENDS
 from repro.core import AdamsBashforth, SolverSettings
 from repro.core.errors import ConfigurationError
 from repro.core.serialise import encode_value
 
 
 class TestProfiles:
-    def test_default_is_exact_process_serial(self):
+    def test_default_is_exact_serial(self):
         options = RunOptions()
         assert options.relinearise_interval is None
-        assert options.backend == "process"
         assert options.n_workers == 1
         assert options.lane_width is None
 
@@ -26,11 +24,10 @@ class TestProfiles:
         assert RunOptions.fast().relinearise_interval == 4
         assert RunOptions.fast(relinearise_interval=8).relinearise_interval == 8
 
-    def test_batched_profile_sets_backend_and_lane_width(self):
+    def test_batched_profile_only_names_the_lane_width(self):
         options = RunOptions.batched(lane_width=16, n_workers=2)
-        assert options.backend == "batched"
-        assert options.lane_width == 16
-        assert options.n_workers == 2
+        assert options == RunOptions(lane_width=16, n_workers=2)
+        assert RunOptions.batched() == RunOptions()
 
     def test_profiles_accept_common_overrides(self):
         integrator = AdamsBashforth(order=3)
@@ -40,26 +37,19 @@ class TestProfiles:
         assert options.settings is settings
 
     def test_replace_revalidates(self):
-        options = RunOptions.batched(lane_width=4)
+        options = RunOptions(lane_width=4)
         with pytest.raises(ConfigurationError, match="lane_width"):
-            options.replace(backend="process")
+            options.replace(lane_width=0)
 
 
 class TestValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            RunOptions(backend="gpu")
-
-    def test_lane_width_with_process_backend_rejected_naming_pair(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            RunOptions(lane_width=4)
-        message = str(excinfo.value)
-        assert "lane_width=4" in message
-        assert "backend='process'" in message
+    def test_lane_width_needs_no_other_knob(self):
+        assert RunOptions(lane_width=4).lane_width == 4
+        assert RunOptions(lane_width=1, n_workers=2).lane_width == 1
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ConfigurationError, match="lane_width"):
-            RunOptions(backend="batched", lane_width=0)
+            RunOptions(lane_width=0)
         with pytest.raises(ConfigurationError, match="n_workers"):
             RunOptions(n_workers=0)
         with pytest.raises(ConfigurationError, match="relinearise_interval"):
@@ -71,7 +61,7 @@ class TestValidation:
         for options, fragment in [
             (RunOptions(checkpoint_path="x.csv"), "checkpoint_path"),
             (RunOptions(progress=lambda *a: None), "progress"),
-            (RunOptions(backend="batched"), "backend"),
+            (RunOptions(lane_width=2), "lane_width"),
             (RunOptions(n_workers=4), "n_workers"),
         ]:
             with pytest.raises(ConfigurationError, match=fragment):
@@ -84,16 +74,8 @@ class TestValidation:
 
 #: invalid constructions, each with a pattern its error message must match
 INVALID_OPTIONS = {
-    "unknown-backend": (dict(backend="gpu"), "unknown backend 'gpu'"),
-    "removed-queue-backend": (
-        dict(backend="queue"),
-        r"unknown backend 'queue'; choose from \('process', 'batched'\)",
-    ),
-    "zero-lane-width": (
-        dict(backend="batched", lane_width=0),
-        "lane_width must be at least 1",
-    ),
-    "lane-width-on-process": (dict(lane_width=2), "lane_width=2 with backend"),
+    "zero-lane-width": (dict(lane_width=0), "lane_width must be at least 1"),
+    "negative-lane-width": (dict(lane_width=-3), "lane_width must be at least 1"),
     "zero-workers": (dict(n_workers=0), "n_workers must be at least 1"),
     "negative-workers": (dict(n_workers=-2), "n_workers must be at least 1"),
     "zero-relinearise-interval": (
@@ -126,8 +108,7 @@ def test_invalid_options_are_rejected_at_construction(case):
         RunOptions.from_dict(kwargs)
 
 
-def test_options_have_exactly_the_supported_backends():
-    assert BACKENDS == ("process", "batched")
+def test_options_have_no_queue_profile():
     assert not hasattr(RunOptions, "queue")
 
 
@@ -143,8 +124,7 @@ def test_removed_queue_fields_are_not_options(field):
 SWEEP_ONLY_KNOBS = {
     "checkpoint_path": dict(checkpoint_path="sweep.csv"),
     "progress": dict(progress=lambda *args: None),
-    "lane_width": dict(backend="batched", lane_width=2),
-    "backend": dict(backend="batched"),
+    "lane_width": dict(lane_width=2),
     "explore": dict(explore="grid"),
 }
 
@@ -215,6 +195,7 @@ REMOVED_FIELDS = {
     "monitor_lle": SolverSettings,
     "keep_lle_history": SolverSettings,
     "compiled": RunOptions,
+    "backend": RunOptions,
 }
 
 
@@ -235,8 +216,8 @@ def test_removed_fields_are_rejected(name):
 
 def test_process_fingerprint_value_is_pinned():
     # cache keys and checkpoint hashes derive from this dict; a change to
-    # it orphans every existing cache entry.  The batched backend shares
-    # it: its lanes are bitwise their scalar runs
+    # it orphans every existing cache entry.  Lane packing never moves
+    # it: every lane is bitwise its scalar run
     assert RunOptions().fingerprint() == {
         "integrator": None,
         "settings": None,
@@ -245,6 +226,7 @@ def test_process_fingerprint_value_is_pinned():
         "seed": None,
         "compiled": "off",
     }
-    assert RunOptions.batched(lane_width=2).fingerprint() == (
-        RunOptions().fingerprint()
-    )
+    for lane_width in (1, 2):
+        assert RunOptions(lane_width=lane_width).fingerprint() == (
+            RunOptions().fingerprint()
+        )

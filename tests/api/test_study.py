@@ -164,14 +164,14 @@ class TestSweep:
                 GRID, excitation_frequency_hz=[70.0]
             )
 
-    def test_batched_backend_through_options(self):
+    def test_lane_width_through_options(self):
         result = (
             Study.scenario(scenario())
-            .options(RunOptions.batched(lane_width=2))
+            .options(RunOptions(lane_width=2))
             .sweep(GRID)
             .run()
         )
-        assert result.engine_info.backend == "batched"
+        assert result.engine_info.n_lane_blocks == 1
         assert result.engine_info.n_batched_candidates == 2
 
     def test_custom_metric_gets_named(self):
@@ -188,7 +188,8 @@ class TestSweep:
         result = Study.scenario(scenario()).sweep(GRID).run()
         summary = result.summary()
         assert summary["n_candidates"] == 2
-        assert summary["backend"] == "process"
+        assert "backend" not in summary
+        assert summary["n_workers"] == 1
         path = result.export_csv(tmp_path / "ranking.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("rank,")

@@ -2,8 +2,8 @@
 
 The headline contract: enabling the cache never changes results — a
 cache-off run, a cold ``readwrite`` run and a warm all-hits rerun produce
-byte-identical scores and traces, on every backend (serial scalar,
-process workers, batched lanes).  Corruption degrades to a recomputing
+byte-identical scores and traces, at every lane width and worker count
+(scalar-path blocks of one, lanes, worker processes).  Corruption degrades to a recomputing
 miss with a warning; ``read`` mode never writes; a code-version salt
 bump invalidates everything.
 """
@@ -119,25 +119,26 @@ def test_compare_legs_cache_individually(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# sweeps (engine path, all three backends)
+# sweeps (engine path, scalar path, worker processes and lanes)
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "label,options_factory",
     [
-        ("serial", lambda d: RunOptions(cache="readwrite", cache_dir=d)),
         (
-            "process",
+            "scalar_path",
+            lambda d: RunOptions(lane_width=1, cache="readwrite", cache_dir=d),
+        ),
+        (
+            "workers",
             lambda d: RunOptions(n_workers=2, cache="readwrite", cache_dir=d),
         ),
         (
-            "batched",
-            lambda d: RunOptions.batched(
-                lane_width=2, cache="readwrite", cache_dir=d
-            ),
+            "lanes",
+            lambda d: RunOptions(lane_width=2, cache="readwrite", cache_dir=d),
         ),
     ],
 )
-def test_sweep_cache_is_byte_identical_on_every_backend(
+def test_sweep_cache_is_byte_identical_at_every_lane_width(
     tmp_path, label, options_factory
 ):
     cache_dir = str(tmp_path / label)
@@ -171,17 +172,20 @@ def test_sweep_workers_write_the_entries(tmp_path):
     assert stats["n_points"] == len(SWEEP_AXES["excitation_frequency_hz"])
 
 
-def test_process_cold_cache_serves_a_batched_sweep(tmp_path):
-    # every batched lane is bitwise its scalar run, so both backends share
-    # one cache: a process-cold store serves every batched point
+def test_scalar_path_cold_cache_serves_a_lane_sweep(tmp_path):
+    # every batched lane is bitwise its scalar run, so every lane width
+    # shares one cache: a store filled by scalar-path candidates serves
+    # every point of a lane sweep
     cache_dir = str(tmp_path)
-    process = sweep_study(RunOptions(cache="readwrite", cache_dir=cache_dir)).run()
-    batched = sweep_study(
-        RunOptions.batched(lane_width=2, cache="readwrite", cache_dir=cache_dir)
+    scalar = sweep_study(
+        RunOptions(lane_width=1, cache="readwrite", cache_dir=cache_dir)
     ).run()
-    assert batched.engine_info.n_cache_hits == len(batched.points)
-    assert batched.engine_info.n_evaluated == 0
-    assert [p.score for p in batched.points] == [p.score for p in process.points]
+    lanes = sweep_study(
+        RunOptions(lane_width=2, cache="readwrite", cache_dir=cache_dir)
+    ).run()
+    assert lanes.engine_info.n_cache_hits == len(lanes.points)
+    assert lanes.engine_info.n_evaluated == 0
+    assert [p.score for p in lanes.points] == [p.score for p in scalar.points]
 
 
 def test_sweep_cache_and_checkpoint_share_one_fingerprint(tmp_path):

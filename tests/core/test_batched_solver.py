@@ -258,7 +258,7 @@ class TestDigitalEventFaults:
                 == solo.metadata["digital_activations"]
             )
 
-    def test_batched_sweep_raises_like_the_process_backend(self, monkeypatch):
+    def test_lane_sweep_raises_like_the_scalar_path(self, monkeypatch):
         execute = TuningController.execute
 
         def faulty_above_71_hz(self, t, analogue):
@@ -270,10 +270,7 @@ class TestDigitalEventFaults:
         sweep = Study.scenario(scenario_1(duration_s=0.02)).sweep(
             {"excitation_frequency_hz": [69.0, 72.0, 70.0]}
         )
-        for options in (
-            RunOptions(n_workers=1),
-            RunOptions.batched(n_workers=1),
-        ):
+        for options in (RunOptions(lane_width=1), RunOptions()):
             with pytest.raises(RuntimeError, match="controller fault"):
                 sweep.options(options).run()
 

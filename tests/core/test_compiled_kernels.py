@@ -421,14 +421,15 @@ class TestOptionsPlumbing:
         with pytest.raises(TypeError, match="compiled"):
             RunOptions(compiled="auto")
 
-    def test_fingerprint_ignores_backend_and_mode(self):
-        # every batched lane is bitwise its scalar run, so backends and
+    def test_fingerprint_ignores_lane_width_and_mode(self):
+        # every batched lane is bitwise its scalar run, so lane widths and
         # kernel modes share one fingerprint (and one cache)
         from repro.api import RunOptions
 
         default = RunOptions().fingerprint()
         for options in (
-            RunOptions.batched(),
+            RunOptions(lane_width=1),
+            RunOptions.batched(lane_width=1, compiled="auto"),
             RunOptions.batched(compiled="auto"),
         ):
             assert options.fingerprint() == default

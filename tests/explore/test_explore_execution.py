@@ -3,7 +3,7 @@
 The headline contracts of the exploration refactor:
 
 * ``explore="grid"`` is byte-identical to the dense sweep it replaced,
-  on every backend;
+  at every lane width and worker count;
 * grid extension serves every previously swept point from the result
   cache (``n_cache_hits == len(subset grid)``);
 * seeded sampling is deterministic across worker counts and across
@@ -55,9 +55,9 @@ def ranking(result):
 @pytest.mark.parametrize(
     "label,options_factory",
     [
-        ("serial", lambda **kw: RunOptions(**kw)),
-        ("process", lambda **kw: RunOptions(n_workers=2, **kw)),
-        ("batched", lambda **kw: RunOptions.batched(lane_width=2, **kw)),
+        ("scalar_path", lambda **kw: RunOptions(lane_width=1, **kw)),
+        ("workers", lambda **kw: RunOptions(n_workers=2, **kw)),
+        ("lanes", lambda **kw: RunOptions(lane_width=2, **kw)),
     ],
 )
 def test_grid_explore_is_byte_identical_to_the_dense_sweep(
