@@ -241,6 +241,11 @@ class Supercapacitor(AnalogueBlock):
         x = np.asarray(x, dtype=float)
         return float(0.5 * np.sum(c * x * x))
 
+    def stored_energies_j(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`stored_energy_j` of each row of ``xs`` (``(rows, 3)``)."""
+        c = self._branch_capacitances()
+        return 0.5 * np.sum(c * xs * xs, axis=1)
+
     def terminal_voltage(self, x: Sequence[float], ic: float = 0.0) -> float:
         """Terminal voltage implied by the internal state and input current.
 

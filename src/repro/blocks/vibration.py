@@ -129,6 +129,14 @@ class VibrationSource:
         """Instantaneous ambient frequency in Hz at time ``t``."""
         return self._segment_at(t)[1]
 
+    def frequencies(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`frequency` at each of ``times``, in one segment lookup."""
+        starts = np.array([segment[0] for segment in self._segments])
+        values = np.array([segment[1] for segment in self._segments])
+        index = np.searchsorted(starts, times, side="right") - 1
+        # times before the first segment read it, as ``_segment_at`` does
+        return values[np.maximum(index, 0)]
+
     def amplitude(self, t: float) -> float:
         """Instantaneous acceleration amplitude (m/s^2) at time ``t``."""
         return self._segment_at(t)[2]

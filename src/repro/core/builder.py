@@ -26,6 +26,13 @@ from .digital import DigitalEventKernel, DigitalProcess
 from .elimination import SystemAssembler
 from .errors import ConfigurationError
 from .netlist import Netlist
+from .probes import (
+    ModelProbe,
+    PowerProbe,
+    SourceFrequencyProbe,
+    StateProbe,
+    TerminalProbe,
+)
 from .registry import BLOCK_REGISTRY, BlockRegistry
 from .solver import LinearisedStateSpaceSolver, SolverSettings
 from .spec import SystemSpec
@@ -180,16 +187,11 @@ class BuiltSystem:
         for probe in self.spec.probes:
             if probe.kind == "terminal":
                 idx = assembler.net_index(probe.block, probe.targets[0])
-                solver.add_probe(
-                    probe.name, lambda t, x, y, _i=idx: float(y[_i])
-                )
+                solver.add_probe(probe.name, TerminalProbe(idx))
             elif probe.kind == "power":
                 iv = assembler.net_index(probe.block, probe.targets[0])
                 ii = assembler.net_index(probe.block, probe.targets[1])
-                solver.add_probe(
-                    probe.name,
-                    lambda t, x, y, _v=iv, _c=ii: float(y[_v] * y[_c]),
-                )
+                solver.add_probe(probe.name, PowerProbe(iv, ii))
             elif probe.kind == "state":
                 # 'state'/'attr' probes are recording instructions, not
                 # constraints: a target that does not exist on the built
@@ -199,23 +201,14 @@ class BuiltSystem:
                 if probe.targets[0] not in block.state_names:
                     continue
                 idx = assembler.state_index(probe.block, probe.targets[0])
-                solver.add_probe(
-                    probe.name, lambda t, x, y, _i=idx: float(x[_i])
-                )
+                solver.add_probe(probe.name, StateProbe(idx))
             elif probe.kind == "attr":
                 block = self.block(probe.block)
                 if not hasattr(block, probe.targets[0]):
                     continue
-                solver.add_probe(
-                    probe.name,
-                    lambda t, x, y, _b=block, _a=probe.targets[0]: float(
-                        getattr(_b, _a)
-                    ),
-                )
+                solver.add_probe(probe.name, ModelProbe(block, probe.targets[0]))
             elif probe.kind == "source_frequency":
-                solver.add_probe(
-                    probe.name, lambda t, x, y: float(self.source.frequency(t))
-                )
+                solver.add_probe(probe.name, SourceFrequencyProbe(self.source))
 
         interface = getattr(solver, "interface", None)
         if interface is None:

@@ -34,35 +34,6 @@ class Trace:
         self._values: List[float] = []
         self._frozen: Optional[tuple] = None
 
-    @classmethod
-    def from_samples(
-        cls,
-        name: str,
-        times: Sequence[float],
-        values: Sequence[float],
-        unit: str = "",
-    ) -> "Trace":
-        """Bulk-construct a trace from parallel sample sequences.
-
-        ``times`` must be non-decreasing — the same invariant ``append``
-        enforces sample by sample, checked here in one vectorised pass.
-        Used by the batched solver's buffered recorder to materialise a
-        lane's traces without per-sample Python appends.
-        """
-        if len(times) != len(values):
-            raise ConfigurationError(
-                f"trace {name!r}: {len(times)} times for {len(values)} values"
-            )
-        times_arr = np.asarray(times, dtype=float)
-        if times_arr.size > 1 and bool(np.any(np.diff(times_arr) < 0.0)):
-            raise ConfigurationError(
-                f"trace {name!r}: non-monotonic time samples"
-            )
-        trace = cls(name, unit)
-        trace._times = times_arr.tolist()
-        trace._values = np.asarray(values, dtype=float).tolist()
-        return trace
-
     def append(self, t: float, value: float) -> None:
         """Record ``value`` at time ``t`` (times must be non-decreasing)."""
         if self._times and t < self._times[-1]:

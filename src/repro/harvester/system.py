@@ -32,6 +32,7 @@ from ..core.builder import BuildContext, SystemBuilder, solver_settings_for_freq
 from ..core.digital import DigitalEventKernel
 from ..core.errors import ConfigurationError
 from ..core.integrators import ExplicitIntegrator
+from ..core.probes import ColumnProbe, ModelProbe
 from ..core.solver import LinearisedStateSpaceSolver, SolverSettings
 from ..core.spec import (
     BlockSpec,
@@ -380,12 +381,24 @@ class TunableEnergyHarvester:
         the harvester's own component handles.
         """
         self._built._wire(solver)
-        storage_slice = self.assembler.state_slice("storage")
-
         solver.add_probe(
             "stored_energy",
-            lambda t, x, y: self.storage.stored_energy_j(x[storage_slice]),
+            _StoredEnergyProbe(self.storage, self.assembler.state_slice("storage")),
         )
-        solver.add_probe(
-            "actuator_gap", lambda t, x, y: float(self.actuator.position_m)
-        )
+        solver.add_probe("actuator_gap", ModelProbe(self.actuator, "position_m"))
+
+
+class _StoredEnergyProbe(ColumnProbe):
+    """Energy held in the supercapacitor's branches (its ``states`` slice)."""
+
+    __slots__ = ("storage", "states")
+
+    def __init__(self, storage, states: slice) -> None:
+        self.storage = storage
+        self.states = states
+
+    def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> float:
+        return self.storage.stored_energy_j(x[self.states])
+
+    def columns(self, times, states, nets):
+        return self.storage.stored_energies_j(states[:, self.states])

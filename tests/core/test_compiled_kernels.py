@@ -131,8 +131,9 @@ def _stepwise_run(scenarios, settings_list, **kwargs):
 
 
 def _assert_runs_identical(ref, got, i=0):
-    """One lane's traces and step statistics are bitwise equal."""
-    assert sorted(ref.traces) == sorted(got.traces)
+    """One lane's traces (in the same order) and step statistics are
+    bitwise equal."""
+    assert list(ref.traces) == list(got.traces)
     for name in ref.traces:
         assert np.array_equal(ref[name].times, got[name].times), (
             f"lane {i} {name}: times differ"
