@@ -209,14 +209,12 @@ class PreparedBlockLineariser:
     freshly computed on every call (their array objects may still be
     reused buffers — callers must not hold references across calls).
 
-    The scalar :class:`~repro.core.elimination.SystemAssembler` reads
-    ``constant`` too, from ``block.batched_lineariser([block])``: while
-    prepared it skips re-scattering those fields of the block's scalar
-    :meth:`AnalogueBlock.linearise`, and holds its Eq. (4) solve when
-    every block declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant.
-    A declaration is therefore a promise about ``linearise`` as well: the
-    fields stay unchanged until a control write, after which both solvers
-    re-prepare.
+    The batched refresh linearises a group whose six fields are all
+    constant once per prepare, and holds its Eq. (4) solve when every
+    group declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant.  The
+    declared fields must stay unchanged until a control write, after which
+    the solvers re-prepare; a single run refreshes through a one-lane
+    batched assembler, so it relies on the declaration too.
     """
 
     lineariser: Callable[[np.ndarray, np.ndarray, np.ndarray], "BatchedLinearisation"]

@@ -124,7 +124,6 @@ class AssemblyStructure:
 
 logger = logging.getLogger("repro.elimination")
 
-_NO_CONSTANT_FIELDS: frozenset = frozenset()
 #: the fields Eq. (4) reads besides ``jxx``/``ex``: while all are constant
 #: the solve, and ``jxy`` times its solution, can be held
 _SOLVE_FIELDS = frozenset(("jxy", "jyx", "jyy", "ey"))
@@ -137,13 +136,6 @@ def _log_refused(refused: Sequence[str]) -> None:
             "path; they are linearised through linearise on every refresh",
             ", ".join(repr(name) for name in refused),
         )
-
-
-def _hold(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The held Eq. (4) values, read-only: a reduced system shares them."""
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
 
 
 class _BlockPlan(NamedTuple):
@@ -216,12 +208,11 @@ class ReducedSystem:
 class SystemAssembler:
     """Maps block-local variables into the global system and eliminates ``y``.
 
-    Unprepared, every :meth:`assemble` linearises every block and scatters
-    every field, and every :meth:`eliminate` solves Eq. (4); the Newton
-    baselines use it that way.  The linearised solver calls :meth:`prepare`
-    for each run, so refreshes rebuild only what the operating point can
-    change and reuse the Eq. (4) solve while it cannot change, with
-    bitwise the same results.
+    Every :meth:`assemble` linearises every block and scatters every
+    field, and every :meth:`eliminate` solves Eq. (4); the Newton
+    baselines use it that way.  The linearised solver refreshes through a
+    one-lane :class:`BatchedAssembler` over it instead, which holds what
+    the operating point cannot change, with bitwise the same results.
 
     Parameters
     ----------
@@ -253,14 +244,6 @@ class SystemAssembler:
             np.zeros(s.n_algebraic),
         )
         self._plan = [self._plan_block(block) for block in self._blocks]
-        self._scatter_all = [(plan, _NO_CONSTANT_FIELDS) for plan in self._plan]
-        # prepared-refresh state (see prepare()): the blocks to re-linearise
-        # after the first assemble, each with the fields it need not
-        # re-scatter, and the held Eq. (4) solve
-        self._refresh: Optional[List[Tuple[_BlockPlan, frozenset]]] = None
-        self._scattered = False
-        self._hold_solve = False
-        self._held: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------ #
     # structural queries
@@ -361,56 +344,6 @@ class SystemAssembler:
     # ------------------------------------------------------------------ #
     # assembly and elimination
     # ------------------------------------------------------------------ #
-    def prepare(self) -> None:
-        """Hold what the operating point cannot change, until :meth:`unprepare`.
-
-        Each block's constant fields are the ``constant`` declaration of
-        its ``batched_lineariser([block])`` -- the one the batched refresh
-        trusts -- unless a ``linearise`` override bypasses that fast path
-        (see :func:`~repro.core.linearise.fast_path_counts`).  The first
-        :meth:`assemble` afterwards scatters every field; later ones
-        re-scatter only the fields not declared constant, and a block whose
-        six fields are all constant is not linearised again.  When every
-        block declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant,
-        :meth:`eliminate` also holds its Eq. (4) solve.  Results are
-        bitwise those of the unprepared path.
-
-        Call it again after anything that changes the model (a control
-        write); it drops the held values.  While prepared, :meth:`eliminate`
-        must be given this assembler's own :meth:`assemble` result.
-        """
-        refresh: List[Tuple[_BlockPlan, frozenset]] = []
-        refused: List[str] = []
-        hold_solve = True
-        for plan in self._plan:
-            constant = _NO_CONSTANT_FIELDS
-            if fast_path_counts([plan.block]):
-                prepared = plan.block.batched_lineariser([plan.block])
-                if prepared is not None:
-                    constant = frozenset(prepared.constant)
-            else:
-                refused.append(plan.block.name)
-            hold_solve = hold_solve and _SOLVE_FIELDS <= constant
-            if len(constant) < len(LINEARISATION_FIELDS):
-                refresh.append((plan, constant))
-        _log_refused(refused)
-        self._refresh = refresh
-        self._scattered = False
-        self._hold_solve = hold_solve
-        self._held = None
-
-    def unprepare(self) -> None:
-        """Drop the prepared refresh; :meth:`assemble` scatters everything again."""
-        self._refresh = None
-        self._scattered = False
-        self._hold_solve = False
-        self._held = None
-
-    @property
-    def prepared(self) -> bool:
-        """Whether :meth:`prepare` is in effect."""
-        return self._refresh is not None
-
     def assemble(
         self, t: float, x_global: np.ndarray, y_global: np.ndarray
     ) -> GlobalLinearisation:
@@ -418,31 +351,22 @@ class SystemAssembler:
 
         The result views this assembler's buffers, which the next call
         overwrites: a caller that keeps it past that call must copy it.
-        After :meth:`prepare`, only the fields that can change are rebuilt.
         """
-        work = self._refresh if self._scattered else self._scatter_all
         jxy = self._buffers[1].reshape(-1)
         jyy = self._buffers[4].reshape(-1)
-        for plan, constant in work:
+        for plan in self._plan:
             lin: BlockLinearisation = linearise_block(
                 plan.block, t, x_global[plan.states], y_global[plan.terminals], plan.shapes
             )
             jxx_view, ex_view, jyx_view, ey_view = plan.views
-            if "jxx" not in constant:
-                jxx_view[...] = lin.jxx
-            if "ex" not in constant:
-                ex_view[...] = lin.ex
-            if "jyx" not in constant:
-                jyx_view[...] = lin.jyx
-            if "ey" not in constant:
-                ey_view[...] = lin.ey
+            jxx_view[...] = lin.jxx
+            ex_view[...] = lin.ex
+            jyx_view[...] = lin.jyx
+            ey_view[...] = lin.ey
             # the coupling entries are summed onto zero, as into a fresh
             # matrix, so a -0.0 lands as 0.0
-            if "jxy" not in constant:
-                jxy[plan.jxy_index] = lin.jxy.ravel() + 0.0
-            if "jyy" not in constant:
-                jyy[plan.jyy_index] = lin.jyy.ravel() + 0.0
-        self._scattered = self._refresh is not None
+            jxy[plan.jxy_index] = lin.jxy.ravel() + 0.0
+            jyy[plan.jyy_index] = lin.jyy.ravel() + 0.0
         return GlobalLinearisation(*self._buffers)
 
     def eliminate(self, lin: GlobalLinearisation, x_global: np.ndarray) -> ReducedSystem:
@@ -450,21 +374,7 @@ class SystemAssembler:
 
         Raises :class:`SingularSystemError` when ``J_yy`` is singular, which
         indicates a wiring problem (floating port, conflicting sources).
-        While :meth:`prepare` holds the solve, the returned
-        ``elimination_matrix``/``elimination_offset`` are the held,
-        read-only arrays.
         """
-        if self._held is not None:
-            # Eq. (4) is held (see prepare): the unheld path's operations
-            # on the same operands, minus the solve
-            m, c, jxy_m, jxy_c = self._held
-            return ReducedSystem(
-                a_reduced=lin.jxx + jxy_m,
-                b_reduced=lin.ex + jxy_c,
-                y_solution=m @ x_global + c,
-                elimination_matrix=m,
-                elimination_offset=c,
-            )
         jyy = lin.jyy
         if jyy.shape[0] != jyy.shape[1]:
             raise SingularSystemError(
@@ -496,15 +406,10 @@ class SystemAssembler:
             ) from exc
         elimination_matrix = -solution[:, :-1]
         elimination_offset = -solution[:, -1]
-        y_solution = elimination_matrix @ x_global + elimination_offset
-        jxy_m = lin.jxy @ elimination_matrix
-        jxy_c = lin.jxy @ elimination_offset
-        if self._hold_solve:
-            self._held = _hold(elimination_matrix, elimination_offset, jxy_m, jxy_c)
         return ReducedSystem(
-            a_reduced=lin.jxx + jxy_m,
-            b_reduced=lin.ex + jxy_c,
-            y_solution=y_solution,
+            a_reduced=lin.jxx + lin.jxy @ elimination_matrix,
+            b_reduced=lin.ex + lin.jxy @ elimination_offset,
+            y_solution=elimination_matrix @ x_global + elimination_offset,
             elimination_matrix=elimination_matrix,
             elimination_offset=elimination_offset,
         )
@@ -546,13 +451,14 @@ class _PreparedGroup:
     :class:`~repro.core.block.PreparedBlockLineariser` when available;
     ``prepared is None`` leaves the group to
     :func:`~repro.core.linearise.linearise_block_lanes`, the stack of its
-    lanes' scalar linearisations.
+    lanes' scalar linearisations, each checked against ``shapes``.
     """
 
     lanes: List[AnalogueBlock]
     sl: slice
     terminal_idx: np.ndarray
     rows: Optional[slice]
+    shapes: Tuple[Tuple[int, ...], ...]
     prepared: Optional[PreparedBlockLineariser]
     constant: frozenset
 
@@ -632,10 +538,11 @@ class BatchedAssembler:
     and scattered into one persistent workspace (see :meth:`prepare`).
 
     All linear algebra uses stacked ``np.linalg.solve``/``matmul``, which
-    process each lane through the same LAPACK/BLAS routines as the scalar
-    path — per-lane results are bit-identical to a scalar
-    :class:`SystemAssembler` run, which is what makes every batched lane
-    bitwise its scalar run.
+    process each lane through the same LAPACK/BLAS routines as the
+    unstacked :class:`SystemAssembler` — per-lane results are
+    bit-identical to it.  The scalar solver refreshes through a one-lane
+    instance, so a single run and every batched lane share this one
+    refresh path.
     """
 
     def __init__(self, assemblers: Sequence[SystemAssembler]) -> None:
@@ -657,9 +564,10 @@ class BatchedAssembler:
         ]
         # the bound refresh (see prepare()); the first assemble binds it
         self._groups: Optional[List[_PreparedGroup]] = None
+        self._refresh_groups: List[_PreparedGroup] = []
         self._workspace: Optional[BatchedGlobalLinearisation] = None
         self._static_scattered = False
-        # the held Eq. (4) solve, as in SystemAssembler.prepare
+        # the held Eq. (4) solve (see prepare())
         self._hold_solve = False
         self._held: Optional[Tuple[np.ndarray, ...]] = None
 
@@ -714,10 +622,11 @@ class BatchedAssembler:
 
         A group whose ``linearise`` override would be bypassed by its
         batched fast path is linearised through its scalar ``linearise``
-        (see :func:`~repro.core.linearise.fast_path_counts`).  When every
-        group declares ``jxy``, ``jyx``, ``jyy`` and ``ey`` constant,
-        :meth:`eliminate` holds its stacked Eq. (4) solve as
-        :meth:`SystemAssembler.prepare` describes.
+        (see :func:`~repro.core.linearise.fast_path_counts`) and declares
+        nothing constant.  When every group declares ``jxy``, ``jyx``,
+        ``jyy`` and ``ey`` constant, the first :meth:`eliminate` keeps
+        ``M``, ``c``, ``jxy @ M`` and ``jxy @ c``, and later ones apply the
+        same operations to them minus the solve: bitwise a fresh solve.
         """
         s = self._structure
         b = self.n_lanes
@@ -742,16 +651,22 @@ class BatchedAssembler:
                     sl=sl,
                     terminal_idx=s.terminal_maps[rep.name],
                     rows=rows,
+                    shapes=BlockLinearisation.expected_shapes(
+                        rep.n_states, rep.n_terminals, rep.n_algebraic
+                    ),
                     prepared=prepared,
                     constant=(
                         frozenset(prepared.constant)
                         if prepared is not None
-                        else _NO_CONSTANT_FIELDS
+                        else frozenset()
                     ),
                 )
             )
         _log_refused(refused)
         self._groups = groups
+        self._refresh_groups = [
+            grp for grp in groups if len(grp.constant) < len(LINEARISATION_FIELDS)
+        ]
         self._hold_solve = all(_SOLVE_FIELDS <= grp.constant for grp in groups)
         self._held = None
         self._workspace = BatchedGlobalLinearisation(
@@ -774,19 +689,21 @@ class BatchedAssembler:
         overwrites: treat it as transient, and neither mutate nor retain
         its fields past the next refresh.
 
-        The first call after :meth:`prepare` scatters every field (and
-        validates its shapes); afterwards a field is re-scattered only
-        when its group does not declare it constant.  The accumulated
-        coupling fields (``jxy``/``jyy`` use ``+=`` over possibly repeated
-        net columns) are zeroed over the group's own rows first, as into a
-        fresh matrix; row ranges of different groups are disjoint by
-        construction.
+        The first call after :meth:`prepare` linearises every group and
+        scatters every field (and validates its shapes); afterwards a group
+        whose six fields are all declared constant is skipped, and a field
+        is re-scattered only when its group does not declare it constant.
+        A stacked-scalar group's shapes are checked on every call.  The
+        accumulated coupling fields (``jxy``/``jyy`` use ``+=`` over
+        possibly repeated net columns) are zeroed over the group's own rows
+        first, as into a fresh matrix; row ranges of different groups are
+        disjoint by construction.
         """
         if self._workspace is None:
             self.prepare()
         ws = self._workspace
         first = not self._static_scattered
-        for grp in self._groups:
+        for grp in self._groups if first else self._refresh_groups:
             rep = grp.lanes[0]
             sl = grp.sl
             terminal_idx = grp.terminal_idx
@@ -795,7 +712,7 @@ class BatchedAssembler:
             if grp.prepared is not None:
                 lin = grp.prepared.lineariser(t, x_local, y_local)
             else:
-                lin = linearise_block_lanes(grp.lanes, t, x_local, y_local)
+                lin = linearise_block_lanes(grp.lanes, t, x_local, y_local, grp.shapes)
             constant = grp.constant
             if first:
                 lin.validate(
@@ -890,7 +807,10 @@ class BatchedAssembler:
         jxy_m = np.matmul(lin.jxy, elimination_matrix)
         jxy_c = np.matmul(lin.jxy, elimination_offset[..., None])[..., 0]
         if self._hold_solve:
-            self._held = _hold(elimination_matrix, elimination_offset, jxy_m, jxy_c)
+            # read-only: the reduced systems of later refreshes share them
+            self._held = (elimination_matrix, elimination_offset, jxy_m, jxy_c)
+            for array in self._held:
+                array.flags.writeable = False
         return BatchedReducedSystem(
             a_reduced=lin.jxx + jxy_m,
             b_reduced=lin.ex + jxy_c,

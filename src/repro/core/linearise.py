@@ -244,6 +244,7 @@ def linearise_block_lanes(
     t: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
+    shapes: Optional[Tuple[Tuple[int, ...], ...]] = None,
 ) -> BatchedLinearisation:
     """Linearise ``B`` sibling lanes as the stack of their scalar models.
 
@@ -259,18 +260,21 @@ def linearise_block_lanes(
        bitwise each lane's scalar central differences.
 
     ``t`` holds each lane's own time point, shape ``(B,)``; lane ``i`` is
-    linearised at ``t[i]``.
+    linearised at ``t[i]``.  Each lane's scalar linearisation is checked
+    against ``shapes`` on every call, as :func:`linearise_block` does.
     """
     times = t.tolist()
     scalar = [lane.linearise(times[i], x[i], y[i]) for i, lane in enumerate(lanes)]
     if all(s is not None for s in scalar):
+        for lane, lin in zip(lanes, scalar):
+            _check_shapes(lane, lin, shapes)
         return BatchedLinearisation.stack(scalar)
     if any(s is not None for s in scalar):
         # mixed analytic/numeric lanes (heterogeneous subclasses): degrade
         # to the scalar per-lane dispatcher rather than guessing
         return BatchedLinearisation.stack(
             [
-                linearise_block(lane, times[i], x[i], y[i])
+                linearise_block(lane, times[i], x[i], y[i], shapes)
                 for i, lane in enumerate(lanes)
             ]
         )

@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .digital import AnalogueInterface, DigitalEventKernel
-from .elimination import ReducedSystem, SystemAssembler
-from .errors import ConfigurationError, StabilityError
+from .elimination import BatchedAssembler, ReducedSystem, SystemAssembler
+from .errors import ConfigurationError, SingularLaneError, SingularSystemError, StabilityError
 from .integrators import AdamsBashforth, ExplicitIntegrator
 from .results import SimulationResult, SolverStats, TraceRecorder
 from .stepper import StepControlSettings, StepSizeController
@@ -172,24 +172,18 @@ class LinearisedStateSpaceSolver:
     ) -> SimulationResult:
         """Simulate from ``t_start`` to ``t_end`` and return all traces.
 
-        The assembler is prepared for the run (it holds what the operating
-        point cannot change, see :meth:`SystemAssembler.prepare`) and always
-        unprepared afterwards, so the solver and its assembler stay
-        reusable.
+        Every refresh goes through a one-lane :class:`BatchedAssembler`
+        over :attr:`assembler`, built for this run and prepared at its
+        start and after each model-changing digital activation (see
+        :meth:`BatchedAssembler.prepare`); the solver keeps no state
+        between runs, so it stays reusable.
         """
-        self.assembler.prepare()
-        try:
-            return self._march(t_end, t_start, x0)
-        finally:
-            self.assembler.unprepare()
-
-    def _march(
-        self, t_end: float, t_start: float, x0: Optional[np.ndarray]
-    ) -> SimulationResult:
         if t_end <= t_start:
             raise ConfigurationError("t_end must be greater than t_start")
         settings = self.settings
         assembler = self.assembler
+        batched = BatchedAssembler([assembler])
+        batched.prepare()
 
         self._t = float(t_start)
         self._x = (
@@ -223,8 +217,7 @@ class LinearisedStateSpaceSolver:
 
         # initial consistency solve so that terminal variables (and the
         # probes the digital side reads) are meaningful from t_start onwards
-        initial_lin = assembler.assemble(self._t, self._x, self._y)
-        self._y = assembler.eliminate(initial_lin, self._x).y_solution
+        self._y = self._refresh(batched).y_solution
         stats.n_linear_solves += 1
 
         # amortised-relinearisation bookkeeping (see SolverSettings)
@@ -246,16 +239,15 @@ class LinearisedStateSpaceSolver:
                         lle_max = 0.0
                         lle_flagged = 0
                         # the analogue model changed under us: drop the
-                        # held model and what the assembler held
+                        # held model and what the refresh held
                         reduced = None
-                        assembler.prepare()
+                        batched.prepare()
 
             # 2. linearise + eliminate at the current point, or reuse the
             #    held affine model while it is still fresh enough
             refresh = reduced is None or steps_since_assemble >= hold_limit
             if refresh:
-                lin = assembler.assemble(self._t, self._x, self._y)
-                reduced = assembler.eliminate(lin, self._x)
+                reduced = self._refresh(batched)
                 self._y = reduced.y_solution
                 stats.n_jacobian_evaluations += 1
                 stats.n_linear_solves += 1
@@ -325,9 +317,7 @@ class LinearisedStateSpaceSolver:
                 )
 
         # final consistent record at t_end
-        lin = assembler.assemble(self._t, self._x, self._y)
-        reduced = assembler.eliminate(lin, self._x)
-        self._y = reduced.y_solution
+        self._y = self._refresh(batched).y_solution
         self._record(recorder, state_names, net_names, force=True)
 
         stats.cpu_time_s = time.perf_counter() - wall_start
@@ -349,6 +339,29 @@ class LinearisedStateSpaceSolver:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _refresh(self, batched: BatchedAssembler) -> ReducedSystem:
+        """Linearise and eliminate (Eq. 4) at the current point: lane 0 of
+        the one-lane ``batched`` refresh.
+
+        Raises :class:`SingularSystemError` when ``J_yy`` is singular.
+        """
+        x = self._x[None]
+        lin = batched.assemble(np.array([self._t]), x, self._y[None])
+        try:
+            lanes = batched.eliminate(lin, x)
+        except SingularLaneError:
+            raise SingularSystemError(
+                "terminal-variable elimination failed: J_yy is singular; "
+                "check block wiring"
+            ) from None
+        return ReducedSystem(
+            a_reduced=lanes.a_reduced[0],
+            b_reduced=lanes.b_reduced[0],
+            y_solution=lanes.y_solution[0],
+            elimination_matrix=lanes.elimination_matrix[0],
+            elimination_offset=lanes.elimination_offset[0],
+        )
+
     @staticmethod
     def _frozen_derivative(reduced: ReducedSystem) -> Callable[[float, np.ndarray], np.ndarray]:
         """Derivative function of the locally linearised model.

@@ -331,9 +331,11 @@ class TestLineariseOverride:
     def test_a_block_without_fast_paths_is_not_refused(self, caplog):
         # the piezoelectric generator overrides linearise only: the base
         # class's empty fast paths bypass nothing
+        from repro.core.elimination import BatchedAssembler
+
         assembler = piezoelectric_scenario(duration_s=0.01).build_harvester().assembler
         with caplog.at_level(logging.DEBUG, logger="repro.elimination"):
-            assembler.prepare()
+            BatchedAssembler([assembler]).prepare()
         assert caplog.records == []
 
 

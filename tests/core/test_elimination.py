@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.block import LinearBlock
 from repro.core.elimination import SystemAssembler
-from repro.core.errors import ConfigurationError, SingularSystemError
+from repro.core.errors import ConfigurationError, SingularLaneError, SingularSystemError
 from repro.core.netlist import Netlist
 
 from .test_block_netlist import make_rc_block
@@ -131,40 +131,57 @@ class TestEliminationCorrectness:
         assert np.all(np.real(eigenvalues) <= 1e-12)
 
 
+def floating_port_netlist():
+    """Two blocks whose shared current is never constrained -> singular.
+
+    Both blocks treat the port voltage as an input but neither constrains
+    the current, so ``J_yy`` is singular.
+    """
+    netlist = Netlist()
+    a = netlist.add_block(
+        LinearBlock(
+            "a",
+            np.array([[-1.0]]),
+            np.array([[1.0, 0.0]]),
+            ["x"],
+            ["V", "I"],
+            c=np.array([[0.0]]),
+            d=np.array([[1.0, 0.0]]),
+        )
+    )
+    b = netlist.add_block(
+        LinearBlock(
+            "b",
+            np.array([[-1.0]]),
+            np.array([[1.0, 0.0]]),
+            ["x"],
+            ["V", "I"],
+            c=np.array([[0.0]]),
+            d=np.array([[1.0, 0.0]]),
+        )
+    )
+    netlist.connect_port(a, b, voltage=("V", "V"), current=("I", "I"))
+    return netlist
+
+
 class TestSingularSystems:
     def test_floating_port_raises(self):
-        """Two blocks whose shared current is never constrained -> singular."""
-        from repro.core.block import LinearBlock
-
-        netlist = Netlist()
-        # both blocks treat the port voltage as an input but neither
-        # constrains the current -> Jyy singular
-        a = netlist.add_block(
-            LinearBlock(
-                "a",
-                np.array([[-1.0]]),
-                np.array([[1.0, 0.0]]),
-                ["x"],
-                ["V", "I"],
-                c=np.array([[0.0]]),
-                d=np.array([[1.0, 0.0]]),
-            )
-        )
-        b = netlist.add_block(
-            LinearBlock(
-                "b",
-                np.array([[-1.0]]),
-                np.array([[1.0, 0.0]]),
-                ["x"],
-                ["V", "I"],
-                c=np.array([[0.0]]),
-                d=np.array([[1.0, 0.0]]),
-            )
-        )
-        netlist.connect_port(a, b, voltage=("V", "V"), current=("I", "I"))
-        assembler = SystemAssembler(netlist)
+        assembler = SystemAssembler(floating_port_netlist())
         with pytest.raises(SingularSystemError):
             linearise_and_eliminate(assembler, np.array([0.0, 0.0]))
+
+    def test_solver_names_the_wiring_fault_not_a_lane(self):
+        # a single run refreshes through a one-lane batched assembler,
+        # whose singular-lane error must not reach the caller
+        from repro.core.solver import LinearisedStateSpaceSolver
+
+        solver = LinearisedStateSpaceSolver(SystemAssembler(floating_port_netlist()))
+        with pytest.raises(SingularSystemError) as excinfo:
+            solver.run(0.01)
+        assert not isinstance(excinfo.value, SingularLaneError)
+        message = str(excinfo.value)
+        assert "check block wiring" in message
+        assert "lane" not in message
 
     def test_no_terminals_reduces_to_block_dynamics(self):
         from repro.core.block import LinearBlock
@@ -220,21 +237,49 @@ class _ShapeFaultBlock(LinearBlock):
         return lin
 
 
-class TestLinearisationShapeCheck:
-    def test_shape_error_names_block_and_field_on_a_later_step(self):
-        from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
+def _shape_fault_netlist():
+    netlist = Netlist()
+    good = netlist.add_block(make_rc_block("good", 10.0, 1e-3))
+    faulty = netlist.add_block(_ShapeFaultBlock(fault_call=3))
+    netlist.connect_port(good, faulty, voltage=("V", "V"), current=("I", "I"))
+    return netlist, faulty
 
-        netlist = Netlist()
-        good = netlist.add_block(make_rc_block("good", 10.0, 1e-3))
-        faulty = netlist.add_block(_ShapeFaultBlock(fault_call=3))
-        netlist.connect_port(good, faulty, voltage=("V", "V"), current=("I", "I"))
-        solver = LinearisedStateSpaceSolver(
-            SystemAssembler(netlist), settings=SolverSettings(fixed_step=1e-3)
-        )
+
+def _scalar_solver(settings):
+    from repro.core.solver import LinearisedStateSpaceSolver
+
+    netlist, faulty = _shape_fault_netlist()
+    solver = LinearisedStateSpaceSolver(SystemAssembler(netlist), settings=settings)
+    return solver, [faulty]
+
+
+def _two_lane_solver(settings):
+    # the fault-injecting linearise override refuses the block's batched
+    # fast path, so its lanes are the stack of their scalar linearisations
+    from repro.core.batch import BatchedSolver
+
+    (first, faulty_first), (second, faulty_second) = (
+        _shape_fault_netlist(),
+        _shape_fault_netlist(),
+    )
+    solver = BatchedSolver(
+        [SystemAssembler(first), SystemAssembler(second)], settings=settings
+    )
+    return solver, [faulty_first, faulty_second]
+
+
+class TestLinearisationShapeCheck:
+    @pytest.mark.parametrize(
+        "build", [_scalar_solver, _two_lane_solver], ids=["scalar", "two_lanes"]
+    )
+    def test_shape_error_names_block_and_field_on_a_later_step(self, build):
+        from repro.core.solver import SolverSettings
+
+        solver, faulty_lanes = build(SolverSettings(fixed_step=1e-3))
         with pytest.raises(ConfigurationError) as excinfo:
             solver.run(0.01)
         # the consistency solve and the first step linearised cleanly
-        assert faulty.calls == 3
+        assert [faulty.calls for faulty in faulty_lanes] == [3] * len(faulty_lanes)
         message = str(excinfo.value)
         assert "'faulty'" in message
         assert "'jxy'" in message

@@ -1,15 +1,17 @@
-"""The prepared scalar step reproduces the generic per-step code bit for bit.
+"""The scalar step reproduces the generic per-step code bit for bit.
 
-The ``reference_step`` fixture swaps in the per-step pieces as they were
-written before the scalar path was prepared:
+The scalar solver refreshes through a one-lane ``BatchedAssembler``: a
+persistent workspace, constant fields scattered once, all-constant blocks
+linearised once and a held Eq. (4) solve.  The ``reference_step``
+fixture swaps in the per-step pieces as they were written before any of
+that:
 
-* the generic ``SystemAssembler.assemble`` loop: fresh zero matrices,
-  netlist look-ups per block, every block linearised and every field
-  scattered by fancy index, and a full ``BlockLinearisation.validate`` per
-  block;
-* the generic ``SystemAssembler.eliminate``: one ``np.linalg.solve`` of
-  Eq. (4) per refresh, even while the assembler is prepared, so a held
-  solve that outlives a model change shows as a difference;
+* the generic assemble loop: fresh zero matrices, netlist look-ups per
+  block, every block linearised through its scalar ``linearise`` and
+  every field scattered by fancy index, and a full
+  ``BlockLinearisation.validate`` per block;
+* the generic eliminate: one ``np.linalg.solve`` of Eq. (4) per refresh,
+  so a held solve that outlives a model change shows as a difference;
 * ``_variable_step_weights`` solving its Vandermonde system on every call;
 * the step controller measuring the Jacobian drift itself, against its
   own copy of the previous proposal's matrix (forgotten on reset), and
@@ -32,10 +34,16 @@ from repro.api.experiment import SCENARIO_FACTORIES
 from repro.blocks.voltage_multiplier import DicksonMultiplier
 from repro.core.block import BlockLinearisation, LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
-from repro.core.elimination import GlobalLinearisation, ReducedSystem, SystemAssembler
+from repro.core.elimination import (
+    BatchedAssembler,
+    GlobalLinearisation,
+    ReducedSystem,
+    SystemAssembler,
+)
 from repro.core.integrators import adams_bashforth
 from repro.core.linearise import linearise_block_numerically
 from repro.core.netlist import Netlist
+from repro.core.solver import LinearisedStateSpaceSolver
 from repro.core.stability import integrator_step_limit
 from repro.core.stepper import StepSizeController
 from repro.harvester.scenarios import (
@@ -125,6 +133,13 @@ def generic_eliminate(self, lin, x_global):
         elimination_matrix=elimination_matrix,
         elimination_offset=elimination_offset,
     )
+
+
+def generic_refresh(self, batched):
+    # the solver's one refresh helper, on the generic pieces: the one-lane
+    # batched refresh it is handed is left unused
+    lin = generic_assemble(self.assembler, self._t, self._x, self._y)
+    return generic_eliminate(self.assembler, lin, self._x)
 
 
 def unmemoised_weights(sample_times, t_start, t_end):
@@ -235,6 +250,7 @@ def reference_step(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(SystemAssembler, "assemble", generic_assemble)
             patch.setattr(SystemAssembler, "eliminate", generic_eliminate)
+            patch.setattr(LinearisedStateSpaceSolver, "_refresh", generic_refresh)
             patch.setattr(adams_bashforth, "_variable_step_weights", unmemoised_weights)
             patch.setattr(StepSizeController, "propose", propose_measuring_own_drift)
             patch.setattr(StepSizeController, "reset", reset_forgetting_own_drift)
@@ -321,10 +337,26 @@ def test_mid_run_model_change_matches_reference_bitwise(reference_step, label):
     assert_runs_identical(reference, result)
 
 
-def test_non_contiguous_terminals_scatter_like_fancy_indexing(reference_step):
+def _plan_assemble(assembler, x, y):
+    return assembler.assemble(0.0, x, y)
+
+
+def _one_lane_assemble(assembler, x, y):
+    lin = BatchedAssembler([assembler]).assemble(np.zeros(1), x[None], y[None])
+    return GlobalLinearisation(
+        *(getattr(lin, name)[0] for name in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"))
+    )
+
+
+@pytest.mark.parametrize(
+    "assemble", [_plan_assemble, _one_lane_assemble], ids=["plan", "one_lane"]
+)
+def test_non_contiguous_terminals_scatter_like_fancy_indexing(reference_step, assemble):
     # block "b" lists its port as (I, V), so its terminals map to nets
     # [1, 0] and the plan keeps an index array rather than a slice; its
-    # jxy holds a -0.0, which a scatter into fresh zeros stores as 0.0
+    # jxy holds a -0.0, which a scatter into fresh zeros stores as 0.0.
+    # The plain assemble and the scalar solver's one-lane batched refresh
+    # must both scatter it so
     netlist = Netlist()
     a = netlist.add_block(make_rc_block("a", 10.0, 1e-3))
     b = netlist.add_block(
@@ -343,7 +375,7 @@ def test_non_contiguous_terminals_scatter_like_fancy_indexing(reference_step):
     assembler = SystemAssembler(netlist)
     assert not isinstance(assembler._plan[1].terminals, slice)
     x, y = np.array([1.0, -0.5]), np.array([0.25, 2.0])
-    got = assembler.assemble(0.0, x, y)
+    got = assemble(assembler, x, y)
     with reference_step():
         expected = assembler.assemble(0.0, x, y)
     for name in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):

@@ -18,7 +18,7 @@ from repro.core.stepper import StepControlSettings
 from repro.harvester.scenarios import charging_scenario, scenario_solver_settings
 
 from .test_block_netlist import make_rc_block
-from .test_scalar_step_identity import assert_runs_identical
+from .test_scalar_step_identity import _SwitchLoad, assert_runs_identical
 
 
 def single_decay_assembler(rate=5.0, x0=1.0):
@@ -409,10 +409,60 @@ class TestSolverReusability:
         settings = scenario_solver_settings(scenario)
         solver = scenario.build_harvester().build_solver(settings=settings)
         first = solver.run(scenario.duration_s)
-        assert solver.assembler.prepared is False
         solver.settings = replace(settings, divergence_limit=1e-9)
         with pytest.raises(StabilityError):
             solver.run(scenario.duration_s)
-        assert solver.assembler.prepared is False
         solver.settings = settings
         assert_runs_identical(first, solver.run(scenario.duration_s))
+
+
+class TestOneRefresh:
+    @pytest.mark.parametrize("mid_run_write", [False, True], ids=["plain", "mid_run_write"])
+    def test_constant_work_runs_once_per_prepare(self, monkeypatch, mid_run_write):
+        # the supercapacitor declares all six fields constant and every
+        # block declares jxy/jyx/jyy/ey constant: between two prepares the
+        # supercapacitor is linearised once and Eq. (4) is solved once
+        from repro.blocks.supercapacitor import Supercapacitor
+        from repro.core.block import PreparedBlockLineariser
+        from repro.core.elimination import BatchedAssembler
+
+        counts = {"prepare": 0, "supercapacitor": 0, "eq4_solve": 0}
+        prepare = BatchedAssembler.prepare
+        batched_lineariser = Supercapacitor.batched_lineariser
+        solve = np.linalg.solve
+
+        def counting_prepare(self):
+            counts["prepare"] += 1
+            prepare(self)
+
+        def counting_lineariser(self, lanes):
+            fast = batched_lineariser(self, lanes)
+
+            def lineariser(t, x, y):
+                counts["supercapacitor"] += 1
+                return fast.lineariser(t, x, y)
+
+            return PreparedBlockLineariser(lineariser=lineariser, constant=fast.constant)
+
+        def counting_solve(a, b):
+            # Eq. (4) is the one stacked solve of a scalar run
+            if np.ndim(a) == 3:
+                counts["eq4_solve"] += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(BatchedAssembler, "prepare", counting_prepare)
+        monkeypatch.setattr(Supercapacitor, "batched_lineariser", counting_lineariser)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        scenario = charging_scenario(duration_s=0.02)
+        solver = scenario.build_harvester().build_solver(
+            settings=scenario_solver_settings(scenario)
+        )
+        if mid_run_write:
+            kernel = DigitalEventKernel()
+            kernel.add_process(_SwitchLoad(0.011))
+            solver.digital_kernel = kernel
+        result = solver.run(scenario.duration_s)
+        assert counts["prepare"] == (2 if mid_run_write else 1)
+        assert result.stats.n_jacobian_evaluations > 50 * counts["prepare"]
+        assert counts["supercapacitor"] == counts["prepare"]
+        assert counts["eq4_solve"] == counts["prepare"]
