@@ -59,7 +59,7 @@ class _Capacitor:
     node_a: str
     node_b: str
     capacitance: float
-    initial_voltage: float = 0.0
+    initial_voltage: Optional[float] = 0.0
 
 
 @dataclass
@@ -178,9 +178,15 @@ class Circuit:
         self.resistors.append(_Resistor(name, node_a, node_b, resistance))
 
     def add_capacitor(
-        self, name: str, node_a: str, node_b: str, capacitance: float, initial_voltage: float = 0.0
+        self,
+        name: str,
+        node_a: str,
+        node_b: str,
+        capacitance: float,
+        initial_voltage: Optional[float] = 0.0,
     ) -> None:
-        """Add a capacitor with an optional initial voltage (node_a positive)."""
+        """Add a capacitor (node_a positive); ``initial_voltage=None`` leaves
+        its start voltage to the operating point the transient starts from."""
         self._register(name)
         if capacitance <= 0.0:
             raise ConfigurationError(f"capacitor {name!r} must have positive capacitance")
@@ -548,59 +554,79 @@ class MNATransientSimulator:
     # ------------------------------------------------------------------ #
     # transient analysis
     # ------------------------------------------------------------------ #
-    def _initial_solution(self) -> np.ndarray:
-        x = np.zeros(self._n_unknowns)
-        # honour capacitor initial voltages by seeding node voltages where
-        # one terminal is grounded (sufficient for the harvester netlists)
-        for c in self.circuit.capacitors:
-            if c.initial_voltage == 0.0:
-                continue
-            na, nb = self._node(c.node_a), self._node(c.node_b)
-            if nb < 0 and na >= 0:
-                x[na] = c.initial_voltage
-            elif na < 0 and nb >= 0:
-                x[nb] = -c.initial_voltage
-        for l in self.circuit.inductors:
-            x[l.branch_index] = l.initial_current
-        return x
+    def _newton(self, system, guess: np.ndarray, t: float, stats: SolverStats) -> np.ndarray:
+        """Newton-Raphson on ``system(guess) -> (a, b)`` from ``guess``."""
+        settings = self.settings
+        for _ in range(settings.max_newton_iterations):
+            a, b = system(guess)
+            stats.n_jacobian_evaluations += 1
+            try:
+                new_guess = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"singular MNA matrix at t={t}: {exc}") from exc
+            stats.n_linear_solves += 1
+            stats.n_newton_iterations += 1
+            change = float(np.max(np.abs(new_guess - guess))) if guess.size else 0.0
+            guess = new_guess
+            if change <= settings.newton_tolerance:
+                return guess
+        raise ConvergenceError(f"MNA Newton iteration did not converge at t={t:.6g}")
+
+    def _initial_solution(self, t: float, stats: SolverStats) -> np.ndarray:
+        """The consistent operating point the transient starts from.
+
+        Every capacitor with an initial voltage is held at it and every
+        inductor at its initial current; the node voltages and the other
+        branch currents are solved.  At ``h = inf`` the backward-Euler
+        companions are the DC models (capacitor open, inductor short), so
+        each held capacitor adds a voltage-source row and each inductor's
+        branch row is replaced by its current.
+        """
+        n = self._n_unknowns
+        held = [c for c in self.circuit.capacitors if c.initial_voltage is not None]
+        size = n + len(held)
+
+        def system(guess: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            a = np.zeros((size, size))
+            b = np.zeros(size)
+            a[:n, :n], b[:n] = self._build_system(t, math.inf, guess, guess)
+            for inductor in self.circuit.inductors:
+                k = inductor.branch_index
+                a[k] = 0.0
+                a[k, k], b[k] = 1.0, inductor.initial_current
+            for row, c in enumerate(held, start=n):
+                for node, sign in ((self._node(c.node_a), 1.0), (self._node(c.node_b), -1.0)):
+                    if node >= 0:
+                        a[node, row] = a[row, node] = sign
+                b[row] = c.initial_voltage
+            return a, b
+
+        return self._newton(system, np.zeros(size), t, stats)[:n]
 
     def run(self, t_end: float, *, t_start: float = 0.0) -> SimulationResult:
-        """Run a transient analysis and record every node voltage."""
+        """Run a transient analysis from the operating point at ``t_start``
+        and record every node voltage."""
         if t_end <= t_start:
             raise ConfigurationError("t_end must be greater than t_start")
         settings = self.settings
         recorder = TraceRecorder(record_interval=settings.record_interval)
         stats = SolverStats(solver_name="mna/backward_euler")
 
-        solution = self._initial_solution()
         t = t_start
         wall_start = time.perf_counter()
+        solution = self._initial_solution(t, stats)
         self._record(recorder, t, solution)
 
         while t < t_end - 1e-15:
             h = min(settings.step_size, t_end - t)
             t_next = t + h
-            guess = solution.copy()
-            converged = False
-            for iteration in range(settings.max_newton_iterations):
-                a, b = self._build_system(t_next, h, guess, solution)
-                stats.n_jacobian_evaluations += 1
-                try:
-                    new_guess = np.linalg.solve(a, b)
-                except np.linalg.LinAlgError as exc:
-                    raise ConvergenceError(f"singular MNA matrix at t={t_next}: {exc}") from exc
-                stats.n_linear_solves += 1
-                stats.n_newton_iterations += 1
-                change = float(np.max(np.abs(new_guess - guess))) if guess.size else 0.0
-                guess = new_guess
-                if change <= settings.newton_tolerance:
-                    converged = True
-                    break
-            if not converged:
-                raise ConvergenceError(
-                    f"MNA Newton iteration did not converge at t={t_next:.6g}"
-                )
-            solution = guess
+            previous = solution
+            solution = self._newton(
+                lambda guess: self._build_system(t_next, h, guess, previous),
+                solution.copy(),
+                t_next,
+                stats,
+            )
             t = t_next
             stats.register_step(h, accepted=True)
             self._record(recorder, t, solution)

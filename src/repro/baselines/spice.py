@@ -119,7 +119,11 @@ def build_harvester_circuit(
             if is_output
             else cfg.multiplier_capacitance_f
         )
-        circuit.add_capacitor(f"C{stage}", node, bottom, capacitance)
+        # the pump capacitors start empty; the output capacitor sits across
+        # the storage port, so the operating point sets its start voltage
+        circuit.add_capacitor(
+            f"C{stage}", node, bottom, capacitance, None if is_output else 0.0
+        )
 
     # --- supercapacitor (Zubieta three-branch) and load ------------------ #
     sc = cfg.supercapacitor

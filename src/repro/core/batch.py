@@ -94,6 +94,7 @@ from .integrators import AdamsBashforth, ExplicitIntegrator
 from .kernels import END_EPS, diverged_lanes, get_march_kernel, record_due
 from .probes import ColumnProbe, ModelProbe
 from .results import SimulationResult, SolverStats, Trace
+from . import stepper
 from .solver import ProbeFn, SolverSettings
 from .stepper import BatchedStepController, relative_jacobian_drift
 
@@ -422,8 +423,8 @@ class BatchedSolver:
     settings:
         One :class:`~repro.core.solver.SolverSettings` per lane, or a
         single instance shared by every lane.  Every setting is per-lane
-        (step control, ``fixed_step``, ``relinearise_interval``,
-        ``lle_tolerance``, recording).
+        (step bounds, ``fixed_step``, ``relinearise_interval``,
+        recording).
     digital_kernels:
         Optional per-lane :class:`~repro.core.digital.DigitalEventKernel`
         (``None`` entries for lanes without digital processes), as the
@@ -579,6 +580,7 @@ class BatchedSolver:
             return np.inf if event is None else event
 
         hold = per_lane((max(1, int(c.relinearise_interval)) for c in configs), int)
+        lle_tolerance = stepper.LLE_TOLERANCE
         # every lane's per-lane state; the stat accumulators are copied
         # into each lane's SolverStats at finalisation
         s = _LaneArrays(
@@ -594,7 +596,6 @@ class BatchedSolver:
             since=hold.copy(),
             due=np.ones(b, dtype=bool),
             divergence_limit=per_lane(c.divergence_limit for c in configs),
-            lle_tolerance=per_lane(c.lle_tolerance for c in configs),
             fevals=np.zeros(b, dtype=np.int64),
             steps=np.zeros(b, dtype=np.int64),
             h_min=np.full(b, np.inf),
@@ -871,7 +872,7 @@ class BatchedSolver:
                     s.has_ref, relative_jacobian_drift(a_fresh, s.a_ref), 0.0
                 )
                 s.lle_max = np.maximum(s.lle_max, change)
-                s.lle_flags = s.lle_flags + (change > s.lle_tolerance)
+                s.lle_flags = s.lle_flags + (change > lle_tolerance)
                 s.a_ref = a_fresh
                 s.has_ref = np.ones_like(s.has_ref)
                 s.since = np.zeros_like(s.since)
@@ -901,7 +902,7 @@ class BatchedSolver:
                     0.0,
                 )
                 s.lle_max[due] = np.maximum(s.lle_max[due], change)
-                s.lle_flags[due] += change > s.lle_tolerance[due]
+                s.lle_flags[due] += change > lle_tolerance
                 s.a_ref = np.where(due[:, None, None], a_fresh, s.a_ref)
                 s.has_ref[due] = True
                 s.since[due] = 0

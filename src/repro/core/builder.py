@@ -138,7 +138,12 @@ class BuiltSystem:
     # solver construction
     # ------------------------------------------------------------------ #
     def default_solver_settings(self) -> SolverSettings:
-        """Settings derived from the spec's excitation and solver hints."""
+        """Settings derived from the spec's excitation and solver hints.
+
+        Reads only ``self.spec``, so
+        :class:`~repro.harvester.topologies.SpecScenario` shares it as its
+        ``solver_settings``.
+        """
         return solver_settings_for_frequency(
             self.spec.excitation.max_frequency_hz(),
             points_per_period=self.spec.solver.points_per_period,

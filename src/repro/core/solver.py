@@ -36,6 +36,7 @@ from .elimination import BatchedAssembler, ReducedSystem, SystemAssembler
 from .errors import ConfigurationError, SingularLaneError, SingularSystemError, StabilityError
 from .integrators import AdamsBashforth, ExplicitIntegrator
 from .results import SimulationResult, SolverStats, TraceRecorder
+from . import stepper
 from .stepper import StepControlSettings, StepSizeController
 
 __all__ = ["SolverSettings", "LinearisedStateSpaceSolver"]
@@ -59,9 +60,6 @@ class SolverSettings:
     record_interval:
         Minimum spacing between recorded trace samples; 0 records every
         accepted step.
-    lle_tolerance:
-        Relative Jacobian change between consecutive refreshes above which
-        a refresh counts as flagged (the ``lle_flagged_steps`` metadata).
     divergence_limit:
         Hard cap on the state-vector norm; exceeding it raises
         :class:`StabilityError` instead of silently producing NaNs.
@@ -85,7 +83,6 @@ class SolverSettings:
     step_control: StepControlSettings = field(default_factory=StepControlSettings)
     fixed_step: Optional[float] = None
     record_interval: float = 0.0
-    lle_tolerance: float = 0.1
     divergence_limit: float = 1e12
     relinearise_interval: int = 1
 
@@ -205,6 +202,7 @@ class LinearisedStateSpaceSolver:
         a_previous_norm = 1.0
         lle_max = 0.0
         lle_flagged = 0
+        lle_tolerance = stepper.LLE_TOLERANCE
 
         recorder = TraceRecorder(record_interval=settings.record_interval)
         stats = SolverStats(
@@ -270,7 +268,7 @@ class LinearisedStateSpaceSolver:
                     if a_previous is None
                     else float(np.linalg.norm(a_fresh - a_previous) / a_previous_norm)
                 )
-                if change > settings.lle_tolerance:
+                if change > lle_tolerance:
                     lle_flagged += 1
                 lle_max = max(lle_max, change)
                 a_previous = a_fresh
@@ -313,7 +311,7 @@ class LinearisedStateSpaceSolver:
             ):
                 raise StabilityError(
                     f"solution diverged at t={self._t:.6g} (step {h:.3g}); "
-                    "reduce the step size or the safety factor"
+                    "reduce h_max or the fixed step"
                 )
 
         # final consistent record at t_end

@@ -33,7 +33,32 @@ __all__ = [
     "StepSizeController",
     "BatchedStepController",
     "relative_jacobian_drift",
+    "SAFETY",
+    "GROWTH_LIMIT",
+    "SHRINK_LIMIT",
+    "JACOBIAN_CHANGE_TARGET",
+    "STABILITY_RECOMPUTE_THRESHOLD",
+    "LLE_TOLERANCE",
 ]
+
+# The step-control policy.  Every run uses these values: they are not
+# settings, so they are in no cache key, and both march loops read them
+# from this module when they run.
+#: multiplier (< 1) applied to the theoretical stability limit
+SAFETY = 0.8
+#: largest factor by which the step may grow between consecutive proposals
+GROWTH_LIMIT = 2.0
+#: smallest factor by which one adjustment may shrink the step
+SHRINK_LIMIT = 0.1
+#: relative Jacobian change per refresh that the accuracy control aims
+#: for; larger observed changes shrink the step proportionally
+JACOBIAN_CHANGE_TARGET = 0.1
+#: relative Jacobian change above which the eigenvalue bound is recomputed;
+#: below it the cached bound is reused
+STABILITY_RECOMPUTE_THRESHOLD = 0.02
+#: relative Jacobian change between consecutive refreshes above which a
+#: refresh counts as flagged (the ``lle_flagged_steps`` metadata)
+LLE_TOLERANCE = 0.1
 
 
 def relative_jacobian_drift(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -59,7 +84,11 @@ def _frobenius_norms(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StepControlSettings:
-    """User-facing knobs of the adaptive step controller.
+    """The step bounds of the adaptive step controller.
+
+    The policy between the bounds is fixed: see the module constants
+    (:data:`SAFETY`, :data:`GROWTH_LIMIT`, :data:`SHRINK_LIMIT`,
+    :data:`JACOBIAN_CHANGE_TARGET`, :data:`STABILITY_RECOMPUTE_THRESHOLD`).
 
     Attributes
     ----------
@@ -67,29 +96,11 @@ class StepControlSettings:
         First step size of the march.
     h_min, h_max:
         Hard bounds on the step size.
-    safety:
-        Multiplier (< 1) applied to the theoretical stability limit.
-    growth_limit:
-        Maximum factor by which the step may grow between consecutive
-        accepted steps (prevents over-shooting right after a slow phase).
-    shrink_limit:
-        Maximum factor by which the step may shrink in a single adjustment.
-    jacobian_change_target:
-        Relative Jacobian change per step that the accuracy control aims
-        for; larger observed changes shrink the step proportionally.
-    stability_recompute_threshold:
-        Relative Jacobian change above which the (expensive) eigenvalue
-        bound is recomputed; below it the cached bound is reused.
     """
 
     h_initial: float = 1e-4
     h_min: float = 1e-9
     h_max: float = 1e-2
-    safety: float = 0.8
-    growth_limit: float = 2.0
-    shrink_limit: float = 0.1
-    jacobian_change_target: float = 0.1
-    stability_recompute_threshold: float = 0.02
 
     def validate(self) -> None:
         """Sanity-check the settings, raising :class:`ConfigurationError`."""
@@ -99,16 +110,6 @@ class StepControlSettings:
             raise ConfigurationError("h_min and h_max must be positive")
         if self.h_min > self.h_max:
             raise ConfigurationError("h_min must not exceed h_max")
-        if not 0.0 < self.safety <= 1.0:
-            raise ConfigurationError("safety must lie in (0, 1]")
-        if self.growth_limit < 1.0:
-            raise ConfigurationError("growth_limit must be >= 1")
-        if not 0.0 < self.shrink_limit <= 1.0:
-            raise ConfigurationError("shrink_limit must lie in (0, 1]")
-        if self.jacobian_change_target <= 0.0:
-            raise ConfigurationError("jacobian_change_target must be positive")
-        if self.stability_recompute_threshold < 0.0:
-            raise ConfigurationError("stability_recompute_threshold must be >= 0")
 
 
 class StepSizeController:
@@ -155,19 +156,18 @@ class StepSizeController:
         """Largest stable step for the current reduced system matrix.
 
         The eigenvalue-based bound is only recomputed when the Jacobian has
-        drifted by more than ``stability_recompute_threshold`` since the
-        last computation; otherwise the cached value is reused.
+        drifted by more than :data:`STABILITY_RECOMPUTE_THRESHOLD` since
+        the last computation; otherwise the cached value is reused.
         """
-        settings = self.settings
         if self._cached_stability_limit is not None and self._stability_jacobian is not None:
             drift = np.linalg.norm(a_reduced - self._stability_jacobian) / self._stability_scale
-            if drift <= settings.stability_recompute_threshold:
+            if drift <= STABILITY_RECOMPUTE_THRESHOLD:
                 return self._cached_stability_limit
         limit = integrator_step_limit(
             a_reduced,
             real_extent=self._real_extent,
             imag_extent=self._imag_extent,
-            safety=settings.safety,
+            safety=SAFETY,
         )
         self._stability_jacobian = np.array(a_reduced, dtype=float, copy=True)
         self._stability_scale = np.linalg.norm(self._stability_jacobian) or 1.0
@@ -203,14 +203,10 @@ class StepSizeController:
         h = self._h_current
 
         # accuracy control: shrink/grow according to the observed Jacobian drift
-        if jacobian_change > settings.jacobian_change_target:
-            factor = max(
-                settings.shrink_limit,
-                settings.jacobian_change_target / jacobian_change,
-            )
-            h = h * factor
+        if jacobian_change > JACOBIAN_CHANGE_TARGET:
+            h = h * max(SHRINK_LIMIT, JACOBIAN_CHANGE_TARGET / jacobian_change)
         else:
-            h = h * settings.growth_limit
+            h = h * GROWTH_LIMIT
 
         # stability control
         h_stable = self.stability_limit(a_reduced)
@@ -243,8 +239,9 @@ class BatchedStepController:
     scalar controller's.
 
     Lanes may carry different :class:`StepControlSettings` (a frequency
-    sweep gives every candidate its own ``h_max``); the per-lane knobs are
-    stored as arrays.
+    sweep gives every candidate its own ``h_max``); the per-lane bounds
+    are stored as arrays, and every lane shares the module's policy
+    constants.
     """
 
     def __init__(
@@ -265,11 +262,6 @@ class BatchedStepController:
         self._h_initial = gather("h_initial")
         self._h_min = gather("h_min")
         self._h_max = gather("h_max")
-        self._safety = gather("safety")
-        self._growth = gather("growth_limit")
-        self._shrink = gather("shrink_limit")
-        self._change_target = gather("jacobian_change_target")
-        self._recompute_threshold = gather("stability_recompute_threshold")
         self.reset()
 
     @property
@@ -300,11 +292,6 @@ class BatchedStepController:
             "_h_initial",
             "_h_min",
             "_h_max",
-            "_safety",
-            "_growth",
-            "_shrink",
-            "_change_target",
-            "_recompute_threshold",
             "_h_current",
             "_cached_stability_limit",
             "_has_stability",
@@ -328,9 +315,7 @@ class BatchedStepController:
         if self._stability_jacobian is None:
             self._stability_jacobian = np.zeros(a_reduced.shape)
         drift = relative_jacobian_drift(a, self._stability_jacobian[sel])
-        recompute = ~self._has_stability[sel] | (
-            drift > self._recompute_threshold[sel]
-        )
+        recompute = ~self._has_stability[sel] | (drift > STABILITY_RECOMPUTE_THRESHOLD)
         if np.any(recompute):
             fresh = integrator_step_limit_batch(
                 a[recompute],
@@ -342,7 +327,7 @@ class BatchedStepController:
                 np.flatnonzero(recompute) if lanes is None else lanes[recompute]
             )
             self._cached_stability_limit[targets] = np.where(
-                np.isfinite(fresh), self._safety[targets] * fresh, float("inf")
+                np.isfinite(fresh), SAFETY * fresh, float("inf")
             )
             self._stability_jacobian[targets] = a[recompute]
             self._has_stability[targets] = True
@@ -372,18 +357,19 @@ class BatchedStepController:
         sel = slice(None) if lanes is None else lanes
         h = self._h_current[sel]
 
-        change_target = self._change_target[sel]
         shrink_factor = np.maximum(
-            self._shrink[sel],
+            SHRINK_LIMIT,
             np.divide(
-                change_target,
+                JACOBIAN_CHANGE_TARGET,
                 jacobian_change,
                 out=np.ones_like(jacobian_change),
                 where=jacobian_change > 0.0,
             ),
         )
         h = np.where(
-            jacobian_change > change_target, h * shrink_factor, h * self._growth[sel]
+            jacobian_change > JACOBIAN_CHANGE_TARGET,
+            h * shrink_factor,
+            h * GROWTH_LIMIT,
         )
 
         h = np.minimum(h, self.stability_limits(a_reduced, lanes))

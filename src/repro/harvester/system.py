@@ -49,23 +49,10 @@ from .config import HarvesterConfig, paper_harvester
 __all__ = ["TunableEnergyHarvester", "default_solver_settings", "paper_spec"]
 
 
-def default_solver_settings(
-    excitation_frequency_hz: float,
-    *,
-    points_per_period: int = 40,
-    record_interval: float = 1e-3,
-) -> SolverSettings:
-    """Solver settings whose step limit resolves the vibration waveform.
-
-    Thin alias of
-    :func:`repro.core.builder.solver_settings_for_frequency`, kept here
-    because the harvester layer is where users historically import it from.
-    """
-    return solver_settings_for_frequency(
-        excitation_frequency_hz,
-        points_per_period=points_per_period,
-        record_interval=record_interval,
-    )
+#: Solver settings whose step limit resolves the vibration waveform: the
+#: harvester layer's name for
+#: :func:`repro.core.builder.solver_settings_for_frequency`
+default_solver_settings = solver_settings_for_frequency
 
 
 def _tuning_model_from_config(cfg: HarvesterConfig) -> MagneticTuningModel:
@@ -331,20 +318,12 @@ class TunableEnergyHarvester:
     ) -> LinearisedStateSpaceSolver:
         """Build the proposed (fast) linearised state-space solver.
 
-        When ``settings`` is omitted, defaults appropriate for the
+        When ``settings`` is omitted, the built system's defaults for the
         configured excitation frequency are used (step bounded to resolve
         the vibration period).
         """
-        if settings is None:
-            settings = default_solver_settings(self.config.excitation.frequency_hz)
-        kernel = self._build_kernel()
-        solver = LinearisedStateSpaceSolver(
-            assembler=self.assembler,
-            integrator=integrator,
-            settings=settings,
-            digital_kernel=kernel,
-        )
-        self._wire(solver)
+        solver = self._built.build_solver(integrator, settings)
+        self._add_component_probes(solver)
         return solver
 
     def build_baseline_solver(self, **kwargs):
@@ -353,34 +332,25 @@ class TunableEnergyHarvester:
         Keyword arguments are forwarded to
         :class:`repro.baselines.implicit_solver.ImplicitNewtonSolver`.
         """
-        # imported lazily to keep the baselines package optional at import time
-        from ..baselines.implicit_solver import ImplicitNewtonSolver
-
-        kernel = self._build_kernel()
-        solver = ImplicitNewtonSolver(
-            assembler=self.assembler, digital_kernel=kernel, **kwargs
-        )
-        self._wire(solver)
+        solver = self._built.build_baseline_solver(**kwargs)
+        self._add_component_probes(solver)
         return solver
 
     def _build_kernel(self) -> Optional[DigitalEventKernel]:
-        if not self.with_controller or self.controller is None:
-            return None
-        kernel = DigitalEventKernel()
-        kernel.add_process(self.controller)
-        return kernel
+        return self._built._build_kernel()
 
     # ------------------------------------------------------------------ #
     # probe / control wiring shared by all solvers
     # ------------------------------------------------------------------ #
     def _wire(self, solver) -> None:
-        """Attach recording probes and the digital-side interface.
-
-        The spec-declared probes cover the standard traces; this adds the
-        two object-bound probes (stored energy, actuator gap) that need
-        the harvester's own component handles.
-        """
+        """Attach recording probes and the digital-side interface."""
         self._built._wire(solver)
+        self._add_component_probes(solver)
+
+    def _add_component_probes(self, solver) -> None:
+        """The spec-declared probes cover the standard traces; these two
+        (stored energy, actuator gap) need the harvester's own component
+        handles."""
         solver.add_probe(
             "stored_energy",
             _StoredEnergyProbe(self.storage, self.assembler.state_slice("storage")),

@@ -28,12 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..core.builder import (
-    BuiltSystem,
-    SystemBuilder,
-    solver_settings_for_frequency,
-)
-from ..core.solver import SolverSettings
+from ..core.builder import BuiltSystem, SystemBuilder
 from ..core.spec import (
     BlockSpec,
     ConnectionSpec,
@@ -359,13 +354,9 @@ class SpecScenario:
         """Copy of the scenario with a different simulated duration."""
         return replace(self, duration_s=duration_s)
 
-    def solver_settings(self) -> SolverSettings:
-        """Default fast-solver settings implied by the spec's hints."""
-        return solver_settings_for_frequency(
-            self.spec.excitation.max_frequency_hz(),
-            points_per_period=self.spec.solver.points_per_period,
-            record_interval=self.spec.solver.record_interval,
-        )
+    #: default fast-solver settings implied by the spec's hints: the built
+    #: system's derivation, which reads only ``self.spec``
+    solver_settings = BuiltSystem.default_solver_settings
 
     def build_harvester(self) -> BuiltSystem:
         """Fresh compiled system (one per simulation run)."""

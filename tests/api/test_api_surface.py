@@ -111,7 +111,6 @@ EXPECTED_SOLVER_SETTINGS_FIELDS = (
     "step_control",
     "fixed_step",
     "record_interval",
-    "lle_tolerance",
     "divergence_limit",
     "relinearise_interval",
 )
@@ -122,17 +121,9 @@ def test_solver_settings_fields_are_pinned():
     assert fields == EXPECTED_SOLVER_SETTINGS_FIELDS
 
 
-#: the step controller's knobs: one stability bound, so no bound selector
-EXPECTED_STEP_CONTROL_FIELDS = (
-    "h_initial",
-    "h_min",
-    "h_max",
-    "safety",
-    "growth_limit",
-    "shrink_limit",
-    "jacobian_change_target",
-    "stability_recompute_threshold",
-)
+#: the step controller's settable values: the step bounds only; the
+#: policy between them is module constants of repro.core.stepper
+EXPECTED_STEP_CONTROL_FIELDS = ("h_initial", "h_min", "h_max")
 
 
 def test_step_control_settings_fields_are_pinned():

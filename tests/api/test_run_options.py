@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import RunOptions
-from repro.core import AdamsBashforth, SolverSettings
+from repro.core import AdamsBashforth, SolverSettings, StepControlSettings
 from repro.core.errors import ConfigurationError
 from repro.core.serialise import encode_value
 
@@ -194,6 +194,7 @@ def test_malformed_integrator_table_is_rejected(case):
 REMOVED_FIELDS = {
     "monitor_lle": SolverSettings,
     "keep_lle_history": SolverSettings,
+    "lle_tolerance": SolverSettings,
     "compiled": RunOptions,
     "backend": RunOptions,
 }
@@ -230,3 +231,25 @@ def test_process_fingerprint_value_is_pinned():
         assert RunOptions(lane_width=lane_width).fingerprint() == (
             RunOptions().fingerprint()
         )
+
+
+#: step-control values that became constants of repro.core.stepper
+REMOVED_STEP_CONTROL_FIELDS = (
+    "safety",
+    "growth_limit",
+    "shrink_limit",
+    "jacobian_change_target",
+    "stability_recompute_threshold",
+)
+
+
+@pytest.mark.parametrize("name", REMOVED_STEP_CONTROL_FIELDS)
+def test_removed_step_control_fields_are_rejected(name):
+    # stored settings that still carry a retired value are refused by
+    # name: the run they describe can no longer be reproduced
+    with pytest.raises(TypeError, match=name):
+        StepControlSettings(**{name: 0.5})
+    settings = encode_value(SolverSettings())
+    settings["step_control"][name] = 0.5
+    with pytest.raises(ConfigurationError, match=rf"unknown fields \['{name}'\]"):
+        RunOptions.from_dict({"settings": settings})

@@ -87,6 +87,18 @@ class TestTransientAnalysis:
         assert result["v(a)"].values[0] == pytest.approx(2.0, rel=1e-6)
         assert result["v(a)"].final() == pytest.approx(expected, rel=0.02)
 
+    def test_floating_capacitor_initial_condition(self):
+        # neither terminal is grounded: the operating point still holds
+        # the capacitor at its initial voltage
+        circuit = Circuit()
+        circuit.add_voltage_source("V1", "in", "0", 1.0)
+        circuit.add_capacitor("C1", "in", "out", 1e-6, initial_voltage=0.25)
+        circuit.add_resistor("R1", "out", "0", 1000.0)
+        sim = MNATransientSimulator(circuit, TransientSettings(step_size=1e-5))
+        result = sim.run(1e-4)
+        assert result["v(out)"].values[0] == pytest.approx(0.75, rel=1e-12)
+        assert result["v(out)"].values[1] < 0.75
+
     def test_diode_half_wave_rectifier(self):
         circuit = Circuit()
         circuit.add_voltage_source(
@@ -165,6 +177,30 @@ class TestHarvesterEquivalentCircuit:
         assert result["storage_voltage"].final() == pytest.approx(1.0, abs=0.2)
         assert "coil_current" in result.traces
         assert result.metadata["baseline"].startswith("spice-like")
+
+    def test_storage_port_starts_at_the_operating_point(self):
+        # the storage branches start charged and the output capacitor across
+        # the storage port is not held: the first v(vc) sample is the branch
+        # voltage less the drop across the parallel branch resistances (the
+        # ESR), and the first step does not move it by more than a sliver
+        config = paper_harvester()
+        sc = config.supercapacitor
+        esr = 1.0 / sum(
+            1.0 / r
+            for r in (
+                sc.immediate_resistance_ohm,
+                sc.delayed_resistance_ohm,
+                sc.longterm_resistance_ohm,
+            )
+        )
+        load = 100.0
+        v_storage = config.initial_storage_voltage_v
+        expected = v_storage * load / (load + esr)
+        result = SpiceLikeHarvesterSimulator(config, load_resistance_ohm=load).run(1e-3)
+        v = result["storage_voltage"].values
+        # (to within the output diode's reverse leakage)
+        assert v[0] == pytest.approx(expected, rel=1e-6)
+        assert abs(v[1] - v[0]) < 0.01 * (v_storage - expected)
 
     def test_tuned_frequency_changes_mechanical_compliance(self):
         base = build_harvester_circuit(tuned_frequency_hz=None)

@@ -9,7 +9,7 @@ import pytest
 
 from repro import Study
 from repro.blocks.microcontroller import ControllerSettings
-from repro.core import batch, elimination, kernels
+from repro.core import batch, elimination, kernels, stepper
 from repro.core.batch import BatchedSolver, BatchResult
 from repro.core.block import LinearBlock
 from repro.core.elimination import SystemAssembler
@@ -259,12 +259,13 @@ def test_each_lane_is_its_own_run(factory, profile):
         )
 
 
-def test_activation_restarts_the_lane_drift_monitor():
+def test_activation_restarts_the_lane_drift_monitor(monkeypatch):
     """A model-changing activation resets that lane's LLE monitor, as
     the scalar solver's does: with a tolerance every refresh exceeds, the
     flagged count is the refreshes since the lane's last activation."""
+    monkeypatch.setattr(stepper, "LLE_TOLERANCE", 1e-12)
     scenarios = LANE_SETS["staggered_events"]()
-    settings_list = [replace(_settings_for(s), lle_tolerance=1e-12) for s in scenarios]
+    settings_list = [_settings_for(s) for s in scenarios]
     packed = _batched_run(scenarios, settings_list)
     for i, (scenario, settings) in enumerate(zip(scenarios, settings_list)):
         scalar = _scalar_run(scenario, settings)

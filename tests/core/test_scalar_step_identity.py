@@ -32,6 +32,7 @@ import pytest
 
 from repro.api.experiment import SCENARIO_FACTORIES
 from repro.blocks.voltage_multiplier import DicksonMultiplier
+from repro.core import stepper
 from repro.core.block import BlockLinearisation, LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
 from repro.core.elimination import (
@@ -181,19 +182,18 @@ def reset_forgetting_own_drift(self, h=None):
 
 
 def unscaled_stability_limit(self, a_reduced):
-    settings = self.settings
     if self._cached_stability_limit is not None and self._stability_jacobian is not None:
         scale = np.linalg.norm(self._stability_jacobian)
         if scale == 0.0:
             scale = 1.0
         drift = np.linalg.norm(a_reduced - self._stability_jacobian) / scale
-        if drift <= settings.stability_recompute_threshold:
+        if drift <= stepper.STABILITY_RECOMPUTE_THRESHOLD:
             return self._cached_stability_limit
     limit = integrator_step_limit(
         a_reduced,
         real_extent=self._real_extent,
         imag_extent=self._imag_extent,
-        safety=settings.safety,
+        safety=stepper.SAFETY,
     )
     self._stability_jacobian = np.array(a_reduced, dtype=float, copy=True)
     self._cached_stability_limit = limit
@@ -289,18 +289,17 @@ def test_prepared_step_matches_reference_bitwise(reference_step, factory, label)
     assert_runs_identical(reference, _run(factory, label))
 
 
-def test_drift_limited_steps_match_reference_bitwise(reference_step):
+def test_drift_limited_steps_match_reference_bitwise(reference_step, monkeypatch):
     # the default target never binds on these short runs (the drift stays
     # near 1e-6); a tight one makes the solver's drift set the step size
+    default_steps = _run("charging", "adaptive").stats.n_steps
+    monkeypatch.setattr(stepper, "JACOBIAN_CHANGE_TARGET", 1e-7)
     scenario = charging_scenario(duration_s=0.02)
     settings = scenario_solver_settings(scenario)
-    settings = replace(
-        settings, step_control=replace(settings.step_control, jacobian_change_target=1e-7)
-    )
     with reference_step():
         reference = _simulate_proposed(scenario, settings=settings)
     result = _simulate_proposed(scenario, settings=settings)
-    assert result.stats.n_steps > _run("charging", "adaptive").stats.n_steps
+    assert result.stats.n_steps > default_steps
     assert_runs_identical(reference, result)
 
 

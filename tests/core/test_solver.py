@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import stepper
 from repro.core.batch import BatchedSolver
 from repro.core.block import BlockLinearisation, LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
@@ -303,10 +304,12 @@ class TestJacobianDriftMetadata:
         # |-3 - (-1)| / |-1| and |-9 - (-3)| / |-3|
         assert self._run()["lle_max_jacobian_change"] == 2.0
 
-    def test_refreshes_above_the_tolerance_are_flagged(self):
-        assert self._run(lle_tolerance=1.5)["lle_flagged_steps"] == 2
-        assert self._run(lle_tolerance=0.1)["lle_flagged_steps"] == 3
-        assert self._run(lle_tolerance=2.0)["lle_flagged_steps"] == 0
+    def test_refreshes_above_the_tolerance_are_flagged(self, monkeypatch):
+        # drifts 2, 2, 1/9 and 1/20, then none; the solver reads the
+        # module tolerance when it runs
+        for tolerance, flagged in ((1.5, 2), (0.1, 3), (2.0, 0)):
+            monkeypatch.setattr(stepper, "LLE_TOLERANCE", tolerance)
+            assert self._run()["lle_flagged_steps"] == flagged
 
     def test_held_steps_measure_nothing(self):
         # refreshes at slots 0, 2 and 4 only: |-9 - (-1)| / 1 is the largest
@@ -328,7 +331,7 @@ class TestJacobianDriftMetadata:
 
     @pytest.mark.parametrize("write_at", (None, 3 * SLOT_S))
     def test_lanes_report_the_scalar_figures(self, write_at):
-        expected = self._run(write_at=write_at, lle_tolerance=0.1)
+        expected = self._run(write_at=write_at)
         assemblers, kernels, blocks = [], [], []
         for _ in range(2):
             assembler, block, kernel = self._scheduled(RATES, write_at)
@@ -337,7 +340,7 @@ class TestJacobianDriftMetadata:
             kernels.append(kernel)
         solver = BatchedSolver(
             assemblers,
-            settings=SolverSettings(fixed_step=SLOT_S, lle_tolerance=0.1),
+            settings=SolverSettings(fixed_step=SLOT_S),
             digital_kernels=kernels,
         )
         for i, block in enumerate(blocks):

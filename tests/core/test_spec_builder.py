@@ -33,6 +33,7 @@ from repro.core.errors import ConfigurationError, ConnectionError_
 from repro.core.solver import LinearisedStateSpaceSolver
 from repro.harvester.config import paper_harvester
 from repro.harvester.system import default_solver_settings, paper_spec
+from repro.harvester.topologies import piezoelectric_scenario
 
 
 def _minimal_spec(**overrides):
@@ -328,4 +329,12 @@ class TestBuilderEquivalence:
             SystemBuilder(spec)
 
     def test_default_solver_settings_alias(self):
-        assert default_solver_settings(70.0) == solver_settings_for_frequency(70.0)
+        assert default_solver_settings is solver_settings_for_frequency
+
+    def test_spec_scenario_settings_are_the_built_systems(self):
+        scenario = piezoelectric_scenario(duration_s=0.01, excitation_frequency_hz=90.0)
+        built = scenario.build_harvester()
+        assert scenario.solver_settings() == built.default_solver_settings()
+        assert scenario.solver_settings().step_control.h_max == pytest.approx(
+            1.0 / (scenario.spec.solver.points_per_period * 90.0)
+        )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import stepper
 from repro.core.errors import ConfigurationError
 from repro.core.integrators import AdamsBashforth, ForwardEuler
 from repro.core.stepper import (
@@ -10,6 +11,20 @@ from repro.core.stepper import (
     StepSizeController,
     relative_jacobian_drift,
 )
+
+
+def test_policy_constants_are_pinned():
+    # the step-control policy is in no cache key: changing one of these
+    # changes results without moving a key, so bump the cache schema salt
+    # (repro.cache.store.CACHE_SCHEMA_VERSION) together with it
+    assert (
+        stepper.SAFETY,
+        stepper.GROWTH_LIMIT,
+        stepper.SHRINK_LIMIT,
+        stepper.JACOBIAN_CHANGE_TARGET,
+        stepper.STABILITY_RECOMPUTE_THRESHOLD,
+        stepper.LLE_TOLERANCE,
+    ) == (0.8, 2.0, 0.1, 0.1, 0.02, 0.1)
 
 
 class TestSettingsValidation:
@@ -22,12 +37,6 @@ class TestSettingsValidation:
             {"h_initial": 0.0},
             {"h_min": -1.0},
             {"h_min": 2.0, "h_max": 1.0},
-            {"safety": 0.0},
-            {"safety": 1.5},
-            {"growth_limit": 0.5},
-            {"shrink_limit": 0.0},
-            {"jacobian_change_target": 0.0},
-            {"stability_recompute_threshold": -0.1},
         ],
     )
     def test_invalid_settings(self, kwargs):
@@ -36,16 +45,18 @@ class TestSettingsValidation:
 
 
 class TestStabilityLimit:
-    def test_spectral_mode_uses_integrator_extents(self):
-        settings = StepControlSettings(safety=1.0)
+    def test_spectral_mode_uses_integrator_extents(self, monkeypatch):
+        monkeypatch.setattr(stepper, "SAFETY", 1.0)
+        settings = StepControlSettings()
         fe = StepSizeController(settings, integrator=ForwardEuler())
         ab3 = StepSizeController(settings, integrator=AdamsBashforth(order=3))
         oscillator = np.array([[0.0, 1.0], [-(440.0**2), -2.0]])
         assert ab3.stability_limit(oscillator) > 50 * fe.stability_limit(oscillator)
 
-    def test_limit_is_cached_until_jacobian_drifts(self):
-        settings = StepControlSettings(stability_recompute_threshold=0.5, safety=1.0)
-        controller = StepSizeController(settings)
+    def test_limit_is_cached_until_jacobian_drifts(self, monkeypatch):
+        monkeypatch.setattr(stepper, "STABILITY_RECOMPUTE_THRESHOLD", 0.5)
+        monkeypatch.setattr(stepper, "SAFETY", 1.0)
+        controller = StepSizeController(StepControlSettings())
         a = np.array([[-100.0]])
         first = controller.stability_limit(a)
         # small drift: cached value reused even though the true limit changed
@@ -68,17 +79,17 @@ class TestPropose:
         h = controller.propose(np.array([[-1.0]]), 0.0, t_remaining=1e-5)
         assert h == pytest.approx(1e-5)
 
-    def test_growth_is_limited(self):
-        settings = StepControlSettings(h_initial=1e-4, growth_limit=1.5, h_max=1.0)
+    def test_growth_is_limited(self, monkeypatch):
+        monkeypatch.setattr(stepper, "GROWTH_LIMIT", 1.5)
+        settings = StepControlSettings(h_initial=1e-4, h_max=1.0)
         controller = StepSizeController(settings)
         first = controller.propose(np.array([[-1.0]]), 0.0)
         second = controller.propose(np.array([[-1.0]]), 0.0)
         assert second <= first * 1.5 + 1e-15
 
-    def test_large_jacobian_change_shrinks_step(self):
-        settings = StepControlSettings(
-            h_initial=1e-3, jacobian_change_target=0.01, h_max=1.0
-        )
+    def test_large_jacobian_change_shrinks_step(self, monkeypatch):
+        monkeypatch.setattr(stepper, "JACOBIAN_CHANGE_TARGET", 0.01)
+        settings = StepControlSettings(h_initial=1e-3, h_max=1.0)
         controller = StepSizeController(settings)
         controller.propose(np.array([[-1.0]]), 0.0)
         h_before = controller.current_step
@@ -94,8 +105,9 @@ class TestPropose:
         h = controller.propose(np.array([[-1e9]]) * 1e6, 1e15)
         assert h >= 1e-6
 
-    def test_stability_bound_enforced(self):
-        settings = StepControlSettings(h_initial=1.0, h_max=1.0, safety=1.0)
+    def test_stability_bound_enforced(self, monkeypatch):
+        monkeypatch.setattr(stepper, "SAFETY", 1.0)
+        settings = StepControlSettings(h_initial=1.0, h_max=1.0)
         controller = StepSizeController(settings, integrator=ForwardEuler())
         h = controller.propose(np.array([[-1000.0]]), 0.0)
         assert h <= 2.0 / 1000.0 + 1e-12
@@ -111,9 +123,8 @@ class TestPropose:
     def test_drift_is_consumed_not_measured(self):
         # the controller holds no previous Jacobian: a jump in the matrix
         # it is given changes nothing unless the drift says so
-        settings = StepControlSettings(
-            h_initial=1e-4, jacobian_change_target=0.1, h_max=1.0
-        )
+        # at the default change target 0.1
+        settings = StepControlSettings(h_initial=1e-4, h_max=1.0)
         quiet, told = StepSizeController(settings), StepSizeController(settings)
         for controller in (quiet, told):
             controller.propose(np.array([[-1.0]]), 0.0)

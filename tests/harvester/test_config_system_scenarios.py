@@ -88,6 +88,16 @@ class TestTunableEnergyHarvester:
         solver = harvester.build_solver()
         assert solver.digital_kernel is None
 
+    @pytest.mark.parametrize("frequency_hz", [60.0, 70.0, 83.5])
+    def test_default_settings_are_the_built_systems(self, frequency_hz):
+        # one derivation: the harvester's default is its built system's,
+        # and that is the frequency rule for the configured excitation
+        config = paper_harvester().with_excitation(frequency_hz=frequency_hz)
+        harvester = TunableEnergyHarvester(config)
+        settings = harvester.build_solver().settings
+        assert settings == harvester._built.default_solver_settings()
+        assert settings == default_solver_settings(frequency_hz)
+
     def test_solver_wiring(self):
         harvester = TunableEnergyHarvester()
         solver = harvester.build_solver()
