@@ -35,7 +35,7 @@ from ..core.block import (
 )
 from ..core.errors import ConfigurationError
 from .tuning import MagneticTuningModel
-from .vibration import batch_acceleration
+from .vibration import PreparedAcceleration
 
 __all__ = ["MicrogeneratorParameters", "ElectromagneticMicrogenerator"]
 
@@ -302,8 +302,9 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         control write, after which the batched solver re-prepares its
         refresh, so between writes every Jacobian block is lane-constant;
         only the excitation row ``ex[:, 1]`` depends on ``t`` through the
-        base acceleration, which goes through the lanes' scalar sources
-        (libm ``sin``) so it matches each lane's serial run exactly.
+        base acceleration, prepared here once per binding
+        (:class:`~repro.blocks.vibration.PreparedAcceleration`: libm
+        ``sin`` per lane) so it matches each lane's serial run exactly.
         """
         b = len(lanes)
         m = np.array([lane.params.proof_mass_kg for lane in lanes])
@@ -315,7 +316,7 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         f_tz = np.array(
             [lane.params.tuning_force_z_fraction * lane._tuning_force for lane in lanes]
         )
-        accelerations = [lane._acceleration for lane in lanes]
+        acceleration = PreparedAcceleration([lane._acceleration for lane in lanes])
 
         jxx = np.zeros((b, 3, 3))
         jxx[:, 0, 1] = 1.0
@@ -333,7 +334,7 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         ey = np.zeros((b, 1))
 
         def lineariser(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
-            f_a = m * batch_acceleration(accelerations, t)
+            f_a = m * acceleration(t)
             ex = np.zeros((b, 3))
             ex[:, 1] = (f_a - f_tz) / m
             return BatchedLinearisation(

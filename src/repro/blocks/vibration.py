@@ -27,6 +27,7 @@ __all__ = [
     "VibrationSource",
     "MultiToneVibrationSource",
     "batch_acceleration",
+    "PreparedAcceleration",
 ]
 
 
@@ -35,19 +36,78 @@ def batch_acceleration(
 ) -> np.ndarray:
     """Base acceleration of ``B`` lane excitations at per-lane time points.
 
-    Used by the batched block linearisations: each lane of a batched sweep
-    carries its own excitation (its own frequency/amplitude/schedule) and
-    its own clock, so lane ``i`` is evaluated at ``t[i]``.
-    Deliberately a loop over the scalar sources rather than an
-    ``np.sin``-vectorised evaluation: the scalar sources go through libm's
-    ``sin``, and NumPy's SIMD ``sin`` is not guaranteed bit-identical to
-    it, which would break each batched lane's bitwise identity with its
-    scalar run.  At one call per block per refresh
-    the loop is far off the hot path.
+    Used by the batched block models: each lane of a batched sweep carries
+    its own excitation (its own frequency/amplitude/schedule) and its own
+    clock, so lane ``i`` is evaluated at ``t[i]``.  Deliberately a loop
+    over the scalar sources rather than an ``np.sin``-vectorised
+    evaluation: the scalar sources go through libm's ``sin``, and NumPy's
+    SIMD ``sin`` is not guaranteed bit-identical to it, which would break
+    each batched lane's bitwise identity with its scalar run.  This makes
+    one Python call per lane per evaluation; a caller that evaluates the
+    same lanes at every refresh prepares them once with
+    :class:`PreparedAcceleration` instead.
     """
     return np.array(
         [float(source(t_i)) for source, t_i in zip(sources, t.tolist())]
     )
+
+
+class PreparedAcceleration:
+    """:func:`batch_acceleration` of fixed lane sources, prepared once.
+
+    A lane whose source is a :meth:`VibrationSource.acceleration` gets its
+    segment table when this object is built: each segment's start,
+    ``2 * pi * frequency`` (the product ``acceleration`` forms first),
+    amplitude and start phase.  A call walks each such lane's table as
+    ``VibrationSource._segment_at`` walks its segments and forms the
+    phase argument and the product with the amplitude as
+    :meth:`VibrationSource.acceleration` does -- the same IEEE operations
+    in the same order, and libm's ``math.sin`` -- without the two method
+    calls per lane.  Any other source (:class:`MultiToneVibrationSource`,
+    a user function) is called per lane, as :func:`batch_acceleration`
+    calls it.  Either way every value is bitwise its scalar call.
+    """
+
+    def __init__(self, sources: Sequence[Callable[[float], float]]) -> None:
+        self._sources = list(sources)
+        self._segments = [_table_segments(source) for source in self._sources]
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """Every lane's base acceleration, lane ``i`` at ``t[i]``."""
+        values = []
+        for source, segments, t_i in zip(self._sources, self._segments, t.tolist()):
+            if segments is None:
+                values.append(float(source(t_i)))
+                continue
+            current = segments[0]
+            for segment in segments:
+                if segment[0] <= t_i:
+                    current = segment
+                else:
+                    break
+            t_start, omega, amp, phase = current
+            values.append(amp * math.sin(phase + omega * (t_i - t_start)))
+        return np.array(values)
+
+
+def _table_segments(
+    source: Callable[[float], float]
+) -> Optional[List[Tuple[float, float, float, float]]]:
+    """``(start, 2 * pi * frequency, amplitude, phase)`` of each segment of
+    a :meth:`VibrationSource.acceleration` source, or ``None`` for any
+    other callable."""
+    owner = getattr(source, "__self__", None)
+    if (
+        not isinstance(owner, VibrationSource)
+        or getattr(source, "__func__", None) is not VibrationSource.acceleration
+        or type(owner)._segment_at is not VibrationSource._segment_at
+    ):
+        return None
+    # ``2.0 * math.pi * freq`` is the product ``acceleration`` forms first
+    return [
+        (t_start, 2.0 * math.pi * freq, amp, phase)
+        for t_start, freq, amp, phase in owner._segments
+    ]
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ arithmetic, and each lane's excitation goes through scalar libm.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -91,12 +90,18 @@ from .errors import (
     StabilityError,
 )
 from .integrators import AdamsBashforth, ExplicitIntegrator
-from .kernels import END_EPS, diverged_lanes, get_march_kernel, record_due
+from .kernels import (
+    END_EPS,
+    divergence_guard,
+    diverged_lanes,
+    get_march_kernel,
+    record_due,
+)
 from .probes import ColumnProbe, ModelProbe
 from .results import SimulationResult, SolverStats, Trace
 from . import stepper
 from .solver import ProbeFn, SolverSettings
-from .stepper import BatchedStepController, relative_jacobian_drift
+from .stepper import BatchedStepController, jacobian_drifts
 
 __all__ = ["BatchedSolver", "BatchResult"]
 
@@ -329,12 +334,16 @@ class _BatchedRecorder:
         self._states[start:end] = states[steps, lanes]
         self._nets[start:end] = nets[steps, lanes]
         self._n = end
-        # a lane's times rise step by step: its last due time is the largest
-        self.last_record_times = np.where(
-            due.any(axis=0),
-            np.where(due, times, -np.inf).max(axis=0),
-            self.last_record_times,
-        )
+        # a lane's times rise step by step: its last due time is the
+        # largest (of one row, the row's own)
+        if due.shape[0] == 1:
+            self.last_record_times = np.where(due[0], times[0], self.last_record_times)
+        else:
+            self.last_record_times = np.where(
+                due.any(axis=0),
+                np.where(due, times, -np.inf).max(axis=0),
+                self.last_record_times,
+            )
         row_due = self._row_lanes[lanes]
         if row_due.any():
             for step, i in zip(steps[row_due].tolist(), lanes[row_due].tolist()):
@@ -582,10 +591,15 @@ class BatchedSolver:
         hold = per_lane((max(1, int(c.relinearise_interval)) for c in configs), int)
         lle_tolerance = stepper.LLE_TOLERANCE
         # every lane's per-lane state; the stat accumulators are copied
-        # into each lane's SolverStats at finalisation
+        # into each lane's SolverStats at finalisation.  Every active lane
+        # advances by the same number of steps and is refreshed at most
+        # once per step, so the function evaluations, linear solves and
+        # Jacobian reuses follow from ``steps`` and ``jev`` there
         s = _LaneArrays(
             t=np.full(b, float(t_start)),
             t_end=t_end_arr,
+            # a lane has finished at ``t >= t_done``
+            t_done=t_end_arr - END_EPS,
             x=x0,
             y=np.zeros((b, assembler.n_terminals)),
             adaptive=np.isnan(fixed),
@@ -595,14 +609,11 @@ class BatchedSolver:
             # a spent hold budget forces every lane's first refresh
             since=hold.copy(),
             due=np.ones(b, dtype=bool),
-            divergence_limit=per_lane(c.divergence_limit for c in configs),
-            fevals=np.zeros(b, dtype=np.int64),
+            guard=divergence_guard(per_lane(c.divergence_limit for c in configs)),
             steps=np.zeros(b, dtype=np.int64),
             h_min=np.full(b, np.inf),
             h_max=np.zeros(b),
             jev=np.zeros(b, dtype=np.int64),
-            solves=np.zeros(b, dtype=np.int64),
-            reuses=np.zeros(b, dtype=np.int64),
             lle_max=np.zeros(b),
             lle_flags=np.zeros(b, dtype=np.int64),
             # each lane's Jacobian-drift reference, valid where has_ref
@@ -614,10 +625,12 @@ class BatchedSolver:
             t_event=per_lane(next_event_time(lane) for lane in lanes),
         )
         self._live = s
+        # whether every active lane proposes its own steps
+        all_adaptive = bool(s.adaptive.all())
         # the stacked Adams-Bashforth window, oldest first: (B,) sample
         # times with (B, n) derivatives; a lane reads only its newest
         # ``depth`` entries
-        history: deque = deque()
+        history: List[Tuple[np.ndarray, np.ndarray]] = []
         # the single-step path's state (non-Adams-Bashforth integrators)
         integrator_state = self.integrator.new_state()
 
@@ -645,20 +658,21 @@ class BatchedSolver:
 
         def drop_lanes(keep: np.ndarray) -> None:
             """Compact every stacked structure to the lanes in ``keep``."""
-            nonlocal reduced, lanes, assembler, history
+            nonlocal reduced, lanes, assembler, history, all_adaptive
             keep = np.asarray(keep, dtype=int)
             if keep.size == 0:
                 lanes = []
                 return
             s.select(keep)
+            all_adaptive = bool(s.adaptive.all())
             recorder.select(keep)
             if reduced is not None:
                 reduced = reduced.select(keep)
             if controller is not None:
                 controller.select(keep)
-            history = deque(
+            history = [
                 (sample_t[keep], sample_f[keep]) for sample_t, sample_f in history
-            )
+            ]
             assembler = assembler.select(keep)
             lanes = [lanes[int(i)] for i in keep]
             for row, lane in enumerate(lanes):
@@ -685,13 +699,15 @@ class BatchedSolver:
                 s.y[i] = lane_reduced.y_solution
             recorder.record_lane(i, s.t, s.x, s.y)
             stats = lane.stats
-            stats.n_function_evaluations = int(s.fevals[i])
-            stats.n_steps = int(s.steps[i])
-            stats.n_accepted_steps = int(s.steps[i])
+            steps, jev = int(s.steps[i]), int(s.jev[i])
+            stats.n_function_evaluations = steps
+            stats.n_steps = steps
+            stats.n_accepted_steps = steps
             stats.min_step = float(s.h_min[i])
             stats.max_step = float(s.h_max[i])
-            stats.n_jacobian_evaluations = int(s.jev[i])
-            stats.n_linear_solves = int(s.solves[i])
+            stats.n_jacobian_evaluations = jev
+            # the initial consistency solve, then one per refresh
+            stats.n_linear_solves = jev + 1
             stats.cpu_time_s = (time.perf_counter() - wall_start) / b
             stats.final_time = t_i
             result = SimulationResult(
@@ -705,7 +721,8 @@ class BatchedSolver:
             result.metadata["lle_max_jacobian_change"] = float(s.lle_max[i])
             result.metadata["lle_flagged_steps"] = int(s.lle_flags[i])
             result.metadata["relinearise_interval"] = int(s.hold[i])
-            result.metadata["n_jacobian_reuses"] = int(s.reuses[i])
+            # every step not taken on a fresh refresh held its model
+            result.metadata["n_jacobian_reuses"] = steps - jev
             if lane.kernel is not None:
                 result.metadata["digital_activations"] = lane.kernel.n_activations
             result.metadata["batched"] = True
@@ -793,7 +810,7 @@ class BatchedSolver:
                     order,
                     recorder.last_record_times[rows],
                     recorder.thresholds[rows],
-                    s.divergence_limit[rows],
+                    s.guard[rows],
                     s.t_event[rows] if events_active else None,
                 )
                 x_new[rows] = one.x
@@ -808,7 +825,7 @@ class BatchedSolver:
             sample[rows] = scratch.history[-1][1]
             history.append((s.t, sample))
             if len(history) > order:
-                history.popleft()
+                del history[0]
             return x_new
 
         def fail_diverged(bad: np.ndarray, h_at: np.ndarray) -> None:
@@ -853,33 +870,45 @@ class BatchedSolver:
             finally:
                 refresh_time += time.perf_counter() - refresh_start
 
+        def measure_drifts(
+            a: np.ndarray, rows: Optional[np.ndarray]
+        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+            """The LLE and stability drifts of fresh matrices ``a`` of the
+            lanes in ``rows`` (default: all), in one stacked norm."""
+            reference = s.a_ref if rows is None else s.a_ref[rows]
+            if controller is None:
+                return jacobian_drifts(a, reference)[0], None
+            return controller.drifts(a, reference, rows)
+
         def adopt(fresh: BatchedReducedSystem) -> None:
             """Take the fresh models, proposals and stats in the due lanes.
 
             When every lane is due (always, at ``relinearise_interval``
             1) whole arrays are rebound rather than written lane by lane;
             ``a_ref`` then aliases the fresh model's ``a_reduced``, so
-            neither path ever writes into ``a_ref``.
+            neither path ever writes into ``a_ref``.  Both drifts of the
+            refresh come from one stacked norm evaluation: the LLE drift
+            against ``a_ref`` and the controller's stability drift.
             """
             nonlocal reduced
             a_fresh = fresh.a_reduced
             # the first refresh has every lane due: ``since`` starts at ``hold``
-            if s.due.all():
+            every_due = s.due.all()
+            if every_due:
                 reduced = fresh
                 s.y = fresh.y_solution
+                drift, stability_drift = measure_drifts(a_fresh, None)
                 # a lane's first sample after a (re)start measures no drift
-                change = np.where(
-                    s.has_ref, relative_jacobian_drift(a_fresh, s.a_ref), 0.0
-                )
-                s.lle_max = np.maximum(s.lle_max, change)
-                s.lle_flags = s.lle_flags + (change > lle_tolerance)
+                change = np.where(s.has_ref, drift, 0.0)
+                np.maximum(s.lle_max, change, out=s.lle_max)
+                s.lle_flags += change > lle_tolerance
                 s.a_ref = a_fresh
-                s.has_ref = np.ones_like(s.has_ref)
-                s.since = np.zeros_like(s.since)
-                s.jev = s.jev + 1
-                s.solves = s.solves + 1
+                s.has_ref.fill(True)
+                s.since.fill(0)
+                s.jev += 1
             else:
                 due = s.due
+                rows = np.flatnonzero(due)
                 # the other lanes' terminals follow their held models
                 s.y = np.where(
                     due[:, None], fresh.y_solution, reduced.terminal_values(s.x)
@@ -896,37 +925,44 @@ class BatchedSolver:
                     held = getattr(reduced, name)
                     mask = due.reshape((-1,) + (1,) * (held.ndim - 1))
                     setattr(reduced, name, np.where(mask, getattr(fresh, name), held))
-                change = np.where(
-                    s.has_ref[due],
-                    relative_jacobian_drift(a_fresh[due], s.a_ref[due]),
-                    0.0,
-                )
-                s.lle_max[due] = np.maximum(s.lle_max[due], change)
-                s.lle_flags[due] += change > lle_tolerance
+                drift, stability_drift = measure_drifts(a_fresh[rows], rows)
+                change = np.where(s.has_ref[rows], drift, 0.0)
+                s.lle_max[rows] = np.maximum(s.lle_max[rows], change)
+                s.lle_flags[rows] += change > lle_tolerance
                 s.a_ref = np.where(due[:, None, None], a_fresh, s.a_ref)
-                s.has_ref[due] = True
-                s.since[due] = 0
-                s.jev[due] += 1
-                s.solves[due] += 1
-            proposing = s.due & s.adaptive
-            if proposing.any():
-                every = proposing.all()
-                s.h[proposing] = controller.propose(
-                    reduced.a_reduced,
-                    # a lane's drift reference is its previous proposal's
-                    # Jacobian: the controller consumes the adopted figure
-                    change if every else change[s.adaptive[s.due]],
-                    t_remaining=step_boundary() - s.t,
-                    # None (every lane) keeps the controller on views
-                    lanes=None if every else np.flatnonzero(proposing),
-                )
+                s.has_ref[rows] = True
+                s.since[rows] = 0
+                s.jev[rows] += 1
+            if controller is None:
+                return
+            # a lane's drift reference is its previous proposal's
+            # Jacobian: the controller consumes the adopted figures
+            if every_due and all_adaptive:
+                proposing = None
+            else:
+                proposing = np.flatnonzero(s.due & s.adaptive)
+                if not proposing.size:
+                    return
+                adaptive = s.adaptive if every_due else s.adaptive[rows]
+                change = change[adaptive]
+                stability_drift = stability_drift[adaptive]
+            proposals = controller.propose(
+                reduced.a_reduced,
+                change,
+                stability_drift,
+                t_remaining=step_boundary() - s.t,
+                lanes=proposing,
+            )
+            if proposing is None:
+                s.h = proposals
+            else:
+                s.h[proposing] = proposals
 
         # initial consistency solve (counts as a linear solve only)
         initial = linearise()
         if initial is None:
             return BatchResult(results=results, failures=failures)
         s.y = initial.y_solution
-        s.solves += 1
 
         while lanes:
             # 1. finalise lanes that reached their end time.  When every
@@ -935,8 +971,8 @@ class BatchedSolver:
             #    solves — instead of once per lane; a singular batched
             #    solve falls back to the per-lane path so failure blame
             #    stays lane-accurate.
-            finished = s.t >= s.t_end - END_EPS
-            if np.any(finished):
+            finished = s.t >= s.t_done
+            if finished.any():
                 idx = np.flatnonzero(finished)
                 consistent = False
                 if idx.size == len(lanes) and idx.size > 1:
@@ -956,9 +992,9 @@ class BatchedSolver:
 
             # 2. digital activations due now, lane by lane
             if events_active:
-                due_events = np.flatnonzero(s.t_event <= s.t + END_EPS)
-                if due_events.size:
-                    run_events(due_events)
+                due_events = s.t_event <= s.t + END_EPS
+                if due_events.any():
+                    run_events(np.flatnonzero(due_events))
                     if not lanes:
                         break
 
@@ -989,20 +1025,23 @@ class BatchedSolver:
                     s.t,
                     s.h,
                     s.t_end,
-                    int(np.min(s.hold - s.since)),
-                    list(history),
+                    int((s.hold - s.since).min()),
+                    history,
                     order,
                     recorder.last_record_times,
                     recorder.thresholds,
-                    s.divergence_limit,
+                    s.guard,
                     s.t_event if events_active else None,
                 )
                 kernel_time += time.perf_counter() - kernel_start
                 recorder.record_burst(burst.records, reduced)
                 n_steps = burst.steps
                 s.x, s.t = burst.x, burst.t
-                s.y = reduced.terminal_values(burst.x_prev)
-                history = deque(burst.history)
+                # ``y`` lags the state: after one step it already holds the
+                # terminals of the state that step departed from
+                if n_steps > 1:
+                    s.y = reduced.terminal_values(burst.x_prev)
+                history = burst.history
                 h_min, h_max, h_last = burst.h_min, burst.h_max, burst.h_last
                 diverged = burst.diverged
             else:
@@ -1017,16 +1056,13 @@ class BatchedSolver:
                 s.t = s.t + h
                 n_steps = 1
                 h_min = h_max = h_last = h
-                diverged = diverged_lanes(s.x, s.divergence_limit)
+                diverged = diverged_lanes(s.x, s.guard)
 
             s.depth += n_steps
             s.since += n_steps
-            # every held step counts as a reuse, a fresh one does not
-            s.reuses += n_steps - s.due
-            s.fevals += n_steps
             s.steps += n_steps
-            s.h_min = np.minimum(s.h_min, h_min)
-            s.h_max = np.maximum(s.h_max, h_max)
+            np.minimum(s.h_min, h_min, out=s.h_min)
+            np.maximum(s.h_max, h_max, out=s.h_max)
             if diverged is not None:
                 fail_diverged(diverged, h_last)
 

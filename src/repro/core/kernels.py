@@ -49,6 +49,7 @@ __all__ = [
     "MarchResult",
     "available_backends",
     "batched_state_norms",
+    "divergence_guard",
     "diverged_lanes",
     "get_march_kernel",
     "record_due",
@@ -91,20 +92,30 @@ def batched_state_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def diverged_lanes(x: np.ndarray, divergence_limit: np.ndarray) -> Optional[np.ndarray]:
+def divergence_guard(divergence_limit: np.ndarray) -> np.ndarray:
+    """Per-lane divergence limits in the form the guard compares against.
+
+    Clamped to the largest finite norm, so that a non-finite norm always
+    trips, even under an infinite limit.  The batched march clamps its
+    lanes' limits once per run and hands the result to the kernel.
+    """
+    return np.minimum(divergence_limit, _MAX_NORM)
+
+
+def diverged_lanes(x: np.ndarray, guard: np.ndarray) -> Optional[np.ndarray]:
     """Per-lane divergence-guard mask, or ``None`` when no lane tripped.
 
-    A finite norm implies finite components, so non-finite states and
-    norms above the limit are the only trips.  The plain norm settles the
-    common all-healthy case; only a lane it cannot clear takes the
-    overflow-safe :func:`batched_state_norms`.
+    ``guard`` is each lane's :func:`divergence_guard`.  A lane trips when
+    its state norm is not at most its guard: a non-finite state or norm,
+    or a norm above the limit.  The plain norm settles the common
+    all-healthy case; only a lane it cannot clear takes the overflow-safe
+    :func:`batched_state_norms`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.sum(x * x, axis=1))
-    if (norms <= np.minimum(divergence_limit, _MAX_NORM)).all():
+        norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    if (norms <= guard).all():
         return None
-    norms = batched_state_norms(x)
-    bad = ~(np.isfinite(norms) & (norms <= divergence_limit))
+    bad = ~(batched_state_norms(x) <= guard)
     return bad if bad.any() else None
 
 
@@ -294,7 +305,7 @@ def _march_numpy(
     order: int,
     rec_last: np.ndarray,
     rec_thresh: np.ndarray,
-    divergence_limit: np.ndarray,
+    guard: np.ndarray,
     t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
     """March every lane up to ``max_steps`` held-model steps.
@@ -305,11 +316,11 @@ def _march_numpy(
     """
     if max_steps == 1:
         return _march_one(
-            a, b, x, t, h_held, t_end, history, order, divergence_limit, t_event
+            a, b, x, t, h_held, t_end, history, order, guard, t_event
         )
     return _march_burst(
         a, b, x, t, h_held, t_end, max_steps, history, order, rec_last,
-        rec_thresh, divergence_limit, t_event,
+        rec_thresh, guard, t_event,
     )
 
 
@@ -322,7 +333,7 @@ def _march_one(
     t_end: np.ndarray,
     history: Sequence[Tuple[np.ndarray, np.ndarray]],
     order: int,
-    divergence_limit: np.ndarray,
+    guard: np.ndarray,
     t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
     """One held-model step: :func:`_march_burst` at ``max_steps`` 1.
@@ -338,26 +349,32 @@ def _march_one(
     """
     boundary = t_end if t_event is None else np.minimum(t_end, t_event)
     h = np.minimum(h_held, boundary - t)
+    t_new = t + h
     samples = list(history)
     samples.append((t, np.matmul(a, x[..., None])[..., 0] + b))
     if len(samples) > order:
         del samples[0]
-    window = np.stack([sample_t for sample_t, _ in samples[-order:]], axis=1)
-    window = window - t[:, None]
-    spans = (t + h) - t
-    weights = _solve_weights(window.tobytes(), spans.tobytes(), (1,) + window.shape)
-    derivatives = np.stack([sample_f for _, sample_f in samples], axis=1)
+    # the (B, k) window read through a transpose: ``tobytes`` gives the
+    # C-order bytes of the burst loop's stacked window all the same
+    window = np.array([sample_t for sample_t, _ in samples[-order:]]).T - t[:, None]
+    weights = _solve_weights(
+        window.tobytes(), (t_new - t).tobytes(), (1,) + window.shape
+    )
+    # the burst loop's ``np.stack(..., axis=1)``, filled in place
+    derivatives = np.empty((x.shape[0], len(samples), x.shape[1]))
+    for j, (_, sample_f) in enumerate(samples):
+        derivatives[:, j] = sample_f
     x_new = x + np.matmul(weights[0][:, None, :], derivatives)[:, 0, :]
     return MarchResult(
         steps=1,
-        t=t + h,
+        t=t_new,
         x=x_new,
         x_prev=x,
         history=samples,
         h_min=h,
         h_max=h,
         h_last=h,
-        diverged=diverged_lanes(x_new, divergence_limit),
+        diverged=diverged_lanes(x_new, guard),
         records=[],
     )
 
@@ -374,7 +391,7 @@ def _march_burst(
     order: int,
     rec_last: np.ndarray,
     rec_thresh: np.ndarray,
-    divergence_limit: np.ndarray,
+    guard: np.ndarray,
     t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
     """March every lane up to ``max_steps`` held-model steps, in one burst.
@@ -419,7 +436,7 @@ def _march_burst(
         x_prev = x
         x = x + np.matmul(weights[j][:, None, :], derivatives)[:, 0, :]
         steps += 1
-        diverged = diverged_lanes(x, divergence_limit)
+        diverged = diverged_lanes(x, guard)
         if diverged is not None:
             break
 

@@ -37,7 +37,7 @@ from .errors import ConfigurationError, SingularLaneError, SingularSystemError, 
 from .integrators import AdamsBashforth, ExplicitIntegrator
 from .results import SimulationResult, SolverStats, TraceRecorder
 from . import stepper
-from .stepper import StepControlSettings, StepSizeController
+from .stepper import StepControlSettings, StepSizeController, frobenius_norm
 
 __all__ = ["SolverSettings", "LinearisedStateSpaceSolver"]
 
@@ -266,13 +266,13 @@ class LinearisedStateSpaceSolver:
                 change = (
                     0.0
                     if a_previous is None
-                    else float(np.linalg.norm(a_fresh - a_previous) / a_previous_norm)
+                    else frobenius_norm(a_fresh - a_previous) / a_previous_norm
                 )
                 if change > lle_tolerance:
                     lle_flagged += 1
                 lle_max = max(lle_max, change)
                 a_previous = a_fresh
-                a_previous_norm = np.linalg.norm(a_fresh) or 1.0
+                a_previous_norm = frobenius_norm(a_fresh) or 1.0
 
             # 5. choose the step size.  Held steps reuse the step proposed
             #    at the last fresh linearisation: the controller's inputs
@@ -305,7 +305,7 @@ class LinearisedStateSpaceSolver:
             # one norm: NaN fails the comparison, and an infinite norm
             # passes only an infinite limit, where only a non-finite
             # entry (not an overflowing sum) counts as divergence
-            norm = np.linalg.norm(self._x)
+            norm = frobenius_norm(self._x)
             if not norm <= settings.divergence_limit or (
                 norm == np.inf and not np.isfinite(self._x).all()
             ):

@@ -20,8 +20,9 @@ used by the solver each step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ __all__ = [
     "StepControlSettings",
     "StepSizeController",
     "BatchedStepController",
+    "frobenius_norm",
+    "jacobian_drifts",
     "relative_jacobian_drift",
     "SAFETY",
     "GROWTH_LIMIT",
@@ -61,16 +64,25 @@ STABILITY_RECOMPUTE_THRESHOLD = 0.02
 LLE_TOLERANCE = 0.1
 
 
+def frobenius_norm(m: np.ndarray) -> float:
+    """``np.linalg.norm(m)`` of one array, bitwise, without its dispatch.
+
+    NumPy's own fast path for the default norm: the square root of the
+    flattened array's dot product with itself.
+    """
+    flat = m.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def relative_jacobian_drift(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-lane relative Frobenius drift of stacked Jacobians.
 
     ``||a_i - reference_i||_F / ||reference_i||_F`` with a zero-norm
     reference falling back to an absolute scale of 1 — the batched
-    counterpart of the scalar solver's drift figure, measured once per
-    refresh and shared by step control and the ``lle_*`` metadata so the
-    two can never desynchronise.  Each norm is a stacked ``matmul`` of the
-    flattened lane with itself: the dot product ``np.linalg.norm`` takes,
-    so every lane's drift is bitwise the scalar solver's.
+    counterpart of the scalar solver's drift figure.  Each norm is a
+    stacked ``matmul`` of the flattened lane with itself: the dot product
+    ``np.linalg.norm`` takes, so every lane's drift is bitwise the scalar
+    solver's.  :func:`jacobian_drifts` takes several references at once.
     """
     scale = _frobenius_norms(reference)
     scale = np.where(scale == 0.0, 1.0, scale)
@@ -80,6 +92,30 @@ def relative_jacobian_drift(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def _frobenius_norms(m: np.ndarray) -> np.ndarray:
     flat = m.reshape(m.shape[0], 1, -1)
     return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def jacobian_drifts(a: np.ndarray, *references: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """:func:`relative_jacobian_drift` of ``a`` against each reference, bitwise.
+
+    Every difference ``a - reference`` and every reference is one row of a
+    ``(2k * B, n*n)`` stack whose norms are one stacked ``matmul``: the
+    same dot product per row as ``np.linalg.norm`` and as
+    :func:`relative_jacobian_drift`, whatever the stack size.  The
+    batched march measures both drifts of a refresh here: the LLE drift
+    against each lane's previous Jacobian and the stability drift against
+    its controller's bound matrix.
+    """
+    k = len(references)
+    stack = np.empty((2 * k,) + a.shape)
+    for j, reference in enumerate(references):
+        np.subtract(a, reference, out=stack[j])
+        stack[k + j] = reference
+    rows = stack.reshape(2 * k * a.shape[0], 1, -1)
+    norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1))).reshape(2, k, -1)
+    scales = norms[1]
+    # a zero-norm reference falls back to an absolute scale of 1
+    scales[scales == 0.0] = 1.0
+    return tuple(norms[0] / scales)
 
 
 @dataclass
@@ -160,7 +196,7 @@ class StepSizeController:
         the last computation; otherwise the cached value is reused.
         """
         if self._cached_stability_limit is not None and self._stability_jacobian is not None:
-            drift = np.linalg.norm(a_reduced - self._stability_jacobian) / self._stability_scale
+            drift = frobenius_norm(a_reduced - self._stability_jacobian) / self._stability_scale
             if drift <= STABILITY_RECOMPUTE_THRESHOLD:
                 return self._cached_stability_limit
         limit = integrator_step_limit(
@@ -170,7 +206,7 @@ class StepSizeController:
             safety=SAFETY,
         )
         self._stability_jacobian = np.array(a_reduced, dtype=float, copy=True)
-        self._stability_scale = np.linalg.norm(self._stability_jacobian) or 1.0
+        self._stability_scale = frobenius_norm(self._stability_jacobian) or 1.0
         self._cached_stability_limit = limit
         return limit
 
@@ -231,9 +267,11 @@ class BatchedStepController:
     shrink/grow, per-lane cached spectral limits with drift-triggered
     recomputation — but holds everything in stacked arrays so one batched
     eigenvalue sweep serves every lane that needs a fresh stability bound.
-    The caller measures the Jacobian drift that drives shrink/grow (the
-    batched solver holds each lane's previous Jacobian, as the scalar
-    solver does for its controller).
+    The caller measures both drifts of a refresh in one stacked norm
+    evaluation (:meth:`drifts`): the drift against each lane's previous
+    Jacobian, which drives shrink/grow (the batched solver holds it, as the
+    scalar solver does for its controller), and the drift against the
+    matrix of the lane's cached bound, which gates its recomputation.
     Each lane keeps its own proposal: the batched solver marches every
     lane at its own step, so lane ``i``'s proposals are exactly its
     scalar controller's.
@@ -280,8 +318,8 @@ class BatchedStepController:
             return
         b = self._h_initial.shape[0]
         self._h_current = self._h_initial.copy()
-        # per-lane stability Jacobians, allocated on first use; the mask
-        # says which lanes hold one yet
+        # per-lane matrices of the cached bounds, allocated on first use;
+        # the mask says which lanes hold one yet
         self._stability_jacobian: Optional[np.ndarray] = None
         self._cached_stability_limit = np.full(b, np.inf)
         self._has_stability = np.zeros(b, dtype=bool)
@@ -304,32 +342,61 @@ class BatchedStepController:
     # ------------------------------------------------------------------ #
     # criteria
     # ------------------------------------------------------------------ #
+    def _bound_matrices(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """Every lane's cached-bound matrix (zeros where none is held)."""
+        if self._stability_jacobian is None:
+            self._stability_jacobian = np.zeros((self.n_lanes,) + tuple(shape[1:]))
+        return self._stability_jacobian
+
+    def drifts(
+        self,
+        a_reduced: np.ndarray,
+        reference: np.ndarray,
+        lanes: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The two Jacobian drifts of the lanes in ``lanes`` (default: all).
+
+        ``a_reduced`` and ``reference`` hold those lanes' fresh and
+        previous Jacobians.  Returns the drift against ``reference`` and
+        the drift against each lane's cached-bound matrix, which
+        :meth:`propose` takes as ``stability_drift`` (a lane holding no
+        bound recomputes it whatever its figure), both from one
+        :func:`jacobian_drifts` evaluation.
+        """
+        held = self._bound_matrices(a_reduced.shape)
+        return jacobian_drifts(
+            a_reduced, reference, held if lanes is None else held[lanes]
+        )
+
     def stability_limits(
-        self, a_reduced: np.ndarray, lanes: Optional[np.ndarray] = None
+        self,
+        a_reduced: np.ndarray,
+        stability_drift: np.ndarray,
+        lanes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Stable-step bounds of ``lanes`` (default: all) with drift-gated
-        recomputation; ``a_reduced`` covers every lane."""
+        """Stable-step bounds of ``lanes`` (default: all); ``a_reduced``
+        covers every lane.  A lane's bound is recomputed when it holds
+        none or its ``stability_drift`` (see :meth:`drifts`) exceeds
+        :data:`STABILITY_RECOMPUTE_THRESHOLD`."""
         # a slice selects every lane without copying
         sel = slice(None) if lanes is None else lanes
-        a = a_reduced[sel]
-        if self._stability_jacobian is None:
-            self._stability_jacobian = np.zeros(a_reduced.shape)
-        drift = relative_jacobian_drift(a, self._stability_jacobian[sel])
-        recompute = ~self._has_stability[sel] | (drift > STABILITY_RECOMPUTE_THRESHOLD)
-        if np.any(recompute):
+        recompute = ~self._has_stability[sel] | (
+            stability_drift > STABILITY_RECOMPUTE_THRESHOLD
+        )
+        if recompute.any():
+            rows = np.flatnonzero(recompute)
+            targets = rows if lanes is None else lanes[rows]
+            a = a_reduced[targets]
             fresh = integrator_step_limit_batch(
-                a[recompute],
+                a,
                 real_extent=self._real_extent,
                 imag_extent=self._imag_extent,
                 safety=1.0,
             )
-            targets = (
-                np.flatnonzero(recompute) if lanes is None else lanes[recompute]
-            )
             self._cached_stability_limit[targets] = np.where(
                 np.isfinite(fresh), SAFETY * fresh, float("inf")
             )
-            self._stability_jacobian[targets] = a[recompute]
+            self._bound_matrices(a_reduced.shape)[targets] = a
             self._has_stability[targets] = True
         return self._cached_stability_limit[sel]
 
@@ -340,6 +407,7 @@ class BatchedStepController:
         self,
         a_reduced: np.ndarray,
         jacobian_change: np.ndarray,
+        stability_drift: np.ndarray,
         *,
         t_remaining: Optional[np.ndarray] = None,
         lanes: Optional[np.ndarray] = None,
@@ -349,39 +417,42 @@ class BatchedStepController:
         ``a_reduced`` is the stacked ``(B, n, n)`` reduced system matrices
         and ``t_remaining`` the per-lane time left (or ``None``), both for
         every lane; only the ``lanes`` entries are read, and only their
-        controller state advances.  ``jacobian_change`` is the selected
-        lanes' :func:`relative_jacobian_drift` since their previous
-        proposal (0 for a lane's first proposal after a reset).  Returns
-        one proposal per selected lane.
+        controller state advances.  ``jacobian_change`` and
+        ``stability_drift`` are the selected lanes' two :meth:`drifts`:
+        the first since their previous proposal (0 for a lane's first
+        proposal after a reset).  Returns one proposal per selected lane.
         """
         sel = slice(None) if lanes is None else lanes
         h = self._h_current[sel]
 
-        shrink_factor = np.maximum(
-            SHRINK_LIMIT,
-            np.divide(
-                JACOBIAN_CHANGE_TARGET,
-                jacobian_change,
-                out=np.ones_like(jacobian_change),
-                where=jacobian_change > 0.0,
-            ),
-        )
-        h = np.where(
-            jacobian_change > JACOBIAN_CHANGE_TARGET,
-            h * shrink_factor,
-            h * GROWTH_LIMIT,
-        )
+        # accuracy control: the scalar controller's shrink factor
+        # ``max(SHRINK_LIMIT, target / change)`` where the drift exceeds
+        # the target (the divisor is then the lane's drift), growth elsewhere
+        shrink = jacobian_change > JACOBIAN_CHANGE_TARGET
+        if shrink.any():
+            factor = np.maximum(
+                SHRINK_LIMIT,
+                JACOBIAN_CHANGE_TARGET
+                / np.maximum(jacobian_change, JACOBIAN_CHANGE_TARGET),
+            )
+            h = h * np.where(shrink, factor, GROWTH_LIMIT)
+        else:
+            h = h * GROWTH_LIMIT
 
-        h = np.minimum(h, self.stability_limits(a_reduced, lanes))
+        h = np.minimum(h, self.stability_limits(a_reduced, stability_drift, lanes))
         h = np.minimum(h, self._h_max[sel])
         h = np.maximum(h, self._h_min[sel])
         if t_remaining is not None:
             remaining = t_remaining[sel]
-            h = np.where(remaining > 0.0, np.minimum(h, remaining), h)
+            np.minimum(h, remaining, out=h, where=remaining > 0.0)
 
-        if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
+        valid = (h > 0.0) & (h < np.inf)
+        if not valid.all():
+            bad = np.flatnonzero(~valid)
+            rows = bad if lanes is None else np.asarray(lanes)[bad]
             raise StepSizeError(
-                f"batched step controller produced invalid steps {h!r}"
+                "batched step controller produced invalid steps in lane rows "
+                f"{rows.tolist()}: {h[bad].tolist()}"
             )
         self._h_current[sel] = h
         return h

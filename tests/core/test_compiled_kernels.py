@@ -461,8 +461,8 @@ def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):
     history = []
     for k in range(depth, 0, -1):
         history.append((t - k * h_held, rng.standard_normal((b, n))))
-    divergence_limit = np.full(b, 1e6)
-    divergence_limit[2] = 1e-9
+    guard = np.full(b, 1e6)
+    guard[2] = 1e-9
     return dict(
         a=a,
         b=rng.standard_normal((b, n)),
@@ -475,7 +475,7 @@ def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):
         order=order,
         rec_last=np.full(b, np.nan),
         rec_thresh=np.full(b, -np.inf),
-        divergence_limit=divergence_limit,
+        guard=guard,
         t_event=t_event if events else None,
     )
 
@@ -514,6 +514,15 @@ class TestOneStepPath:
 
 
 class TestOverflowSafeGuard:
+    def test_infinite_limit_still_trips_on_a_non_finite_state(self):
+        # the march clamps each lane's limit once per run: an infinite
+        # limit must still retire a lane whose state is not finite, and
+        # keep one whose plain norm overflows while its true norm is finite
+        x = np.array([[np.inf, 1.0], [np.nan, 0.0], [1e200, 1e200], [3.0, 4.0]])
+        guard = kernels.divergence_guard(np.full(4, np.inf))
+        assert kernels.diverged_lanes(x, guard).tolist() == [True, True, False, False]
+        assert kernels.diverged_lanes(x[2:], guard[2:]) is None
+
     def test_norms_survive_components_above_1e154(self):
         x = np.array([[1e200, 1e200], [3.0, 4.0], [np.inf, 1.0]])
         norms = batched_state_norms(x)

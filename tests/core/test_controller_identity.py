@@ -9,6 +9,13 @@ drawn so that every branch is taken, and each test counts that it was:
 shrink (at and above the shrink limit), grow, a recomputed and a reused
 stability bound, the ``h_min``, ``h_max`` and ``t_remaining`` clamps,
 and a reset.
+
+The batched controller does not measure the drift that gates its bound's
+recomputation: the batched march measures it next to the LLE drift, in
+one stacked norm evaluation (``BatchedStepController.drifts``).  Every
+batched proposal here takes its stability drift from that call, and each
+call's two drifts are checked against two ``relative_jacobian_drift``
+calls.
 """
 
 from collections import Counter
@@ -22,6 +29,8 @@ from repro.core.stepper import (
     BatchedStepController,
     StepControlSettings,
     StepSizeController,
+    jacobian_drifts,
+    relative_jacobian_drift,
 )
 
 #: step bounds per lane; lane 1 has a narrow range so both clamps bind
@@ -143,6 +152,28 @@ def _run_scalar(settings, script, integrator, with_remaining):
     return proposals, taken
 
 
+def _propose(batched, a_all, drift, remaining, lanes=None):
+    """One batched proposal, its stability drift measured as the march does.
+
+    ``drifts`` measures the selected lanes against an LLE reference (here
+    half their matrices) and against their cached-bound matrices at once;
+    both figures must be the two separate ``relative_jacobian_drift``
+    calls, bit for bit.
+    """
+    a = a_all if lanes is None else a_all[lanes]
+    reference = 0.5 * a
+    held = None
+    if batched._stability_jacobian is not None:
+        held = batched._stability_jacobian[slice(None) if lanes is None else lanes]
+    lle, stability = batched.drifts(a, reference, lanes)
+    assert lle.tobytes() == relative_jacobian_drift(a, reference).tobytes()
+    if held is not None:
+        assert stability.tobytes() == relative_jacobian_drift(a, held).tobytes()
+    return batched.propose(
+        a_all, drift, stability, t_remaining=remaining, lanes=lanes
+    )
+
+
 def _assert_bitwise(expected, got, where):
     assert np.float64(expected).tobytes() == np.float64(got).tobytes(), (where, expected, got)
 
@@ -168,10 +199,11 @@ def test_one_lane_matches_the_scalar_controller_bitwise(policy, with_remaining):
                 batched.reset()
                 continue
             a, drift, remaining = entry
-            got = batched.propose(
+            got = _propose(
+                batched,
                 a[None],
                 np.array([drift]),
-                t_remaining=np.array([remaining]) if with_remaining else None,
+                np.array([remaining]) if with_remaining else None,
             )
             _assert_bitwise(h, got[0], (lane, tick))
     missing = set(REQUIRED_BRANCHES) - set(taken)
@@ -218,11 +250,8 @@ def test_three_lanes_match_their_scalar_controllers_bitwise(policy):
         drifts = np.array([scripts[lane][tick][1] for lane in proposing])
         selected = np.array([rows[lane] for lane in proposing])
         every_row = len(proposing) == n_rows
-        got = batched.propose(
-            a_all,
-            drifts,
-            t_remaining=remaining_all,
-            lanes=None if every_row else selected,
+        got = _propose(
+            batched, a_all, drifts, remaining_all, None if every_row else selected
         )
         for k, lane in enumerate(proposing):
             a, drift, remaining = scripts[lane][tick]
@@ -234,3 +263,23 @@ def test_three_lanes_match_their_scalar_controllers_bitwise(policy):
             _assert_bitwise(h, got[k], (lane, tick))
     missing = set(REQUIRED_BRANCHES) - set(taken)
     assert not missing, sorted(missing)
+
+
+@pytest.mark.parametrize("entries", [9, 144, 256])
+def test_stacked_drifts_are_two_separate_drifts_bitwise(entries):
+    # one stacked norm evaluation must not depend on the stack size or on
+    # its neighbours: each drift is its own relative_jacobian_drift call
+    n = int(np.sqrt(entries))
+    rng = np.random.default_rng(entries)
+    for b in (1, 2, 3, 8, 17, 64):
+        exponents = rng.integers(-8, 8, size=(b, 1, 1)).astype(float)
+        lle_ref = rng.standard_normal((b, n, n)) * 10.0**exponents
+        bound_ref = rng.standard_normal((b, n, n)) * 10.0**exponents
+        a = lle_ref + rng.standard_normal((b, n, n)) * 1e-3 * 10.0**exponents
+        lle_ref[0] = 0.0  # a zero-norm reference falls back to scale 1
+        bound_ref[-1] = 0.0
+        lle, stability = jacobian_drifts(a, lle_ref, bound_ref)
+        assert lle.tobytes() == relative_jacobian_drift(a, lle_ref).tobytes(), b
+        assert stability.tobytes() == relative_jacobian_drift(a, bound_ref).tobytes(), b
+        (alone,) = jacobian_drifts(a, lle_ref)
+        assert alone.tobytes() == lle.tobytes(), b

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import stepper
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, StepSizeError
 from repro.core.integrators import AdamsBashforth, ForwardEuler
 from repro.core.stepper import (
+    BatchedStepController,
     StepControlSettings,
     StepSizeController,
+    frobenius_norm,
     relative_jacobian_drift,
 )
 
@@ -148,3 +150,44 @@ def test_batched_drift_is_the_scalar_norm_ratio_bitwise():
         ]
     )
     assert relative_jacobian_drift(a, reference).tobytes() == expected.tobytes()
+
+
+def test_scalar_norm_is_numpys_bitwise():
+    # the scalar march's drift and divergence norms skip np.linalg.norm's
+    # dispatch; the figure must stay its own, or step control could
+    # branch differently in the last bit
+    rng = np.random.default_rng(3)
+    for shape in [(11,), (12, 12), (3, 3)]:
+        for scale in (1e-8, 1.0, 1e150):
+            m = rng.standard_normal(shape) * scale
+            assert np.float64(frobenius_norm(m)).tobytes() == np.linalg.norm(m).tobytes()
+    transposed = rng.standard_normal((5, 7)).T
+    assert frobenius_norm(transposed) == np.linalg.norm(transposed)
+    assert frobenius_norm(np.zeros((4, 4))) == 0.0
+
+
+class TestBatchedInvalidStep:
+    """An invalid batched proposal names the lane rows at fault."""
+
+    @staticmethod
+    def _controller():
+        controller = BatchedStepController([StepControlSettings()] * 3)
+        a = np.stack([np.diag([-1.0, -2.0])] * 3)
+        return controller, a
+
+    def test_every_lane_proposing(self):
+        controller, a = self._controller()
+        controller._h_current[1] = np.nan
+        drift, stability = controller.drifts(a, a)
+        with pytest.raises(StepSizeError, match=r"lane rows \[1\]: \[nan\]$"):
+            controller.propose(a, drift, stability)
+
+    def test_a_subset_proposing(self):
+        controller, a = self._controller()
+        controller._h_current[2] = np.nan
+        lanes = np.array([0, 2])
+        drift, stability = controller.drifts(a[lanes], a[lanes], lanes)
+        with pytest.raises(StepSizeError, match=r"lane rows \[2\]: \[nan\]$"):
+            controller.propose(a, drift, stability, lanes=lanes)
+        # the proposal was refused: no lane's controller state advanced
+        assert controller._h_current[0] == StepControlSettings().h_initial
