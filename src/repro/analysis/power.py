@@ -98,18 +98,19 @@ def windowed_rms_power(power_trace: Trace, window_s: float) -> Trace:
         raise ConfigurationError("window length must be positive")
     times = power_trace.times
     values = power_trace.values
-    output = Trace(f"{power_trace.name}_rms", power_trace.unit)
-    for idx, t in enumerate(times):
-        lo = t - window_s / 2.0
-        hi = t + window_s / 2.0
-        mask = (times >= lo) & (times <= hi)
-        if np.count_nonzero(mask) < 2:
-            continue
-        seg_t = times[mask]
-        seg_v = values[mask]
-        mean_square = _trapezoid(seg_v**2, seg_t) / (seg_t[-1] - seg_t[0])
-        output.append(t, float(np.sqrt(mean_square)))
-    return output
+    # the window [t - w/2, t + w/2] of each sample, as slices of the
+    # sorted times
+    starts = np.searchsorted(times, times - window_s / 2.0, side="left")
+    ends = np.searchsorted(times, times + window_s / 2.0, side="right")
+    kept = np.flatnonzero(ends - starts >= 2)
+    rms = np.empty(kept.size)
+    for k, (lo, hi) in enumerate(zip(starts[kept].tolist(), ends[kept].tolist())):
+        seg_t = times[lo:hi]
+        mean_square = _trapezoid(values[lo:hi] ** 2, seg_t) / (seg_t[-1] - seg_t[0])
+        rms[k] = np.sqrt(mean_square)
+    return Trace(
+        f"{power_trace.name}_rms", power_trace.unit, times=times[kept], values=rms
+    )
 
 
 def power_before_after(

@@ -15,30 +15,29 @@ model as the fast solver, but the way such tools do it:
 * the time step is fixed and fine ("less than a millisecond", as the
   paper notes real harvester simulations require).
 
-The public interface mirrors :class:`~repro.core.solver.LinearisedStateSpaceSolver`
-(``add_probe``, ``interface``, ``state_value``, ``net_value``, ``run``)
-so the same harvester wiring drives both engines and the benchmark layer
-can time them on identical scenarios.
+It shares the fast solver's wiring surface and trace recorder
+(:class:`~repro.core.solver.WiredSolver`: ``add_probe``, ``interface``,
+``state_value``, ``net_value``) so the same harvester wiring drives both
+engines and the benchmark layer can time them on identical scenarios.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..core.digital import AnalogueInterface, DigitalEventKernel
+from ..core.digital import DigitalEventKernel
 from ..core.elimination import SystemAssembler
 from ..core.errors import ConfigurationError, ConvergenceError
 from ..core.integrators import ImplicitFormula, Trapezoidal
-from ..core.results import SimulationResult, SolverStats, TraceRecorder
+from ..core.results import SimulationResult, SolverStats
+from ..core.solver import WiredSolver
 from .newton_raphson import newton_solve
 
 __all__ = ["ImplicitSolverSettings", "ImplicitNewtonSolver"]
-
-ProbeFn = Callable[[float, np.ndarray, np.ndarray], float]
 
 
 @dataclass
@@ -75,7 +74,7 @@ class ImplicitSolverSettings:
     step_halving_attempts: int = 6
 
 
-class ImplicitNewtonSolver:
+class ImplicitNewtonSolver(WiredSolver):
     """Trapezoidal / backward-Euler + Newton-Raphson full-system solver."""
 
     def __init__(
@@ -85,39 +84,11 @@ class ImplicitNewtonSolver:
         settings: Optional[ImplicitSolverSettings] = None,
         digital_kernel: Optional[DigitalEventKernel] = None,
     ) -> None:
-        self.assembler = assembler
+        super().__init__(assembler, digital_kernel)
         self.formula = formula
         self.settings = settings or ImplicitSolverSettings()
         if self.settings.step_size <= 0.0:
             raise ConfigurationError("step size must be positive")
-        self.digital_kernel = digital_kernel
-        self.interface = AnalogueInterface()
-        self._probes: Dict[str, ProbeFn] = {}
-        self._x = assembler.initial_state()
-        self._y = np.zeros(assembler.n_terminals)
-        self._t = 0.0
-
-    # ------------------------------------------------------------------ #
-    # wiring API (mirrors the fast solver)
-    # ------------------------------------------------------------------ #
-    def add_probe(self, name: str, probe: ProbeFn) -> None:
-        """Record ``probe(t, x, y)`` as a named trace every recorded step."""
-        if name in self._probes:
-            raise ConfigurationError(f"duplicate probe name {name!r}")
-        self._probes[name] = probe
-
-    def state_value(self, block_name: str, state_name: str) -> float:
-        """Current value of a block state variable."""
-        return float(self._x[self.assembler.state_index(block_name, state_name)])
-
-    def net_value(self, block_name: str, terminal_name: str) -> float:
-        """Current value of the net attached to ``block.terminal``."""
-        return float(self._y[self.assembler.net_index(block_name, terminal_name)])
-
-    @property
-    def current_time(self) -> float:
-        """Simulated time reached so far."""
-        return self._t
 
     # ------------------------------------------------------------------ #
     # residual of one implicit step
@@ -181,7 +152,6 @@ class ImplicitNewtonSolver:
         )
         self._y = np.zeros(assembler.n_terminals)
 
-        recorder = TraceRecorder(record_interval=settings.record_interval)
         stats = SolverStats(
             solver_name=f"newton-raphson/{self.formula.name}"
         )
@@ -192,14 +162,20 @@ class ImplicitNewtonSolver:
 
         # make the terminal variables consistent with the initial state
         self._y = self._solve_initial_terminals(stats)
+        recorder = self._recorder(settings.record_interval)
+        record_threshold = float(recorder.thresholds[0])
+        last_record = -np.inf
 
         while self._t < t_end - 1e-15:
             if self.digital_kernel is not None:
                 next_event = self.digital_kernel.next_event_time()
                 if next_event is not None and next_event <= self._t + 1e-15:
                     self.digital_kernel.run_due(self._t, self.interface)
+                    recorder.sample_models(0, self._t, self._x, self._y)
 
-            self._record(recorder, state_names, net_names)
+            if not self._t - last_record < record_threshold:
+                last_record = self._t
+                recorder.record_lane(0, self._t, self._x, self._y)
 
             boundary = t_end
             if self.digital_kernel is not None:
@@ -210,11 +186,13 @@ class ImplicitNewtonSolver:
 
             self._advance_one_step(h, stats)
 
-        self._record(recorder, state_names, net_names, force=True)
+        recorder.record_lane(0, self._t, self._x, self._y)
         stats.cpu_time_s = time.perf_counter() - wall_start
         stats.final_time = self._t
 
-        result = SimulationResult(traces=recorder.traces, stats=stats)
+        result = SimulationResult(
+            traces=recorder.traces_for(0, state_names, net_names), stats=stats
+        )
         result.metadata["formula"] = self.formula.name
         result.metadata["step_size"] = settings.step_size
         result.metadata["analytic_jacobian"] = settings.use_analytic_jacobian
@@ -287,22 +265,3 @@ class ImplicitNewtonSolver:
             f"implicit step failed to converge at t={self._t:.6g} even after "
             f"{settings.step_halving_attempts} step halvings"
         )
-
-    def _record(
-        self,
-        recorder: TraceRecorder,
-        state_names,
-        net_names,
-        *,
-        force: bool = False,
-    ) -> None:
-        if not force and not recorder.should_record(self._t):
-            return
-        values: Dict[str, float] = {}
-        for name, value in zip(state_names, self._x):
-            values[name] = float(value)
-        for name, value in zip(net_names, self._y):
-            values[name] = float(value)
-        for name, probe in self._probes.items():
-            values[name] = float(probe(self._t, self._x, self._y))
-        recorder.record(self._t, values, force=force)

@@ -9,29 +9,29 @@ resolved exactly by Newton iteration inside every derivative evaluation.
 An optional parasitic-leakage perturbation mimics the effects the paper
 lists as causes of the residual simulation/measurement mismatch.
 
-The class mirrors the probe/interface API of the other solvers so the same
-harvester wiring and the same digital controller drive it; integration is
-segmented between digital-event times.
+The class shares the other solvers' wiring surface and trace recorder
+(:class:`~repro.core.solver.WiredSolver`) so the same harvester wiring and
+the same digital controller drive it; integration is segmented between
+digital-event times.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..core.digital import AnalogueInterface, DigitalEventKernel
+from ..core.digital import DigitalEventKernel
 from ..core.elimination import SystemAssembler
 from ..core.errors import ConfigurationError
-from ..core.results import SimulationResult, SolverStats, TraceRecorder
+from ..core.results import SimulationResult, SolverStats
+from ..core.solver import WiredSolver
 from .newton_raphson import newton_solve
 
 __all__ = ["ReferenceSolverSettings", "ReferenceSolver"]
-
-ProbeFn = Callable[[float, np.ndarray, np.ndarray], float]
 
 
 @dataclass
@@ -49,7 +49,7 @@ class ReferenceSolverSettings:
     parasitic_conductance_s: float = 0.0
 
 
-class ReferenceSolver:
+class ReferenceSolver(WiredSolver):
     """scipy-based high-accuracy integration of the nonlinear block model."""
 
     def __init__(
@@ -58,37 +58,9 @@ class ReferenceSolver:
         settings: Optional[ReferenceSolverSettings] = None,
         digital_kernel: Optional[DigitalEventKernel] = None,
     ) -> None:
-        self.assembler = assembler
+        super().__init__(assembler, digital_kernel)
         self.settings = settings or ReferenceSolverSettings()
-        self.digital_kernel = digital_kernel
-        self.interface = AnalogueInterface()
-        self._probes: Dict[str, ProbeFn] = {}
-        self._x = assembler.initial_state()
-        self._y = np.zeros(assembler.n_terminals)
-        self._t = 0.0
         self._storage_terminal_index: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    # wiring API (mirrors the fast solver)
-    # ------------------------------------------------------------------ #
-    def add_probe(self, name: str, probe: ProbeFn) -> None:
-        """Record ``probe(t, x, y)`` as a named trace."""
-        if name in self._probes:
-            raise ConfigurationError(f"duplicate probe name {name!r}")
-        self._probes[name] = probe
-
-    def state_value(self, block_name: str, state_name: str) -> float:
-        """Current value of a block state variable."""
-        return float(self._x[self.assembler.state_index(block_name, state_name)])
-
-    def net_value(self, block_name: str, terminal_name: str) -> float:
-        """Current value of the net attached to ``block.terminal``."""
-        return float(self._y[self.assembler.net_index(block_name, terminal_name)])
-
-    @property
-    def current_time(self) -> float:
-        """Simulated time reached so far."""
-        return self._t
 
     def enable_parasitic_losses(self, block_name: str = "storage", terminal: str = "Vc") -> None:
         """Add the configured parasitic conductance across a voltage net."""
@@ -150,19 +122,22 @@ class ReferenceSolver:
         )
         self._y = self._solve_terminals(self._t, self._x, np.zeros(assembler.n_terminals))
 
-        recorder = TraceRecorder(record_interval=settings.record_interval)
         stats = SolverStats(solver_name=f"reference/{settings.method}")
         state_names = assembler.state_names()
         net_names = assembler.net_names()
 
         wall_start = time.perf_counter()
-        self._record(recorder, state_names, net_names)
+        recorder = self._recorder(settings.record_interval)
+        record_threshold = float(recorder.thresholds[0])
+        last_record = self._t
+        recorder.record_lane(0, self._t, self._x, self._y)
 
         while self._t < t_end - 1e-12:
             if self.digital_kernel is not None:
                 next_event = self.digital_kernel.next_event_time()
                 if next_event is not None and next_event <= self._t + 1e-12:
                     self.digital_kernel.run_due(self._t, self.interface)
+                    recorder.sample_models(0, self._t, self._x, self._y)
 
             boundary = t_end
             if self.digital_kernel is not None:
@@ -193,15 +168,19 @@ class ReferenceSolver:
                 self._t = float(solution.t[idx])
                 self._x = solution.y[:, idx]
                 self._y = self._solve_terminals(self._t, self._x, self._y)
-                self._record(recorder, state_names, net_names)
+                if not self._t - last_record < record_threshold:
+                    last_record = self._t
+                    recorder.record_lane(0, self._t, self._x, self._y)
             self._t = boundary
             self._x = solution.y[:, -1]
 
-        self._record(recorder, state_names, net_names, force=True)
+        recorder.record_lane(0, self._t, self._x, self._y)
         stats.cpu_time_s = time.perf_counter() - wall_start
         stats.final_time = self._t
 
-        result = SimulationResult(traces=recorder.traces, stats=stats)
+        result = SimulationResult(
+            traces=recorder.traces_for(0, state_names, net_names), stats=stats
+        )
         result.metadata["method"] = settings.method
         result.metadata["rtol"] = settings.rtol
         result.metadata["parasitic_conductance_s"] = settings.parasitic_conductance_s
@@ -214,20 +193,3 @@ class ReferenceSolver:
         interval = max(self.settings.record_interval, 1e-6)
         n_samples = max(2, int(np.ceil((t1 - t0) / interval)) + 1)
         return np.linspace(t0, t1, n_samples)
-
-    def _record(
-        self,
-        recorder: TraceRecorder,
-        state_names,
-        net_names,
-        *,
-        force: bool = False,
-    ) -> None:
-        values: Dict[str, float] = {}
-        for name, value in zip(state_names, self._x):
-            values[name] = float(value)
-        for name, value in zip(net_names, self._y):
-            values[name] = float(value)
-        for name, probe in self._probes.items():
-            values[name] = float(probe(self._t, self._x, self._y))
-        recorder.record(self._t, values, force=force)

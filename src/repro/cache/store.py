@@ -373,9 +373,23 @@ class ResultStore:
                         f"cache entry for {key} is missing trace arrays "
                         f"{t_key}/{v_key} in its {_TRACES_FILE} blob"
                     )
-                trace = Trace(str(info["name"]), str(info.get("unit", "")))
-                trace._times = arrays[t_key].tolist()
-                trace._values = arrays[v_key].tolist()
+                times, values = arrays[t_key], arrays[v_key]
+                try:
+                    if times.dtype != np.float64 or values.dtype != np.float64:
+                        raise ConfigurationError(
+                            f"{times.dtype}/{values.dtype} arrays, expected float64"
+                        )
+                    times.flags.writeable = values.flags.writeable = False
+                    trace = Trace(
+                        str(info["name"]),
+                        str(info.get("unit", "")),
+                        times=times,
+                        values=values,
+                    )
+                except ConfigurationError as exc:
+                    raise CacheCorruptionError(
+                        f"cache entry for {key} has a malformed trace {t_key}/{v_key}: {exc}"
+                    ) from None
                 result.add_trace(trace)
         return result
 

@@ -90,17 +90,11 @@ from .errors import (
     StabilityError,
 )
 from .integrators import AdamsBashforth, ExplicitIntegrator
-from .kernels import (
-    END_EPS,
-    divergence_guard,
-    diverged_lanes,
-    get_march_kernel,
-    record_due,
-)
-from .probes import ColumnProbe, ModelProbe
-from .results import SimulationResult, SolverStats, Trace
+from .kernels import END_EPS, divergence_guard, diverged_lanes, get_march_kernel
+from .probes import ProbeFn
+from .results import ColumnRecorder, SimulationResult, SolverStats
 from . import stepper
-from .solver import ProbeFn, SolverSettings
+from .solver import SolverSettings
 from .stepper import BatchedStepController, jacobian_drifts
 
 __all__ = ["BatchedSolver", "BatchResult"]
@@ -195,226 +189,6 @@ class _LaneArrays:
     def select(self, keep: np.ndarray) -> None:
         for name, value in vars(self).items():
             setattr(self, name, value[keep])
-
-
-class _BatchedRecorder:
-    """Flat, geometrically grown trace buffers for the batched march.
-
-    Instead of one :class:`~repro.core.results.TraceRecorder` per lane
-    (a Python dict build plus per-trace list appends for every lane at
-    every recorded step), this recorder appends each due lane's sample —
-    its time, state row and terminal row, tagged with the lane — to flat
-    buffers (``(cap,)`` lanes and times, ``(cap, n)`` states, ``(cap, m)``
-    terminals), doubling capacity as they fill, so a lane that is not
-    due takes no space.  A lane's :class:`Trace` objects are materialised
-    only when it finalises, in its probe insertion order.
-
-    Probes take one of three forms (see :mod:`repro.core.probes`):
-
-    * a :class:`~repro.core.probes.ColumnProbe` is evaluated once per lane
-      at finalisation, over the lane's buffered columns;
-    * a :class:`~repro.core.probes.ModelProbe` is sampled at lane start
-      and after each of the lane's activations (:meth:`sample_models`);
-      each sample is a change point ``(entry, values)`` that the lane's
-      samples from that buffer entry on read;
-    * any other callable is a row probe, called for every due sample of
-      its lane as the scalar solver calls it.
-
-    Due-ness replicates ``TraceRecorder.should_record`` exactly (see
-    :func:`~repro.core.kernels.record_due`): a non-positive interval
-    records every step (threshold ``-inf``), otherwise a lane records when
-    it never has or when ``t - last >= interval * (1 - 1e-12)``.
-    """
-
-    #: initial buffer entries per lane
-    _INITIAL_CAPACITY = 64
-
-    def __init__(
-        self, lanes: Sequence[_Lane], t: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> None:
-        b = len(lanes)
-        intervals = np.array(
-            [lane.settings.record_interval for lane in lanes], dtype=float
-        )
-        self.thresholds = np.where(
-            intervals <= 0.0, -np.inf, intervals * (1.0 - 1e-12)
-        )
-        self.last_record_times = np.full(b, np.nan)
-        # each compacted lane's position at the start: buffer entries and
-        # the per-lane probe bookkeeping below are keyed by it
-        self._ids = np.arange(b)
-        self._n = 0
-        cap = self._INITIAL_CAPACITY * b
-        self._lane = np.empty(cap, dtype=np.intp)
-        self._times = np.empty(cap)
-        self._states = np.empty((cap, x.shape[1]))
-        self._nets = np.empty((cap, y.shape[1]))
-        self._probes: List[Dict[str, ProbeFn]] = [dict(lane.probes) for lane in lanes]
-        self._model_probes: List[Dict[str, ModelProbe]] = [
-            {n: p for n, p in probes.items() if isinstance(p, ModelProbe)}
-            for probes in self._probes
-        ]
-        self._row_probes: List[Dict[str, ProbeFn]] = [
-            {
-                n: p
-                for n, p in probes.items()
-                if not isinstance(p, (ColumnProbe, ModelProbe))
-            }
-            for probes in self._probes
-        ]
-        self._row_lanes = np.array(
-            [bool(rows) for rows in self._row_probes], dtype=bool
-        )
-        self._row_values: List[Dict[str, List[float]]] = [
-            {name: [] for name in rows} for rows in self._row_probes
-        ]
-        self._model_points: List[List[Tuple[int, List[float]]]] = [[] for _ in lanes]
-        for i in range(b):
-            self.sample_models(i, t, x, y)
-
-    def _grow(self, need: int) -> None:
-        cap = self._times.shape[0]
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        for attr in ("_lane", "_times", "_states", "_nets"):
-            old = getattr(self, attr)
-            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-            new[: self._n] = old[: self._n]
-            setattr(self, attr, new)
-
-    def sample_models(self, i: int, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-        """Sample lane ``i``'s model probes; its later samples read them."""
-        lane = self._ids[i]
-        models = self._model_probes[lane]
-        if not models:
-            return
-        values = [probe(float(t[i]), x[i], y[i]) for probe in models.values()]
-        self._model_points[lane].append((self._n, values))
-
-    def record(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-        """Record all lanes that are due at their times ``t``."""
-        due = record_due(t, self.last_record_times, self.thresholds)
-        self._write(t[None], due[None], x[None], y[None])
-
-    def record_burst(
-        self,
-        rows: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        reduced: BatchedReducedSystem,
-    ) -> None:
-        """Write a burst's ``(t, due, x)`` rows, in step order.
-
-        Inside a burst every lane holds its model, so the terminals of a
-        row are the held model's ``terminal_values`` of its state — one
-        stacked product for all rows, bitwise the per-row products.
-        """
-        if not rows:
-            return
-        times, due, states = (np.stack(column) for column in zip(*rows))
-        self._write(times, due, states, reduced.terminal_values(states))
-
-    def record_lane(self, i: int, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-        """Force-record lane ``i`` (finalisation record)."""
-        due = np.zeros(self.last_record_times.shape[0], dtype=bool)
-        due[i] = True
-        self._write(t[None], due[None], x[None], y[None])
-
-    def _write(
-        self, times: np.ndarray, due: np.ndarray, states: np.ndarray, nets: np.ndarray
-    ) -> None:
-        """Append the due samples of ``(k, B)`` record rows, in step order."""
-        steps, lanes = np.nonzero(due)
-        if not lanes.size:
-            return
-        start, end = self._n, self._n + lanes.size
-        self._grow(end)
-        self._lane[start:end] = self._ids[lanes]
-        self._times[start:end] = times[steps, lanes]
-        self._states[start:end] = states[steps, lanes]
-        self._nets[start:end] = nets[steps, lanes]
-        self._n = end
-        # a lane's times rise step by step: its last due time is the
-        # largest (of one row, the row's own)
-        if due.shape[0] == 1:
-            self.last_record_times = np.where(due[0], times[0], self.last_record_times)
-        else:
-            self.last_record_times = np.where(
-                due.any(axis=0),
-                np.where(due, times, -np.inf).max(axis=0),
-                self.last_record_times,
-            )
-        row_due = self._row_lanes[lanes]
-        if row_due.any():
-            for step, i in zip(steps[row_due].tolist(), lanes[row_due].tolist()):
-                lane = self._ids[i]
-                t_i = float(times[step, i])
-                x_i = states[step, i]
-                y_i = nets[step, i]
-                values = self._row_values[lane]
-                for name, probe in self._row_probes[lane].items():
-                    values[name].append(float(probe(t_i, x_i, y_i)))
-
-    def select(self, keep: np.ndarray) -> None:
-        """Compact the lane axis to ``keep`` (mirrors the march's lanes)."""
-        self.thresholds = self.thresholds[keep]
-        self.last_record_times = self.last_record_times[keep]
-        self._ids = self._ids[keep]
-        self._row_lanes = self._row_lanes[keep]
-
-    def traces_for(
-        self, i: int, state_names: Sequence[str], net_names: Sequence[str]
-    ) -> Dict[str, Trace]:
-        """Materialise lane ``i``'s traces (states, nets, then probes).
-
-        Times are monotonic by construction (each lane's samples are
-        written in its own step order), checked once per lane here; the
-        per-trace lists are then built directly (``tolist`` yields the
-        same Python floats ``TraceRecorder`` would have appended one by
-        one, and each probe form's column is bitwise its row-wise calls).
-        """
-        lane = self._ids[i]
-        entries = np.flatnonzero(self._lane[: self._n] == lane)
-        times_arr = self._times[entries]
-        if times_arr.size > 1 and bool(np.any(np.diff(times_arr) < 0.0)):
-            raise ConfigurationError(
-                f"lane {i}: non-monotonic buffered record times"
-            )
-        times = times_arr.tolist()
-
-        def bulk(name: str, values: List[float]) -> Trace:
-            trace = Trace(name)
-            trace._times = list(times)
-            trace._values = values
-            return trace
-
-        states = self._states[entries]
-        nets = self._nets[entries]
-        traces: Dict[str, Trace] = {}
-        for j, name in enumerate(state_names):
-            traces[name] = bulk(name, states[:, j].tolist())
-        for j, name in enumerate(net_names):
-            traces[name] = bulk(name, nets[:, j].tolist())
-        # a change point holds from its buffer entry up to the next one's;
-        # repeating the sampled floats shares them as the row calls do
-        points = self._model_points[lane]
-        spans = np.diff(
-            np.searchsorted(entries, [entry for entry, _ in points] + [self._n])
-        ).tolist()
-        model_values: Dict[str, List[float]] = {}
-        for j, name in enumerate(self._model_probes[lane]):
-            values = model_values[name] = []
-            for (_, sample), span in zip(points, spans):
-                values += [sample[j]] * span
-        for name, probe in self._probes[lane].items():
-            if isinstance(probe, ColumnProbe):
-                values = probe.columns(times_arr, states, nets).tolist()
-            elif isinstance(probe, ModelProbe):
-                values = model_values[name]
-            else:
-                values = self._row_values[lane][name]
-            traces[name] = bulk(name, values)
-        return traces
 
 
 class BatchedSolver:
@@ -537,7 +311,7 @@ class BatchedSolver:
         single mixed start-up step.  Per-lane statistics live in ``(B,)``
         accumulators, materialised into each lane's :class:`SolverStats`
         only at finalisation; traces go through one
-        :class:`_BatchedRecorder`.
+        :class:`~repro.core.results.ColumnRecorder`.
 
         Every expression replicates the scalar solver's for each lane.
         The terminal values ``y`` lag the state by one step, as in the
@@ -641,7 +415,13 @@ class BatchedSolver:
         rep = assembler.lane_assembler(0)
         state_names = rep.state_names()
         net_names = rep.net_names()
-        recorder = _BatchedRecorder(lanes, s.t, s.x, s.y)
+        recorder = ColumnRecorder(
+            [c.record_interval for c in configs],
+            [lane.probes for lane in lanes],
+            s.t,
+            s.x,
+            s.y,
+        )
 
         # kernel bursts need an Adams-Bashforth window short of at most
         # the sample the step itself adds (lanes in their RK4 start-up
@@ -697,7 +477,7 @@ class BatchedSolver:
                     failures[lane.index] = exc
                     return False
                 s.y[i] = lane_reduced.y_solution
-            recorder.record_lane(i, s.t, s.x, s.y)
+            recorder.record_lane(i, t_i, s.x[i], s.y[i])
             stats = lane.stats
             steps, jev = int(s.steps[i]), int(s.jev[i])
             stats.n_function_evaluations = steps
@@ -765,7 +545,7 @@ class BatchedSolver:
                     continue
                 # an activation may change a model probe even when it
                 # writes no control
-                recorder.sample_models(row, s.t, s.x, s.y)
+                recorder.sample_models(row, float(s.t[row]), s.x[row], s.y[row])
                 s.t_event[row] = next_event_time(lane)
             if changed:
                 s.since[changed] = s.hold[changed]
@@ -1034,7 +814,11 @@ class BatchedSolver:
                     s.t_event if events_active else None,
                 )
                 kernel_time += time.perf_counter() - kernel_start
-                recorder.record_burst(burst.records, reduced)
+                if burst.records:
+                    # a burst holds every lane's model: a row's terminals
+                    # are the held model's, one stacked product for all rows
+                    times, due, states = (np.stack(c) for c in zip(*burst.records))
+                    recorder.write(times, due, states, reduced.terminal_values(states))
                 n_steps = burst.steps
                 s.x, s.t = burst.x, burst.t
                 # ``y`` lags the state: after one step it already holds the

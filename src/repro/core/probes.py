@@ -1,24 +1,27 @@
 """Recording probes with a column or model form.
 
 A probe is any callable ``probe(t, x, y) -> float`` handed to a solver's
-``add_probe``; every solver may call it row-wise, once per recorded time
-point.  The batched solver's recorder knows two further forms and calls
-neither of them per row:
+``add_probe``.  Every state-space solver — the scalar solver, the
+Newton-Raphson and reference baselines and each batched lane — records
+through one :class:`~repro.core.results.ColumnRecorder`, which knows two
+further forms and calls neither of them per row:
 
 * a :class:`ColumnProbe` maps one lane's recorded ``(times, states,
-  nets)`` columns to its whole trace in one call, when the lane
-  finalises;
+  nets)`` columns to its whole trace in one call, when the run (or lane)
+  finishes;
 * a :class:`ModelProbe` reads a model quantity (a block attribute) that
   only a digital activation can change, so the recorder samples it at
-  lane start and after each of the lane's activations and every recorded
-  row reads the latest sample.
+  the start and after each digital activation and every recorded row
+  reads the latest sample.
 
-Each form's column values are bitwise its row-wise values, and each keeps
-the row-wise ``__call__``, so the scalar, baseline and reference solvers
-record them as plain probes.
+Any other callable is a row probe, called at every recorded row.  Each
+form's column values are bitwise its row-wise values, and each keeps the
+row-wise ``__call__``.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -26,10 +29,14 @@ __all__ = [
     "ColumnProbe",
     "ModelProbe",
     "PowerProbe",
+    "ProbeFn",
     "SourceFrequencyProbe",
     "StateProbe",
     "TerminalProbe",
 ]
+
+#: Signature of a row probe: ``probe(t, x_global, y_global) -> float``.
+ProbeFn = Callable[[float, np.ndarray, np.ndarray], float]
 
 
 class ColumnProbe:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -35,14 +35,12 @@ from .digital import AnalogueInterface, DigitalEventKernel
 from .elimination import BatchedAssembler, ReducedSystem, SystemAssembler
 from .errors import ConfigurationError, SingularLaneError, SingularSystemError, StabilityError
 from .integrators import AdamsBashforth, ExplicitIntegrator
-from .results import SimulationResult, SolverStats, TraceRecorder
+from .probes import ProbeFn
+from .results import ColumnRecorder, SimulationResult, SolverStats
 from . import stepper
 from .stepper import StepControlSettings, StepSizeController, frobenius_norm
 
-__all__ = ["SolverSettings", "LinearisedStateSpaceSolver"]
-
-#: Signature of user probes: ``probe(t, x_global, y_global) -> float``.
-ProbeFn = Callable[[float, np.ndarray, np.ndarray], float]
+__all__ = ["SolverSettings", "WiredSolver", "LinearisedStateSpaceSolver"]
 
 
 @dataclass
@@ -87,7 +85,55 @@ class SolverSettings:
     relinearise_interval: int = 1
 
 
-class LinearisedStateSpaceSolver:
+class WiredSolver:
+    """What the single-run solvers share: the wiring surface the
+    system-assembly layer drives (named probes, the digital ``interface``
+    and live reads of the current point) and their one-lane
+    :class:`~repro.core.results.ColumnRecorder`.
+
+    :class:`LinearisedStateSpaceSolver` and the Newton-Raphson and
+    reference baselines derive from it.
+    """
+
+    def __init__(
+        self, assembler: SystemAssembler, digital_kernel: Optional[DigitalEventKernel]
+    ) -> None:
+        self.assembler = assembler
+        self.digital_kernel = digital_kernel
+        self.interface = AnalogueInterface()
+        self._probes: Dict[str, ProbeFn] = {}
+        self._x = assembler.initial_state()
+        self._y = np.zeros(assembler.n_terminals)
+        self._t = 0.0
+
+    def add_probe(self, name: str, probe: ProbeFn) -> None:
+        """Record ``probe(t, x, y)`` as a named trace at every recorded point."""
+        if name in self._probes:
+            raise ConfigurationError(f"duplicate probe name {name!r}")
+        self._probes[name] = probe
+
+    def state_value(self, block_name: str, state_name: str) -> float:
+        """Current value of a block state variable (live, for digital reads)."""
+        return float(self._x[self.assembler.state_index(block_name, state_name)])
+
+    def net_value(self, block_name: str, terminal_name: str) -> float:
+        """Current value of the net attached to ``block.terminal``."""
+        return float(self._y[self.assembler.net_index(block_name, terminal_name)])
+
+    @property
+    def current_time(self) -> float:
+        """Simulated time reached so far."""
+        return self._t
+
+    def _recorder(self, record_interval: float) -> ColumnRecorder:
+        """A one-lane recorder of this run, its model probes sampled at
+        the current point."""
+        return ColumnRecorder(
+            [record_interval], [self._probes], [self._t], self._x[None], self._y[None]
+        )
+
+
+class LinearisedStateSpaceSolver(WiredSolver):
     """Fast mixed-technology simulator built on the linearised state-space
     formulation.
 
@@ -112,40 +158,12 @@ class LinearisedStateSpaceSolver:
         settings: Optional[SolverSettings] = None,
         digital_kernel: Optional[DigitalEventKernel] = None,
     ) -> None:
-        self.assembler = assembler
+        super().__init__(assembler, digital_kernel)
         # third-order Adams-Bashforth by default: the lowest-order AB formula
         # whose stability region covers part of the imaginary axis, which the
         # harvester's lightly damped mechanical resonance requires
         self.integrator = integrator or AdamsBashforth(order=3)
         self.settings = settings or SolverSettings()
-        self.digital_kernel = digital_kernel
-        self.interface = AnalogueInterface()
-        self._probes: Dict[str, ProbeFn] = {}
-        self._x = assembler.initial_state()
-        self._y = np.zeros(assembler.n_terminals)
-        self._t = 0.0
-
-    # ------------------------------------------------------------------ #
-    # wiring helpers (used by the system-assembly layer)
-    # ------------------------------------------------------------------ #
-    def add_probe(self, name: str, probe: ProbeFn) -> None:
-        """Record ``probe(t, x, y)`` as a named trace every accepted step."""
-        if name in self._probes:
-            raise ConfigurationError(f"duplicate probe name {name!r}")
-        self._probes[name] = probe
-
-    def state_value(self, block_name: str, state_name: str) -> float:
-        """Current value of a block state variable (live, for digital reads)."""
-        return float(self._x[self.assembler.state_index(block_name, state_name)])
-
-    def net_value(self, block_name: str, terminal_name: str) -> float:
-        """Current value of the net attached to ``block.terminal``."""
-        return float(self._y[self.assembler.net_index(block_name, terminal_name)])
-
-    @property
-    def current_time(self) -> float:
-        """Simulated time reached so far."""
-        return self._t
 
     @property
     def current_state(self) -> np.ndarray:
@@ -204,7 +222,6 @@ class LinearisedStateSpaceSolver:
         lle_flagged = 0
         lle_tolerance = stepper.LLE_TOLERANCE
 
-        recorder = TraceRecorder(record_interval=settings.record_interval)
         stats = SolverStats(
             solver_name=f"linearised-state-space/{self.integrator.name}"
         )
@@ -217,6 +234,9 @@ class LinearisedStateSpaceSolver:
         # probes the digital side reads) are meaningful from t_start onwards
         self._y = self._refresh(batched).y_solution
         stats.n_linear_solves += 1
+        recorder = self._recorder(settings.record_interval)
+        record_threshold = float(recorder.thresholds[0])
+        last_record = -np.inf
 
         # amortised-relinearisation bookkeeping (see SolverSettings)
         hold_limit = max(1, int(settings.relinearise_interval))
@@ -230,6 +250,7 @@ class LinearisedStateSpaceSolver:
                 next_event = self.digital_kernel.next_event_time()
                 if next_event is not None and next_event <= self._t + 1e-15:
                     model_changed = self.digital_kernel.run_due(self._t, self.interface)
+                    recorder.sample_models(0, self._t, self._x, self._y)
                     if model_changed:
                         self.integrator.notify_discontinuity(integrator_state)
                         controller.reset()
@@ -256,8 +277,10 @@ class LinearisedStateSpaceSolver:
                 n_jacobian_reuses += 1
             steps_since_assemble += 1
 
-            # 3. record traces
-            self._record(recorder, state_names, net_names)
+            # 3. record traces (the due test of TraceRecorder.should_record)
+            if not self._t - last_record < record_threshold:
+                last_record = self._t
+                recorder.record_lane(0, self._t, self._x, self._y)
 
             # 4. Jacobian drift since the previous fresh linearisation,
             #    measured once: the step controller consumes this figure
@@ -316,12 +339,14 @@ class LinearisedStateSpaceSolver:
 
         # final consistent record at t_end
         self._y = self._refresh(batched).y_solution
-        self._record(recorder, state_names, net_names, force=True)
+        recorder.record_lane(0, self._t, self._x, self._y)
 
         stats.cpu_time_s = time.perf_counter() - wall_start
         stats.final_time = self._t
 
-        result = SimulationResult(traces=recorder.traces, stats=stats)
+        result = SimulationResult(
+            traces=recorder.traces_for(0, state_names, net_names), stats=stats
+        )
         result.metadata["integrator"] = self.integrator.name
         result.metadata["integrator_order"] = self.integrator.order
         result.metadata["n_states"] = assembler.n_states
@@ -372,22 +397,3 @@ class LinearisedStateSpaceSolver:
             return reduced.derivative(x)
 
         return derivative
-
-    def _record(
-        self,
-        recorder: TraceRecorder,
-        state_names: List[str],
-        net_names: List[str],
-        *,
-        force: bool = False,
-    ) -> None:
-        if not force and not recorder.should_record(self._t):
-            return
-        values: Dict[str, float] = {}
-        for name, value in zip(state_names, self._x):
-            values[name] = float(value)
-        for name, value in zip(net_names, self._y):
-            values[name] = float(value)
-        for name, probe in self._probes.items():
-            values[name] = float(probe(self._t, self._x, self._y))
-        recorder.record(self._t, values, force=force)

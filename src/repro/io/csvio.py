@@ -92,17 +92,19 @@ def import_traces(path: PathLike) -> Dict[str, Trace]:
             raise ConfigurationError(
                 f"{path} is not a trace CSV (expected a 'time' column first)"
             )
-        names = header[1:]
-        traces = {name: Trace(name) for name in names}
+        rows = []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise ConfigurationError(f"malformed row in {path}: {row!r}")
-            t = float(row[0])
-            for name, cell in zip(names, row[1:]):
-                traces[name].append(t, float(cell))
-    return traces
+            rows.append([float(cell) for cell in row])
+    columns = np.array(rows, dtype=float).reshape(-1, len(header)).T.copy()
+    columns.flags.writeable = False
+    return {
+        name: Trace(name, times=columns[0], values=values)
+        for name, values in zip(header[1:], columns[1:])
+    }
 
 
 # ---------------------------------------------------------------------- #

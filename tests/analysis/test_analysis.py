@@ -55,6 +55,24 @@ class TestPowerMetrics:
         mid = windowed.at(0.05)
         assert mid == pytest.approx(1.0 / math.sqrt(2.0), rel=0.05)
 
+    def test_windowed_rms_is_the_per_sample_mask_loop_bitwise(self):
+        rng = np.random.default_rng(3)
+        times = np.concatenate([[0.0, 0.0], np.sort(rng.uniform(0.0, 0.1, 300))])
+        trace = Trace("p", "W", times=times, values=rng.uniform(0.0, 2.0, times.size))
+        kept_t, kept_v = [], []
+        for t in times:
+            mask = (times >= t - 0.01 / 2.0) & (times <= t + 0.01 / 2.0)
+            if np.count_nonzero(mask) >= 2:
+                seg_t, seg_v = times[mask], trace.values[mask]
+                kept_t.append(t)
+                kept_v.append(
+                    float(np.sqrt(np.trapezoid(seg_v**2, seg_t) / (seg_t[-1] - seg_t[0])))
+                )
+        windowed = windowed_rms_power(trace, window_s=0.01)
+        assert (windowed.name, windowed.unit) == ("p_rms", "W")
+        assert windowed.times.tobytes() == np.array(kept_t).tobytes()
+        assert windowed.values.tobytes() == np.array(kept_v).tobytes()
+
     def test_before_after_power(self):
         times = np.linspace(0.0, 2.0, 2001)
         values = np.where(times < 1.0, 4.0, 1.0)

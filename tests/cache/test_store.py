@@ -83,8 +83,11 @@ def test_store_and_load_run_round_trips_traces_exactly(store):
     assert loaded.stats == original.stats
     trace = loaded["storage_voltage"]
     assert trace.unit == "V"
-    assert np.array_equal(trace.times, original["storage_voltage"].times)
-    assert np.array_equal(trace.values, original["storage_voltage"].values)
+    assert trace.times.tobytes() == original["storage_voltage"].times.tobytes()
+    assert trace.values.tobytes() == original["storage_voltage"].values.tobytes()
+    for array in (trace.times, trace.values):
+        assert array.dtype == np.float64 and not array.flags.writeable
+    assert type(trace.final()) is float and trace.final() == 2.25
     # metadata is JSON-sanitised bookkeeping (tuples become lists)
     assert loaded.metadata["scenario"] == "unit"
 
@@ -137,6 +140,25 @@ def test_missing_trace_payload_is_corruption(store):
     store.store_run(key, make_result())
     drop_traces(store, key)
     with pytest.raises(CacheCorruptionError, match="traces"):
+        store.load_run(key)
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        (np.array([0, 1, 2]), np.array([0.0, 1.5, 2.25])),
+        (np.zeros((3, 1)), np.zeros((3, 1))),
+        (np.array([0.0, 0.05]), np.array([0.0, 1.5, 2.25])),
+        (np.array([0.1, 0.05, 0.0]), np.array([0.0, 1.5, 2.25])),
+    ],
+    ids=["int", "2-D", "length", "non-monotonic"],
+)
+def test_malformed_trace_arrays_are_corruption(store, times, values):
+    key = store.key_for(PAYLOAD)
+    store.store_run(key, make_result())
+    with open(store._entry_dir(key) / "traces.npz", "wb") as handle:
+        np.savez_compressed(handle, t0=times, v0=values)
+    with pytest.raises(CacheCorruptionError, match="trace"):
         store.load_run(key)
 
 

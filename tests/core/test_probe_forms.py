@@ -1,9 +1,11 @@
-"""The batched recorder's three probe forms: column, model and row probes.
+"""The column recorder's three probe forms: column, model and row probes.
 
 Column probes are evaluated once per lane over its recorded columns, model
 probes are sampled at lane start and after each of the lane's activations,
 and any other callable is called for every due record row.  Every form
-records bitwise what the scalar solver records row by row.
+records bitwise what the same probe records called row by row, on every
+state-space solver: the scalar solver, the Newton-Raphson baseline, the
+reference solver and batched lanes.
 """
 
 from collections import Counter
@@ -12,6 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.baselines.implicit_solver import ImplicitNewtonSolver, ImplicitSolverSettings
+from repro.baselines.reference import ReferenceSolver
 from repro.blocks.microcontroller import ControllerSettings
 from repro.blocks.supercapacitor import Supercapacitor
 from repro.blocks.vibration import (
@@ -272,3 +276,74 @@ def test_column_form_is_bitwise_the_row_calls(probe):
         probe(t, x, y) for t, x, y in zip(times.tolist(), states, nets)
     ]
     assert probe.columns(times, states, nets).tolist() == expected
+
+
+class _TwiceWired:
+    """Wiring proxy that registers every probe twice: in its own form, and
+    wrapped as a plain row probe under ``<name>:row``."""
+
+    def __init__(self, solver):
+        self._solver = solver
+
+    def add_probe(self, name, probe):
+        self._solver.add_probe(name, probe)
+        self._solver.add_probe(f"{name}:row", lambda t, x, y: probe(t, x, y))
+
+    def __getattr__(self, attr):
+        return getattr(self._solver, attr)
+
+
+def _scalar_kind(kind, harvester, settings):
+    kernel = harvester._build_kernel()
+    if kind == "scalar":
+        return LinearisedStateSpaceSolver(
+            harvester.assembler, settings=settings, digital_kernel=kernel
+        )
+    if kind == "newton":
+        return ImplicitNewtonSolver(
+            harvester.assembler,
+            settings=ImplicitSolverSettings(step_size=2e-4),
+            digital_kernel=kernel,
+        )
+    return ReferenceSolver(harvester.assembler, digital_kernel=kernel)
+
+
+def _twice_wired_runs(kind, scenarios):
+    """Each scenario on solver ``kind``, every probe registered twice."""
+    harvesters = [s.build_harvester() for s in scenarios]
+    settings_list = _settings(scenarios)
+    if kind == "lanes":
+        solver = BatchedSolver(
+            [h.assembler for h in harvesters],
+            settings=settings_list,
+            digital_kernels=[h._build_kernel() for h in harvesters],
+        )
+        for i, harvester in enumerate(harvesters):
+            harvester._wire(_TwiceWired(solver.lane_wiring(i)))
+        batch = solver.run([s.duration_s for s in scenarios])
+        assert not batch.failures
+        return batch.results
+    results = []
+    for scenario, harvester, settings in zip(scenarios, harvesters, settings_list):
+        solver = _scalar_kind(kind, harvester, settings)
+        harvester._wire(_TwiceWired(solver))
+        results.append(solver.run(scenario.duration_s))
+    return results
+
+
+@pytest.mark.parametrize("kind", ["scalar", "newton", "reference", "lanes"])
+def test_every_probe_form_records_like_its_row_wise_call(kind):
+    # charging runs and the activating Scenario 1, each lane's probes
+    # paired with their row-wise wrappers
+    scenarios = _mixed_lanes()
+    for i, result in enumerate(_twice_wired_runs(kind, scenarios)):
+        names = [n[: -len(":row")] for n in result.traces if n.endswith(":row")]
+        assert {"actuator_gap", "stored_energy", "storage_voltage"} <= set(names)
+        for name in names:
+            form, row = result[name], result[f"{name}:row"]
+            assert form.times.tobytes() == row.times.tobytes(), (kind, i, name)
+            assert form.values.tobytes() == row.values.tobytes(), (kind, i, name)
+        if i in (1, 3):
+            # the model probes moved with the controller's activations
+            for name in ("actuator_gap", "resonant_frequency"):
+                assert len(set(result[name].values.tolist())) > 1, (kind, i, name)

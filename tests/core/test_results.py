@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchedSolver
 from repro.core.errors import ConfigurationError
 from repro.core.results import (
     SimulationResult,
@@ -14,6 +15,14 @@ from repro.core.results import (
     TraceRecorder,
     merge_results,
 )
+from repro.harvester.scenarios import charging_scenario, scenario_solver_settings
+
+
+def _owner(array):
+    """The array that owns ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
 
 class TestTrace:
@@ -65,6 +74,43 @@ class TestTrace:
         trace.append(1.0, 2.0)
         assert trace.values == pytest.approx([1.0, 2.0])
 
+    def test_columns_are_read_only_float64(self):
+        trace = Trace("v", times=[0.0, 1.0], values=[2, 3])
+        for array in (trace.times, trace.values):
+            assert array.dtype == np.float64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            trace.values[0] = 5.0
+        assert type(trace.final()) is float and trace.final() == 3.0
+
+    def test_read_only_columns_are_shared_and_writable_ones_copied(self):
+        times = np.array([0.0, 1.0, 2.0])
+        values = np.array([1.0, 2.0, 3.0])
+        trace = Trace("v", times=times, values=values)
+        values[0] = 9.0
+        assert trace.values[0] == 1.0
+        times.flags.writeable = False
+        assert Trace("w", times=times, values=values).times is times
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 2.0]]), ([1.0, 0.0], [1.0, 2.0])],
+        ids=["length", "2-D", "non-monotonic"],
+    )
+    def test_malformed_columns_rejected(self, times, values):
+        with pytest.raises(ConfigurationError):
+            Trace("v", times=times, values=values)
+
+    def test_derived_traces_are_array_backed(self):
+        trace = Trace("v", "V", times=[0.0, 1.0, 2.0, 3.0], values=[0.0, 2.0, 4.0, 6.0])
+        resampled = trace.resample(np.array([0.5, 2.5]))
+        window = trace.window(1.0, 2.0)
+        for derived in (resampled, window):
+            assert derived.unit == "V" and not derived.values.flags.writeable
+        assert resampled.values.tolist() == [1.0, 5.0]
+        assert window.times.tolist() == [1.0, 2.0]
+        with pytest.raises(ConfigurationError):
+            trace.resample([2.0, 1.0])
+
 
 class TestSolverStats:
     def test_register_step(self):
@@ -104,6 +150,51 @@ class TestTraceRecorder:
         recorder.record(0.0, {"a": 1.0})
         recorder.record(0.1, {"a": 2.0}, force=True)
         assert len(recorder.traces["a"]) == 2
+
+    def test_traces_are_built_once_per_read_and_share_times(self):
+        recorder = TraceRecorder()
+        recorder.record(0.0, {"a": 1.0})
+        recorder.record(1.0, {"a": 2.0, "b": 5.0})
+        traces = recorder.traces
+        assert recorder.traces is traces
+        # a name first recorded later covers the points from then on
+        assert traces["b"].times.tolist() == [1.0]
+        assert np.shares_memory(traces["a"].times, traces["b"].times)
+        recorder.record(2.0, {"a": 3.0, "b": 6.0})
+        assert recorder.traces["a"].values.tolist() == [1.0, 2.0, 3.0]
+        assert recorder.traces["b"].times.tolist() == [1.0, 2.0]
+
+
+class TestRecordedTraceStructure:
+    def test_lane_traces_share_one_times_buffer_within_a_column_bound(self):
+        scenarios = [
+            charging_scenario(duration_s=0.02, frequency_hz=66.0 + 0.5 * i)
+            for i in range(16)
+        ]
+        harvesters = [s.build_harvester() for s in scenarios]
+        solver = BatchedSolver(
+            [h.assembler for h in harvesters],
+            settings=[scenario_solver_settings(s) for s in scenarios],
+        )
+        for i, harvester in enumerate(harvesters):
+            harvester._wire(solver.lane_wiring(i))
+        batch = solver.run([s.duration_s for s in scenarios])
+        assert not batch.failures
+        for result in batch.results:
+            traces = list(result.traces.values())
+            times = traces[0].times
+            owners = {}
+            for trace in traces:
+                for array in (trace.times, trace.values):
+                    assert array.dtype == np.float64 and not array.flags.writeable
+                    owners[id(_owner(array))] = _owner(array)
+                assert np.shares_memory(trace.times, times)
+                assert type(trace.final()) is float
+            # one shared times column plus at most one float64 column per
+            # trace: per-trace times copies would double it
+            assert sum(o.nbytes for o in owners.values()) <= 8 * len(times) * (
+                1 + len(traces)
+            )
 
 
 class TestSimulationResult:
@@ -148,8 +239,16 @@ class TestMergeResults:
 
         merged = merge_results([first, second])
         assert len(merged["v"]) == 4
+        assert merged["v"].values.tolist() == [0.0, 1.0, 1.0, 2.0]
         assert merged.stats.cpu_time_s == pytest.approx(3.0)
         assert merged.stats.final_time == pytest.approx(2.0)
+
+    def test_segments_out_of_time_order_rejected(self):
+        late, early = SimulationResult(), SimulationResult()
+        late.add_trace(Trace("v", times=[1.0, 2.0], values=[1.0, 2.0]))
+        early.add_trace(Trace("v", times=[0.0, 0.5], values=[0.0, 0.5]))
+        with pytest.raises(ConfigurationError):
+            merge_results([late, early])
 
     def test_every_counter_and_step_bound_is_merged(self):
         segments = []

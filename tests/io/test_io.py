@@ -29,6 +29,10 @@ class TestCsvRoundTrip:
         assert set(loaded) == {"a", "b"}
         assert loaded["a"].at(0.5) == pytest.approx(1.0, abs=1e-6)
         assert loaded["b"].at(0.5) == pytest.approx(2.0, abs=1e-6)
+        # one read-only times column shared by every imported trace
+        assert not loaded["a"].values.flags.writeable
+        assert np.shares_memory(loaded["a"].times, loaded["b"].times)
+        assert loaded["a"].times == pytest.approx(make_trace("a").times)
 
     def test_export_result_selected_traces(self, tmp_path):
         result = SimulationResult()
