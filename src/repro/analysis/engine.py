@@ -96,11 +96,12 @@ logger = logging.getLogger("repro.engine")
 _CHECKPOINT_FIELDS = ("index", "score", "cpu_time_s", "exact_rerun")
 
 #: widest lane block the default plan forms: a block holds every lane's
-#: materialised traces until it ends (about 0.27 MB per lane of Python
-#: floats), so a 1-worker sweep of a large grid is split rather than
-#: marched as one block (256 0.2 s charging candidates on a 2-CPU host:
-#: 110 MB peak RSS and 1.8-2.1 s as one block, 58 MB and 2.6-3.6 s in
-#: blocks of 64, 41 MB on the scalar path)
+#: traces until it ends (50.0 KB per lane of float64 columns on a 0.2 s
+#: charging run), so a 1-worker sweep of a large grid is split rather
+#: than marched as one block (256 0.2 s charging candidates on a 2-CPU
+#: host: 67 MB peak RSS and 0.48 s as one block, 47 MB and 0.75 s in
+#: blocks of 64, 41 MB on the scalar path); the cap also bounds the work
+#: an interruption re-runs, since checkpoint rows arrive per block
 DEFAULT_MAX_LANES = 64
 
 

@@ -42,9 +42,10 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ..core.block import AnalogueBlock
+from ..core.block import AnalogueBlock, BatchedLinearisation, PreparedBlockLineariser
 from ..core.errors import ConfigurationError
-from .vibration import batch_acceleration
+from ..core.linearise import linearise_lanes_numerically
+from .vibration import PreparedAcceleration, batch_acceleration
 
 __all__ = ["ElectrostaticParameters", "ElectrostaticMicrogenerator"]
 
@@ -183,33 +184,79 @@ class ElectrostaticMicrogenerator(AnalogueBlock):
         bit-identical to each lane's scalar central-difference Jacobians.
         Only the base acceleration goes through the lanes' scalar sources.
         """
-        mass = np.array([lane.params.proof_mass_kg for lane in lanes])
-        stiffness = np.array([lane.params.spring_stiffness for lane in lanes])
-        damping = np.array([lane.params.parasitic_damping for lane in lanes])
-        area = np.array([lane.params.plate_area_m2 for lane in lanes])
-        gap0 = np.array([lane.params.nominal_gap_m for lane in lanes])
-        r_series = np.array([lane.params.series_resistance_ohm for lane in lanes])
-        r_recharge = np.array([lane.params.recharge_resistance_ohm for lane in lanes])
-        v_bias = np.array([lane.params.bias_voltage_v for lane in lanes])
         accel = batch_acceleration([lane._acceleration for lane in lanes], t)
+        return _LaneParameters(lanes).evaluate(accel, x, y)
 
+    def batched_lineariser(
+        self, lanes: Sequence[AnalogueBlock]
+    ) -> PreparedBlockLineariser:
+        """The batched central differences with the per-lane work bound once.
+
+        The block has no analytic Jacobians, so a refresh is the
+        finite-difference sweep of
+        :func:`~repro.core.linearise.linearise_lanes_numerically`: one base
+        evaluation and two per state and terminal.  The lanes' parameter
+        stacks are built here once, and the base acceleration, the only
+        time-dependent input, is evaluated once per refresh through one
+        :class:`~repro.blocks.vibration.PreparedAcceleration` (libm ``sin``
+        per lane) instead of once per evaluation.  Every evaluation is
+        :meth:`evaluate_batch`'s arithmetic, so every lane stays bitwise
+        its scalar central differences.  Nothing is declared constant.
+        """
+        parameters = _LaneParameters(lanes)
+        acceleration = PreparedAcceleration([lane._acceleration for lane in lanes])
+
+        def lineariser(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
+            accel = acceleration(t)
+
+            def evaluate(xv: np.ndarray, yv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                return parameters.evaluate(accel, xv, yv)
+
+            return linearise_lanes_numerically(lanes, t, x, y, evaluate=evaluate)
+
+        return PreparedBlockLineariser(lineariser=lineariser)
+
+
+class _LaneParameters:
+    """The parameter stacks of ``B`` electrostatic lanes and their model
+    equations, element-wise :meth:`ElectrostaticMicrogenerator.derivatives`
+    and :meth:`~ElectrostaticMicrogenerator.algebraic_residual`."""
+
+    def __init__(self, lanes: Sequence[ElectrostaticMicrogenerator]) -> None:
+        params = [lane.params for lane in lanes]
+        self.mass = np.array([p.proof_mass_kg for p in params])
+        self.stiffness = np.array([p.spring_stiffness for p in params])
+        self.damping = np.array([p.parasitic_damping for p in params])
+        self.area = np.array([p.plate_area_m2 for p in params])
+        self.gap0 = np.array([p.nominal_gap_m for p in params])
+        self.r_series = np.array([p.series_resistance_ohm for p in params])
+        self.v_bias = np.array([p.bias_voltage_v for p in params])
+        r_recharge = np.array([p.recharge_resistance_ohm for p in params])
+        self.recharge = r_recharge > 0.0
+        self.any_recharge = bool(np.any(self.recharge))
+        # 1.0 where the path is disabled: the divisor np.where picked
+        self.r_recharge = np.where(self.recharge, r_recharge, 1.0)
+
+    def evaluate(
+        self, accel: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dxdt, residual_y)`` of every lane at base acceleration ``accel``."""
         z, v, q = x[:, 0], x[:, 1], x[:, 2]
         vm, im = y[:, 0], y[:, 1]
 
-        gap = np.maximum(gap0 - z, 0.05 * gap0)
-        v_cap = q * gap / (_EPSILON_0 * area)
+        gap = np.maximum(self.gap0 - z, 0.05 * self.gap0)
+        v_cap = q * gap / (_EPSILON_0 * self.area)
 
-        electrostatic_force = q * q / (2.0 * _EPSILON_0 * area)
+        electrostatic_force = q * q / (2.0 * _EPSILON_0 * self.area)
         acceleration = (
-            -stiffness * z - damping * v - electrostatic_force + mass * accel
-        ) / mass
+            -self.stiffness * z - self.damping * v - electrostatic_force + self.mass * accel
+        ) / self.mass
         dq = -im
-        recharge = r_recharge > 0.0
-        if np.any(recharge):
+        if self.any_recharge:
             # np.where (not an unconditional add) so lanes without a
             # replenishment path keep the exact scalar value of ``-Im``
-            term = (v_bias - v_cap) / np.where(recharge, r_recharge, 1.0)
-            dq = np.where(recharge, dq + term, dq)
+            term = (self.v_bias - v_cap) / self.r_recharge
+            dq = np.where(self.recharge, dq + term, dq)
         dxdt = np.stack([v, acceleration, dq], axis=1)
-        res_y = (vm - v_cap + r_series * im)[:, None]
+        res_y = (vm - v_cap + self.r_series * im)[:, None]
         return dxdt, res_y

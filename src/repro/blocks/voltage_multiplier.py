@@ -204,41 +204,42 @@ class DicksonMultiplier(AnalogueBlock):
             g[k], j[k] = evaluate(float(vd[k]))
 
         n_states = n + 1
-        jxx = np.zeros((n_states, n_states))
         jxy = np.zeros((n_states, 4))  # columns: Vm, Im, Vc, Ic
-        ex = np.zeros(n_states)
+        # one row P[k] = [g_k * C_k | j_k] per diode current k; the rows
+        # of [jxx | ex] are built from them with array operations only
+        p = np.empty((n, n_states + 1))
+        p[:, :n_states] = g[:, None] * coefficients
+        p[:, n_states] = j
+        rows = np.empty((n_states, n_states + 1))
 
         # input node: Cin dVin/dt = Im - sum_pump (I_{k+1} - I_k)
         cin = self.input_capacitance_f
         jxy[0, 1] = 1.0 / cin
+        # each term a subtraction, the added ones of P[k] / -cin (exact):
+        # given two NaNs a subtraction keeps its first, an addition either
+        row = np.zeros(n_states + 1)
         for k in range(n):
             if not self._pump_active[k]:
                 continue
-            jxx[0, :] += g[k] * coefficients[k, :] / cin
-            ex[0] += j[k] / cin
+            row -= p[k] / -cin
             if k + 1 < n:
-                jxx[0, :] -= g[k + 1] * coefficients[k + 1, :] / cin
-                ex[0] -= j[k + 1] / cin
+                row -= p[k + 1] / cin
             else:
                 jxy[0, 3] -= 1.0 / cin
+        rows[0] = row
 
-        # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end),
-        # every row at once with the batched plan's element-wise expressions
+        # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end)
         caps = self.capacitances
-        jxx[1:n, :] = (
-            g[:-1, None] * coefficients[:-1, :] - g[1:, None] * coefficients[1:, :]
-        ) / caps[:-1, None]
-        ex[1:n] = (j[:-1] - j[1:]) / caps[:-1]
+        rows[1:n] = (p[:-1] - p[1:]) / caps[:-1, None]
         cn = caps[-1]
-        jxx[n, :] = g[n - 1] * coefficients[n - 1, :] / cn
+        rows[n] = p[n - 1] / cn
         jxy[n, 3] = -1.0 / cn
-        ex[n] = j[n - 1] / cn
 
         # algebraic part: Vm - Vin = 0 and Vc - Vn = 0 (constant structure)
         return BlockLinearisation(
-            jxx=jxx,
+            jxx=rows[:, :n_states],
             jxy=jxy,
-            ex=ex,
+            ex=rows[:, n_states],
             jyx=self._jyx_template.copy(),
             jyy=self._jyy_template.copy(),
             ey=np.zeros(2),
@@ -252,18 +253,30 @@ class DicksonMultiplier(AnalogueBlock):
         Lanes share the topology (stage count and pump pattern, hence the
         diode voltage coefficient matrix ``C``) but may differ in
         capacitances and diode parameters.  The capacitance stacks, the
-        pump terms of the input-node row and the four structurally
-        constant fields (``jxy``, ``jyx``, ``jyy``, ``ey``) are computed
-        once.  Each refresh projects the diode voltages, looks them up
-        (one :meth:`~repro.core.pwl.CompanionTable.evaluate_batch` over all
-        ``B * n`` voltages when every lane aliases the same companion
-        table, the common sweep case, else one per lane) and builds every
-        ``jxx``/``ex`` row from one product ``P = [g * C | j]``: the stage
-        rows are ``(P[:-1] - P[1:]) / caps[:-1]`` and the output row
-        ``P[-1] / cn``, the scalar :meth:`linearise`'s expressions, and the
-        input-node row adds the pump terms of ``P / cin`` in the scalar
-        loop's order.  Every lane is therefore bitwise its scalar
-        linearisation.
+        signs of the input-node row and the four structurally constant
+        fields (``jxy``, ``jyx``, ``jyy``, ``ey``) are bound once.
+
+        A refresh projects the diode voltages and looks every one up.
+        When all lanes alias one extrapolating companion table (the common
+        sweep case) that is one :meth:`~repro.core.pwl.CompanionTable.lookup`
+        of a segment table whose columns are ``G`` under each column of
+        ``C`` and then ``J``, so ``P = lookup * [C | 1] = [g * C | j]``
+        takes one product; otherwise each lane's table is evaluated (with
+        its range checks).  ``P`` lives in a buffer whose extra last row
+        stays zero.  The stage and output rows of ``[jxx | ex]`` are then
+        ``(P[:-1] - P[1:]) / caps``, since ``P[n-1] - 0`` is ``P[n-1]``
+        exactly, and the input-node row is ``np.subtract.reduce`` from
+        ``initial=0.0`` over the pump rows of ``P`` divided by ``-cin``
+        (an added row) or ``cin`` (a subtracted one): the scalar loop's
+        ``0 - a0 / -cin - a1 / cin - ...`` in its order.  Every lane is
+        therefore bitwise its scalar :meth:`linearise`, non-finite and
+        signed-zero values included.
+
+        Its output is valid only until the next call, as for any
+        :class:`~repro.core.block.PreparedBlockLineariser`: ``P`` is one
+        buffer every call reuses.  (``jxx``/``ex`` are views of a fresh
+        array per call today, so a result held across a call still reads
+        correctly; callers must not rely on it.)
         """
         b = len(lanes)
         n = self.n_stages
@@ -272,21 +285,46 @@ class DicksonMultiplier(AnalogueBlock):
 
         table = self.companion_table
         shared_table = all(lane.companion_table is table for lane in lanes)
-        lane_tables = None if shared_table else [lane.companion_table for lane in lanes]
+        # [C | 1]: the lookup's [g ... g, j] columns times it are P's
+        product = np.hstack([coefficients, np.ones((n, 1))])
+        if shared_table and table.extrapolates:
+            segments = table.segment_table("g" * n_states + "j")
+
+            def currents(vd: np.ndarray) -> np.ndarray:
+                return table.lookup(vd, segments)
+
+        else:
+            lane_tables = [lane.companion_table for lane in lanes]
+
+            def currents(vd: np.ndarray) -> np.ndarray:
+                if shared_table:
+                    g, j = table.evaluate_batch(vd)
+                else:
+                    g, j = (
+                        np.stack(pair)
+                        for pair in zip(*(tab.evaluate_batch(v) for tab, v in zip(lane_tables, vd)))
+                    )
+                columns = np.empty((b, n, n_states + 1))
+                columns[..., :n_states] = g[..., None]
+                columns[..., n_states] = j
+                return columns
 
         cin = np.array([lane.input_capacitance_f for lane in lanes])
         caps = np.stack([lane.capacitances for lane in lanes])
-        cin_p = cin[:, None, None]
-        caps_stage = caps[:, :-1, None]
-        caps_out = caps[:, -1, None]
-        # input node: Cin dVin/dt = Im - sum_pump (I_{k+1} - I_k), as the
-        # signed rows of P / cin the scalar loop accumulates, in its order
-        pump_terms = []
+        # input node: Cin dVin/dt = Im - sum_pump (I_{k+1} - I_k), as
+        # linearise subtracts its terms: P[k] / -cin for an added row,
+        # P[k] / cin for a subtracted one
+        terms = []
         for k in range(n):
             if self._pump_active[k]:
-                pump_terms.append((k, True))
+                terms.append((k, -1.0))
                 if k + 1 < n:
-                    pump_terms.append((k + 1, False))
+                    terms.append((k + 1, 1.0))
+        pump_rows, signs = zip(*terms)
+        # the alternating pump pattern takes the leading rows in order
+        assert pump_rows == tuple(range(len(terms))), pump_rows
+        signed_cin = cin[:, None, None] * np.array(signs)[:, None]
+        caps_rows = caps[:, :, None]
 
         # structurally constant fields, the floats linearise assembles
         jxy = np.zeros((b, n_states, 4))
@@ -298,31 +336,18 @@ class DicksonMultiplier(AnalogueBlock):
         jyy = np.broadcast_to(self._jyy_template, (b, 2, 4)).copy()
         ey = np.zeros((b, 2))
 
+        # P with a zero row appended, reused by every refresh
+        p = np.zeros((b, n + 1, n_states + 1))
+        p_diodes = p[:, :n]
+        p_pump = p[:, : len(terms)]
+
         def lineariser(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> BatchedLinearisation:
             vd = np.matmul(coefficients, x[..., None])[..., 0]  # (B, n)
-            if lane_tables is None:
-                g, j = table.evaluate_batch(vd)
-            else:
-                g, j = zip(*(tab.evaluate_batch(v) for tab, v in zip(lane_tables, vd)))
-                g, j = np.stack(g), np.stack(j)
-            # P = [g * C | j], (B, n, n + 2): one row per diode current
-            p = np.empty((b, n, n_states + 1))
-            np.multiply(g[:, :, None], coefficients, out=p[..., :n_states])
-            p[..., n_states] = j
-            # rows of [jxx | ex]; the input-node row accumulates from zero
-            # (in a contiguous buffer: in-place adds on a strided row cost more)
+            np.multiply(currents(vd), product, out=p_diodes)
+            # rows of [jxx | ex]
             rows = np.empty((b, n_states, n_states + 1))
-            pumped = p / cin_p
-            row = np.zeros((b, n_states + 1))
-            for k, add in pump_terms:
-                if add:
-                    row += pumped[:, k]
-                else:
-                    row -= pumped[:, k]
-            rows[:, 0] = row
-            # stage nodes: C_k dU_k/dt = I_k - I_{k+1} (I_n -> Ic at the end)
-            np.divide(p[:, :-1] - p[:, 1:], caps_stage, out=rows[:, 1:n])
-            np.divide(p[:, n - 1], caps_out, out=rows[:, n])
+            np.subtract.reduce(p_pump / signed_cin, axis=1, initial=0.0, out=rows[:, 0])
+            np.divide(p[:, :-1] - p[:, 1:], caps_rows, out=rows[:, 1:])
             return BatchedLinearisation(
                 jxx=rows[..., :n_states],
                 jxy=jxy,

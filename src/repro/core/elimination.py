@@ -129,6 +129,14 @@ logger = logging.getLogger("repro.elimination")
 _SOLVE_FIELDS = frozenset(("jxy", "jyx", "jyy", "ey"))
 
 
+def _terminal_index(terminal_idx: np.ndarray) -> Union[slice, np.ndarray]:
+    """A block's global terminal columns as a basic slice when contiguous
+    (gathers a view, scatters without fancy indexing), else the array."""
+    if terminal_idx.size and bool(np.all(np.diff(terminal_idx) == 1)):
+        return slice(int(terminal_idx[0]), int(terminal_idx[-1]) + 1)
+    return terminal_idx
+
+
 def _log_refused(refused: Sequence[str]) -> None:
     if refused:
         logger.debug(
@@ -310,9 +318,7 @@ class SystemAssembler:
         r0 = s.alg_offsets[block.name]
         rows = slice(r0, r0 + block.n_algebraic)
         terminal_idx = s.terminal_maps[block.name]
-        terminals: Union[slice, np.ndarray] = terminal_idx
-        if terminal_idx.size and bool(np.all(np.diff(terminal_idx) == 1)):
-            terminals = slice(int(terminal_idx[0]), int(terminal_idx[-1]) + 1)
+        terminals = _terminal_index(terminal_idx)
         jxx, _, ex, jyx, _, ey = self._buffers
 
         def flat(row_slice: slice) -> np.ndarray:
@@ -442,25 +448,43 @@ class SystemAssembler:
 # batched (lane-parallel) assembly and elimination
 # ---------------------------------------------------------------------- #
 
+class _Scatter(NamedTuple):
+    """One field write of a block group into the batched workspace.
+
+    ``target[index] = lin.<field>``; when ``clear`` is an index, the
+    write accumulates instead (``+=`` over possibly repeated net columns)
+    after zeroing ``target[clear]``, the group's own rows, as into a
+    fresh matrix.
+    """
+
+    field: str
+    target: np.ndarray
+    index: tuple
+    clear: Optional[tuple]
+
+
 @dataclass
 class _PreparedGroup:
     """One block group of the batched assembly, bound by ``prepare()``.
 
-    Carries the group's scatter indices (precomputed from the shared
-    :class:`AssemblyStructure`) plus the block's
+    Carries the group's gather indices (its state slice, its terminal
+    columns as a basic slice when contiguous) plus the block's
     :class:`~repro.core.block.PreparedBlockLineariser` when available;
     ``prepared is None`` leaves the group to
     :func:`~repro.core.linearise.linearise_block_lanes`, the stack of its
     lanes' scalar linearisations, each checked against ``shapes``.
+    ``scatters`` writes every field into the workspace; ``refresh`` only
+    the fields not declared constant.
     """
 
     lanes: List[AnalogueBlock]
     sl: slice
-    terminal_idx: np.ndarray
-    rows: Optional[slice]
+    terminals: Union[slice, np.ndarray]
     shapes: Tuple[Tuple[int, ...], ...]
     prepared: Optional[PreparedBlockLineariser]
     constant: frozenset
+    scatters: Tuple[_Scatter, ...]
+    refresh: Tuple[_Scatter, ...]
 
 
 @dataclass
@@ -630,36 +654,59 @@ class BatchedAssembler:
         """
         s = self._structure
         b = self.n_lanes
+        ws = BatchedGlobalLinearisation(
+            jxx=np.zeros((b, s.n_states, s.n_states)),
+            jxy=np.zeros((b, s.n_states, s.n_terminals)),
+            ex=np.zeros((b, s.n_states)),
+            jyx=np.zeros((b, s.n_algebraic, s.n_states)),
+            jyy=np.zeros((b, s.n_algebraic, s.n_terminals)),
+            ey=np.zeros((b, s.n_algebraic)),
+        )
+        lanes_axis = slice(None)
         groups: List[_PreparedGroup] = []
         refused: List[str] = []
         for lanes in self._block_lanes:
             rep = lanes[0]
             offset = s.state_offsets[rep.name]
             sl = slice(offset, offset + rep.n_states)
-            rows: Optional[slice] = None
+            terminals = _terminal_index(s.terminal_maps[rep.name])
+            scatters = [
+                _Scatter("jxx", ws.jxx, (lanes_axis, sl, sl), None),
+                _Scatter("ex", ws.ex, (lanes_axis, sl), None),
+            ]
+            if rep.n_terminals:
+                scatters.append(
+                    _Scatter("jxy", ws.jxy, (lanes_axis, sl, terminals), (lanes_axis, sl))
+                )
             if rep.n_algebraic:
                 r0 = s.alg_offsets[rep.name]
                 rows = slice(r0, r0 + rep.n_algebraic)
+                scatters.append(_Scatter("jyx", ws.jyx, (lanes_axis, rows, sl), None))
+                if rep.n_terminals:
+                    scatters.append(
+                        _Scatter(
+                            "jyy", ws.jyy, (lanes_axis, rows, terminals), (lanes_axis, rows)
+                        )
+                    )
+                scatters.append(_Scatter("ey", ws.ey, (lanes_axis, rows), None))
             prepared = None
             if fast_path_counts(lanes):
                 prepared = rep.batched_lineariser(lanes)
             else:
                 refused.append(rep.name)
+            constant = frozenset(prepared.constant) if prepared is not None else frozenset()
             groups.append(
                 _PreparedGroup(
                     lanes=list(lanes),
                     sl=sl,
-                    terminal_idx=s.terminal_maps[rep.name],
-                    rows=rows,
+                    terminals=terminals,
                     shapes=BlockLinearisation.expected_shapes(
                         rep.n_states, rep.n_terminals, rep.n_algebraic
                     ),
                     prepared=prepared,
-                    constant=(
-                        frozenset(prepared.constant)
-                        if prepared is not None
-                        else frozenset()
-                    ),
+                    constant=constant,
+                    scatters=tuple(scatters),
+                    refresh=tuple(op for op in scatters if op.field not in constant),
                 )
             )
         _log_refused(refused)
@@ -669,14 +716,7 @@ class BatchedAssembler:
         ]
         self._hold_solve = all(_SOLVE_FIELDS <= grp.constant for grp in groups)
         self._held = None
-        self._workspace = BatchedGlobalLinearisation(
-            jxx=np.zeros((b, s.n_states, s.n_states)),
-            jxy=np.zeros((b, s.n_states, s.n_terminals)),
-            ex=np.zeros((b, s.n_states)),
-            jyx=np.zeros((b, s.n_algebraic, s.n_states)),
-            jyy=np.zeros((b, s.n_algebraic, s.n_terminals)),
-            ey=np.zeros((b, s.n_algebraic)),
-        )
+        self._workspace = ws
         self._static_scattered = False
 
     def assemble(
@@ -691,53 +731,37 @@ class BatchedAssembler:
 
         The first call after :meth:`prepare` linearises every group and
         scatters every field (and validates its shapes); afterwards a group
-        whose six fields are all declared constant is skipped, and a field
-        is re-scattered only when its group does not declare it constant.
-        A stacked-scalar group's shapes are checked on every call.  The
-        accumulated coupling fields (``jxy``/``jyy`` use ``+=`` over
-        possibly repeated net columns) are zeroed over the group's own rows
-        first, as into a fresh matrix; row ranges of different groups are
-        disjoint by construction.
+        whose six fields are all declared constant is skipped, and a group
+        re-scatters only the fields it does not declare constant, as
+        :meth:`prepare` decided.  A stacked-scalar group's shapes are
+        checked on every call.  The accumulated coupling fields
+        (``jxy``/``jyy`` use ``+=`` over possibly repeated net columns) are
+        zeroed over the group's own rows first, as into a fresh matrix;
+        row ranges of different groups are disjoint by construction.
         """
         if self._workspace is None:
             self.prepare()
-        ws = self._workspace
         first = not self._static_scattered
         for grp in self._groups if first else self._refresh_groups:
-            rep = grp.lanes[0]
-            sl = grp.sl
-            terminal_idx = grp.terminal_idx
-            x_local = x_global[:, sl]
-            y_local = y_global[:, terminal_idx]
+            x_local = x_global[:, grp.sl]
+            y_local = y_global[:, grp.terminals]
             if grp.prepared is not None:
                 lin = grp.prepared.lineariser(t, x_local, y_local)
             else:
                 lin = linearise_block_lanes(grp.lanes, t, x_local, y_local, grp.shapes)
-            constant = grp.constant
             if first:
+                rep = grp.lanes[0]
                 lin.validate(
                     self.n_lanes, rep.n_states, rep.n_terminals, rep.n_algebraic
                 )
-            if first or "jxx" not in constant:
-                ws.jxx[:, sl, sl] = lin.jxx
-            if first or "ex" not in constant:
-                ws.ex[:, sl] = lin.ex
-            if rep.n_terminals and (first or "jxy" not in constant):
-                if not first:
-                    ws.jxy[:, sl, :] = 0.0
-                ws.jxy[:, sl, terminal_idx] += lin.jxy
-            if grp.rows is not None:
-                rows = grp.rows
-                if first or "jyx" not in constant:
-                    ws.jyx[:, rows, sl] = lin.jyx
-                if rep.n_terminals and (first or "jyy" not in constant):
-                    if not first:
-                        ws.jyy[:, rows, :] = 0.0
-                    ws.jyy[:, rows, terminal_idx] += lin.jyy
-                if first or "ey" not in constant:
-                    ws.ey[:, rows] = lin.ey
+            for field, target, index, clear in grp.scatters if first else grp.refresh:
+                if clear is None:
+                    target[index] = getattr(lin, field)
+                else:
+                    target[clear] = 0.0
+                    target[index] += getattr(lin, field)
         self._static_scattered = True
-        return ws
+        return self._workspace
 
     def eliminate(
         self, lin: BatchedGlobalLinearisation, x_global: np.ndarray

@@ -172,6 +172,9 @@ def linearise_lanes_numerically(
     y: np.ndarray,
     *,
     eps: float = _DEFAULT_EPS,
+    evaluate: Optional[
+        Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    ] = None,
 ) -> BatchedLinearisation:
     """Batched central-difference linearisation of ``B`` sibling lanes.
 
@@ -184,14 +187,23 @@ def linearise_lanes_numerically(
     the scalar path, so lanes of blocks with a vectorised
     ``evaluate_batch`` produce bit-identical Jacobians to their scalar
     finite-difference runs.
+
+    ``evaluate(x, y)`` replaces ``evaluate_batch(lanes, t, x, y)`` for a
+    caller that binds the lanes' parameters and time-dependent inputs at
+    ``t`` once per sweep (a block's ``batched_lineariser``); it must
+    return the same arrays.
     """
     rep = lanes[0]
     b = len(lanes)
     n_states, n_terminals, n_algebraic = rep.n_states, rep.n_terminals, rep.n_algebraic
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if evaluate is None:
 
-    fx0, fy0 = rep.evaluate_batch(lanes, t, x, y)
+        def evaluate(xv: np.ndarray, yv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return rep.evaluate_batch(lanes, t, xv, yv)
+
+    fx0, fy0 = evaluate(x, y)
     jxx = np.zeros((b, n_states, n_states))
     jxy = np.zeros((b, n_states, n_terminals))
     jyx = np.zeros((b, n_algebraic, n_states))
@@ -206,11 +218,11 @@ def linearise_lanes_numerically(
             plus[:, j] += h
             minus[:, j] -= h
             if perturb_states:
-                fx_p, fy_p = rep.evaluate_batch(lanes, t, plus, other)
-                fx_m, fy_m = rep.evaluate_batch(lanes, t, minus, other)
+                fx_p, fy_p = evaluate(plus, other)
+                fx_m, fy_m = evaluate(minus, other)
             else:
-                fx_p, fy_p = rep.evaluate_batch(lanes, t, other, plus)
-                fx_m, fy_m = rep.evaluate_batch(lanes, t, other, minus)
+                fx_p, fy_p = evaluate(other, plus)
+                fx_m, fy_m = evaluate(other, minus)
             scale = (2.0 * h)[:, None]
             target_x = jxx if perturb_states else jxy
             target_x[:, :, j] = (fx_p - fx_m) / scale

@@ -188,10 +188,10 @@ class PWLTable:
         xs = np.asarray(xs, dtype=float)
         if not self._data.uniform:
             return np.searchsorted(self._interior, xs, side="right")
-        idx = np.floor((xs - self._x0) / self._data.dx)
-        # NaN compares false, so it lands on the last segment
-        idx = np.where(idx < self._n_segments, idx, self._n_segments)
-        return np.where(idx > 0.0, idx, 0.0).astype(np.intp)
+        q = (xs - self._x0) / self._data.dx
+        # fmin sends NaN and +inf to the last segment, fmax -inf to the
+        # first; on [0, n_segments] truncation is the floor
+        return np.fmax(np.fmin(q, self._n_segments), 0.0).astype(np.intp)
 
 
 class CompanionTable:
@@ -210,13 +210,7 @@ class CompanionTable:
             raise ConfigurationError("G and J tables must share breakpoints")
         self._g = g_table
         self._j = j_table
-        # per segment: left breakpoint, width, then both tables' left
-        # values and rises -- the floats the scalar interpolation computes
-        x = g_table.breakpoints
-        ys = np.stack([g_table.values, j_table.values], axis=1)
-        self._segments = np.column_stack(
-            [x[:-1], x[1:] - x[:-1], ys[:-1], ys[1:] - ys[:-1]]
-        )
+        self._gj_segments = self.segment_table("gj")
 
     @property
     def g_table(self) -> PWLTable:
@@ -233,6 +227,11 @@ class CompanionTable:
         """Voltage range covered by the companion model."""
         return self._g.domain
 
+    @property
+    def extrapolates(self) -> bool:
+        """Whether both tables extrapolate: a lookup never range-checks."""
+        return self._g._extrapolate and self._j._extrapolate
+
     def conductance(self, v: float) -> float:
         """Companion conductance at operating voltage ``v``."""
         return self._g(v)
@@ -248,7 +247,7 @@ class CompanionTable:
         so one segment search serves both interpolations.
         """
         g = self._g
-        if not (g._extrapolate and self._j._extrapolate):
+        if not self.extrapolates:
             return self._g(v), self._j(v)  # preserve per-table range checks
         idx = g._segment_index(v)
         return float(g._interpolate_at(idx, v)), float(self._j._interpolate_at(idx, v))
@@ -261,23 +260,50 @@ class CompanionTable:
     def evaluate_batch(self, vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`evaluate` over an array of operating voltages.
 
-        One segment search and one gather of the per-segment table serve
-        both interpolations; ``t = (v - x0) / width`` and ``y0 + t * rise``
-        are the scalar fast path's floats, so the result is bit-identical
-        to calling :meth:`evaluate` per element.
+        The :meth:`lookup` of the ``"gj"`` :meth:`segment_table`, so the
+        result is bit-identical to calling :meth:`evaluate` per element.
         """
         vs = np.asarray(vs, dtype=float)
-        g = self._g
-        if not (g._extrapolate and self._j._extrapolate):
+        if not self.extrapolates:
             flat = vs.reshape(-1)
             pairs = [self.evaluate(float(v)) for v in flat]
             g_vals = np.array([p[0] for p in pairs]).reshape(vs.shape)
             j_vals = np.array([p[1] for p in pairs]).reshape(vs.shape)
             return g_vals, j_vals
-        seg = self._segments[g.segment_indices(vs)]
-        t = (vs - seg[..., 0]) / seg[..., 1]
-        gj = seg[..., 2:4] + t[..., None] * seg[..., 4:6]
+        gj = self.lookup(vs, self._gj_segments)
         return gj[..., 0], gj[..., 1]
+
+    def segment_table(self, order: str) -> np.ndarray:
+        """Per-segment rows for :meth:`lookup`, its columns bound once.
+
+        Row ``i`` is segment ``i``'s left breakpoint and width, then the
+        left value and then the rise of the table each character of
+        ``order`` names (``"g"`` or ``"j"``, repeats allowed): the floats
+        the scalar interpolation computes.  A caller that wants ``G``
+        beside every column of a matrix it multiplies asks for as many
+        ``"g"`` columns as the matrix has.
+        """
+        if not order or set(order) - {"g", "j"}:
+            raise ConfigurationError(f"segment_table order must spell g/j, got {order!r}")
+        x = self._g.breakpoints
+        tables = {"g": self._g.values, "j": self._j.values}
+        ys = np.stack([tables[c] for c in order], axis=1)
+        return np.column_stack([x[:-1], x[1:] - x[:-1], ys[:-1], ys[1:] - ys[:-1]])
+
+    def lookup(self, vs: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Interpolated columns of ``table`` (a :meth:`segment_table`) at ``vs``.
+
+        One segment search and one ``take`` of the table rows;
+        ``t = (v - x0) / width`` and ``y0 + t * rise`` are the scalar
+        :meth:`evaluate`'s floats, so column ``c`` of the result, shape
+        ``vs.shape + (len(order),)``, is bitwise the scalar ``G`` or
+        ``J`` that ``order[c]`` names.  Extrapolating tables only (see
+        :attr:`extrapolates`): no range check is made.
+        """
+        seg = table.take(self._g.segment_indices(vs), axis=0)
+        n_values = (table.shape[1] - 2) // 2
+        t = (vs - seg[..., 0]) / seg[..., 1]
+        return seg[..., 2 : 2 + n_values] + t[..., None] * seg[..., 2 + n_values :]
 
 
 def build_table(

@@ -6,10 +6,10 @@ the per-lane scalar linearisations — bit-identical, not merely close —
 at randomised operating points.  This is the contract that makes every
 batched lane bitwise its scalar run, and it covers both each block's
 ``batched_lineariser`` (electromagnetic generator, Dickson multiplier,
-supercapacitor) and the fallbacks of
+supercapacitor, and the electrostatic generator's bound
+finite-difference sweep) and the fallback of
 :func:`~repro.core.linearise.linearise_block_lanes` for blocks without
-one (piezoelectric via stacked scalar ``linearise``, electrostatic via
-the batched finite-difference sweep).
+one (piezoelectric via stacked scalar ``linearise``).
 """
 
 import math
@@ -17,7 +17,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.blocks.diode import DiodeParameters
+from repro.blocks.diode import (
+    DiodeParameters,
+    ShockleyDiode,
+    build_diode_companion_table,
+)
 from repro.blocks.voltage_multiplier import DicksonMultiplier
 from repro.core.block import BatchedLinearisation, LinearBlock
 from repro.core.builder import BuildContext
@@ -26,6 +30,7 @@ from repro.core.linearise import (
     linearise_block_lanes,
     linearise_lanes_numerically,
 )
+from repro.core.pwl import CompanionTable, PWLTable, build_companion_table
 from repro.core.registry import BLOCK_REGISTRY
 
 BLOCK_REGISTRY.ensure_default_library()
@@ -154,7 +159,12 @@ def test_all_stock_analogue_blocks_are_covered():
 
 #: stock blocks that define a batched lineariser; the others are
 #: linearised through linearise_block_lanes
-PREPARED_KEYS = {"dickson_multiplier", "electromagnetic_generator", "supercapacitor"}
+PREPARED_KEYS = {
+    "dickson_multiplier",
+    "electromagnetic_generator",
+    "electrostatic_generator",
+    "supercapacitor",
+}
 
 
 @pytest.mark.parametrize("key", STOCK_ANALOGUE_KEYS)
@@ -195,25 +205,49 @@ def test_evaluate_batch_stacks_scalar_evaluation(key):
 
 
 def test_electrostatic_batched_fd_matches_scalar_fd():
-    # the electrostatic block has no analytic linearise: the batched path
-    # must go through the vectorised finite-difference sweep and still be
-    # bit-identical to each lane's scalar central differences
+    # the electrostatic block has no analytic linearise: its bound
+    # lineariser is the vectorised finite-difference sweep, bit-identical
+    # to each lane's scalar central differences and to the unbound sweep,
+    # and it evaluates each lane's excitation once per refresh (not once
+    # per each of the sweep's 11 evaluations)
     rng = np.random.default_rng(3)
-    lanes = _build_lanes(
-        "electrostatic_generator",
-        rng,
-        lambda r, i: _lane_params("electrostatic_generator", r, i),
-    )
+    calls = [0] * N_LANES
+
+    def counted(i, source):
+        def acceleration(t):
+            calls[i] += 1
+            return source(t)
+
+        return acceleration
+
+    sources = _lane_accelerations(rng)
+    lanes = [
+        BLOCK_REGISTRY.create(
+            "electrostatic_generator",
+            "block",
+            _lane_params("electrostatic_generator", rng, i),
+            BuildContext(acceleration=counted(i, sources[i])),
+        )
+        for i in range(N_LANES)
+    ]
     assert all(
         lane.linearise(0.0, np.zeros(3), np.zeros(2)) is None for lane in lanes
     )
-    x, y = _operating_points(rng, lanes[0])
-    # use plate-charge-scaled states so the relative FD step paths (both
-    # |x| < 1 and |x| > 1) are exercised
-    x[:, 2] = rng.uniform(0.5, 2.0, size=N_LANES) * 2e-8
-    t = np.full(N_LANES, 0.01)
-    batched = linearise_lanes_numerically(lanes, t, x, y)
-    _assert_stacks_equal(batched, lanes, t, x, y)
+    prepared = lanes[0].batched_lineariser(lanes)
+    assert prepared.constant == ()
+    for trial in range(2):
+        x, y = _operating_points(rng, lanes[0])
+        # use plate-charge-scaled states so the relative FD step paths
+        # (both |x| < 1 and |x| > 1) are exercised
+        x[:, 2] = rng.uniform(0.5, 2.0, size=N_LANES) * 2e-8
+        t = 0.01 + 0.001 * trial + 1e-4 * np.arange(N_LANES)
+        calls[:] = [0] * N_LANES
+        batched = prepared.lineariser(t, x, y)
+        assert calls == [1] * N_LANES, f"refresh {trial}: excitation calls {calls}"
+        _assert_stacks_equal(batched, lanes, t, x, y)
+        unbound = linearise_lanes_numerically(lanes, t, x, y)
+        for attr in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
+            assert getattr(batched, attr).tobytes() == getattr(unbound, attr).tobytes()
 
 
 def test_dickson_mixed_diode_tables_take_the_lane_loop():
@@ -287,6 +321,87 @@ def test_dickson_plan_is_stacked_scalar_linearise_bytewise(shared):
     # the states covered every bias region
     assert vd.min() < -0.5 and vd.max() > 0.8
     assert np.any((vd > 0.2) & (vd < 0.7))
+
+
+def _uniform_table():
+    """A uniform-grid diode companion table (the O(1) floor lookup)."""
+    diode = ShockleyDiode(DiodeParameters())
+    table = build_companion_table(diode.current, None, -3.0, 1.5, 181)
+    assert table.g_table.is_uniform and table.extrapolates
+    return table
+
+
+def _range_checked_table():
+    """The stock diode table with both lookups range-checked."""
+    stock = build_diode_companion_table(DiodeParameters())
+    g, j = stock.g_table, stock.j_table
+    table = CompanionTable(
+        PWLTable(g.breakpoints, g.values, extrapolate=False),
+        PWLTable(j.breakpoints, j.values, extrapolate=False),
+    )
+    assert not table.extrapolates
+    return table
+
+
+#: companion tables of the lock-in test: the stock (non-uniform,
+#: extrapolating) table, a uniform grid and a range-checked table
+LOCK_IN_TABLES = {
+    "stock": lambda: build_diode_companion_table(DiodeParameters()),
+    "uniform": _uniform_table,
+    "range_checked": _range_checked_table,
+}
+
+
+def _lock_in_states(rng, lanes, in_range):
+    """Per-lane states across reverse bias, the knee and forward bias,
+    with signed zeros, NaN and (unless the table range-checks) ±inf."""
+    n = lanes[0].n_stages
+    x = rng.uniform(-1.5, 1.5, size=(len(lanes), n + 1))
+    special = rng.random(x.shape) < 0.15
+    values = [0.0, -0.0, np.nan, -np.nan] + ([] if in_range else [np.inf, -np.inf])
+    x[special] = rng.choice(values, size=int(special.sum()))
+    return x
+
+
+@pytest.mark.parametrize("table_kind", sorted(LOCK_IN_TABLES))
+@pytest.mark.parametrize("n_stages", range(2, 8))
+@pytest.mark.parametrize("n_lanes", [1, 8, 64])
+def test_dickson_lineariser_locks_in_scalar_linearise_bytewise(
+    table_kind, n_stages, n_lanes
+):
+    # every pump pattern (2-7 stages) at every lane count, bytewise (NaN
+    # bits and signed zeros included) each lane's scalar linearise; the
+    # first result is held across a second call on the same plan, so a
+    # reused buffer must not alias what a caller still holds
+    rng = np.random.default_rng(1000 * n_stages + n_lanes)
+    table = LOCK_IN_TABLES[table_kind]()
+    lanes = [
+        DicksonMultiplier(
+            n_stages=n_stages,
+            stage_capacitance_f=_jitter(rng, 10e-6),
+            output_capacitance_f=_jitter(rng, 220e-6),
+            input_capacitance_f=_jitter(rng, 0.1e-6),
+            companion_table=table,
+        )
+        for _ in range(n_lanes)
+    ]
+    plan = lanes[0].batched_lineariser(lanes).lineariser
+    in_range = not table.extrapolates
+    calls = []
+    for _ in range(2):
+        x = _lock_in_states(rng, lanes, in_range)
+        y = rng.standard_normal((n_lanes, 4))
+        t = rng.uniform(0.0, 0.05, size=n_lanes)
+        with np.errstate(invalid="ignore", over="ignore"):
+            calls.append((t, x, y, plan(t, x, y)))
+    for call, (t, x, y, lin) in enumerate(calls):
+        for i, lane in enumerate(lanes):
+            with np.errstate(invalid="ignore", over="ignore"):
+                scalar = lane.linearise(float(t[i]), x[i], y[i])
+            for attr in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
+                got = np.ascontiguousarray(getattr(lin, attr)[i]).tobytes()
+                want = getattr(scalar, attr).tobytes()
+                assert got == want, f"call {call} lane {i} {attr}"
 
 
 def test_linear_block_batched_port():
