@@ -51,9 +51,14 @@ def newton_solve(
     initial_guess:
         Starting point (typically the previous time-step solution).
     jacobian:
-        Analytic Jacobian; when omitted, a finite-difference Jacobian is
-        computed at every iteration — the expensive behaviour of a
-        conventional simulator evaluating its device equations.
+        Jacobian callable; when omitted, a dense finite-difference
+        Jacobian of ``residual`` is computed at every iteration, the
+        expensive behaviour of a conventional simulator evaluating its
+        device equations.  ``n_function_evaluations`` counts that matrix
+        as ``2 * len(z)`` residual evaluations and a supplied Jacobian as
+        none: a caller that passes a finite-difference Jacobian of its own
+        (the implicit baseline's block-local one) adds its ``2 (n + m)``
+        per ``n_jacobian_evaluations`` itself.
     tolerance:
         Convergence threshold on the max-norm of the residual.
     max_iterations:

@@ -73,56 +73,48 @@ class ShockleyDiode:
     def __init__(self, params: DiodeParameters = DiodeParameters()) -> None:
         self.params = params
 
-    def _junction_current(self, v_junction: float) -> float:
-        p = self.params
-        # clamp the exponent to avoid overflow for voltages far beyond the
-        # operating range of an energy harvester (a few volts at most)
-        exponent = min(v_junction / p.thermal_voltage_v, 80.0)
-        return p.saturation_current_a * (math.exp(exponent) - 1.0) + (
-            p.reverse_conductance_s * v_junction
-        )
+    def _solve(self, v_branch: float) -> Tuple[float, float]:
+        """Branch current and junction conductance at ``v_branch``.
 
-    def _junction_conductance(self, v_junction: float) -> float:
+        Solves ``v_branch = v_j + Rs * i(v_j)`` for the junction voltage
+        with a few Newton iterations; each evaluates the junction
+        exponential once, for both the current and the conductance.
+        """
         p = self.params
-        exponent = min(v_junction / p.thermal_voltage_v, 80.0)
-        return (
-            p.saturation_current_a / p.thermal_voltage_v
-        ) * math.exp(exponent) + p.reverse_conductance_s
+        i_s = p.saturation_current_a
+        v_t = p.thermal_voltage_v
+        r_s = p.series_resistance_ohm
+        g_r = p.reverse_conductance_s
+        g_s = i_s / v_t
+        v_j = min(v_branch, 0.8) if v_branch > 0 else v_branch
+        for _ in range(60):
+            # clamp the exponent to avoid overflow for voltages far beyond
+            # the operating range of an energy harvester (a few volts at most)
+            e = math.exp(min(v_j / v_t, 80.0))
+            f = v_j + r_s * (i_s * (e - 1.0) + g_r * v_j) - v_branch
+            df = 1.0 + r_s * (g_s * e + g_r)
+            step = f / df
+            v_j -= step
+            if abs(step) < 1e-15:
+                break
+        e = math.exp(min(v_j / v_t, 80.0))
+        return i_s * (e - 1.0) + g_r * v_j, g_s * e + g_r
 
     def current(self, v_branch: float) -> float:
         """Branch current for total branch voltage ``v_branch``."""
-        p = self.params
-        # Solve v_branch = v_j + Rs * i(v_j) for the junction voltage.
-        v_j = min(v_branch, 0.8) if v_branch > 0 else v_branch
-        for _ in range(60):
-            f = v_j + p.series_resistance_ohm * self._junction_current(v_j) - v_branch
-            df = 1.0 + p.series_resistance_ohm * self._junction_conductance(v_j)
-            step = f / df
-            v_j -= step
-            if abs(step) < 1e-15:
-                break
-        return self._junction_current(v_j)
+        return self._solve(v_branch)[0]
 
     def conductance(self, v_branch: float) -> float:
         """Small-signal conductance ``di/dv`` of the branch at ``v_branch``."""
-        p = self.params
-        v_j = min(v_branch, 0.8) if v_branch > 0 else v_branch
-        for _ in range(60):
-            f = v_j + p.series_resistance_ohm * self._junction_current(v_j) - v_branch
-            df = 1.0 + p.series_resistance_ohm * self._junction_conductance(v_j)
-            step = f / df
-            v_j -= step
-            if abs(step) < 1e-15:
-                break
-        g_j = self._junction_conductance(v_j)
+        g_j = self._solve(v_branch)[1]
         # series combination of the junction conductance and 1/Rs
-        return g_j / (1.0 + p.series_resistance_ohm * g_j)
+        return g_j / (1.0 + self.params.series_resistance_ohm * g_j)
 
     def companion(self, v_branch: float) -> Tuple[float, float]:
         """Exact companion pair ``(G, J)`` with ``i = G v + J`` tangent at ``v``."""
-        g = self.conductance(v_branch)
-        j = self.current(v_branch) - g * v_branch
-        return g, j
+        i, g_j = self._solve(v_branch)
+        g = g_j / (1.0 + self.params.series_resistance_ohm * g_j)
+        return g, i - g * v_branch
 
 
 def build_diode_companion_table(
@@ -185,6 +177,5 @@ def _cached_companion_table(
     # deduplicate while preserving order, then sort for safety
     unique = sorted(set(round(b, 12) for b in breakpoints))
 
-    g_values = [diode.conductance(v) for v in unique]
-    j_values = [diode.current(v) - g * v for v, g in zip(unique, g_values)]
+    g_values, j_values = zip(*(diode.companion(v) for v in unique))
     return CompanionTable(PWLTable(unique, g_values), PWLTable(unique, j_values))

@@ -13,6 +13,12 @@ The on-disk layout is a compatibility contract, byte for byte::
     <root>/ab/abcdef.../entry.json    # metadata + stats (+ scores)
     <root>/ab/abcdef.../traces.npz    # optional waveform arrays
 
+``traces.npz`` holds trace ``i``'s values as ``v<i>`` and one ``t<k>``
+array per distinct times buffer of the run (a recorded run's traces
+share one), which the trace's ``entry.json`` record names under
+``"times"``.  Records without that name are the older layout, one
+``t<i>`` per trace, and load unchanged.
+
 Writes are atomic at entry granularity: each file lands through a
 tmp-file + ``os.replace`` and ``entry.json`` is renamed into place last,
 so a torn write is invisible (no ``entry.json`` means no entry) and
@@ -199,14 +205,10 @@ class ResultStore:
         self,
         key: str,
         meta: Dict[str, object],
-        traces: Optional[List[Trace]] = None,
+        arrays: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
         files: Dict[str, bytes] = {}
-        if traces is not None:
-            arrays: Dict[str, np.ndarray] = {}
-            for index, trace in enumerate(traces):
-                arrays[f"t{index}"] = trace.times
-                arrays[f"v{index}"] = trace.values
+        if arrays is not None:
             buffer = io.BytesIO()
             np.savez_compressed(buffer, **arrays)
             files[_TRACES_FILE] = buffer.getvalue()
@@ -234,13 +236,23 @@ class ResultStore:
         label: str = "",
     ) -> None:
         """Record one finished single run under ``key``."""
-        traces = None
+        arrays = None
         trace_meta: List[Dict[str, str]] = []
         if store_traces:
-            traces = [result.traces[name] for name in result.trace_names()]
-            trace_meta = [
-                {"name": trace.name, "unit": trace.unit} for trace in traces
-            ]
+            arrays = {}
+            # one times array per distinct buffer, named by every trace on it
+            times_names: Dict[Tuple[int, ...], str] = {}
+            for index, name in enumerate(result.trace_names()):
+                trace = result.traces[name]
+                times = trace.times
+                buffer = (times.ctypes.data, *times.shape, *times.strides)
+                if buffer not in times_names:
+                    times_names[buffer] = f"t{len(times_names)}"
+                    arrays[times_names[buffer]] = times
+                arrays[f"v{index}"] = trace.values
+                trace_meta.append(
+                    {"name": trace.name, "unit": trace.unit, "times": times_names[buffer]}
+                )
         self._write_entry(
             key,
             {
@@ -251,7 +263,7 @@ class ResultStore:
                 "traces": trace_meta,
                 "has_traces": bool(store_traces),
             },
-            traces=traces,
+            arrays=arrays,
         )
 
     def store_point(
@@ -367,7 +379,7 @@ class ResultStore:
                     f"blob: {exc!r}"
                 ) from None
             for index, info in enumerate(trace_meta):
-                t_key, v_key = f"t{index}", f"v{index}"
+                t_key, v_key = str(info.get("times", f"t{index}")), f"v{index}"
                 if t_key not in arrays or v_key not in arrays:
                     raise CacheCorruptionError(
                         f"cache entry for {key} is missing trace arrays "

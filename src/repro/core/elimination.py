@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +43,12 @@ from .block import (
     PreparedBlockLineariser,
 )
 from .errors import ConfigurationError, SingularLaneError, SingularSystemError
-from .linearise import fast_path_counts, linearise_block, linearise_block_lanes
+from .linearise import (
+    _DEFAULT_EPS,
+    fast_path_counts,
+    linearise_block,
+    linearise_block_lanes,
+)
 from .netlist import Net, Netlist
 
 __all__ = [
@@ -430,7 +436,9 @@ class SystemAssembler:
 
         Returns ``(dxdt, residual_y)``.  The implicit Newton-Raphson
         baseline uses this to iterate on the true nonlinear equations, as a
-        conventional HDL/SPICE simulator would.
+        conventional HDL/SPICE simulator would.  Each global row is written
+        by exactly one block: the blocks' ``states`` and ``rows`` slices are
+        disjoint.
         """
         dxdt = np.zeros(self._n_states)
         res_y = np.zeros(self._n_algebraic)
@@ -442,6 +450,86 @@ class SystemAssembler:
             if block.n_algebraic:
                 res_y[plan.rows] = block.algebraic_residual(t, x_local, y_local)
         return dxdt, res_y
+
+    @cached_property
+    def _readers(self) -> List[List[Tuple[_BlockPlan, np.ndarray]]]:
+        """For each column of ``[x, y]``, the blocks whose equations read it
+        (the block owning the state, or every block wired to the net), in
+        assembly order, each with the rows of ``[f_x, f_y]`` it writes.
+
+        Built on the first :meth:`step_jacobian`, so that the solvers that
+        never take one do not pay for it on every system build.
+        """
+        n = self._n_states
+        readers: List[List[Tuple[_BlockPlan, np.ndarray]]] = [
+            [] for _ in range(n + self._n_terminals)
+        ]
+        for plan in self._plan:
+            rows = np.r_[plan.states, n + plan.rows.start : n + plan.rows.stop]
+            columns = list(range(plan.states.start, plan.states.stop))
+            nets = self._structure.terminal_maps[plan.block.name].tolist()
+            columns += sorted({n + net for net in nets})
+            for column in columns:
+                readers[column].append((plan, rows))
+        return readers
+
+    def step_jacobian(
+        self,
+        t: float,
+        z: np.ndarray,
+        state_rows: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Central-difference Jacobian of a row-local residual of ``z = [x, y]``.
+
+        The residual's state rows of each block are
+        ``state_rows(states, x[states], f_x)`` (``f_x`` the block's
+        :meth:`~repro.core.block.AnalogueBlock.derivatives`, ``states`` its
+        slice of the global state vector); its algebraic rows are the
+        block's ``algebraic_residual`` -- the layout :meth:`full_residual`
+        assembles.  Column ``j`` is perturbed by ``±h_j`` exactly as
+        :func:`~repro.core.linearise.finite_difference_jacobian` does, but
+        only the blocks that read ``z_j`` are re-evaluated, like a circuit
+        simulator stamping each device into its own rows and columns.
+        Every other entry of the column stays 0: each row is written by
+        exactly one block, so a row of a block that does not read ``z_j``
+        has the same value ``a`` at both points and the dense differences
+        give ``(a - a) / 2h = 0`` there too.  The result is bitwise the
+        dense matrix wherever the residual is finite; where a row is not,
+        the dense matrix holds NaN and this one 0, and the residual itself
+        is non-finite, so a Newton iteration on it cannot converge either
+        way.
+        """
+        jac = np.zeros((self._n_states + self._n_algebraic, z.size))
+        for j, readers in enumerate(self._readers):
+            h = _DEFAULT_EPS * max(1.0, abs(z[j]))
+            plus = z.copy()
+            minus = z.copy()
+            plus[j] += h
+            minus[j] -= h
+            two_h = 2.0 * h
+            for plan, rows in readers:
+                jac[rows, j] = (
+                    self._block_rows(plan, t, plus, state_rows)
+                    - self._block_rows(plan, t, minus, state_rows)
+                ) / two_h
+        return jac
+
+    def _block_rows(
+        self,
+        plan: _BlockPlan,
+        t: float,
+        z: np.ndarray,
+        state_rows: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """One block's rows of a :meth:`step_jacobian` residual at ``z``."""
+        block = plan.block
+        x_local = z[: self._n_states][plan.states]
+        y_local = z[self._n_states :][plan.terminals]
+        f_x = np.asarray(block.derivatives(t, x_local, y_local), dtype=float)
+        r_x = state_rows(plan.states, x_local, f_x)
+        if not block.n_algebraic:
+            return r_x
+        return np.concatenate([r_x, block.algebraic_residual(t, x_local, y_local)])
 
 
 # ---------------------------------------------------------------------- #

@@ -122,7 +122,15 @@ class Trace:
 
 @dataclass
 class SolverStats:
-    """Bookkeeping counters reported by a solver run."""
+    """Bookkeeping counters reported by a solver run.
+
+    ``n_function_evaluations`` counts whole-system residual evaluations.
+    The Newton-Raphson baseline counts each finite-difference Jacobian as
+    ``2 (n + m)`` of them, the dense central-difference matrix over the
+    ``n`` states and ``m`` terminals, although it builds the matrix block
+    by block and re-evaluates only the blocks each column reads; the
+    counts of a run are therefore those of the dense matrix.
+    """
 
     solver_name: str = ""
     cpu_time_s: float = 0.0

@@ -1,5 +1,7 @@
 """Tests for the diode model, its companion table and the Dickson multiplier."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,88 @@ class TestShockleyDiode:
     def test_current_is_monotonic(self, v):
         diode = ShockleyDiode()
         assert diode.current(v + 1e-3) >= diode.current(v) - 1e-15
+
+
+class _TwoSolveDiode:
+    """The branch model as two separate junction solves, each iteration
+    evaluating the exponential once for the current and once for the
+    conductance: the reference the one-solve model must match bitwise."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def _junction_current(self, v_junction):
+        p = self.params
+        exponent = min(v_junction / p.thermal_voltage_v, 80.0)
+        return p.saturation_current_a * (math.exp(exponent) - 1.0) + (
+            p.reverse_conductance_s * v_junction
+        )
+
+    def _junction_conductance(self, v_junction):
+        p = self.params
+        exponent = min(v_junction / p.thermal_voltage_v, 80.0)
+        return (
+            p.saturation_current_a / p.thermal_voltage_v
+        ) * math.exp(exponent) + p.reverse_conductance_s
+
+    def _junction_voltage(self, v_branch):
+        p = self.params
+        v_j = min(v_branch, 0.8) if v_branch > 0 else v_branch
+        for _ in range(60):
+            f = v_j + p.series_resistance_ohm * self._junction_current(v_j) - v_branch
+            df = 1.0 + p.series_resistance_ohm * self._junction_conductance(v_j)
+            step = f / df
+            v_j -= step
+            if abs(step) < 1e-15:
+                break
+        return v_j
+
+    def current(self, v_branch):
+        return self._junction_current(self._junction_voltage(v_branch))
+
+    def conductance(self, v_branch):
+        g_j = self._junction_conductance(self._junction_voltage(v_branch))
+        return g_j / (1.0 + self.params.series_resistance_ohm * g_j)
+
+
+DIODE_PARAMETERS = [
+    DiodeParameters(),
+    DiodeParameters(saturation_current_a=1e-12, series_resistance_ohm=1000.0),
+]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("params", DIODE_PARAMETERS, ids=["stock", "weak"])
+def test_one_junction_solve_is_the_two_solve_model_bitwise(params):
+    diode, reference = ShockleyDiode(params), _TwoSolveDiode(params)
+    voltages = np.linspace(-30.0, 10.0, 4001).tolist() + [
+        0.0, -0.0, 0.8, 1e-300, 200.0, math.inf, -math.inf, math.nan,
+    ]
+    currents = [reference.current(v) for v in voltages]
+    conductances = [reference.conductance(v) for v in voltages]
+    assert _bits([diode.current(v) for v in voltages]) == _bits(currents)
+    assert _bits([diode.conductance(v) for v in voltages]) == _bits(conductances)
+    pairs = [diode.companion(v) for v in voltages]
+    assert _bits([g for g, _ in pairs]) == _bits(conductances)
+    assert _bits([j for _, j in pairs]) == _bits(
+        [i - g * v for i, g, v in zip(currents, conductances, voltages)]
+    )
+
+
+@pytest.mark.parametrize("params", DIODE_PARAMETERS, ids=["stock", "weak"])
+def test_companion_table_is_the_two_solve_loop_bitwise(params):
+    table = build_diode_companion_table(params, n_points=512)
+    breakpoints = table.g_table.breakpoints.tolist()
+    reference = _TwoSolveDiode(params)
+    g_values = [reference.conductance(v) for v in breakpoints]
+    j_values = [reference.current(v) - g * v for v, g in zip(breakpoints, g_values)]
+    assert len(breakpoints) > 500
+    assert table.j_table.breakpoints.tobytes() == _bits(breakpoints)
+    assert table.g_table.values.tobytes() == _bits(g_values)
+    assert table.j_table.values.tobytes() == _bits(j_values)
 
 
 class TestCompanionTable:

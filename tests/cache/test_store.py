@@ -266,6 +266,80 @@ def test_pre_backend_cache_written_by_hand_is_still_readable(tmp_path):
     }
 
 
+def shared_times_result() -> SimulationResult:
+    """Three traces over one read-only times array, as a recorded run has,
+    plus one trace on times of its own."""
+    times = np.array([0.0, 0.05, 0.1])
+    times.flags.writeable = False
+    result = make_result()
+    result.traces.clear()
+    for index, name in enumerate(["a", "b", "c"]):
+        result.add_trace(Trace(name, "V", times=times, values=times * (index + 1)))
+    result.add_trace(Trace("own", "A", times=[0.0, 0.2], values=[1.0, -1.0]))
+    return result
+
+
+def test_one_times_array_per_distinct_buffer_and_loads_share_it(tmp_path):
+    store = ResultStore(tmp_path)
+    key = store.key_for(PAYLOAD)
+    stored = shared_times_result()
+    store.store_run(key, stored)
+    entry_dir = store._entry_dir(key)
+    with np.load(entry_dir / "traces.npz") as npz:
+        assert sorted(npz.files) == ["t0", "t1", "v0", "v1", "v2", "v3"]
+    meta = json.loads((entry_dir / "entry.json").read_text())
+    assert [info["times"] for info in meta["traces"]] == ["t0", "t0", "t0", "t1"]
+    loaded = store.load_run(key)
+    shared = loaded["a"].times
+    assert loaded["b"].times is shared and loaded["c"].times is shared
+    assert loaded["own"].times is not shared
+    assert not shared.flags.writeable
+    for name in stored.trace_names():
+        assert loaded[name].unit == stored[name].unit
+        assert loaded[name].times.tobytes() == stored[name].times.tobytes()
+        assert loaded[name].values.tobytes() == stored[name].values.tobytes()
+
+
+def test_per_trace_times_layout_written_by_hand_is_still_readable(tmp_path):
+    """An entry of the older layout, one ``t<i>`` per trace and no
+    ``"times"`` in the trace records, loads unchanged."""
+    store = ResultStore(tmp_path)
+    key = store.key_for(PAYLOAD)
+    entry_dir = tmp_path / key[:2] / key
+    entry_dir.mkdir(parents=True)
+    stored = shared_times_result()
+    arrays = {}
+    for index, name in enumerate(stored.trace_names()):
+        arrays[f"t{index}"] = stored[name].times
+        arrays[f"v{index}"] = stored[name].values
+    with open(entry_dir / "traces.npz", "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    meta = {
+        "kind": "run",
+        "label": "legacy",
+        "stats": stored.stats.as_dict(),
+        "metadata": {},
+        "traces": [
+            {"name": stored[name].name, "unit": stored[name].unit}
+            for name in stored.trace_names()
+        ],
+        "has_traces": True,
+        "schema": CACHE_SCHEMA_VERSION,
+        "salt": store.salt,
+        "key": key,
+        "created_at": 0.0,
+    }
+    (entry_dir / "entry.json").write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    )
+    loaded = store.load_run(key)
+    assert loaded.trace_names() == stored.trace_names()
+    for name in stored.trace_names():
+        assert not loaded[name].times.flags.writeable
+        assert loaded[name].times.tobytes() == stored[name].times.tobytes()
+        assert loaded[name].values.tobytes() == stored[name].values.tobytes()
+
+
 def test_write_renames_entry_json_into_place_last(store, monkeypatch):
     landed = []
     real_replace = cache_store.os.replace
