@@ -7,15 +7,24 @@ on ``charging_scenario(0.2)``: within 1.2x over paired runs.  This
 benchmark measures
 
 * **the gap** -- both runs of the same scenario, alternating, each timed
-  around ``run()`` only (builds excluded); the per-step medians and their
-  ratio.  The two runs must be bitwise identical (every trace, the step
-  count): the correctness check behind the comparison;
+  around ``run()`` only (builds excluded); the per-step medians, their
+  ratio and the one-lane run's absolute excess per step (a cheaper shared
+  refresh raises the ratio while the excess falls).  The two runs must be
+  bitwise identical (every trace, the step count): the correctness check
+  behind the comparison;
 * **the per-step layers of the batched march** -- per-call figures of
   ``BatchedStepController.propose``, the one stacked drift evaluation
   (``BatchedStepController.drifts``) and the one-step kernel
   ``_march_one`` at ``B = 1`` and ``B = 8`` (the run's own reduced
   matrix tiled over the lanes), next to the scalar
-  ``StepSizeController.propose`` and drift figure.
+  ``StepSizeController.propose``, drift and ``AdamsBashforth.step``
+  figures (a full window, the clock advancing one held step per call);
+* **the exact-refresh step table** -- wrapper timings of one 8-lane
+  ``scenario_1(0.25, shift 0.2)`` block at ``relinearise_interval`` 1 (one
+  kernel call per step), in us per step: the refresh (``assemble``,
+  ``eliminate``), the drifts, ``propose``, the kernel, ``record`` and the
+  rest (the loop and ``adopt`` bookkeeping, with the wrappers' own cost),
+  next to the unwrapped whole step.
 
 It has no timing gate: the figures are recorded, not asserted.  Writes
 ``BENCH_lane_gap.json`` with an environment stamp (numpy, scipy, CPU
@@ -34,27 +43,38 @@ import platform
 import statistics
 import subprocess
 import time
+from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from repro.core import kernels
+from repro.core import batch, kernels
 from repro.core.batch import BatchedSolver
 from repro.core.elimination import BatchedAssembler
 from repro.core.integrators import AdamsBashforth
 from repro.core.kernels import divergence_guard
+from repro.core.results import ColumnRecorder
 from repro.core.stepper import (
     BatchedStepController,
     StepSizeController,
     frobenius_norm,
 )
-from repro.harvester.scenarios import charging_scenario, proposed_settings
+from repro.harvester.scenarios import (
+    charging_scenario,
+    proposed_settings,
+    scenario_1,
+    scenario_solver_settings,
+)
 
 JSON_PATH = Path("BENCH_lane_gap.json")
 DURATION_S = 0.2
 #: ROADMAP direction 3's gate on the one-lane/scalar per-step ratio
 GATE_RATIO = 1.2
 LANE_COUNTS = (1, 8)
+#: the exact-refresh block: 8 tuned frequencies of ``scenario_1``
+BLOCK_FREQUENCIES_HZ = (67.3, 67.9, 68.6, 69.2, 69.9, 70.5, 71.2, 71.8)
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:
@@ -145,6 +165,7 @@ def measure_gap(repeats: int) -> dict:
         "scalar_us_per_step": scalar_s / n_steps * 1e6,
         "one_lane_us_per_step": lane_s / n_steps * 1e6,
         "one_lane_over_scalar": lane_s / scalar_s,
+        "excess_us_per_step": (lane_s - scalar_s) / n_steps * 1e6,
         "gate_ratio": GATE_RATIO,
         "bitwise_identical": True,
     }
@@ -184,37 +205,57 @@ def measure_layers(calls: int) -> dict:
         controller = BatchedStepController(
             [settings.step_control] * lanes, integrator=integrator
         )
+        a_ref_norm = np.array([frobenius_norm(m) for m in a_ref])
         # the first proposal computes every lane's bound; the timed ones
         # reuse it, as the steady march does
-        controller.propose(a, *controller.drifts(a, a_ref))
-        change, stability = controller.drifts(a, a_ref)
+        controller.propose(a, *controller.drifts(a, a_ref, a_ref_norm)[:2])
+        change, stability, _ = controller.drifts(a, a_ref, a_ref_norm)
         remaining = np.full(lanes, 0.1)
         b = np.repeat(b_one[None], lanes, axis=0)
         x = np.repeat(x_one[None], lanes, axis=0)
-        t = np.full(lanes, 0.05)
         h = np.full(lanes, 1.4e-4)
-        history = [
-            (t - k * h, np.matmul(a, x[..., None])[..., 0] + b) for k in (2, 1)
-        ]
         guard = divergence_guard(np.full(lanes, settings.divergence_limit))
-        t_end = np.full(lanes, DURATION_S)
+        t_end = np.full(lanes, 1e3)
+        # a full window whose clock advances one held step per call, as
+        # the steady march's does
+        clock = {"t": np.full(lanes, 0.05)}
+        window_t = np.stack([clock["t"] - k * h for k in (3, 2, 1)], axis=1)
+        window_f = np.repeat(
+            (np.matmul(a, x[..., None])[..., 0] + b)[:, None], 3, axis=1
+        )
+
+        def march_one():
+            clock["t"] = kernels._march_one(
+                a, b, x, clock["t"], h, t_end, window_t, window_f, guard, None
+            ).t
+
         figures[f"B{lanes}"] = {
             "propose_us": _per_call_us(
                 lambda: controller.propose(a, change, stability, t_remaining=remaining),
                 calls,
             ),
-            "drifts_us": _per_call_us(lambda: controller.drifts(a, a_ref), calls),
-            "march_one_us": _per_call_us(
-                lambda: kernels._march_one(
-                    a, b, x, t, h, t_end, history, 3, guard, None
-                ),
-                calls,
+            "drifts_us": _per_call_us(
+                lambda: controller.drifts(a, a_ref, a_ref_norm), calls
             ),
+            "march_one_us": _per_call_us(march_one, calls),
         }
     scalar = StepSizeController(settings.step_control, integrator=integrator)
     scalar.propose(a_one, 0.0)
     a_previous = a_one * (1.0 + 1e-6)
     previous_norm = frobenius_norm(a_previous) or 1.0
+    state = integrator.new_state()
+    h_one = 1.4e-4
+    derivative = a_one @ x_one + b_one
+    for k in (2, 1):
+        state.push(0.05 - k * h_one, derivative, max_length=integrator.order)
+    scalar_clock = {"t": 0.05}
+
+    def scalar_step():
+        integrator.step(
+            lambda _t, x: a_one @ x + b_one, scalar_clock["t"], x_one, h_one, state
+        )
+        scalar_clock["t"] += h_one
+
     figures["scalar"] = {
         "propose_us": _per_call_us(
             lambda: scalar.propose(a_one, 1e-6, t_remaining=0.1), calls
@@ -222,19 +263,109 @@ def measure_layers(calls: int) -> dict:
         "drift_us": _per_call_us(
             lambda: frobenius_norm(a_one - a_previous) / previous_norm, calls
         ),
+        "ab_step_us": _per_call_us(scalar_step, calls),
     }
     return figures
+
+
+def _block_solver():
+    """The 8-lane ``scenario_1`` block, built and wired, and its end times."""
+    base = scenario_1(duration_s=0.25, shift_time_s=0.2)
+    scenarios = [
+        replace(base, config=replace(base.config, initial_tuned_frequency_hz=f))
+        for f in BLOCK_FREQUENCIES_HZ
+    ]
+    harvesters = [s.build_harvester() for s in scenarios]
+    solver = BatchedSolver(
+        [h.assembler for h in harvesters],
+        settings=[scenario_solver_settings(s) for s in scenarios],
+        digital_kernels=[h._build_kernel() for h in harvesters],
+    )
+    for i, harvester in enumerate(harvesters):
+        harvester._wire(solver.lane_wiring(i))
+    return solver, [s.duration_s for s in scenarios]
+
+
+#: the timed layers of the step table: (owner, attribute, row)
+_STEP_LAYERS = (
+    (BatchedAssembler, "assemble", "assemble"),
+    (BatchedAssembler, "eliminate", "eliminate"),
+    (BatchedStepController, "drifts", "drifts"),
+    (BatchedStepController, "propose", "propose"),
+    (ColumnRecorder, "record", "record"),
+)
+
+
+def measure_step_table(repeats: int) -> dict:
+    """Per-step layer figures of the 8-lane exact-refresh block.
+
+    Alternates an unwrapped run (the whole step) with a run whose layers
+    are wrapped in timers; each figure is the median over ``repeats``.
+    """
+    seconds = {}
+
+    def timed(row, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[row] = seconds.get(row, 0.0) + time.perf_counter() - start
+
+        return wrapper
+
+    def timed_kernels(backend, build=batch.get_march_kernel):
+        return timed("kernel", build(backend))
+
+    plain, traced = [], []
+    for _ in range(repeats + 1):
+        solver, t_end = _block_solver()
+        start = time.perf_counter()
+        result = solver.run(t_end)
+        plain.append(time.perf_counter() - start)
+        n_steps = result.results[0].stats.n_steps
+        solver, t_end = _block_solver()
+        seconds.clear()
+        with ExitStack() as stack:
+            for owner, attribute, row in _STEP_LAYERS:
+                stack.enter_context(
+                    mock.patch.object(owner, attribute, timed(row, getattr(owner, attribute)))
+                )
+            stack.enter_context(
+                mock.patch.object(batch, "get_march_kernel", timed_kernels)
+            )
+            start = time.perf_counter()
+            solver.run(t_end)
+            seconds["whole_traced"] = time.perf_counter() - start
+        traced.append({row: value / n_steps * 1e6 for row, value in seconds.items()})
+    # the first pair warms the caches
+    plain, traced = plain[1:], traced[1:]
+    rows = {
+        row: statistics.median(sample[row] for sample in traced)
+        for row in traced[0]
+    }
+    layers = sum(value for row, value in rows.items() if row != "whole_traced")
+    rows["loop_and_adopt"] = rows["whole_traced"] - layers
+    rows["whole"] = statistics.median(plain) / n_steps * 1e6
+    return {
+        "block": "scenario_1(0.25, shift 0.2) x 8 lanes, relinearise_interval 1",
+        "repeats": repeats,
+        "n_steps": n_steps,
+        "us_per_step": rows,
+    }
 
 
 def run_benchmark(*, quick: bool = False):
     gap = measure_gap(repeats=3 if quick else 9)
     layers = measure_layers(calls=2000 if quick else 20000)
+    table = measure_step_table(repeats=2 if quick else 7)
     data = {
         "benchmark": "one_lane_gap",
         "quick": quick,
         "environment": environment(),
         "gap": gap,
         "per_call": layers,
+        "step_table": table,
     }
     JSON_PATH.write_text(json.dumps(data, indent=2) + "\n")
     lines = [
@@ -244,7 +375,8 @@ def run_benchmark(*, quick: bool = False):
         f"  one-lane run  {gap['one_lane_us_per_step']:8.1f} us/step",
         f"  ratio         {gap['one_lane_over_scalar']:8.2f}x "
         f"(direction 3 gate {GATE_RATIO:g}x, not asserted)",
-        "per call [us]     propose    drifts  _march_one",
+        f"  excess        {gap['excess_us_per_step']:8.1f} us/step",
+        "per call [us]     propose    drifts  _march_one  AB step",
     ]
     for lanes in LANE_COUNTS:
         row = layers[f"B{lanes}"]
@@ -252,10 +384,17 @@ def run_benchmark(*, quick: bool = False):
             f"  B = {lanes:<3d}        {row['propose_us']:7.2f}   "
             f"{row['drifts_us']:7.2f}   {row['march_one_us']:9.2f}"
         )
+    scalar = layers["scalar"]
     lines.append(
-        f"  scalar         {layers['scalar']['propose_us']:7.2f}   "
-        f"{layers['scalar']['drift_us']:7.2f}"
+        f"  scalar         {scalar['propose_us']:7.2f}   "
+        f"{scalar['drift_us']:7.2f}   {'':9s}   {scalar['ab_step_us']:6.2f}"
     )
+    lines.append(
+        f"step table [us/step] -- {table['block']}, {table['n_steps']} steps, "
+        f"median of {table['repeats']}"
+    )
+    for row, value in table["us_per_step"].items():
+        lines.append(f"  {row:<16s} {value:7.2f}")
     return "\n".join(lines), data
 
 
@@ -269,7 +408,7 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="3 run pairs and 2,000 calls per layer figure (CI smoke)",
+        help="3 run pairs, 2,000 calls per layer figure and 2 block runs (CI smoke)",
     )
     args = parser.parse_args()
     report, _data = run_benchmark(quick=args.quick)

@@ -9,6 +9,7 @@ the iteration used by the baseline solvers in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -63,7 +64,10 @@ def newton_solve(
         Convergence threshold on the max-norm of the residual.
     max_iterations:
         Iteration cap; exceeding it raises :class:`ConvergenceError`
-        unless ``raise_on_failure`` is ``False``.
+        unless ``raise_on_failure`` is ``False``.  A NaN or infinite
+        residual norm raises at once when ``raise_on_failure`` is set: a
+        non-finite residual spreads through every later iterate, so the
+        remaining iterations could not converge.
     damping:
         Step damping factor in (0, 1]; 1 is a full Newton step.
     """
@@ -83,6 +87,11 @@ def newton_solve(
                 converged=True,
                 n_function_evaluations=n_f,
                 n_jacobian_evaluations=n_j,
+            )
+        if raise_on_failure and not math.isfinite(norm):
+            raise ConvergenceError(
+                f"Newton-Raphson residual norm is {norm} after "
+                f"{iteration - 1} iterations"
             )
         if jacobian is not None:
             jac = np.asarray(jacobian(z), dtype=float)

@@ -90,7 +90,13 @@ from .errors import (
     StabilityError,
 )
 from .integrators import AdamsBashforth, ExplicitIntegrator
-from .kernels import END_EPS, divergence_guard, diverged_lanes, get_march_kernel
+from .kernels import (
+    END_EPS,
+    divergence_guard,
+    diverged_lanes,
+    get_march_kernel,
+    push_sample,
+)
 from .probes import ProbeFn
 from .results import ColumnRecorder, SimulationResult, SolverStats
 from . import stepper
@@ -310,7 +316,8 @@ class BatchedSolver:
         ``relinearise_interval`` 4 a burst is the whole window — or a
         single mixed start-up step.  Per-lane statistics live in ``(B,)``
         accumulators, materialised into each lane's :class:`SolverStats`
-        only at finalisation; traces go through one
+        only at finalisation (the step count, which every active lane
+        shares, is one int); traces go through one
         :class:`~repro.core.results.ColumnRecorder`.
 
         Every expression replicates the scalar solver's for each lane.
@@ -364,6 +371,11 @@ class BatchedSolver:
 
         hold = per_lane((max(1, int(c.relinearise_interval)) for c in configs), int)
         lle_tolerance = stepper.LLE_TOLERANCE
+        # kernel bursts need an Adams-Bashforth window short of at most
+        # the sample the step itself adds (lanes in their RK4 start-up
+        # take mixed single steps, other integrators plain single steps)
+        burstable = isinstance(self.integrator, AdamsBashforth)
+        order = self.integrator.order
         # every lane's per-lane state; the stat accumulators are copied
         # into each lane's SolverStats at finalisation.  Every active lane
         # advances by the same number of steps and is refreshed at most
@@ -384,27 +396,37 @@ class BatchedSolver:
             since=hold.copy(),
             due=np.ones(b, dtype=bool),
             guard=divergence_guard(per_lane(c.divergence_limit for c in configs)),
-            steps=np.zeros(b, dtype=np.int64),
             h_min=np.full(b, np.inf),
             h_max=np.zeros(b),
             jev=np.zeros(b, dtype=np.int64),
             lle_max=np.zeros(b),
             lle_flags=np.zeros(b, dtype=np.int64),
-            # each lane's Jacobian-drift reference, valid where has_ref
+            # each lane's Jacobian-drift reference and its Frobenius norm,
+            # kept from the refresh that measured it; valid where has_ref
             a_ref=np.zeros((b, n_states, n_states)),
+            ref_norm=np.zeros(b),
             has_ref=np.zeros(b, dtype=bool),
             # Adams-Bashforth samples since the lane's last (re)start
             depth=np.zeros(b, dtype=np.int64),
+            # the stacked Adams-Bashforth window, oldest first: (B, k)
+            # sample times with (B, k, n) derivatives, shifted in place by
+            # ``push_sample``; a lane reads only its newest ``depth`` entries
+            window_t=np.zeros((b, order)),
+            window_f=np.zeros((b, order, n_states)),
             # the lane's next digital activation (inf: none pending)
             t_event=per_lane(next_event_time(lane) for lane in lanes),
         )
         self._live = s
-        # whether every active lane proposes its own steps
+        # the steps every active lane has taken: they all advance together
+        steps = 0
+        # whether every active lane proposes its own steps, has a window
+        # of ``order - 1`` samples (the kernel takes every lane) and holds
+        # a drift reference; a model-changing activation clears the last two
         all_adaptive = bool(s.adaptive.all())
-        # the stacked Adams-Bashforth window, oldest first: (B,) sample
-        # times with (B, n) derivatives; a lane reads only its newest
-        # ``depth`` entries
-        history: List[Tuple[np.ndarray, np.ndarray]] = []
+        warm = order == 1
+        all_ref = False
+        # the kernel's step budget right after every lane refreshed
+        min_hold = int(hold.min())
         # the single-step path's state (non-Adams-Bashforth integrators)
         integrator_state = self.integrator.new_state()
 
@@ -423,12 +445,6 @@ class BatchedSolver:
             s.y,
         )
 
-        # kernel bursts need an Adams-Bashforth window short of at most
-        # the sample the step itself adds (lanes in their RK4 start-up
-        # take mixed single steps, other integrators plain single steps)
-        burstable = isinstance(self.integrator, AdamsBashforth)
-        order = self.integrator.order
-
         wall_start = time.perf_counter()
         # kernel-vs-refresh wall-time split, reported through result
         # metadata (batch-level totals as of each lane's finalisation)
@@ -438,21 +454,20 @@ class BatchedSolver:
 
         def drop_lanes(keep: np.ndarray) -> None:
             """Compact every stacked structure to the lanes in ``keep``."""
-            nonlocal reduced, lanes, assembler, history, all_adaptive
+            nonlocal reduced, lanes, assembler, all_adaptive, warm, min_hold
             keep = np.asarray(keep, dtype=int)
             if keep.size == 0:
                 lanes = []
                 return
             s.select(keep)
             all_adaptive = bool(s.adaptive.all())
+            min_hold = int(s.hold.min())
+            warm = warm or bool(s.depth.min() >= order - 1)
             recorder.select(keep)
             if reduced is not None:
                 reduced = reduced.select(keep)
             if controller is not None:
                 controller.select(keep)
-            history = [
-                (sample_t[keep], sample_f[keep]) for sample_t, sample_f in history
-            ]
             assembler = assembler.select(keep)
             lanes = [lanes[int(i)] for i in keep]
             for row, lane in enumerate(lanes):
@@ -479,7 +494,7 @@ class BatchedSolver:
                 s.y[i] = lane_reduced.y_solution
             recorder.record_lane(i, t_i, s.x[i], s.y[i])
             stats = lane.stats
-            steps, jev = int(s.steps[i]), int(s.jev[i])
+            jev = int(s.jev[i])
             stats.n_function_evaluations = steps
             stats.n_steps = steps
             stats.n_accepted_steps = steps
@@ -531,6 +546,7 @@ class BatchedSolver:
             hold control values as lane constants.  A lane
             whose digital process raises is retired with that exception.
             """
+            nonlocal warm, all_ref
             changed: List[int] = []
             failed: List[int] = []
             errors: List[Exception] = []
@@ -553,6 +569,8 @@ class BatchedSolver:
                 s.lle_max[changed] = 0.0
                 s.lle_flags[changed] = 0
                 s.depth[changed] = 0
+                warm = order == 1
+                all_ref = False
                 if controller is not None:
                     controller.reset(lanes=np.array(changed))
                 assembler.prepare()
@@ -578,6 +596,7 @@ class BatchedSolver:
             ready = s.depth >= order - 1
             rows = np.flatnonzero(ready)
             if rows.size:
+                window_f = s.window_f[rows]
                 one = kernel(
                     reduced.a_reduced[rows],
                     reduced.b_reduced[rows],
@@ -586,15 +605,15 @@ class BatchedSolver:
                     s.h[rows],
                     s.t_end[rows],
                     1,
-                    [(ht[rows], hf[rows]) for ht, hf in history],
-                    order,
+                    s.window_t[rows],
+                    window_f,
                     recorder.last_record_times[rows],
                     recorder.thresholds[rows],
                     s.guard[rows],
                     s.t_event[rows] if events_active else None,
                 )
                 x_new[rows] = one.x
-                sample[rows] = one.history[-1][1]
+                sample[rows] = window_f[:, -1]
             rows = np.flatnonzero(~ready)
             start = reduced.select(rows)
             scratch = self.integrator.new_state()
@@ -603,9 +622,7 @@ class BatchedSolver:
                 s.t[rows], s.x[rows], h[rows], scratch,
             )
             sample[rows] = scratch.history[-1][1]
-            history.append((s.t, sample))
-            if len(history) > order:
-                del history[0]
+            push_sample(s.window_t, s.window_f, s.t, sample)
             return x_new
 
         def fail_diverged(bad: np.ndarray, h_at: np.ndarray) -> None:
@@ -652,15 +669,20 @@ class BatchedSolver:
 
         def measure_drifts(
             a: np.ndarray, rows: Optional[np.ndarray]
-        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
             """The LLE and stability drifts of fresh matrices ``a`` of the
-            lanes in ``rows`` (default: all), in one stacked norm."""
-            reference = s.a_ref if rows is None else s.a_ref[rows]
+            lanes in ``rows`` (default: all), in one stacked norm, and the
+            norms of ``a`` to keep with them as the next reference."""
+            if rows is None:
+                reference = (s.a_ref, s.ref_norm)
+            else:
+                reference = (s.a_ref[rows], s.ref_norm[rows])
             if controller is None:
-                return jacobian_drifts(a, reference)[0], None
-            return controller.drifts(a, reference, rows)
+                drift, norms = jacobian_drifts(a, reference)
+                return drift, None, norms
+            return controller.drifts(a, *reference, rows)
 
-        def adopt(fresh: BatchedReducedSystem) -> None:
+        def adopt(fresh: BatchedReducedSystem, remaining: np.ndarray) -> bool:
             """Take the fresh models, proposals and stats in the due lanes.
 
             When every lane is due (always, at ``relinearise_interval``
@@ -668,22 +690,27 @@ class BatchedSolver:
             ``a_ref`` then aliases the fresh model's ``a_reduced``, so
             neither path ever writes into ``a_ref``.  Both drifts of the
             refresh come from one stacked norm evaluation: the LLE drift
-            against ``a_ref`` and the controller's stability drift.
+            against ``a_ref`` and the controller's stability drift, each
+            scaled by its reference's kept norm.  ``remaining`` is each
+            lane's time left to its step boundary.  Returns whether every
+            lane was due.
             """
-            nonlocal reduced
+            nonlocal reduced, all_ref
             a_fresh = fresh.a_reduced
             # the first refresh has every lane due: ``since`` starts at ``hold``
-            every_due = s.due.all()
+            every_due = np.count_nonzero(s.due) == s.due.size
             if every_due:
                 reduced = fresh
                 s.y = fresh.y_solution
-                drift, stability_drift = measure_drifts(a_fresh, None)
+                drift, stability_drift, norms = measure_drifts(a_fresh, None)
                 # a lane's first sample after a (re)start measures no drift
-                change = np.where(s.has_ref, drift, 0.0)
+                change = drift if all_ref else np.where(s.has_ref, drift, 0.0)
                 np.maximum(s.lle_max, change, out=s.lle_max)
                 s.lle_flags += change > lle_tolerance
-                s.a_ref = a_fresh
-                s.has_ref.fill(True)
+                s.a_ref, s.ref_norm = a_fresh, norms
+                if not all_ref:
+                    s.has_ref.fill(True)
+                    all_ref = True
                 s.since.fill(0)
                 s.jev += 1
             else:
@@ -705,16 +732,18 @@ class BatchedSolver:
                     held = getattr(reduced, name)
                     mask = due.reshape((-1,) + (1,) * (held.ndim - 1))
                     setattr(reduced, name, np.where(mask, getattr(fresh, name), held))
-                drift, stability_drift = measure_drifts(a_fresh[rows], rows)
-                change = np.where(s.has_ref[rows], drift, 0.0)
+                drift, stability_drift, norms = measure_drifts(a_fresh[rows], rows)
+                change = drift if all_ref else np.where(s.has_ref[rows], drift, 0.0)
                 s.lle_max[rows] = np.maximum(s.lle_max[rows], change)
                 s.lle_flags[rows] += change > lle_tolerance
                 s.a_ref = np.where(due[:, None, None], a_fresh, s.a_ref)
+                s.ref_norm[rows] = norms
                 s.has_ref[rows] = True
+                all_ref = bool(s.has_ref.all())
                 s.since[rows] = 0
                 s.jev[rows] += 1
             if controller is None:
-                return
+                return every_due
             # a lane's drift reference is its previous proposal's
             # Jacobian: the controller consumes the adopted figures
             if every_due and all_adaptive:
@@ -722,7 +751,7 @@ class BatchedSolver:
             else:
                 proposing = np.flatnonzero(s.due & s.adaptive)
                 if not proposing.size:
-                    return
+                    return every_due
                 adaptive = s.adaptive if every_due else s.adaptive[rows]
                 change = change[adaptive]
                 stability_drift = stability_drift[adaptive]
@@ -730,13 +759,14 @@ class BatchedSolver:
                 reduced.a_reduced,
                 change,
                 stability_drift,
-                t_remaining=step_boundary() - s.t,
+                t_remaining=remaining,
                 lanes=proposing,
             )
             if proposing is None:
                 s.h = proposals
             else:
                 s.h[proposing] = proposals
+            return every_due
 
         # initial consistency solve (counts as a linear solve only)
         initial = linearise()
@@ -750,9 +780,10 @@ class BatchedSolver:
             #    solve runs once, batched — bit-identical to the per-lane
             #    solves — instead of once per lane; a singular batched
             #    solve falls back to the per-lane path so failure blame
-            #    stays lane-accurate.
+            #    stays lane-accurate.  (``count_nonzero`` tests a mask
+            #    without a ufunc reduction, here and below.)
             finished = s.t >= s.t_done
-            if finished.any():
+            if np.count_nonzero(finished):
                 idx = np.flatnonzero(finished)
                 consistent = False
                 if idx.size == len(lanes) and idx.size > 1:
@@ -773,21 +804,25 @@ class BatchedSolver:
             # 2. digital activations due now, lane by lane
             if events_active:
                 due_events = s.t_event <= s.t + END_EPS
-                if due_events.any():
+                if np.count_nonzero(due_events):
                     run_events(np.flatnonzero(due_events))
                     if not lanes:
                         break
 
             # 3. refresh the due lanes (hold budget spent or a
             #    model-changing activation); the others' terminals follow
-            #    their held models
+            #    their held models.  The time left to each lane's step
+            #    boundary is taken once, after any lane retirement
             s.due = s.since >= s.hold
-            if s.due.any():
+            every_due = False
+            if np.count_nonzero(s.due):
                 fresh = linearise()
                 if fresh is None:
                     break
-                adopt(fresh)
+                remaining = step_boundary() - s.t
+                every_due = adopt(fresh, remaining)
             else:
+                remaining = step_boundary() - s.t
                 s.y = reduced.terminal_values(s.x)
 
             # 4. record traces
@@ -796,7 +831,7 @@ class BatchedSolver:
             # 5. march one burst through the kernel (it exits on this
             #    loop's own events: hold budget, t_end, a digital event,
             #    divergence), or one single step
-            if burstable and s.depth.min() >= order - 1:
+            if burstable and warm:
                 kernel_start = time.perf_counter()
                 burst = kernel(
                     reduced.a_reduced,
@@ -805,9 +840,9 @@ class BatchedSolver:
                     s.t,
                     s.h,
                     s.t_end,
-                    int((s.hold - s.since).min()),
-                    history,
-                    order,
+                    min_hold if every_due else int((s.hold - s.since).min()),
+                    s.window_t,
+                    s.window_f,
                     recorder.last_record_times,
                     recorder.thresholds,
                     s.guard,
@@ -825,11 +860,10 @@ class BatchedSolver:
                 # terminals of the state that step departed from
                 if n_steps > 1:
                     s.y = reduced.terminal_values(burst.x_prev)
-                history = burst.history
                 h_min, h_max, h_last = burst.h_min, burst.h_max, burst.h_last
                 diverged = burst.diverged
             else:
-                h = np.minimum(s.h, step_boundary() - s.t)
+                h = np.minimum(s.h, remaining)
                 if burstable:
                     s.x = mixed_step(h)
                 else:
@@ -841,10 +875,12 @@ class BatchedSolver:
                 n_steps = 1
                 h_min = h_max = h_last = h
                 diverged = diverged_lanes(s.x, s.guard)
+                # a warm window stays warm: ``depth`` counts only until then
+                s.depth += 1
+                warm = bool(s.depth.min() >= order - 1)
 
-            s.depth += n_steps
+            steps += n_steps
             s.since += n_steps
-            s.steps += n_steps
             np.minimum(s.h_min, h_min, out=s.h_min)
             np.maximum(s.h_max, h_max, out=s.h_max)
             if diverged is not None:

@@ -27,7 +27,10 @@ There is one kernel, written in NumPy; it replicates the single-step
 array expressions operation for operation, so every lane is bitwise its
 scalar :class:`~repro.core.solver.LinearisedStateSpaceSolver` run.  A
 burst of one step (every call at ``relinearise_interval`` 1) skips the
-burst set-up and takes the same expressions directly.
+burst set-up and takes the same expressions directly.  The
+Adams-Bashforth window is the caller's stacked ``(B, k)`` sample times and
+``(B, k, n)`` derivatives, oldest first; every step shifts it in place
+(:func:`push_sample`).
 ``resolve_compiled`` maps a ``compiled`` mode (``"off" | "auto"``, the
 argument ``RunOptions.batched`` validates and drops) to that kernel's
 backend name.
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +55,7 @@ __all__ = [
     "divergence_guard",
     "diverged_lanes",
     "get_march_kernel",
+    "push_sample",
     "record_due",
     "resolve_compiled",
 ]
@@ -113,7 +117,8 @@ def diverged_lanes(x: np.ndarray, guard: np.ndarray) -> Optional[np.ndarray]:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduce(x * x, axis=1))
-    if (norms <= guard).all():
+    # ``count_nonzero`` settles the test without a ufunc reduction
+    if np.count_nonzero(norms <= guard) == norms.size:
         return None
     bad = ~(batched_state_norms(x) <= guard)
     return bad if bad.any() else None
@@ -136,8 +141,8 @@ class MarchResult:
     ``steps`` is the number of steps every lane took.  ``t`` holds the
     per-lane times after the burst and ``x_prev`` the states the last step
     departed from — the caller derives the lagged terminal variables
-    ``y`` from it.  ``history`` is the refreshed Adams-Bashforth window
-    (oldest first, per-lane sample times).  ``h_min``/``h_max``/``h_last``
+    ``y`` from it.  The Adams-Bashforth window the kernel was handed holds
+    the burst's samples on return.  ``h_min``/``h_max``/``h_last``
     are per-lane step statistics, ``diverged`` is the guard mask of the
     final step or ``None``, and ``records`` lists the ``(t, due, x)`` rows
     that came due inside the burst, in step order.
@@ -147,7 +152,6 @@ class MarchResult:
     t: np.ndarray
     x: np.ndarray
     x_prev: np.ndarray
-    history: List[Tuple[np.ndarray, np.ndarray]]
     h_min: np.ndarray
     h_max: np.ndarray
     h_last: np.ndarray
@@ -174,6 +178,22 @@ def get_march_kernel(backend: str) -> Callable:
     if backend != "numpy":
         raise ConfigurationError(f"unknown march-kernel backend {backend!r}")
     return _march_numpy
+
+
+def push_sample(
+    window_t: np.ndarray, window_f: np.ndarray, t: np.ndarray, f: np.ndarray
+) -> None:
+    """Shift a stacked Adams-Bashforth window one sample older, in place,
+    and store ``(t, f)`` as its newest sample.
+
+    The window is ``(B, k)`` sample times and ``(B, k, n)`` derivatives,
+    oldest first, so ``weights @ window_f`` sums the samples in the order
+    the scalar step stacks its history; the oldest sample drops out.
+    """
+    window_t[:, :-1] = window_t[:, 1:]
+    window_f[:, :-1] = window_f[:, 1:]
+    window_t[:, -1] = t
+    window_f[:, -1] = f
 
 
 # --------------------------------------------------------------------- #
@@ -226,28 +246,23 @@ def _burst_schedule(
 
 
 def _burst_weights(
-    times: np.ndarray,
-    steps_h: np.ndarray,
-    history_times: np.ndarray,
-    order: int,
+    times: np.ndarray, steps_h: np.ndarray, window_t: np.ndarray
 ) -> np.ndarray:
     """All per-lane Adams-Bashforth weight vectors of a burst, ``(K, B, k)``.
 
     Stacked replication of ``_variable_step_weights``: for lane ``i`` at
-    step ``j`` the sample window is the last ``order`` entries of its
-    ``history_times + times[:j+1]``, shifted by ``times[j]``, integrated
-    over the span ``(t_j + h_j) - t_j``.  ``times``/``steps_h`` are
-    ``(K, B)`` and ``history_times`` is ``(m, B)`` with
-    ``m >= order - 1``.  The weights depend only on the shifted windows
+    step ``j`` the sample window is the last ``k`` entries of its
+    window times followed by ``times[:j+1]``, shifted by ``times[j]``,
+    integrated over the span ``(t_j + h_j) - t_j``.  ``times``/``steps_h``
+    are ``(K, B)`` and ``window_t`` is the ``(B, k)`` window, whose oldest
+    sample no step reads.  The weights depend only on the shifted windows
     and the spans, which repeat from burst to burst while the lanes hold
     their steps, so the solve is memoised on exactly those floats (see
     :func:`_solve_weights`).
     """
-    k = order
-    n_steps = times.shape[0]
-    m = history_times.shape[0]
-    all_times = np.concatenate([history_times, times])
-    index = (m + 1 - k) + np.arange(n_steps)[:, None] + np.arange(k)[None, :]
+    k = window_t.shape[1]
+    all_times = np.concatenate([window_t.T, times])
+    index = 1 + np.arange(times.shape[0])[:, None] + np.arange(k)[None, :]
     # (K, B, k): lane-major sample windows, shifted by each step's start
     window = np.ascontiguousarray(
         np.swapaxes(all_times[index] - times[:, None, :], 1, 2)
@@ -301,8 +316,8 @@ def _march_numpy(
     h_held: np.ndarray,
     t_end: np.ndarray,
     max_steps: int,
-    history: Sequence[Tuple[np.ndarray, np.ndarray]],
-    order: int,
+    window_t: np.ndarray,
+    window_f: np.ndarray,
     rec_last: np.ndarray,
     rec_thresh: np.ndarray,
     guard: np.ndarray,
@@ -312,14 +327,14 @@ def _march_numpy(
 
     A burst of one step -- every call at ``relinearise_interval`` 1 --
     takes :func:`_march_one`; longer bursts take :func:`_march_burst`.
-    Both give the same :class:`MarchResult` bit for bit.
+    Both give the same :class:`MarchResult` and window bit for bit.
     """
     if max_steps == 1:
         return _march_one(
-            a, b, x, t, h_held, t_end, history, order, guard, t_event
+            a, b, x, t, h_held, t_end, window_t, window_f, guard, t_event
         )
     return _march_burst(
-        a, b, x, t, h_held, t_end, max_steps, history, order, rec_last,
+        a, b, x, t, h_held, t_end, max_steps, window_t, window_f, rec_last,
         rec_thresh, guard, t_event,
     )
 
@@ -331,46 +346,35 @@ def _march_one(
     t: np.ndarray,
     h_held: np.ndarray,
     t_end: np.ndarray,
-    history: Sequence[Tuple[np.ndarray, np.ndarray]],
-    order: int,
+    window_t: np.ndarray,
+    window_f: np.ndarray,
     guard: np.ndarray,
     t_event: Optional[np.ndarray] = None,
 ) -> MarchResult:
     """One held-model step: :func:`_march_burst` at ``max_steps`` 1.
 
     The burst loop's first step has no record row (the caller records
-    step 0), so one step is the boundary, the step, its
-    sample window, the memoised :func:`_solve_weights`, the derivative,
-    the update and the divergence guard.  Each is the burst loop's own
-    expression on the same floats (the window is the last ``order``
-    sample times shifted by ``t``, the weights are looked up under the
-    same bytes and shape), so the result is bitwise the burst loop's,
-    without its schedule, weight-window and record-list set-up.
+    step 0), so one step is the boundary, the step, the window push, its
+    shifted sample times, the memoised :func:`_solve_weights`, the update
+    and the divergence guard.  Each is the burst loop's own expression on
+    the same floats (the weights are looked up under the same bytes and
+    shape), so the result is bitwise the burst loop's, without its
+    schedule, weight-window and record-list set-up.
     """
     boundary = t_end if t_event is None else np.minimum(t_end, t_event)
     h = np.minimum(h_held, boundary - t)
     t_new = t + h
-    samples = list(history)
-    samples.append((t, np.matmul(a, x[..., None])[..., 0] + b))
-    if len(samples) > order:
-        del samples[0]
-    # the (B, k) window read through a transpose: ``tobytes`` gives the
-    # C-order bytes of the burst loop's stacked window all the same
-    window = np.array([sample_t for sample_t, _ in samples[-order:]]).T - t[:, None]
+    push_sample(window_t, window_f, t, np.matmul(a, x[..., None])[..., 0] + b)
+    window = window_t - t[:, None]
     weights = _solve_weights(
         window.tobytes(), (t_new - t).tobytes(), (1,) + window.shape
     )
-    # the burst loop's ``np.stack(..., axis=1)``, filled in place
-    derivatives = np.empty((x.shape[0], len(samples), x.shape[1]))
-    for j, (_, sample_f) in enumerate(samples):
-        derivatives[:, j] = sample_f
-    x_new = x + np.matmul(weights[0][:, None, :], derivatives)[:, 0, :]
+    x_new = x + np.matmul(weights[0][:, None, :], window_f)[:, 0, :]
     return MarchResult(
         steps=1,
         t=t_new,
         x=x_new,
         x_prev=x,
-        history=samples,
         h_min=h,
         h_max=h,
         h_last=h,
@@ -387,8 +391,8 @@ def _march_burst(
     h_held: np.ndarray,
     t_end: np.ndarray,
     max_steps: int,
-    history: Sequence[Tuple[np.ndarray, np.ndarray]],
-    order: int,
+    window_t: np.ndarray,
+    window_f: np.ndarray,
     rec_last: np.ndarray,
     rec_thresh: np.ndarray,
     guard: np.ndarray,
@@ -403,21 +407,15 @@ def _march_burst(
     state-dependent check, the divergence guard, runs after every step.
     ``t_event`` holds each lane's next
     digital event time (``inf`` for none), or is ``None`` when no lane
-    has digital events.  ``history`` holds at least ``order - 1``
-    samples; the caller guarantees at least one scheduled step (no lane
-    finished or due for an event, hold budget left), so ``steps >= 1``.
+    has digital events.  The window's newest ``k - 1`` samples are valid
+    (its oldest is shifted out unread); the caller guarantees at least
+    one scheduled step (no lane finished or due for an event, hold budget
+    left), so ``steps >= 1``.
     """
     times, steps_h, rows = _burst_schedule(
         t, h_held, t_end, max_steps, rec_last, rec_thresh, t_event
     )
-    hist_t = [sample_t for sample_t, _ in history]
-    hist_f = [sample_f for _, sample_f in history]
-    weights = _burst_weights(
-        np.array(times),
-        np.array(steps_h),
-        np.array(hist_t).reshape(len(hist_t), t.shape[0]),
-        order,
-    )
+    weights = _burst_weights(np.array(times), np.array(steps_h), window_t)
     due_at = dict(rows)
 
     records: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -428,13 +426,9 @@ def _march_burst(
         due = due_at.get(j)
         if due is not None:
             records.append((t_j, due, x))
-        hist_t.append(t_j)
-        hist_f.append(np.matmul(a, x[..., None])[..., 0] + b)
-        if len(hist_f) > order:
-            del hist_t[0], hist_f[0]
-        derivatives = np.stack(hist_f, axis=1)
+        push_sample(window_t, window_f, t_j, np.matmul(a, x[..., None])[..., 0] + b)
         x_prev = x
-        x = x + np.matmul(weights[j][:, None, :], derivatives)[:, 0, :]
+        x = x + np.matmul(weights[j][:, None, :], window_f)[:, 0, :]
         steps += 1
         diverged = diverged_lanes(x, guard)
         if diverged is not None:
@@ -446,7 +440,6 @@ def _march_burst(
         t=times[steps - 1] + steps_h[steps - 1],
         x=x,
         x_prev=x_prev,
-        history=list(zip(hist_t, hist_f)),
         h_min=taken.min(axis=0),
         h_max=taken.max(axis=0),
         h_last=steps_h[steps - 1],

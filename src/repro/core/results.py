@@ -366,7 +366,9 @@ class ColumnRecorder:
     def record(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Record all lanes that are due at their times ``t``."""
         due = record_due(t, self.last_record_times, self.thresholds)
-        self.write(t[None], due[None], x[None], y[None])
+        # most steps record no lane: skip ``write``'s ``np.nonzero``
+        if np.count_nonzero(due):
+            self.write(t[None], due[None], x[None], y[None])
 
     def record_lane(self, i: int, t: float, x: np.ndarray, y: np.ndarray) -> None:
         """Record one sample of lane ``i``, whatever its due-ness: a

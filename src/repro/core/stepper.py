@@ -94,28 +94,34 @@ def _frobenius_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
 
 
-def jacobian_drifts(a: np.ndarray, *references: np.ndarray) -> Tuple[np.ndarray, ...]:
+def jacobian_drifts(
+    a: np.ndarray, *references: Tuple[np.ndarray, np.ndarray]
+) -> Tuple[np.ndarray, ...]:
     """:func:`relative_jacobian_drift` of ``a`` against each reference, bitwise.
 
-    Every difference ``a - reference`` and every reference is one row of a
-    ``(2k * B, n*n)`` stack whose norms are one stacked ``matmul``: the
-    same dot product per row as ``np.linalg.norm`` and as
-    :func:`relative_jacobian_drift`, whatever the stack size.  The
-    batched march measures both drifts of a refresh here: the LLE drift
-    against each lane's previous Jacobian and the stability drift against
-    its controller's bound matrix.
+    Each reference comes with its kept Frobenius norms, a
+    ``(reference, norms)`` pair.  Every difference ``a - reference`` and
+    ``a`` itself are rows of one ``((k + 1) * B, n*n)`` stack whose norms
+    are one stacked ``matmul``: the same dot product per row as
+    ``np.linalg.norm`` and as :func:`relative_jacobian_drift`, whatever
+    the stack size.  Returns the ``k`` drifts followed by the norms of
+    ``a``, which the caller keeps as the norms of the next refresh's
+    reference.  The batched march measures both drifts of a refresh here:
+    the LLE drift against each lane's previous Jacobian and the stability
+    drift against its controller's bound matrix.
     """
     k = len(references)
-    stack = np.empty((2 * k,) + a.shape)
-    for j, reference in enumerate(references):
+    stack = np.empty((k + 1,) + a.shape)
+    for j, (reference, _) in enumerate(references):
         np.subtract(a, reference, out=stack[j])
-        stack[k + j] = reference
-    rows = stack.reshape(2 * k * a.shape[0], 1, -1)
-    norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1))).reshape(2, k, -1)
-    scales = norms[1]
-    # a zero-norm reference falls back to an absolute scale of 1
-    scales[scales == 0.0] = 1.0
-    return tuple(norms[0] / scales)
+    stack[k] = a
+    rows = stack.reshape((k + 1) * a.shape[0], 1, -1)
+    norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1))).reshape(k + 1, -1)
+    scales = np.array([scale for _, scale in references])
+    if np.count_nonzero(scales) != scales.size:
+        # a zero-norm reference falls back to an absolute scale of 1
+        scales[scales == 0.0] = 1.0
+    return (*(norms[:k] / scales), norms[k])
 
 
 @dataclass
@@ -272,6 +278,8 @@ class BatchedStepController:
     Jacobian, which drives shrink/grow (the batched solver holds it, as the
     scalar solver does for its controller), and the drift against the
     matrix of the lane's cached bound, which gates its recomputation.
+    When a bound is stored the lane keeps its matrix's norm, the scale of
+    that drift, and ``min(bound, h_max)``, the cap of its proposals.
     Each lane keeps its own proposal: the batched solver marches every
     lane at its own step, so lane ``i``'s proposals are exactly its
     scalar controller's.
@@ -311,18 +319,22 @@ class BatchedStepController:
         """Reset ``lanes`` (default: every lane), as
         :meth:`StepSizeController.reset` resets one run after a digital
         discontinuity."""
+        self._all_bound = False
         if lanes is not None:
             self._h_current[lanes] = self._h_initial[lanes]
-            self._cached_stability_limit[lanes] = np.inf
+            # a lane without a bound is capped by its ``h_max`` alone
+            self._h_cap[lanes] = self._h_max[lanes]
             self._has_stability[lanes] = False
             return
         b = self._h_initial.shape[0]
         self._h_current = self._h_initial.copy()
-        # per-lane matrices of the cached bounds, allocated on first use;
-        # the mask says which lanes hold one yet
+        # per-lane matrices of the cached bounds, allocated on first use,
+        # and their norms; the mask says which lanes hold one yet
         self._stability_jacobian: Optional[np.ndarray] = None
-        self._cached_stability_limit = np.full(b, np.inf)
+        self._bound_norm = np.zeros(b)
         self._has_stability = np.zeros(b, dtype=bool)
+        # ``min(bound, h_max)`` per lane, updated when a bound is stored
+        self._h_cap = self._h_max.copy()
 
     def select(self, keep: np.ndarray) -> None:
         """Drop retired lanes, keeping only the indices in ``keep``."""
@@ -331,7 +343,8 @@ class BatchedStepController:
             "_h_min",
             "_h_max",
             "_h_current",
-            "_cached_stability_limit",
+            "_h_cap",
+            "_bound_norm",
             "_has_stability",
             "_stability_jacobian",
         ):
@@ -352,53 +365,58 @@ class BatchedStepController:
         self,
         a_reduced: np.ndarray,
         reference: np.ndarray,
+        reference_norm: np.ndarray,
         lanes: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The two Jacobian drifts of the lanes in ``lanes`` (default: all).
 
         ``a_reduced`` and ``reference`` hold those lanes' fresh and
-        previous Jacobians.  Returns the drift against ``reference`` and
-        the drift against each lane's cached-bound matrix, which
-        :meth:`propose` takes as ``stability_drift`` (a lane holding no
-        bound recomputes it whatever its figure), both from one
-        :func:`jacobian_drifts` evaluation.
+        previous Jacobians, ``reference_norm`` the previous Jacobians'
+        kept norms.  Returns the drift against ``reference``, the drift
+        against each lane's cached-bound matrix, which :meth:`propose`
+        takes as ``stability_drift`` (a lane holding no bound recomputes
+        it whatever its figure), and the norms of ``a_reduced`` to keep
+        for the next refresh, all from one :func:`jacobian_drifts`
+        evaluation against the bounds' norms kept since they were stored.
         """
         held = self._bound_matrices(a_reduced.shape)
-        return jacobian_drifts(
-            a_reduced, reference, held if lanes is None else held[lanes]
-        )
+        if lanes is None:
+            bound = (held, self._bound_norm)
+        else:
+            bound = (held[lanes], self._bound_norm[lanes])
+        return jacobian_drifts(a_reduced, (reference, reference_norm), bound)
 
-    def stability_limits(
+    def _refresh_bounds(
         self,
         a_reduced: np.ndarray,
         stability_drift: np.ndarray,
-        lanes: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Stable-step bounds of ``lanes`` (default: all); ``a_reduced``
-        covers every lane.  A lane's bound is recomputed when it holds
-        none or its ``stability_drift`` (see :meth:`drifts`) exceeds
-        :data:`STABILITY_RECOMPUTE_THRESHOLD`."""
-        # a slice selects every lane without copying
-        sel = slice(None) if lanes is None else lanes
-        recompute = ~self._has_stability[sel] | (
-            stability_drift > STABILITY_RECOMPUTE_THRESHOLD
+        lanes: Optional[np.ndarray],
+    ) -> None:
+        """Recompute the stable-step bounds of ``lanes`` (default: all)
+        that hold none or whose ``stability_drift`` (see :meth:`drifts`)
+        exceeds :data:`STABILITY_RECOMPUTE_THRESHOLD`; ``a_reduced``
+        covers every lane."""
+        recompute = stability_drift > STABILITY_RECOMPUTE_THRESHOLD
+        if not self._all_bound:
+            held = self._has_stability if lanes is None else self._has_stability[lanes]
+            recompute |= ~held
+        if not np.count_nonzero(recompute):
+            return
+        rows = recompute.nonzero()[0]
+        targets = rows if lanes is None else lanes[rows]
+        a = a_reduced[targets]
+        fresh = integrator_step_limit_batch(
+            a,
+            real_extent=self._real_extent,
+            imag_extent=self._imag_extent,
+            safety=1.0,
         )
-        if recompute.any():
-            rows = np.flatnonzero(recompute)
-            targets = rows if lanes is None else lanes[rows]
-            a = a_reduced[targets]
-            fresh = integrator_step_limit_batch(
-                a,
-                real_extent=self._real_extent,
-                imag_extent=self._imag_extent,
-                safety=1.0,
-            )
-            self._cached_stability_limit[targets] = np.where(
-                np.isfinite(fresh), SAFETY * fresh, float("inf")
-            )
-            self._bound_matrices(a_reduced.shape)[targets] = a
-            self._has_stability[targets] = True
-        return self._cached_stability_limit[sel]
+        bound = np.where(np.isfinite(fresh), SAFETY * fresh, float("inf"))
+        self._h_cap[targets] = np.minimum(bound, self._h_max[targets])
+        self._bound_matrices(a_reduced.shape)[targets] = a
+        self._bound_norm[targets] = _frobenius_norms(a)
+        self._has_stability[targets] = True
+        self._all_bound = np.count_nonzero(self._has_stability) == self.n_lanes
 
     # ------------------------------------------------------------------ #
     # main entry point
@@ -422,14 +440,14 @@ class BatchedStepController:
         the first since their previous proposal (0 for a lane's first
         proposal after a reset).  Returns one proposal per selected lane.
         """
-        sel = slice(None) if lanes is None else lanes
-        h = self._h_current[sel]
+        every = lanes is None
+        h = self._h_current if every else self._h_current[lanes]
 
         # accuracy control: the scalar controller's shrink factor
         # ``max(SHRINK_LIMIT, target / change)`` where the drift exceeds
         # the target (the divisor is then the lane's drift), growth elsewhere
         shrink = jacobian_change > JACOBIAN_CHANGE_TARGET
-        if shrink.any():
+        if np.count_nonzero(shrink):
             factor = np.maximum(
                 SHRINK_LIMIT,
                 JACOBIAN_CHANGE_TARGET
@@ -439,20 +457,26 @@ class BatchedStepController:
         else:
             h = h * GROWTH_LIMIT
 
-        h = np.minimum(h, self.stability_limits(a_reduced, stability_drift, lanes))
-        h = np.minimum(h, self._h_max[sel])
-        h = np.maximum(h, self._h_min[sel])
+        # the stability bound and ``h_max`` in one kept cap: ``min`` is
+        # exact, so ``min(h, min(bound, h_max))`` is the scalar
+        # ``min(h, bound, h_max)`` bit for bit
+        self._refresh_bounds(a_reduced, stability_drift, lanes)
+        np.minimum(h, self._h_cap if every else self._h_cap[lanes], out=h)
+        np.maximum(h, self._h_min if every else self._h_min[lanes], out=h)
         if t_remaining is not None:
-            remaining = t_remaining[sel]
+            remaining = t_remaining if every else t_remaining[lanes]
             np.minimum(h, remaining, out=h, where=remaining > 0.0)
 
-        valid = (h > 0.0) & (h < np.inf)
-        if not valid.all():
-            bad = np.flatnonzero(~valid)
-            rows = bad if lanes is None else np.asarray(lanes)[bad]
+        # ``h >= h_min > 0`` here, so only NaN and inf can be invalid
+        if np.count_nonzero(h < np.inf) != h.size:
+            bad = (~(h < np.inf)).nonzero()[0]
+            rows = bad if every else np.asarray(lanes)[bad]
             raise StepSizeError(
                 "batched step controller produced invalid steps in lane rows "
                 f"{rows.tolist()}: {h[bad].tolist()}"
             )
-        self._h_current[sel] = h
+        if every:
+            self._h_current[:] = h
+        else:
+            self._h_current[lanes] = h
         return h

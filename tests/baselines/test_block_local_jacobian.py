@@ -129,3 +129,51 @@ def test_persistently_non_finite_step_fails_after_every_halving(value, monkeypat
         ConvergenceError, match=r"at t=0\.0002 even after 6 step halvings"
     ):
         solver.run(0.001)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_residual_stops_newton_at_once(monkeypatch):
+    # storage derivatives NaN past t = 2.01e-4: two good steps, then every
+    # attempt from t = 2e-4 lands in the bad window.  Each attempt gives up
+    # on its first non-finite residual norm instead of iterating to the cap
+    # (30 Jacobians an attempt), and the step is still halved six times
+    solver = _charging_solver_with_bad_storage(monkeypatch, lambda t: t > 2.01e-4, math.nan)
+    steps, attempts = [], []
+    device_jacobian = solver._device_jacobian
+    solve = implicit_solver.newton_solve
+
+    def recording_jacobian(t_next, h, x_current, fx_current):
+        steps.append(h)
+        return device_jacobian(t_next, h, x_current, fx_current)
+
+    def counting_solve(residual, guess, jacobian=None, **kwargs):
+        attempt = {"jacobians": 0, "error": None}
+        attempts.append(attempt)
+
+        def counted(z):
+            attempt["jacobians"] += 1
+            return jacobian(z)
+
+        try:
+            return solve(
+                residual, guess, jacobian=None if jacobian is None else counted, **kwargs
+            )
+        except ConvergenceError as exc:
+            attempt["error"] = str(exc)
+            raise
+
+    monkeypatch.setattr(solver, "_device_jacobian", recording_jacobian)
+    monkeypatch.setattr(implicit_solver, "newton_solve", counting_solve)
+    with pytest.raises(
+        ConvergenceError, match=r"at t=0\.0002 even after 6 step halvings"
+    ):
+        solver.run(0.001)
+    # the initial terminal solve, two accepted steps, seven failed attempts
+    assert len(attempts) == 10
+    assert steps == pytest.approx([1e-4, 1e-4] + [1e-4 * 0.5**k for k in range(7)])
+    assert all(attempt["error"] is None for attempt in attempts[:3])
+    for attempt in attempts[3:]:
+        assert attempt["jacobians"] <= 1
+        assert attempt["error"] == (
+            "Newton-Raphson residual norm is nan after 0 iterations"
+        )

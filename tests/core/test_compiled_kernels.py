@@ -448,7 +448,9 @@ class TestOptionsPlumbing:
 
 def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):
     """Random one-step kernel inputs: lane 2 trips the divergence guard,
-    lane 1 steps short onto its end time, lane 3 onto its next event."""
+    lane 1 steps short onto its end time, lane 3 onto its next event.
+    The window's newest ``depth`` samples are drawn; any older slot is
+    NaN, which no step may read."""
     rng = np.random.default_rng(seed)
     a = -np.eye(n) + 0.3 * rng.standard_normal((b, n, n))
     x = rng.standard_normal((b, n))
@@ -458,9 +460,11 @@ def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):
     t_end[1] = t[1] + 0.5 * h_held[1]
     t_event = np.full(b, np.inf)
     t_event[3] = t[3] + 0.25 * h_held[3]
-    history = []
+    window_t = np.full((b, order), np.nan)
+    window_f = np.full((b, order, n), np.nan)
     for k in range(depth, 0, -1):
-        history.append((t - k * h_held, rng.standard_normal((b, n))))
+        window_t[:, order - k] = t - k * h_held
+        window_f[:, order - k] = rng.standard_normal((b, n))
     guard = np.full(b, 1e6)
     guard[2] = 1e-9
     return dict(
@@ -471,8 +475,8 @@ def _march_inputs(depth, events, seed=0, order=3, b=4, n=3):
         h_held=h_held,
         t_end=t_end,
         max_steps=1,
-        history=history,
-        order=order,
+        window_t=window_t,
+        window_f=window_f,
         rec_last=np.full(b, np.nan),
         rec_thresh=np.full(b, -np.inf),
         guard=guard,
@@ -491,19 +495,21 @@ class TestOneStepPath:
     @pytest.mark.parametrize("events", [False, True], ids=["no_events", "events"])
     @pytest.mark.parametrize("extra", [0, 1], ids=["short_window", "full_window"])
     def test_one_step_path_is_the_burst_loop_bitwise(self, order, events, extra):
-        inputs = _march_inputs(order - 1 + extra, events, order=order)
-        one = kernels._march_numpy(**inputs)
-        loop = kernels._march_burst(**inputs)
+        # each path shifts its own copy of the window in place
+        one_inputs = _march_inputs(order - 1 + extra, events, order=order)
+        loop_inputs = _march_inputs(order - 1 + extra, events, order=order)
+        one = kernels._march_numpy(**one_inputs)
+        loop = kernels._march_burst(**loop_inputs)
         assert one.steps == loop.steps == 1
         for name in ("x", "x_prev", "t", "h_min", "h_max", "h_last", "diverged"):
             assert _bytes(getattr(one, name)) == _bytes(getattr(loop, name)), name
         assert one.diverged is not None and one.diverged.tolist() == [
             False, False, True, False
         ]
-        assert len(one.history) == len(loop.history)
-        for (t_one, f_one), (t_loop, f_loop) in zip(one.history, loop.history):
-            assert _bytes(t_one) == _bytes(t_loop)
-            assert _bytes(f_one) == _bytes(f_loop)
+        for name in ("window_t", "window_f"):
+            assert _bytes(one_inputs[name]) == _bytes(loop_inputs[name]), name
+            # the step's sample entered and the NaN slot, if any, left
+            assert not np.isnan(one_inputs[name]).any(), name
         assert one.records == loop.records == []
 
     def test_one_step_calls_take_the_direct_path(self):

@@ -12,10 +12,10 @@ and a reset.
 
 The batched controller does not measure the drift that gates its bound's
 recomputation: the batched march measures it next to the LLE drift, in
-one stacked norm evaluation (``BatchedStepController.drifts``).  Every
-batched proposal here takes its stability drift from that call, and each
-call's two drifts are checked against two ``relative_jacobian_drift``
-calls.
+one stacked norm evaluation (``BatchedStepController.drifts``), scaled by
+the norms kept with each reference.  Every batched proposal here takes
+its stability drift from that call, and each call's two drifts are
+checked against two ``relative_jacobian_drift`` calls.
 """
 
 from collections import Counter
@@ -29,6 +29,7 @@ from repro.core.stepper import (
     BatchedStepController,
     StepControlSettings,
     StepSizeController,
+    frobenius_norm,
     jacobian_drifts,
     relative_jacobian_drift,
 )
@@ -156,22 +157,29 @@ def _propose(batched, a_all, drift, remaining, lanes=None):
     """One batched proposal, its stability drift measured as the march does.
 
     ``drifts`` measures the selected lanes against an LLE reference (here
-    half their matrices) and against their cached-bound matrices at once;
-    both figures must be the two separate ``relative_jacobian_drift``
-    calls, bit for bit.
+    half their matrices, with its norms) and against their cached-bound
+    matrices, with the norms the controller kept when it stored them, at
+    once; both figures must be the two separate ``relative_jacobian_drift``
+    calls, bit for bit, and the returned norms those of ``a``.
     """
     a = a_all if lanes is None else a_all[lanes]
     reference = 0.5 * a
     held = None
     if batched._stability_jacobian is not None:
         held = batched._stability_jacobian[slice(None) if lanes is None else lanes]
-    lle, stability = batched.drifts(a, reference, lanes)
+    lle, stability, norms = batched.drifts(a, reference, _norms(reference), lanes)
     assert lle.tobytes() == relative_jacobian_drift(a, reference).tobytes()
+    assert norms.tobytes() == _norms(a).tobytes()
     if held is not None:
         assert stability.tobytes() == relative_jacobian_drift(a, held).tobytes()
     return batched.propose(
         a_all, drift, stability, t_remaining=remaining, lanes=lanes
     )
+
+
+def _norms(m):
+    """Per-lane Frobenius norms, one scalar ``np.linalg.norm`` each."""
+    return np.array([frobenius_norm(lane) for lane in m])
 
 
 def _assert_bitwise(expected, got, where):
@@ -278,8 +286,13 @@ def test_stacked_drifts_are_two_separate_drifts_bitwise(entries):
         a = lle_ref + rng.standard_normal((b, n, n)) * 1e-3 * 10.0**exponents
         lle_ref[0] = 0.0  # a zero-norm reference falls back to scale 1
         bound_ref[-1] = 0.0
-        lle, stability = jacobian_drifts(a, lle_ref, bound_ref)
+        lle, stability, norms = jacobian_drifts(
+            a, (lle_ref, _norms(lle_ref)), (bound_ref, _norms(bound_ref))
+        )
         assert lle.tobytes() == relative_jacobian_drift(a, lle_ref).tobytes(), b
         assert stability.tobytes() == relative_jacobian_drift(a, bound_ref).tobytes(), b
-        (alone,) = jacobian_drifts(a, lle_ref)
+        # the stacked norm of ``a`` is the one its next drift is scaled by
+        assert norms.tobytes() == _norms(a).tobytes(), b
+        alone, alone_norms = jacobian_drifts(a, (lle_ref, _norms(lle_ref)))
         assert alone.tobytes() == lle.tobytes(), b
+        assert alone_norms.tobytes() == norms.tobytes(), b

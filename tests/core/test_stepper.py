@@ -178,7 +178,7 @@ class TestBatchedInvalidStep:
     def test_every_lane_proposing(self):
         controller, a = self._controller()
         controller._h_current[1] = np.nan
-        drift, stability = controller.drifts(a, a)
+        drift, stability, _ = controller.drifts(a, a, np.zeros(3))
         with pytest.raises(StepSizeError, match=r"lane rows \[1\]: \[nan\]$"):
             controller.propose(a, drift, stability)
 
@@ -186,7 +186,7 @@ class TestBatchedInvalidStep:
         controller, a = self._controller()
         controller._h_current[2] = np.nan
         lanes = np.array([0, 2])
-        drift, stability = controller.drifts(a[lanes], a[lanes], lanes)
+        drift, stability, _ = controller.drifts(a[lanes], a[lanes], np.zeros(2), lanes)
         with pytest.raises(StepSizeError, match=r"lane rows \[2\]: \[nan\]$"):
             controller.propose(a, drift, stability, lanes=lanes)
         # the proposal was refused: no lane's controller state advanced
