@@ -465,6 +465,11 @@ class ExperimentSpec:
                 "experiment solver_kwargs must be a table/dict, got "
                 f"{type(solver_kwargs).__name__}"
             )
+        if solver_kwargs:
+            # the baseline solvers' settings register with the codec when
+            # their modules load, which no run has done yet for a file
+            from .. import baselines  # noqa: F401
+
         sweep_data = data.get("sweep")
         return cls(
             scenario=scenario_from_dict(data["scenario"]),

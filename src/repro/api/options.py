@@ -69,8 +69,11 @@ def execution_fingerprint(
     return {
         "integrator": integrator_form,
         "settings": None if settings is None else encode_value(settings),
+        # 1 and None are the same exact profile, so they share one key
         "relinearise_interval": (
-            None if relinearise_interval is None else int(relinearise_interval)
+            None
+            if relinearise_interval is None or int(relinearise_interval) == 1
+            else int(relinearise_interval)
         ),
         # constants: the values of the retired backend choice and
         # march-kernel mode, so every existing cache key and checkpoint
@@ -137,6 +140,8 @@ class RunOptions:
         trips the stability guard re-runs exact, recorded as
         ``metadata["exact_rerun"]``.  Given together with ``settings``,
         their own ``relinearise_interval`` must be 1 or this same value.
+        ``None`` and 1 share one fingerprint, so one cache key and one
+        checkpoint digest.
     lane_width:
         Maximum lanes per sweep lane block.  A sweep marches
         same-topology candidates (digital events included) as lanes of

@@ -9,7 +9,7 @@ model as the fast solver, but the way such tools do it:
   (trapezoidal by default, backward Euler optionally);
 * at every time step the resulting nonlinear algebraic system in
   ``[x_{n+1}, y_{n+1}]`` is solved by Newton-Raphson;
-* by default the Newton Jacobian is rebuilt each iteration from
+* the Newton Jacobian is rebuilt each iteration from
   central differences of the device equations, device by device: each
   column re-evaluates only the blocks that read its variable and fills
   only their rows, as a conventional simulator re-evaluates each model
@@ -38,46 +38,54 @@ from ..core.elimination import SystemAssembler
 from ..core.errors import ConfigurationError, ConvergenceError
 from ..core.integrators import ImplicitFormula, Trapezoidal
 from ..core.results import SimulationResult, SolverStats
+from ..core.serialise import register_serialisable
 from ..core.solver import WiredSolver
 from .newton_raphson import newton_solve
 
-__all__ = ["ImplicitSolverSettings", "ImplicitNewtonSolver"]
+__all__ = [
+    "ImplicitSolverSettings",
+    "ImplicitNewtonSolver",
+    "NEWTON_TOLERANCE",
+    "MAX_NEWTON_ITERATIONS",
+    "STEP_HALVING_ATTEMPTS",
+]
+
+# The Newton policy.  Every run uses these values: they are not settings,
+# so they are in no cache key, and the solver reads them from this module
+# when it runs.
+#: residual max-norm below which a Newton iteration has converged
+NEWTON_TOLERANCE = 1e-8
+#: Newton iteration cap per time step (and for the initial terminals)
+MAX_NEWTON_ITERATIONS = 30
+#: how many times a non-converged step is retried with half the step
+STEP_HALVING_ATTEMPTS = 6
 
 
 @dataclass
 class ImplicitSolverSettings:
     """Configuration of the Newton-Raphson baseline.
 
+    The Newton Jacobian is always rebuilt from central differences of the
+    device equations each iteration, device by device
+    (:meth:`~repro.core.elimination.SystemAssembler.step_jacobian`), as
+    general-purpose simulators evaluate arbitrary device equations; the
+    Newton policy is the module constants :data:`NEWTON_TOLERANCE`,
+    :data:`MAX_NEWTON_ITERATIONS` and :data:`STEP_HALVING_ATTEMPTS`.
+
     Attributes
     ----------
     step_size:
         Fixed integration step (conventional simulators resolve the
         vibration period with a fine fixed or quasi-fixed step).
-    newton_tolerance:
-        Residual max-norm convergence threshold.
-    max_newton_iterations:
-        Iteration cap per time step.
-    use_analytic_jacobian:
-        When ``True`` the Newton Jacobian is assembled from the blocks'
-        analytic linearisations (a best-case conventional simulator); when
-        ``False`` (default) it is rebuilt from central differences of the
-        device equations each iteration, device by device
-        (:meth:`~repro.core.elimination.SystemAssembler.step_jacobian`),
-        which reflects how general-purpose simulators evaluate arbitrary
-        device equations and is the configuration used for the paper's
-        CPU-time comparison.
     record_interval:
         Trace decimation interval (0 records every step).
-    step_halving_attempts:
-        How many times a non-converged step is retried with half the step.
     """
 
     step_size: float = 2e-4
-    newton_tolerance: float = 1e-8
-    max_newton_iterations: int = 30
-    use_analytic_jacobian: bool = False
     record_interval: float = 0.0
-    step_halving_attempts: int = 6
+
+
+register_serialisable(ImplicitSolverSettings)
 
 
 class ImplicitNewtonSolver(WiredSolver):
@@ -113,26 +121,6 @@ class ImplicitNewtonSolver(WiredSolver):
         fx_next, fy_next = self.assembler.full_residual(t_next, x_next, y_next)
         r_x = self.formula.residual(x_next, fx_next, x_current, fx_current, h)
         return np.concatenate([r_x, fy_next])
-
-    def _analytic_jacobian(self, t_next: float, h: float):
-        """Newton Jacobian built from the blocks' analytic linearisations."""
-
-        def jacobian(z: np.ndarray) -> np.ndarray:
-            n_states = self.assembler.n_states
-            x_next = z[:n_states]
-            y_next = z[n_states:]
-            lin = self.assembler.assemble(t_next, x_next, y_next)
-            n_terminals = self.assembler.n_terminals
-            top = np.hstack(
-                [
-                    np.eye(n_states) - h * self.formula.theta * lin.jxx,
-                    -h * self.formula.theta * lin.jxy,
-                ]
-            )
-            bottom = np.hstack([lin.jyx, lin.jyy]) if n_terminals else np.zeros((0, n_states))
-            return np.vstack([top, bottom])
-
-        return jacobian
 
     def _device_jacobian(
         self, t_next: float, h: float, x_current: np.ndarray, fx_current: np.ndarray
@@ -215,7 +203,6 @@ class ImplicitNewtonSolver(WiredSolver):
         )
         result.metadata["formula"] = self.formula.name
         result.metadata["step_size"] = settings.step_size
-        result.metadata["analytic_jacobian"] = settings.use_analytic_jacobian
         result.metadata["n_states"] = assembler.n_states
         return result
 
@@ -234,15 +221,14 @@ class ImplicitNewtonSolver(WiredSolver):
         outcome = newton_solve(
             residual,
             np.zeros(assembler.n_terminals),
-            tolerance=self.settings.newton_tolerance,
-            max_iterations=self.settings.max_newton_iterations,
+            tolerance=NEWTON_TOLERANCE,
+            max_iterations=MAX_NEWTON_ITERATIONS,
         )
         stats.n_newton_iterations += outcome.iterations
         stats.n_function_evaluations += outcome.n_function_evaluations
         return outcome.solution
 
     def _advance_one_step(self, h: float, stats: SolverStats) -> None:
-        settings = self.settings
         assembler = self.assembler
         n_states = assembler.n_states
 
@@ -250,15 +236,10 @@ class ImplicitNewtonSolver(WiredSolver):
         stats.n_function_evaluations += 1
 
         attempt_h = h
-        for attempt in range(settings.step_halving_attempts + 1):
+        for attempt in range(STEP_HALVING_ATTEMPTS + 1):
             t_next = self._t + attempt_h
             guess = np.concatenate([self._x, self._y])
-            if settings.use_analytic_jacobian:
-                jacobian = self._analytic_jacobian(t_next, attempt_h)
-            else:
-                jacobian = self._device_jacobian(
-                    t_next, attempt_h, self._x, fx_current
-                )
+            jacobian = self._device_jacobian(t_next, attempt_h, self._x, fx_current)
             try:
                 outcome = newton_solve(
                     lambda z: self._step_residual(
@@ -266,8 +247,8 @@ class ImplicitNewtonSolver(WiredSolver):
                     ),
                     guess,
                     jacobian=jacobian,
-                    tolerance=settings.newton_tolerance,
-                    max_iterations=settings.max_newton_iterations,
+                    tolerance=NEWTON_TOLERANCE,
+                    max_iterations=MAX_NEWTON_ITERATIONS,
                 )
             except ConvergenceError:
                 stats.register_step(attempt_h, accepted=False)
@@ -275,12 +256,11 @@ class ImplicitNewtonSolver(WiredSolver):
                 continue
             stats.n_newton_iterations += outcome.iterations
             stats.n_function_evaluations += outcome.n_function_evaluations
-            if not settings.use_analytic_jacobian:
-                # a finite-difference Jacobian counts as 2 (n + m) residual
-                # evaluations, however few blocks each column re-evaluates
-                stats.n_function_evaluations += (
-                    2 * guess.size * outcome.n_jacobian_evaluations
-                )
+            # a finite-difference Jacobian counts as 2 (n + m) residual
+            # evaluations, however few blocks each column re-evaluates
+            stats.n_function_evaluations += (
+                2 * guess.size * outcome.n_jacobian_evaluations
+            )
             stats.n_jacobian_evaluations += outcome.n_jacobian_evaluations
             stats.n_linear_solves += outcome.iterations
             stats.register_step(attempt_h, accepted=True)
@@ -290,5 +270,5 @@ class ImplicitNewtonSolver(WiredSolver):
             return
         raise ConvergenceError(
             f"implicit step failed to converge at t={self._t:.6g} even after "
-            f"{settings.step_halving_attempts} step halvings"
+            f"{STEP_HALVING_ATTEMPTS} step halvings"
         )

@@ -31,12 +31,25 @@ import numpy as np
 from ..core.errors import ConfigurationError, ConvergenceError
 from ..core.results import SimulationResult, SolverStats, TraceRecorder
 
-__all__ = ["Circuit", "TransientSettings", "MNATransientSimulator"]
+__all__ = [
+    "Circuit",
+    "TransientSettings",
+    "MNATransientSimulator",
+    "NEWTON_TOLERANCE",
+    "MAX_NEWTON_ITERATIONS",
+]
 
 SourceValue = Union[float, Callable[[float], float]]
 
 _GROUND = "0"
 _GMIN = 1e-12  # minimum conductance added across nonlinear junctions
+
+# The Newton policy of every transient step.  These are not settings: the
+# simulator reads them from this module when it runs.
+#: max-norm change between Newton iterates below which a step has converged
+NEWTON_TOLERANCE = 1e-9
+#: Newton iteration cap per time step (and for the operating point)
+MAX_NEWTON_ITERATIONS = 60
 
 
 def _evaluate_source(value: SourceValue, t: float) -> float:
@@ -321,21 +334,19 @@ class Circuit:
 
 @dataclass
 class TransientSettings:
-    """Transient-analysis settings of the MNA simulator."""
+    """Transient-analysis settings of the MNA simulator.
+
+    The Newton policy is the module constants :data:`NEWTON_TOLERANCE`
+    and :data:`MAX_NEWTON_ITERATIONS`.
+    """
 
     step_size: float = 2e-4
-    newton_tolerance: float = 1e-9
-    max_newton_iterations: int = 60
     record_interval: float = 0.0
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on invalid settings."""
         if self.step_size <= 0.0:
             raise ConfigurationError("step size must be positive")
-        if self.newton_tolerance <= 0.0:
-            raise ConfigurationError("Newton tolerance must be positive")
-        if self.max_newton_iterations < 1:
-            raise ConfigurationError("max Newton iterations must be >= 1")
 
 
 class MNATransientSimulator:
@@ -556,8 +567,7 @@ class MNATransientSimulator:
     # ------------------------------------------------------------------ #
     def _newton(self, system, guess: np.ndarray, t: float, stats: SolverStats) -> np.ndarray:
         """Newton-Raphson on ``system(guess) -> (a, b)`` from ``guess``."""
-        settings = self.settings
-        for _ in range(settings.max_newton_iterations):
+        for _ in range(MAX_NEWTON_ITERATIONS):
             a, b = system(guess)
             stats.n_jacobian_evaluations += 1
             try:
@@ -568,7 +578,7 @@ class MNATransientSimulator:
             stats.n_newton_iterations += 1
             change = float(np.max(np.abs(new_guess - guess))) if guess.size else 0.0
             guess = new_guess
-            if change <= settings.newton_tolerance:
+            if change <= NEWTON_TOLERANCE:
                 return guess
         raise ConvergenceError(f"MNA Newton iteration did not converge at t={t:.6g}")
 

@@ -1,4 +1,4 @@
-"""Damped Newton-Raphson solver for nonlinear algebraic systems.
+"""Newton-Raphson solver for nonlinear algebraic systems.
 
 Conventional analogue simulators solve a nonlinear algebraic system at
 every time step with Newton-Raphson; the paper identifies exactly this
@@ -40,10 +40,9 @@ def newton_solve(
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tolerance: float = 1e-9,
     max_iterations: int = 50,
-    damping: float = 1.0,
     raise_on_failure: bool = True,
 ) -> NewtonResult:
-    """Solve ``residual(z) = 0`` by (optionally damped) Newton-Raphson.
+    """Solve ``residual(z) = 0`` by full-step Newton-Raphson.
 
     Parameters
     ----------
@@ -68,8 +67,6 @@ def newton_solve(
         residual norm raises at once when ``raise_on_failure`` is set: a
         non-finite residual spreads through every later iterate, so the
         remaining iterations could not converge.
-    damping:
-        Step damping factor in (0, 1]; 1 is a full Newton step.
     """
     z = np.array(initial_guess, dtype=float, copy=True)
     n_f = 0
@@ -105,7 +102,7 @@ def newton_solve(
             # regularise a singular iteration matrix and keep going
             jac_reg = jac + np.eye(jac.shape[0]) * 1e-12
             delta = np.linalg.lstsq(jac_reg, -f, rcond=None)[0]
-        z = z + damping * delta
+        z = z + delta
         f = np.asarray(residual(z), dtype=float)
         n_f += 1
         norm = float(np.max(np.abs(f)))

@@ -6,8 +6,6 @@ hardware, so the reproduction uses the closest available ground truth: the
 same nonlinear block model integrated by ``scipy.integrate.solve_ivp``
 (LSODA / Radau) at tight tolerances, with the algebraic terminal variables
 resolved exactly by Newton iteration inside every derivative evaluation.
-An optional parasitic-leakage perturbation mimics the effects the paper
-lists as causes of the residual simulation/measurement mismatch.
 
 The class shares the other solvers' wiring surface and trace recorder
 (:class:`~repro.core.solver.WiredSolver`) so the same harvester wiring and
@@ -28,6 +26,7 @@ from ..core.digital import DigitalEventKernel
 from ..core.elimination import SystemAssembler
 from ..core.errors import ConfigurationError
 from ..core.results import SimulationResult, SolverStats
+from ..core.serialise import register_serialisable
 from ..core.solver import WiredSolver
 from .newton_raphson import newton_solve
 
@@ -43,10 +42,9 @@ class ReferenceSolverSettings:
     atol: float = 1e-10
     max_step: float = 1e-3
     record_interval: float = 1e-3
-    #: extra conductance (S) across the storage terminals emulating leakage
-    #: and parasitic losses present in the physical device but not in the
-    #: nominal model (set to 0 for an exact-model reference)
-    parasitic_conductance_s: float = 0.0
+
+
+register_serialisable(ReferenceSolverSettings)
 
 
 class ReferenceSolver(WiredSolver):
@@ -60,11 +58,6 @@ class ReferenceSolver(WiredSolver):
     ) -> None:
         super().__init__(assembler, digital_kernel)
         self.settings = settings or ReferenceSolverSettings()
-        self._storage_terminal_index: Optional[int] = None
-
-    def enable_parasitic_losses(self, block_name: str = "storage", terminal: str = "Vc") -> None:
-        """Add the configured parasitic conductance across a voltage net."""
-        self._storage_terminal_index = self.assembler.net_index(block_name, terminal)
 
     # ------------------------------------------------------------------ #
     # derivative with exact terminal elimination
@@ -75,17 +68,6 @@ class ReferenceSolver(WiredSolver):
 
         def residual(y: np.ndarray) -> np.ndarray:
             _, fy = self.assembler.full_residual(t, x, y)
-            if (
-                self._storage_terminal_index is not None
-                and self.settings.parasitic_conductance_s > 0.0
-            ):
-                # parasitic leakage adds an extra current draw at the storage
-                # node; the storage KCL is the last algebraic equation
-                fy = fy.copy()
-                fy[-1] -= (
-                    self.settings.parasitic_conductance_s
-                    * y[self._storage_terminal_index]
-                )
             return fy
 
         outcome = newton_solve(
@@ -183,7 +165,6 @@ class ReferenceSolver(WiredSolver):
         )
         result.metadata["method"] = settings.method
         result.metadata["rtol"] = settings.rtol
-        result.metadata["parasitic_conductance_s"] = settings.parasitic_conductance_s
         return result
 
     # ------------------------------------------------------------------ #

@@ -157,12 +157,16 @@ def decode_value(data: object) -> object:
 
 
 # ---------------------------------------------------------------------- #
-# core solver settings are registered here (the harvester configuration
-# classes register themselves in repro.harvester.config, the excitation
-# schedule in repro.harvester.scenarios)
+# core solver settings and the baselines' implicit formulas are registered
+# here (the harvester configuration classes register themselves in
+# repro.harvester.config, the excitation schedule in
+# repro.harvester.scenarios, the baseline solvers' settings in their own
+# modules)
 # ---------------------------------------------------------------------- #
+from .integrators import ImplicitFormula  # noqa: E402
 from .solver import SolverSettings  # noqa: E402  (registration, not cycle)
 from .stepper import StepControlSettings  # noqa: E402
 
 register_serialisable(StepControlSettings)
 register_serialisable(SolverSettings)
+register_serialisable(ImplicitFormula)

@@ -9,12 +9,14 @@ tests force either change to be deliberate — update the snapshot below
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import repro
 import repro.api
+import repro.baselines
 
 #: the pinned public surface of the top-level ``repro`` namespace
 EXPECTED_ALL = [
@@ -131,6 +133,40 @@ def test_step_control_settings_fields_are_pinned():
         field.name for field in dataclasses.fields(repro.core.StepControlSettings)
     )
     assert fields == EXPECTED_STEP_CONTROL_FIELDS
+
+
+#: the baselines' settable values; the Newton policies are module
+#: constants (implicit_solver's NEWTON_TOLERANCE, MAX_NEWTON_ITERATIONS and
+#: STEP_HALVING_ATTEMPTS, mna's NEWTON_TOLERANCE and MAX_NEWTON_ITERATIONS)
+EXPECTED_BASELINE_SETTINGS_FIELDS = {
+    "ImplicitSolverSettings": ("step_size", "record_interval"),
+    "TransientSettings": ("step_size", "record_interval"),
+    "ReferenceSolverSettings": (
+        "method",
+        "rtol",
+        "atol",
+        "max_step",
+        "record_interval",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_BASELINE_SETTINGS_FIELDS))
+def test_baseline_settings_fields_are_pinned(name):
+    cls = getattr(repro.baselines, name)
+    fields = tuple(field.name for field in dataclasses.fields(cls))
+    assert fields == EXPECTED_BASELINE_SETTINGS_FIELDS[name]
+
+
+def test_newton_solve_parameters_are_pinned():
+    assert tuple(inspect.signature(repro.baselines.newton_solve).parameters) == (
+        "residual",
+        "initial_guess",
+        "jacobian",
+        "tolerance",
+        "max_iterations",
+        "raise_on_failure",
+    )
 
 
 def test_every_exported_name_resolves():

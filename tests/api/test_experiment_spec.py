@@ -8,9 +8,14 @@ by name instead of silently dropped.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import (
     ExperimentSpec,
     RunOptions,
@@ -19,8 +24,9 @@ from repro import (
     scenario_1,
 )
 from repro.api.experiment import SweepAxis, SweepSpec, scenario_from_dict
+from repro.baselines import ImplicitSolverSettings, ReferenceSolverSettings
 from repro.core.errors import ConfigurationError
-from repro.core.integrators import AdamsBashforth
+from repro.core.integrators import AdamsBashforth, Trapezoidal
 from repro.core.solver import SolverSettings
 from repro.core.spec import BlockSpec
 from repro.harvester.scenarios import Scenario
@@ -199,6 +205,86 @@ def test_factory_and_inline_forms_hash_identically(tmp_path):
     factory_form = load_experiment(str(path))
     fluent_form = Study.scenario(charging_scenario(duration_s=0.25)).to_spec()
     assert factory_form.content_hash() == fluent_form.content_hash()
+
+
+def table1_baseline_study():
+    """The Table I Newton-Raphson leg with its settings given explicitly."""
+    return Study.scenario(charging_scenario(0.02)).solver(
+        "baseline",
+        formula=Trapezoidal,
+        settings=ImplicitSolverSettings(step_size=2e-4, record_interval=1e-3),
+    )
+
+
+def reference_study():
+    return Study.scenario(charging_scenario(0.02)).solver(
+        "reference",
+        settings=ReferenceSolverSettings(rtol=1e-7, atol=1e-9, record_interval=2e-3),
+    )
+
+
+@pytest.mark.parametrize(
+    "study_factory", [table1_baseline_study, reference_study], ids=["nr", "reference"]
+)
+def test_baseline_settings_spec_round_trips(tmp_path, study_factory):
+    study = study_factory()
+    spec = study.to_spec(name="leg")
+    loaded = through_dict(spec)
+    assert loaded.content_hash() == spec.content_hash()
+    assert loaded.solver_kwargs == spec.solver_kwargs
+    assert_plans_equal(study, Study.from_spec(loaded))
+
+    path = tmp_path / "leg.toml"
+    save_experiment(spec, str(path))
+    assert load_experiment(str(path)).content_hash() == spec.content_hash()
+
+
+def test_table1_baseline_example_is_the_fluent_study():
+    path = Path(__file__).parents[2] / "examples" / "experiments" / "table1_baseline.toml"
+    spec = load_experiment(str(path))
+    assert spec.content_hash() == table1_baseline_study().to_spec().content_hash()
+
+
+def test_baseline_settings_decode_in_a_fresh_interpreter():
+    # nothing but ``import repro`` has run: loading the file must register
+    # the baseline settings classes itself
+    spec = table1_baseline_study().to_spec()
+    code = (
+        "import json, sys\n"
+        "from repro import ExperimentSpec\n"
+        "spec = ExperimentSpec.from_dict(json.loads(sys.stdin.read()))\n"
+        "print(spec.content_hash())\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    python_path = os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", code],
+        input=spec.to_json(),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=python_path),
+        check=True,
+    )
+    assert fresh.stdout.strip() == spec.content_hash()
+
+
+@pytest.mark.parametrize(
+    "study_factory, removed",
+    [
+        (table1_baseline_study, "use_analytic_jacobian"),
+        (table1_baseline_study, "newton_tolerance"),
+        (table1_baseline_study, "max_newton_iterations"),
+        (table1_baseline_study, "step_halving_attempts"),
+        (reference_study, "parasitic_conductance_s"),
+    ],
+)
+def test_removed_baseline_setting_is_rejected_by_name(study_factory, removed):
+    data = study_factory().to_spec().to_dict()
+    data["solver_kwargs"]["settings"][removed] = 1
+    with pytest.raises(ConfigurationError, match=removed):
+        ExperimentSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------- #

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines import mna
 from repro.baselines.mna import Circuit, MNATransientSimulator, TransientSettings
 from repro.baselines.spice import SpiceLikeHarvesterSimulator, build_harvester_circuit
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ConvergenceError
 from repro.harvester.config import paper_harvester
 
 
@@ -52,6 +53,23 @@ class TestTransientAnalysis:
         result = sim.run(1e-2)
         assert result["v(out)"].final() == pytest.approx(5.0, rel=1e-6)
         assert result["i(V1)"].final() == pytest.approx(-10.0 / 2000.0, rel=1e-6)
+
+    def test_newton_cap_is_read_from_module_constant(self, monkeypatch):
+        def run():
+            circuit = Circuit()
+            circuit.add_voltage_source("V1", "in", "0", 10.0)
+            circuit.add_resistor("R1", "in", "out", 1000.0)
+            circuit.add_resistor("R2", "out", "0", 1000.0)
+            return MNATransientSimulator(
+                circuit, TransientSettings(step_size=1e-3)
+            ).run(1e-2)
+
+        # a linear circuit needs a second iterate to see the change vanish
+        monkeypatch.setattr(mna, "MAX_NEWTON_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            run()
+        monkeypatch.setattr(mna, "MAX_NEWTON_ITERATIONS", 2)
+        assert run()["v(out)"].final() == pytest.approx(5.0, rel=1e-6)
 
     def test_rc_charging_matches_analytic(self):
         r, c = 1000.0, 1e-6

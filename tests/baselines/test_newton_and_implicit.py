@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines import implicit_solver
 from repro.baselines.implicit_solver import ImplicitNewtonSolver, ImplicitSolverSettings
 from repro.baselines.newton_raphson import newton_solve
 from repro.core.block import LinearBlock
@@ -57,12 +58,6 @@ class TestNewtonSolve:
         result = newton_solve(lambda z: np.array([z[0]]), np.array([0.0]))
         assert result.iterations == 0
 
-    def test_damping(self):
-        result = newton_solve(
-            lambda z: np.array([z[0] ** 3 - 8.0]), np.array([5.0]), damping=0.5
-        )
-        assert result.solution[0] == pytest.approx(2.0)
-
 
 def decay_assembler(rate=3.0, x0=1.0):
     netlist = Netlist()
@@ -97,15 +92,26 @@ class TestImplicitNewtonSolver:
         exact = math.exp(-3.0)
         assert abs(trapezoid["d.x"].final() - exact) < abs(be["d.x"].final() - exact)
 
-    def test_analytic_jacobian_matches_finite_difference_result(self):
-        fd = ImplicitNewtonSolver(
-            decay_assembler(), settings=ImplicitSolverSettings(step_size=1e-2)
-        ).run(0.2)
-        analytic = ImplicitNewtonSolver(
-            decay_assembler(),
-            settings=ImplicitSolverSettings(step_size=1e-2, use_analytic_jacobian=True),
-        ).run(0.2)
-        assert analytic["d.x"].final() == pytest.approx(fd["d.x"].final(), rel=1e-6)
+    def test_newton_policy_is_read_from_module_constants(self, monkeypatch):
+        def run():
+            return ImplicitNewtonSolver(
+                decay_assembler(), settings=ImplicitSolverSettings(step_size=1e-2)
+            ).run(0.1)
+
+        # a linear step converges in one iteration, so a cap of 1 still runs
+        monkeypatch.setattr(implicit_solver, "MAX_NEWTON_ITERATIONS", 1)
+        assert run().stats.n_newton_iterations == 10
+        # no iteration allowed: every attempt fails and the step is halved
+        # STEP_HALVING_ATTEMPTS times before the run gives up
+        monkeypatch.setattr(implicit_solver, "MAX_NEWTON_ITERATIONS", 0)
+        with pytest.raises(ConvergenceError, match="after 6 step halvings"):
+            run()
+        monkeypatch.setattr(implicit_solver, "STEP_HALVING_ATTEMPTS", 2)
+        with pytest.raises(ConvergenceError, match="after 2 step halvings"):
+            run()
+        # a tolerance every guess meets takes no iteration at all
+        monkeypatch.setattr(implicit_solver, "NEWTON_TOLERANCE", math.inf)
+        assert run().stats.n_newton_iterations == 0
 
     def test_probe_and_accessors(self):
         solver = ImplicitNewtonSolver(

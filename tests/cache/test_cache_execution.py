@@ -15,7 +15,9 @@ import pytest
 
 import repro.cache.store as cache_store
 from repro import RunOptions, Study, charging_scenario
+from repro.baselines import ImplicitSolverSettings, ReferenceSolverSettings
 from repro.cache import ResultStore
+from repro.core.integrators import Trapezoidal
 
 
 def single_study(tmp_path, mode="readwrite", **overrides):
@@ -118,6 +120,50 @@ def test_compare_legs_cache_individually(tmp_path):
     )
 
 
+def assert_runs_byte_identical(a, b):
+    assert a.trace_names() == b.trace_names()
+    for name in a.trace_names():
+        assert a[name].times.tobytes() == b[name].times.tobytes()
+        assert a[name].values.tobytes() == b[name].values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "solver, solver_kwargs",
+    [
+        (
+            "baseline",
+            {
+                "formula": Trapezoidal,
+                "settings": ImplicitSolverSettings(
+                    step_size=2e-4, record_interval=1e-3
+                ),
+            },
+        ),
+        ("reference", {"settings": ReferenceSolverSettings(rtol=1e-7, atol=1e-9)}),
+    ],
+    ids=["table1_nr_leg", "reference"],
+)
+def test_baseline_leg_with_settings_misses_then_hits(tmp_path, solver, solver_kwargs):
+    def study(options):
+        return (
+            Study.scenario(charging_scenario(duration_s=0.02))
+            .solver(solver, **solver_kwargs)
+            .options(options)
+        )
+
+    options = RunOptions(cache="readwrite", cache_dir=str(tmp_path))
+    cold = study(options).run()
+    assert cold.metadata["cache"] == "miss"
+    warm = study(options).run()
+    assert warm.metadata["cache"] == "hit"
+
+    plain = study(RunOptions()).run()
+    assert_runs_byte_identical(warm, plain)
+    assert_runs_byte_identical(cold, plain)
+    assert warm.stats.n_newton_iterations == plain.stats.n_newton_iterations
+    assert warm.stats.n_function_evaluations == plain.stats.n_function_evaluations
+
+
 # ---------------------------------------------------------------------- #
 # sweeps (engine path, scalar path, worker processes and lanes)
 # ---------------------------------------------------------------------- #
@@ -201,6 +247,41 @@ def test_sweep_cache_and_checkpoint_share_one_fingerprint(tmp_path):
     exact = SweepEngine(RunOptions())._checkpoint_metadata(sweep)
     held = SweepEngine(RunOptions.fast(3))._checkpoint_metadata(sweep)
     assert exact["grid"] != held["grid"]
+
+
+def test_exact_profile_spellings_share_one_fingerprint():
+    assert RunOptions().fingerprint() == RunOptions(relinearise_interval=1).fingerprint()
+    assert RunOptions.fast(1).fingerprint() == RunOptions().fingerprint()
+    assert RunOptions.fast(2).fingerprint() != RunOptions().fingerprint()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [({}, {"relinearise_interval": 1}), ({"relinearise_interval": 1}, {})],
+    ids=["default_then_1", "1_then_default"],
+)
+def test_exact_profile_spellings_share_cache_entries(tmp_path, first, second):
+    cache = {"cache": "readwrite", "cache_dir": str(tmp_path)}
+    cold = sweep_study(RunOptions(**first, **cache)).run()
+    assert cold.engine_info.n_cache_hits == 0
+    warm = sweep_study(RunOptions(**second, **cache)).run()
+    assert warm.engine_info.n_cache_hits == len(warm.points)
+    assert warm.engine_info.n_evaluated == 0
+    assert [p.score for p in warm.points] == [p.score for p in cold.points]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [({}, {"relinearise_interval": 1}), ({"relinearise_interval": 1}, {})],
+    ids=["default_then_1", "1_then_default"],
+)
+def test_exact_profile_spellings_resume_one_checkpoint(tmp_path, first, second):
+    path = str(tmp_path / "sweep.csv")
+    full = sweep_study(RunOptions(**first, checkpoint_path=path)).run()
+    resumed = sweep_study(RunOptions(**second, checkpoint_path=path)).run()
+    assert resumed.engine_info.n_resumed == len(full.points)
+    assert resumed.engine_info.n_evaluated == 0
+    assert [p.score for p in resumed.points] == [p.score for p in full.points]
 
 
 def test_checkpoint_config_hash_is_pinned():
