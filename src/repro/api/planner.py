@@ -313,15 +313,11 @@ def _execute_single(
         )
     elif solver == "baseline":
         _reject_proposed_only_options(options, solver)
+        _reject_unknown_solver_kwargs(solver_kwargs, solver)
         result = _simulate_baseline(scenario, **dict(solver_kwargs))
     else:  # reference — _check_solver already validated the name
         _reject_proposed_only_options(options, solver)
-        unknown = sorted(set(solver_kwargs) - {"settings"})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown keyword arguments {unknown} for the reference "
-                "solver; it takes settings=ReferenceSolverSettings(...) only"
-            )
+        _reject_unknown_solver_kwargs(solver_kwargs, solver)
         result = _simulate_reference(
             scenario, settings=dict(solver_kwargs).get("settings")
         )
@@ -343,6 +339,27 @@ def _execute_single(
                 )
         result.metadata["cache"] = "miss"
     return RunHandle(result, scenario=scenario)
+
+
+#: the keyword arguments each baseline solver family takes
+_SOLVER_KWARGS = {
+    "baseline": ("formula", "settings"),
+    "reference": ("settings",),
+}
+
+
+def _reject_unknown_solver_kwargs(
+    solver_kwargs: Mapping[str, object], solver: str
+) -> None:
+    """Name a keyword a baseline family does not take before building it,
+    rather than fail inside the solver's constructor."""
+    accepted = _SOLVER_KWARGS[solver]
+    unknown = sorted(set(solver_kwargs) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown keyword arguments {unknown} for the {solver} solver; "
+            f"it takes {list(accepted)}"
+        )
 
 
 def _reject_proposed_only_options(options: RunOptions, solver: str) -> None:

@@ -113,25 +113,25 @@ class ImplicitNewtonSolver(WiredSolver):
         t_next: float,
         h: float,
         x_current: np.ndarray,
-        fx_current: np.ndarray,
+        explicit_part: np.ndarray,
     ) -> np.ndarray:
         n_states = self.assembler.n_states
         x_next = z[:n_states]
         y_next = z[n_states:]
         fx_next, fy_next = self.assembler.full_residual(t_next, x_next, y_next)
-        r_x = self.formula.residual(x_next, fx_next, x_current, fx_current, h)
+        r_x = self.formula.residual_given(x_next, fx_next, x_current, explicit_part, h)
         return np.concatenate([r_x, fy_next])
 
     def _device_jacobian(
-        self, t_next: float, h: float, x_current: np.ndarray, fx_current: np.ndarray
+        self, t_next: float, h: float, x_current: np.ndarray, explicit_part: np.ndarray
     ):
         """Finite-difference Newton Jacobian of :meth:`_step_residual`,
         built block by block; bitwise the dense matrix."""
-        formula = self.formula
+        residual_given = self.formula.residual_given
 
         def state_rows(states: slice, x_local: np.ndarray, fx_local: np.ndarray):
-            return formula.residual(
-                x_local, fx_local, x_current[states], fx_current[states], h
+            return residual_given(
+                x_local, fx_local, x_current[states], explicit_part[states], h
             )
 
         return lambda z: self.assembler.step_jacobian(t_next, z, state_rows)
@@ -234,16 +234,18 @@ class ImplicitNewtonSolver(WiredSolver):
 
         fx_current, _ = assembler.full_residual(self._t, self._x, self._y)
         stats.n_function_evaluations += 1
+        # the residual's (1 - theta) f_n, the same for every attempt
+        explicit_part = self.formula.explicit_part(fx_current)
 
         attempt_h = h
         for attempt in range(STEP_HALVING_ATTEMPTS + 1):
             t_next = self._t + attempt_h
             guess = np.concatenate([self._x, self._y])
-            jacobian = self._device_jacobian(t_next, attempt_h, self._x, fx_current)
+            jacobian = self._device_jacobian(t_next, attempt_h, self._x, explicit_part)
             try:
                 outcome = newton_solve(
                     lambda z: self._step_residual(
-                        z, t_next, attempt_h, self._x, fx_current
+                        z, t_next, attempt_h, self._x, explicit_part
                     ),
                     guess,
                     jacobian=jacobian,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..core.digital import DigitalEventKernel
 from ..core.elimination import SystemAssembler
@@ -91,6 +90,10 @@ class ReferenceSolver(WiredSolver):
         x0: Optional[np.ndarray] = None,
     ) -> SimulationResult:
         """Integrate the model from ``t_start`` to ``t_end``."""
+        # imported here: scipy.integrate takes longer to load than the
+        # rest of the package, and most runs never reach this solver
+        from scipy.integrate import solve_ivp
+
         if t_end <= t_start:
             raise ConfigurationError("t_end must be greater than t_start")
         settings = self.settings

@@ -23,7 +23,7 @@ control input.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,6 +204,8 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         self.params = params
         self._acceleration = acceleration
         self._tuning_force = 0.0
+        #: ``(params, tuning force, jxx, jxy)`` of the last :meth:`_stamps`
+        self._stamp_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # tuning
@@ -256,8 +258,19 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
     # ------------------------------------------------------------------ #
     # model equations (Eq. 13)
     # ------------------------------------------------------------------ #
-    def _matrices(self, t: float):
+    def _stamps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The constant Eq. (13) ``jxx`` and ``jxy``, read-only.
+
+        Built once per ``(params, tuning force)`` and shared by every
+        call until either changes: the parameters by identity (they are a
+        hashable value, never mutated), the force by ``==`` (``0.0`` and
+        ``-0.0`` give the same stiffness; a NaN force rebuilds each call).
+        """
         p = self.params
+        force = self._tuning_force
+        cache = self._stamp_cache
+        if cache is not None and cache[0] is p and cache[1] == force:
+            return cache[2], cache[3]
         m = p.proof_mass_kg
         jxx = np.array(
             [
@@ -273,6 +286,15 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
                 [-1.0 / p.coil_inductance, 0.0],
             ]
         )
+        jxx.flags.writeable = False
+        jxy.flags.writeable = False
+        self._stamp_cache = (p, force, jxx, jxy)
+        return jxx, jxy
+
+    def _matrices(self, t: float):
+        jxx, jxy = self._stamps()
+        p = self.params
+        m = p.proof_mass_kg
         f_a = m * float(self._acceleration(t))
         f_tz = p.tuning_force_z_fraction * self._tuning_force
         ex = np.array([0.0, (f_a - f_tz) / m, 0.0])

@@ -30,7 +30,7 @@ voltages ``V1 ... Vn``.  The block contributes two algebraic constraints:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class DicksonMultiplier(AnalogueBlock):
         analytic Jacobians against finite differences.
     """
 
+    #: size at which the exact-diode memo is emptied
+    _DIODE_MEMO_SIZE = 256
+
     def __init__(
         self,
         n_stages: int = 5,
@@ -118,6 +121,9 @@ class DicksonMultiplier(AnalogueBlock):
         self._diode = ShockleyDiode(diode_params)
         self.companion_table = companion_table or build_diode_companion_table(diode_params)
         self._use_exact = use_exact_diode_in_derivatives
+        #: exact branch currents by branch-voltage bit pattern (see
+        #: :meth:`_diode_currents`); run state, in no spec or cache key
+        self._diode_memo: Dict[int, float] = {}
 
         # pump pattern: odd stages (0-based even indices) driven by the
         # input node, output stage always grounded
@@ -159,10 +165,32 @@ class DicksonMultiplier(AnalogueBlock):
         return a
 
     def _diode_currents(self, vd: np.ndarray) -> np.ndarray:
-        """Exact or table-based diode currents depending on configuration."""
-        if self._use_exact:
-            return np.array([self._diode.current(float(v)) for v in vd])
-        return np.array([self.companion_table.branch_current(float(v)) for v in vd])
+        """Exact or table-based diode currents depending on configuration.
+
+        The exact path bypasses a diode whose branch voltage is bitwise one
+        the block has solved since its memo was last cleared (every chain
+        diode shares one :class:`ShockleyDiode`), so a finite-difference
+        column that moves two diodes solves two.  The key is the float's
+        bit pattern: ``-0.0`` and ``0.0`` are different keys and a NaN is
+        never stored.  A call empties the memo once it holds
+        :attr:`_DIODE_MEMO_SIZE` voltages.
+        """
+        if not self._use_exact:
+            return np.array([self.companion_table.branch_current(float(v)) for v in vd])
+        vd = np.ascontiguousarray(vd, dtype=float)
+        memo = self._diode_memo
+        if len(memo) >= self._DIODE_MEMO_SIZE:
+            memo.clear()
+        solve = self._diode.current
+        currents = []
+        for v, key in zip(vd.tolist(), vd.view(np.int64).tolist()):
+            i = memo.get(key)
+            if i is None:
+                i = solve(v)
+                if v == v:
+                    memo[key] = i
+            currents.append(i)
+        return np.array(currents)
 
     # ------------------------------------------------------------------ #
     # nonlinear model (used by the NR baselines and the reference solver)

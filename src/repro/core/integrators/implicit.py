@@ -44,20 +44,31 @@ class ImplicitFormula:
         h: float,
     ) -> np.ndarray:
         """Evaluate the discretisation residual for a candidate ``x_{n+1}``."""
-        return (
-            x_next
-            - x_current
-            - h * (self.theta * f_next + (1.0 - self.theta) * f_current)
+        return self.residual_given(
+            x_next, f_next, x_current, self.explicit_part(f_current), h
         )
+
+    def explicit_part(self, f_current: np.ndarray) -> np.ndarray:
+        """``(1-theta) * f_n``: the residual's term fixed for the whole step."""
+        return (1.0 - self.theta) * f_current
+
+    def residual_given(
+        self,
+        x_next: np.ndarray,
+        f_next: np.ndarray,
+        x_current: np.ndarray,
+        explicit_part: np.ndarray,
+        h: float,
+    ) -> np.ndarray:
+        """:meth:`residual` with ``(1-theta) * f_n`` formed once by
+        :meth:`explicit_part` (element-wise, so a slice of it is the term
+        of the matching slice of ``f_n``); the same floats."""
+        return x_next - x_current - h * (self.theta * f_next + explicit_part)
 
     def jacobian(self, df_dx_next: np.ndarray, h: float) -> np.ndarray:
         """Jacobian of the residual w.r.t. ``x_{n+1}``: ``I - h*theta*df/dx``."""
         n = df_dx_next.shape[0]
         return np.eye(n) - h * self.theta * df_dx_next
-
-    def explicit_part_weight(self) -> float:
-        """Weight of the already-known derivative ``f_n`` in the update."""
-        return 1.0 - self.theta
 
 
 #: Backward (implicit) Euler: first order, L-stable, the SPICE default

@@ -133,6 +133,20 @@ class TestCompare:
         with pytest.raises(ConfigurationError, match="rtol"):
             study.run()
 
+    def test_baseline_solver_rejects_unknown_kwargs_before_building(self, monkeypatch):
+        from repro.api import planner
+
+        def never(*args, **kwargs):
+            raise AssertionError("the baseline was built")
+
+        monkeypatch.setattr(planner, "_simulate_baseline", never)
+        study = Study.scenario(scenario()).solver("baseline", max_iterations=40)
+        with pytest.raises(ConfigurationError) as info:
+            study.run()
+        message = str(info.value)
+        assert "max_iterations" in message
+        assert "'formula'" in message and "'settings'" in message
+
     def test_missing_solver_lookup_raises_keyerror(self):
         comparison = ComparisonResult(
             {"proposed": Study.scenario(scenario()).run()}
