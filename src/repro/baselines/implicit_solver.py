@@ -14,6 +14,7 @@ model as the fast solver, but the way such tools do it:
   column re-evaluates only the blocks that read its variable and fills
   only their rows, as a conventional simulator re-evaluates each model
   and stamps it into its own rows and columns (it has no lookup tables).
+  A block evaluates all of its perturbed columns in one stacked call.
   The matrix is bitwise the dense finite-difference Jacobian of the whole
   step residual;
 * the time step is fixed and fine ("less than a millisecond", as the
@@ -129,6 +130,7 @@ class ImplicitNewtonSolver(WiredSolver):
         built block by block; bitwise the dense matrix."""
         residual_given = self.formula.residual_given
 
+        # element-wise, so a block's (P, n_states) stacks broadcast
         def state_rows(states: slice, x_local: np.ndarray, fx_local: np.ndarray):
             return residual_given(
                 x_local, fx_local, x_current[states], explicit_part[states], h

@@ -32,6 +32,7 @@ from ..core.block import (
     BatchedLinearisation,
     BlockLinearisation,
     PreparedBlockLineariser,
+    add_keeping_first_nan,
 )
 from ..core.errors import ConfigurationError
 from .tuning import MagneticTuningModel
@@ -304,9 +305,26 @@ class ElectromagneticMicrogenerator(AnalogueBlock):
         jxx, jxy, ex = self._matrices(t)
         return jxx @ x + jxy @ y + ex
 
+    def derivatives_at(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`derivatives` at ``P`` points: the same matrix-vector
+        products, stacked, and the same sums, each keeping its first
+        operand's NaN as the three-element additions of the scalar call
+        do, so bitwise each point's call."""
+        jxx, jxy, ex = self._matrices(t)
+        products = add_keeping_first_nan(
+            np.matmul(jxx, x[..., None])[..., 0], np.matmul(jxy, y[..., None])[..., 0]
+        )
+        return add_keeping_first_nan(products, ex)
+
     def algebraic_residual(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # Im (terminal 1) equals the coil current iL (state 2)
         return np.array([y[1] - x[2]])
+
+    def algebraic_residuals_at(
+        self, t: float, x: np.ndarray, y: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`algebraic_residual` at ``P`` points, bitwise each point's call."""
+        return (y[:, 1] - x[:, 2])[:, None]
 
     def linearise(self, t: float, x: np.ndarray, y: np.ndarray) -> BlockLinearisation:
         jxx, jxy, ex = self._matrices(t)

@@ -182,6 +182,21 @@ class Supercapacitor(AnalogueBlock):
         shunt_current = self._shunt_conductance() * vc
         return np.array([ic - branch_current - shunt_current])
 
+    def derivatives_at(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`derivatives` at ``P`` points, bitwise each point's call."""
+        return self._branch_conductances() * (y[:, :1] - x) / self._branch_capacitances()
+
+    def algebraic_residuals_at(
+        self, t: float, x: np.ndarray, y: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`algebraic_residual` at ``P`` points, bitwise each point's
+        call: each point's branch currents summed by ``np.sum`` over its row."""
+        vc = y[:, 0]
+        g = self._branch_conductances()
+        branch_current = np.sum(g * (vc[:, None] - x), axis=1)
+        shunt_current = self._shunt_conductance() * vc
+        return (y[:, 1] - branch_current - shunt_current)[:, None]
+
     def linearise(self, t: float, x: np.ndarray, y: np.ndarray) -> BlockLinearisation:
         g = self._branch_conductances()
         c = self._branch_capacitances()

@@ -39,6 +39,7 @@ from ..core.block import (
     BatchedLinearisation,
     BlockLinearisation,
     PreparedBlockLineariser,
+    add_keeping_first_nan,
 )
 from ..core.errors import ConfigurationError
 from ..core.pwl import CompanionTable
@@ -196,27 +197,61 @@ class DicksonMultiplier(AnalogueBlock):
     # nonlinear model (used by the NR baselines and the reference solver)
     # ------------------------------------------------------------------ #
     def derivatives(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        _vm, im, _vc, ic = y
-        coefficients = self._vd_coefficients
-        vd = coefficients @ x
-        i_d = self._diode_currents(vd)
+        # the loops run on Python floats: the same IEEE-754 operations as
+        # on NumPy scalars, without indexing an array per term
+        _vm, im, _vc, ic = np.asarray(y, dtype=float).tolist()
+        i_d = self._diode_currents(self._vd_coefficients @ x).tolist()
+        caps = self.capacitances.tolist()
         n = self.n_stages
-        dxdt = np.zeros(n + 1)
-        # input node: Cin dVin/dt = Im - sum of pump-capacitor currents
+        # input node: Cin dVin/dt = Im - sum of pump-capacitor currents;
+        # given two NaNs the sum keeps the term's, as NumPy scalars did (a
+        # Python float addition keeps either, depending on the interpreter)
         pump_current = 0.0
         for k in range(n):
             if self._pump_active[k]:
                 downstream = i_d[k + 1] if k + 1 < n else ic
-                pump_current += downstream - i_d[k]
-        dxdt[0] = (im - pump_current) / self.input_capacitance_f
-        for k in range(n - 1):
-            dxdt[k + 1] = (i_d[k] - i_d[k + 1]) / self.capacitances[k]
-        dxdt[n] = (i_d[n - 1] - ic) / self.capacitances[n - 1]
+                term = downstream - i_d[k]
+                pump_current = term if term != term else pump_current + term
+        dxdt = [(im - pump_current) / self.input_capacitance_f]
+        dxdt += [(i_d[k] - i_d[k + 1]) / caps[k] for k in range(n - 1)]
+        dxdt.append((i_d[n - 1] - ic) / caps[n - 1])
+        return np.array(dxdt)
+
+    def derivatives_at(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`derivatives` at ``P`` points, bitwise each point's call.
+
+        ``vd`` is the stacked ``matmul`` of :meth:`batched_lineariser`; the
+        ``P * n`` branch voltages go through one :meth:`_diode_currents`
+        call, point by point, and the pump and stage sums keep the scalar
+        order, element-wise across the points (the pump sum keeping each
+        term's NaN, as the scalar loop does).
+        """
+        n = self.n_stages
+        vd = np.matmul(self._vd_coefficients, x[..., None])[..., 0]
+        i_d = self._diode_currents(vd.ravel()).reshape(vd.shape)
+        im = y[:, 1]
+        ic = y[:, 3]
+        pump_current = np.zeros(len(x))
+        for k in range(n):
+            if self._pump_active[k]:
+                downstream = i_d[:, k + 1] if k + 1 < n else ic
+                pump_current = add_keeping_first_nan(downstream - i_d[:, k], pump_current)
+        caps = self.capacitances
+        dxdt = np.empty((len(x), n + 1))
+        dxdt[:, 0] = (im - pump_current) / self.input_capacitance_f
+        dxdt[:, 1:n] = (i_d[:, :-1] - i_d[:, 1:]) / caps[:-1]
+        dxdt[:, n] = (i_d[:, n - 1] - ic) / caps[n - 1]
         return dxdt
 
     def algebraic_residual(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         vm, _im, vc, _ic = y
         return np.array([vm - x[0], vc - x[-1]])
+
+    def algebraic_residuals_at(
+        self, t: float, x: np.ndarray, y: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`algebraic_residual` at ``P`` points, bitwise each point's call."""
+        return np.stack([y[:, 0] - x[:, 0], y[:, 2] - x[:, -1]], axis=1)
 
     # ------------------------------------------------------------------ #
     # table-based analytic linearisation (used by the fast solver)

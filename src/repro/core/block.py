@@ -41,11 +41,26 @@ __all__ = [
     "LinearBlock",
     "Terminal",
     "LINEARISATION_FIELDS",
+    "add_keeping_first_nan",
 ]
 
 #: field names of a (batched) linearisation, in canonical order — the only
 #: names a :class:`PreparedBlockLineariser` may declare ``constant``
 LINEARISATION_FIELDS = ("jxx", "jxy", "ex", "jyx", "jyy", "ey")
+
+
+def add_keeping_first_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``, with ``a``'s NaN wherever ``a`` is NaN.
+
+    Given two NaNs, NumPy's vectorised addition keeps one or the other
+    depending on the array length and the element's position (SIMD body or
+    tail); given one, it keeps that one.  A stacked evaluation that must be
+    bitwise a scalar call whose addition keeps its first operand's NaN adds
+    through this.
+    """
+    total = a + b
+    np.copyto(total, a, where=a != a)
+    return total
 
 
 @dataclass(frozen=True)
@@ -325,6 +340,40 @@ class AnalogueBlock(ABC):
         case study) should override this for both speed and accuracy.
         """
         return None
+
+    # ------------------------------------------------------------------ #
+    # stacked evaluation (one block, many points)
+    # ------------------------------------------------------------------ #
+    def derivatives_at(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`derivatives` at ``P`` points of this block at one time.
+
+        ``x`` has shape ``(P, n_states)`` and ``y`` ``(P, n_terminals)``;
+        row ``p`` of the ``(P, n_states)`` result is the scalar call at row
+        ``p``.  The default stacks the scalar calls, so every block has it;
+        a vectorised override must be bitwise that stack (same IEEE-754
+        operations, element-wise across the point axis).  The
+        Newton-Raphson baseline evaluates each block's perturbed Jacobian
+        columns through it
+        (:meth:`~repro.core.elimination.SystemAssembler.step_jacobian`).
+        """
+        return np.stack(
+            [np.asarray(self.derivatives(t, xp, yp), dtype=float) for xp, yp in zip(x, y)]
+        )
+
+    def algebraic_residuals_at(
+        self, t: float, x: np.ndarray, y: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`algebraic_residual` at ``P`` points, shape
+        ``(P, n_algebraic)``; the stacked sibling of :meth:`derivatives_at`,
+        under the same bitwise contract."""
+        if not self.n_algebraic:
+            return np.zeros((len(x), 0))
+        return np.stack(
+            [
+                np.asarray(self.algebraic_residual(t, xp, yp), dtype=float)
+                for xp, yp in zip(x, y)
+            ]
+        )
 
     # ------------------------------------------------------------------ #
     # batched (lane-parallel) evaluation

@@ -48,6 +48,7 @@ from .linearise import (
     fast_path_counts,
     linearise_block,
     linearise_block_lanes,
+    stacked_forms,
 )
 from .netlist import Net, Netlist
 
@@ -171,6 +172,23 @@ class _BlockPlan(NamedTuple):
     views: Tuple[np.ndarray, ...]
     jxy_index: np.ndarray
     jyy_index: np.ndarray
+
+
+class _ColumnStack(NamedTuple):
+    """One block's columns and rows of :meth:`SystemAssembler.step_jacobian`.
+
+    ``columns`` are the columns of ``z = [x, y]`` the block reads, its
+    states and then the nets it is wired to, one perturbed point each;
+    ``rows`` (a column vector) the rows of ``[f_x, f_y]`` it writes.  Its
+    terminal ``l`` reads column ``terminal_columns[l]``, which point
+    ``terminal_points[l]`` moves.
+    """
+
+    plan: _BlockPlan
+    columns: np.ndarray
+    rows: np.ndarray
+    terminal_columns: np.ndarray
+    terminal_points: np.ndarray
 
 
 @dataclass
@@ -452,26 +470,33 @@ class SystemAssembler:
         return dxdt, res_y
 
     @cached_property
-    def _readers(self) -> List[List[Tuple[_BlockPlan, np.ndarray]]]:
-        """For each column of ``[x, y]``, the blocks whose equations read it
-        (the block owning the state, or every block wired to the net), in
-        assembly order, each with the rows of ``[f_x, f_y]`` it writes.
+    def _column_stacks(self) -> List[_ColumnStack]:
+        """Each block's share of :meth:`step_jacobian`, in assembly order.
 
         Built on the first :meth:`step_jacobian`, so that the solvers that
         never take one do not pay for it on every system build.
         """
         n = self._n_states
-        readers: List[List[Tuple[_BlockPlan, np.ndarray]]] = [
-            [] for _ in range(n + self._n_terminals)
-        ]
+        stacks = []
         for plan in self._plan:
+            nets = self._structure.terminal_maps[plan.block.name]
+            read_nets = sorted(set(nets.tolist()))
+            n_read = plan.block.n_states + len(read_nets)
+            if not n_read:
+                continue
+            columns = np.r_[plan.states, n + np.asarray(read_nets, dtype=int)]
             rows = np.r_[plan.states, n + plan.rows.start : n + plan.rows.stop]
-            columns = list(range(plan.states.start, plan.states.stop))
-            nets = self._structure.terminal_maps[plan.block.name].tolist()
-            columns += sorted({n + net for net in nets})
-            for column in columns:
-                readers[column].append((plan, rows))
-        return readers
+            stacks.append(
+                _ColumnStack(
+                    plan=plan,
+                    columns=columns,
+                    rows=rows[:, None],
+                    terminal_columns=n + nets,
+                    terminal_points=plan.block.n_states
+                    + np.searchsorted(read_nets, nets),
+                )
+            )
+        return stacks
 
     def step_jacobian(
         self,
@@ -482,15 +507,23 @@ class SystemAssembler:
         """Central-difference Jacobian of a row-local residual of ``z = [x, y]``.
 
         The residual's state rows of each block are
-        ``state_rows(states, x[states], f_x)`` (``f_x`` the block's
-        :meth:`~repro.core.block.AnalogueBlock.derivatives`, ``states`` its
-        slice of the global state vector); its algebraic rows are the
-        block's ``algebraic_residual`` -- the layout :meth:`full_residual`
-        assembles.  Column ``j`` is perturbed by ``±h_j`` exactly as
+        ``state_rows(states, x, f_x)`` (``x`` the block's states at ``P``
+        points, shape ``(P, n_states)``, ``f_x`` its
+        :meth:`~repro.core.block.AnalogueBlock.derivatives` there and
+        ``states`` its slice of the global state vector); its algebraic
+        rows are the block's ``algebraic_residual`` -- the layout
+        :meth:`full_residual` assembles.  Column ``j`` is perturbed by
+        ``±h_j`` exactly as
         :func:`~repro.core.linearise.finite_difference_jacobian` does, but
         only the blocks that read ``z_j`` are re-evaluated, like a circuit
-        simulator stamping each device into its own rows and columns.
-        Every other entry of the column stays 0: each row is written by
+        simulator stamping each device into its own rows and columns.  A
+        block reading ``K`` columns evaluates its ``2K`` perturbed points
+        in one stacked call
+        (:meth:`~repro.core.block.AnalogueBlock.derivatives_at`,
+        ``algebraic_residuals_at``, through
+        :func:`~repro.core.linearise.stacked_forms`) and scatters its
+        ``K`` columns of differences at once.
+        Every other entry of a column stays 0: each row is written by
         exactly one block, so a row of a block that does not read ``z_j``
         has the same value ``a`` at both points and the dense differences
         give ``(a - a) / 2h = 0`` there too.  The result is bitwise the
@@ -500,36 +533,41 @@ class SystemAssembler:
         way.
         """
         jac = np.zeros((self._n_states + self._n_algebraic, z.size))
-        for j, readers in enumerate(self._readers):
-            h = _DEFAULT_EPS * max(1.0, abs(z[j]))
-            plus = z.copy()
-            minus = z.copy()
-            plus[j] += h
-            minus[j] -= h
-            two_h = 2.0 * h
-            for plan, rows in readers:
-                jac[rows, j] = (
-                    self._block_rows(plan, t, plus, state_rows)
-                    - self._block_rows(plan, t, minus, state_rows)
-                ) / two_h
-        return jac
+        # finite_difference_jacobian's steps; np.fmax gives 1.0 for a NaN
+        # z_j as Python's max does
+        h = _DEFAULT_EPS * np.fmax(1.0, np.abs(z))
+        plus = z + h
+        minus = z - h
+        two_h = 2.0 * h
+        for stack in self._column_stacks:
+            plan = stack.plan
+            block = plan.block
+            k = stack.columns.size
+            n_local = block.n_states
+            # the block's inputs at its K plus points, then its K minus
+            # points; point i < n_local moves state i
+            diagonal = np.arange(n_local)
+            x = np.empty((2 * k, n_local))
+            x[...] = z[plan.states]
+            x[diagonal, diagonal] = plus[plan.states]
+            x[k + diagonal, diagonal] = minus[plan.states]
+            terminals = np.arange(block.n_terminals)
+            y = np.empty((2 * k, block.n_terminals))
+            y[...] = z[stack.terminal_columns]
+            y[stack.terminal_points, terminals] = plus[stack.terminal_columns]
+            y[k + stack.terminal_points, terminals] = minus[stack.terminal_columns]
 
-    def _block_rows(
-        self,
-        plan: _BlockPlan,
-        t: float,
-        z: np.ndarray,
-        state_rows: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
-    ) -> np.ndarray:
-        """One block's rows of a :meth:`step_jacobian` residual at ``z``."""
-        block = plan.block
-        x_local = z[: self._n_states][plan.states]
-        y_local = z[self._n_states :][plan.terminals]
-        f_x = np.asarray(block.derivatives(t, x_local, y_local), dtype=float)
-        r_x = state_rows(plan.states, x_local, f_x)
-        if not block.n_algebraic:
-            return r_x
-        return np.concatenate([r_x, block.algebraic_residual(t, x_local, y_local)])
+            derivatives_at, residuals_at = stacked_forms(block)
+            residual = np.empty((2 * k, stack.rows.size))
+            residual[:, :n_local] = state_rows(
+                plan.states, x, derivatives_at(t, x, y)
+            )
+            if block.n_algebraic:
+                residual[:, n_local:] = residuals_at(t, x, y)
+            jac[stack.rows, stack.columns] = (
+                (residual[:k] - residual[k:]) / two_h[stack.columns, None]
+            ).T
+        return jac
 
 
 # ---------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ cross-check the analytic linearisations of the physical blocks.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "linearise_lanes_numerically",
     "linearise_block_lanes",
     "fast_path_counts",
+    "stacked_forms",
 ]
 
 _DEFAULT_EPS = 1e-7
@@ -163,6 +165,37 @@ def fast_path_counts(blocks: Sequence[AnalogueBlock]) -> bool:
         ):
             return False
     return True
+
+
+#: each stacked evaluation form and the scalar method it restates
+_STACKED_FORMS = (
+    ("derivatives_at", "derivatives"),
+    ("algebraic_residuals_at", "algebraic_residual"),
+)
+
+
+def stacked_forms(block: AnalogueBlock) -> Tuple[Callable, Callable]:
+    """The block's ``derivatives_at`` and ``algebraic_residuals_at``, each
+    the per-point default wherever an override would bypass the scalar
+    method it restates.
+
+    An override counts only when the instance's scalar method is its
+    class's own (not assigned on the instance) and is defined in the class
+    that defines the override or in a superclass of it: the check
+    :func:`fast_path_counts` makes for ``batched_lineariser``.
+    """
+    cls = type(block)
+    forms = []
+    for stacked, scalar in _STACKED_FORMS:
+        defining = _defining_class(cls, stacked)
+        if defining is not AnalogueBlock and (
+            scalar in vars(block)
+            or not issubclass(defining, _defining_class(cls, scalar))
+        ):
+            forms.append(partial(getattr(AnalogueBlock, stacked), block))
+        else:
+            forms.append(getattr(block, stacked))
+    return forms[0], forms[1]
 
 
 def linearise_lanes_numerically(
