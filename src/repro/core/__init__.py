@@ -33,7 +33,6 @@ from .elimination import (
     BatchedAssembler,
     BatchedGlobalLinearisation,
     BatchedReducedSystem,
-    GlobalLinearisation,
     ReducedSystem,
     SystemAssembler,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "Netlist",
     "AssemblyStructure",
     "SystemAssembler",
-    "GlobalLinearisation",
     "ReducedSystem",
     # batched (lane-parallel) execution
     "BatchedAssembler",

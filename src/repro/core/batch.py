@@ -113,7 +113,7 @@ class BatchResult:
     ``results[i]`` is lane *i*'s :class:`SimulationResult`, or ``None``
     when the lane was retired on an error; ``failures[i]`` then holds the
     exception (a :class:`StabilityError`, a
-    :class:`~repro.core.errors.SingularSystemError` or whatever the lane's
+    :class:`~repro.core.errors.SingularLaneError` or whatever the lane's
     digital process raised) so the caller can re-run that candidate on
     the exact scalar path.
     """
@@ -473,25 +473,11 @@ class BatchedSolver:
             for row, lane in enumerate(lanes):
                 lane.row = row
 
-        def finalize(i: int, *, consistent: bool = False) -> bool:
-            """Final consistent record + materialised result for lane ``i``.
-
-            With ``consistent=True`` the caller already refreshed ``y``
-            for every lane through one batched assemble/eliminate
-            (bit-identical to the per-lane solve), so the scalar solve
-            is skipped.
-            """
+        def finalize(i: int) -> None:
+            """Final record + materialised result for lane ``i``, whose
+            terminals ``final_terminals`` made consistent."""
             lane = lanes[i]
             t_i = float(s.t[i])
-            if not consistent:
-                lane_assembler = assembler.lane_assembler(i)
-                try:
-                    lin = lane_assembler.assemble(t_i, s.x[i], s.y[i])
-                    lane_reduced = lane_assembler.eliminate(lin, s.x[i])
-                except SingularSystemError as exc:
-                    failures[lane.index] = exc
-                    return False
-                s.y[i] = lane_reduced.y_solution
             recorder.record_lane(i, t_i, s.x[i], s.y[i])
             stats = lane.stats
             jev = int(s.jev[i])
@@ -526,7 +512,39 @@ class BatchedSolver:
             result.metadata["kernel_time_s"] = kernel_time
             result.metadata["refresh_time_s"] = refresh_time
             results[lane.index] = result
-            return True
+
+        def final_terminals(idx: np.ndarray) -> List[int]:
+            """Solve the finishing lanes ``idx``' terminals at their end
+            points from one stacked assemble + eliminate over every active
+            lane; returns the lanes solved.  When that solve is singular
+            each finishing lane is re-solved alone, and fails if singular:
+            an active lane it blames marches on, since its own run need
+            not solve at this point.
+            """
+            try:
+                final = assembler.eliminate(assembler.assemble(s.t, s.x, s.y), s.x)
+            except SingularLaneError:
+                pass
+            else:
+                s.y[idx] = final.y_solution[idx]
+                return idx.tolist()
+            solved = []
+            for i in idx.tolist():
+                alone = assembler.lane_assembler(i)
+                try:
+                    final = alone.eliminate(
+                        alone.assemble(float(s.t[i]), s.x[i], s.y[i]), s.x[i]
+                    )
+                except SingularSystemError:
+                    failures[lanes[i].index] = SingularLaneError(
+                        "terminal-variable elimination failed: J_yy is singular "
+                        f"in lane {lanes[i].index} at its end point",
+                        lane_indices=(lanes[i].index,),
+                    )
+                    continue
+                s.y[i] = final.y_solution
+                solved.append(i)
+            return solved
 
         def fail_lanes(indices: Sequence[int], errors: Sequence[Exception]) -> None:
             for i, error in zip(indices, errors):
@@ -775,28 +793,13 @@ class BatchedSolver:
         s.y = initial.y_solution
 
         while lanes:
-            # 1. finalise lanes that reached their end time.  When every
-            #    active lane finishes together their final consistency
-            #    solve runs once, batched — bit-identical to the per-lane
-            #    solves — instead of once per lane; a singular batched
-            #    solve falls back to the per-lane path so failure blame
-            #    stays lane-accurate.  (``count_nonzero`` tests a mask
-            #    without a ufunc reduction, here and below.)
+            # 1. finalise lanes that reached their end time, their final
+            #    terminals from one stacked solve.  (``count_nonzero`` tests
+            #    a mask without a ufunc reduction, here and below.)
             finished = s.t >= s.t_done
             if np.count_nonzero(finished):
-                idx = np.flatnonzero(finished)
-                consistent = False
-                if idx.size == len(lanes) and idx.size > 1:
-                    try:
-                        lin = assembler.assemble(s.t, s.x, s.y)
-                        final_reduced = assembler.eliminate(lin, s.x)
-                    except (SingularLaneError, SingularSystemError):
-                        consistent = False
-                    else:
-                        s.y = final_reduced.y_solution
-                        consistent = True
-                for i in idx:
-                    finalize(int(i), consistent=consistent)
+                for i in final_terminals(np.flatnonzero(finished)):
+                    finalize(i)
                 drop_lanes(np.flatnonzero(~finished))
                 if not lanes:
                     break

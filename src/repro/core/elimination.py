@@ -5,8 +5,9 @@ together, the terminal variables of each component block will be
 represented by state variables and eliminated.  This enables the whole
 energy harvester model to be described by state equations [...]".
 
-The :class:`SystemAssembler` gathers the per-block linearisations into the
-global linearised model of Eq. (2),
+The :class:`BatchedAssembler` gathers the per-block linearisations of
+``B`` same-topology candidates (one for a single run) into the global
+linearised model of Eq. (2),
 
 .. math::
 
@@ -24,7 +25,10 @@ variables (Eq. 4) and substitutes back, yielding the reduced state model
    A_r = J_{xx} - J_{xy} J_{yy}^{-1} J_{yx}, \\quad
    b_r = e_x - J_{xy} J_{yy}^{-1} e_y
 
-which is what the explicit integrator advances.
+which is what the explicit integrator advances.  A
+:class:`SystemAssembler` holds one candidate's netlist structure; its
+:meth:`~SystemAssembler.assemble` and :meth:`~SystemAssembler.eliminate`
+are lane 0 of a one-lane :class:`BatchedAssembler`.
 """
 
 from __future__ import annotations
@@ -46,15 +50,15 @@ from .errors import ConfigurationError, SingularLaneError, SingularSystemError
 from .linearise import (
     _DEFAULT_EPS,
     fast_path_counts,
-    linearise_block,
+    linearise_block,  # noqa: F401 - perfbench's tracer wraps it here by name
     linearise_block_lanes,
+    stacked_form_overrides,
     stacked_forms,
 )
 from .netlist import Net, Netlist
 
 __all__ = [
     "AssemblyStructure",
-    "GlobalLinearisation",
     "ReducedSystem",
     "SystemAssembler",
     "BatchedGlobalLinearisation",
@@ -154,24 +158,18 @@ def _log_refused(refused: Sequence[str]) -> None:
 
 
 class _BlockPlan(NamedTuple):
-    """Where one block's linearisation lands in the global system.
+    """Where one block sits in the global system.
 
-    Resolved once per :class:`SystemAssembler`, so a step does no netlist
-    look-ups: ``states``/``rows`` slice the global state vector and the
-    algebraic rows, ``terminals`` gathers the block's ports (a slice when
-    they are contiguous), ``views`` are the ``jxx``/``ex``/``jyx``/``ey``
-    destinations in the assembler's buffers and ``jxy_index``/``jyy_index``
-    the flat positions of its coupling entries.
+    Resolved once per :class:`SystemAssembler`, so a residual evaluation
+    does no netlist look-ups: ``states``/``rows`` slice the global state
+    vector and the algebraic rows, ``terminals`` gathers the block's ports
+    (a slice when they are contiguous).
     """
 
     block: AnalogueBlock
     states: slice
     terminals: Union[slice, np.ndarray]
     rows: slice
-    shapes: Tuple[Tuple[int, ...], ...]
-    views: Tuple[np.ndarray, ...]
-    jxy_index: np.ndarray
-    jyy_index: np.ndarray
 
 
 class _ColumnStack(NamedTuple):
@@ -181,7 +179,8 @@ class _ColumnStack(NamedTuple):
     states and then the nets it is wired to, one perturbed point each;
     ``rows`` (a column vector) the rows of ``[f_x, f_y]`` it writes.  Its
     terminal ``l`` reads column ``terminal_columns[l]``, which point
-    ``terminal_points[l]`` moves.
+    ``terminal_points[l]`` moves.  ``overrides`` is the class part of
+    :func:`~repro.core.linearise.stacked_forms` for the block.
     """
 
     plan: _BlockPlan
@@ -189,28 +188,7 @@ class _ColumnStack(NamedTuple):
     rows: np.ndarray
     terminal_columns: np.ndarray
     terminal_points: np.ndarray
-
-
-@dataclass
-class GlobalLinearisation:
-    """The assembled global Jacobian blocks of Eq. (2) at one time point."""
-
-    jxx: np.ndarray
-    jxy: np.ndarray
-    ex: np.ndarray
-    jyx: np.ndarray
-    jyy: np.ndarray
-    ey: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        """Dimension of the global state vector."""
-        return self.jxx.shape[0]
-
-    @property
-    def n_terminals(self) -> int:
-        """Number of global shared terminal (non-state) variables."""
-        return self.jyy.shape[1]
+    overrides: Tuple[Optional[bool], ...]
 
 
 @dataclass
@@ -238,13 +216,16 @@ class ReducedSystem:
 
 
 class SystemAssembler:
-    """Maps block-local variables into the global system and eliminates ``y``.
+    """One candidate's netlist structure in the global system.
 
-    Every :meth:`assemble` linearises every block and scatters every
-    field, and every :meth:`eliminate` solves Eq. (4); the Newton
-    baselines use it that way.  The linearised solver refreshes through a
-    one-lane :class:`BatchedAssembler` over it instead, which holds what
-    the operating point cannot change, with bitwise the same results.
+    Holds the block order, the state and algebraic-row offsets and the
+    net wiring, and evaluates the exact residual (:meth:`full_residual`)
+    and its Jacobian (:meth:`step_jacobian`) for the Newton baselines.
+    Linearising and eliminating ``y`` (Eq. 4) is
+    :class:`BatchedAssembler`'s: the linearised solver refreshes through a
+    one-lane instance over this assembler, the batched solver through one
+    over all its lanes, and :meth:`assemble`/:meth:`eliminate` are lane 0
+    of a one-lane instance.
 
     Parameters
     ----------
@@ -258,23 +239,6 @@ class SystemAssembler:
         self._blocks: List[AnalogueBlock] = netlist.blocks
         self._nets: List[Net] = netlist.build_nets()
         self._structure = AssemblyStructure._compute(self._blocks, self._nets, netlist)
-        s = self._structure
-        self._terminal_to_net: Dict[str, int] = s.terminal_to_net
-        self._state_offsets: Dict[str, int] = s.state_offsets
-        self._n_states = s.n_states
-        self._n_terminals = s.n_terminals
-        self._n_algebraic = s.n_algebraic
-
-        # assemble() scatters into these buffers; the entries no block owns
-        # stay zero
-        self._buffers = (
-            np.zeros((s.n_states, s.n_states)),
-            np.zeros((s.n_states, s.n_terminals)),
-            np.zeros(s.n_states),
-            np.zeros((s.n_algebraic, s.n_states)),
-            np.zeros((s.n_algebraic, s.n_terminals)),
-            np.zeros(s.n_algebraic),
-        )
         self._plan = [self._plan_block(block) for block in self._blocks]
 
     # ------------------------------------------------------------------ #
@@ -284,15 +248,16 @@ class SystemAssembler:
     def structure(self) -> AssemblyStructure:
         """This assembler's topology-derived indexing."""
         return self._structure
+
     @property
     def n_states(self) -> int:
         """Total number of global state variables."""
-        return self._n_states
+        return self._structure.n_states
 
     @property
     def n_terminals(self) -> int:
         """Total number of global shared terminal variables."""
-        return self._n_terminals
+        return self._structure.n_terminals
 
     @property
     def blocks(self) -> List[AnalogueBlock]:
@@ -317,7 +282,7 @@ class SystemAssembler:
 
     def state_slice(self, block_name: str) -> slice:
         """Slice of the global state vector owned by ``block_name``."""
-        offset = self._state_offsets[block_name]
+        offset = self._structure.state_offsets[block_name]
         block = self._netlist.block(block_name)
         return slice(offset, offset + block.n_states)
 
@@ -325,48 +290,27 @@ class SystemAssembler:
         """Global index of a specific block state variable."""
         block = self._netlist.block(block_name)
         local = block.state_names.index(state_name)
-        return self._state_offsets[block_name] + local
+        return self._structure.state_offsets[block_name] + local
 
     def net_index(self, block_name: str, terminal_name: str) -> int:
         """Global terminal-variable index seen by ``block.terminal``."""
         block = self._netlist.block(block_name)
-        return self._terminal_to_net[str(block.terminal(terminal_name))]
+        return self._structure.terminal_to_net[str(block.terminal(terminal_name))]
 
-    # ------------------------------------------------------------------ #
-    # local/global scatter-gather
-    # ------------------------------------------------------------------ #
     def _plan_block(self, block: AnalogueBlock) -> _BlockPlan:
         s = self._structure
         offset = s.state_offsets[block.name]
-        states = slice(offset, offset + block.n_states)
         r0 = s.alg_offsets[block.name]
-        rows = slice(r0, r0 + block.n_algebraic)
-        terminal_idx = s.terminal_maps[block.name]
-        terminals = _terminal_index(terminal_idx)
-        jxx, _, ex, jyx, _, ey = self._buffers
-
-        def flat(row_slice: slice) -> np.ndarray:
-            # row-major, so repeated terminals keep the last write like a
-            # fancy-index scatter does
-            grid = np.arange(row_slice.start, row_slice.stop)[:, None] * self._n_terminals
-            return (grid + terminal_idx[None, :]).ravel()
-
         return _BlockPlan(
             block=block,
-            states=states,
-            terminals=terminals,
-            rows=rows,
-            shapes=BlockLinearisation.expected_shapes(
-                block.n_states, block.n_terminals, block.n_algebraic
-            ),
-            views=(jxx[states, states], ex[states], jyx[rows, states], ey[rows]),
-            jxy_index=flat(states),
-            jyy_index=flat(rows),
+            states=slice(offset, offset + block.n_states),
+            terminals=_terminal_index(s.terminal_maps[block.name]),
+            rows=slice(r0, r0 + block.n_algebraic),
         )
 
     def initial_state(self) -> np.ndarray:
         """Concatenate the blocks' initial states into the global vector."""
-        x0 = np.zeros(self._n_states)
+        x0 = np.zeros(self.n_states)
         for plan in self._plan:
             x0[plan.states] = plan.block.initial_state()
         return x0
@@ -374,75 +318,29 @@ class SystemAssembler:
     # ------------------------------------------------------------------ #
     # assembly and elimination
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _one_lane(self) -> "BatchedAssembler":
+        return BatchedAssembler([self])
+
     def assemble(
         self, t: float, x_global: np.ndarray, y_global: np.ndarray
-    ) -> GlobalLinearisation:
+    ) -> "BatchedGlobalLinearisation":
         """Linearise every block and scatter into the global Jacobian blocks.
 
-        The result views this assembler's buffers, which the next call
-        overwrites: a caller that keeps it past that call must copy it.
+        Lane 0 of a one-lane :class:`BatchedAssembler`, prepared afresh on
+        every call so that it sees any model change since the last: each
+        field carries a leading lane axis of length 1.
         """
-        jxy = self._buffers[1].reshape(-1)
-        jyy = self._buffers[4].reshape(-1)
-        for plan in self._plan:
-            lin: BlockLinearisation = linearise_block(
-                plan.block, t, x_global[plan.states], y_global[plan.terminals], plan.shapes
-            )
-            jxx_view, ex_view, jyx_view, ey_view = plan.views
-            jxx_view[...] = lin.jxx
-            ex_view[...] = lin.ex
-            jyx_view[...] = lin.jyx
-            ey_view[...] = lin.ey
-            # the coupling entries are summed onto zero, as into a fresh
-            # matrix, so a -0.0 lands as 0.0
-            jxy[plan.jxy_index] = lin.jxy.ravel() + 0.0
-            jyy[plan.jyy_index] = lin.jyy.ravel() + 0.0
-        return GlobalLinearisation(*self._buffers)
+        one_lane = self._one_lane
+        one_lane.prepare()
+        return one_lane.assemble(np.array([t]), x_global[None], y_global[None])
 
-    def eliminate(self, lin: GlobalLinearisation, x_global: np.ndarray) -> ReducedSystem:
-        """Solve Eq. (4) for the terminal variables and reduce the model.
-
-        Raises :class:`SingularSystemError` when ``J_yy`` is singular, which
-        indicates a wiring problem (floating port, conflicting sources).
-        """
-        jyy = lin.jyy
-        if jyy.shape[0] != jyy.shape[1]:
-            raise SingularSystemError(
-                f"algebraic system is not square ({jyy.shape[0]}x{jyy.shape[1]})"
-            )
-        if jyy.size == 0:
-            a_reduced = lin.jxx.copy()
-            b_reduced = lin.ex.copy()
-            empty = np.zeros((0,))
-            return ReducedSystem(
-                a_reduced=a_reduced,
-                b_reduced=b_reduced,
-                y_solution=empty,
-                elimination_matrix=np.zeros((0, lin.n_states)),
-                elimination_offset=empty,
-            )
-        try:
-            # y = -Jyy^{-1} (Jyx x + ey)  =  M x + c
-            # One factorisation serves both right-hand sides: stack
-            # [Jyx | ey] and solve the multi-RHS system in a single call.
-            rhs = np.empty((jyy.shape[0], lin.jyx.shape[1] + 1))
-            rhs[:, :-1] = lin.jyx
-            rhs[:, -1] = lin.ey
-            solution = np.linalg.solve(jyy, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "terminal-variable elimination failed: J_yy is singular "
-                f"({exc}); check block wiring"
-            ) from exc
-        elimination_matrix = -solution[:, :-1]
-        elimination_offset = -solution[:, -1]
-        return ReducedSystem(
-            a_reduced=lin.jxx + lin.jxy @ elimination_matrix,
-            b_reduced=lin.ex + lin.jxy @ elimination_offset,
-            y_solution=elimination_matrix @ x_global + elimination_offset,
-            elimination_matrix=elimination_matrix,
-            elimination_offset=elimination_offset,
-        )
+    def eliminate(
+        self, lin: "BatchedGlobalLinearisation", x_global: np.ndarray
+    ) -> ReducedSystem:
+        """Eq. (4) on an :meth:`assemble` result: see
+        :meth:`BatchedAssembler.eliminate_one`."""
+        return self._one_lane.eliminate_one(lin, x_global)
 
     # ------------------------------------------------------------------ #
     # nonlinear residual evaluation (used by the implicit baselines)
@@ -458,8 +356,8 @@ class SystemAssembler:
         by exactly one block: the blocks' ``states`` and ``rows`` slices are
         disjoint.
         """
-        dxdt = np.zeros(self._n_states)
-        res_y = np.zeros(self._n_algebraic)
+        dxdt = np.zeros(self.n_states)
+        res_y = np.zeros(self._structure.n_algebraic)
         for plan in self._plan:
             block = plan.block
             x_local = x_global[plan.states]
@@ -474,9 +372,11 @@ class SystemAssembler:
         """Each block's share of :meth:`step_jacobian`, in assembly order.
 
         Built on the first :meth:`step_jacobian`, so that the solvers that
-        never take one do not pay for it on every system build.
+        never take one do not pay for it on every system build.  A block's
+        class is read here once; an instance patch of a scalar method is
+        still seen on every call.
         """
-        n = self._n_states
+        n = self.n_states
         stacks = []
         for plan in self._plan:
             nets = self._structure.terminal_maps[plan.block.name]
@@ -494,6 +394,7 @@ class SystemAssembler:
                     terminal_columns=n + nets,
                     terminal_points=plan.block.n_states
                     + np.searchsorted(read_nets, nets),
+                    overrides=stacked_form_overrides(type(plan.block)),
                 )
             )
         return stacks
@@ -532,7 +433,7 @@ class SystemAssembler:
         is non-finite, so a Newton iteration on it cannot converge either
         way.
         """
-        jac = np.zeros((self._n_states + self._n_algebraic, z.size))
+        jac = np.zeros((self.n_states + self._structure.n_algebraic, z.size))
         # finite_difference_jacobian's steps; np.fmax gives 1.0 for a NaN
         # z_j as Python's max does
         h = _DEFAULT_EPS * np.fmax(1.0, np.abs(z))
@@ -557,7 +458,7 @@ class SystemAssembler:
             y[stack.terminal_points, terminals] = plus[stack.terminal_columns]
             y[k + stack.terminal_points, terminals] = minus[stack.terminal_columns]
 
-            derivatives_at, residuals_at = stacked_forms(block)
+            derivatives_at, residuals_at = stacked_forms(block, stack.overrides)
             residual = np.empty((2 * k, stack.rows.size))
             residual[:, :n_local] = state_rows(
                 plan.states, x, derivatives_at(t, x, y)
@@ -676,23 +577,23 @@ class BatchedReducedSystem:
 class BatchedAssembler:
     """Assembles and eliminates ``B`` same-topology systems at once.
 
-    The lane-parallel sibling of :class:`SystemAssembler`: each lane is one
-    candidate's assembler (same netlist topology, its own block parameter
-    values, its own time point), and every per-step quantity is held in
-    stacked ``(B, ...)`` arrays so one NumPy call sweeps all lanes.  The
-    first lane's :class:`AssemblyStructure` provides the indexing; every
-    lane's must carry the same signature.  A block group is linearised
-    through its :meth:`~repro.core.block.AnalogueBlock.batched_lineariser`
-    when it has one, else as the stack of its lanes' scalar
-    linearisations (:func:`repro.core.linearise.linearise_block_lanes`),
-    and scattered into one persistent workspace (see :meth:`prepare`).
+    The only code that scatters block linearisations and solves Eq. (4):
+    each lane is one candidate's :class:`SystemAssembler` (same netlist
+    topology, its own block parameter values, its own time point), and
+    every per-step quantity is held in stacked ``(B, ...)`` arrays so one
+    NumPy call sweeps all lanes.  The first lane's
+    :class:`AssemblyStructure` provides the indexing; every lane's must
+    carry the same signature.  A block group is linearised through its
+    :meth:`~repro.core.block.AnalogueBlock.batched_lineariser` when it has
+    one, else as the stack of its lanes' scalar linearisations
+    (:func:`repro.core.linearise.linearise_block_lanes`), and scattered
+    into one persistent workspace (see :meth:`prepare`).
 
     All linear algebra uses stacked ``np.linalg.solve``/``matmul``, which
-    process each lane through the same LAPACK/BLAS routines as the
-    unstacked :class:`SystemAssembler` — per-lane results are
-    bit-identical to it.  The scalar solver refreshes through a one-lane
-    instance, so a single run and every batched lane share this one
-    refresh path.
+    process each lane through the same LAPACK/BLAS routines as a one-lane
+    call, so a lane's results do not depend on its lane-mates.  The scalar
+    solver refreshes through a one-lane instance, so a single run and
+    every batched lane share this one refresh path.
     """
 
     def __init__(self, assemblers: Sequence[SystemAssembler]) -> None:
@@ -933,8 +834,8 @@ class BatchedAssembler:
         try:
             solution = np.linalg.solve(jyy, rhs)
         except np.linalg.LinAlgError:
-            # identify the offending lanes with the same per-lane solve the
-            # scalar path runs, so the blame criterion matches exactly
+            # identify the offending lanes with the same solve, lane by
+            # lane, so the blame criterion matches a one-lane call exactly
             bad = []
             for i in range(b):
                 try:
@@ -967,4 +868,26 @@ class BatchedAssembler:
             y_solution=y_solution,
             elimination_matrix=elimination_matrix,
             elimination_offset=elimination_offset,
+        )
+
+    def eliminate_one(
+        self, lin: BatchedGlobalLinearisation, x_global: np.ndarray
+    ) -> ReducedSystem:
+        """:meth:`eliminate` of a one-lane assembly at state ``x_global``
+        (shape ``(n_states,)``), as lane 0's :class:`ReducedSystem`; a
+        singular ``J_yy`` raises :class:`SingularSystemError` with the
+        wiring wording, not a :class:`SingularLaneError` naming lane 0."""
+        try:
+            lanes = self.eliminate(lin, x_global[None])
+        except SingularLaneError:
+            raise SingularSystemError(
+                "terminal-variable elimination failed: J_yy is singular; "
+                "check block wiring"
+            ) from None
+        return ReducedSystem(
+            a_reduced=lanes.a_reduced[0],
+            b_reduced=lanes.b_reduced[0],
+            y_solution=lanes.y_solution[0],
+            elimination_matrix=lanes.elimination_matrix[0],
+            elimination_offset=lanes.elimination_offset[0],
         )

@@ -65,11 +65,6 @@ class ImplicitFormula:
         of the matching slice of ``f_n``); the same floats."""
         return x_next - x_current - h * (self.theta * f_next + explicit_part)
 
-    def jacobian(self, df_dx_next: np.ndarray, h: float) -> np.ndarray:
-        """Jacobian of the residual w.r.t. ``x_{n+1}``: ``I - h*theta*df/dx``."""
-        n = df_dx_next.shape[0]
-        return np.eye(n) - h * self.theta * df_dx_next
-
 
 #: Backward (implicit) Euler: first order, L-stable, the SPICE default
 #: for badly behaved circuits.

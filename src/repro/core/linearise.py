@@ -23,6 +23,7 @@ __all__ = [
     "linearise_lanes_numerically",
     "linearise_block_lanes",
     "fast_path_counts",
+    "stacked_form_overrides",
     "stacked_forms",
 ]
 
@@ -174,24 +175,37 @@ _STACKED_FORMS = (
 )
 
 
-def stacked_forms(block: AnalogueBlock) -> Tuple[Callable, Callable]:
+def stacked_form_overrides(cls: type) -> Tuple[Optional[bool], ...]:
+    """The class part of :func:`stacked_forms`: per stacked form, ``None``
+    where ``cls`` keeps the per-point default, else whether its override
+    counts -- is defined in the class that defines the scalar method it
+    restates or in a subclass of it, as :func:`fast_path_counts` asks."""
+    return tuple(
+        None
+        if (defining := _defining_class(cls, stacked)) is AnalogueBlock
+        else issubclass(defining, _defining_class(cls, scalar))
+        for stacked, scalar in _STACKED_FORMS
+    )
+
+
+def stacked_forms(
+    block: AnalogueBlock, overrides: Optional[Tuple[Optional[bool], ...]] = None
+) -> Tuple[Callable, Callable]:
     """The block's ``derivatives_at`` and ``algebraic_residuals_at``, each
     the per-point default wherever an override would bypass the scalar
     method it restates.
 
-    An override counts only when the instance's scalar method is its
-    class's own (not assigned on the instance) and is defined in the class
-    that defines the override or in a superclass of it: the check
-    :func:`fast_path_counts` makes for ``batched_lineariser``.
+    An override counts only where :func:`stacked_form_overrides` of the
+    block's class (``overrides``, when a caller kept it) says so and the
+    instance's scalar method is its class's own (not assigned on the
+    instance).
     """
-    cls = type(block)
+    if overrides is None:
+        overrides = stacked_form_overrides(type(block))
+    own = vars(block)
     forms = []
-    for stacked, scalar in _STACKED_FORMS:
-        defining = _defining_class(cls, stacked)
-        if defining is not AnalogueBlock and (
-            scalar in vars(block)
-            or not issubclass(defining, _defining_class(cls, scalar))
-        ):
+    for (stacked, scalar), counts in zip(_STACKED_FORMS, overrides):
+        if counts is not None and (not counts or scalar in own):
             forms.append(partial(getattr(AnalogueBlock, stacked), block))
         else:
             forms.append(getattr(block, stacked))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .digital import AnalogueInterface, DigitalEventKernel
 from .elimination import BatchedAssembler, ReducedSystem, SystemAssembler
-from .errors import ConfigurationError, SingularLaneError, SingularSystemError, StabilityError
+from .errors import ConfigurationError, StabilityError
 from .integrators import AdamsBashforth, ExplicitIntegrator
 from .probes import ProbeFn
 from .results import ColumnRecorder, SimulationResult, SolverStats
@@ -368,22 +368,8 @@ class LinearisedStateSpaceSolver(WiredSolver):
 
         Raises :class:`SingularSystemError` when ``J_yy`` is singular.
         """
-        x = self._x[None]
-        lin = batched.assemble(np.array([self._t]), x, self._y[None])
-        try:
-            lanes = batched.eliminate(lin, x)
-        except SingularLaneError:
-            raise SingularSystemError(
-                "terminal-variable elimination failed: J_yy is singular; "
-                "check block wiring"
-            ) from None
-        return ReducedSystem(
-            a_reduced=lanes.a_reduced[0],
-            b_reduced=lanes.b_reduced[0],
-            y_solution=lanes.y_solution[0],
-            elimination_matrix=lanes.elimination_matrix[0],
-            elimination_offset=lanes.elimination_offset[0],
-        )
+        lin = batched.assemble(np.array([self._t]), self._x[None], self._y[None])
+        return batched.eliminate_one(lin, self._x)
 
     @staticmethod
     def _frozen_derivative(reduced: ReducedSystem) -> Callable[[float, np.ndarray], np.ndarray]:

@@ -233,18 +233,13 @@ def test_default_forms_stack_the_scalar_calls():
     assert block.algebraic_residuals_at(2.0, x, y).shape == (3, 0)
 
 
-@pytest.mark.parametrize("patch", ["subclass", "instance"])
+@pytest.mark.parametrize("patch", ["subclass", "instance", "instance_after_a_jacobian"])
 def test_step_jacobian_reads_a_replaced_scalar_method(patch, monkeypatch):
+    # the assembler decides each block's class part of stacked_forms once,
+    # on its first Jacobian; an instance patch made after that still counts
     harvester = charging_scenario(0.01).build_harvester()
     assembler = harvester.assembler
     storage = next(block for block in assembler.blocks if block.name == "storage")
-    if patch == "subclass":
-        monkeypatch.setattr(storage, "__class__", PatchedSupercapacitor)
-    else:
-        derivatives = storage.derivatives
-        monkeypatch.setattr(
-            storage, "derivatives", lambda t, x, y: 2.0 * derivatives(t, x, y)
-        )
     n = assembler.n_states
     rng = np.random.default_rng(4)
     z = rng.standard_normal(n + assembler.n_terminals)
@@ -256,5 +251,16 @@ def test_step_jacobian_reads_a_replaced_scalar_method(patch, monkeypatch):
         f_x, f_y = assembler.full_residual(0.01, zv[:n], zv[n:])
         return np.concatenate([zv[:n] - 1e-4 * f_x, f_y])
 
+    if patch == "subclass":
+        monkeypatch.setattr(storage, "__class__", PatchedSupercapacitor)
+    else:
+        if patch == "instance_after_a_jacobian":
+            unpatched = assembler.step_jacobian(0.01, z, state_rows)
+        derivatives = storage.derivatives
+        monkeypatch.setattr(
+            storage, "derivatives", lambda t, x, y: 2.0 * derivatives(t, x, y)
+        )
     jac = assembler.step_jacobian(0.01, z, state_rows)
     assert jac.tobytes() == finite_difference_jacobian(residual, z).tobytes()
+    if patch == "instance_after_a_jacobian":
+        assert jac.tobytes() != unpatched.tobytes()

@@ -9,12 +9,16 @@ import pytest
 from repro import RunOptions, Study
 from repro.blocks.microcontroller import TuningController
 from repro.core.batch import BatchedSolver
+from repro.core.block import LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
+from repro.core.elimination import SystemAssembler
 from repro.core.errors import (
     ConfigurationError,
+    SingularLaneError,
     SingularSystemError,
     StabilityError,
 )
+from repro.core.netlist import Netlist
 from repro.core.solver import LinearisedStateSpaceSolver, SolverSettings
 from repro.harvester.scenarios import (
     charging_scenario,
@@ -23,6 +27,7 @@ from repro.harvester.scenarios import (
 )
 from repro.harvester.topologies import piezoelectric_scenario
 
+from .test_block_netlist import make_rc_block
 from .test_solver import driven_rc_assembler
 
 
@@ -356,9 +361,7 @@ class TestGuardRails:
         # the documented singular wiring; build it via a degenerate
         # supercapacitor lane whose Jyy row vanishes is hard to fabricate
         # from stock blocks, so exercise the error type directly instead
-        from repro.core.block import LinearBlock
-        from repro.core.elimination import BatchedAssembler, SystemAssembler
-        from repro.core.netlist import Netlist
+        from repro.core.elimination import BatchedAssembler
 
         def make(d_value):
             source = LinearBlock(
@@ -392,3 +395,68 @@ class TestGuardRails:
         with pytest.raises(SingularSystemError) as excinfo:
             batched.eliminate(lin, x)
         assert excinfo.value.lane_indices == (1,)
+
+
+class _FadingSource(LinearBlock):
+    """Ideal 1 V source whose equation drops out of its linearisation
+    while ``t`` lies in ``[start, stop)``: ``J_yy`` is singular there."""
+
+    def __init__(self, start, stop):
+        super().__init__(
+            "source",
+            np.zeros((0, 0)),
+            np.zeros((0, 2)),
+            [],
+            ["V", "I"],
+            c=np.zeros((1, 0)),
+            d=np.array([[1.0, 0.0]]),
+            terminal_kinds=["voltage", "current"],
+        )
+        self.start, self.stop = start, stop
+
+    def linearise(self, t, x, y):
+        lin = super().linearise(t, x, y)
+        lin.ey = np.array([-1.0])
+        if self.start <= t < self.stop:
+            lin.jyy = np.zeros_like(lin.jyy)
+        return lin
+
+
+def _fading_rc_assembler(start, stop):
+    netlist = Netlist()
+    source = netlist.add_block(_FadingSource(start, stop))
+    rc = netlist.add_block(make_rc_block("rc", r=10.0, c=1e-2))
+    netlist.connect_port(source, rc, voltage=("V", "V"), current=("I", "I"))
+    return SystemAssembler(netlist)
+
+
+class TestSingularAtTheEnd:
+    @pytest.mark.parametrize("lane_2_end", [0.02, 0.01], ids=["alone", "with_a_lane_mate"])
+    def test_lane_singular_only_at_its_final_point_fails_alone(self, lane_2_end):
+        # lane 0 is singular only at its end point, t = 0.01.  Lane 1 is
+        # singular around t = 0.01 too, but with a hold of 4 steps of 1e-3
+        # it refreshes at 0.008 and 0.012 only, so its own run never
+        # solves there: the final solve that lane 0 (and maybe lane 2)
+        # finishes in must not retire it
+        settings = SolverSettings(fixed_step=1e-3, relinearise_interval=4)
+        windows = [(0.0095, np.inf), (0.0095, 0.0105), (np.inf, np.inf)]
+        ends = [0.01, 0.02, lane_2_end]
+        batch = BatchedSolver(
+            [_fading_rc_assembler(*w) for w in windows], settings=settings
+        ).run(ends)
+        assert set(batch.failures) == {0}
+        error = batch.failures[0]
+        assert isinstance(error, SingularLaneError)
+        assert error.lane_indices == (0,)
+        assert "lane 0" in str(error)
+        assert batch.results[0] is None
+        for i in (1, 2):
+            scalar = LinearisedStateSpaceSolver(
+                _fading_rc_assembler(*windows[i]), settings=settings
+            ).run(ends[i])
+            got = batch.results[i]
+            _assert_traces_identical(scalar, got, context=f"lane {i} ")
+            expected, stats = scalar.stats.as_dict(), got.stats.as_dict()
+            for key in ("cpu_time_s", "solver_name"):
+                del expected[key], stats[key]
+            assert stats == expected

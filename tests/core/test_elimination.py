@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.block import LinearBlock
-from repro.core.elimination import SystemAssembler
+from repro.core.elimination import BatchedAssembler, SystemAssembler
 from repro.core.errors import ConfigurationError, SingularLaneError, SingularSystemError
 from repro.core.netlist import Netlist
 
@@ -28,7 +28,8 @@ def build_two_rc_system(r1=10.0, c1=1e-3, r2=20.0, c2=2e-3):
 
 
 def linearise_and_eliminate(assembler, x):
-    """Assemble at ``(t=0, x, y=0)`` and eliminate the terminals (Eq. 4)."""
+    """Assemble at ``(t=0, x, y=0)`` and eliminate the terminals (Eq. 4):
+    lane 0 of a one-lane batched assembly."""
     lin = assembler.assemble(0.0, x, np.zeros(assembler.n_terminals))
     return assembler.eliminate(lin, x)
 
@@ -195,18 +196,18 @@ class TestSingularSystems:
         assert reduced.a_reduced == pytest.approx(np.array([[-3.0]]))
         assert reduced.derivative(np.array([2.0]))[0] == pytest.approx(-6.0)
 
-    def test_reduced_model_outlives_the_next_assembly(self):
+    def test_terminal_free_reduced_model_outlives_the_next_refresh(self):
         # without terminals the reduced model is the assembled jxx/ex
-        # itself; it must not alias the buffers the next assemble reuses
-        from repro.core.block import LinearBlock
-
+        # itself; it must not alias the workspace the next assemble of the
+        # same prepared assembler writes into
         netlist = Netlist()
         netlist.add_block(
             LinearBlock("solo", np.array([[-3.0]]), np.ones((1, 0)), ["x"], [])
         )
-        assembler = SystemAssembler(netlist)
-        reduced = linearise_and_eliminate(assembler, np.array([2.0]))
-        lin = assembler.assemble(0.0, np.array([1.0]), np.zeros(0))
+        batched = BatchedAssembler([SystemAssembler(netlist)])
+        x = np.array([[2.0]])
+        reduced = batched.eliminate(batched.assemble(np.zeros(1), x, np.zeros((1, 0))), x)
+        lin = batched.assemble(np.zeros(1), np.array([[1.0]]), np.zeros((1, 0)))
         assert not np.shares_memory(reduced.a_reduced, lin.jxx)
         assert not np.shares_memory(reduced.b_reduced, lin.ex)
 

@@ -228,12 +228,6 @@ class TestImplicitFormulas:
         )
         assert residual[0] == pytest.approx(2.0 - 1.0 - 0.5 * 0.5 * (4.0 + 2.0))
 
-    def test_jacobian_shape_and_value(self):
-        df = np.array([[-2.0]])
-        jac = BackwardEuler.jacobian(df, 0.1)
-        assert jac[0, 0] == pytest.approx(1.2)
-        assert Trapezoidal.jacobian(df, 0.1)[0, 0] == pytest.approx(1.1)
-
     def test_orders(self):
         assert BackwardEuler.order == 1
         assert Trapezoidal.order == 2

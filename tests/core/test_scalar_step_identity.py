@@ -26,6 +26,7 @@ code, not stored digests, so the comparison holds on any BLAS.
 
 from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,12 +36,7 @@ from repro.blocks.voltage_multiplier import DicksonMultiplier
 from repro.core import stepper
 from repro.core.block import BlockLinearisation, LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
-from repro.core.elimination import (
-    BatchedAssembler,
-    GlobalLinearisation,
-    ReducedSystem,
-    SystemAssembler,
-)
+from repro.core.elimination import ReducedSystem, SystemAssembler
 from repro.core.integrators import adams_bashforth
 from repro.core.linearise import linearise_block_numerically
 from repro.core.netlist import Netlist
@@ -105,7 +101,7 @@ def generic_assemble(self, t, x_global, y_global):
                 jyy[r0 : r0 + block.n_algebraic, terminal_idx] += lin.jyy
             ey[rows] = lin.ey
     generic_assemble.calls += 1
-    return GlobalLinearisation(jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey)
+    return SimpleNamespace(jxx=jxx, jxy=jxy, ex=ex, jyx=jyx, jyy=jyy, ey=ey)
 
 
 generic_assemble.calls = 0
@@ -118,7 +114,7 @@ def generic_eliminate(self, lin, x_global):
             a_reduced=lin.jxx.copy(),
             b_reduced=lin.ex.copy(),
             y_solution=np.zeros(0),
-            elimination_matrix=np.zeros((0, lin.n_states)),
+            elimination_matrix=np.zeros((0, lin.jxx.shape[0])),
             elimination_offset=np.zeros(0),
         )
     rhs = np.empty((jyy.shape[0], lin.jyx.shape[1] + 1))
@@ -248,8 +244,6 @@ def reference_step(monkeypatch):
     @contextmanager
     def swapped():
         with monkeypatch.context() as patch:
-            patch.setattr(SystemAssembler, "assemble", generic_assemble)
-            patch.setattr(SystemAssembler, "eliminate", generic_eliminate)
             patch.setattr(LinearisedStateSpaceSolver, "_refresh", generic_refresh)
             patch.setattr(adams_bashforth, "_variable_step_weights", unmemoised_weights)
             patch.setattr(StepSizeController, "propose", propose_measuring_own_drift)
@@ -336,26 +330,11 @@ def test_mid_run_model_change_matches_reference_bitwise(reference_step, label):
     assert_runs_identical(reference, result)
 
 
-def _plan_assemble(assembler, x, y):
-    return assembler.assemble(0.0, x, y)
-
-
-def _one_lane_assemble(assembler, x, y):
-    lin = BatchedAssembler([assembler]).assemble(np.zeros(1), x[None], y[None])
-    return GlobalLinearisation(
-        *(getattr(lin, name)[0] for name in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"))
-    )
-
-
-@pytest.mark.parametrize(
-    "assemble", [_plan_assemble, _one_lane_assemble], ids=["plan", "one_lane"]
-)
-def test_non_contiguous_terminals_scatter_like_fancy_indexing(reference_step, assemble):
+def test_non_contiguous_terminals_scatter_like_fancy_indexing():
     # block "b" lists its port as (I, V), so its terminals map to nets
     # [1, 0] and the plan keeps an index array rather than a slice; its
     # jxy holds a -0.0, which a scatter into fresh zeros stores as 0.0.
-    # The plain assemble and the scalar solver's one-lane batched refresh
-    # must both scatter it so
+    # The one-lane batched assembly must scatter it so
     netlist = Netlist()
     a = netlist.add_block(make_rc_block("a", 10.0, 1e-3))
     b = netlist.add_block(
@@ -374,11 +353,10 @@ def test_non_contiguous_terminals_scatter_like_fancy_indexing(reference_step, as
     assembler = SystemAssembler(netlist)
     assert not isinstance(assembler._plan[1].terminals, slice)
     x, y = np.array([1.0, -0.5]), np.array([0.25, 2.0])
-    got = assemble(assembler, x, y)
-    with reference_step():
-        expected = assembler.assemble(0.0, x, y)
+    got = assembler.assemble(0.0, x, y)
+    expected = generic_assemble(assembler, 0.0, x, y)
     for name in ("jxx", "jxy", "ex", "jyx", "jyy", "ey"):
-        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert getattr(got, name)[0].tobytes() == getattr(expected, name).tobytes(), name
 
 
 #: adaptive runs whose every proposal is checked: each scenario factory,
