@@ -12,8 +12,8 @@ complete-system simulations that finish in minutes thanks to the
 linearised state-space solver.
 
 The final sections scale the loop up: a 2-D design grid evaluated by
-worker processes (live best-so-far progress, resumable checkpoint file,
-amortised-relinearisation fast profile via ``RunOptions.fast()``), then
+worker processes (live best-so-far progress, resumable through the result
+cache, amortised-relinearisation fast profile via ``RunOptions.fast()``), then
 the same grid on one worker, where every same-topology candidate marches
 as a lane of one block of stacked arrays — the fastest way to burn
 through a design grid.
@@ -72,17 +72,18 @@ def amplitude_sweep() -> None:
 def parallel_design_grid() -> None:
     """2-D design grid on the parallel sweep engine (the scaled-up loop).
 
-    Every finished candidate is appended to a checkpoint CSV (in the
-    current directory), so rerunning after an interruption resumes instead
-    of restarting; the fast solver profile (``RunOptions.fast()``) trades
-    a documented 10 % (typically few-percent) score tolerance for a 2-3x
-    per-candidate speed-up.
+    Every finished candidate is stored in the result cache (in the
+    current directory), so rerunning after an interruption is served the
+    finished candidates and evaluates only the rest; the fast solver
+    profile (``RunOptions.fast()``) trades a documented 10 % (typically
+    few-percent) score tolerance for a 2-3x per-candidate speed-up.
     """
-    checkpoint = Path("design_grid_checkpoint.csv")
+    cache_dir = Path(".repro-cache")
     options = RunOptions.fast(
         relinearise_interval=4,
         n_workers=4,
-        checkpoint_path=str(checkpoint),
+        cache="readwrite",
+        cache_dir=str(cache_dir),
         progress=lambda done, total, best: print(
             format_sweep_progress(done, total, best.score, best.parameters)
         ),
@@ -104,9 +105,10 @@ def parallel_design_grid() -> None:
     print(result.format())
     info = result.engine_info
     print(
-        f"\n{info.n_evaluated} evaluated / {info.n_resumed} resumed from "
-        f"{checkpoint} on {info.n_workers} workers "
-        f"(parallel={info.parallel}); delete the checkpoint to re-run fresh\n"
+        f"\n{info.n_evaluated} evaluated / {info.n_cache_hits} served from "
+        f"{cache_dir} on {info.n_workers} workers "
+        f"(parallel={info.parallel}); `repro cache clear --yes --cache-dir "
+        f"{cache_dir}` to re-run fresh\n"
     )
 
 

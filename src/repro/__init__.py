@@ -21,7 +21,7 @@ The package is organised as:
   against (Newton-Raphson implicit, SPICE-like MNA, scipy reference);
 * :mod:`repro.analysis` — power/energy metrics, frequency detection,
   waveform comparison, CPU-time tables, design sweeps + the sweep engine;
-* :mod:`repro.io` — CSV export, spec files, checkpoints, reports.
+* :mod:`repro.io` — CSV export, spec files, reports.
 
 Quick start::
 

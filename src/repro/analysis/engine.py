@@ -26,13 +26,13 @@ workload.  This module turns the serial loop of
   changes a score or a cache key.  Blocks of one candidate
   (``lane_width=1``) and lanes the batched march retires take the scalar
   path (each such decision is logged at DEBUG on ``repro.engine``);
-* **checkpoints** every finished candidate through
-  :mod:`repro.io.csvio`, so an interrupted sweep resumes from the last
-  completed candidate (``checkpoint_path=``); the checkpoint header
-  carries a grid/config hash (parameter values, solver profile,
-  base-scenario fingerprint), so a checkpoint resumes at any lane width
-  while resuming against a *changed* sweep raises instead of stitching
-  stale scores into the wrong candidates;
+* **resumes through the result cache** (``cache="readwrite"``): each
+  finished lane block lands one content-addressed entry per candidate
+  (:mod:`repro.cache`), so re-running an interrupted sweep serves every
+  finished candidate as a hit and evaluates only the rest; entries key
+  on the candidate scenario and execution fingerprint, never on the grid
+  or the lane width, so a changed grid is served exactly the candidates
+  it shares with the old one;
 * reports **progress and the best candidate so far** through a callback
   (see :func:`repro.io.report.format_sweep_progress` for a ready-made
   formatter);
@@ -52,7 +52,7 @@ generation strategies** (:mod:`repro.explore`): :meth:`SweepEngine.run`
 is one round of :meth:`SweepEngine.run_explore` over the dense
 :class:`~repro.explore.GridStrategy`, and budgeted searches (seeded
 sampling, successive halving, grid extension) reuse the exact same
-dispatch/checkpoint/cache machinery round by round.
+dispatch/cache machinery round by round.
 
 Determinism contract: with the default profile (``relinearise_interval``
 unset or 1) the engine's scores are byte-identical to the plain serial
@@ -62,7 +62,6 @@ worker processes run the exact same floating-point program.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import os
@@ -80,11 +79,6 @@ from ..harvester.scenarios import (
     attach_run_metadata,
     proposed_settings,
 )
-from ..io.csvio import (
-    append_checkpoint_row,
-    validate_checkpoint,
-    write_checkpoint_header,
-)
 
 if TYPE_CHECKING:
     from ..api.options import RunOptions
@@ -93,15 +87,13 @@ __all__ = ["SweepEngine", "EngineRunInfo"]
 
 logger = logging.getLogger("repro.engine")
 
-_CHECKPOINT_FIELDS = ("index", "score", "cpu_time_s", "exact_rerun")
-
 #: widest lane block the default plan forms: a block holds every lane's
 #: traces until it ends (50.0 KB per lane of float64 columns on a 0.2 s
 #: charging run), so a 1-worker sweep of a large grid is split rather
 #: than marched as one block (256 0.2 s charging candidates on a 2-CPU
 #: host: 67 MB peak RSS and 0.48 s as one block, 47 MB and 0.75 s in
 #: blocks of 64, 41 MB on the scalar path); the cap also bounds the work
-#: an interruption re-runs, since checkpoint rows arrive per block
+#: an interruption re-runs, since cache entries land per finished block
 DEFAULT_MAX_LANES = 64
 
 
@@ -112,7 +104,6 @@ class EngineRunInfo:
     n_workers: int
     n_candidates: int
     n_evaluated: int
-    n_resumed: int
     n_exact_reruns: int
     parallel: bool
     relinearise_interval: Optional[int]
@@ -164,7 +155,7 @@ class _Outcome:
     cpu_time_s: float
     exact_rerun: bool
     #: whether the score came out of a batched march (as opposed
-    #: to the scalar path, a runtime fallback or a checkpoint resume)
+    #: to the scalar path, a runtime fallback or a cache hit)
     batched: bool = False
     #: block-level kernel/refresh wall-time split, attached to one outcome
     #: per lane block so engine-level sums count each block once
@@ -321,7 +312,7 @@ class SweepEngine:
 
     Built from one :class:`~repro.api.options.RunOptions`, which declares
     and validates every knob the engine reads (workers, lane width,
-    solver profile, checkpointing, progress and cache);
+    solver profile, progress and cache);
     ``Study.sweep(...).run()`` constructs it through the :mod:`repro.api`
     planner.
     """
@@ -364,15 +355,14 @@ class SweepEngine:
         Each round the ``strategy`` proposes candidates (grid points plus
         a simulation *horizon* — the fraction of the scenario duration to
         run), the engine evaluates them with the full sweep machinery
-        (worker processes, batched lanes, checkpoint resume, the result
-        cache) and feeds the scores back through ``observe`` until the
-        strategy reports ``done()``.  Candidate indices are global across
-        rounds, so one checkpoint file covers the whole search; the
-        checkpoint config-hash folds in ``strategy.fingerprint()`` (and
-        the options' ``seed``), so a checkpoint never resumes against a
-        *different* search.  Short-horizon candidates simulate
-        ``scenario.scaled(duration_s * horizon)`` — their cache entries
-        key on the scaled scenario and never collide with full runs.
+        (worker processes, batched lanes, the result cache) and feeds the
+        scores back through ``observe`` until the strategy reports
+        ``done()``.  A re-run served from the cache replays every round
+        from the served scores, since strategies are deterministic given
+        their configuration and observations.  Short-horizon candidates
+        simulate ``scenario.scaled(duration_s * horizon)`` — their cache
+        entries key on the scaled scenario and never collide with full
+        runs.
 
         Returns an :class:`~repro.explore.ExplorationRun`; its ``final``
         :class:`SweepResult` holds the full-horizon points only, so
@@ -386,8 +376,6 @@ class SweepEngine:
         )
         from .sweep import SweepPoint, SweepResult
 
-        recorded = self._load_checkpoint_rows(sweep, strategy)
-
         schedule = strategy.schedule()
         planned_total = (
             sum(plan.n_candidates for plan in schedule) if schedule else None
@@ -399,7 +387,7 @@ class SweepEngine:
         offset = 0  # global candidate index across rounds
         done_before = 0
         any_parallel = False
-        n_evaluated_total = n_resumed_total = n_cache_hits_total = 0
+        n_evaluated_total = n_cache_hits_total = 0
         n_exact_reruns = n_batched = 0
         n_lane_blocks = n_batch_fallbacks = 0
         work_units = 0.0
@@ -411,12 +399,6 @@ class SweepEngine:
                 break
             tasks = self._build_round_tasks(sweep, proposals, offset)
             outcomes: Dict[int, _Outcome] = {}
-            n_resumed = 0
-            for task in tasks:
-                row = recorded.get(task.index)
-                if row is not None:
-                    outcomes[task.index] = row
-                    n_resumed += 1
             n_cache_hits, tasks = self._apply_cache(sweep, tasks, outcomes)
             total = (
                 planned_total if planned_total is not None else offset + len(tasks)
@@ -426,7 +408,7 @@ class SweepEngine:
                 outcomes,
                 done_before=done_before,
                 total=total,
-                n_preloaded=n_resumed + n_cache_hits,
+                n_preloaded=n_cache_hits,
             )
 
             points: List[SweepPoint] = []
@@ -465,7 +447,6 @@ class SweepEngine:
                     points=points,
                     n_evaluated=len(pending),
                     n_cache_hits=n_cache_hits,
-                    n_resumed=n_resumed,
                 )
             )
 
@@ -482,7 +463,6 @@ class SweepEngine:
 
             any_parallel = any_parallel or parallel
             n_evaluated_total += len(pending)
-            n_resumed_total += n_resumed
             n_cache_hits_total += n_cache_hits
             n_exact_reruns += sum(1 for o in outcomes.values() if o.exact_rerun)
             n_batched += sum(1 for o in outcomes.values() if o.batched)
@@ -505,7 +485,6 @@ class SweepEngine:
             n_workers=self.n_workers,
             n_candidates=offset,
             n_evaluated=n_evaluated_total,
-            n_resumed=n_resumed_total,
             n_exact_reruns=n_exact_reruns,
             parallel=any_parallel,
             relinearise_interval=self.options.relinearise_interval,
@@ -531,7 +510,6 @@ class SweepEngine:
             n_candidates=offset,
             n_simulations=n_evaluated_total,
             n_cache_hits=n_cache_hits_total,
-            n_resumed=n_resumed_total,
             work_units=work_units,
             full_grid_work=float(grid_size(sweep.parameters)),
         )
@@ -543,7 +521,7 @@ class SweepEngine:
         """Resolve one round of proposals into fully-specified tasks.
 
         Indices are offset by the number of candidates proposed in earlier
-        rounds, so checkpoints refer to one global candidate sequence.
+        rounds, so outcomes refer to one global candidate sequence.
         Short-horizon proposals scale the candidate scenario's duration —
         everything downstream (solver settings derivation, cache keys,
         topology grouping) sees an ordinary shorter scenario.
@@ -602,16 +580,6 @@ class SweepEngine:
 
         def record(outcome: _Outcome) -> None:
             outcomes[outcome.index] = outcome
-            if self.options.checkpoint_path is not None:
-                append_checkpoint_row(
-                    self.options.checkpoint_path,
-                    [
-                        outcome.index,
-                        repr(outcome.score),
-                        f"{outcome.cpu_time_s:.6g}",
-                        int(outcome.exact_rerun),
-                    ],
-                )
             emit_progress()
 
         if n_preloaded:
@@ -664,50 +632,6 @@ class SweepEngine:
         blocks.sort(key=lambda block: block[0].index)
         return blocks
 
-    def _checkpoint_metadata(self, sweep, *, strategy=None) -> Dict[str, str]:
-        # the grid/config hash covers the parameter *values* (not just
-        # names), the canonical execution fingerprint (solver profile,
-        # integrator, settings — shared with the cache keys) and the base
-        # scenario's identity, so a checkpoint cannot silently map stale
-        # scores onto a reshaped grid, a different-accuracy profile or a
-        # different base configuration.  Lane packing is left out: every
-        # batched lane is bitwise its scalar run, so a checkpoint resumes
-        # at any lane width, as cache entries are shared
-        import json as _json
-
-        scenario = sweep.scenario
-        scenario_fingerprint = (
-            getattr(scenario, "name", ""),
-            getattr(scenario, "duration_s", None),
-            scenario.topology_key(),
-        )
-        # a strategy fingerprint of None means "legacy grid-compatible":
-        # the digest tuple stays exactly the dense sweep's, so a grid
-        # exploration resumes pre-existing dense-sweep checkpoints (and
-        # vice versa); every other strategy folds its configuration in,
-        # so a checkpoint never resumes against a different search
-        strategy_fp = None if strategy is None else strategy.fingerprint()
-        identity = (
-            sweep.metric_name,
-            sorted(
-                (name, tuple(values))
-                for name, values in sweep.parameters.items()
-            ),
-            _json.dumps(self.options.fingerprint(), sort_keys=True),
-            scenario_fingerprint,
-        )
-        if strategy_fp is not None:
-            identity = identity + (_json.dumps(strategy_fp, sort_keys=True),)
-        digest = hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
-        metadata = {
-            "metric": sweep.metric_name,
-            "parameters": " ".join(sorted(sweep.parameters)),
-            "grid": digest,
-        }
-        if strategy_fp is not None:
-            metadata["strategy"] = strategy.name
-        return metadata
-
     def _apply_cache(
         self, sweep, tasks: List[_Task], outcomes: Dict[int, _Outcome]
     ):
@@ -736,9 +660,10 @@ class SweepEngine:
             raise ConfigurationError(
                 f"cache={cache!r} needs a named metric — the custom "
                 f"metric {getattr(sweep.metric, '__name__', sweep.metric)!r} "
-                "has no canonical identity to key cache entries on; use a "
-                "stock metric (harvested_energy / average_power) or drop "
-                "the cache"
+                "has no canonical identity to key cache entries on, so a "
+                "sweep scored by it can be neither cached nor resumed after "
+                "an interruption; use a stock metric (harvested_energy / "
+                "average_power) or drop the cache"
             )
         store = ResultStore(self.options.cache_dir)
         fingerprint = self.options.fingerprint()
@@ -752,29 +677,26 @@ class SweepEngine:
                 "metric": metric_key,
             }
             key = store.key_for(payload)
-            if task.index not in outcomes:
-                try:
-                    point = store.load_point(key)
-                except CacheCorruptionError as exc:
-                    warnings.warn(
-                        f"ignoring corrupt cache entry: {exc}", stacklevel=2
-                    )
-                    if cache == "readwrite":
-                        try:
-                            store.drop(key)
-                        except OSError:
-                            pass  # an undeletable entry must not abort the run
-                    point = None
-                if point is not None:
-                    outcomes[task.index] = _Outcome(
-                        index=task.index,
-                        score=float(point["score"]),
-                        cpu_time_s=float(point["cpu_time_s"]),
-                        exact_rerun=bool(point["exact_rerun"]),
-                    )
-                    n_cache_hits += 1
-                    armed.append(task)
-                    continue
+            try:
+                point = store.load_point(key)
+            except CacheCorruptionError as exc:
+                warnings.warn(f"ignoring corrupt cache entry: {exc}", stacklevel=2)
+                if cache == "readwrite":
+                    try:
+                        store.drop(key)
+                    except OSError:
+                        pass  # an undeletable entry must not abort the run
+                point = None
+            if point is not None:
+                outcomes[task.index] = _Outcome(
+                    index=task.index,
+                    score=float(point["score"]),
+                    cpu_time_s=float(point["cpu_time_s"]),
+                    exact_rerun=bool(point["exact_rerun"]),
+                )
+                n_cache_hits += 1
+                armed.append(task)
+                continue
             if cache == "readwrite":
                 task = replace(
                     task,
@@ -784,37 +706,6 @@ class SweepEngine:
                 )
             armed.append(task)
         return n_cache_hits, armed
-
-    def _load_checkpoint_rows(self, sweep, strategy) -> Dict[int, _Outcome]:
-        """Recorded outcomes of an existing checkpoint, by global index.
-
-        A fresh header is written when no (valid) checkpoint exists.  A
-        checkpoint written by a different sweep — different metric,
-        parameter values, execution profile, or exploration strategy —
-        is rejected loudly rather than silently merged.  Rows are keyed
-        on the global candidate index, so a multi-round exploration
-        resumes every round it completed (a deterministic strategy
-        re-proposes the same candidates in the same order).
-        """
-        path = self.options.checkpoint_path
-        if path is None:
-            return {}
-        expected = self._checkpoint_metadata(sweep, strategy=strategy)
-        if not os.path.exists(path):
-            write_checkpoint_header(path, _CHECKPOINT_FIELDS, expected)
-            return {}
-        rows = validate_checkpoint(path, expected, _CHECKPOINT_FIELDS)
-        recorded: Dict[int, _Outcome] = {}
-        for row in rows:
-            index = int(row[0])
-            if index >= 0 and index not in recorded:
-                recorded[index] = _Outcome(
-                    index=index,
-                    score=float(row[1]),
-                    cpu_time_s=float(row[2]),
-                    exact_rerun=bool(int(row[3])),
-                )
-        return recorded
 
     @staticmethod
     def _parallelisable(tasks: Sequence[_Task]) -> bool:
@@ -845,8 +736,15 @@ class SweepEngine:
                 for block in blocks
             }
             not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    for outcome in future.result():
-                        record(outcome)
+            try:
+                while not_done:
+                    done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        for outcome in future.result():
+                            record(outcome)
+            except BaseException:
+                # an interrupted sweep (a raising progress callback, Ctrl-C)
+                # waits only for the blocks already running, not the queue
+                for future in not_done:
+                    future.cancel()
+                raise

@@ -11,8 +11,8 @@ A :class:`ParameterSweep` is the sweep *description*: the base scenario,
 the grid axes and the metric.  ``Study.sweep(...)`` builds one, and
 :class:`~repro.analysis.engine.SweepEngine` executes it with the knobs of
 one :class:`~repro.api.options.RunOptions` — worker processes with
-deterministic, serial-identical scores, checkpoint/resume through
-:mod:`repro.io.csvio`, best-so-far progress reporting
+deterministic, serial-identical scores, resume through the result
+cache (:mod:`repro.cache`), best-so-far progress reporting
 (:func:`repro.io.report.format_sweep_progress`) and the
 amortised-relinearisation solver profile.  See :mod:`repro.analysis.engine`.
 
@@ -71,7 +71,7 @@ class SweepResult:
     """All evaluated candidates, sortable by score.
 
     ``engine_info`` is filled by the sweep engine with run bookkeeping
-    (worker count, resumed/evaluated candidate counts, solver profile).
+    (worker count, evaluated/cache-served candidate counts, solver profile).
     """
 
     metric_name: str
@@ -165,7 +165,7 @@ class ParameterSweep:
 
         Delegates to :func:`repro.explore.grid_candidates` — the one
         canonical grid enumeration, shared with every exploration
-        strategy so checkpoints and strategies agree on candidate order.
+        strategy so the engine and every strategy agree on candidate order.
         """
         from ..explore import grid_candidates
 
@@ -255,7 +255,7 @@ def sweep_excitation_frequency(
     output power collapses as the ambient frequency moves away from the
     resonant frequency.
 
-    Keyword arguments (``n_workers=``, ``checkpoint_path=``, ``progress=``,
+    Keyword arguments (``n_workers=``, ``progress=``,
     ``relinearise_interval=``, ``settings=``, ``integrator=``) become
     :class:`~repro.api.options.RunOptions` fields; execution routes
     through the :mod:`repro.api` planner (no deprecation warning — this

@@ -6,8 +6,8 @@ it, and new scenario families land here instead of growing another
 free-function entry point:
 
 * :class:`RunOptions` — every execution knob (integrator, solver
-  settings, relinearisation profile, lane width, workers, checkpointing,
-  progress, cache, exploration) in one validated dataclass, with named
+  settings, relinearisation profile, lane width, workers, progress,
+  cache, exploration) in one validated dataclass, with named
   profiles ``exact()`` / ``fast()`` / ``batched()``;
 * :class:`Study` — the fluent driver:
   ``Study.scenario(...).options(...).sweep(...).run()`` dispatches single

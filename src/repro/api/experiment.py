@@ -518,8 +518,8 @@ class ExperimentSpec:
         (:meth:`RunOptions.fingerprint` — integrator, settings,
         relinearisation profile, seed), the solver dispatch and the
         sweep definition.  Deliberately excluded: scheduling and
-        bookkeeping knobs (worker count, lane width, checkpoint path,
-        cache mode, experiment name/description) that cannot change a
+        bookkeeping knobs (worker count, lane width, cache mode,
+        experiment name/description) that cannot change a
         score or a waveform.
         """
         payload: Dict[str, object] = {

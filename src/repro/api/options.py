@@ -48,14 +48,14 @@ def execution_fingerprint(
 ) -> Dict[str, object]:
     """Canonical fingerprint of everything that can change a *result*.
 
-    This is the **one** options fingerprint in the codebase: the sweep
-    engine's checkpoint config-hash and the result cache's keys are both
-    derived from it, so a checkpoint resume and a cache hit agree on what
-    "the same execution" means.  Deliberately excluded: knobs that change
-    *how fast* or *where* candidates run but not their scores
-    (``n_workers``, ``lane_width``, checkpointing, progress, cache
-    mode) — every batched lane is bitwise its scalar run, so lane
-    packing never moves a key.  ``seed`` *is* included: a seeded
+    This is the **one** options fingerprint in the codebase: every
+    result-cache key (single runs, sweep points, experiment content
+    hashes) derives from it, so a cache hit and a resumed sweep agree on
+    what "the same execution" means.  Deliberately excluded: knobs that
+    change *how fast* or *where* candidates run but not their scores
+    (``n_workers``, ``lane_width``, progress, cache mode) — every
+    batched lane is bitwise its scalar run, so lane packing never moves a
+    key.  ``seed`` *is* included: a seeded
     exploration samples a different candidate set per seed, so its
     results must never collide with another seed's in the cache.
     """
@@ -76,8 +76,7 @@ def execution_fingerprint(
             else int(relinearise_interval)
         ),
         # constants: the values of the retired backend choice and
-        # march-kernel mode, so every existing cache key and checkpoint
-        # digest stays unchanged
+        # march-kernel mode, so every existing cache key stays unchanged
         "backend": "process",
         "seed": None if seed is None else int(seed),
         "compiled": "off",
@@ -99,8 +98,6 @@ FINGERPRINT_EXEMPT = {
     "(a lane block of one is the scalar run itself)",
     "n_workers": "worker count only changes scheduling; sweeps score "
     "identically at any count",
-    "checkpoint_path": "where a checkpoint is written never affects what is "
-    "computed; the checkpoint's own config hash derives from the fingerprint",
     "progress": "a reporting callback observes the run and cannot feed back "
     "into any result",
     "cache": "the cache mode decides whether results are stored or served, "
@@ -140,8 +137,7 @@ class RunOptions:
         trips the stability guard re-runs exact, recorded as
         ``metadata["exact_rerun"]``.  Given together with ``settings``,
         their own ``relinearise_interval`` must be 1 or this same value.
-        ``None`` and 1 share one fingerprint, so one cache key and one
-        checkpoint digest.
+        ``None`` and 1 share one fingerprint, so one cache key.
     lane_width:
         Maximum lanes per sweep lane block.  A sweep marches
         same-topology candidates (digital events included) as lanes of
@@ -152,15 +148,15 @@ class RunOptions:
     n_workers:
         Worker processes for sweep execution (or comparison legs).  ``1``
         evaluates inline; ``None`` uses ``os.cpu_count()``.
-    checkpoint_path:
-        Sweep checkpoint/resume CSV (:mod:`repro.io.csvio`).
     progress:
         Sweep progress callback ``progress(done, total, best_point)``.
     cache:
         Result-cache mode (:mod:`repro.cache`): ``"off"`` (default) never
         touches the store; ``"read"`` serves single runs and per-candidate
         sweep points from the content-addressed store but never writes;
-        ``"readwrite"`` additionally records misses.  Cache keys cover the
+        ``"readwrite"`` additionally records misses, which is also how an
+        interrupted sweep resumes: a re-run is served every candidate a
+        finished lane block recorded.  Cache keys cover the
         experiment content hash plus a code-version salt, so results never
         survive a version bump.  Lane packing is not part of a key: a
         sweep at any ``lane_width`` is served every other width's entries.
@@ -188,7 +184,7 @@ class RunOptions:
         Seed for the sampled candidate subset.  Required by
         ``"random"``/``"latin"`` (and by ``"halving"`` with a sub-grid
         ``budget``); folded into the execution fingerprint so cache
-        entries and checkpoints never mix candidates across seeds.
+        entries never mix candidates across seeds.
     """
 
     integrator: Optional[ExplicitIntegrator] = None
@@ -196,7 +192,6 @@ class RunOptions:
     relinearise_interval: Optional[int] = None
     lane_width: Optional[int] = None
     n_workers: Optional[int] = 1
-    checkpoint_path: Optional[str] = None
     progress: Optional[ProgressFn] = None
     cache: str = "off"
     cache_dir: Optional[str] = None
@@ -338,7 +333,6 @@ class RunOptions:
         offending pair) rather than silently ignored.
         """
         for knob, value in (
-            ("checkpoint_path", self.checkpoint_path),
             ("progress", self.progress),
             ("lane_width", self.lane_width),
         ):
@@ -363,7 +357,6 @@ class RunOptions:
         fans the legs out across worker processes.
         """
         for knob, value in (
-            ("checkpoint_path", self.checkpoint_path),
             ("progress", self.progress),
             ("lane_width", self.lane_width),
         ):

@@ -416,8 +416,8 @@ def execute_explore(sweep, options: RunOptions) -> ExplorationResult:
     The exploration counterpart of :func:`execute_sweep`: builds the
     strategy named by ``options.explore`` (:mod:`repro.explore`) and
     drives it through :meth:`~repro.analysis.engine.SweepEngine.run_explore`
-    — every engine feature (worker processes, batched lanes, checkpoints,
-    the result cache) composes with every strategy unchanged.
+    — every engine feature (worker processes, batched lanes, the
+    result cache) composes with every strategy unchanged.
     """
     from ..analysis.engine import SweepEngine
 

@@ -172,7 +172,6 @@ class StudyResult:
             summary.update(
                 n_workers=info.n_workers,
                 n_evaluated=info.n_evaluated,
-                n_resumed=info.n_resumed,
             )
             if getattr(info, "cache", "off") != "off":
                 summary["n_cache_hits"] = info.n_cache_hits

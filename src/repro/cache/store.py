@@ -23,8 +23,7 @@ Writes are atomic at entry granularity: each file lands through a
 tmp-file + ``os.replace`` and ``entry.json`` is renamed into place last,
 so a torn write is invisible (no ``entry.json`` means no entry) and
 concurrent writers of one key are harmless (keys are content hashes).
-Loads validate with the same rigor as
-:func:`repro.io.csvio.validate_checkpoint`: an entry that exists but
+Loads validate every entry: one that exists but
 cannot be trusted — unparseable JSON, key/schema/salt mismatch, missing
 trace payload — raises
 :class:`~repro.core.errors.CacheCorruptionError` naming the entry and

@@ -175,7 +175,6 @@ def _report_run(spec: ExperimentSpec, result, args, elapsed_s: float) -> None:
                         "n_candidates": len(record.points),
                         "n_evaluated": record.n_evaluated,
                         "n_cache_hits": record.n_cache_hits,
-                        "n_resumed": record.n_resumed,
                     }
                     for record in result.rounds
                 ]

@@ -34,10 +34,10 @@ Execution model
   start-up lanes through the integrator, the others through a one-step
   kernel call.  Non-Adams-Bashforth integrators step one at a time.
 * **Lane retirement**: lanes that reach their end time are finalised and
-  retired; lanes that trip the divergence guard or a singular elimination,
-  or whose digital process raises, are retired with their error recorded
-  so the caller can re-run them on the exact scalar path
-  (:mod:`repro.analysis.engine` does exactly that).
+  retired; lanes that trip the divergence guard or a singular elimination
+  at their own refresh, or whose digital process raises, are retired with
+  their error recorded so the caller can re-run them on the exact scalar
+  path (:mod:`repro.analysis.engine` does exactly that).
 * **Batched refresh**: each relinearisation evaluates the active lanes'
   block models into the one persistent
   :class:`~repro.core.elimination.BatchedAssembler` workspace, bound at
@@ -72,7 +72,7 @@ arithmetic, and each lane's excitation goes through scalar libm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -659,8 +659,12 @@ class BatchedSolver:
         def linearise() -> Optional[BatchedReducedSystem]:
             """Assemble + eliminate every active lane at its own point.
 
-            Lanes whose elimination is singular are retired (their blame
-            is lane-accurate, see ``BatchedAssembler.eliminate``); returns
+            Due lanes whose elimination is singular are retired (their
+            blame is lane-accurate, see ``BatchedAssembler.eliminate``); a
+            blamed lane that is not due keeps its held model and marches
+            on, as in its own run, which does not solve at this point: its
+            ``J_yy`` is stood in by the identity, so the solve succeeds and
+            its row, which ``adopt`` never takes, is left unused.  Returns
             ``None`` once no lane is left.
             """
             nonlocal refresh_time
@@ -671,7 +675,11 @@ class BatchedSolver:
                     try:
                         return assembler.eliminate(lin, s.x)
                     except SingularLaneError as exc:
-                        bad = list(exc.lane_indices)
+                        bad = [i for i in exc.lane_indices if s.due[i]]
+                        if not bad:
+                            jyy = lin.jyy.copy()
+                            jyy[list(exc.lane_indices)] = np.eye(jyy.shape[1])
+                            return assembler.eliminate(replace(lin, jyy=jyy), s.x)
                         fail_lanes(
                             bad,
                             [
@@ -815,17 +823,18 @@ class BatchedSolver:
             # 3. refresh the due lanes (hold budget spent or a
             #    model-changing activation); the others' terminals follow
             #    their held models.  The time left to each lane's step
-            #    boundary is taken once, after any lane retirement
+            #    boundary is taken once, after any lane retirement, which
+            #    may leave no lane due
             s.due = s.since >= s.hold
             every_due = False
             if np.count_nonzero(s.due):
                 fresh = linearise()
                 if fresh is None:
                     break
-                remaining = step_boundary() - s.t
+            remaining = step_boundary() - s.t
+            if np.count_nonzero(s.due):
                 every_due = adopt(fresh, remaining)
             else:
-                remaining = step_boundary() - s.t
                 s.y = reduced.terminal_values(s.x)
 
             # 4. record traces

@@ -35,7 +35,7 @@ class CacheCorruptionError(ConfigurationError):
     Raised by :class:`repro.cache.ResultStore` when an entry exists but
     cannot be trusted (unparseable metadata, key/schema mismatch, missing
     trace payload).  Derives from :class:`ConfigurationError` so callers
-    that already guard spec/checkpoint loading catch it too; the planner
+    that already guard spec loading catch it too; the planner
     treats it as a miss (with a warning) rather than failing the run.
     """
 

@@ -515,7 +515,7 @@ class SystemSpec:
         :class:`~repro.core.elimination.AssemblyStructure`: same block
         keys/names/order, same wiring, same *structural* parameters (e.g.
         multiplier stage count) and same controller attachment.  Sweeps
-        group batched lanes and key checkpoints on this value.
+        group batched lanes on this value.
         """
         registry = registry or BLOCK_REGISTRY
         payload = {

@@ -6,8 +6,8 @@ run (lane blocks over worker processes), an :class:`ExplorationStrategy` decides
 *which* candidates run, round by round.  The sweep engine drives any
 strategy through the protocol in :mod:`repro.explore.base`
 (``propose(round) -> proposals``, ``observe(scores)``, ``done()``), and
-every engine feature — worker processes, batched lanes, checkpoints, the
-per-candidate result cache — composes with every strategy unchanged.
+every engine feature — worker processes, batched lanes, the per-candidate
+result cache — composes with every strategy unchanged.
 
 Shipped strategies (``RunOptions(explore=...)`` names):
 

@@ -8,8 +8,7 @@ simulation budget one way: the dense cartesian grid hard-wired into
 pluggable axis, mirroring what :mod:`repro.api.planner` did for candidate
 *execution*: the sweep engine drives any strategy through one round-based
 protocol and its one lane-packing dispatch (lane blocks over worker
-processes), checkpointing and the per-candidate result cache compose
-unchanged.
+processes) and the per-candidate result cache compose unchanged.
 
 The protocol is deliberately tiny:
 
@@ -22,8 +21,8 @@ The protocol is deliberately tiny:
 * :meth:`~ExplorationStrategy.done` — whether the search is finished.
 
 Strategies must be **deterministic given their configuration and the
-observed scores**: the engine's checkpoint resume replays rounds from
-recorded scores, and the content-addressed result cache assumes a seeded
+observed scores**: a sweep resumed through the content-addressed result
+cache replays every round from the served scores, which holds only if the
 strategy re-proposes the exact same candidates.  Anything random must
 flow from an explicit ``seed``.
 """
@@ -118,18 +117,6 @@ class ExplorationStrategy:
         """Planned rounds, when statically known (``None`` otherwise)."""
         return None
 
-    def fingerprint(self) -> Optional[Dict[str, object]]:
-        """Checkpoint-identity record of this strategy's configuration.
-
-        ``None`` means "legacy grid-compatible": the engine then writes
-        exactly the checkpoint metadata a plain dense sweep writes, so
-        grid exploration resumes pre-existing dense-sweep checkpoints
-        (and vice versa).  Every other strategy must return a dict naming
-        its configuration — resuming a checkpoint against a *different*
-        search raises instead of stitching scores into the wrong rounds.
-        """
-        return {"strategy": self.name}
-
 
 # ---------------------------------------------------------------------- #
 # the one grid enumeration (extracted from ParameterSweep.candidates)
@@ -140,8 +127,8 @@ def grid_candidates(
     """Enumerate the full cartesian grid in axis-insertion order.
 
     This is *the* canonical enumeration order of the codebase — the
-    legacy :meth:`ParameterSweep.candidates` delegates here, candidate
-    indices in checkpoints refer to it, and :class:`GridStrategy`
+    legacy :meth:`ParameterSweep.candidates` delegates here, the engine's
+    candidate indices refer to it, and :class:`GridStrategy`
     proposes it verbatim (the byte-identity contract of the refactor).
     """
     names = list(parameters)
@@ -170,7 +157,6 @@ class ExplorationRoundRecord:
     points: List[object] = field(default_factory=list)
     n_evaluated: int = 0
     n_cache_hits: int = 0
-    n_resumed: int = 0
 
 
 @dataclass
@@ -182,7 +168,7 @@ class ExplorationRun:
     ``rounds``), so ``final.best()`` is always a score comparable to a
     dense sweep's.  ``work_units`` measures simulation work in
     full-candidate-equivalents: a candidate simulated at horizon ``h``
-    costs ``h`` units, cache hits and checkpoint resumes cost nothing —
+    costs ``h`` units, cache hits cost nothing —
     ``work_units / full_grid_work`` is the headline budget fraction the
     explore benchmark asserts.
     """
@@ -195,7 +181,6 @@ class ExplorationRun:
     n_candidates: int
     n_simulations: int
     n_cache_hits: int
-    n_resumed: int
     work_units: float
     full_grid_work: float
 

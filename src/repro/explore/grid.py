@@ -18,7 +18,7 @@ re-simulate everything.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
 from .base import (
@@ -66,11 +66,6 @@ class GridStrategy(ExplorationStrategy):
     def schedule(self) -> List[RoundPlan]:
         return [RoundPlan(n_candidates=grid_size(self.parameters), horizon=1.0)]
 
-    def fingerprint(self) -> Optional[Dict[str, object]]:
-        # legacy-compatible: a grid exploration writes (and resumes) the
-        # exact checkpoint metadata of the historical dense sweep
-        return None
-
 
 class GridExtensionStrategy(GridStrategy):
     """A superset grid whose inherited points come from the result cache.
@@ -80,9 +75,7 @@ class GridExtensionStrategy(GridStrategy):
     so the intent is visible in specs/reports and the options layer can
     require a cache mode (``cache="read"``/``"readwrite"``): candidates
     already simulated by the subset sweep are cache hits, only the new
-    points cost simulation work.  The checkpoint identity is also shared
-    with the dense grid (``fingerprint() -> None``), so an extension can
-    resume a dense checkpoint of the same extended grid.
+    points cost simulation work.
     """
 
     name = "extend"

@@ -172,12 +172,3 @@ class SuccessiveHalvingStrategy(ExplorationStrategy):
     def survivors(self) -> List[Dict[str, object]]:
         """Final-round candidates, best full-horizon score first."""
         return [dict(candidate) for candidate in self._ranked_final]
-
-    def fingerprint(self) -> Dict[str, object]:
-        return {
-            "strategy": self.name,
-            "budget": self.budget,
-            "seed": self.seed,
-            "eta": self.eta,
-            "min_horizon": self.min_horizon,
-        }

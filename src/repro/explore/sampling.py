@@ -5,8 +5,8 @@ the grid instead of enumerating all of it.  Determinism is part of the
 contract: the ``seed`` is required, all randomness flows through one
 ``random.Random(seed)`` (whose sequence is platform- and
 process-independent), and the chosen candidates are emitted in canonical
-grid-enumeration order — so a re-run, a worker process and a checkpoint
-resume all agree on the candidate list, and the seed folded into the
+grid-enumeration order — so a re-run, a worker process and a resumed
+sweep all agree on the candidate list, and the seed folded into the
 execution fingerprint (:func:`repro.api.options.execution_fingerprint`)
 makes cached sampled runs reproducible by construction.
 """
@@ -107,9 +107,6 @@ class _SingleRoundSampler(ExplorationStrategy):
 
     def schedule(self) -> List[RoundPlan]:
         return [RoundPlan(n_candidates=len(self._candidates), horizon=1.0)]
-
-    def fingerprint(self) -> Dict[str, object]:
-        return {"strategy": self.name, "budget": self.budget, "seed": self.seed}
 
 
 class RandomStrategy(_SingleRoundSampler):

@@ -94,7 +94,7 @@ class Scenario:
         return replace(self, duration_s=duration_s)
 
     def topology_key(self) -> tuple:
-        """Cheap topology fingerprint (lane-grouping and checkpoint key).
+        """Cheap topology fingerprint (the lane-grouping key).
 
         Deliberately coarse: two config-backed scenarios that share this
         key but not their netlist topology land in one batched lane block,

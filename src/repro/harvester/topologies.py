@@ -343,7 +343,7 @@ class SpecScenario:
     paper_reference: str = ""
 
     def topology_key(self) -> Tuple:
-        """Lane-grouping and checkpoint key: the spec's structural topology hash."""
+        """Lane-grouping key: the spec's structural topology hash."""
         return ("spec", self.spec.topology_hash())
 
     def with_spec(self, spec: SystemSpec) -> "SpecScenario":

@@ -1,4 +1,4 @@
-"""Trace export/import, spec files, sweep checkpoints, report formatting."""
+"""Trace export/import, spec files, report formatting."""
 
 from .specio import (
     dump_toml,
@@ -8,13 +8,9 @@ from .specio import (
     save_spec,
 )
 from .csvio import (
-    append_checkpoint_row,
     export_result,
     export_traces,
     import_traces,
-    read_checkpoint,
-    validate_checkpoint,
-    write_checkpoint_header,
 )
 from .report import (
     format_duration,
@@ -31,13 +27,9 @@ __all__ = [
     "load_experiment",
     "save_experiment",
     "dump_toml",
-    "append_checkpoint_row",
     "export_result",
     "export_traces",
     "import_traces",
-    "read_checkpoint",
-    "validate_checkpoint",
-    "write_checkpoint_header",
     "format_duration",
     "format_key_values",
     "format_markdown_table",

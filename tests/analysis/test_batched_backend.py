@@ -184,46 +184,3 @@ class TestScalarPathLogging:
         assert "'excitation_frequency_hz': 72.0" in message
         assert "controller fault" in message
         assert "exact scalar re-run" in message
-
-
-class TestCheckpointGuard:
-    def test_resume_with_same_grid_is_accepted(self, tmp_path):
-        path = tmp_path / "ckpt.csv"
-        sweep = make_sweep().options(RunOptions(checkpoint_path=str(path)))
-        first = sweep.run()
-        resumed = sweep.run()
-        assert resumed.engine_info.n_resumed == 4
-        assert resumed.engine_info.n_evaluated == 0
-        for ref, got in zip(first.points, resumed.points):
-            assert got.score == ref.score
-
-    def test_scalar_path_checkpoint_resumes_as_lanes(self, tmp_path):
-        # lane packing never changes a score, so it is not part of what a
-        # checkpoint must match: the two candidates the truncated
-        # lane_width=1 checkpoint lacks march as batched lanes
-        path = tmp_path / "ckpt.csv"
-        sweep = make_sweep()
-        first = sweep.options(lane_width=1, checkpoint_path=str(path)).run()
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:4]))  # magic, header, two rows
-        resumed = sweep.options(RunOptions(checkpoint_path=str(path))).run()
-        assert resumed.engine_info.n_resumed == 2
-        assert resumed.engine_info.n_batched_candidates == 2
-        assert [p.score.hex() for p in resumed.points] == [
-            p.score.hex() for p in first.points
-        ]
-
-    def test_resume_with_changed_grid_values_raises(self, tmp_path):
-        path = str(tmp_path / "ckpt.csv")
-        make_sweep().options(checkpoint_path=path).run()
-        reshaped = make_sweep(frequencies=(64.0, 70.0))
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            reshaped.options(checkpoint_path=path).run()
-
-    def test_resume_with_changed_base_config_raises(self, tmp_path):
-        # same grid axes, different base scenario (duration): the config
-        # hash must refuse to stitch the stale scores in
-        path = str(tmp_path / "ckpt.csv")
-        make_sweep(duration_s=0.05).options(checkpoint_path=path).run()
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            make_sweep(duration_s=0.02).options(checkpoint_path=path).run()

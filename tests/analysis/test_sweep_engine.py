@@ -4,23 +4,32 @@ import pytest
 
 from repro import RunOptions, Study
 from repro.analysis.engine import SweepEngine
-from repro.analysis.sweep import average_power_metric, sweep_excitation_frequency
+from repro.analysis.sweep import (
+    average_power_metric,
+    harvested_energy_metric,
+    sweep_excitation_frequency,
+)
+from repro.cache import ResultStore
 from repro.core.errors import ConfigurationError
 from repro.harvester.scenarios import Scenario, charging_scenario
-from repro.io.csvio import read_checkpoint
 
 
 def run_single(scenario, settings=None):
     return Study.scenario(scenario).options(settings=settings).run().result
 
 
-def make_sweep(duration_s=0.05, frequencies=(68.0, 70.0), amplitudes=(0.4, 0.59)):
+def make_sweep(
+    duration_s=0.05,
+    frequencies=(68.0, 70.0),
+    amplitudes=(0.4, 0.59),
+    metric=average_power_metric,
+):
     return Study.scenario(charging_scenario(duration_s=duration_s)).sweep(
         {
             "excitation_frequency_hz": list(frequencies),
             "excitation_amplitude_ms2": list(amplitudes),
         },
-        metric=average_power_metric,
+        metric=metric,
         metric_name="average_power_W",
     )
 
@@ -96,73 +105,6 @@ class TestSweepEngineParity:
             SweepEngine(2)
         assert SweepEngine(RunOptions(n_workers=None)).n_workers >= 1
 
-
-class TestCheckpointResume:
-    def test_round_trip_resume_skips_completed(self, tmp_path):
-        sweep = make_sweep().options(checkpoint_path=str(tmp_path / "sweep.csv"))
-        full = sweep.run()
-        assert full.engine_info.n_evaluated == 4
-
-        resumed = sweep.run()
-        assert resumed.engine_info.n_resumed == 4
-        assert resumed.engine_info.n_evaluated == 0
-        assert [p.score for p in resumed.points] == [p.score for p in full.points]
-
-    def test_partial_checkpoint_resumes_remaining(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        sweep = make_sweep().options(checkpoint_path=str(path))
-        full = sweep.run()
-
-        # keep the header + magic + first two completed candidates
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:4]))
-
-        resumed = sweep.options(n_workers=2).run()
-        assert resumed.engine_info.n_resumed == 2
-        assert resumed.engine_info.n_evaluated == 2
-        assert [p.score for p in resumed.points] == [p.score for p in full.points]
-
-    def test_torn_final_row_is_skipped(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        sweep = make_sweep().options(checkpoint_path=str(path))
-        sweep.run()
-        with path.open("a") as handle:
-            handle.write("9,0.5")  # torn write: too few cells
-        metadata, fieldnames, rows = read_checkpoint(path)
-        assert len(rows) == 4  # torn row dropped
-        resumed = sweep.run()
-        assert resumed.engine_info.n_resumed == 4
-
-    def test_checkpoint_with_same_names_different_values_rejected(self, tmp_path):
-        """A reshaped grid must not silently reuse stale indexed scores."""
-        path = str(tmp_path / "sweep.csv")
-        make_sweep(frequencies=(68.0, 70.0)).options(checkpoint_path=path).run()
-        reshaped = make_sweep(frequencies=(75.0, 78.0))  # same parameter names
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            reshaped.options(checkpoint_path=path).run()
-
-    def test_checkpoint_profile_change_rejected(self, tmp_path):
-        """Exact and fast-profile scores must not be mixed in one checkpoint."""
-        path = str(tmp_path / "sweep.csv")
-        make_sweep().options(checkpoint_path=path).run()
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            make_sweep().options(checkpoint_path=path, relinearise_interval=4).run()
-
-    def test_checkpoint_of_different_sweep_rejected(self, tmp_path):
-        path = str(tmp_path / "sweep.csv")
-        make_sweep().options(checkpoint_path=path).run()
-        other = (
-            Study.scenario(charging_scenario(duration_s=0.05))
-            .options(checkpoint_path=path)
-            .sweep(
-                {"excitation_frequency_hz": [70.0]},
-                metric=average_power_metric,
-                metric_name="other_metric",
-            )
-        )
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            other.run()
-
     def test_progress_callback_reports_best(self, tmp_path):
         seen = []
         make_sweep().options(
@@ -173,6 +115,161 @@ class TestCheckpointResume:
         # best-so-far score is monotonically non-decreasing
         scores = [s[2] for s in seen]
         assert scores == sorted(scores)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(done, total, best):
+    raise _Interrupted
+
+
+class TestResumeThroughCache:
+    """An interrupted sweep resumes through the result cache alone.
+
+    The first progress report comes after the first lane block has
+    written its entries, so raising from it interrupts the sweep with
+    exactly one block stored (serially; a parallel sweep still finishes
+    the blocks already running on its workers, but not the queued ones).
+    Lane width is not part of any cache key, so a sweep resumes at any
+    width.
+    """
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (dict(lane_width=2), dict(lane_width=2)),
+            (dict(lane_width=2), dict(lane_width=2, n_workers=2)),
+            (dict(lane_width=2, n_workers=2), dict(lane_width=2, n_workers=2)),
+            (dict(lane_width=2), dict(lane_width=1)),
+            (dict(lane_width=1), {}),
+        ],
+        ids=[
+            "serial",
+            "serial_then_workers",
+            "workers",
+            "serial_then_scalar",
+            "scalar_then_lanes",
+        ],
+    )
+    def test_interrupted_sweep_resumes_bitwise(self, tmp_path, first, second):
+        cache = dict(cache="readwrite", cache_dir=str(tmp_path))
+        uninterrupted = make_sweep().run()
+        with pytest.raises(_Interrupted):
+            make_sweep().options(
+                RunOptions(**first, **cache, progress=_interrupt)
+            ).run()
+        stats = ResultStore(tmp_path).stats()
+        n_stored = stats["n_entries"]
+        assert stats["n_corrupt"] == 0
+        if first.get("n_workers", 1) == 1:
+            assert n_stored == first["lane_width"]
+        else:
+            assert n_stored >= first["lane_width"]
+
+        resumed = make_sweep().options(RunOptions(**second, **cache)).run()
+        assert resumed.engine_info.n_cache_hits == n_stored
+        assert resumed.engine_info.n_evaluated == 4 - n_stored
+        assert [p.parameters for p in resumed.points] == [
+            p.parameters for p in uninterrupted.points
+        ]
+        assert [p.score for p in resumed.points] == [
+            p.score for p in uninterrupted.points
+        ]
+
+    def test_interrupted_parallel_sweep_cancels_the_queued_blocks(self, tmp_path):
+        # sixteen one-candidate blocks on two workers: the interruption
+        # waits for the blocks already running, and the queued ones are
+        # never evaluated (nor cached)
+        frequencies = [60.0 + i for i in range(16)]
+        cache = dict(cache="readwrite", cache_dir=str(tmp_path))
+
+        def sweep():
+            return Study.scenario(charging_scenario(duration_s=0.05)).sweep(
+                {"excitation_frequency_hz": frequencies}
+            )
+
+        with pytest.raises(_Interrupted):
+            sweep().options(
+                RunOptions(lane_width=1, n_workers=2, progress=_interrupt, **cache)
+            ).run()
+        n_stored = ResultStore(tmp_path).stats()["n_entries"]
+        assert 1 <= n_stored < len(frequencies)
+
+        resumed = sweep().options(RunOptions(lane_width=1, **cache)).run()
+        assert resumed.engine_info.n_cache_hits == n_stored
+        assert resumed.engine_info.n_evaluated == len(frequencies) - n_stored
+        assert [p.score for p in resumed.points] == [
+            p.score for p in sweep().run().points
+        ]
+
+    @pytest.mark.parametrize("damage", ["torn_write", "truncated_entry"])
+    def test_damaged_entry_is_re_evaluated_on_resume(self, tmp_path, damage):
+        # a writer killed mid-write leaves only its temporary file (the
+        # entry is not there); a damaged entry.json is corrupt, warned
+        # about and dropped.  Either way the resume re-evaluates that one
+        # candidate and serves the other
+        cache = dict(cache="readwrite", cache_dir=str(tmp_path))
+        uninterrupted = make_sweep().run()
+        with pytest.raises(_Interrupted):
+            make_sweep().options(
+                RunOptions(lane_width=2, progress=_interrupt, **cache)
+            ).run()
+        store = ResultStore(tmp_path)
+        key = next(key for key, _ in store.entries())
+        entry = tmp_path / key[:2] / key / "entry.json"
+        text = entry.read_text()
+        if damage == "torn_write":
+            entry.rename(entry.with_name(".entry.json.tmp4242"))
+            assert store.stats()["n_corrupt"] == 1
+            resumed = make_sweep().options(RunOptions(**cache)).run()
+        else:
+            entry.write_text(text[: len(text) // 2])
+            with pytest.warns(UserWarning, match="corrupt cache entry"):
+                resumed = make_sweep().options(RunOptions(**cache)).run()
+
+        assert resumed.engine_info.n_cache_hits == 1
+        assert resumed.engine_info.n_evaluated == 3
+        assert [p.score for p in resumed.points] == [
+            p.score for p in uninterrupted.points
+        ]
+        stats = store.stats()
+        assert stats["n_corrupt"] == 0
+        assert stats["n_points"] == 4
+
+    def test_changed_grid_hits_only_the_shared_candidates(self, tmp_path):
+        cache = RunOptions(cache="readwrite", cache_dir=str(tmp_path))
+        old = make_sweep(frequencies=(68.0, 70.0)).options(cache).run()
+        new = make_sweep(frequencies=(70.0, 75.0)).options(cache).run()
+        # same parameter names, one shared frequency (two amplitudes each)
+        assert new.engine_info.n_cache_hits == 2
+        assert new.engine_info.n_evaluated == 2
+        old_scores = {
+            tuple(p.parameters.values()): p.score for p in old.points
+        }
+        for point in new.points:
+            key = tuple(point.parameters.values())
+            if key in old_scores:
+                assert point.score == old_scores[key]
+
+    @pytest.mark.parametrize(
+        "options, sweep_kwargs",
+        [
+            (dict(relinearise_interval=4), {}),
+            ({}, dict(metric=harvested_energy_metric)),
+            ({}, dict(duration_s=0.02)),
+        ],
+        ids=["profile", "metric", "base_scenario"],
+    )
+    def test_changed_sweep_is_served_nothing(
+        self, tmp_path, options, sweep_kwargs
+    ):
+        cache = dict(cache="readwrite", cache_dir=str(tmp_path))
+        make_sweep().options(RunOptions(**cache)).run()
+        rerun = make_sweep(**sweep_kwargs).options(RunOptions(**options, **cache)).run()
+        assert rerun.engine_info.n_cache_hits == 0
+        assert rerun.engine_info.n_evaluated == 4
 
 
 class TestFastProfile:

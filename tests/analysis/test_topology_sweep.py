@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Study
+from repro import RunOptions, Study
 from repro.analysis.sweep import average_power_metric, format_sweep_value
 from repro.core.errors import ConfigurationError
 from repro.core.spec import BlockSpec
@@ -105,15 +105,40 @@ class TestTopologyAxis:
         key = scenario.topology_key()
         assert key[1] == scenario.config.multiplier_stages
 
-    def test_checkpoint_resume_with_topology_axis(self, tmp_path):
+    def test_cache_resume_with_topology_axis(self, tmp_path):
         variants = generator_variants(70.0)
         grid = {"generator": [variants["electromagnetic"], variants["piezoelectric"]]}
-        path = str(tmp_path / "topo.csv")
-        first = _spec_sweep(grid).options(checkpoint_path=path).run()
-        resumed = _spec_sweep(grid).options(checkpoint_path=path).run()
-        assert resumed.engine_info.n_resumed == 2
+        cache = RunOptions(cache="readwrite", cache_dir=str(tmp_path))
+        first = _spec_sweep(grid).options(cache).run()
+        resumed = _spec_sweep(grid).options(cache).run()
+        assert resumed.engine_info.n_cache_hits == 2
         assert resumed.engine_info.n_evaluated == 0
         assert [p.score for p in first.points] == [p.score for p in resumed.points]
+
+    def test_interrupted_topology_sweep_resumes_through_the_cache(self, tmp_path):
+        # lanes block per topology: the first progress report comes after
+        # one topology's block has written its two entries
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(done, total, best):
+            raise Interrupted
+
+        variants = generator_variants(70.0)
+        grid = {
+            "generator": [variants["electromagnetic"], variants["piezoelectric"]],
+            "excitation_frequency_hz": [66.0, 70.0],
+        }
+        cache = dict(cache="readwrite", cache_dir=str(tmp_path))
+        uninterrupted = _spec_sweep(grid).run()
+        with pytest.raises(Interrupted):
+            _spec_sweep(grid).options(RunOptions(progress=interrupt, **cache)).run()
+        resumed = _spec_sweep(grid).options(RunOptions(**cache)).run()
+        assert resumed.engine_info.n_cache_hits == 2
+        assert resumed.engine_info.n_evaluated == 2
+        assert [p.score for p in resumed.points] == [
+            p.score for p in uninterrupted.points
+        ]
 
 
 class TestAxisOrdering:

@@ -86,7 +86,6 @@ EXPECTED_RUN_OPTIONS_FIELDS = (
     "relinearise_interval",
     "lane_width",
     "n_workers",
-    "checkpoint_path",
     "progress",
     "cache",
     "cache_dir",
@@ -104,7 +103,7 @@ def test_top_level_all_is_pinned():
 def test_run_options_fields_are_pinned():
     fields = tuple(field.name for field in dataclasses.fields(repro.RunOptions))
     assert fields == EXPECTED_RUN_OPTIONS_FIELDS
-    assert len(fields) == 13
+    assert len(fields) == 12
 
 
 #: the solver's settable values: none of them is honoured by only one of

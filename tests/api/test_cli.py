@@ -200,6 +200,19 @@ def test_experiment_with_store_url_option_is_rejected(tmp_path, capsys):
     assert "store_url" in capsys.readouterr().err
 
 
+def test_experiment_with_checkpoint_path_option_is_rejected(tmp_path, capsys):
+    # a sweep resumes through the result cache only: a stored experiment
+    # that still names a checkpoint file is refused, naming the field
+    path = tmp_path / "old.toml"
+    path.write_text(
+        '[scenario]\nfactory = "charging"\n\n'
+        '[options]\ncheckpoint_path = "sweep.csv"\n\n'
+        '[sweep.axes]\nexcitation_frequency_hz = [68.0, 70.0]\n'
+    )
+    assert main(["sweep", str(path)]) == 2
+    assert "unknown fields ['checkpoint_path']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("backend", ["queue", "batched", "process"])
 def test_experiment_with_backend_option_is_rejected(

@@ -1,9 +1,9 @@
 """Every ``FINGERPRINT_EXEMPT`` claim is an executable test.
 
-An exempt ``RunOptions`` knob stays out of cache keys and checkpoint
-hashes on the claim that it cannot change a result.  Each case below runs
-a small sweep at two values of one knob and asserts the per-candidate
-scores are bitwise equal.  The test is parametrised over the exemption
+An exempt ``RunOptions`` knob stays out of cache keys on the claim that
+it cannot change a result.  Each case below runs a small sweep at two
+values of one knob and asserts the per-candidate scores are bitwise
+equal.  The test is parametrised over the exemption
 table itself, so a new exemption without a case here fails.
 """
 
@@ -66,10 +66,6 @@ CASES = {
     "lane_width_scalar_path_scenario_1": lambda tmp: (
         RunOptions(lane_width=1),
         RunOptions(),
-    ),
-    "checkpoint_path": lambda tmp: (
-        RunOptions(),
-        RunOptions(checkpoint_path=str(tmp / "sweep.csv")),
     ),
     "progress": lambda tmp: (
         RunOptions(),

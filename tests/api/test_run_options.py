@@ -59,7 +59,6 @@ class TestValidation:
 
     def test_sweep_only_knobs_rejected_for_single_runs(self):
         for options, fragment in [
-            (RunOptions(checkpoint_path="x.csv"), "checkpoint_path"),
             (RunOptions(progress=lambda *a: None), "progress"),
             (RunOptions(lane_width=2), "lane_width"),
             (RunOptions(n_workers=4), "n_workers"),
@@ -112,7 +111,7 @@ def test_options_have_no_queue_profile():
     assert not hasattr(RunOptions, "queue")
 
 
-@pytest.mark.parametrize("field", ["store_url", "lease_timeout_s"])
+@pytest.mark.parametrize("field", ["store_url", "lease_timeout_s", "checkpoint_path"])
 def test_removed_queue_fields_are_not_options(field):
     with pytest.raises(TypeError, match=field):
         RunOptions(**{field: 1})
@@ -122,7 +121,6 @@ def test_removed_queue_fields_are_not_options(field):
 
 #: knobs that only apply to sweeps, each as options that set it
 SWEEP_ONLY_KNOBS = {
-    "checkpoint_path": dict(checkpoint_path="sweep.csv"),
     "progress": dict(progress=lambda *args: None),
     "lane_width": dict(lane_width=2),
     "explore": dict(explore="grid"),
@@ -157,7 +155,7 @@ ROUND_TRIP_OPTIONS = {
         cache="readwrite", cache_dir="cache", store_traces=False
     ),
     "random-explore": lambda: RunOptions(explore="random", budget=3, seed=7),
-    "checkpoint": lambda: RunOptions(checkpoint_path="sweep.csv", n_workers=None),
+    "auto-workers": lambda: RunOptions(n_workers=None),
 }
 
 
@@ -216,7 +214,7 @@ def test_removed_fields_are_rejected(name):
 
 
 def test_process_fingerprint_value_is_pinned():
-    # cache keys and checkpoint hashes derive from this dict; a change to
+    # every cache key derives from this dict; a change to
     # it orphans every existing cache entry.  Lane packing never moves
     # it: every lane is bitwise its scalar run
     assert RunOptions().fingerprint() == {

@@ -77,10 +77,8 @@ class TestSingleRun:
             Study.scenario(scenario()).solver("proposed", integrator=RungeKutta4())
 
     def test_sweep_only_options_rejected_at_plan_time(self):
-        study = Study.scenario(scenario()).options(
-            RunOptions(checkpoint_path="x.csv")
-        )
-        with pytest.raises(ConfigurationError, match="checkpoint_path"):
+        study = Study.scenario(scenario()).options(RunOptions(lane_width=2))
+        with pytest.raises(ConfigurationError, match="lane_width"):
             study.plan()
 
     def test_proposed_knobs_rejected_for_baseline_solver(self):

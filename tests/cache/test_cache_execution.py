@@ -234,19 +234,12 @@ def test_scalar_path_cold_cache_serves_a_lane_sweep(tmp_path):
     assert [p.score for p in lanes.points] == [p.score for p in scalar.points]
 
 
-def test_sweep_cache_and_checkpoint_share_one_fingerprint(tmp_path):
-    """One canonical options fingerprint feeds cache keys and checkpoints."""
-    from repro.analysis.engine import SweepEngine
+def test_sweep_cache_keys_on_the_one_execution_fingerprint():
+    """One canonical options fingerprint feeds every cache key."""
     from repro.api.options import execution_fingerprint
 
     options = RunOptions.batched(relinearise_interval=3)
     assert options.fingerprint() == execution_fingerprint(relinearise_interval=3)
-
-    # and the checkpoint grid hash moves with the shared fingerprint
-    sweep = sweep_study(RunOptions()).plan().sweep
-    exact = SweepEngine(RunOptions())._checkpoint_metadata(sweep)
-    held = SweepEngine(RunOptions.fast(3))._checkpoint_metadata(sweep)
-    assert exact["grid"] != held["grid"]
 
 
 def test_exact_profile_spellings_share_one_fingerprint():
@@ -268,41 +261,6 @@ def test_exact_profile_spellings_share_cache_entries(tmp_path, first, second):
     assert warm.engine_info.n_cache_hits == len(warm.points)
     assert warm.engine_info.n_evaluated == 0
     assert [p.score for p in warm.points] == [p.score for p in cold.points]
-
-
-@pytest.mark.parametrize(
-    "first, second",
-    [({}, {"relinearise_interval": 1}), ({"relinearise_interval": 1}, {})],
-    ids=["default_then_1", "1_then_default"],
-)
-def test_exact_profile_spellings_resume_one_checkpoint(tmp_path, first, second):
-    path = str(tmp_path / "sweep.csv")
-    full = sweep_study(RunOptions(**first, checkpoint_path=path)).run()
-    resumed = sweep_study(RunOptions(**second, checkpoint_path=path)).run()
-    assert resumed.engine_info.n_resumed == len(full.points)
-    assert resumed.engine_info.n_evaluated == 0
-    assert [p.score for p in resumed.points] == [p.score for p in full.points]
-
-
-def test_checkpoint_config_hash_is_pinned():
-    """Existing sweep checkpoints keep resuming: the config-hash is stable.
-
-    The digests below were recorded before the engine was rebuilt around
-    one ``RunOptions``; a change here orphans every checkpoint on disk.
-    """
-    from repro.analysis.engine import SweepEngine
-
-    sweep = sweep_study(RunOptions()).plan().sweep
-    exact = SweepEngine(RunOptions())._checkpoint_metadata(sweep)
-    assert exact == {
-        "metric": "harvested_energy_J",
-        "parameters": "excitation_frequency_hz",
-        "grid": "20284d596ea4774e",
-    }
-    held = SweepEngine(RunOptions.batched(relinearise_interval=3))
-    assert held._checkpoint_metadata(sweep)["grid"] == SweepEngine(
-        RunOptions.fast(3)
-    )._checkpoint_metadata(sweep)["grid"]
 
 
 #: the point keys a process sweep writes; the batched backend shares them
@@ -365,8 +323,9 @@ def test_sweep_cache_rejects_custom_metrics_by_name(tmp_path):
         .options(RunOptions(cache="readwrite", cache_dir=str(tmp_path)))
         .sweep(SWEEP_AXES, metric=my_metric)
     )
-    with pytest.raises(ConfigurationError, match="my_metric"):
+    with pytest.raises(ConfigurationError, match="my_metric") as refused:
         study.run()
+    assert "neither cached nor resumed" in str(refused.value)
 
 
 def test_unwritable_cache_degrades_to_uncached_run(tmp_path):

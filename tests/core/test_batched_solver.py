@@ -451,12 +451,38 @@ class TestSingularAtTheEnd:
         assert "lane 0" in str(error)
         assert batch.results[0] is None
         for i in (1, 2):
-            scalar = LinearisedStateSpaceSolver(
-                _fading_rc_assembler(*windows[i]), settings=settings
-            ).run(ends[i])
-            got = batch.results[i]
-            _assert_traces_identical(scalar, got, context=f"lane {i} ")
-            expected, stats = scalar.stats.as_dict(), got.stats.as_dict()
-            for key in ("cpu_time_s", "solver_name"):
-                del expected[key], stats[key]
-            assert stats == expected
+            _assert_lane_is_its_scalar_run(batch, i, windows[i], settings, ends[i])
+
+
+def _assert_lane_is_its_scalar_run(batch, i, window, settings, end):
+    scalar = LinearisedStateSpaceSolver(
+        _fading_rc_assembler(*window), settings=settings
+    ).run(end)
+    got = batch.results[i]
+    _assert_traces_identical(scalar, got, context=f"lane {i} ")
+    expected, stats = scalar.stats.as_dict(), got.stats.as_dict()
+    for key in ("cpu_time_s", "solver_name"):
+        del expected[key], stats[key]
+    assert stats == expected
+
+
+class TestSingularRefresh:
+    def test_blamed_lane_that_is_not_due_marches_on(self):
+        # both lanes are singular around t = 0.01.  Lane 0 refreshes every
+        # step and fails there; lane 1, with a hold of 4 steps of 1e-3,
+        # refreshes at 0.008 and 0.012 only, so the stacked refresh that
+        # blames it at 0.01 is not its own and must not retire it
+        window = (0.0095, 0.0105)
+        settings = [
+            SolverSettings(fixed_step=1e-3, relinearise_interval=hold)
+            for hold in (1, 4)
+        ]
+        batch = BatchedSolver(
+            [_fading_rc_assembler(*window) for _ in settings], settings=settings
+        ).run([0.02, 0.02])
+        assert set(batch.failures) == {0}
+        error = batch.failures[0]
+        assert isinstance(error, SingularLaneError)
+        assert error.lane_indices == (0,)
+        assert batch.results[0] is None
+        _assert_lane_is_its_scalar_run(batch, 1, window, settings[1], 0.02)

@@ -10,8 +10,8 @@ The headline contracts of the exploration refactor:
   fresh interpreter processes;
 * halving recovers the dense-grid winner at a fraction of the work, and
   its final score is a true full-horizon score;
-* checkpoints compose: grid exploration resumes legacy dense-sweep
-  checkpoints (and vice versa), mismatched strategies refuse.
+* an interrupted exploration resumes through the result cache, replaying
+  its rounds from the served scores.
 """
 
 import os
@@ -227,41 +227,105 @@ def test_seed_is_part_of_the_execution_fingerprint():
 
 
 # ---------------------------------------------------------------------- #
-# checkpoints compose with exploration
+# an interrupted exploration resumes through the result cache
 # ---------------------------------------------------------------------- #
-def test_halving_checkpoint_resumes_without_resimulating(tmp_path):
-    options = RunOptions(
-        explore="halving", checkpoint_path=str(tmp_path / "halving.csv")
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(done, total, best):
+    raise _Interrupted
+
+
+@pytest.mark.parametrize(
+    "explore",
+    [
+        dict(explore="halving"),
+        dict(explore="halving", n_workers=2),
+        dict(explore="random", budget=4, seed=1),
+    ],
+    ids=["halving", "halving_workers", "random"],
+)
+def test_interrupted_exploration_resumes_through_the_cache(tmp_path, explore):
+    # the first progress report comes after the first lane block has
+    # written its entries (serially: exactly that block; with workers,
+    # also the blocks already running); the re-run serves them and
+    # replays every round from the served scores
+    from repro.cache import ResultStore
+
+    def options(**kw):
+        return RunOptions(
+            lane_width=2, cache="readwrite", cache_dir=str(tmp_path), **explore, **kw
+        )
+
+    uninterrupted = study(RunOptions(**explore), HALVING_AXES).run()
+    with pytest.raises(_Interrupted):
+        study(options(progress=_interrupt), HALVING_AXES).run()
+    n_stored = ResultStore(tmp_path).stats()["n_entries"]
+    if explore.get("n_workers", 1) == 1:
+        assert n_stored == 2
+    resumed = study(options(), HALVING_AXES).run()
+
+    assert [r.n_cache_hits for r in resumed.rounds] == [n_stored] + [0] * (
+        len(resumed.rounds) - 1
     )
-    first = study(options, HALVING_AXES).run()
-    rerun = study(options, HALVING_AXES).run()
-    assert rerun.run.n_simulations == 0
-    assert rerun.run.n_resumed == first.run.n_simulations
-    assert ranking(rerun) == ranking(first)
+    assert resumed.run.n_simulations == uninterrupted.run.n_simulations - n_stored
+    assert [ranking(r) for r in resumed.rounds] == [
+        ranking(r) for r in uninterrupted.rounds
+    ]
+    assert ranking(resumed) == ranking(uninterrupted)
+    assert resumed.survivors == uninterrupted.survivors
 
 
-def test_grid_explore_resumes_a_legacy_dense_checkpoint(tmp_path):
-    path = str(tmp_path / "sweep.csv")
-    dense = study(RunOptions(checkpoint_path=path)).run()
-    resumed = study(RunOptions(explore="grid", checkpoint_path=path)).run()
-    assert resumed.run.n_resumed == len(dense.points)
-    assert resumed.run.n_simulations == 0
-    assert ranking(resumed) == ranking(dense)
-    # and the other direction: a grid-explore checkpoint feeds a dense sweep
-    fresh = str(tmp_path / "grid.csv")
-    study(RunOptions(explore="grid", checkpoint_path=fresh)).run()
-    legacy = study(RunOptions(checkpoint_path=fresh)).run()
-    assert legacy.engine_info.n_resumed == len(dense.points)
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (RunOptions(), RunOptions(explore="grid")),
+        (RunOptions(explore="grid"), RunOptions()),
+    ],
+    ids=["dense_then_grid", "grid_then_dense"],
+)
+def test_dense_sweep_and_grid_explore_share_cache_entries(tmp_path, first, second):
+    # cache keys name no strategy: either form of the full grid serves
+    # the other whole
+    cache = dict(cache="readwrite", cache_dir=str(tmp_path))
+    cold = study(first.replace(**cache)).run()
+    warm = study(second.replace(**cache)).run()
+    n_candidates = len(list(grid_candidates(AXES)))
+    assert warm.engine_info.n_cache_hits == n_candidates
+    assert warm.engine_info.n_evaluated == 0
+    assert ranking(warm) == ranking(cold)
 
 
-def test_checkpoint_refuses_a_different_strategy(tmp_path):
-    path = str(tmp_path / "halving.csv")
-    study(RunOptions(explore="halving", checkpoint_path=path), HALVING_AXES).run()
-    with pytest.raises(ConfigurationError):
-        study(
-            RunOptions(explore="random", budget=3, seed=1, checkpoint_path=path),
-            HALVING_AXES,
-        ).run()
+def test_a_different_strategy_is_served_the_full_horizon_entries(tmp_path):
+    # halving caches its short-horizon rounds under the scaled scenario;
+    # only its final, full-horizon candidates serve a later grid run
+    options = RunOptions(cache="readwrite", cache_dir=str(tmp_path))
+    halved = study(options.replace(explore="halving"), HALVING_AXES).run()
+    final = halved.rounds[-1].points
+    grid = study(options.replace(explore="grid"), HALVING_AXES).run()
+    n_candidates = len(list(grid_candidates(HALVING_AXES)))
+    assert grid.run.n_cache_hits == len(final)
+    assert grid.run.n_simulations == n_candidates - len(final)
+    scores = {tuple(p.parameters.items()): p.score for p in grid.points}
+    for point in final:
+        assert scores[tuple(point.parameters.items())] == point.score
+
+
+def test_exploration_cache_refuses_custom_metrics_by_name(tmp_path):
+    def my_metric(result):
+        return 1.0
+
+    sweep = (
+        Study.scenario(charging_scenario(duration_s=0.05))
+        .options(
+            RunOptions(explore="halving", cache="readwrite", cache_dir=str(tmp_path))
+        )
+        .sweep(HALVING_AXES, metric=my_metric)
+    )
+    with pytest.raises(ConfigurationError, match="my_metric") as refused:
+        sweep.run()
+    assert "neither cached nor resumed" in str(refused.value)
 
 
 # ---------------------------------------------------------------------- #

@@ -13,7 +13,6 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.explore import (
     EXPLORE_STRATEGIES,
-    GridExtensionStrategy,
     GridStrategy,
     LatinHypercubeStrategy,
     Observation,
@@ -75,13 +74,6 @@ def test_grid_strategy_proposes_the_dense_grid_once_at_full_horizon():
     assert strategy.propose(1) == []
 
 
-def test_grid_strategy_fingerprint_is_legacy_checkpoint_compatible():
-    # None means "write exactly the dense-sweep checkpoint metadata"
-    assert GridStrategy(AXES).fingerprint() is None
-    assert GridExtensionStrategy(AXES).fingerprint() is None
-    assert GridExtensionStrategy(AXES).name == "extend"
-
-
 # ---------------------------------------------------------------------- #
 # seeded samplers
 # ---------------------------------------------------------------------- #
@@ -132,7 +124,6 @@ def test_sampler_is_a_single_round():
     observe_all(strategy, proposals, range(len(proposals)))
     assert strategy.done()
     assert strategy.propose(1) == []
-    assert strategy.fingerprint() == {"strategy": "random", "budget": 3, "seed": 1}
 
 
 # ---------------------------------------------------------------------- #
