@@ -25,7 +25,7 @@ Adams-Bashforth history.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,17 +152,15 @@ class AdamsBashforth(ExplicitIntegrator):
             return x + h * derivative
         state.push(t, derivative, max_length=self.order)
 
-        if len(state.history) < self.order and self.order > 1:
+        if len(state.times) < self.order and self.order > 1:
             # start-up (or restart after a discontinuity): take a classical
             # RK4 step so the overall order is not limited by the first steps
             return self._runge_kutta_start(func, t, x, h, derivative)
 
-        samples: List[Tuple[float, np.ndarray]] = list(state.history)
-        times = [sample_t for sample_t, _ in samples]
-        derivatives = np.stack([sample_f for _, sample_f in samples])
-        weights = _variable_step_weights(times, t_start=t, t_end=t + h)
-        increment = weights @ derivatives
-        return x + increment
+        # the window is the stacked history, oldest first: the same matmul
+        # as over ``np.stack`` of its samples
+        weights = _variable_step_weights(state.times, t_start=t, t_end=t + h)
+        return x + weights @ state.window
 
     def step_batch(
         self,

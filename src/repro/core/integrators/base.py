@@ -11,9 +11,8 @@ paper.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,24 +26,47 @@ DerivativeFn = Callable[[float, np.ndarray], np.ndarray]
 class IntegratorState:
     """History carried between steps by multi-step methods.
 
-    ``history`` holds ``(t, f(t, x))`` pairs for the most recent accepted
-    steps, newest last.  Single-step methods ignore it.
+    ``times`` holds the sample times of the most recent accepted steps,
+    oldest first, and ``window`` their derivative samples as one
+    C-contiguous stack, ``np.stack`` of the samples in ``times`` order.
+    Each sample is copied once, into the window: while the history refills
+    every push stacks a fresh window; once full, the window shifts one
+    sample older in place, as :func:`repro.core.kernels.push_sample` does
+    for the lanes.  Single-step methods ignore it.
     """
 
-    history: Deque[Tuple[float, np.ndarray]] = field(default_factory=deque)
+    times: List[float] = field(default_factory=list)
+    window: Optional[np.ndarray] = None
+
+    @property
+    def history(self) -> List[Tuple[float, np.ndarray]]:
+        """The ``(t, f(t, x))`` pairs held, newest last, each sample a copy."""
+        if not self.times:
+            return []
+        return [(t, f.copy()) for t, f in zip(self.times, self.window)]
 
     def push(self, t: float, derivative: np.ndarray, max_length: int) -> None:
         """Record an accepted derivative sample, keeping at most ``max_length``."""
-        self.history.append((t, np.asarray(derivative, dtype=float).copy()))
-        while len(self.history) > max_length:
-            self.history.popleft()
+        times = self.times
+        if len(times) < max_length:
+            window = np.empty((len(times) + 1,) + np.shape(derivative))
+            if times:
+                window[:-1] = self.window
+            self.window = window
+        else:
+            del times[0]
+            window = self.window
+            window[:-1] = window[1:]
+        window[-1] = derivative
+        times.append(t)
 
     def clear(self) -> None:
         """Drop all history (used after discontinuities / digital events)."""
-        self.history.clear()
+        self.times.clear()
+        self.window = None
 
     def __len__(self) -> int:
-        return len(self.history)
+        return len(self.times)
 
 
 class ExplicitIntegrator(ABC):

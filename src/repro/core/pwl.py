@@ -187,7 +187,7 @@ class PWLTable:
         """
         xs = np.asarray(xs, dtype=float)
         if not self._data.uniform:
-            return np.searchsorted(self._interior, xs, side="right")
+            return self._interior.searchsorted(xs, side="right")
         q = (xs - self._x0) / self._data.dx
         # fmin sends NaN and +inf to the last segment, fmax -inf to the
         # first; on [0, n_segments] truncation is the floor

@@ -243,6 +243,11 @@ class LinearisedStateSpaceSolver(WiredSolver):
         reduced: Optional[ReducedSystem] = None
         steps_since_assemble = 0
         n_jacobian_reuses = 0
+        # every step is accepted and evaluates the derivative once: the
+        # counts and step extremes are booked into ``stats`` after the loop
+        n_steps = 0
+        min_step = stats.min_step
+        max_step = stats.max_step
 
         while self._t < t_end - 1e-15:
             # 1. digital activations due now
@@ -267,6 +272,7 @@ class LinearisedStateSpaceSolver(WiredSolver):
             refresh = reduced is None or steps_since_assemble >= hold_limit
             if refresh:
                 reduced = self._refresh(batched)
+                derivative_fn = self._frozen_derivative(reduced)
                 self._y = reduced.y_solution
                 stats.n_jacobian_evaluations += 1
                 stats.n_linear_solves += 1
@@ -317,12 +323,12 @@ class LinearisedStateSpaceSolver(WiredSolver):
                 h = min(held_h, boundary - self._t)
 
             # 6. explicit march (Eq. 5)
-            derivative_fn = self._frozen_derivative(reduced)
             self._x = self.integrator.step(
                 derivative_fn, self._t, self._x, h, integrator_state
             )
-            stats.n_function_evaluations += 1
-            stats.register_step(h, accepted=True)
+            n_steps += 1
+            min_step = min(min_step, h)
+            max_step = max(max_step, h)
             self._t += h
 
             # one norm: NaN fails the comparison, and an infinite norm
@@ -342,6 +348,8 @@ class LinearisedStateSpaceSolver(WiredSolver):
         recorder.record_lane(0, self._t, self._x, self._y)
 
         stats.cpu_time_s = time.perf_counter() - wall_start
+        stats.n_steps = stats.n_accepted_steps = stats.n_function_evaluations = n_steps
+        stats.min_step, stats.max_step = min_step, max_step
         stats.final_time = self._t
 
         result = SimulationResult(

@@ -258,7 +258,7 @@ class StepSizeController:
         if t_remaining is not None and t_remaining > 0.0:
             h = min(h, t_remaining)
 
-        if h <= 0.0 or not np.isfinite(h):
+        if h <= 0.0 or not math.isfinite(h):
             raise StepSizeError(f"step controller produced invalid step {h!r}")
 
         self._h_current = h

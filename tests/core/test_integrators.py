@@ -1,6 +1,7 @@
 """Tests for the explicit and implicit integration formulas."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -177,6 +178,73 @@ class TestAdamsBashforth:
             t += h
         exact = t ** (power + 1) / (power + 1)
         assert abs(x[0] - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def march_checking_window(order, func, restarts, n_steps):
+    """March AB of ``order`` and, after every step, check its window
+    against an oracle deque of ``(t, f(t, x))`` copies: the window must be
+    ``np.stack`` of the oracle's samples byte for byte and C-contiguous,
+    and ``times``/``history`` must be the oracle's.  The model restarts
+    (``notify_discontinuity``) before each step index in ``restarts``."""
+    ab = AdamsBashforth(order=order)
+    state = ab.new_state()
+    oracle = deque(maxlen=order)
+    x = np.array([1.0, -0.5, 0.25])
+    t = 0.0
+    depths = []
+    for step in range(n_steps):
+        if step in restarts:
+            ab.notify_discontinuity(state)
+            oracle.clear()
+            assert len(state) == 0 and state.history == []
+        oracle.append((t, np.array(func(t, x), dtype=float)))
+        h = 0.01 * (1 + step % 3)
+        x = ab.step(func, t, x, h, state)
+        t += h
+        expected = np.stack([f for _, f in oracle])
+        assert state.window.flags.c_contiguous
+        assert state.window.shape == expected.shape, step
+        assert state.window.tobytes() == expected.tobytes(), step
+        assert state.times == [sample_t for sample_t, _ in oracle], step
+        history = list(state.history)
+        assert [f.tobytes() for _, f in history] == [f.tobytes() for _, f in oracle]
+        depths.append(len(state))
+    return depths
+
+
+class TestStackedWindow:
+    """The Adams-Bashforth window is the stacked derivative history."""
+
+    A = np.array([[-3.0, 1.0, 0.0], [0.5, -2.0, 0.25], [0.0, 0.1, -1.0]])
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_window_is_the_stacked_history_bitwise(self, order):
+        # restarts once the window is full, so it refills to the same
+        # length, twice in a row, and (from order 3) again mid-fill
+        full = order + 2
+        restarts = {full, 2 * full, 2 * full + 1, 3 * full + order // 2 + 1}
+        depths = march_checking_window(
+            order,
+            lambda t, x: self.A @ x + np.array([np.sin(40.0 * t), 1.0, -0.0]),
+            restarts,
+            4 * full + 2,
+        )
+        # every restart refilled the window to its full length
+        assert depths.count(order) >= len(restarts)
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_window_does_not_alias_the_derivative(self, order):
+        # the derivative function hands back the same array object on
+        # every call, so a window row that kept it would change under the
+        # next call (the RK4 starter's stages or the next step)
+        out = np.empty(3)
+
+        def func(t, x):
+            np.matmul(self.A, x, out=out)
+            out[0] += t
+            return out
+
+        march_checking_window(order, func, {order + 3}, 3 * order + 6)
 
 
 class TestRungeKutta:

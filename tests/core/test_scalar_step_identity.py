@@ -13,6 +13,11 @@ that:
 * the generic eliminate: one ``np.linalg.solve`` of Eq. (4) per refresh,
   so a held solve that outlives a model change shows as a difference;
 * ``_variable_step_weights`` solving its Vandermonde system on every call;
+* the Adams-Bashforth step keeping its history as a deque of ``(t, f)``
+  pairs, each sample copied on push, and stacking a fresh window from
+  ``list(history)`` on every step;
+* the solver booking every step into its ``SolverStats`` through
+  ``register_step`` as it is taken, instead of once after the loop;
 * the step controller measuring the Jacobian drift itself, against its
   own copy of the previous proposal's matrix (forgotten on reset), and
   re-taking that matrix's norm on every call, instead of consuming the
@@ -24,9 +29,11 @@ optimised code, and the two must agree byte for byte.  The reference is
 code, not stored digests, so the comparison holds on any BLAS.
 """
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,9 +44,10 @@ from repro.core import stepper
 from repro.core.block import BlockLinearisation, LinearBlock
 from repro.core.digital import DigitalEventKernel, DigitalProcess
 from repro.core.elimination import ReducedSystem, SystemAssembler
-from repro.core.integrators import adams_bashforth
+from repro.core.integrators import AdamsBashforth, adams_bashforth
 from repro.core.linearise import linearise_block_numerically
 from repro.core.netlist import Netlist
+from repro.core.results import SolverStats
 from repro.core.solver import LinearisedStateSpaceSolver
 from repro.core.stability import integrator_step_limit
 from repro.core.stepper import StepSizeController
@@ -237,6 +245,68 @@ def row_by_row_dickson(self, t, x, y):
     )
 
 
+class DequeHistory:
+    """The integrator state before the stacked window: a deque of
+    ``(t, f)`` pairs, each sample copied on push, plus the solver's
+    per-step ``SolverStats`` booking."""
+
+    def __init__(self):
+        self.history = deque()
+        self.booked = SolverStats()
+
+    def push(self, t, derivative, max_length):
+        self.history.append((t, np.asarray(derivative, dtype=float).copy()))
+        while len(self.history) > max_length:
+            self.history.popleft()
+
+    def clear(self):
+        self.history.clear()
+
+    def __len__(self):
+        return len(self.history)
+
+
+def stacking_step(self, func, t, x, h, state=None):
+    x = np.asarray(x, dtype=float)
+    derivative = np.asarray(func(t, x), dtype=float)
+    state.push(t, derivative, max_length=self.order)
+    state.booked.n_function_evaluations += 1
+    state.booked.register_step(h, accepted=True)
+    stacking_step.calls += 1
+    if len(state.history) < self.order and self.order > 1:
+        return self._runge_kutta_start(func, t, x, h, derivative)
+    samples = list(state.history)
+    times = [sample_t for sample_t, _ in samples]
+    derivatives = np.stack([sample_f for _, sample_f in samples])
+    weights = adams_bashforth._variable_step_weights(times, t_start=t, t_end=t + h)
+    return x + weights @ derivatives
+
+
+stacking_step.calls = 0
+
+#: the ``SolverStats`` fields a step books
+STEP_FIELDS = (
+    "n_steps",
+    "n_accepted_steps",
+    "n_rejected_steps",
+    "n_function_evaluations",
+    "min_step",
+    "max_step",
+)
+
+_run_solver = LinearisedStateSpaceSolver.run
+
+
+def run_booking_every_step(self, *args, **kwargs):
+    # the run's step fields are those its steps booked one by one
+    history = DequeHistory()
+    with mock.patch.object(self.integrator, "new_state", return_value=history):
+        result = _run_solver(self, *args, **kwargs)
+    for name in STEP_FIELDS:
+        setattr(result.stats, name, getattr(history.booked, name))
+    return result
+
+
 @pytest.fixture
 def reference_step(monkeypatch):
     """Context manager running the code inside it on the reference pieces."""
@@ -250,9 +320,13 @@ def reference_step(monkeypatch):
             patch.setattr(StepSizeController, "reset", reset_forgetting_own_drift)
             patch.setattr(StepSizeController, "stability_limit", unscaled_stability_limit)
             patch.setattr(DicksonMultiplier, "linearise", row_by_row_dickson)
+            patch.setattr(AdamsBashforth, "step", stacking_step)
+            patch.setattr(LinearisedStateSpaceSolver, "run", run_booking_every_step)
             calls = generic_assemble.calls
+            steps = stacking_step.calls
             yield
             assert generic_assemble.calls > calls, "the reference assembler never ran"
+            assert stacking_step.calls > steps, "the reference step never ran"
 
     return swapped
 
