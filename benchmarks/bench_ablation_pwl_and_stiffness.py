@@ -52,7 +52,7 @@ def test_pwl_table_granularity(benchmark, n_points):
 
     def run():
         harvester = scenario.build_harvester()
-        harvester.multiplier.companion_table = build_diode_companion_table(
+        harvester.block("multiplier").companion_table = build_diode_companion_table(
             config.diode, n_points=n_points
         )
         solver = harvester.build_solver()

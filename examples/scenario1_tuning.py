@@ -11,8 +11,10 @@ plotting.
 Run with::
 
     python examples/scenario1_tuning.py
+    python examples/scenario1_tuning.py --smoke   # CI: 2 s window, one retune, no CSV
 """
 
+import argparse
 from pathlib import Path
 
 from repro import Study, scenario_1
@@ -21,7 +23,18 @@ from repro.io import format_key_values
 
 
 def main() -> None:
-    scenario = scenario_1(duration_s=4.0, shift_time_s=0.5)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke", action="store_true", help="short CI run (2 s simulated, no CSV)"
+    )
+    args = parser.parse_args()
+
+    if args.smoke:
+        # the shift at 0.3 s is caught by the 1.2 s wake-up: one retune
+        scenario, settle_s = scenario_1(duration_s=2.0, shift_time_s=0.3), 1.2
+    else:
+        scenario, settle_s = scenario_1(duration_s=4.0, shift_time_s=0.5), 2.0
+    shift_time_s = scenario.frequency_steps[0].time
     print(f"scenario: {scenario.description}")
     run = Study.scenario(scenario).run()
 
@@ -33,9 +46,9 @@ def main() -> None:
     # RMS generator power before the frequency shift and after the retune
     before, after = power_before_after(
         run["generator_power"],
-        event_time=0.5,
+        event_time=shift_time_s,
         window_s=0.3,
-        settle_s=2.0,
+        settle_s=settle_s,
     )
     summary = {
         "tunings completed": run.metadata.get("n_tunings_completed", 0),
@@ -47,6 +60,13 @@ def main() -> None:
     }
     print()
     print(format_key_values(summary, title="Scenario 1 summary (compare with Fig. 8)"))
+
+    if args.smoke:
+        assert run.metadata.get("n_tunings_completed", 0) >= 1, "no retune completed"
+        assert abs(run["resonant_frequency"].final() - 71.0) < 0.25, "not retuned to 71 Hz"
+        gap = run["actuator_gap"]
+        assert gap.final() != gap.values[0], "the actuator never moved"
+        return
 
     output = Path(__file__).resolve().parent / "scenario1_traces.csv"
     run.export_csv(

@@ -79,7 +79,6 @@ from .harvester import (
     HarvesterConfig,
     Scenario,
     SpecScenario,
-    TunableEnergyHarvester,
     charging_scenario,
     default_solver_settings,
     electrostatic_scenario,
@@ -87,6 +86,7 @@ from .harvester import (
     generator_variants,
     paper_harvester,
     paper_spec,
+    paper_system,
     piezoelectric_scenario,
     piezoelectric_spec,
     scenario_1,
@@ -150,7 +150,6 @@ __all__ = [
     "HarvesterConfig",
     "Scenario",
     "SpecScenario",
-    "TunableEnergyHarvester",
     "charging_scenario",
     "default_solver_settings",
     "electrostatic_scenario",
@@ -158,6 +157,7 @@ __all__ = [
     "generator_variants",
     "paper_harvester",
     "paper_spec",
+    "paper_system",
     "piezoelectric_scenario",
     "piezoelectric_spec",
     "scenario_1",

@@ -250,8 +250,7 @@ def _make_supercapacitor(name, params, context):
         _f("frequency_tolerance_hz", 0.25),
         _f("measurement_duration_s", 0.5),
         _f("tuning_poll_interval_s", 0.25),
-        # magnetic tuning mechanism + actuator (used only when the caller
-        # does not hand shared instances in through the build context)
+        # magnetic tuning mechanism + actuator
         _f("untuned_frequency_hz", required=True),
         _f("buckling_load_n", 4.5),
         _f("force_constant", 5.0e-12),
@@ -269,7 +268,6 @@ def _make_supercapacitor(name, params, context):
     description="watchdog-driven frequency-tuning controller (Fig. 7)",
 )
 def _make_tuning_controller(name, params, context):
-    extras = getattr(context, "extras", None) or {}
     settings = ControllerSettings(
         watchdog_period_s=params["watchdog_period_s"],
         wake_voltage_v=params["wake_voltage_v"],
@@ -278,7 +276,7 @@ def _make_tuning_controller(name, params, context):
         measurement_duration_s=params["measurement_duration_s"],
         tuning_poll_interval_s=params["tuning_poll_interval_s"],
     )
-    tuning_model = extras.get("tuning_model") or MagneticTuningModel(
+    tuning_model = MagneticTuningModel(
         untuned_frequency_hz=params["untuned_frequency_hz"],
         buckling_load_n=params["buckling_load_n"],
         force_constant=params["force_constant"],
@@ -286,20 +284,17 @@ def _make_tuning_controller(name, params, context):
         min_gap_m=params["min_gap_m"],
         max_gap_m=params["max_gap_m"],
     )
-    actuator = extras.get("actuator")
-    if actuator is None:
-        actuator = LinearActuator(
-            speed_m_per_s=params["actuator_speed_m_per_s"],
-            min_position_m=params["min_gap_m"],
-            max_position_m=params["max_gap_m"],
-            supply_power_w=params["actuator_power_w"],
+    actuator = LinearActuator(
+        speed_m_per_s=params["actuator_speed_m_per_s"],
+        min_position_m=params["min_gap_m"],
+        max_position_m=params["max_gap_m"],
+        supply_power_w=params["actuator_power_w"],
+    )
+    if params["initial_gap_m"] > 0.0:
+        actuator.position_m = min(
+            max(params["initial_gap_m"], params["min_gap_m"]), params["max_gap_m"]
         )
-        if params["initial_gap_m"] > 0.0:
-            actuator.position_m = min(
-                max(params["initial_gap_m"], params["min_gap_m"]),
-                params["max_gap_m"],
-            )
-    load_profile = extras.get("load_profile") or LoadProfile(
+    load_profile = LoadProfile(
         sleep_ohm=params["load_sleep_ohm"],
         awake_ohm=params["load_awake_ohm"],
         tuning_ohm=params["load_tuning_ohm"],

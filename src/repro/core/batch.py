@@ -152,13 +152,13 @@ class _Lane:
 class _LaneWiring:
     """Adapter exposing the solver surface wiring expects, for one lane.
 
-    ``BuiltSystem._wire``/``TunableEnergyHarvester._wire`` talk to a
-    solver through ``add_probe``, its digital ``interface`` and the live
-    reads ``state_value``/``net_value``/``current_time``.  This routes
-    them to one lane of the batched solver: the interface is the lane's
-    own (``None`` for a lane without a digital kernel, so nothing is
-    wired), and during an activation the reads return that lane's live
-    state, time and (lagged) terminal values — what its scalar run reads.
+    ``BuiltSystem._wire`` talks to a solver through ``add_probe``, its
+    digital ``interface`` and the live reads
+    ``state_value``/``net_value``/``current_time``.  This routes them to
+    one lane of the batched solver: the interface is the lane's own
+    (``None`` for a lane without a digital kernel, so nothing is wired),
+    and during an activation the reads return that lane's live state, time
+    and (lagged) terminal values — what its scalar run reads.
     """
 
     def __init__(self, solver: "BatchedSolver", lane: _Lane) -> None:
@@ -271,8 +271,7 @@ class BatchedSolver:
     def lane_wiring(self, lane: int) -> _LaneWiring:
         """Solver-shaped adapter for wiring one lane's probes and interface.
 
-        Pass to ``BuiltSystem._wire`` / ``TunableEnergyHarvester._wire``
-        in place of a scalar solver.
+        Pass to ``BuiltSystem._wire`` in place of a scalar solver.
         """
         return _LaneWiring(self, self._lanes[lane])
 

@@ -8,15 +8,15 @@ global state model (:class:`~repro.core.elimination.SystemAssembler`)
 and attaches the declared digital controller through a
 :class:`~repro.core.digital.DigitalEventKernel`.
 
-The result is a :class:`BuiltSystem`, which exposes the same running
-surface as the hand-written :class:`repro.harvester.system.TunableEnergyHarvester`
-(``build_solver`` / ``build_baseline_solver`` / probes / controller), so
-scenario runners and the sweep engine treat the two interchangeably.
+The result is a :class:`BuiltSystem`, the one running surface
+(``build_solver`` / ``build_baseline_solver`` / probes / controller) that
+scenario runners, baselines and the sweep engine drive — the paper's own
+system included (:func:`repro.harvester.system.paper_system`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .netlist import Netlist
 from .probes import (
     ModelProbe,
     PowerProbe,
+    ProbeFn,
     SourceFrequencyProbe,
     StateProbe,
     TerminalProbe,
@@ -78,22 +79,19 @@ class BuildContext:
     """Shared objects the registry factories may need while building.
 
     ``acceleration``/``frequency`` are filled by the builder from the
-    excitation source before any block factory runs.  ``extras`` carries
-    caller-supplied collaborators (e.g. the harvester layer passes its
-    tuning model and actuator so the controller factory reuses them
-    instead of constructing fresh ones).
+    excitation source before any block factory runs.
     """
 
     acceleration: Optional[Callable[[float], float]] = None
     frequency: Optional[Callable[[float], float]] = None
-    extras: Dict[str, object] = field(default_factory=dict)
 
 
 class BuiltSystem:
     """A compiled system: blocks + netlist + assembler + controller.
 
-    Mirrors the running surface of the hand-written harvester class so
-    scenario runners, baselines and the sweep engine can drive either.
+    ``component_probes`` maps trace names to probes on component handles
+    that no spec probe kind names (the paper system's stored energy and
+    actuator gap); every solver records them after the spec's probes.
     """
 
     def __init__(
@@ -111,6 +109,7 @@ class BuiltSystem:
         self.netlist = netlist
         self.assembler = assembler
         self.controller = controller
+        self.component_probes: Dict[str, ProbeFn] = {}
 
     # ------------------------------------------------------------------ #
     # structural queries
@@ -214,6 +213,8 @@ class BuiltSystem:
                 solver.add_probe(probe.name, ModelProbe(block, probe.targets[0]))
             elif probe.kind == "source_frequency":
                 solver.add_probe(probe.name, SourceFrequencyProbe(self.source))
+        for name, probe in self.component_probes.items():
+            solver.add_probe(name, probe)
 
         interface = getattr(solver, "interface", None)
         if interface is None:
@@ -252,17 +253,11 @@ class SystemBuilder:
         self.registry = registry or BLOCK_REGISTRY
         self.spec = spec.validate(self.registry)
 
-    def build(
-        self,
-        *,
-        vibration_source=None,
-        context: Optional[BuildContext] = None,
-    ) -> BuiltSystem:
+    def build(self, *, vibration_source=None) -> BuiltSystem:
         """Instantiate blocks, wire the netlist, assemble, attach controller.
 
         ``vibration_source`` overrides the spec's excitation (any object
-        with ``acceleration(t)`` and ``frequency(t)``); ``context`` carries
-        extra collaborators into the block factories.
+        with ``acceleration(t)`` and ``frequency(t)``).
         """
         spec = self.spec
         registry = self.registry
@@ -282,9 +277,9 @@ class SystemBuilder:
                 expect_role="source",
             )
 
-        context = context or BuildContext()
-        context.acceleration = source.acceleration
-        context.frequency = source.frequency
+        context = BuildContext(
+            acceleration=source.acceleration, frequency=source.frequency
+        )
 
         blocks: Dict[str, AnalogueBlock] = {}
         netlist = Netlist()

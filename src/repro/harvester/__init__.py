@@ -13,7 +13,7 @@ from .scenarios import (
     scenario_2,
     scenario_solver_settings,
 )
-from .system import TunableEnergyHarvester, default_solver_settings, paper_spec
+from .system import default_solver_settings, paper_spec, paper_system
 from .topologies import (
     SpecScenario,
     electromagnetic_spec,
@@ -27,6 +27,7 @@ from .topologies import (
 __all__ = [
     "SpecScenario",
     "paper_spec",
+    "paper_system",
     "electromagnetic_spec",
     "electrostatic_scenario",
     "electrostatic_spec",
@@ -42,6 +43,5 @@ __all__ = [
     "scenario_solver_settings",
     "scenario_1",
     "scenario_2",
-    "TunableEnergyHarvester",
     "default_solver_settings",
 ]

@@ -25,13 +25,14 @@ from typing import Optional, Sequence
 
 from ..blocks.microcontroller import ControllerSettings
 from ..blocks.vibration import FrequencyStep, VibrationSource
+from ..core.builder import BuiltSystem
 from ..core.errors import StabilityError
 from ..core.integrators import ExplicitIntegrator
 from ..core.results import SimulationResult
 from ..core.serialise import register_serialisable
 from ..core.solver import SolverSettings
 from .config import HarvesterConfig, TuningMechanismConfig, paper_harvester
-from .system import TunableEnergyHarvester, default_solver_settings
+from .system import default_solver_settings, paper_system
 
 __all__ = [
     "Scenario",
@@ -81,13 +82,22 @@ class Scenario:
             steps=list(self.frequency_steps),
         )
 
-    def build_harvester(self) -> TunableEnergyHarvester:
-        """Fresh harvester instance (one per simulation run)."""
-        return TunableEnergyHarvester(
-            config=self.config,
+    def build_harvester(self) -> BuiltSystem:
+        """Fresh compiled paper system (one per simulation run)."""
+        return paper_system(
+            self.config,
             vibration_source=self.build_source(),
             with_controller=self.with_controller,
         )
+
+    def solver_settings(self) -> SolverSettings:
+        """Default fast-solver settings: the step limit resolves the highest
+        excitation frequency the scenario reaches (scheduled steps too)."""
+        max_frequency = max(
+            [self.config.excitation.frequency_hz]
+            + [step.frequency_hz for step in self.frequency_steps]
+        )
+        return default_solver_settings(max_frequency)
 
     def scaled(self, duration_s: float) -> "Scenario":
         """Copy of the scenario with a different simulated duration."""
@@ -310,22 +320,14 @@ def charging_scenario(
 # runners
 # ---------------------------------------------------------------------- #
 def scenario_solver_settings(scenario: Scenario) -> SolverSettings:
-    """Default fast-solver settings for a scenario.
+    """Default fast-solver settings for a scenario (either scenario type's
+    ``solver_settings()``).
 
-    The step limit resolves the highest excitation frequency the scenario
-    ever reaches (including scheduled frequency steps).  This is the
-    default a proposed-solver run applies when no settings are given; it
-    is exposed so sweep engines can reproduce the per-candidate default
-    and then layer solver-profile overrides on top.
+    This is the default a proposed-solver run applies when no settings are
+    given; it is exposed so sweep engines can reproduce the per-candidate
+    default and then layer solver-profile overrides on top.
     """
-    own = getattr(scenario, "solver_settings", None)
-    if callable(own):  # spec-backed scenarios derive settings from the spec
-        return own()
-    max_frequency = max(
-        [scenario.config.excitation.frequency_hz]
-        + [step.frequency_hz for step in scenario.frequency_steps]
-    )
-    return default_solver_settings(max_frequency)
+    return scenario.solver_settings()
 
 
 def proposed_settings(

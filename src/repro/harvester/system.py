@@ -1,21 +1,16 @@
 """Assembly of the complete mixed-technology tunable energy harvester.
 
 This module realises Fig. 1 / Fig. 3 of the paper in code — but the wiring
-itself now lives in the declarative system-description layer:
+itself lives in the declarative system-description layer:
 :func:`paper_spec` produces the :class:`~repro.core.spec.SystemSpec` of the
 paper's case-study topology (electromagnetic microgenerator, Dickson
 voltage multiplier, supercapacitor + equivalent load, digital tuning
-controller), and :class:`~repro.core.builder.SystemBuilder` compiles it
-into the netlist, the :class:`~repro.core.elimination.SystemAssembler`
-(the global state model of Section III-E — 12 states here: the paper's 11
-plus the multiplier's input-filter node, see DESIGN.md) and the attached
-digital kernel.  :class:`TunableEnergyHarvester` remains the convenience
-wrapper with the historical public API.
-
-A :class:`TunableEnergyHarvester` instance owns mutable component state
-(tuning force, actuator position, controller bookkeeping), so a fresh
-instance should be created for every simulation run — the scenario helpers
-in :mod:`repro.harvester.scenarios` do exactly that.
+controller), and :func:`paper_system` compiles it with a plain
+:class:`~repro.core.builder.SystemBuilder` into a
+:class:`~repro.core.builder.BuiltSystem`: the netlist, the
+:class:`~repro.core.elimination.SystemAssembler` (the global state model of
+Section III-E — 12 states here: the paper's 11 plus the multiplier's
+input-filter node, see DESIGN.md) and the attached digital kernel.
 """
 
 from __future__ import annotations
@@ -25,15 +20,9 @@ from typing import Optional
 import numpy as np
 
 from ..blocks.actuator import LinearActuator
-from ..blocks.microcontroller import TuningController
 from ..blocks.tuning import MagneticTuningModel
-from ..blocks.vibration import VibrationSource
-from ..core.builder import BuildContext, SystemBuilder, solver_settings_for_frequency
-from ..core.digital import DigitalEventKernel
-from ..core.errors import ConfigurationError
-from ..core.integrators import ExplicitIntegrator
+from ..core.builder import BuiltSystem, SystemBuilder, solver_settings_for_frequency
 from ..core.probes import ColumnProbe, ModelProbe
-from ..core.solver import LinearisedStateSpaceSolver, SolverSettings
 from ..core.spec import (
     BlockSpec,
     ConnectionSpec,
@@ -46,7 +35,7 @@ from ..core.spec import (
 )
 from .config import HarvesterConfig, paper_harvester
 
-__all__ = ["TunableEnergyHarvester", "default_solver_settings", "paper_spec"]
+__all__ = ["default_solver_settings", "paper_spec", "paper_system"]
 
 
 #: Solver settings whose step limit resolves the vibration waveform: the
@@ -86,7 +75,7 @@ def paper_spec(
     :class:`~repro.core.builder.SystemBuilder` yields a runnable system
     (including the digital tuning controller when ``with_controller``),
     with the standard probes and the Fig. 7 digital interface declared.
-    :class:`TunableEnergyHarvester` compiles exactly this spec.
+    :func:`paper_system` compiles exactly this spec.
     """
     cfg = config or paper_harvester()
     gen = cfg.generator
@@ -221,141 +210,55 @@ def paper_spec(
     )
 
 
-class TunableEnergyHarvester:
-    """The complete tunable vibration energy harvesting system.
+def paper_system(
+    config: Optional[HarvesterConfig] = None,
+    *,
+    vibration_source=None,
+    with_controller: bool = True,
+) -> BuiltSystem:
+    """Compile :func:`paper_spec` into a runnable system.
 
     Parameters
     ----------
     config:
         Full parameter set; defaults to :func:`paper_harvester`.
     vibration_source:
-        Ambient excitation; defaults to a single tone at the configured
-        frequency/amplitude.  Any object with ``acceleration(t)`` and
-        ``frequency(t)`` methods is accepted.
+        Ambient excitation; defaults to the spec's single tone at the
+        configured frequency/amplitude.  Any object with
+        ``acceleration(t)`` and ``frequency(t)`` methods is accepted.
     with_controller:
         Whether to attach the digital tuning controller (Fig. 7).  Disable
         it for open-loop experiments such as the Table I charging run.
+
+    Besides the spec's probes, the result records ``stored_energy`` and
+    ``actuator_gap``: the supercapacitor's branch energy and the tuning
+    actuator's position (the controller's own actuator, or one parked at
+    the pre-tuned gap when there is no controller).  The built system owns
+    mutable component state, so build a fresh one for every run.
     """
-
-    def __init__(
-        self,
-        config: Optional[HarvesterConfig] = None,
-        vibration_source: Optional[VibrationSource] = None,
-        with_controller: bool = True,
-    ) -> None:
-        self.config = config or paper_harvester()
-        cfg = self.config
-
-        self.source = vibration_source or VibrationSource(
-            cfg.excitation.frequency_hz, cfg.excitation.amplitude_ms2
-        )
-
-        # --- tuning mechanism (shared with the controller factory) ----- #
-        self.tuning_model = _tuning_model_from_config(cfg)
-        self.actuator = LinearActuator(
+    cfg = config or paper_harvester()
+    built = SystemBuilder(paper_spec(cfg, with_controller=with_controller)).build(
+        vibration_source=vibration_source
+    )
+    if built.controller is not None:
+        actuator = built.controller.actuator
+    else:
+        gap = _initial_tuning(cfg)[1]
+        actuator = LinearActuator(
             speed_m_per_s=cfg.tuning.actuator_speed_m_per_s,
             min_position_m=cfg.tuning.min_gap_m,
             max_position_m=cfg.tuning.max_gap_m,
             supply_power_w=cfg.tuning.actuator_power_w,
         )
-
-        # --- declarative build ----------------------------------------- #
-        self.spec = paper_spec(cfg, with_controller=with_controller)
-        context = BuildContext(
-            extras={
-                "tuning_model": self.tuning_model,
-                "actuator": self.actuator,
-                "load_profile": cfg.load_profile,
-            }
-        )
-        built = SystemBuilder(self.spec).build(
-            vibration_source=self.source, context=context
-        )
-        self._built = built
-        self.generator = built.block("generator")
-        self.multiplier = built.block("multiplier")
-        self.storage = built.block("storage")
-        self.netlist = built.netlist
-        self.assembler = built.assembler
-        self.with_controller = with_controller
-        self.controller: Optional[TuningController] = built.controller
-
-        if cfg.initial_tuned_frequency_hz is not None:
-            self._apply_initial_tuning(cfg.initial_tuned_frequency_hz)
-
-    # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
-    def _apply_initial_tuning(self, frequency_hz: float) -> None:
-        """Pre-tune the generator and position the actuator accordingly."""
-        f_min, f_max = self.tuning_model.frequency_range()
-        untuned = self.config.generator.untuned_frequency_hz
-        if frequency_hz < untuned - 1e-9:
-            raise ConfigurationError(
-                f"cannot pre-tune below the un-tuned frequency ({untuned} Hz)"
-            )
-        target = min(max(frequency_hz, f_min), f_max)
-        force = self.tuning_model.force_for_frequency(target)
-        self.generator.apply_control("tuning_force", force)
-        self.actuator.position_m = self.tuning_model.gap_for_frequency(target)
-
-    @property
-    def n_states(self) -> int:
-        """Size of the assembled global state vector (11 for the paper system)."""
-        return self.assembler.n_states
-
-    def initial_state(self) -> np.ndarray:
-        """Initial global state vector."""
-        return self.assembler.initial_state()
-
-    # ------------------------------------------------------------------ #
-    # solver construction
-    # ------------------------------------------------------------------ #
-    def build_solver(
-        self,
-        integrator: Optional[ExplicitIntegrator] = None,
-        settings: Optional[SolverSettings] = None,
-    ) -> LinearisedStateSpaceSolver:
-        """Build the proposed (fast) linearised state-space solver.
-
-        When ``settings`` is omitted, the built system's defaults for the
-        configured excitation frequency are used (step bounded to resolve
-        the vibration period).
-        """
-        solver = self._built.build_solver(integrator, settings)
-        self._add_component_probes(solver)
-        return solver
-
-    def build_baseline_solver(self, **kwargs):
-        """Build the Newton-Raphson implicit baseline on the same model.
-
-        Keyword arguments are forwarded to
-        :class:`repro.baselines.implicit_solver.ImplicitNewtonSolver`.
-        """
-        solver = self._built.build_baseline_solver(**kwargs)
-        self._add_component_probes(solver)
-        return solver
-
-    def _build_kernel(self) -> Optional[DigitalEventKernel]:
-        return self._built._build_kernel()
-
-    # ------------------------------------------------------------------ #
-    # probe / control wiring shared by all solvers
-    # ------------------------------------------------------------------ #
-    def _wire(self, solver) -> None:
-        """Attach recording probes and the digital-side interface."""
-        self._built._wire(solver)
-        self._add_component_probes(solver)
-
-    def _add_component_probes(self, solver) -> None:
-        """The spec-declared probes cover the standard traces; these two
-        (stored energy, actuator gap) need the harvester's own component
-        handles."""
-        solver.add_probe(
-            "stored_energy",
-            _StoredEnergyProbe(self.storage, self.assembler.state_slice("storage")),
-        )
-        solver.add_probe("actuator_gap", ModelProbe(self.actuator, "position_m"))
+        if gap > 0.0:
+            actuator.position_m = min(max(gap, cfg.tuning.min_gap_m), cfg.tuning.max_gap_m)
+    built.component_probes = {
+        "stored_energy": _StoredEnergyProbe(
+            built.block("storage"), built.assembler.state_slice("storage")
+        ),
+        "actuator_gap": ModelProbe(actuator, "position_m"),
+    }
+    return built
 
 
 class _StoredEnergyProbe(ColumnProbe):

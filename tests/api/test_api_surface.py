@@ -63,7 +63,6 @@ EXPECTED_ALL = [
     "HarvesterConfig",
     "Scenario",
     "SpecScenario",
-    "TunableEnergyHarvester",
     "charging_scenario",
     "default_solver_settings",
     "electrostatic_scenario",
@@ -71,6 +70,7 @@ EXPECTED_ALL = [
     "generator_variants",
     "paper_harvester",
     "paper_spec",
+    "paper_system",
     "piezoelectric_scenario",
     "piezoelectric_spec",
     "scenario_1",

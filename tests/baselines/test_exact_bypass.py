@@ -93,8 +93,8 @@ def test_bypassed_newton_run_with_retuning_equals_fresh_evaluation(fresh_devices
     scenario = scenario_1(duration_s=1.25, shift_time_s=0.02)
     settings = ImplicitSolverSettings(step_size=2e-3)
     harvester, bypassed = run_baseline(scenario, settings=settings)
-    initial_force = scenario.build_harvester().generator.tuning_force
-    assert harvester.generator.tuning_force != initial_force
+    initial_force = scenario.build_harvester().block("generator").tuning_force
+    assert harvester.block("generator").tuning_force != initial_force
     fresh_devices()
     _, fresh = run_baseline(scenario, settings=settings)
     assert_same_run(bypassed, fresh)

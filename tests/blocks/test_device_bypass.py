@@ -99,7 +99,7 @@ def test_table_diode_path_keeps_no_memo():
 
 
 def generator():
-    return charging_scenario(0.01).build_harvester().generator
+    return charging_scenario(0.01).build_harvester().block("generator")
 
 
 def generator_with_force(force):

@@ -10,8 +10,13 @@ from repro.harvester.config import (
     TuningMechanismConfig,
     paper_harvester,
 )
-from repro.harvester.scenarios import charging_scenario, scenario_1, scenario_2
-from repro.harvester.system import TunableEnergyHarvester, default_solver_settings
+from repro.harvester.scenarios import (
+    charging_scenario,
+    scenario_1,
+    scenario_2,
+    scenario_solver_settings,
+)
+from repro.harvester.system import default_solver_settings, paper_system
 
 
 class TestHarvesterConfig:
@@ -55,9 +60,9 @@ class TestDefaultSolverSettings:
             default_solver_settings(70.0, points_per_period=2)
 
 
-class TestTunableEnergyHarvester:
+class TestPaperSystem:
     def test_assembled_model_size(self):
-        harvester = TunableEnergyHarvester()
+        harvester = paper_system()
         # 3 generator + 6 multiplier (Vin + 5 stages) + 3 supercapacitor
         assert harvester.n_states == 12
         assert harvester.assembler.n_terminals == 4
@@ -69,37 +74,39 @@ class TestTunableEnergyHarvester:
         }
 
     def test_initial_tuning_applied(self):
-        harvester = TunableEnergyHarvester()
-        assert harvester.generator.resonant_frequency_hz == pytest.approx(70.0, abs=0.01)
-        assert harvester.actuator.position_m == pytest.approx(
-            harvester.tuning_model.gap_for_frequency(70.0)
+        harvester = paper_system()
+        generator = harvester.block("generator")
+        assert generator.resonant_frequency_hz == pytest.approx(70.0, abs=0.01)
+        controller = harvester.controller
+        assert controller.actuator.position_m == pytest.approx(
+            controller.tuning_model.gap_for_frequency(70.0)
         )
 
     def test_initial_state_includes_precharge(self):
         config = paper_harvester().with_initial_storage_voltage(2.5)
-        harvester = TunableEnergyHarvester(config)
+        harvester = paper_system(config)
         x0 = harvester.initial_state()
         storage = harvester.assembler.state_slice("storage")
         assert x0[storage] == pytest.approx([2.5, 2.5, 2.5])
 
     def test_without_controller_has_no_kernel(self):
-        harvester = TunableEnergyHarvester(with_controller=False)
+        harvester = paper_system(with_controller=False)
         assert harvester.controller is None
         solver = harvester.build_solver()
         assert solver.digital_kernel is None
 
     @pytest.mark.parametrize("frequency_hz", [60.0, 70.0, 83.5])
     def test_default_settings_are_the_built_systems(self, frequency_hz):
-        # one derivation: the harvester's default is its built system's,
-        # and that is the frequency rule for the configured excitation
+        # one derivation: the solver's default is the built system's, and
+        # that is the frequency rule for the configured excitation
         config = paper_harvester().with_excitation(frequency_hz=frequency_hz)
-        harvester = TunableEnergyHarvester(config)
+        harvester = paper_system(config)
         settings = harvester.build_solver().settings
-        assert settings == harvester._built.default_solver_settings()
+        assert settings == harvester.default_solver_settings()
         assert settings == default_solver_settings(frequency_hz)
 
     def test_solver_wiring(self):
-        harvester = TunableEnergyHarvester()
+        harvester = paper_system()
         solver = harvester.build_solver()
         assert set(solver.interface.probe_names()) == {
             "ambient_frequency",
@@ -113,7 +120,7 @@ class TestTunableEnergyHarvester:
         assert solver.digital_kernel is not None
 
     def test_baseline_solver_shares_wiring(self):
-        harvester = TunableEnergyHarvester()
+        harvester = paper_system()
         solver = harvester.build_baseline_solver()
         assert "storage_voltage" in solver.interface.probe_names()
 
@@ -121,9 +128,10 @@ class TestTunableEnergyHarvester:
         config = paper_harvester()
         config = dataclasses.replace(config, initial_tuned_frequency_hz=64.0)
         config = config.with_excitation(50.0)
-        # excitation below range is fine; pre-tuning below untuned is not
-        with pytest.raises(ConfigurationError):
-            TunableEnergyHarvester(config.with_initial_tuning(63.0))
+        # excitation below range is fine; the config itself refuses a
+        # pre-tuning below the un-tuned frequency, before any build
+        with pytest.raises(ConfigurationError, match="below the un-tuned"):
+            config.with_initial_tuning(63.0)
 
 
 class TestScenarios:
@@ -160,6 +168,12 @@ class TestScenarios:
         second = scenario.build_harvester()
         assert first is not second
         assert first.controller is not second.controller
+
+    def test_solver_settings_resolve_the_highest_scheduled_frequency(self):
+        # the step limit follows the 78 Hz step, not the 64 Hz excitation
+        scenario = scenario_2()
+        assert scenario.solver_settings() == default_solver_settings(78.0)
+        assert scenario_solver_settings(scenario) == scenario.solver_settings()
 
     def test_scaled_copy(self):
         scenario = scenario_1().scaled(1.5)

@@ -1,21 +1,18 @@
 """End-to-end tests of the spec-defined piezoelectric/electrostatic systems.
 
-Also covers the spec-built paper system with the digital controller
-attached (full Fig. 7 interface, declared declaratively) against the
-hand-written :class:`TunableEnergyHarvester`, and the spec file I/O.
+Also pins the traces every named scenario factory records (the paper
+system's component probes included), and covers the spec file I/O.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import Study
+from repro.api.experiment import SCENARIO_FACTORIES
 from repro.core import SystemBuilder
 from repro.core.errors import ConfigurationError
-from repro.harvester.config import paper_harvester
-from repro.harvester.scenarios import scenario_solver_settings
-from repro.harvester.system import TunableEnergyHarvester, paper_spec
+from repro.harvester.scenarios import Scenario, scenario_solver_settings
+from repro.harvester.system import paper_system
 from repro.harvester.topologies import (
     electrostatic_scenario,
     electrostatic_spec,
@@ -94,32 +91,82 @@ class TestSpecScenario:
         assert f == pytest.approx(70.0)
 
 
-class TestPaperSpecWithController:
-    def test_matches_hand_written_harvester_with_controller(self):
-        """Spec-declared Fig. 7 interface == hand-written wiring, byte for byte."""
-        cfg = paper_harvester()
-        cfg = dataclasses.replace(
-            cfg,
-            controller=dataclasses.replace(
-                cfg.controller,
-                watchdog_period_s=0.2,
-                measurement_duration_s=0.05,
-                tuning_poll_interval_s=0.02,
-            ),
+def _traces(generator_state, n_stages, probes):
+    """Recording order: block states, terminal nets, then the probes."""
+    multiplier = ("multiplier.Vin",) + tuple(
+        f"multiplier.V{k}" for k in range(1, n_stages + 1)
+    )
+    return (
+        ("generator.z", "generator.velocity", generator_state)
+        + multiplier
+        + ("storage.Vi", "storage.Vd", "storage.Vl")
+        + ("generator_output_V", "generator_output_I", "storage_port_V", "storage_port_I")
+        + probes
+    )
+
+
+_PAPER_TRACES = _traces(
+    "generator.i_coil",
+    5,
+    (
+        "generator_power",
+        "storage_voltage",
+        "storage_current",
+        "resonant_frequency",
+        "ambient_frequency",
+        "load_resistance",
+        "stored_energy",
+        "actuator_gap",
+    ),
+)
+_SPEC_PROBES = ("generator_power", "generator_voltage", "storage_voltage", "storage_current")
+#: every named factory's trace names, in recording order
+PINNED_TRACES = {
+    "scenario_1": _PAPER_TRACES,
+    "scenario_2": _PAPER_TRACES,
+    "charging": _PAPER_TRACES,
+    "piezoelectric_charging": _traces(
+        "generator.Vp", 3, _SPEC_PROBES + ("ambient_frequency", "piezo_voltage")
+    ),
+    "electrostatic_charging": _traces(
+        "generator.charge", 3, _SPEC_PROBES + ("ambient_frequency", "plate_charge")
+    ),
+}
+
+
+class TestBuiltScenarioTraces:
+    @pytest.mark.parametrize("factory", sorted(SCENARIO_FACTORIES))
+    def test_build_harvester_records_the_pinned_traces(self, factory):
+        scenario = SCENARIO_FACTORIES[factory](duration_s=0.005)
+        built = scenario.build_harvester()
+        x0 = built.initial_state()
+        result = built.build_solver().run(scenario.duration_s)
+        assert tuple(result.traces) == PINNED_TRACES[factory]
+        if not isinstance(scenario, Scenario):
+            # spec-backed topologies carry no component probes
+            assert built.component_probes == {}
+            return
+
+        storage = built.block("storage")
+        energy = result["stored_energy"]
+        assert energy.times[0] == 0.0
+        assert energy.values[0] == storage.stored_energy_j(
+            x0[built.assembler.state_slice("storage")]
         )
-        duration_s = 0.6
 
-        legacy2 = TunableEnergyHarvester(config=cfg)
-        built2 = SystemBuilder(paper_spec(cfg)).build()
-        r_legacy = legacy2.build_solver().run(duration_s)
-        r_spec = built2.build_solver().run(duration_s)
-
-        for trace in ("storage_voltage", "generator_power", "load_resistance"):
-            assert np.array_equal(
-                r_legacy[trace].values, r_spec[trace].values
-            ), f"{trace} differs between hand-written and spec-built paths"
-        # the controller actually did something comparable in both runs
-        assert built2.controller.n_wakeups == legacy2.controller.n_wakeups
+        # the pre-tuned gap, from the tuning model the controller would use
+        model = paper_system(scenario.config).controller.tuning_model
+        f_min, f_max = model.frequency_range()
+        initial = scenario.config.initial_tuned_frequency_hz
+        expected = model.gap_for_frequency(min(max(initial, f_min), f_max))
+        assert result["actuator_gap"].values[0] == expected
+        probe = built.component_probes["actuator_gap"]
+        if scenario.with_controller:
+            # one actuator: the probe reads the controller's own
+            assert probe.owner is built.controller.actuator
+        else:
+            assert built.controller is None
+            assert np.all(result["actuator_gap"].values == expected)
 
 
 class TestSpecFileIO:

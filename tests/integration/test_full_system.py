@@ -18,7 +18,7 @@ from repro.baselines.reference import ReferenceSolver, ReferenceSolverSettings
 from repro.core.integrators import AdamsBashforth, RungeKutta4
 from repro.harvester.config import paper_harvester
 from repro.harvester.scenarios import charging_scenario, scenario_1
-from repro.harvester.system import TunableEnergyHarvester
+from repro.harvester.system import paper_system
 
 
 def proposed_run(scenario, **options):
@@ -126,7 +126,7 @@ class TestBaselineComparison:
         assert baseline_cost > 3.0 * proposed_cost
 
     def test_reference_solver_mirrors_probe_api(self):
-        harvester = TunableEnergyHarvester(with_controller=False)
+        harvester = paper_system(with_controller=False)
         solver = ReferenceSolver(
             harvester.assembler,
             settings=ReferenceSolverSettings(max_step=1e-3, record_interval=2e-3),
